@@ -8,7 +8,12 @@
 // rather than absolute ns keeps the check machine-independent: a per-submit
 // cost linear in the fleet would grow ~100x over the nodes=100 →
 // nodes=10000 sweep, while the indexed hot path stays flat up to a
-// logarithmic factor.
+// logarithmic factor. The same stream carries BenchmarkSubmitQueued/
+// queue=<n>/mix=<m>, and the mode gates the incremental admission test's
+// contract on it the same way: for late-deadline arrivals — ordered behind
+// the whole waiting queue, which keeps its plans — ns/op at queue=128 may
+// exceed queue=8 by at most -max-queue-ratio, where a whole-queue replan
+// grows ~16x.
 //
 // -contention mode gates the optimistic-admission contract
 // (BENCH_contention.json) from BenchmarkSubmitContention/mix=<m>/mode=<m>/
@@ -46,6 +51,10 @@ type event struct {
 // "BenchmarkSubmit/nodes=10000-8     28905     3913 ns/op    841 B/op".
 var benchLine = regexp.MustCompile(`^(Benchmark[^\s/]+)/nodes=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
+// queuedLine matches a queue-depth benchmark result line, e.g.
+// "BenchmarkSubmitQueued/queue=128/mix=late-8     400000     2435 ns/op".
+var queuedLine = regexp.MustCompile(`^BenchmarkSubmitQueued/queue=(\d+)/mix=(\w+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+
 // contLine matches a contention benchmark result line, e.g.
 // "BenchmarkSubmitContention/mix=hot/mode=spec/gos=8-16   300   3913 ns/op".
 var contLine = regexp.MustCompile(`^BenchmarkSubmitContention/mix=(\w+)/mode=(\w+)/gos=(\d+)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op`)
@@ -53,6 +62,7 @@ var contLine = regexp.MustCompile(`^BenchmarkSubmitContention/mix=(\w+)/mode=(\w
 func main() {
 	in := flag.String("in", "BENCH_index.json", "go test -json benchmark stream to gate")
 	maxRatio := flag.Float64("max-ratio", 15, "max allowed ns/op growth, largest vs smallest fleet")
+	maxQueueRatio := flag.Float64("max-queue-ratio", 3, "max allowed ns/op growth of late-deadline arrivals, queue=128 vs queue=8")
 	contention := flag.Bool("contention", false, "gate BenchmarkSubmitContention results instead of the nodes=<n> index families")
 	coldScalePerProc := flag.Float64("cold-scale-per-proc", 0.45, "required cold-mix throughput scaling at gos=8 vs gos=1, per usable proc")
 	coldScaleCap := flag.Float64("cold-scale-cap", 2.0, "cap on the required cold-mix scaling")
@@ -99,6 +109,7 @@ func main() {
 		return
 	}
 	gateIndex(lines, *in, *maxRatio)
+	gateQueued(lines, *in, *maxQueueRatio)
 }
 
 // gateIndex fails when any nodes=<n> family's ns/op grows by more than
@@ -158,6 +169,43 @@ func gateIndex(lines []string, in string, maxRatio float64) {
 	}
 	if failed {
 		fatalf("per-submit cost grows super-linearly with the fleet")
+	}
+}
+
+// gateQueued fails when a late-deadline arrival's ns/op grows by more than
+// maxRatio from a waiting queue of 8 to one of 128.
+func gateQueued(lines []string, in string, maxRatio float64) {
+	const lo, hi = 8, 128
+	ns := map[int]float64{} // queue depth -> best observed ns/op, mix=late
+	for _, line := range lines {
+		m := queuedLine.FindStringSubmatch(line)
+		if m == nil || m[2] != "late" {
+			continue
+		}
+		depth, err := strconv.Atoi(m[1])
+		if err != nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			continue
+		}
+		if cur, ok := ns[depth]; !ok || v < cur {
+			ns[depth] = v
+		}
+	}
+	if ns[lo] == 0 || ns[hi] == 0 {
+		fatalf("no BenchmarkSubmitQueued mix=late results for queue=%d and queue=%d in %s", lo, hi, in)
+	}
+	ratio := ns[hi] / ns[lo]
+	verdict := "ok"
+	if ratio > maxRatio {
+		verdict = "FAIL"
+	}
+	fmt.Printf("benchgate: BenchmarkSubmitQueued mix=late queue=%d %.1f ns/op -> queue=%d %.1f ns/op: x%.2f growth over x%d queue (limit x%.1f) %s\n",
+		lo, ns[lo], hi, ns[hi], ratio, hi/lo, maxRatio, verdict)
+	if ratio > maxRatio {
+		fatalf("a late-deadline arrival pays for the waiting queue ahead of it")
 	}
 }
 

@@ -160,6 +160,30 @@
 // and off; CI gates the scaling and overhead contracts machine-adaptively
 // via cmd/benchgate -contention (BENCH_contention.json).
 //
+// The schedulability test is incremental: the paper's Fig. 2 rebuilds the
+// tentative schedule of the whole waiting queue on every arrival, where
+// this engine keeps the accepted schedule applied on the availability
+// index, one checkpoint per queue position. An arrival ordered at
+// position p offers each of the p tasks before it its current plan
+// (rt.PlanContext.Prior), which the partitioner returns as-is when a
+// fresh Plan provably would — the committed state changed only by commits
+// of the queue's head, no start time is re-clamped, and the node-count
+// floor ñ_min at the new instant has not passed the plan's node count —
+// rewinds the index only to checkpoint p, and plans the arrival and the
+// tasks ordered after it. Due commits cut the head of the index's undo
+// log instead of rolling back and re-applying, and a speculation context
+// whose outcome installed is carried over as the snapshot of the new
+// epoch, so a lone submitter never re-copies the cluster or rebuilds the
+// index. The serialized and the speculative path run one function over
+// an explicit queue state. Decisions and plans are bit-for-bit those of a
+// whole-queue replan (lockstep suites and FuzzIncrementalAdmission
+// against a hint-free reference); node churn, fleet growth and
+// out-of-band commits fall back to one. Stats.PlansComputed/PlansReused
+// and rtdls_admission_plans_{computed,reused}_total per shard report the
+// replanning each arrival caused; cmd/benchgate gates that a
+// late-deadline arrival's cost at 128 waiting tasks stays within 3x of
+// its cost at 8 (BenchmarkSubmitQueued, BENCH_index.json).
+//
 // Build and test with the standard toolchain — go build ./... and
 // go test ./... — or via the Makefile (make ci mirrors the CI pipeline:
 // build, gofmt gate, vet, race tests, benchmark compile check and a fuzz

@@ -342,6 +342,8 @@ type ShardCounters struct {
 	Displacements int64            `json:"displacements,omitempty"`
 	Speculative   int64            `json:"speculative,omitempty"`
 	Conflicts     int64            `json:"conflicts,omitempty"`
+	PlansComputed int64            `json:"plans_computed,omitempty"`
+	PlansReused   int64            `json:"plans_reused,omitempty"`
 	QueueDepthMax float64          `json:"queue_depth_max"`
 	FleetNodes    map[string]int64 `json:"fleet_nodes,omitempty"`
 }
@@ -377,6 +379,13 @@ type ServerMetrics struct {
 	Conflicts    int64               `json:"conflicts"`
 	ConflictRate float64             `json:"conflict_rate"`
 	Readmission  *ReadmissionLatency `json:"readmission,omitempty"`
+
+	// PlansComputed and PlansReused total, across shards, the plans the
+	// admission tests computed by running the partitioner and the plans
+	// they carried over from the previous schedule; their sum over Submits
+	// is the mean number of waiting tasks an arrival's test walked.
+	PlansComputed int64 `json:"plans_computed"`
+	PlansReused   int64 `json:"plans_reused"`
 }
 
 // MetricsDelta summarises the before→after difference of two scrapes.
@@ -411,6 +420,8 @@ func MetricsDelta(before, after *Scrape) *ServerMetrics {
 			Displacements: counterDelta("rtdls_displacements_total", want),
 			Speculative:   counterDelta("rtdls_admission_speculative_total", want),
 			Conflicts:     counterDelta("rtdls_admission_conflicts_total", want),
+			PlansComputed: counterDelta("rtdls_admission_plans_computed_total", want),
+			PlansReused:   counterDelta("rtdls_admission_plans_reused_total", want),
 		}
 		scs.QueueDepthMax, _ = after.Value("rtdls_queue_depth_max", want)
 		if scs.QueueDepthMax > sm.QueueDepthMax {
@@ -431,6 +442,8 @@ func MetricsDelta(before, after *Scrape) *ServerMetrics {
 		sm.Displacements += scs.Displacements
 		sm.Speculative += scs.Speculative
 		sm.Conflicts += scs.Conflicts
+		sm.PlansComputed += scs.PlansComputed
+		sm.PlansReused += scs.PlansReused
 		sm.Shards = append(sm.Shards, scs)
 	}
 	if attempts := sm.Speculative + sm.Conflicts; attempts > 0 {

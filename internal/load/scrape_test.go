@@ -56,6 +56,8 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 	commits := reg.Counter("rtdls_commits_total", "h", metrics.Labels{"shard": "0"})
 	depthMax := reg.Gauge("rtdls_queue_depth_max", "h", metrics.Labels{"shard": "0"})
 	drops := reg.Counter("rtdls_events_dropped_total", "h", nil)
+	computed := reg.Counter("rtdls_admission_plans_computed_total", "h", metrics.Labels{"shard": "0"})
+	reused := reg.Counter("rtdls_admission_plans_reused_total", "h", metrics.Labels{"shard": "0"})
 
 	render := func() *Scrape {
 		var b strings.Builder
@@ -70,6 +72,8 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 	submits.Add(10)
 	accepts.Add(10)
 	commits.Add(10)
+	computed.Add(12)
+	reused.Add(30)
 	before := render()
 
 	for i := 0; i < 99; i++ {
@@ -82,6 +86,8 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 	commits.Add(25)
 	depthMax.SetMax(7)
 	drops.Add(2)
+	computed.Add(55)
+	reused.Add(400)
 	after := render()
 
 	sm := MetricsDelta(before, after)
@@ -118,6 +124,9 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 	}
 	if sm.EventsDropped != 2 {
 		t.Fatalf("events dropped = %g, want 2", sm.EventsDropped)
+	}
+	if sh.PlansComputed != 55 || sh.PlansReused != 400 || sm.PlansComputed != 55 || sm.PlansReused != 400 {
+		t.Fatalf("plan counters = shard %d/%d, total %d/%d, want 55/400", sh.PlansComputed, sh.PlansReused, sm.PlansComputed, sm.PlansReused)
 	}
 }
 

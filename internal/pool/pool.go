@@ -566,6 +566,8 @@ func (p *Pool) Stats() service.Stats {
 		agg.LateCommits += st.LateCommits
 		agg.Speculative += st.Speculative
 		agg.Conflicts += st.Conflicts
+		agg.PlansComputed += st.PlansComputed
+		agg.PlansReused += st.PlansReused
 		if st.LastRelease > agg.LastRelease {
 			agg.LastRelease = st.LastRelease
 		}

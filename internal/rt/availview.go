@@ -22,14 +22,21 @@ import (
 // time across its search loop pays O(1) amortised per inspected node; and
 // EarliestTimeAt(k) answers the pure order-statistic query in O(log n)
 // without materialising anything. A full rebuild — O(n log n) — happens
-// only on Reset and SetEligible, i.e. when the scheduler resynchronises
-// against a changed fleet, not on the per-submit path.
+// only on Reset and SetEligible. The scheduler's own view resets when the
+// fleet changed under it (node churn, growth, out-of-band commits); a
+// speculation context's view additionally resets whenever it has to
+// re-snapshot, i.e. when another submitter's install moved the epoch. A
+// context whose own outcome installed carries its view over, so a single
+// submitter's steady state performs no rebuild at all.
 //
-// Tentative assignments are undo-logged: Rollback restores the view to its
-// base (committed) state in O(changed · log n), and CommitBase folds
-// committed release times into that base, so the scheduler can keep one
-// view alive across submissions instead of re-sorting a fresh snapshot per
-// arrival.
+// Tentative assignments are undo-logged with checkpoints: Mark names a
+// position in the log, RollbackTo undoes back to it in O(changed · log n),
+// and CommitPrefix folds the assignments logged before a mark into the
+// base without touching the index. The admission test leaves the accepted
+// schedule applied and records one mark per queue position, so the next
+// arrival rewinds only the part of the schedule ordered after it and a
+// commit of the queue's head is a cut of the log's head. CommitBase folds
+// release times that were never applied tentatively.
 type AvailView struct {
 	times []float64 // per node id: current (tentative) release time
 
@@ -52,9 +59,13 @@ type AvailView struct {
 	dirty bool   // tree must be rebuilt from times/elig before the next query
 	rng   uint64 // xorshift64 state for treap priorities
 
-	// Undo log for tentative Apply calls, replayed in reverse by Rollback.
+	// Undo log for tentative Apply calls, replayed in reverse by
+	// RollbackTo. undoBase is the mark of undoID[0]: marks count every entry
+	// ever logged since the last Reset, so they stay valid when CommitPrefix
+	// cuts the head of the log.
 	undoID   []int
 	undoTime []float64
+	undoBase int
 
 	// Materialised prefix of the in-order walk: pids/ptimes[:plen] are the
 	// plen earliest nodes. walk is the suspended walk continuation (the
@@ -71,6 +82,8 @@ type AvailView struct {
 	// suites (the sort is the specification the index must match bit for
 	// bit).
 	refMode bool
+
+	rebuilds int // full index rebuilds performed, read by the package tests
 }
 
 // NewAvailView wraps the given per-node release times. The slice is owned
@@ -107,6 +120,7 @@ func (v *AvailView) Reset(times []float64) {
 	v.eligible = n
 	v.undoID = v.undoID[:0]
 	v.undoTime = v.undoTime[:0]
+	v.undoBase = 0
 	v.dirty = true
 	v.invalidatePrefix()
 }
@@ -179,6 +193,7 @@ func (v *AvailView) ensureTree() {
 	if !v.dirty {
 		return
 	}
+	v.rebuilds++
 	v.root = -1
 	for id := range v.times {
 		v.prio[id] = v.nextPrio()
@@ -391,8 +406,8 @@ func (v *AvailView) EarliestTimeAt(k int) float64 {
 }
 
 // Apply records tentative assignments: node ids[i] will next be free at
-// release[i]. Every change is undo-logged so Rollback can restore the base
-// snapshot.
+// release[i]. Every change is undo-logged so RollbackTo can restore any
+// earlier checkpoint.
 func (v *AvailView) Apply(ids []int, release []float64) {
 	if len(ids) != len(release) {
 		panic(fmt.Sprintf("rt: AvailView.Apply: %d ids, %d releases", len(ids), len(release)))
@@ -413,25 +428,53 @@ func (v *AvailView) Apply(ids []int, release []float64) {
 	}
 }
 
-// Rollback undoes every Apply since the last Reset/CommitBase, restoring
-// the base snapshot in O(changed · log n). A view with no tentative
-// assignments rolls back for free.
-func (v *AvailView) Rollback() {
-	if len(v.undoID) == 0 {
+// Mark returns a checkpoint of the undo log: RollbackTo(m) undoes exactly
+// the Apply calls made after Mark returned m. A mark stays valid until the
+// view is rolled back past it, committed past it, or Reset.
+func (v *AvailView) Mark() int { return v.undoBase + len(v.undoID) }
+
+// RollbackTo undoes every Apply made after the mark was taken, in
+// O(changed · log n).
+func (v *AvailView) RollbackTo(mark int) {
+	keep := mark - v.undoBase
+	if keep < 0 || keep > len(v.undoID) {
+		panic(fmt.Sprintf("rt: AvailView.RollbackTo(%d) outside the undo log [%d,%d]", mark, v.undoBase, v.Mark()))
+	}
+	if keep == len(v.undoID) {
 		return
 	}
-	for i := len(v.undoID) - 1; i >= 0; i-- {
+	for i := len(v.undoID) - 1; i >= keep; i-- {
 		v.setTime(v.undoID[i], v.undoTime[i])
 	}
-	v.undoID = v.undoID[:0]
-	v.undoTime = v.undoTime[:0]
+	v.undoID = v.undoID[:keep]
+	v.undoTime = v.undoTime[:keep]
 	v.invalidatePrefix()
+}
+
+// Rollback undoes every tentative assignment, restoring the base snapshot.
+// A view with none pending rolls back for free.
+func (v *AvailView) Rollback() { v.RollbackTo(v.undoBase) }
+
+// CommitPrefix folds the tentative assignments made before the mark into
+// the base: later rollbacks keep them, while the assignments made after
+// the mark stay tentative on top. The times and the index are untouched —
+// only the head of the undo log is cut — so committing the head of an
+// applied schedule costs a copy of the remaining log and nothing else.
+func (v *AvailView) CommitPrefix(mark int) {
+	cut := mark - v.undoBase
+	if cut < 0 || cut > len(v.undoID) {
+		panic(fmt.Sprintf("rt: AvailView.CommitPrefix(%d) outside the undo log [%d,%d]", mark, v.undoBase, v.Mark()))
+	}
+	v.undoID = v.undoID[:copy(v.undoID, v.undoID[cut:])]
+	v.undoTime = v.undoTime[:copy(v.undoTime, v.undoTime[cut:])]
+	v.undoBase = mark
 }
 
 // CommitBase folds committed release times into the view's base snapshot:
 // node ids[i] is busy until release[i] in the cluster's committed state
 // now, so subsequent Rollbacks keep the new times. It must not be called
-// with tentative assignments pending — Rollback first.
+// with tentative assignments pending — Rollback first, or use CommitPrefix
+// when the times being committed are the applied ones.
 func (v *AvailView) CommitBase(ids []int, release []float64) {
 	if len(v.undoID) != 0 {
 		panic("rt: AvailView.CommitBase with tentative assignments pending")

@@ -52,6 +52,12 @@ func (m *refModel) apply(ids []int, rel []float64) {
 
 func (m *refModel) rollback() { copy(m.times, m.base) }
 
+// A checkpoint of the model is a full copy of its times: rolling back to
+// it restores the copy, committing up to it makes the copy the base.
+func (m *refModel) checkpoint() []float64     { return append([]float64(nil), m.times...) }
+func (m *refModel) rollbackTo(ck []float64)   { copy(m.times, ck) }
+func (m *refModel) commitPrefix(ck []float64) { copy(m.base, ck) }
+
 func (m *refModel) commitBase(ids []int, rel []float64) {
 	for i, id := range ids {
 		m.base[id] = rel[i]
@@ -134,9 +140,42 @@ func driveAvailView(t *testing.T, data []byte) {
 		}
 	}
 
+	// Held checkpoints, oldest first: the views' marks and the model's copy
+	// of the times at that instant.
+	type checkpoint struct {
+		v, vr int
+		model []float64
+	}
+	var held []checkpoint
 	pending := false
 	for steps := 0; steps < 512 && off < len(data); steps++ {
-		switch next() % 8 {
+		op := next() % 11
+		if op == 0 || op == 6 || op == 7 {
+			// A reset or full rollback retires every checkpoint; so does a
+			// base commit, which the model's copies would not reflect.
+			held = held[:0]
+		}
+		switch op {
+		case 8: // checkpoint the undo log
+			if len(held) < 8 {
+				held = append(held, checkpoint{v.Mark(), vr.Mark(), model.checkpoint()})
+			}
+		case 9: // roll back to a held checkpoint, retiring the later ones
+			if len(held) > 0 {
+				i := int(next()) % len(held)
+				v.RollbackTo(held[i].v)
+				vr.RollbackTo(held[i].vr)
+				model.rollbackTo(held[i].model)
+				held = held[:i+1]
+			}
+		case 10: // commit up to a held checkpoint, retiring the earlier ones
+			if len(held) > 0 {
+				i := int(next()) % len(held)
+				v.CommitPrefix(held[i].v)
+				vr.CommitPrefix(held[i].vr)
+				model.commitPrefix(held[i].model)
+				held = held[i:]
+			}
 		case 0: // Reset to a fresh snapshot
 			for i := range base {
 				base[i] = mkTime()

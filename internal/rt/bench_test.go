@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"rtdls/internal/cluster"
@@ -124,6 +125,96 @@ func BenchmarkSubmitFastReject(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSubmitQueued measures one admission test against a waiting
+// queue held at a fixed depth, for the three kinds of arrival the wire
+// sees. The 16 nodes free up one slot (one single-node task) apart and a
+// queue of `queue` single-node tasks with loose deadlines is planned onto
+// the coming slots; every iteration of the accepting mixes advances time
+// by one slot, commits the task at the head and submits one arrival, so
+// the depth holds.
+//
+//   - late: the arrival's deadline is the latest — EDF orders it last, every
+//     waiting task keeps its plan, one plan is computed.
+//   - uniform: the deadline falls uniformly inside the queue's range — the
+//     tasks ordered after the arrival are planned again behind it.
+//   - reject: ordered last and passing the fast-reject bounds, but too big
+//     to finish in time on all 16 nodes — the reject a whole-queue replan
+//     pays the full queue for. Time stands still (a reject changes nothing).
+//
+// scripts/bench_index.sh runs the sweep into BENCH_index.json and
+// cmd/benchgate gates the late mix's queue=128 vs queue=8 ns/op ratio: an
+// arrival ordered behind the queue must not pay for the queue.
+func BenchmarkSubmitQueued(b *testing.B) {
+	for _, depth := range []int{0, 8, 32, 128} {
+		for _, mix := range []string{"late", "uniform", "reject"} {
+			b.Run(fmt.Sprintf("queue=%d/mix=%s", depth, mix), func(b *testing.B) {
+				benchSubmitQueued(b, depth, mix)
+			})
+		}
+	}
+}
+
+func benchSubmitQueued(b *testing.B, depth int, mix string) {
+	const (
+		nodes    = 16
+		sigma    = 100.0
+		deadline = 1e6 // loose: every queued task runs on one node
+	)
+	slot := sigma * (baseline.Cms + baseline.Cps) / nodes
+	cl, err := cluster.New(nodes, baseline)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := 0; id < nodes; id++ {
+		if err := cl.Commit([]int{id}, []float64{0}, []float64{float64(id+1) * slot}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s := NewScheduler(cl, EDF, IITDLT{})
+	now := slot / 2 // half a slot off the release grid, so dueness never hangs on rounding
+	id := int64(0)
+	submit := func(t *Task, want bool) {
+		id++
+		t.ID, t.Arrival = id, now
+		if ok, err := s.Submit(t, now); err != nil || ok != want {
+			b.Fatalf("task %+v: accepted=%v err=%v, want accepted=%v", t, ok, err, want)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		submit(&Task{Sigma: sigma, RelDeadline: deadline}, true)
+	}
+	// The largest load whose ñ_min bound still fits the cluster, 0.02% short
+	// of what 16 simultaneously free nodes finish by the deadline: no start
+	// later than now can make it, and no cheap bound can tell.
+	tooBig := deadline * (1 - math.Pow(baseline.Beta(), nodes)) / baseline.Cms * (1 - 2e-4)
+	rng := uint64(depth)*2654435761 + 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		switch mix {
+		case "reject":
+			submit(&Task{Sigma: tooBig, RelDeadline: deadline + 1}, false)
+			continue
+		case "uniform":
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			u := float64(rng>>11) / (1 << 53)
+			submit(&Task{Sigma: sigma, RelDeadline: deadline - u*float64(depth)*slot}, true)
+		default:
+			submit(&Task{Sigma: sigma, RelDeadline: deadline}, true)
+		}
+		now += slot
+		if _, err := s.CommitDue(now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := s.Stats().QueueLen; mix != "reject" && (got < depth || got > depth+1) {
+		b.Fatalf("queue depth drifted to %d, want %d", got, depth)
 	}
 }
 

@@ -40,6 +40,18 @@ func (o OPR) FastReject(ctx *PlanContext, t *Task) bool {
 
 // Plan implements Partitioner.
 func (o OPR) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	// OPR-AN always takes the whole cluster, whatever the slack.
+	if ctx.Prior != nil && (o.AllNodes || ctx.PriorFitsMinNodes(t)) {
+		return ctx.Prior, nil
+	}
+	pl, err := o.plan(ctx, t)
+	if o.AllNodes {
+		return pl, err
+	}
+	return ctx.SealMinNodes(pl, err)
+}
+
+func (o OPR) plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	if cm := ctx.heteroCosts(); cm != nil {
 		return planHeteroOPR(o, cm, ctx, t)
 	}

@@ -21,6 +21,20 @@ type PlanContext struct {
 	Now   float64        // current time; starts are clamped to max(Now, task arrival)
 	View  *AvailView     // tentative per-node release times
 	Costs *dlt.CostModel // per-node cost coefficients; nil or uniform = homogeneous
+
+	// Prior, when non-nil, is the plan the task holds in the current
+	// feasible schedule. The scheduler offers it only when a fresh Plan
+	// would see the very inputs Prior was computed from — the same committed
+	// base, the same plans stacked before it, and clamped start times that
+	// the later Now leaves unchanged (Prior's first start is not before the
+	// task's start floor) — so the one thing that can differ is where the
+	// node search starts. A partitioner that can tell a fresh Plan would
+	// end on Prior's node count returns Prior itself, without consulting
+	// the view; one that does not know the field just plans. Any other
+	// result of a call with Prior set is discarded (the view may hold later
+	// tasks' assignments) and Plan is called again with Prior nil against
+	// the exact view.
+	Prior *Plan
 }
 
 // heteroCosts returns the per-node cost model when the cluster is genuinely
@@ -37,7 +51,10 @@ func (ctx *PlanContext) heteroCosts() *dlt.CostModel {
 
 // startFloor returns the earliest instant the task may occupy a node.
 func (ctx *PlanContext) startFloor(t *Task) float64 {
-	return math.Max(ctx.Now, t.Arrival)
+	if t.Arrival > ctx.Now {
+		return t.Arrival
+	}
+	return ctx.Now
 }
 
 // Partitioner is the framework's task-partitioning module (Decision #2)
@@ -109,25 +126,63 @@ func (ctx *PlanContext) ProvablyLate(t *Task, k int) bool {
 	return lb >= absD+deadlineEps(absD)
 }
 
+// minNodes returns the ñ_min bound the node search of IITDLT, OPR-MN and
+// multiround starts at, for the given slack (absolute deadline minus start
+// floor), over the homogeneous or the per-node cost model, and whether it
+// exists (γ > 0). It never grows with the slack.
+func (ctx *PlanContext) minNodes(t *Task, slack float64) (n0 int, ok bool) {
+	if cm := ctx.heteroCosts(); cm != nil {
+		return dlt.HeteroMinNodesBound(cm, t.Sigma, slack)
+	}
+	return dlt.MinNodesBound(ctx.P, t.Sigma, slack)
+}
+
 // FastRejectMinNodes is the shared FastReject implementation for
 // partitioners whose node search starts at the ñ_min(t) bound (IITDLT,
 // OPR-MN, multiround): infeasible when the bound itself fails (γ ≤ 0 or
 // ñ_min > N — exactly the pre-loop check Plan performs), or when even the
 // ñ_min earliest nodes are provably too late.
 func (ctx *PlanContext) FastRejectMinNodes(t *Task) bool {
-	absD := t.AbsDeadline()
-	slack := absD - ctx.startFloor(t)
-	var n0 int
-	var ok bool
-	if cm := ctx.heteroCosts(); cm != nil {
-		n0, ok = dlt.HeteroMinNodesBound(cm, t.Sigma, slack)
-	} else {
-		n0, ok = dlt.MinNodesBound(ctx.P, t.Sigma, slack)
-	}
+	n0, ok := ctx.minNodes(t, t.AbsDeadline()-ctx.startFloor(t))
 	if !ok || n0 > ctx.N {
 		return true
 	}
 	return ctx.ProvablyLate(t, n0)
+}
+
+// PriorFitsMinNodes is the shared reuse test for the same partitioners:
+// their search tries n = ñ_min(t), ñ_min(t)+1, … and stops at the first
+// node count whose estimate meets the deadline. The estimates are the ones
+// Prior's search saw (see PlanContext.Prior) and the bound only grows as
+// the slack shrinks, so while it has not passed Prior's node count the
+// search ends exactly where Prior's did.
+func (ctx *PlanContext) PriorFitsMinNodes(t *Task) bool {
+	if ctx.Prior == nil {
+		return false
+	}
+	slack := t.AbsDeadline() - ctx.startFloor(t)
+	if s := ctx.Prior.MinSlack; s > 0 && slack >= s {
+		return true
+	}
+	n0, ok := ctx.minNodes(t, slack)
+	return ok && n0 <= len(ctx.Prior.Nodes)
+}
+
+// SealMinNodes finishes a Plan call of those partitioners: it evaluates
+// the bound once at the smallest slack the fresh plan can ever be offered
+// back at — the one at its own first start — and, when it still fits the
+// plan's node count there, records that slack, so PriorFitsMinNodes
+// answers every later offer with a comparison instead of two logarithms.
+func (ctx *PlanContext) SealMinNodes(pl *Plan, err error) (*Plan, error) {
+	if err != nil {
+		return nil, err
+	}
+	t := pl.Task
+	slack := t.AbsDeadline() - math.Max(pl.FirstStart(), t.Arrival)
+	if n0, ok := ctx.minNodes(t, slack); ok && n0 <= len(pl.Nodes) {
+		pl.MinSlack = slack
+	}
+	return pl, nil
 }
 
 // deadlineEps returns the absolute tolerance for comparing a completion

@@ -37,6 +37,11 @@ type Plan struct {
 	// Rounds is the number of dispatch rounds (1 for all single-round
 	// partitioners; >1 for the multi-round extension).
 	Rounds int
+
+	// MinSlack is bookkeeping of the partitioners whose node search starts
+	// at the ñ_min(t) bound (see PlanContext.SealMinNodes): when positive,
+	// the bound is known not to exceed len(Nodes) at any slack ≥ MinSlack.
+	MinSlack float64
 }
 
 // FirstStart returns the earliest node occupation time — the moment the

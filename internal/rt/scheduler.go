@@ -22,13 +22,17 @@ type Observer interface {
 }
 
 // Scheduler implements the paper's Fig. 2 schedulability test and the
-// surrounding admission control. On every arrival it tentatively re-plans
-// the entire waiting queue (ordered by the policy) on top of the committed
-// cluster state; the new task is accepted only if every task in the
-// tentative schedule meets its deadline, in which case the tentative
-// schedule replaces the previous plan. A waiting task becomes committed —
-// occupying its nodes, no longer replannable — when its first data
-// transmission begins (its plan's earliest node start time).
+// surrounding admission control. On every arrival the waiting queue
+// (ordered by the policy) plus the new task is planned as one tentative
+// schedule on top of the committed cluster state; the new task is accepted
+// only if every task in the tentative schedule meets its deadline, in
+// which case the tentative schedule replaces the previous plan. The test
+// is incremental — tasks ordered before the arrival keep their plans and
+// their place in the availability view whenever re-planning them provably
+// returns the same plan (see queueState) — and decision for decision
+// identical to re-planning the whole queue. A waiting task becomes
+// committed — occupying its nodes, no longer replannable — when its first
+// data transmission begins (its plan's earliest node start time).
 //
 // All methods are safe for concurrent use: a single mutex serialises
 // submissions, commits and statistic reads, so one scheduler can be driven
@@ -39,29 +43,24 @@ type Scheduler struct {
 	pol  Policy
 	part Partitioner
 
-	waiting []*Task         // admitted, not yet committed; in policy order
-	plans   map[int64]*Plan // current feasible schedule for waiting tasks
-
-	// Scratch state reused across submissions so the admission hot path
-	// allocates only what the accepted plans themselves need. scratch and
-	// waiting are double-buffered (never share a backing array); spare and
-	// plans likewise.
-	scratch  []*Task
-	spare    map[int64]*Plan
-	view     *AvailView
+	// q is the waiting queue, its current feasible schedule and the
+	// availability view the schedule is applied on. availBuf and eligBuf
+	// back the view's snapshot so a resync allocates nothing.
+	q        queueState
 	availBuf []float64
 	eligBuf  []bool
-	pctx     PlanContext
 
-	// The availability view is kept base-synced across submissions:
-	// clVersion records the cluster mutation counter the view's base
-	// snapshot reflects. While it matches, a fresh test costs one
-	// O(changed·log n) Rollback of the previous test's tentative
-	// assignments; on a mismatch (node churn, fleet growth, out-of-band
-	// commits) the view is rebuilt from a full snapshot. liveCache is the
-	// live-node count at the last sync — LiveNodes is O(n) under churn.
-	clVersion uint64
-	liveCache int
+	// Two stamps of the cluster's mutation counter say what of q is still
+	// exact. clVersion is the version the view's base reflects: while it
+	// matches, CommitDue folds commits into the base incrementally and a
+	// test starts from the overlay it finds; on a mismatch (node churn,
+	// fleet growth, out-of-band commits) the view is rebuilt from a full
+	// snapshot. planVersion is the version the plan table is exact for: it
+	// is stamped by every whole-queue test and advanced by CommitDue when
+	// the commits were the head of the queue, so any other cluster mutation
+	// leaves it behind and the next test re-plans the whole queue.
+	clVersion   uint64
+	planVersion uint64
 
 	// queueGen counts waiting-queue mutations that leave the cluster's own
 	// mutation counter untouched (accepts, revalidations). Together with
@@ -84,12 +83,14 @@ type Scheduler struct {
 	// built on it, including the /metrics scrape — never takes the
 	// scheduler lock. Writes still happen inside locked sections, so the
 	// counters remain mutually consistent at quiescence.
-	arrivals atomic.Int64
-	accepts  atomic.Int64
-	rejects  atomic.Int64
-	commits  atomic.Int64
-	queueLen atomic.Int64
-	maxQueue atomic.Int64
+	arrivals      atomic.Int64
+	accepts       atomic.Int64
+	rejects       atomic.Int64
+	commits       atomic.Int64
+	queueLen      atomic.Int64
+	maxQueue      atomic.Int64
+	plansComputed atomic.Int64
+	plansReused   atomic.Int64
 
 	obs      Observer
 	stageObs StageObserver
@@ -104,13 +105,7 @@ func NewScheduler(cl *cluster.Cluster, pol Policy, part Partitioner) *Scheduler 
 	if part == nil {
 		panic("rt: NewScheduler: nil partitioner")
 	}
-	return &Scheduler{
-		cl:    cl,
-		pol:   pol,
-		part:  part,
-		plans: make(map[int64]*Plan),
-		spare: make(map[int64]*Plan),
-	}
+	return &Scheduler{cl: cl, pol: pol, part: part}
 }
 
 // SetObserver installs lifecycle callbacks (nil disables them). Callbacks
@@ -158,174 +153,87 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 		return false, fmt.Errorf("rt: task %d submitted at %v before its arrival %v: %w",
 			t.ID, now, t.Arrival, errs.ErrBadConfig)
 	}
-	if _, dup := s.plans[t.ID]; dup {
+	if s.q.planOf(t.ID) != nil {
 		return false, fmt.Errorf("rt: task %d is already waiting: %w", t.ID, errs.ErrBadConfig)
 	}
 	s.arrivals.Add(1)
 
 	// Per-stage timing spans are measured only when an observer is
 	// installed; the nil path costs a single predictable branch.
-	stageObs := s.stageObs
 	var t0 time.Time
-	var candDur, planDur time.Duration
-	if stageObs != nil {
+	if s.stageObs != nil {
 		t0 = time.Now()
 	}
-
-	view, live := s.freshViewLocked()
-	if live == 0 {
-		// The whole fleet is drained or down: nothing is placeable. The
-		// stage spans are still recorded — every submit contributes one
-		// sample per stage, whichever path it takes, so the stage
-		// histograms stay reconcilable with rtdls_submits_total.
+	s.syncLocked()
+	out, pl, st, err := s.q.test(s.pol, s.part, !s.noFastReject, t, now, t0)
+	s.noteTestLocked(st)
+	switch out {
+	case SpecAccept:
+		s.acceptedLocked(t, now, pl)
+		return true, nil
+	case SpecReject:
 		s.reject(now, t)
-		s.observeEarlyReject(stageObs, t0)
 		return false, nil
+	default:
+		return false, err
 	}
-	s.pctx = PlanContext{P: s.cl.Params(), N: live, Now: now, View: view, Costs: s.cl.Costs()}
+}
 
-	// Infeasibility fast-reject: a hopeless task — provably unable to meet
-	// its deadline even under the partitioner's most optimistic bounds —
-	// is rejected with one O(log n) order-statistic query against the
-	// committed availability index, skipping the O(queue × plan) replan.
-	// FastReject is sound (never fires on a task the full test would
-	// accept), so the admission decision stream is unchanged.
-	if !s.noFastReject {
-		if fr, ok := s.part.(FastRejecter); ok && fr.FastReject(&s.pctx, t) {
-			s.reject(now, t)
-			s.observeEarlyReject(stageObs, t0)
-			return false, nil
-		}
-	}
-
-	// TempTaskList ← NewTask + TaskWaitingQueue, ordered by the policy. The
-	// candidate list is a scratch buffer double-buffered against waiting.
-	cand := s.scratch[:0]
-	inserted := false
-	for _, w := range s.waiting {
-		if !inserted && s.pol.Less(t, w) {
-			cand = append(cand, t)
-			inserted = true
-		}
-		cand = append(cand, w)
-	}
-	if !inserted {
-		cand = append(cand, t)
-	}
-	s.scratch = cand
-	if stageObs != nil {
-		// Candidate selection ends once the availability view is set up;
-		// everything after splits into planning (the partitioner calls) and
-		// the schedulability check (deadline comparisons + view updates).
-		candDur = time.Since(t0)
-		defer func() {
-			stageObs.ObserveStage(StageCandidate, candDur.Seconds())
-			stageObs.ObserveStage(StagePlan, planDur.Seconds())
-			check := time.Since(t0) - candDur - planDur
-			if check < 0 {
-				check = 0
-			}
-			stageObs.ObserveStage(StageCheck, check.Seconds())
-		}()
-	}
-	newPlans := s.spare
-	discard := func() {
-		clear(newPlans)
-		clear(cand)
-	}
-	for _, ti := range cand {
-		var pl *Plan
-		var perr error
-		if stageObs != nil {
-			tp := time.Now()
-			pl, perr = s.part.Plan(&s.pctx, ti)
-			planDur += time.Since(tp)
-		} else {
-			pl, perr = s.part.Plan(&s.pctx, ti)
-		}
-		if perr != nil {
-			if errors.Is(perr, ErrInfeasible) {
-				s.reject(now, t)
-				discard()
-				return false, nil
-			}
-			discard()
-			return false, perr
-		}
-		absD := ti.AbsDeadline()
-		if pl.Est > absD+deadlineEps(absD) {
-			s.reject(now, t)
-			discard()
-			return false, nil
-		}
-		view.Apply(pl.Nodes, pl.Release)
-		newPlans[ti.ID] = pl
-	}
-
-	// All tasks in the cluster are schedulable: accept TempSchedule. The
-	// previous waiting slice and plan map become the next scratch buffers.
-	old := s.waiting
-	s.waiting = cand
-	clear(old)
-	s.scratch = old
-	oldPlans := s.plans
-	s.plans = newPlans
-	clear(oldPlans)
-	s.spare = oldPlans
+// acceptedLocked records that the schedule now in q — the outcome of a
+// whole-queue test against the current cluster state — admitted t.
+func (s *Scheduler) acceptedLocked(t *Task, now float64, pl *Plan) {
+	s.planVersion = s.cl.Version()
 	s.accepts.Add(1)
-	q := int64(len(s.waiting))
-	s.queueLen.Store(q)
-	storeMax(&s.maxQueue, q)
+	n := int64(len(s.q.queue))
+	s.queueLen.Store(n)
+	storeMax(&s.maxQueue, n)
 	s.queueGen++
 	if s.obs != nil {
-		s.obs.OnAccept(now, t, newPlans[t.ID])
+		s.obs.OnAccept(now, t, pl)
 	}
-	return true, nil
 }
 
-// freshViewLocked hands the admission test an availability view holding
-// exactly the committed cluster state. While the cluster's mutation
-// counter still matches the view's base snapshot, that is one
-// O(changed·log n) Rollback of the previous test's tentative assignments
-// — the steady-state path, since CommitDue folds commits into the base
-// incrementally. On a version mismatch (node churn, fleet growth,
-// out-of-band commits) the view is rebuilt from a fresh snapshot, the
-// placement-eligibility mask is reinstalled when any node is drained or
-// down, and the live (placeable) node count is recached. A fully-up fleet
-// takes exactly the pre-fleet path: no mask, live == N.
-func (s *Scheduler) freshViewLocked() (view *AvailView, live int) {
-	if s.view != nil && !s.resyncEachUse && s.clVersion == s.cl.Version() {
-		s.view.Rollback()
-		return s.view, s.liveCache
+// syncLocked prepares q for a test or a revalidation against the current
+// cluster: the plan table is hinted only while planVersion holds, and the
+// view keeps its overlay only while clVersion holds — the steady-state
+// path, since CommitDue moves both stamps along with its own commits. On
+// a view mismatch the view is rebuilt from a fresh snapshot with nothing
+// applied, the placement-eligibility mask is reinstalled when any node is
+// drained or down, and the live (placeable) node count — O(n) under churn
+// — and cost model are recached. A fully-up fleet takes exactly the
+// pre-fleet path: no mask, live == N.
+func (s *Scheduler) syncLocked() {
+	v := s.cl.Version()
+	if s.planVersion != v {
+		s.q.hinted = false
 	}
-	s.availBuf = s.cl.AvailInto(s.availBuf)
-	if s.view == nil {
-		s.view = NewAvailView(s.availBuf)
-	} else {
-		s.view.Reset(s.availBuf)
-	}
-	s.view.refMode = s.forceRefView
-	live = s.cl.LiveNodes()
-	if live < s.cl.N() {
-		s.eligBuf = s.cl.EligibleInto(s.eligBuf)
-		s.view.SetEligible(s.eligBuf)
-	}
-	s.clVersion = s.cl.Version()
-	s.liveCache = live
-	return s.view, live
-}
-
-// observeEarlyReject records the stage spans for an admission test that
-// ended before planning began (fleet down, fast-reject): the elapsed time
-// is all candidate work, and the plan/check stages contribute explicit
-// zero-length spans so every submit yields exactly one sample per stage.
-func (s *Scheduler) observeEarlyReject(so StageObserver, t0 time.Time) {
-	if so == nil {
+	if s.q.view != nil && !s.resyncEachUse && s.clVersion == v {
 		return
 	}
-	so.ObserveStage(StageCandidate, time.Since(t0).Seconds())
-	so.ObserveStage(StagePlan, 0)
-	so.ObserveStage(StageCheck, 0)
+	s.availBuf = s.cl.AvailInto(s.availBuf)
+	var elig []bool
+	s.q.live = s.cl.LiveNodes()
+	if s.q.live < s.cl.N() {
+		s.eligBuf = s.cl.EligibleInto(s.eligBuf)
+		elig = s.eligBuf
+	}
+	s.q.resetView(s.availBuf, elig)
+	s.q.view.refMode = s.forceRefView
+	s.q.p, s.q.costs = s.cl.Params(), s.cl.Costs()
+	s.clVersion = v
+}
+
+// noteTestLocked lands one admission test's account: its stage spans on
+// the stage observer and its plan counts on the scheduler's counters.
+func (s *Scheduler) noteTestLocked(st SpecStages) {
+	s.plansComputed.Add(int64(st.Computed))
+	s.plansReused.Add(int64(st.Reused))
+	if !st.Timed || s.stageObs == nil {
+		return
+	}
+	s.stageObs.ObserveStage(StageCandidate, st.Cand)
+	s.stageObs.ObserveStage(StagePlan, st.Plan)
+	s.stageObs.ObserveStage(StageCheck, st.Check)
 }
 
 // SetNodeState transitions one cluster node and, on a capacity loss
@@ -370,46 +278,33 @@ func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
 }
 
 func (s *Scheduler) revalidateLocked(now float64) (displaced []*Task, err error) {
-	if len(s.waiting) == 0 {
+	q := &s.q
+	if len(q.queue) == 0 {
 		return nil, nil
 	}
-	view, live := s.freshViewLocked()
-	s.pctx = PlanContext{P: s.cl.Params(), N: live, Now: now, View: view, Costs: s.cl.Costs()}
-	keep := s.scratch[:0]
-	newPlans := s.spare
-	for _, w := range s.waiting {
-		if live == 0 {
+	s.syncLocked()
+	q.pctx = PlanContext{P: q.p, N: q.live, Now: now, View: q.view, Costs: q.costs}
+	base := q.rebuildFrom(0)
+	for _, e := range q.saved {
+		w := e.task
+		if q.live == 0 {
 			displaced = append(displaced, w)
 			continue
 		}
-		pl, perr := s.part.Plan(&s.pctx, w)
+		pl, perr := checkDeadline(s.part.Plan(&q.pctx, w))
 		if perr != nil {
 			if errors.Is(perr, ErrInfeasible) {
 				displaced = append(displaced, w)
 				continue
 			}
-			clear(newPlans)
-			clear(keep)
+			q.restore(0, base)
 			return nil, perr
 		}
-		absD := w.AbsDeadline()
-		if pl.Est > absD+deadlineEps(absD) {
-			displaced = append(displaced, w)
-			continue
-		}
-		view.Apply(pl.Nodes, pl.Release)
-		newPlans[w.ID] = pl
-		keep = append(keep, w)
+		q.push(w, pl)
 	}
-	old := s.waiting
-	s.waiting = keep
-	clear(old)
-	s.scratch = old
-	oldPlans := s.plans
-	s.plans = newPlans
-	clear(oldPlans)
-	s.spare = oldPlans
-	s.queueLen.Store(int64(len(s.waiting)))
+	q.accept(now)
+	s.planVersion = s.cl.Version()
+	s.queueLen.Store(int64(len(q.queue)))
 	s.queueGen++
 	return displaced, nil
 }
@@ -438,17 +333,11 @@ func (s *Scheduler) NextCommit() (at float64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	at = math.Inf(1)
-	for _, pl := range s.plans {
-		if fs := pl.FirstStart(); fs < at {
-			at = fs
-		}
+	for _, e := range s.q.queue {
+		at = math.Min(at, e.first)
 	}
 	return at, !math.IsInf(at, 1)
 }
-
-// commitEps tolerates event-time rounding when deciding whether a plan's
-// first transmission is due.
-const commitEps = 1e-9
 
 // CommitDue commits every waiting plan whose first transmission start is ≤
 // now, in queue order, updating the cluster's release times and accounting.
@@ -461,48 +350,33 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	if stageObs != nil {
 		t0 = time.Now()
 	}
+	// While the stamps hold, the sweep folds each commit into the view's
+	// base and the plan table stays exact, so the next admission test
+	// neither resnapshots all N nodes nor re-plans the tasks that stay. An
+	// error leaves both stamps behind, which safely forces a full resync.
+	before := s.cl.Version()
+	synced := s.q.view != nil && !s.resyncEachUse && s.clVersion == before
 	var out []*Plan
-	rest := s.waiting[:0]
-	tol := commitEps * math.Max(1, math.Abs(now))
-	// While the view is base-synced, fold each commit into its base
-	// incrementally (O(nodes·log n)) instead of forcing the next admission
-	// test to resnapshot and re-sort all N nodes. The tentative
-	// assignments of the last test are rolled back first — CommitBase
-	// mutates the base, not the tentative overlay. An error path below
-	// leaves clVersion stale, which safely forces a full resync.
-	synced := s.view != nil && !s.resyncEachUse && s.clVersion == s.cl.Version()
-	if synced {
-		s.view.Rollback()
-	}
-	for _, w := range s.waiting {
-		pl := s.plans[w.ID]
-		if pl == nil {
-			return out, fmt.Errorf("rt: waiting task %d has no plan", w.ID)
+	err := s.q.sweep(now, synced, func(pl *Plan) error {
+		if err := s.cl.Commit(pl.Nodes, pl.Starts, pl.Release, pl.ReservedIdle); err != nil {
+			return fmt.Errorf("rt: committing task %d: %w", pl.Task.ID, err)
 		}
-		if pl.FirstStart() <= now+tol {
-			if err := s.cl.Commit(pl.Nodes, pl.Starts, pl.Release, pl.ReservedIdle); err != nil {
-				return out, fmt.Errorf("rt: committing task %d: %w", w.ID, err)
-			}
-			if synced {
-				s.view.CommitBase(pl.Nodes, pl.Release)
-			}
-			delete(s.plans, w.ID)
-			s.commits.Add(1)
-			if s.obs != nil {
-				s.obs.OnCommit(now, pl)
-			}
-			out = append(out, pl)
-			continue
+		s.commits.Add(1)
+		if s.obs != nil {
+			s.obs.OnCommit(now, pl)
 		}
-		rest = append(rest, w)
+		out = append(out, pl)
+		return nil
+	})
+	s.queueLen.Store(int64(len(s.q.queue)))
+	if err != nil {
+		return out, err
 	}
-	// Drop the stale tail references left behind by the in-place filter.
-	tail := s.waiting[len(rest):]
-	clear(tail)
-	s.waiting = rest
-	s.queueLen.Store(int64(len(rest)))
 	if synced {
 		s.clVersion = s.cl.Version()
+	}
+	if s.planVersion == before {
+		s.planVersion = s.cl.Version()
 	}
 	if stageObs != nil && len(out) > 0 {
 		stageObs.ObserveStage(StageCommit, time.Since(t0).Seconds())
@@ -514,7 +388,7 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 func (s *Scheduler) PlanFor(taskID int64) *Plan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.plans[taskID]
+	return s.q.planOf(taskID)
 }
 
 // Stats is a consistent snapshot of the scheduler's admission counters.
@@ -534,6 +408,15 @@ func (st Stats) RejectRatio() float64 {
 		return 0
 	}
 	return float64(st.Rejects) / float64(st.Arrivals)
+}
+
+// PlanCounts returns how many plans the admission tests so far computed
+// by running the partitioner and how many they carried over unchanged from
+// the previous schedule — the direct measure of the replanning an arrival
+// causes. Lock-free, like Stats; kept out of Stats because the split
+// depends on the path a decision took, not only on the decision stream.
+func (s *Scheduler) PlanCounts() (computed, reused int64) {
+	return s.plansComputed.Load(), s.plansReused.Load()
 }
 
 // Stats returns a snapshot of all admission counters. It is lock-free —

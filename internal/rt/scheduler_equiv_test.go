@@ -11,13 +11,30 @@ import (
 	"rtdls/internal/dlt"
 )
 
-// This file proves the tentpole's bit-for-bit claim end to end: a
-// production scheduler — persistent treap-indexed view, incremental
-// base sync, infeasibility fast-reject — must emit exactly the same
-// admission decisions, plans, commits, displacements and counters as a
-// scheduler forced into the legacy behaviour (full re-sorted snapshot per
-// submit via the reference full-sort view, no fast-reject) over identical
+// This file proves the bit-for-bit claim end to end: a production
+// scheduler — persistent treap-indexed view, incremental base sync,
+// infeasibility fast-reject, plans and view checkpoints kept across
+// arrivals — must emit exactly the same admission decisions, plans,
+// commits, displacements and counters as a scheduler forced into the
+// legacy behaviour (full re-sorted snapshot per submit via the reference
+// full-sort view, no fast-reject, every plan recomputed) over identical
 // randomized streams with fleet churn and hopeless tasks mixed in.
+
+// noHint is the full-replan reference: it hides PlanContext.Prior from the
+// wrapped partitioner, so every task of every tentative schedule is
+// planned afresh, and forwards the fast-reject unchanged.
+type noHint struct{ Partitioner }
+
+func (p noHint) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	c := *ctx
+	c.Prior = nil
+	return p.Partitioner.Plan(&c, t)
+}
+
+func (p noHint) FastReject(ctx *PlanContext, t *Task) bool {
+	fr, ok := p.Partitioner.(FastRejecter)
+	return ok && fr.FastReject(ctx, t)
+}
 
 func equivClusters(t *testing.T, n int, hetero bool) (*cluster.Cluster, *cluster.Cluster) {
 	t.Helper()
@@ -80,7 +97,7 @@ func equivDrive(t *testing.T, pol Policy, part Partitioner, hetero bool, seed ui
 	const n = 12
 	cla, clb := equivClusters(t, n, hetero)
 	a := NewScheduler(cla, pol, part)
-	b := NewScheduler(clb, pol, part)
+	b := NewScheduler(clb, pol, noHint{part})
 	b.noFastReject = true
 	b.forceRefView = true
 	b.resyncEachUse = true
@@ -187,6 +204,10 @@ func equivDrive(t *testing.T, pol Policy, part Partitioner, hetero bool, seed ui
 	}
 	if sa := a.Stats(); sa.Accepts == 0 || sa.Rejects == 0 {
 		t.Fatalf("degenerate stream (accepts=%d rejects=%d): wanted both paths exercised", sa.Accepts, sa.Rejects)
+	}
+	_, reused := a.PlanCounts()
+	if _, refReused := b.PlanCounts(); reused == 0 || refReused != 0 {
+		t.Fatalf("reused %d plans (reference %d): wanted plans kept on the production side only", reused, refReused)
 	}
 }
 

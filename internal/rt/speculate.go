@@ -1,31 +1,31 @@
 package rt
 
-import (
-	"errors"
-	"math"
-	"time"
-
-	"rtdls/internal/dlt"
-)
+import "time"
 
 // This file is the scheduler half of optimistic two-phase admission.
 //
 // Phase 1 runs lock-free: a submitting goroutine captures an epoch-stamped
-// snapshot of the committed state (SnapshotInto), simulates the due-commit
-// sweep (SpecContext.CommitDue) and runs the full Fig. 2 schedulability
-// test (Speculate) against a private AvailView with per-goroutine scratch
-// buffers — candidate selection, planning and the deadline check all
-// happen without the scheduler lock.
+// snapshot of the scheduler's queue state (SnapshotInto), simulates the
+// due-commit sweep (SpecContext.CommitDue) and runs the Fig. 2
+// schedulability test (Speculate) on its private copy — the same
+// queueState code the serialized Submit runs under the lock.
 //
 // Phase 2 is the short critical section: the service compares the snapshot
 // epoch against the live one (EpochIs) under its lock and, if nothing
 // changed, installs the precomputed outcome (InstallSpeculativeAccept /
 // InstallSpeculativeReject) — the in-lock window shrinks from "the whole
-// admission test" to "an epoch comparison plus a buffer swap". On an epoch
-// mismatch the speculation is discarded and the submission replays through
-// the ordinary serialized Submit, so every decision is still made against
-// serialized state and the decision stream is bit-for-bit what a purely
-// serialized execution would produce.
+// admission test" to "an epoch comparison plus a copy of the schedule". On
+// an epoch mismatch the speculation is discarded and the submission
+// replays through the ordinary serialized Submit, so every decision is
+// still made against serialized state and the decision stream is
+// bit-for-bit what a purely serialized execution would produce.
+//
+// A context whose outcome installed holds exactly the scheduler's new
+// state — same commits folded into its base, same schedule, still applied
+// on its view — so Carry stamps it with the new epoch and the next
+// submission resumes from it instead of copying the cluster and
+// rebuilding the view. Contexts that lost the race stay stale and refresh
+// on their next snapshot.
 
 // Epoch identifies one version of the scheduler's decision-relevant state:
 // the cluster mutation counter (commits, node churn, fleet growth) plus a
@@ -38,15 +38,18 @@ type Epoch struct {
 	queue   uint64
 }
 
-// SpecStages carries the per-stage wall-clock spans measured during a
-// speculative admission test. They are recorded into the stage histograms
-// only when the speculation installs, so every scheduler-reaching submit
-// still contributes exactly one sample per stage.
+// SpecStages is the account of one admission test: the per-stage
+// wall-clock spans and the plan counts. A speculative test's account is
+// recorded only when the speculation installs, so every scheduler-reaching
+// submit still contributes exactly one sample per stage.
 type SpecStages struct {
 	Cand  float64 // seconds in candidate selection
 	Plan  float64 // seconds in partitioner calls
 	Check float64 // seconds in the schedulability check
 	Timed bool    // a StageObserver was installed at snapshot time
+
+	Computed int // plans the partitioner computed afresh
+	Reused   int // plans carried over from the previous schedule
 }
 
 // SpecOutcome classifies one speculative admission test.
@@ -68,38 +71,26 @@ const (
 	SpecAccept
 )
 
-// SpecContext is one goroutine's speculation scratch: the epoch-stamped
-// snapshot, a private availability view, and the candidate/plan buffers the
-// off-lock test runs against. Contexts are reused via a pool; none of the
-// state survives a snapshot except the allocations.
+// SpecContext is one goroutine's private copy of the scheduler's queue
+// state, stamped with the epoch it mirrors. Contexts are reused across
+// submissions; see Carry for when the copy itself, not just its
+// allocations, survives.
 type SpecContext struct {
-	epoch   Epoch
-	avail   []float64 // committed release times (evolves as dues fold in)
-	elig    []bool    // placement eligibility mask (hasElig only)
+	epoch Epoch
+	q     queueState
+	avail []float64 // snapshot of the committed release times (owned by the view once reset)
+	elig  []bool    // placement eligibility mask (hasElig only)
+	// hasElig: some node is drained or down, so the view needs the mask.
 	hasElig bool
-	live    int
-	p       dlt.Params
-	costs   *dlt.CostModel
-	timed   bool
-
-	// The snapshot's waiting queue and plans, parallel slices. CommitDue
-	// and an accepting Speculate evolve them exactly as the serialized
-	// scheduler would, so a batch speculates task after task against the
-	// same context.
-	waiting []*Task
-	plans   []*Plan
-
-	view   *AvailView
-	synced bool // view currently reflects avail/elig (Reset done)
-	pctx   PlanContext
-
-	// Double buffers for the candidate queue under test; on accept they
-	// swap with waiting/plans.
-	cand      []*Task
-	candPlans []*Plan
+	// synced: q.view has been reset from avail/elig since the last refresh,
+	// i.e. q is usable as it stands.
+	synced bool
+	timed  bool
 
 	plan   *Plan // the submitted task's own plan (SpecAccept)
 	stages SpecStages
+
+	refreshes int // full snapshots taken, read by the package tests
 }
 
 // Epoch returns the snapshot's epoch stamp.
@@ -107,14 +98,11 @@ func (sc *SpecContext) Epoch() Epoch { return sc.epoch }
 
 // QueueLen returns the current length of the speculated waiting queue —
 // after CommitDue it is exactly what the serialized busy check would see.
-func (sc *SpecContext) QueueLen() int { return len(sc.waiting) }
+func (sc *SpecContext) QueueLen() int { return len(sc.q.queue) }
 
-// Waiting returns the speculated waiting queue (valid until the next
+// Schedule returns the speculated schedule (valid until the next
 // CommitDue/Speculate call against this context).
-func (sc *SpecContext) Waiting() []*Task { return sc.waiting }
-
-// Plans returns the plans parallel to Waiting.
-func (sc *SpecContext) Plans() []*Plan { return sc.plans }
+func (sc *SpecContext) Schedule() Schedule { return sc.q.queue }
 
 // AcceptedPlan returns the submitted task's plan after a SpecAccept.
 func (sc *SpecContext) AcceptedPlan() *Plan { return sc.plan }
@@ -122,42 +110,45 @@ func (sc *SpecContext) AcceptedPlan() *Plan { return sc.plan }
 // Stages returns the stage spans of the last Speculate call.
 func (sc *SpecContext) Stages() SpecStages { return sc.stages }
 
-// SnapshotInto captures an epoch-stamped copy of the committed state: the
-// per-node release times, the eligibility mask, and the waiting queue with
-// its plans. Task and Plan objects are immutable after creation, so the
-// element copies share them safely with the live scheduler. The context's
-// view is marked stale and rebuilt lazily by the first CommitDue.
+// SnapshotInto makes sc a copy of the scheduler's queue state, stamped
+// with the current epoch: the per-node release times, the eligibility mask,
+// and the waiting queue with its plans. Task and Plan objects are immutable
+// after creation, so the element copies share them safely with the live
+// scheduler. The context's view is rebuilt lazily, off the lock, by the
+// first CommitDue.
 func (s *Scheduler) SnapshotInto(sc *SpecContext) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := Epoch{cluster: s.cl.Version(), queue: s.queueGen}
+	sc.plan = nil
+	sc.timed = s.stageObs != nil
+	e := s.epochLocked()
 	if sc.synced && e == sc.epoch {
-		// The epoch hasn't moved since this context's last snapshot, so the
-		// committed base, eligibility mask and waiting queue it holds —
-		// including its own incremental CommitDue work — are still exact.
-		// Skipping the refresh avoids the O(n log n) view rebuild, which is
-		// what makes reject storms (no epoch movement at all) speculate at
-		// nearly the serialized per-op cost with none of the serialization.
-		sc.plan = nil
+		// The epoch hasn't moved since this context was stamped, so the
+		// committed base, eligibility mask and schedule it holds — including
+		// its own incremental CommitDue work and the overlay on its view —
+		// are still exact. This is what lets reject storms (no epoch
+		// movement at all) and a lone submitter (every move is its own,
+		// carried over) run without ever copying the cluster.
 		return
 	}
+	sc.refreshes++
 	sc.epoch = e
 	sc.avail = s.cl.AvailInto(sc.avail)
-	sc.live = s.cl.LiveNodes()
-	sc.hasElig = sc.live < s.cl.N()
+	q := &sc.q
+	q.live = s.cl.LiveNodes()
+	sc.hasElig = q.live < s.cl.N()
 	if sc.hasElig {
 		sc.elig = s.cl.EligibleInto(sc.elig)
 	}
-	sc.p = s.cl.Params()
-	sc.costs = s.cl.Costs()
-	sc.timed = s.stageObs != nil
-	sc.waiting = append(sc.waiting[:0], s.waiting...)
-	sc.plans = sc.plans[:0]
-	for _, w := range s.waiting {
-		sc.plans = append(sc.plans, s.plans[w.ID])
-	}
+	q.p, q.costs = s.cl.Params(), s.cl.Costs()
+	q.queue = append(q.queue[:0], s.q.queue...)
+	q.hinted = s.q.hinted && s.planVersion == e.cluster
+	q.testedAt = s.q.testedAt
 	sc.synced = false
-	sc.plan = nil
+}
+
+func (s *Scheduler) epochLocked() Epoch {
+	return Epoch{cluster: s.cl.Version(), queue: s.queueGen}
 }
 
 // EpochIs reports whether the scheduler's decision-relevant state still
@@ -166,227 +157,85 @@ func (s *Scheduler) SnapshotInto(sc *SpecContext) {
 func (s *Scheduler) EpochIs(e Epoch) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cl.Version() == e.cluster && s.queueGen == e.queue
+	return s.epochLocked() == e
 }
 
-// syncView brings the private view in line with the snapshot: a full Reset
-// on first use after SnapshotInto, a cheap undo-log Rollback afterwards
-// (exactly the scheduler's own freshViewLocked discipline).
-func (sc *SpecContext) syncView() {
-	if sc.synced {
-		sc.view.Rollback()
-		return
-	}
-	if sc.view == nil {
-		sc.view = NewAvailView(sc.avail)
-	} else {
-		sc.view.Reset(sc.avail)
-	}
-	if sc.hasElig {
-		sc.view.SetEligible(sc.elig)
-	}
-	sc.synced = true
+// Carry stamps sc with the scheduler's current epoch. The caller (the
+// service, under its outer lock) calls it right after installing sc's
+// outcome — together with the real due-commit sweeps sc's CommitDue calls
+// simulated — which is exactly when sc's state is the scheduler's: the
+// next SnapshotInto then finds nothing to copy.
+func (s *Scheduler) Carry(sc *SpecContext) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc.epoch = s.epochLocked()
 }
 
 // CommitDue simulates the due-commit sweep the serialized submit performs
 // before testing a new arrival: every speculated plan whose first
 // transmission is due by now folds into the view's base (the release times
-// cl.Commit would install) and leaves the waiting queue. It returns false
-// on an internal anomaly (a waiting task without a plan), which the caller
-// must treat as a fallback.
-func (sc *SpecContext) CommitDue(now float64) bool {
-	sc.syncView()
-	tol := commitEps * math.Max(1, math.Abs(now))
-	rest := sc.waiting[:0]
-	restPlans := sc.plans[:0]
-	for i, w := range sc.waiting {
-		pl := sc.plans[i]
-		if pl == nil {
-			return false
+// cl.Commit would install) and leaves the waiting queue.
+func (sc *SpecContext) CommitDue(now float64) {
+	if !sc.synced {
+		var elig []bool
+		if sc.hasElig {
+			elig = sc.elig
 		}
-		if pl.FirstStart() <= now+tol {
-			sc.view.CommitBase(pl.Nodes, pl.Release)
-			continue
-		}
-		rest = append(rest, w)
-		restPlans = append(restPlans, pl)
+		sc.q.resetView(sc.avail, elig)
+		sc.synced = true
 	}
-	sc.waiting = rest
-	sc.plans = restPlans
-	return true
+	sc.q.sweep(now, true, nil) //nolint:errcheck // only a commit callback can fail
 }
 
-// Speculate runs the full admission test for t off-lock against the
-// context's speculated state (call CommitDue(now) first). It mirrors the
-// serialized Submit decision for decision: same candidate order, same
-// partitioner calls against an equivalent view, same deadline tolerance.
-// On SpecAccept the context's waiting queue and plans advance to the
-// accepted schedule, so a batch can keep speculating subsequent tasks.
+// Speculate runs the admission test for t off-lock against the context's
+// state (call CommitDue(now) first): the very test the serialized Submit
+// runs, on an equivalent state. On SpecAccept the context's schedule
+// advances to the accepted one, so a batch can keep speculating
+// subsequent tasks.
 //
 // The scheduler's policy and partitioner are immutable after construction,
 // so reading them without the lock is safe; nothing else of the live
 // scheduler is touched.
 func (s *Scheduler) Speculate(sc *SpecContext, t *Task, now float64) SpecOutcome {
-	sc.stages = SpecStages{Timed: sc.timed}
+	sc.plan, sc.stages = nil, SpecStages{}
 	var t0 time.Time
 	if sc.timed {
 		t0 = time.Now()
 	}
 	// A duplicate id is a hard error on the serialized path; produce it
-	// there rather than deciding off-lock.
-	for _, w := range sc.waiting {
-		if w.ID == t.ID {
-			return SpecFallback
-		}
+	// there rather than deciding off-lock. So is a hard partitioner error:
+	// the serialized replay reproduces it.
+	if sc.q.planOf(t.ID) != nil {
+		return SpecFallback
 	}
-	sc.view.Rollback() // discard tentative applies of a prior speculation
-	if sc.live == 0 {
-		sc.observeEarly(t0)
-		return SpecReject
-	}
-	sc.pctx = PlanContext{P: sc.p, N: sc.live, Now: now, View: sc.view, Costs: sc.costs}
-	if !s.noFastReject {
-		if fr, ok := s.part.(FastRejecter); ok && fr.FastReject(&sc.pctx, t) {
-			sc.observeEarly(t0)
-			return SpecReject
-		}
-	}
-	cand := sc.cand[:0]
-	inserted := false
-	for _, w := range sc.waiting {
-		if !inserted && s.pol.Less(t, w) {
-			cand = append(cand, t)
-			inserted = true
-		}
-		cand = append(cand, w)
-	}
-	if !inserted {
-		cand = append(cand, t)
-	}
-	sc.cand = cand
-	var candDur, planDur time.Duration
-	if sc.timed {
-		candDur = time.Since(t0)
-	}
-	candPlans := sc.candPlans[:0]
-	sc.candPlans = candPlans
-	for _, ti := range cand {
-		var pl *Plan
-		var perr error
-		if sc.timed {
-			tp := time.Now()
-			pl, perr = s.part.Plan(&sc.pctx, ti)
-			planDur += time.Since(tp)
-		} else {
-			pl, perr = s.part.Plan(&sc.pctx, ti)
-		}
-		if perr != nil {
-			if errors.Is(perr, ErrInfeasible) {
-				sc.observeFull(t0, candDur, planDur)
-				return SpecReject
-			}
-			return SpecFallback // hard error: the serialized replay reproduces it
-		}
-		absD := ti.AbsDeadline()
-		if pl.Est > absD+deadlineEps(absD) {
-			sc.observeFull(t0, candDur, planDur)
-			return SpecReject
-		}
-		sc.view.Apply(pl.Nodes, pl.Release)
-		candPlans = append(candPlans, pl)
-		if ti == t {
-			sc.plan = pl
-		}
-	}
-	sc.candPlans = candPlans
-	sc.observeFull(t0, candDur, planDur)
-	// Adopt the accepted schedule: the candidate buffers become the
-	// context's waiting state, the old ones the next scratch.
-	sc.waiting, sc.cand = sc.cand, sc.waiting
-	sc.plans, sc.candPlans = sc.candPlans, sc.plans
-	return SpecAccept
-}
-
-// observeEarly records the stage spans of a test that ended before
-// planning, mirroring the serialized observeEarlyReject.
-func (sc *SpecContext) observeEarly(t0 time.Time) {
-	if !sc.timed {
-		return
-	}
-	sc.stages.Cand = time.Since(t0).Seconds()
-	sc.stages.Plan = 0
-	sc.stages.Check = 0
-}
-
-// observeFull splits the elapsed test time into the candidate / plan /
-// check spans, mirroring the serialized Submit's deferred observation.
-func (sc *SpecContext) observeFull(t0 time.Time, candDur, planDur time.Duration) {
-	if !sc.timed {
-		return
-	}
-	sc.stages.Cand = candDur.Seconds()
-	sc.stages.Plan = planDur.Seconds()
-	check := time.Since(t0) - candDur - planDur
-	if check < 0 {
-		check = 0
-	}
-	sc.stages.Check = check.Seconds()
+	out, pl, st, _ := sc.q.test(s.pol, s.part, !s.noFastReject, t, now, t0)
+	sc.plan, sc.stages = pl, st
+	return out
 }
 
 // InstallSpeculativeAccept installs a precomputed accept under the lock:
-// the speculated candidate queue and plans replace the live ones through
-// the same double-buffer swap the serialized accept performs. The caller
-// has validated the epoch under its own outer lock and already committed
-// the due plans, so cand/plans are exactly what the serialized test would
-// have produced. Stage spans recorded during speculation are emitted here,
-// keeping one sample per stage per scheduler-reaching submit.
-func (s *Scheduler) InstallSpeculativeAccept(t *Task, now float64, cand []*Task, plans []*Plan, st SpecStages) {
+// the speculated schedule replaces the live one. The caller has validated
+// the epoch under its own outer lock and already committed the due plans,
+// so sched is exactly what the serialized test would have produced, with
+// pl the plan of t in it. The test's account recorded during speculation
+// lands here, keeping one sample per stage per scheduler-reaching submit.
+func (s *Scheduler) InstallSpeculativeAccept(t *Task, now float64, pl *Plan, sched Schedule, st SpecStages) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.arrivals.Add(1)
-	newCand := append(s.scratch[:0], cand...)
-	newPlans := s.spare
-	for i, ti := range newCand {
-		newPlans[ti.ID] = plans[i]
-	}
-	old := s.waiting
-	s.waiting = newCand
-	clear(old)
-	s.scratch = old
-	oldPlans := s.plans
-	s.plans = newPlans
-	clear(oldPlans)
-	s.spare = oldPlans
-	s.accepts.Add(1)
-	q := int64(len(s.waiting))
-	s.queueLen.Store(q)
-	storeMax(&s.maxQueue, q)
-	s.queueGen++
-	s.emitStagesLocked(st)
-	if s.obs != nil {
-		s.obs.OnAccept(now, t, newPlans[t.ID])
-	}
+	s.q.adopt(sched, now)
+	s.noteTestLocked(st)
+	s.acceptedLocked(t, now, pl)
 }
 
 // InstallSpeculativeReject installs a precomputed scheduler-level reject
 // under the lock. Rejections are epoch-neutral — the live queue, plans and
 // cluster are untouched — so only the counters, the observer callback and
-// the stage samples land.
+// the test's account land.
 func (s *Scheduler) InstallSpeculativeReject(t *Task, now float64, st SpecStages) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.arrivals.Add(1)
 	s.reject(now, t)
-	s.emitStagesLocked(st)
-}
-
-// emitStagesLocked replays the speculation's stage spans into the stage
-// observer, if one is installed.
-func (s *Scheduler) emitStagesLocked(st SpecStages) {
-	if !st.Timed || s.stageObs == nil {
-		return
-	}
-	s.stageObs.ObserveStage(StageCandidate, st.Cand)
-	s.stageObs.ObserveStage(StagePlan, st.Plan)
-	s.stageObs.ObserveStage(StageCheck, st.Check)
+	s.noteTestLocked(st)
 }

@@ -131,6 +131,35 @@ func TestStageSpansOnEarlyRejects(t *testing.T) {
 	}
 }
 
+// TestStageSpansAfterLateObserverInstall is the regression test for the
+// stale-flag bug: SnapshotInto's unchanged-epoch fast path returned before
+// re-reading whether a StageObserver is installed, so an observer installed
+// between two snapshots of one epoch got no candidate/plan/check samples
+// from that context — for as long as the epoch (or, with carried
+// snapshots, the context) lived.
+func TestStageSpansAfterLateObserverInstall(t *testing.T) {
+	s := newSched(t, 4, EDF, IITDLT{})
+	sc := new(SpecContext)
+	// A reject leaves the epoch where it was, so the next snapshot takes
+	// the fast path.
+	if _, ok, err := specSubmit(s, sc, &Task{ID: 1, Arrival: 0, Sigma: 1000, RelDeadline: 1}, 0); err != nil || ok {
+		t.Fatalf("hopeless task: accepted=%v err=%v", ok, err)
+	}
+	rec := &stageRecorder{}
+	s.SetStageObserver(rec)
+	if _, ok, err := specSubmit(s, sc, &Task{ID: 2, Arrival: 0, Sigma: 100, RelDeadline: 5000}, 0); err != nil || !ok {
+		t.Fatalf("feasible task: accepted=%v err=%v", ok, err)
+	}
+	if sc.refreshes != 1 {
+		t.Fatalf("second snapshot refreshed (%d refreshes): the fast path was not exercised", sc.refreshes)
+	}
+	for _, st := range []Stage{StageCandidate, StagePlan, StageCheck} {
+		if got := rec.count(st); got != 1 {
+			t.Fatalf("stage %v observed %d times after the observer was installed, want 1", st, got)
+		}
+	}
+}
+
 func TestStageObserverViaSetObserver(t *testing.T) {
 	// A decision observer that also implements StageObserver is picked up
 	// by plain SetObserver — the service layer installs its Metrics this

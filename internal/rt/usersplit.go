@@ -36,6 +36,10 @@ func (UserSplit) FastReject(ctx *PlanContext, t *Task) bool {
 
 // Plan implements Partitioner.
 func (UserSplit) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	// The node count is the user's request, whatever the slack.
+	if ctx.Prior != nil {
+		return ctx.Prior, nil
+	}
 	if cm := ctx.heteroCosts(); cm != nil {
 		return planHeteroUserSplit(cm, ctx, t)
 	}

@@ -1,0 +1,99 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"rtdls/internal/cluster"
+	"rtdls/internal/metrics"
+	"rtdls/internal/rt"
+)
+
+// TestPlanCountersFollowReplanning: "tasks replanned per submit" is
+// answerable from Stats and /metrics alone. Behind a busy fleet a queue of
+// k tasks builds up; every arrival ordered after them computes one plan and
+// carries k over, on the speculative path and on the serialized one, and
+// the per-shard counters land on the same totals as Stats.
+func TestPlanCountersFollowReplanning(t *testing.T) {
+	for _, speculate := range []bool{true, false} {
+		reg := metrics.NewRegistry()
+		clock := NewManualClock(0)
+		svc := newTestService(t, func(c *Config) {
+			c.Metrics = NewMetrics(reg)
+			c.Clock = clock
+			c.Shard = 3
+		})
+		svc.SetSpeculation(speculate)
+		ctx := context.Background()
+		// The first task takes the whole fleet for a long time; the rest wait.
+		tasks := []rt.Task{{ID: 1, Sigma: 4000, RelDeadline: 28000}}
+		for i := 2; i <= 9; i++ {
+			tasks = append(tasks, rt.Task{ID: int64(i), Sigma: 100, RelDeadline: 200000 + 100*float64(i)})
+		}
+		for i, task := range tasks {
+			clock.Set(float64(10 * (i + 1)))
+			if d, err := svc.Submit(ctx, task); err != nil || !d.Accepted {
+				t.Fatalf("speculate=%v task %d: %+v, %v", speculate, task.ID, d, err)
+			}
+		}
+		// Task 1 starts at once and commits on the next sweep; tasks 2..9 each
+		// find every earlier waiting task ordered before them.
+		st := svc.Stats()
+		if st.PlansComputed != 9 || st.PlansReused != 0+0+1+2+3+4+5+6+7 {
+			t.Fatalf("speculate=%v: computed %d reused %d, want 9 and 28", speculate, st.PlansComputed, st.PlansReused)
+		}
+		var b strings.Builder
+		if _, err := reg.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`rtdls_admission_plans_computed_total{shard="3"} %d`, st.PlansComputed),
+			fmt.Sprintf(`rtdls_admission_plans_reused_total{shard="3"} %d`, st.PlansReused),
+		} {
+			if !strings.Contains(b.String(), want) {
+				t.Fatalf("speculate=%v: exposition missing %q:\n%s", speculate, want, b.String())
+			}
+		}
+	}
+}
+
+// TestSpeculationContextIsCarried: a lone submitter keeps resuming from the
+// one context its previous install carried over — the stack of parked
+// contexts never grows past it — whether it submits singly or in batches.
+func TestSpeculationContextIsCarried(t *testing.T) {
+	cl, err := cluster.New(64, baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := NewManualClock(0)
+	svc, err := New(Config{Cluster: cl, Policy: rt.EDF, Partitioner: rt.IITDLT{}, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var carried *rt.SpecContext
+	for i := 1; i <= 200; i++ {
+		clock.Advance(300)
+		task := rt.Task{ID: int64(i), Sigma: 150, RelDeadline: 5200}
+		if i%10 == 0 {
+			if _, err := svc.SubmitBatch(ctx, []rt.Task{task}); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := svc.Submit(ctx, task); err != nil {
+			t.Fatal(err)
+		}
+		if len(svc.specFree) != 1 {
+			t.Fatalf("submit %d: %d parked contexts, want 1", i, len(svc.specFree))
+		}
+		if carried == nil {
+			carried = svc.specFree[0]
+		} else if svc.specFree[0] != carried {
+			t.Fatalf("submit %d resumed from a different context", i)
+		}
+	}
+	if st := svc.Stats(); st.Speculative != 200 || st.Conflicts != 0 {
+		t.Fatalf("stats %+v: want 200 speculative installs, no conflicts", st)
+	}
+}

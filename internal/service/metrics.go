@@ -52,6 +52,9 @@ type shardInstruments struct {
 
 	speculative *metrics.Counter
 	conflicts   *metrics.Counter
+
+	plansComputed *metrics.Counter
+	plansReused   *metrics.Counter
 }
 
 // NewMetrics returns a Metrics bound to the registry, with the per-stage
@@ -122,6 +125,10 @@ func (m *Metrics) shard(i int) *shardInstruments {
 		"Admission decisions planned off-lock and installed on an unchanged epoch, per shard.", lbl)
 	si.conflicts = m.reg.Counter("rtdls_admission_conflicts_total",
 		"Speculative admissions discarded on an epoch conflict and replayed serialized, per shard.", lbl)
+	si.plansComputed = m.reg.Counter("rtdls_admission_plans_computed_total",
+		"Plans the admission tests computed by running the partitioner, per shard.", lbl)
+	si.plansReused = m.reg.Counter("rtdls_admission_plans_reused_total",
+		"Plans the admission tests carried over unchanged from the previous schedule, per shard.", lbl)
 	si.fleetNodes = make(map[cluster.NodeState]*metrics.Gauge, 3)
 	for _, st := range cluster.NodeStates() {
 		si.fleetNodes[st] = m.reg.Gauge("rtdls_fleet_nodes",

@@ -129,6 +129,13 @@ type Stats struct {
 	// (each replayed through the serialized path).
 	Speculative int
 	Conflicts   int
+
+	// Replanning accounting — what each arrival cost the planner: plans the
+	// admission tests computed by running the partitioner, and plans they
+	// carried over unchanged from the previous schedule (tasks ordered
+	// before the arrival).
+	PlansComputed int
+	PlansReused   int
 }
 
 // RejectRatio returns Rejects/Arrivals (0 when nothing has arrived).
@@ -194,15 +201,22 @@ type Service struct {
 	// Optimistic-admission state (speculate.go): the default-on gate, the
 	// consecutive-conflict streak driving the adaptive backoff with its
 	// probe counter, the install/discard totals surfaced by Stats and
-	// /metrics, and a pool of per-goroutine speculation contexts.
+	// /metrics, and the stack of parked speculation contexts, freshest on
+	// top.
 	speculating   atomic.Bool
 	specStreak    atomic.Int64
 	specProbe     atomic.Uint64
 	specInstalls  atomic.Int64
 	specConflicts atomic.Int64
-	specPool      sync.Pool
+	specMu        sync.Mutex
+	specFree      []*rt.SpecContext
 
 	exec ExecStats // under mu
+
+	// The scheduler's plan counts as of the last notePlansLocked, so the
+	// /metrics counters advance by one Add per admission test. Under mu.
+	plansComputedSeen int64
+	plansReusedSeen   int64
 
 	met  *Metrics          // nil when uninstrumented
 	inst *shardInstruments // this shard's counters/gauges (nil with met)
@@ -368,6 +382,9 @@ func (s *Service) submitLocked(task rt.Task) (Decision, error) {
 	}
 
 	accepted, err := s.sched.Submit(t, now)
+	if s.inst != nil {
+		s.notePlansLocked()
+	}
 	if err != nil {
 		return Decision{}, err
 	}
@@ -512,6 +529,16 @@ func (s *Service) commitDueLocked(now float64) error {
 	return nil
 }
 
+// notePlansLocked advances the shard's plan counters to the scheduler's
+// totals. Callers hold s.mu — which serializes every admission test that
+// lands on the scheduler — and have checked s.inst != nil.
+func (s *Service) notePlansLocked() {
+	computed, reused := s.sched.PlanCounts()
+	s.inst.plansComputed.Add(uint64(computed - s.plansComputedSeen))
+	s.inst.plansReused.Add(uint64(reused - s.plansReusedSeen))
+	s.plansComputedSeen, s.plansReusedSeen = computed, reused
+}
+
 // noteQueueLocked refreshes the shard's queue-depth gauges from the
 // scheduler's lock-free counters. Callers hold s.mu and have checked
 // s.inst != nil.
@@ -563,6 +590,7 @@ func (s *Service) Drain() error {
 func (s *Service) Stats() Stats {
 	now := s.clock.Now()
 	ss := s.sched.Stats()
+	computed, reused := s.sched.PlanCounts()
 	busy := math.Float64frombits(s.busyBits.Load())
 	rel := math.Float64frombits(s.releaseBits.Load())
 	st := Stats{
@@ -584,6 +612,8 @@ func (s *Service) Stats() Stats {
 		LateCommits:   int(s.lateCommits.Load()),
 		Speculative:   int(s.specInstalls.Load()),
 		Conflicts:     int(s.specConflicts.Load()),
+		PlansComputed: int(computed),
+		PlansReused:   int(reused),
 	}
 	if span := math.Max(now, rel); span > 0 {
 		st.Utilization = busy / (float64(s.nodesTotal.Load()) * span)

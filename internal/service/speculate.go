@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"slices"
 
 	"rtdls/internal/errs"
 	"rtdls/internal/rt"
@@ -50,14 +51,49 @@ func (s *Service) specAllowed() bool {
 	return s.specProbe.Add(1)%specProbeEvery == 0
 }
 
+// specFreeMax bounds the parked speculation contexts (each holds O(nodes)
+// buffers); a burst of more concurrent submitters allocates the excess and
+// drops it afterwards.
+const specFreeMax = 16
+
+// getSpec takes the most recently carried context — after an installed
+// speculation that is a copy of the scheduler's present state, so the
+// snapshot that follows has nothing to refresh.
 func (s *Service) getSpec() *rt.SpecContext {
-	if sc, ok := s.specPool.Get().(*rt.SpecContext); ok {
+	s.specMu.Lock()
+	defer s.specMu.Unlock()
+	if n := len(s.specFree); n > 0 {
+		sc := s.specFree[n-1]
+		s.specFree[n-1] = nil
+		s.specFree = s.specFree[:n-1]
 		return sc
 	}
 	return new(rt.SpecContext)
 }
 
-func (s *Service) putSpec(sc *rt.SpecContext) { s.specPool.Put(sc) }
+// putSpec parks a context whose speculation did not install: its state is
+// (or is about to be) behind the scheduler's, so it goes to the bottom of
+// the stack, below every carried one.
+func (s *Service) putSpec(sc *rt.SpecContext) {
+	s.specMu.Lock()
+	defer s.specMu.Unlock()
+	if len(s.specFree) < specFreeMax {
+		s.specFree = slices.Insert(s.specFree, 0, sc)
+	}
+}
+
+// carrySpec parks a context whose outcome was just installed (the caller
+// holds s.mu): it mirrors the scheduler's new state, so it is stamped with
+// the new epoch and goes on top, displacing the stalest one when full.
+func (s *Service) carrySpec(sc *rt.SpecContext) {
+	s.sched.Carry(sc)
+	s.specMu.Lock()
+	defer s.specMu.Unlock()
+	if len(s.specFree) == specFreeMax {
+		s.specFree = slices.Delete(s.specFree, 0, 1)
+	}
+	s.specFree = append(s.specFree, sc)
+}
 
 // noteSpeculative records n decisions installed from off-lock planning and
 // resets the conflict streak.
@@ -90,16 +126,15 @@ const (
 
 // specRec is one task's precomputed outcome from a speculative batch. The
 // task lives in the record itself so the pointer handed to the scheduler
-// stays stable; cand/plans hold the accepted schedule (copied out of the
-// speculation context, whose buffers are reused by the next task).
+// stays stable; sched holds the accepted schedule (in a batch, copied out
+// of the speculation context, whose buffers are reused by the next task).
 type specRec struct {
 	kind   specRecKind
 	reason errs.Reason
 	task   rt.Task
 	now    float64
 	plan   *rt.Plan
-	cand   []*rt.Task
-	plans  []*rt.Plan
+	sched  rt.Schedule
 	stages rt.SpecStages
 }
 
@@ -117,18 +152,20 @@ func (s *Service) installRecLocked(rec *specRec) Decision {
 		if s.inst != nil {
 			s.inst.submits.Inc()
 			s.inst.reject(errs.ReasonInfeasible)
+			s.notePlansLocked()
 		}
 		d := Decision{TaskID: rec.task.ID, At: rec.now, Shard: s.shard, Reason: errs.ReasonInfeasible}
 		s.publishLocked(Event{Kind: EventReject, Time: rec.now, Task: rec.task, Reason: errs.ReasonInfeasible})
 		return d
 	default: // recAccept
-		s.sched.InstallSpeculativeAccept(&rec.task, rec.now, rec.cand, rec.plans, rec.stages)
+		s.sched.InstallSpeculativeAccept(&rec.task, rec.now, rec.plan, rec.sched, rec.stages)
 		s.arrivals.Add(1)
 		s.accepts.Add(1)
 		if s.inst != nil {
 			s.inst.submits.Inc()
 			s.inst.accepts.Inc()
 			s.noteQueueLocked()
+			s.notePlansLocked()
 		}
 		pl := rec.plan
 		d := newDecision(rec.task.ID, rec.now, s.shard, pl)
@@ -175,10 +212,7 @@ func (s *Service) submitSpeculative(task rt.Task) (Decision, error, bool) {
 	// Phase 1 — no service or scheduler lock held past the snapshot.
 	sc := s.getSpec()
 	s.sched.SnapshotInto(sc)
-	if !sc.CommitDue(now) {
-		s.putSpec(sc)
-		return Decision{}, nil, false
-	}
+	sc.CommitDue(now)
 	if s.maxQueue > 0 && sc.QueueLen() >= s.maxQueue {
 		s.putSpec(sc)
 		return Decision{}, nil, false
@@ -213,14 +247,13 @@ func (s *Service) submitSpeculative(task rt.Task) (Decision, error, bool) {
 	if out == rt.SpecAccept {
 		rec.kind = recAccept
 		rec.plan = sc.AcceptedPlan()
-		rec.cand = sc.Waiting()
-		rec.plans = sc.Plans()
+		rec.sched = sc.Schedule()
 	} else {
 		rec.kind = recSchedReject
 	}
 	d := s.installRecLocked(&rec)
 	s.noteSpeculative(1)
-	s.putSpec(sc)
+	s.carrySpec(sc)
 	return d, nil, true
 }
 
@@ -266,10 +299,7 @@ phase1:
 			fb, fbChecked = i, true
 			break
 		}
-		if !sc.CommitDue(now) {
-			fb, fbChecked = i, true
-			break
-		}
+		sc.CommitDue(now)
 		if rec.task.AbsDeadline() <= now {
 			rec.kind = recSvcReject
 			rec.reason = errs.ReasonDeadlinePast
@@ -294,8 +324,7 @@ phase1:
 			rec.stages = sc.Stages()
 			// Copy the accepted schedule out: the context's buffers are
 			// overwritten by the next task's speculation.
-			rec.cand = append([]*rt.Task(nil), sc.Waiting()...)
-			rec.plans = append([]*rt.Plan(nil), sc.Plans()...)
+			rec.sched = append(rt.Schedule(nil), sc.Schedule()...)
 			speculated++
 		}
 	}
@@ -348,7 +377,12 @@ phase1:
 	if speculated > 0 {
 		s.noteSpeculative(speculated)
 	}
-	s.putSpec(sc)
+	if fb == len(tasks) {
+		s.carrySpec(sc)
+	} else {
+		// Phase 1 stopped inside task fb, possibly after sweeping for it.
+		s.putSpec(sc)
+	}
 	if fbErr != nil {
 		return decisions, fbErr, true
 	}

@@ -1,11 +1,14 @@
 #!/bin/sh
-# Index-scaling benchmark gate: run the BenchmarkSubmit/nodes=<n> and
-# BenchmarkSubmitFastReject/nodes=<n> sweeps as a test2json stream
-# (BENCH_index.json, uploaded by CI next to BENCH_wire.json), then gate
-# the nodes=10000 vs nodes=100 ns/op growth with cmd/benchgate. The gate
-# is a ratio, not an absolute time, so it holds on any machine: a
-# per-submit cost linear in the fleet grows ~100x across the sweep, the
-# indexed hot path stays flat up to a log factor.
+# Index-scaling benchmark gate: run the BenchmarkSubmit/nodes=<n>,
+# BenchmarkSubmitFastReject/nodes=<n> and BenchmarkSubmitQueued/queue=<n>/
+# mix=<m> sweeps as a test2json stream (BENCH_index.json, uploaded by CI
+# next to BENCH_wire.json), then gate with cmd/benchgate the nodes=10000
+# vs nodes=100 ns/op growth and, for late-deadline arrivals, the
+# queue=128 vs queue=8 growth. The gates are ratios, not absolute times,
+# so they hold on any machine: a per-submit cost linear in the fleet grows
+# ~100x across the sweep where the indexed hot path stays flat up to a log
+# factor, and a whole-queue replan grows ~16x where an arrival ordered
+# behind the queue only walks it.
 # Run locally via `make bench-index`; CI runs this same script.
 set -eu
 
@@ -13,8 +16,9 @@ GO=${GO:-go}
 OUT=${OUT:-BENCH_index.json}
 BENCHTIME=${BENCHTIME:-300ms}
 MAX_RATIO=${MAX_RATIO:-15}
+MAX_QUEUE_RATIO=${MAX_QUEUE_RATIO:-3}
 
 # Redirect instead of tee so a benchmark failure fails the script.
-$GO test ./internal/rt -run '^$' -bench '^BenchmarkSubmit(FastReject)?$' \
+$GO test ./internal/rt -run '^$' -bench '^BenchmarkSubmit(FastReject|Queued)?$' \
 	-benchmem -benchtime "$BENCHTIME" -json > "$OUT"
-$GO run ./cmd/benchgate -in "$OUT" -max-ratio "$MAX_RATIO"
+$GO run ./cmd/benchgate -in "$OUT" -max-ratio "$MAX_RATIO" -max-queue-ratio "$MAX_QUEUE_RATIO"
