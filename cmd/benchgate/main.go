@@ -12,8 +12,7 @@
 // queue=<n>/mix=<m>, and the mode gates the incremental admission test's
 // contract on it the same way: for late-deadline arrivals — ordered behind
 // the whole waiting queue, which keeps its plans — ns/op at queue=128 may
-// exceed queue=8 by at most -max-queue-ratio, where a whole-queue replan
-// grows ~16x.
+// exceed queue=8 by at most 3x, where a whole-queue replan grows ~16x.
 //
 // -contention mode gates the optimistic-admission contract
 // (BENCH_contention.json) from BenchmarkSubmitContention/mix=<m>/mode=<m>/
@@ -62,7 +61,6 @@ var contLine = regexp.MustCompile(`^BenchmarkSubmitContention/mix=(\w+)/mode=(\w
 func main() {
 	in := flag.String("in", "BENCH_index.json", "go test -json benchmark stream to gate")
 	maxRatio := flag.Float64("max-ratio", 15, "max allowed ns/op growth, largest vs smallest fleet")
-	maxQueueRatio := flag.Float64("max-queue-ratio", 3, "max allowed ns/op growth of late-deadline arrivals, queue=128 vs queue=8")
 	contention := flag.Bool("contention", false, "gate BenchmarkSubmitContention results instead of the nodes=<n> index families")
 	coldScalePerProc := flag.Float64("cold-scale-per-proc", 0.45, "required cold-mix throughput scaling at gos=8 vs gos=1, per usable proc")
 	coldScaleCap := flag.Float64("cold-scale-cap", 2.0, "cap on the required cold-mix scaling")
@@ -109,7 +107,7 @@ func main() {
 		return
 	}
 	gateIndex(lines, *in, *maxRatio)
-	gateQueued(lines, *in, *maxQueueRatio)
+	gateQueued(lines, *in)
 }
 
 // gateIndex fails when any nodes=<n> family's ns/op grows by more than
@@ -174,8 +172,9 @@ func gateIndex(lines []string, in string, maxRatio float64) {
 
 // gateQueued fails when a late-deadline arrival's ns/op grows by more than
 // maxRatio from a waiting queue of 8 to one of 128.
-func gateQueued(lines []string, in string, maxRatio float64) {
+func gateQueued(lines []string, in string) {
 	const lo, hi = 8, 128
+	const maxRatio = 3.0
 	ns := map[int]float64{} // queue depth -> best observed ns/op, mix=late
 	for _, line := range lines {
 		m := queuedLine.FindStringSubmatch(line)

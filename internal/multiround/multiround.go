@@ -175,17 +175,17 @@ func (p Partitioner) FastReject(ctx *rt.PlanContext, t *rt.Task) bool {
 // single-round estimate is the Theorem-4 upper bound), admission against it
 // preserves the real-time guarantee.
 func (p Partitioner) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
-	if ctx.PriorFitsMinNodes(t) {
-		return ctx.Prior, nil
+	if ctx.Prior != nil {
+		return ctx.KeepPriorMinNodes(t)
 	}
-	if cm := ctx.Costs; cm != nil && !cm.Uniform() {
-		return ctx.SealMinNodes(p.planHetero(cm, ctx, t))
-	}
-	return ctx.SealMinNodes(p.planUniform(ctx, t))
+	return ctx.SealMinNodes(p.plan(ctx, t))
 }
 
-// planUniform is the homogeneous-cluster branch of Plan.
-func (p Partitioner) planUniform(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
+// plan is the fresh-plan half of Plan.
+func (p Partitioner) plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
+	if cm := ctx.Costs; cm != nil && !cm.Uniform() {
+		return p.planHetero(cm, ctx, t)
+	}
 	floor := math.Max(ctx.Now, t.Arrival)
 	absD := t.AbsDeadline()
 	slack := absD - floor

@@ -52,6 +52,9 @@ type queueState struct {
 	// with them the clamped start times, could differ.
 	hinted   bool
 	testedAt float64
+	// blind reports that the partitioner has answered an offered Prior with
+	// a plan of its own, so offering it one is a wasted Plan call.
+	blind bool
 
 	// The tentative schedule is built in place, from the first re-planned
 	// position on; saved holds the tail it overwrites, to put back if the
@@ -206,20 +209,25 @@ func (q *queueState) test(pol Policy, part Partitioner, fastReject bool, t *Task
 	// Offer each task ordered before t its current plan. The checks the
 	// partitioner cannot make are made here: the schedule must be hinted,
 	// time must not have run backwards, and the plan's first start must not
-	// lie before the task's start floor (a due plan the caller has not
-	// committed would be re-clamped to now).
+	// lie before the task's start floor max(now, arrival) (a due plan the
+	// caller has not committed would be re-clamped to now).
 	kept := 0
-	if q.hinted && now >= q.testedAt {
+	if q.hinted && !q.blind && now >= q.testedAt {
 		q.seek(p)
 		for kept < p {
 			e := &q.queue[kept]
-			if e.first < q.pctx.startFloor(e.task) {
+			if e.first < now || e.first < e.task.Arrival {
 				break
 			}
 			q.pctx.Prior = e.plan
-			pl, _ := plan(e.task)
+			pl, err := plan(e.task)
 			if pl != e.plan {
-				st.Computed++ // the discarded probe ran the partitioner
+				if !errors.Is(err, ErrPriorDeclined) {
+					// The partitioner planned, on a view that is not the
+					// task's: it does not know Prior. Never offer again.
+					q.blind = true
+					st.Computed++
+				}
 				break
 			}
 			kept++

@@ -16,7 +16,7 @@ import (
 //
 // The view is an order-statistic index over the (eligible, time, id) total
 // order, implemented as a size-augmented treap on an arena of parallel
-// arrays (no per-node allocations). Per-node retiming (Apply, Rollback,
+// arrays (no per-node allocations). Per-node retiming (Apply, RollbackTo,
 // CommitBase) is O(log n); Earliest(k) materialises the first k nodes of
 // the in-order walk incrementally, so a partitioner growing k one node at a
 // time across its search loop pays O(1) amortised per inspected node; and
@@ -349,7 +349,7 @@ func (v *AvailView) checkK(k int) {
 // Earliest returns the ids and release times of the k earliest-available
 // eligible nodes, ordered by (release time, id). The returned slices are
 // fresh copies owned by the caller — they stay valid across subsequent
-// Apply/Earliest/Rollback calls. It panics if k is out of range — callers
+// Apply/Earliest/RollbackTo calls. It panics if k is out of range — callers
 // size k against Eligible() (== N() without a mask). Hot paths that already
 // own suitably-sized buffers should prefer EarliestInto.
 func (v *AvailView) Earliest(k int) (ids []int, times []float64) {
@@ -451,10 +451,6 @@ func (v *AvailView) RollbackTo(mark int) {
 	v.invalidatePrefix()
 }
 
-// Rollback undoes every tentative assignment, restoring the base snapshot.
-// A view with none pending rolls back for free.
-func (v *AvailView) Rollback() { v.RollbackTo(v.undoBase) }
-
 // CommitPrefix folds the tentative assignments made before the mark into
 // the base: later rollbacks keep them, while the assignments made after
 // the mark stay tentative on top. The times and the index are untouched —
@@ -472,8 +468,8 @@ func (v *AvailView) CommitPrefix(mark int) {
 
 // CommitBase folds committed release times into the view's base snapshot:
 // node ids[i] is busy until release[i] in the cluster's committed state
-// now, so subsequent Rollbacks keep the new times. It must not be called
-// with tentative assignments pending — Rollback first, or use CommitPrefix
+// now, so subsequent rollbacks keep the new times. It must not be called
+// with tentative assignments pending — roll back first, or use CommitPrefix
 // when the times being committed are the applied ones.
 func (v *AvailView) CommitBase(ids []int, release []float64) {
 	if len(v.undoID) != 0 {

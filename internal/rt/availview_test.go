@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// Rollback undoes every tentative assignment, restoring the base snapshot.
+func (v *AvailView) Rollback() { v.RollbackTo(v.undoBase) }
+
 // refModel is an independent full-sort reference implementation of the
 // AvailView contract: the differential and fuzz suites drive it in
 // lockstep with the treap index (and with the view's own refMode hook) and

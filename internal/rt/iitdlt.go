@@ -36,17 +36,17 @@ func (IITDLT) FastReject(ctx *PlanContext, t *Task) bool {
 
 // Plan implements Partitioner.
 func (IITDLT) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	if ctx.PriorFitsMinNodes(t) {
-		return ctx.Prior, nil
-	}
-	if cm := ctx.heteroCosts(); cm != nil {
-		return ctx.SealMinNodes(planHeteroIIT(cm, ctx, t))
+	if ctx.Prior != nil {
+		return ctx.KeepPriorMinNodes(t)
 	}
 	return ctx.SealMinNodes(planIIT(ctx, t))
 }
 
-// planIIT is the homogeneous-cluster search of IITDLT.Plan.
+// planIIT is the node search of IITDLT.Plan.
 func planIIT(ctx *PlanContext, t *Task) (*Plan, error) {
+	if cm := ctx.heteroCosts(); cm != nil {
+		return planHeteroIIT(cm, ctx, t)
+	}
 	absD := t.AbsDeadline()
 	slack := absD - ctx.startFloor(t)
 	n0, ok := dlt.MinNodesBound(ctx.P, t.Sigma, slack)

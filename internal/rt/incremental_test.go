@@ -501,6 +501,71 @@ func TestScatteredCommitInvalidates(t *testing.T) {
 	}
 }
 
+// hintBlind plans like the wrapped partitioner but does not know
+// PlanContext.Prior, and counts the Plan calls that offered one.
+type hintBlind struct {
+	Partitioner
+	offered *int
+}
+
+func (p hintBlind) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	if ctx.Prior != nil {
+		*p.offered++
+	}
+	return noHint{p.Partitioner}.Plan(ctx, t)
+}
+
+// TestHintBlindPartitionerProbedOnce: a partitioner that answers an offered
+// Prior with a plan of its own is offered one exactly once — per scheduler
+// on the serialized path, per context on the speculative one — instead of
+// paying a discarded Plan call on every arrival; a partitioner that
+// declines an offer is still offered the next.
+func TestHintBlindPartitionerProbedOnce(t *testing.T) {
+	for _, spec := range []int{-1, 0} {
+		offered := 0
+		ls := newLockstep(t, 6, EDF, hintBlind{IITDLT{}, &offered}, false)
+		ls.now = 100
+		ls.backlog(8000, 6)
+		if offered != 1 {
+			t.Fatalf("spec=%d: %d priors offered to a hint-blind partitioner over 6 arrivals, want 1", spec, offered)
+		}
+		for i := 0; i < 4; i++ {
+			ls.now += 100
+			if got := ls.reusedBy(spec); got != 0 {
+				t.Fatalf("spec=%d: reused %d plans of a hint-blind partitioner", spec, got)
+			}
+		}
+		if offered != 1 {
+			t.Fatalf("spec=%d: %d priors offered in all, want 1", spec, offered)
+		}
+		ls.drain()
+	}
+
+	declines := 0
+	ls := newLockstep(t, 3, FIFO, declining{&declines}, false)
+	for i := 0; i < 5; i++ {
+		ls.submit(10, 1e6, 1000, -1)
+	}
+	if declines != 4 {
+		t.Fatalf("%d offers reached a partitioner that declines each one, want 4", declines)
+	}
+	ls.drain()
+}
+
+// declining is the delayed stub with a partitioner's right to refuse: it
+// knows Prior and declines every offer.
+type declining struct{ offered *int }
+
+func (declining) Name() string { return "declining" }
+
+func (d declining) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	if ctx.Prior != nil {
+		*d.offered++
+		return nil, ErrPriorDeclined
+	}
+	return delayed{}.Plan(ctx, t)
+}
+
 // TestPriorSoundness is the per-partitioner reuse property: whenever Plan
 // returns the offered Prior, a hint-free Plan against the same view is
 // equal to it field for field, bit for bit. Prior is offered under the

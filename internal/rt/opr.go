@@ -40,17 +40,20 @@ func (o OPR) FastReject(ctx *PlanContext, t *Task) bool {
 
 // Plan implements Partitioner.
 func (o OPR) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	// OPR-AN always takes the whole cluster, whatever the slack.
-	if ctx.Prior != nil && (o.AllNodes || ctx.PriorFitsMinNodes(t)) {
-		return ctx.Prior, nil
+	if ctx.Prior != nil {
+		if o.AllNodes {
+			// OPR-AN always takes the whole cluster, whatever the slack.
+			return ctx.Prior, nil
+		}
+		return ctx.KeepPriorMinNodes(t)
 	}
-	pl, err := o.plan(ctx, t)
 	if o.AllNodes {
-		return pl, err
+		return o.plan(ctx, t)
 	}
-	return ctx.SealMinNodes(pl, err)
+	return ctx.SealMinNodes(o.plan(ctx, t))
 }
 
+// plan is the fresh-plan half of Plan.
 func (o OPR) plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	if cm := ctx.heteroCosts(); cm != nil {
 		return planHeteroOPR(o, cm, ctx, t)

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"errors"
 	"math"
 
 	"rtdls/internal/dlt"
@@ -28,12 +29,12 @@ type PlanContext struct {
 	// base, the same plans stacked before it, and clamped start times that
 	// the later Now leaves unchanged (Prior's first start is not before the
 	// task's start floor) — so the one thing that can differ is where the
-	// node search starts. A partitioner that can tell a fresh Plan would
-	// end on Prior's node count returns Prior itself, without consulting
-	// the view; one that does not know the field just plans. Any other
-	// result of a call with Prior set is discarded (the view may hold later
-	// tasks' assignments) and Plan is called again with Prior nil against
-	// the exact view.
+	// node search starts. A partitioner that knows the field answers
+	// without consulting the view (it may hold later tasks' assignments):
+	// Prior itself when it can tell a fresh Plan would end on Prior's node
+	// count, ErrPriorDeclined otherwise, and Plan is then called again with
+	// Prior nil against the exact view. One that does not know the field
+	// just plans; the scheduler discards that result and stops offering.
 	Prior *Plan
 }
 
@@ -51,10 +52,7 @@ func (ctx *PlanContext) heteroCosts() *dlt.CostModel {
 
 // startFloor returns the earliest instant the task may occupy a node.
 func (ctx *PlanContext) startFloor(t *Task) float64 {
-	if t.Arrival > ctx.Now {
-		return t.Arrival
-	}
-	return ctx.Now
+	return math.Max(ctx.Now, t.Arrival)
 }
 
 // Partitioner is the framework's task-partitioning module (Decision #2)
@@ -150,29 +148,37 @@ func (ctx *PlanContext) FastRejectMinNodes(t *Task) bool {
 	return ctx.ProvablyLate(t, n0)
 }
 
-// PriorFitsMinNodes is the shared reuse test for the same partitioners:
-// their search tries n = ñ_min(t), ñ_min(t)+1, … and stops at the first
-// node count whose estimate meets the deadline. The estimates are the ones
-// Prior's search saw (see PlanContext.Prior) and the bound only grows as
-// the slack shrinks, so while it has not passed Prior's node count the
-// search ends exactly where Prior's did.
-func (ctx *PlanContext) PriorFitsMinNodes(t *Task) bool {
-	if ctx.Prior == nil {
-		return false
-	}
+// ErrPriorDeclined is what a partitioner returns to a Plan call that offered
+// PlanContext.Prior when it knows a fresh Plan might not end on Prior: the
+// scheduler plans the task afresh, with no Prior, against its exact view.
+var ErrPriorDeclined = errors.New("rt: offered prior plan declined")
+
+// KeepPriorMinNodes answers a Plan call that offered Prior for the same
+// partitioners: their search tries n = ñ_min(t), ñ_min(t)+1, … and stops at
+// the first node count whose estimate meets the deadline. The estimates are
+// the ones Prior's search saw (see PlanContext.Prior) and the bound only
+// grows as the slack shrinks, so while it has not passed Prior's node count
+// the search ends exactly where Prior's did.
+func (ctx *PlanContext) KeepPriorMinNodes(t *Task) (*Plan, error) {
+	pr := ctx.Prior
 	slack := t.AbsDeadline() - ctx.startFloor(t)
-	if s := ctx.Prior.MinSlack; s > 0 && slack >= s {
-		return true
+	if pr.minSlack > 0 && slack >= pr.minSlack {
+		return pr, nil
 	}
-	n0, ok := ctx.minNodes(t, slack)
-	return ok && n0 <= len(ctx.Prior.Nodes)
+	if n0, ok := ctx.minNodes(t, slack); ok && n0 <= len(pr.Nodes) {
+		return pr, nil
+	}
+	return nil, ErrPriorDeclined
 }
 
-// SealMinNodes finishes a Plan call of those partitioners: it evaluates
-// the bound once at the smallest slack the fresh plan can ever be offered
-// back at — the one at its own first start — and, when it still fits the
-// plan's node count there, records that slack, so PriorFitsMinNodes
-// answers every later offer with a comparison instead of two logarithms.
+// SealMinNodes finishes a fresh Plan of those partitioners: it evaluates
+// the bound once at the smallest slack the plan can ever be offered back
+// at — the one at its own first start — and, when the bound still fits
+// the plan's node count there, records that slack, so KeepPriorMinNodes
+// answers every later offer with a comparison. Without it each waiting
+// task costs every arrival two logarithms, and a late-deadline arrival
+// behind a long queue spends its time on those: BenchmarkSubmitQueued
+// grows x7.7 from 8 to 128 waiting tasks, against a gate of x3.
 func (ctx *PlanContext) SealMinNodes(pl *Plan, err error) (*Plan, error) {
 	if err != nil {
 		return nil, err
@@ -180,7 +186,7 @@ func (ctx *PlanContext) SealMinNodes(pl *Plan, err error) (*Plan, error) {
 	t := pl.Task
 	slack := t.AbsDeadline() - math.Max(pl.FirstStart(), t.Arrival)
 	if n0, ok := ctx.minNodes(t, slack); ok && n0 <= len(pl.Nodes) {
-		pl.MinSlack = slack
+		pl.minSlack = slack
 	}
 	return pl, nil
 }

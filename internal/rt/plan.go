@@ -38,10 +38,10 @@ type Plan struct {
 	// partitioners; >1 for the multi-round extension).
 	Rounds int
 
-	// MinSlack is bookkeeping of the partitioners whose node search starts
-	// at the ñ_min(t) bound (see PlanContext.SealMinNodes): when positive,
-	// the bound is known not to exceed len(Nodes) at any slack ≥ MinSlack.
-	MinSlack float64
+	// minSlack, when positive, is a slack (absolute deadline minus start
+	// floor) from which on the ñ_min(t) bound is known not to exceed
+	// len(Nodes); see PlanContext.SealMinNodes, its only writer.
+	minSlack float64
 }
 
 // FirstStart returns the earliest node occupation time — the moment the

@@ -144,6 +144,7 @@ func (s *Scheduler) SnapshotInto(sc *SpecContext) {
 	q.queue = append(q.queue[:0], s.q.queue...)
 	q.hinted = s.q.hinted && s.planVersion == e.cluster
 	q.testedAt = s.q.testedAt
+	q.blind = q.blind || s.q.blind
 	sc.synced = false
 }
 
@@ -170,6 +171,12 @@ func (s *Scheduler) Carry(sc *SpecContext) {
 	defer s.mu.Unlock()
 	sc.epoch = s.epochLocked()
 }
+
+// Invalidate marks sc as holding nothing the scheduler ever held, so the
+// next SnapshotInto copies afresh whatever the epoch. The service calls it
+// on a context it did not install: Speculate may have advanced the schedule
+// to an accept the scheduler never adopted, with the epoch unmoved.
+func (sc *SpecContext) Invalidate() { sc.synced = false }
 
 // CommitDue simulates the due-commit sweep the serialized submit performs
 // before testing a new arrival: every speculated plan whose first

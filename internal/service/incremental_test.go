@@ -97,3 +97,70 @@ func TestSpeculationContextIsCarried(t *testing.T) {
 		t.Fatalf("stats %+v: want 200 speculative installs, no conflicts", st)
 	}
 }
+
+// closingPartitioner stops the service accepting the first time it plans
+// the task with the trigger id — i.e. between a speculation's two phases.
+type closingPartitioner struct {
+	rt.IITDLT
+	svc     **Service
+	trigger int64
+	fired   *bool
+}
+
+func (p closingPartitioner) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
+	if t.ID == p.trigger && !*p.fired {
+		*p.fired = true
+		(*p.svc).SetAccepting(false)
+	}
+	return p.IITDLT.Plan(ctx, t)
+}
+
+// TestRefusedSpeculationLeavesNoPhantom: a speculation that computed an
+// accept but found the service draining at install time is refused with the
+// epoch unmoved; the schedule it computed must not come back through its
+// parked context once the service accepts again.
+func TestRefusedSpeculationLeavesNoPhantom(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		clock := NewManualClock(0)
+		var svc *Service
+		svc = newTestService(t, func(c *Config) {
+			c.Clock = clock
+			c.Partitioner = closingPartitioner{svc: &svc, trigger: 3, fired: new(bool)}
+		})
+		ctx := context.Background()
+		submit := func(task rt.Task) (Decision, error) {
+			if !batch {
+				return svc.Submit(ctx, task)
+			}
+			ds, err := svc.SubmitBatch(ctx, []rt.Task{task})
+			if err != nil {
+				return Decision{}, err
+			}
+			return ds[0], nil
+		}
+		// Task 1 takes the whole fleet for a long time; the rest wait.
+		clock.Set(10)
+		if d, err := submit(rt.Task{ID: 1, Sigma: 4000, RelDeadline: 28000}); err != nil || !d.Accepted {
+			t.Fatalf("batch=%v task 1: %+v, %v", batch, d, err)
+		}
+		clock.Set(20)
+		if d, err := submit(rt.Task{ID: 2, Sigma: 100, RelDeadline: 200000}); err != nil || !d.Accepted {
+			t.Fatalf("batch=%v task 2: %+v, %v", batch, d, err)
+		}
+		clock.Set(30)
+		if d, err := submit(rt.Task{ID: 3, Sigma: 100, RelDeadline: 200100}); err == nil {
+			t.Fatalf("batch=%v task 3 decided while draining: %+v", batch, d)
+		}
+		svc.SetAccepting(true)
+		clock.Set(40)
+		if d, err := submit(rt.Task{ID: 4, Sigma: 100, RelDeadline: 200200}); err != nil || !d.Accepted {
+			t.Fatalf("batch=%v task 4: %+v, %v", batch, d, err)
+		}
+		if st := svc.Stats(); st.Accepts != 3 || st.QueueLen != 2 {
+			t.Fatalf("batch=%v: %d accepts, %d waiting after the refused task, want 3 and 2", batch, st.Accepts, st.QueueLen)
+		}
+		if pl := svc.sched.PlanFor(3); pl != nil {
+			t.Fatalf("batch=%v: refused task 3 holds a plan: %+v", batch, pl)
+		}
+	}
+}

@@ -71,10 +71,12 @@ func (s *Service) getSpec() *rt.SpecContext {
 	return new(rt.SpecContext)
 }
 
-// putSpec parks a context whose speculation did not install: its state is
-// (or is about to be) behind the scheduler's, so it goes to the bottom of
-// the stack, below every carried one.
+// putSpec parks a context whose speculation did not install. Its schedule
+// may be one the scheduler never adopted — an accept refused because the
+// service stopped accepting leaves the epoch where it was — so only its
+// buffers are kept, at the bottom of the stack, below every carried one.
 func (s *Service) putSpec(sc *rt.SpecContext) {
+	sc.Invalidate()
 	s.specMu.Lock()
 	defer s.specMu.Unlock()
 	if len(s.specFree) < specFreeMax {

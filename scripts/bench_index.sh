@@ -16,9 +16,8 @@ GO=${GO:-go}
 OUT=${OUT:-BENCH_index.json}
 BENCHTIME=${BENCHTIME:-300ms}
 MAX_RATIO=${MAX_RATIO:-15}
-MAX_QUEUE_RATIO=${MAX_QUEUE_RATIO:-3}
 
 # Redirect instead of tee so a benchmark failure fails the script.
 $GO test ./internal/rt -run '^$' -bench '^BenchmarkSubmit(FastReject|Queued)?$' \
 	-benchmem -benchtime "$BENCHTIME" -json > "$OUT"
-$GO run ./cmd/benchgate -in "$OUT" -max-ratio "$MAX_RATIO" -max-queue-ratio "$MAX_QUEUE_RATIO"
+$GO run ./cmd/benchgate -in "$OUT" -max-ratio "$MAX_RATIO"
