@@ -30,7 +30,9 @@ bench-json:
 
 # Admission-index scaling gate: BenchmarkSubmit*/nodes={100,1000,10000}
 # into BENCH_index.json, then cmd/benchgate fails the target if per-submit
-# ns/op grows super-linearly (> MAX_RATIO, default 15x over a 100x fleet).
+# ns/op grows super-linearly (> MAX_RATIO, default 15x over a 100x fleet),
+# if a late-deadline arrival pays for the queue ahead of it, or if fresh
+# plans allocate per candidate of their node search.
 bench-index:
 	./scripts/bench_index.sh
 

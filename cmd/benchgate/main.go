@@ -12,7 +12,12 @@
 // queue=<n>/mix=<m>, and the mode gates the incremental admission test's
 // contract on it the same way: for late-deadline arrivals — ordered behind
 // the whole waiting queue, which keeps its plans — ns/op at queue=128 may
-// exceed queue=8 by at most 3x, where a whole-queue replan grows ~16x.
+// exceed queue=8 by at most 3x, where a whole-queue replan grows ~16x. The
+// -benchmem column of the same benchmark gates the plan kernel: an arrival
+// into the middle of 128 waiting tasks (mix=uniform) plans about 64 of them
+// afresh and may allocate at most 80 objects doing it — one fresh plan is
+// three, a plan that is kept none — where a node search that allocates per
+// candidate spends about 300.
 //
 // -contention mode gates the optimistic-admission contract
 // (BENCH_contention.json) from BenchmarkSubmitContention/mix=<m>/mode=<m>/
@@ -51,8 +56,9 @@ type event struct {
 var benchLine = regexp.MustCompile(`^(Benchmark[^\s/]+)/nodes=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // queuedLine matches a queue-depth benchmark result line, e.g.
-// "BenchmarkSubmitQueued/queue=128/mix=late-8     400000     2435 ns/op".
-var queuedLine = regexp.MustCompile(`^BenchmarkSubmitQueued/queue=(\d+)/mix=(\w+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// "BenchmarkSubmitQueued/queue=128/mix=late-8  400000  2435 ns/op  232 B/op  5 allocs/op"
+// (the last two columns are there under -benchmem).
+var queuedLine = regexp.MustCompile(`^BenchmarkSubmitQueued/queue=(\d+)/mix=(\w+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+\d+ B/op\s+(\d+) allocs/op)?`)
 
 // contLine matches a contention benchmark result line, e.g.
 // "BenchmarkSubmitContention/mix=hot/mode=spec/gos=8-16   300   3913 ns/op".
@@ -171,22 +177,28 @@ func gateIndex(lines []string, in string, maxRatio float64) {
 }
 
 // gateQueued fails when a late-deadline arrival's ns/op grows by more than
-// maxRatio from a waiting queue of 8 to one of 128.
+// maxRatio from a waiting queue of 8 to one of 128, or when an arrival into
+// the middle of 128 waiting tasks allocates more than maxAllocs objects.
 func gateQueued(lines []string, in string) {
 	const lo, hi = 8, 128
 	const maxRatio = 3.0
+	const maxAllocs = 80
 	ns := map[int]float64{} // queue depth -> best observed ns/op, mix=late
+	allocs := -1            // fewest observed allocs/op, queue=hi mix=uniform
 	for _, line := range lines {
 		m := queuedLine.FindStringSubmatch(line)
-		if m == nil || m[2] != "late" {
+		if m == nil {
 			continue
 		}
 		depth, err := strconv.Atoi(m[1])
 		if err != nil {
 			continue
 		}
+		if a, err := strconv.Atoi(m[4]); err == nil && m[2] == "uniform" && depth == hi && (allocs < 0 || a < allocs) {
+			allocs = a
+		}
 		v, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
+		if err != nil || m[2] != "late" {
 			continue
 		}
 		if cur, ok := ns[depth]; !ok || v < cur {
@@ -196,15 +208,26 @@ func gateQueued(lines []string, in string) {
 	if ns[lo] == 0 || ns[hi] == 0 {
 		fatalf("no BenchmarkSubmitQueued mix=late results for queue=%d and queue=%d in %s", lo, hi, in)
 	}
+	if allocs < 0 {
+		fatalf("no BenchmarkSubmitQueued/queue=%d/mix=uniform allocs/op in %s (run with -benchmem)", hi, in)
+	}
 	ratio := ns[hi] / ns[lo]
-	verdict := "ok"
+	verdict, allocVerdict := "ok", "ok"
 	if ratio > maxRatio {
 		verdict = "FAIL"
 	}
+	if allocs > maxAllocs {
+		allocVerdict = "FAIL"
+	}
 	fmt.Printf("benchgate: BenchmarkSubmitQueued mix=late queue=%d %.1f ns/op -> queue=%d %.1f ns/op: x%.2f growth over x%d queue (limit x%.1f) %s\n",
 		lo, ns[lo], hi, ns[hi], ratio, hi/lo, maxRatio, verdict)
+	fmt.Printf("benchgate: BenchmarkSubmitQueued mix=uniform queue=%d %d allocs/op (limit %d) %s\n",
+		hi, allocs, maxAllocs, allocVerdict)
 	if ratio > maxRatio {
 		fatalf("a late-deadline arrival pays for the waiting queue ahead of it")
+	}
+	if allocs > maxAllocs {
+		fatalf("fresh plans allocate per candidate of their node search")
 	}
 }
 

@@ -184,6 +184,19 @@
 // late-deadline arrival's cost at 128 waiting tasks stays within 3x of
 // its cost at 8 (BenchmarkSubmitQueued, BENCH_index.json).
 //
+// What is planned afresh is planned by one node search shared by all five
+// partitioners (rt.PlanContext.PlanMinNodes and the search under it): for
+// n = ñ_min(t), ñ_min(t)+1, … the partitioner's rt.Estimator evaluates the
+// n earliest-available nodes in one reusable rt.Candidate — clamped start
+// times, the heterogeneous model rebuilt in place (core.Model.Reset), the
+// dispatch timeline simulated in place (dlt.SimulateDispatchInto) — that
+// the scheduler and every speculation context own, and only the first
+// candidate that meets the deadline becomes a Plan. A candidate allocates
+// nothing; a fresh plan costs three objects (the Plan, its node ids, one
+// block holding Starts, Release and Alphas) however many candidates the
+// search ran, and the same benchgate run gates an arrival into the middle
+// of 128 waiting tasks at 80 allocations.
+//
 // Build and test with the standard toolchain — go build ./... and
 // go test ./... — or via the Makefile (make ci mirrors the CI pipeline:
 // build, gofmt gate, vet, race tests, benchmark compile check and a fuzz

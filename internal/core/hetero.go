@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"rtdls/internal/dlt"
@@ -25,11 +25,11 @@ import (
 //	X_i = CpsI_{i-1} / (Cms_i + CpsI_i),   α_i = Π X_j · α_1
 //	Ê   = σ·Σ_j α_j·Cms_j + α_n·σ·CpsI_n
 //
-// which collapses to the homogeneous recurrence of computePartition when
-// every Cms_i is equal. When every cost pair is equal this is the paper's
-// original model up to floating-point association; callers that need
-// bit-identical legacy behaviour for uniform costs use New instead (the
-// rt-layer partitioners route uniform cost models there).
+// — the recurrence of computePartition with each link's own cost. When
+// every cost pair is equal this is the paper's original model up to
+// floating-point association; callers that need bit-identical legacy
+// behaviour for uniform costs use New instead (the rt-layer partitioners
+// route uniform cost models there).
 //
 // The paper's Theorem 4 is proved for a common Cms; with per-node link
 // costs the Ê bound is no longer guaranteed, so schedulers admit
@@ -41,86 +41,73 @@ import (
 // available time, ties broken by input position; use Order to map results
 // back to the caller's indexing.
 func NewHetero(costs []dlt.NodeCost, sigma float64, avail []float64) (*Model, error) {
-	n := len(avail)
-	if n == 0 {
-		return nil, fmt.Errorf("core: need at least one processor available time")
+	m := new(Model)
+	if err := m.ResetHetero(costs, sigma, avail); err != nil {
+		return nil, err
 	}
-	if len(costs) != n {
-		return nil, fmt.Errorf("core: %d node costs for %d available times", len(costs), n)
-	}
-	for i, c := range costs {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("core: costs[%d]: %w", i, err)
-		}
-	}
-	if !(sigma > 0) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("core: sigma must be positive and finite, got %v", sigma)
-	}
-	a := make([]float64, n)
-	copy(a, avail)
-	cs := make([]dlt.NodeCost, n)
-	copy(cs, costs)
-	for i, r := range a {
-		if math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("core: avail[%d] = %v is not a finite time", i, r)
-		}
-	}
-	// Sort (avail, cost) pairs together by available time, stably, so each
-	// processor keeps its own coefficients.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool { return a[idx[x]] < a[idx[y]] })
-	sa := make([]float64, n)
-	sc := make([]dlt.NodeCost, n)
-	for i, j := range idx {
-		sa[i] = a[j]
-		sc[i] = cs[j]
-	}
-
-	e, err := dlt.HeteroExecTime(sc, sigma)
-	if err != nil {
-		return nil, fmt.Errorf("core: no-IIT execution time: %w", err)
-	}
-	m := &Model{
-		sigma: sigma,
-		avail: sa,
-		rn:    sa[n-1],
-		e:     e,
-		cpsI:  make([]float64, n),
-		costs: sc,
-		order: idx,
-	}
-	for i, ri := range sa {
-		m.cpsI[i] = e / (e + m.rn - ri) * sc[i].Cps
-	}
-	m.computeHeteroPartition()
 	return m, nil
 }
 
-// computeHeteroPartition evaluates the generalised recurrence over the
-// per-node link costs and inflated compute costs.
-func (m *Model) computeHeteroPartition() {
-	n := len(m.avail)
-	m.alphas = make([]float64, n)
-	prod := 1.0
-	sum := 0.0
-	prods := make([]float64, n)
-	prods[0] = 1
-	for i := 1; i < n; i++ {
-		x := m.cpsI[i-1] / (m.costs[i].Cms + m.cpsI[i])
-		prod *= x
-		prods[i] = prod
-		sum += prod
+// ResetHetero rebuilds m in place as NewHetero(costs, sigma, avail) would
+// build it, under the contract of Reset.
+func (m *Model) ResetHetero(costs []dlt.NodeCost, sigma float64, avail []float64) error {
+	n := len(avail)
+	if n == 0 {
+		return fmt.Errorf("core: need at least one processor available time")
 	}
-	a1 := 1 / (1 + sum)
-	sendSum := 0.0
-	for i := 0; i < n; i++ {
-		m.alphas[i] = prods[i] * a1
-		sendSum += m.alphas[i] * m.costs[i].Cms
+	if len(costs) != n {
+		return fmt.Errorf("core: %d node costs for %d available times", len(costs), n)
 	}
-	m.exec = m.sigma*sendSum + m.alphas[n-1]*m.sigma*m.cpsI[n-1]
+	for i, c := range costs {
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("core: costs[%d]: %w", i, err)
+		}
+	}
+	if err := checkInput(sigma, avail); err != nil {
+		return err
+	}
+	// Sort (avail, cost) pairs together by available time, stably, so each
+	// processor keeps its own coefficients. The schedulers pass times that
+	// are sorted already: the order is then the identity and nothing moves.
+	var perm []int
+	if !sort.Float64sAreSorted(avail) {
+		perm = make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		sort.SliceStable(perm, func(x, y int) bool { return avail[perm[x]] < avail[perm[y]] })
+		sa := make([]float64, n)
+		sc := make([]dlt.NodeCost, n)
+		for i, j := range perm {
+			sa[i] = avail[j]
+			sc[i] = costs[j]
+		}
+		avail, costs = sa, sc
+	}
+	e, err := dlt.HeteroExecTime(costs, sigma)
+	if err != nil {
+		return fmt.Errorf("core: no-IIT execution time: %w", err)
+	}
+
+	m.p, m.sigma = dlt.Params{}, sigma
+	m.avail = append(m.avail[:0], avail...)
+	m.costs = append(m.costs[:0], costs...)
+	m.order = slices.Grow(m.order[:0], n)[:n]
+	if perm != nil {
+		copy(m.order, perm)
+	} else {
+		for i := range m.order {
+			m.order[i] = i
+		}
+	}
+	m.rn = m.avail[n-1]
+	m.e = e
+	m.cpsI = slices.Grow(m.cpsI[:0], n)[:n]
+	for i, ri := range m.avail {
+		m.cpsI[i] = e / (e + m.rn - ri) * m.costs[i].Cps
+	}
+	m.computePartition()
+	return nil
 }
 
 // Hetero reports whether the model was built over per-node cost

@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rtdls/internal/dlt"
@@ -27,7 +28,8 @@ import (
 //	CpsI[i] = E/(E + Rn − Avail[i]) · Cps          (Eq. 1)
 //
 // where E = E(σ,n) is the no-IIT execution time on n nodes. Link speeds are
-// unchanged (Eq. 2). A Model is immutable after construction.
+// unchanged (Eq. 2). A Model changes only through Reset and ResetHetero,
+// which rebuild it in place for another input.
 type Model struct {
 	p     dlt.Params
 	sigma float64
@@ -53,64 +55,91 @@ type Model struct {
 // The avail slice is copied and sorted; it must be non-empty and free of
 // NaN/Inf, and sigma must be positive and finite.
 func New(p dlt.Params, sigma float64, avail []float64) (*Model, error) {
-	if err := p.Validate(); err != nil {
+	m := new(Model)
+	if err := m.Reset(p, sigma, avail); err != nil {
 		return nil, err
 	}
-	if !(sigma > 0) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("core: sigma must be positive and finite, got %v", sigma)
-	}
-	n := len(avail)
-	if n == 0 {
-		return nil, fmt.Errorf("core: need at least one processor available time")
-	}
-	a := make([]float64, n)
-	copy(a, avail)
-	for i, r := range a {
-		if math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("core: avail[%d] = %v is not a finite time", i, r)
-		}
-	}
-	sort.Float64s(a)
-
-	m := &Model{
-		p:     p,
-		sigma: sigma,
-		avail: a,
-		rn:    a[n-1],
-		e:     p.ExecTime(sigma, n),
-		cpsI:  make([]float64, n),
-	}
-	for i, ri := range a {
-		m.cpsI[i] = m.e / (m.e + m.rn - ri) * p.Cps
-	}
-	m.computePartition()
 	return m, nil
 }
 
-// computePartition evaluates the recursion of Sec. 4.1.1 B:
+// Reset rebuilds m in place as New(p, sigma, avail) would build it, reusing
+// its buffers — the form for a caller that evaluates one candidate node
+// set after another. Slices an accessor returned earlier are overwritten.
+// On error m is unchanged.
+func (m *Model) Reset(p dlt.Params, sigma float64, avail []float64) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := checkInput(sigma, avail); err != nil {
+		return err
+	}
+	n := len(avail)
+	m.p, m.sigma = p, sigma
+	m.costs, m.order = nil, nil
+	m.avail = append(m.avail[:0], avail...)
+	if !sort.Float64sAreSorted(m.avail) {
+		sort.Float64s(m.avail)
+	}
+	m.rn = m.avail[n-1]
+	m.e = p.ExecTime(sigma, n)
+	m.cpsI = slices.Grow(m.cpsI[:0], n)[:n]
+	for i, ri := range m.avail {
+		m.cpsI[i] = m.e / (m.e + m.rn - ri) * p.Cps
+	}
+	m.computePartition()
+	return nil
+}
+
+// checkInput validates what both constructions require of the task size
+// and the available times.
+func checkInput(sigma float64, avail []float64) error {
+	if !(sigma > 0) || math.IsInf(sigma, 0) {
+		return fmt.Errorf("core: sigma must be positive and finite, got %v", sigma)
+	}
+	if len(avail) == 0 {
+		return fmt.Errorf("core: need at least one processor available time")
+	}
+	for i, r := range avail {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("core: avail[%d] = %v is not a finite time", i, r)
+		}
+	}
+	return nil
+}
+
+// computePartition evaluates the recursion of Sec. 4.1.1 B over the
+// processors' own link costs (the shared Cms of the paper, or Cms_i for a
+// model over per-node coefficients, see NewHetero):
 //
-//	X_i = Cps_{i-1} / (Cms + Cps_i)       for i = 2..n
+//	X_i = Cps_{i-1} / (Cms_i + Cps_i)     for i = 2..n
 //	α_1 = 1 / (1 + Σ_{i=2..n} Π_{j=2..i} X_j)
 //	α_i = Π_{j=2..i} X_j · α_1
-//	Ê   = σ·Cms + α_n·σ·Cps_n             (Eq. 6; Cps_n = Cps)
+//	Ê   = σ·Σ_j α_j·Cms_j + α_n·σ·Cps_n   (Eq. 6: σ·Cms when Cms is shared)
+//
+// The running products are kept in alphas until α_1 is known.
 func (m *Model) computePartition() {
 	n := len(m.avail)
-	m.alphas = make([]float64, n)
+	m.alphas = slices.Grow(m.alphas[:0], n)[:n]
 	prod := 1.0 // Π_{j=2..i} X_j, running
 	sum := 0.0  // Σ_{i=2..n} Π X_j
-	prods := make([]float64, n)
-	prods[0] = 1
+	m.alphas[0] = 1
 	for i := 1; i < n; i++ {
-		x := m.cpsI[i-1] / (m.p.Cms + m.cpsI[i])
-		prod *= x
-		prods[i] = prod
+		prod *= m.cpsI[i-1] / (m.baseCms(i) + m.cpsI[i])
+		m.alphas[i] = prod
 		sum += prod
 	}
 	a1 := 1 / (1 + sum)
-	for i := 0; i < n; i++ {
-		m.alphas[i] = prods[i] * a1
+	for i := range m.alphas {
+		m.alphas[i] *= a1
 	}
-	m.exec = m.sigma*m.p.Cms + m.alphas[n-1]*m.sigma*m.cpsI[n-1]
+	send := m.p.Cms // Σ_j α_j·Cms_j is the shared Cms itself
+	if m.costs != nil {
+		send = 0
+		for i, a := range m.alphas {
+			send += a * m.costs[i].Cms
+		}
+	}
+	m.exec = m.sigma*send + m.alphas[n-1]*m.sigma*m.cpsI[n-1]
 }
 
 // N returns the number of processors in the model.
@@ -164,10 +193,19 @@ func (m *Model) EstCompletion() float64 { return m.rn + m.exec }
 // per-node send and finish times. Theorem 4 asserts
 // Dispatch().Completion ≤ EstCompletion().
 func (m *Model) Dispatch() (*dlt.Dispatch, error) {
-	if m.costs != nil {
-		return dlt.SimulateDispatchHetero(m.costs, m.sigma, m.avail, m.alphas)
+	d := new(dlt.Dispatch)
+	if err := m.DispatchInto(d); err != nil {
+		return nil, err
 	}
-	return dlt.SimulateDispatch(m.p, m.sigma, m.avail, m.alphas)
+	return d, nil
+}
+
+// DispatchInto is Dispatch writing into d, reusing its timelines.
+func (m *Model) DispatchInto(d *dlt.Dispatch) error {
+	if m.costs != nil {
+		return dlt.SimulateDispatchHeteroInto(d, m.costs, m.sigma, m.avail, m.alphas)
+	}
+	return dlt.SimulateDispatchInto(d, m.p, m.sigma, m.avail, m.alphas)
 }
 
 // MakespanFor evaluates the heterogeneous model's execution time for an

@@ -3,6 +3,7 @@ package dlt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rtdls/internal/errs"
 )
@@ -35,39 +36,60 @@ type Dispatch struct {
 // This is the machinery behind Theorem 4: the actual per-node finish times
 // it returns are compared against the heterogeneous-model estimate.
 func SimulateDispatch(p Params, sigma float64, avail, alphas []float64) (*Dispatch, error) {
-	if err := p.Validate(); err != nil {
+	d := new(Dispatch)
+	if err := SimulateDispatchInto(d, p, sigma, avail, alphas); err != nil {
 		return nil, err
+	}
+	return d, nil
+}
+
+// SimulateDispatchInto is SimulateDispatch writing into d, whose three
+// timelines are reused when they are long enough — the form for callers
+// that simulate in a loop. On error d holds no usable timeline.
+func SimulateDispatchInto(d *Dispatch, p Params, sigma float64, avail, alphas []float64) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	n := len(avail)
 	if n == 0 {
-		return nil, fmt.Errorf("dlt: SimulateDispatch needs at least one node: %w", errs.ErrBadConfig)
+		return fmt.Errorf("dlt: SimulateDispatch needs at least one node: %w", errs.ErrBadConfig)
 	}
 	if len(alphas) != n {
-		return nil, fmt.Errorf("dlt: SimulateDispatch: %d avail times but %d alphas: %w", n, len(alphas), errs.ErrBadConfig)
+		return fmt.Errorf("dlt: SimulateDispatch: %d avail times but %d alphas: %w", n, len(alphas), errs.ErrBadConfig)
 	}
+	return d.simulate("SimulateDispatch", p, nil, sigma, avail, alphas)
+}
+
+// simulate runs the sequential dispatch into d for the public simulators,
+// which have checked the coefficients and the lengths: node i costs
+// costs[i], or p when costs is nil.
+func (d *Dispatch) simulate(name string, p Params, costs []NodeCost, sigma float64, avail, alphas []float64) error {
 	if sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("dlt: SimulateDispatch: invalid sigma %v: %w", sigma, errs.ErrBadConfig)
+		return fmt.Errorf("dlt: %s: invalid sigma %v: %w", name, sigma, errs.ErrBadConfig)
 	}
+	n := len(avail)
 	for i := 1; i < n; i++ {
 		if avail[i] < avail[i-1] {
-			return nil, fmt.Errorf("dlt: SimulateDispatch: avail times not sorted (avail[%d]=%v < avail[%d]=%v): %w",
-				i, avail[i], i-1, avail[i-1], errs.ErrBadConfig)
+			return fmt.Errorf("dlt: %s: avail times not sorted (avail[%d]=%v < avail[%d]=%v): %w",
+				name, i, avail[i], i-1, avail[i-1], errs.ErrBadConfig)
 		}
 	}
-	d := &Dispatch{
-		SendStart:  make([]float64, n),
-		SendEnd:    make([]float64, n),
-		Finish:     make([]float64, n),
-		Completion: math.Inf(-1), // max over finishes; times may be negative
-	}
+	d.SendStart = slices.Grow(d.SendStart[:0], n)[:n]
+	d.SendEnd = slices.Grow(d.SendEnd[:0], n)[:n]
+	d.Finish = slices.Grow(d.Finish[:0], n)[:n]
+	d.Completion = math.Inf(-1) // max over finishes; times may be negative
 	linkFree := math.Inf(-1)
+	cms, cps := p.Cms, p.Cps
 	for i := 0; i < n; i++ {
 		if alphas[i] < 0 {
-			return nil, fmt.Errorf("dlt: SimulateDispatch: negative alpha[%d]=%v: %w", i, alphas[i], errs.ErrBadConfig)
+			return fmt.Errorf("dlt: %s: negative alpha[%d]=%v: %w", name, i, alphas[i], errs.ErrBadConfig)
 		}
-		b := math.Max(avail[i], linkFree)
-		send := alphas[i] * sigma * p.Cms
-		comp := alphas[i] * sigma * p.Cps
+		if costs != nil {
+			cms, cps = costs[i].Cms, costs[i].Cps
+		}
+		b := max(avail[i], linkFree)
+		send := alphas[i] * sigma * cms
+		comp := alphas[i] * sigma * cps
 		d.SendStart[i] = b
 		d.SendEnd[i] = b + send
 		d.Finish[i] = b + send + comp
@@ -76,5 +98,5 @@ func SimulateDispatch(p Params, sigma float64, avail, alphas []float64) (*Dispat
 			d.Completion = d.Finish[i]
 		}
 	}
-	return d, nil
+	return nil
 }

@@ -87,13 +87,18 @@ func (p Params) Alphas(n int) []float64 {
 	if n < 1 {
 		panic(fmt.Sprintf("dlt: Alphas needs n >= 1, got %d", n))
 	}
-	beta := p.Beta()
 	a := make([]float64, n)
-	a[0] = (1 - beta) / (1 - math.Pow(beta, float64(n)))
-	for i := 1; i < n; i++ {
+	p.AlphasInto(a)
+	return a
+}
+
+// AlphasInto is Alphas(len(a)) writing into a, which must not be empty.
+func (p Params) AlphasInto(a []float64) {
+	beta := p.Beta()
+	a[0] = (1 - beta) / (1 - math.Pow(beta, float64(len(a))))
+	for i := 1; i < len(a); i++ {
 		a[i] = a[i-1] * beta
 	}
-	return a
 }
 
 // EqualAlphas returns the User-Split distribution vector: n equal chunks.

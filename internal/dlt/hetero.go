@@ -191,23 +191,45 @@ func validateCosts(costs []NodeCost) error {
 // whose homogeneous special case is the geometric αᵢ = βⁱ⁻¹·α₁ of
 // Params.Alphas. Entries are positive and sum to 1 (up to rounding).
 func HeteroAlphas(costs []NodeCost) ([]float64, error) {
-	if err := validateCosts(costs); err != nil {
+	alphas := make([]float64, len(costs))
+	if err := HeteroAlphasInto(alphas, costs); err != nil {
 		return nil, err
 	}
-	n := len(costs)
-	prods := make([]float64, n)
-	prods[0] = 1
+	return alphas, nil
+}
+
+// HeteroAlphasInto is HeteroAlphas writing into alphas, which must be as
+// long as costs.
+func HeteroAlphasInto(alphas []float64, costs []NodeCost) error {
+	if err := validateCosts(costs); err != nil {
+		return err
+	}
+	if len(alphas) != len(costs) {
+		return fmt.Errorf("dlt: HeteroAlphasInto: %d alphas for %d costs: %w", len(alphas), len(costs), errs.ErrBadConfig)
+	}
+	a1 := heteroAlpha1(costs, alphas)
+	for i := range alphas {
+		alphas[i] *= a1
+	}
+	return nil
+}
+
+// heteroAlpha1 returns α₁ = 1/(1 + Σ Π Cps_{j-1}/(Cms_j + Cps_j)) of the
+// recurrence above and, when prods is non-nil, leaves the running products
+// (α_i/α₁, prods[0] = 1) there.
+func heteroAlpha1(costs []NodeCost, prods []float64) float64 {
+	if prods != nil {
+		prods[0] = 1
+	}
 	prod, sum := 1.0, 0.0
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(costs); i++ {
 		prod *= costs[i-1].Cps / (costs[i].Cms + costs[i].Cps)
-		prods[i] = prod
+		if prods != nil {
+			prods[i] = prod
+		}
 		sum += prod
 	}
-	a1 := 1 / (1 + sum)
-	for i := range prods {
-		prods[i] *= a1
-	}
-	return prods, nil
+	return 1 / (1 + sum)
 }
 
 // HeteroExecTime returns the optimal single-round execution time of a load
@@ -223,11 +245,10 @@ func HeteroExecTime(costs []NodeCost, sigma float64) (float64, error) {
 	if sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
 		return 0, fmt.Errorf("dlt: HeteroExecTime needs sigma >= 0, got %v: %w", sigma, errs.ErrBadConfig)
 	}
-	alphas, err := HeteroAlphas(costs)
-	if err != nil {
+	if err := validateCosts(costs); err != nil {
 		return 0, err
 	}
-	return alphas[0] * sigma * (costs[0].Cms + costs[0].Cps), nil
+	return heteroAlpha1(costs, nil) * sigma * (costs[0].Cms + costs[0].Cps), nil
 }
 
 // HeteroMinNodesBound returns a safe lower bound on the number of nodes a
@@ -260,44 +281,23 @@ func HeteroMinNodesBound(m *CostModel, sigma, slack float64) (n int, ok bool) {
 // non-decreasing. It generalises SimulateDispatch, whose homogeneous loop
 // it reproduces operation for operation when every cost is equal.
 func SimulateDispatchHetero(costs []NodeCost, sigma float64, avail, alphas []float64) (*Dispatch, error) {
-	if err := validateCosts(costs); err != nil {
+	d := new(Dispatch)
+	if err := SimulateDispatchHeteroInto(d, costs, sigma, avail, alphas); err != nil {
 		return nil, err
+	}
+	return d, nil
+}
+
+// SimulateDispatchHeteroInto is SimulateDispatchHetero writing into d, as
+// SimulateDispatchInto does.
+func SimulateDispatchHeteroInto(d *Dispatch, costs []NodeCost, sigma float64, avail, alphas []float64) error {
+	if err := validateCosts(costs); err != nil {
+		return err
 	}
 	n := len(costs)
 	if len(avail) != n || len(alphas) != n {
-		return nil, fmt.Errorf("dlt: SimulateDispatchHetero: %d costs, %d avail times, %d alphas: %w",
+		return fmt.Errorf("dlt: SimulateDispatchHetero: %d costs, %d avail times, %d alphas: %w",
 			n, len(avail), len(alphas), errs.ErrBadConfig)
 	}
-	if sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("dlt: SimulateDispatchHetero: invalid sigma %v: %w", sigma, errs.ErrBadConfig)
-	}
-	for i := 1; i < n; i++ {
-		if avail[i] < avail[i-1] {
-			return nil, fmt.Errorf("dlt: SimulateDispatchHetero: avail times not sorted (avail[%d]=%v < avail[%d]=%v): %w",
-				i, avail[i], i-1, avail[i-1], errs.ErrBadConfig)
-		}
-	}
-	d := &Dispatch{
-		SendStart:  make([]float64, n),
-		SendEnd:    make([]float64, n),
-		Finish:     make([]float64, n),
-		Completion: math.Inf(-1),
-	}
-	linkFree := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		if alphas[i] < 0 {
-			return nil, fmt.Errorf("dlt: SimulateDispatchHetero: negative alpha[%d]=%v: %w", i, alphas[i], errs.ErrBadConfig)
-		}
-		b := math.Max(avail[i], linkFree)
-		send := alphas[i] * sigma * costs[i].Cms
-		comp := alphas[i] * sigma * costs[i].Cps
-		d.SendStart[i] = b
-		d.SendEnd[i] = b + send
-		d.Finish[i] = b + send + comp
-		linkFree = d.SendEnd[i]
-		if d.Finish[i] > d.Completion {
-			d.Completion = d.Finish[i]
-		}
-	}
-	return d, nil
+	return d.simulate("SimulateDispatchHetero", Params{}, costs, sigma, avail, alphas)
 }

@@ -16,8 +16,8 @@ package multiround
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"rtdls/internal/core"
 	"rtdls/internal/dlt"
 	"rtdls/internal/rt"
 )
@@ -36,47 +36,10 @@ func Schedule(p dlt.Params, sigma float64, avail, totals []float64, rounds int) 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(avail)
-	if n == 0 || len(totals) != n {
+	if n := len(avail); n == 0 || len(totals) != n {
 		return nil, fmt.Errorf("multiround: %d avail times, %d totals", n, len(totals))
 	}
-	if rounds < 1 {
-		return nil, fmt.Errorf("multiround: rounds must be >= 1, got %d", rounds)
-	}
-	if !(sigma >= 0) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("multiround: invalid sigma %v", sigma)
-	}
-	for i := 1; i < n; i++ {
-		if avail[i] < avail[i-1] {
-			return nil, fmt.Errorf("multiround: avail times not sorted at %d", i)
-		}
-	}
-	linkFree := math.Inf(-1)
-	compEnd := make([]float64, n)
-	for i := range compEnd {
-		compEnd[i] = math.Inf(-1)
-	}
-	tl := &Timeline{Finish: make([]float64, n), Completion: math.Inf(-1)}
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < n; i++ {
-			if totals[i] < 0 {
-				return nil, fmt.Errorf("multiround: negative total[%d]=%v", i, totals[i])
-			}
-			chunk := totals[i] * sigma / float64(rounds)
-			sendStart := math.Max(linkFree, avail[i])
-			sendEnd := sendStart + chunk*p.Cms
-			linkFree = sendEnd
-			compStart := math.Max(sendEnd, compEnd[i])
-			compEnd[i] = compStart + chunk*p.Cps
-		}
-	}
-	for i := 0; i < n; i++ {
-		tl.Finish[i] = math.Max(compEnd[i], avail[i])
-		if tl.Finish[i] > tl.Completion {
-			tl.Completion = tl.Finish[i]
-		}
-	}
-	return tl, nil
+	return newTimeline(p, nil, sigma, avail, totals, rounds)
 }
 
 // ScheduleHetero is Schedule over per-node cost coefficients: node i's
@@ -93,43 +56,65 @@ func ScheduleHetero(costs []dlt.NodeCost, sigma float64, avail, totals []float64
 			return nil, fmt.Errorf("multiround: costs[%d]: %w", i, err)
 		}
 	}
+	return newTimeline(dlt.Params{}, costs, sigma, avail, totals, rounds)
+}
+
+// newTimeline is scheduleInto with a timeline of its own.
+func newTimeline(p dlt.Params, costs []dlt.NodeCost, sigma float64, avail, totals []float64, rounds int) (*Timeline, error) {
+	tl := &Timeline{Finish: make([]float64, len(avail))}
+	var err error
+	if tl.Completion, err = scheduleInto(tl.Finish, p, costs, sigma, avail, totals, rounds); err != nil {
+		return nil, err
+	}
+	return tl, nil
+}
+
+// scheduleInto runs the simulation for Schedule and ScheduleHetero, which
+// have checked the coefficients and the lengths: node i costs costs[i], or
+// p when costs is nil. The per-node finish times go to finish, which holds
+// each node's running computation end in between; the completion time is
+// returned.
+func scheduleInto(finish []float64, p dlt.Params, costs []dlt.NodeCost, sigma float64, avail, totals []float64, rounds int) (float64, error) {
 	if rounds < 1 {
-		return nil, fmt.Errorf("multiround: rounds must be >= 1, got %d", rounds)
+		return 0, fmt.Errorf("multiround: rounds must be >= 1, got %d", rounds)
 	}
 	if !(sigma >= 0) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("multiround: invalid sigma %v", sigma)
+		return 0, fmt.Errorf("multiround: invalid sigma %v", sigma)
 	}
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(avail); i++ {
 		if avail[i] < avail[i-1] {
-			return nil, fmt.Errorf("multiround: avail times not sorted at %d", i)
+			return 0, fmt.Errorf("multiround: avail times not sorted at %d", i)
 		}
 	}
 	linkFree := math.Inf(-1)
-	compEnd := make([]float64, n)
-	for i := range compEnd {
-		compEnd[i] = math.Inf(-1)
+	for i := range finish {
+		finish[i] = math.Inf(-1)
 	}
-	tl := &Timeline{Finish: make([]float64, n), Completion: math.Inf(-1)}
+	cms, cps := p.Cms, p.Cps
 	for r := 0; r < rounds; r++ {
-		for i := 0; i < n; i++ {
+		for i := range finish {
 			if totals[i] < 0 {
-				return nil, fmt.Errorf("multiround: negative total[%d]=%v", i, totals[i])
+				return 0, fmt.Errorf("multiround: negative total[%d]=%v", i, totals[i])
+			}
+			if costs != nil {
+				cms, cps = costs[i].Cms, costs[i].Cps
 			}
 			chunk := totals[i] * sigma / float64(rounds)
 			sendStart := math.Max(linkFree, avail[i])
-			sendEnd := sendStart + chunk*costs[i].Cms
+			sendEnd := sendStart + chunk*cms
 			linkFree = sendEnd
-			compStart := math.Max(sendEnd, compEnd[i])
-			compEnd[i] = compStart + chunk*costs[i].Cps
+			compStart := math.Max(sendEnd, finish[i])
+			finish[i] = compStart + chunk*cps
 		}
 	}
-	for i := 0; i < n; i++ {
-		tl.Finish[i] = math.Max(compEnd[i], avail[i])
-		if tl.Finish[i] > tl.Completion {
-			tl.Completion = tl.Finish[i]
+	completion := math.Inf(-1)
+	for i := range finish {
+		finish[i] = math.Max(finish[i], avail[i])
+		if finish[i] > completion {
+			completion = finish[i]
 		}
 	}
-	return tl, nil
+	return completion, nil
 }
 
 // Partitioner is an rt.Partitioner implementing the multi-round extension.
@@ -172,143 +157,40 @@ func (p Partitioner) FastReject(ctx *rt.PlanContext, t *rt.Task) bool {
 // evaluated with the exact multi-round timeline, and whichever of the
 // multi-round and single-round schedules completes earlier is returned.
 // Because the multi-round estimate is an exact simulation (and the
-// single-round estimate is the Theorem-4 upper bound), admission against it
-// preserves the real-time guarantee.
+// single-round estimate is the Theorem-4 upper bound, or on a heterogeneous
+// cluster an exact simulation too), admission against it preserves the
+// real-time guarantee.
 func (p Partitioner) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
-	if ctx.Prior != nil {
-		return ctx.KeepPriorMinNodes(t)
-	}
-	return ctx.SealMinNodes(p.plan(ctx, t))
+	return ctx.PlanMinNodes(t, p)
 }
 
-// plan is the fresh-plan half of Plan.
-func (p Partitioner) plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
-	if cm := ctx.Costs; cm != nil && !cm.Uniform() {
-		return p.planHetero(cm, ctx, t)
+// Estimate implements rt.Estimator: the earlier of the single-round
+// estimate of rt.IITDLT and the completion of the model's partition
+// dispatched in installments, whose per-node finish times stay in c.Aux().
+func (p Partitioner) Estimate(c *rt.Candidate) (float64, error) {
+	single, err := rt.IITDLT{}.Estimate(c)
+	if err != nil {
+		return 0, fmt.Errorf("multiround: %w", err)
 	}
-	floor := math.Max(ctx.Now, t.Arrival)
-	absD := t.AbsDeadline()
-	slack := absD - floor
-	n0, ok := dlt.MinNodesBound(ctx.P, t.Sigma, slack)
-	if !ok || n0 > ctx.N {
-		return nil, rt.ErrInfeasible
+	m, _ := c.Model() // built by the single-round estimate
+	multi, err := scheduleInto(c.Aux(), c.P, c.Costs, c.Task.Sigma, c.Starts, m.Alphas(), p.rounds)
+	if err != nil {
+		return 0, err
 	}
-	eps := 1e-9 * math.Max(1, math.Abs(absD))
-	for n := n0; n <= ctx.N; n++ {
-		ids, starts := ctx.ClampedStarts(t, n)
-		m, err := core.New(ctx.P, t.Sigma, starts)
-		if err != nil {
-			return nil, fmt.Errorf("multiround: heterogeneous model: %w", err)
-		}
-		tl, err := Schedule(ctx.P, t.Sigma, starts, m.Alphas(), p.rounds)
-		if err != nil {
-			return nil, err
-		}
-		srEst := m.EstCompletion()
-		if math.Min(tl.Completion, srEst) > absD+eps {
-			// Expand beyond ñ_min(t) when waiting pushed the completion
-			// past the deadline, as the single-round partitioner does.
-			continue
-		}
-		if tl.Completion <= srEst {
-			release := make([]float64, n)
-			copy(release, tl.Finish)
-			return &rt.Plan{
-				Task:    t,
-				Nodes:   ids,
-				Starts:  starts,
-				Release: release,
-				Alphas:  m.Alphas(),
-				Est:     tl.Completion,
-				Rounds:  p.rounds,
-			}, nil
-		}
-		// Single-round dispatch is better for this task (per-chunk latency
-		// outweighs the overlap); fall back to the exact single-round
-		// timeline.
-		d, err := m.Dispatch()
-		if err != nil {
-			return nil, fmt.Errorf("multiround: single-round dispatch: %w", err)
-		}
-		release := make([]float64, n)
-		for i := range release {
-			release[i] = math.Max(d.Finish[i], starts[i])
-		}
-		return &rt.Plan{
-			Task:    t,
-			Nodes:   ids,
-			Starts:  starts,
-			Release: release,
-			Alphas:  m.Alphas(),
-			Est:     srEst,
-			Rounds:  1,
-		}, nil
-	}
-	return nil, rt.ErrInfeasible
+	return math.Min(multi, single), nil
 }
 
-// planHetero is the per-node-cost branch of Plan: the heterogeneous model
-// partition of core.NewHetero, installments at each node's own
-// coefficients, and both the multi-round and the single-round fallback
-// admitted against exactly simulated timelines (the Theorem-4 bound is not
-// available for per-node Cms, and exact simulation preserves the hard
-// real-time guarantee by itself).
-func (p Partitioner) planHetero(cm *dlt.CostModel, ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
-	floor := math.Max(ctx.Now, t.Arrival)
-	absD := t.AbsDeadline()
-	slack := absD - floor
-	n0, ok := dlt.HeteroMinNodesBound(cm, t.Sigma, slack)
-	if !ok || n0 > ctx.N {
-		return nil, rt.ErrInfeasible
+// Finish implements rt.Estimator. When single-round dispatch is better for
+// this task (per-chunk latency outweighs the overlap) the plan falls back
+// to the exact single-round timeline.
+func (p Partitioner) Finish(c *rt.Candidate, pl *rt.Plan) error {
+	finish := c.Aux()
+	if slices.Max(finish) > pl.Est {
+		return rt.IITDLT{}.Finish(c, pl)
 	}
-	eps := 1e-9 * math.Max(1, math.Abs(absD))
-	for n := n0; n <= ctx.N; n++ {
-		ids, starts := ctx.ClampedStarts(t, n)
-		costs := cm.Select(ids)
-		m, err := core.NewHetero(costs, t.Sigma, starts)
-		if err != nil {
-			return nil, fmt.Errorf("multiround: heterogeneous model: %w", err)
-		}
-		tl, err := ScheduleHetero(costs, t.Sigma, starts, m.Alphas(), p.rounds)
-		if err != nil {
-			return nil, err
-		}
-		d, err := m.Dispatch()
-		if err != nil {
-			return nil, fmt.Errorf("multiround: single-round dispatch: %w", err)
-		}
-		srEst := d.Completion
-		if math.Min(tl.Completion, srEst) > absD+eps {
-			continue
-		}
-		if tl.Completion <= srEst {
-			release := make([]float64, n)
-			for i := range release {
-				release[i] = math.Max(tl.Finish[i], starts[i])
-			}
-			return &rt.Plan{
-				Task:    t,
-				Nodes:   ids,
-				Starts:  starts,
-				Release: release,
-				Alphas:  m.Alphas(),
-				Est:     tl.Completion,
-				Rounds:  p.rounds,
-			}, nil
-		}
-		release := make([]float64, n)
-		for i := range release {
-			release[i] = math.Max(d.Finish[i], starts[i])
-		}
-		return &rt.Plan{
-			Task:    t,
-			Nodes:   ids,
-			Starts:  starts,
-			Release: release,
-			Alphas:  m.Alphas(),
-			Est:     srEst,
-			Rounds:  1,
-		}, nil
-	}
-	return nil, rt.ErrInfeasible
+	m, _ := c.Model()
+	copy(pl.Release, finish)
+	copy(pl.Alphas, m.Alphas())
+	pl.Rounds = p.rounds
+	return nil
 }

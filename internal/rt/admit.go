@@ -3,6 +3,7 @@ package rt
 import (
 	"errors"
 	"math"
+	"sort"
 	"time"
 
 	"rtdls/internal/dlt"
@@ -61,6 +62,14 @@ type queueState struct {
 	// test rejects.
 	saved Schedule
 	pctx  PlanContext
+	// scratch is where the partitioner's node searches run their
+	// candidates, through pctx.
+	scratch Candidate
+}
+
+// planAt points pctx at the state as of now, for the Plan calls of one test.
+func (q *queueState) planAt(now float64) {
+	q.pctx = PlanContext{P: q.p, N: q.live, Now: now, View: q.view, Costs: q.costs, scratch: &q.scratch}
 }
 
 // resetView points the view at a fresh snapshot of the committed release
@@ -196,15 +205,10 @@ func (q *queueState) test(pol Policy, part Partitioner, fastReject bool, t *Task
 	}
 
 	// TempTaskList ← NewTask + TaskWaitingQueue, ordered by the policy: t
-	// goes in front of the first waiting task it precedes.
-	p := len(q.queue)
-	for i, e := range q.queue {
-		if pol.Less(t, e.task) {
-			p = i
-			break
-		}
-	}
-	q.pctx = PlanContext{P: q.p, N: q.live, Now: now, View: q.view, Costs: q.costs}
+	// goes in front of the first waiting task it precedes. The queue is in
+	// policy order, a total one, so that task is found by bisection.
+	p := sort.Search(len(q.queue), func(i int) bool { return pol.Less(t, q.queue[i].task) })
+	q.planAt(now)
 
 	// Offer each task ordered before t its current plan. The checks the
 	// partitioner cannot make are made here: the schedule must be hinted,

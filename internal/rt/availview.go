@@ -66,6 +66,10 @@ type AvailView struct {
 	undoID   []int
 	undoTime []float64
 	undoBase int
+	// restored[id] == rollbacks marks the nodes the running RollbackTo has
+	// already put back.
+	restored  []uint32
+	rollbacks uint32
 
 	// Materialised prefix of the in-order walk: pids/ptimes[:plen] are the
 	// plen earliest nodes. walk is the suspended walk continuation (the
@@ -108,6 +112,7 @@ func (v *AvailView) Reset(times []float64) {
 		v.right = make([]int32, n)
 		v.size = make([]int32, n)
 		v.prio = make([]uint64, n)
+		v.restored = make([]uint32, n)
 	} else {
 		v.pids = v.pids[:n]
 		v.ptimes = v.ptimes[:n]
@@ -115,6 +120,7 @@ func (v *AvailView) Reset(times []float64) {
 		v.right = v.right[:n]
 		v.size = v.size[:n]
 		v.prio = v.prio[:n]
+		v.restored = v.restored[:n]
 	}
 	v.elig = nil
 	v.eligible = n
@@ -434,7 +440,10 @@ func (v *AvailView) Apply(ids []int, release []float64) {
 func (v *AvailView) Mark() int { return v.undoBase + len(v.undoID) }
 
 // RollbackTo undoes every Apply made after the mark was taken, in
-// O(changed · log n).
+// O(changed · log n). A node retimed several times since the mark goes
+// straight back to the oldest time logged for it: the index is a function
+// of the keys and the priorities alone, so it ends as undoing entry by
+// entry would leave it.
 func (v *AvailView) RollbackTo(mark int) {
 	keep := mark - v.undoBase
 	if keep < 0 || keep > len(v.undoID) {
@@ -443,8 +452,18 @@ func (v *AvailView) RollbackTo(mark int) {
 	if keep == len(v.undoID) {
 		return
 	}
-	for i := len(v.undoID) - 1; i >= keep; i-- {
-		v.setTime(v.undoID[i], v.undoTime[i])
+	if v.rollbacks++; v.rollbacks == 0 {
+		clear(v.restored)
+		v.rollbacks = 1
+	}
+	for i, id := range v.undoID[keep:] {
+		if v.restored[id] == v.rollbacks {
+			continue
+		}
+		v.restored[id] = v.rollbacks
+		if t := v.undoTime[keep+i]; t != v.times[id] {
+			v.setTime(id, t)
+		}
 	}
 	v.undoID = v.undoID[:keep]
 	v.undoTime = v.undoTime[:keep]

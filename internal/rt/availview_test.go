@@ -10,6 +10,31 @@ import (
 // Rollback undoes every tentative assignment, restoring the base snapshot.
 func (v *AvailView) Rollback() { v.RollbackTo(v.undoBase) }
 
+// rollbackStepwise is the specification of RollbackTo: the log undone entry
+// by entry, newest first, one remove and one insert each.
+func (v *AvailView) rollbackStepwise(mark int) {
+	keep := mark - v.undoBase
+	for i := len(v.undoID) - 1; i >= keep; i-- {
+		v.setTime(v.undoID[i], v.undoTime[i])
+	}
+	v.undoID = v.undoID[:keep]
+	v.undoTime = v.undoTime[:keep]
+	v.invalidatePrefix()
+}
+
+// sameIndex fails unless the two views, driven through the same operations,
+// hold the same times in the same tree.
+func sameIndex(t *testing.T, a, b *AvailView) {
+	t.Helper()
+	a.ensureTree()
+	b.ensureTree()
+	if a.root != b.root || !slices.Equal(a.times, b.times) || !slices.Equal(a.left, b.left) ||
+		!slices.Equal(a.right, b.right) || !slices.Equal(a.size, b.size) {
+		t.Fatalf("index differs from the entry-by-entry undo:\n times %v\n       %v\n root %d %d\n left  %v\n       %v\n right %v\n       %v",
+			a.times, b.times, a.root, b.root, a.left, b.left, a.right, b.right)
+	}
+}
+
 // refModel is an independent full-sort reference implementation of the
 // AvailView contract: the differential and fuzz suites drive it in
 // lockstep with the treap index (and with the view's own refMode hook) and
@@ -93,7 +118,9 @@ func (m *refModel) earliest(k int) (ids []int, times []float64) {
 
 // driveAvailView interprets data as an op stream over an AvailView, a
 // second view pinned to refMode, and the independent reference model, and
-// fails the moment any query diverges. Times are drawn from a coarse grid
+// fails the moment any query diverges. A third view undoes its log entry by
+// entry where the first calls RollbackTo, and the two must end every
+// rollback on the same tree. Times are drawn from a coarse grid
 // so ties (the id tie-break) occur constantly, and apply batches range
 // from one node to the whole cluster, covering both the
 // few-dirty-nodes regime and the everything-retimed regime that used to
@@ -120,9 +147,11 @@ func driveAvailView(t *testing.T, data []byte) {
 	v := NewAvailView(append([]float64(nil), base...))
 	vr := NewAvailView(append([]float64(nil), base...))
 	vr.refMode = true
+	vs := NewAvailView(append([]float64(nil), base...))
 	model := newRefModel(base)
 
 	check := func(k int) {
+		vs.ensureTree() // rebuilds draw priorities: keep vs in step with v
 		wantIDs, wantTimes := model.earliest(k)
 		for _, view := range []*AvailView{v, vr} {
 			ids, times := view.Earliest(k)
@@ -167,6 +196,8 @@ func driveAvailView(t *testing.T, data []byte) {
 			if len(held) > 0 {
 				i := int(next()) % len(held)
 				v.RollbackTo(held[i].v)
+				vs.rollbackStepwise(held[i].v)
+				sameIndex(t, v, vs)
 				vr.RollbackTo(held[i].vr)
 				model.rollbackTo(held[i].model)
 				held = held[:i+1]
@@ -175,6 +206,7 @@ func driveAvailView(t *testing.T, data []byte) {
 			if len(held) > 0 {
 				i := int(next()) % len(held)
 				v.CommitPrefix(held[i].v)
+				vs.CommitPrefix(held[i].v)
 				vr.CommitPrefix(held[i].vr)
 				model.commitPrefix(held[i].model)
 				held = held[i:]
@@ -184,6 +216,7 @@ func driveAvailView(t *testing.T, data []byte) {
 				base[i] = mkTime()
 			}
 			v.Reset(append([]float64(nil), base...))
+			vs.Reset(append([]float64(nil), base...))
 			vr.Reset(append([]float64(nil), base...))
 			vr.refMode = true
 			model.reset(base)
@@ -199,6 +232,7 @@ func driveAvailView(t *testing.T, data []byte) {
 				elig[int(next())%n] = true
 			}
 			v.SetEligible(elig)
+			vs.SetEligible(elig)
 			vr.SetEligible(elig)
 			model.setEligible(elig)
 		case 2: // Apply a tentative batch (duplicates allowed)
@@ -210,6 +244,7 @@ func driveAvailView(t *testing.T, data []byte) {
 				rel[j] = mkTime()
 			}
 			v.Apply(ids, rel)
+			vs.Apply(ids, rel)
 			vr.Apply(ids, rel)
 			model.apply(ids, rel)
 			pending = true
@@ -218,18 +253,22 @@ func driveAvailView(t *testing.T, data []byte) {
 		case 5: // order-statistic query without materialising
 			k := 1 + int(next())%v.Eligible()
 			_, wantTimes := model.earliest(k)
+			vs.ensureTree()
 			if at := v.EarliestTimeAt(k); at != wantTimes[k-1] {
 				t.Fatalf("EarliestTimeAt(%d): got %v want %v (times=%v elig=%v)",
 					k, at, wantTimes[k-1], model.times, model.elig)
 			}
 		case 6: // Rollback to base
 			v.Rollback()
+			vs.rollbackStepwise(vs.undoBase)
+			sameIndex(t, v, vs)
 			vr.Rollback()
 			model.rollback()
 			pending = false
 		case 7: // CommitBase (requires no tentative assignments)
 			if pending {
 				v.Rollback()
+				vs.rollbackStepwise(vs.undoBase)
 				vr.Rollback()
 				model.rollback()
 				pending = false
@@ -242,12 +281,15 @@ func driveAvailView(t *testing.T, data []byte) {
 				rel[j] = mkTime()
 			}
 			v.CommitBase(ids, rel)
+			vs.CommitBase(ids, rel)
 			vr.CommitBase(ids, rel)
 			model.commitBase(ids, rel)
 		}
 	}
 	check(v.Eligible())
 	v.Rollback()
+	vs.rollbackStepwise(vs.undoBase)
+	sameIndex(t, v, vs)
 	vr.Rollback()
 	model.rollback()
 	check(v.Eligible())

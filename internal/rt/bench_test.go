@@ -217,18 +217,3 @@ func benchSubmitQueued(b *testing.B, depth int, mix string) {
 		b.Fatalf("queue depth drifted to %d, want %d", got, depth)
 	}
 }
-
-func BenchmarkPlanIITDLT(b *testing.B) {
-	avail := make([]float64, 16)
-	for i := range avail {
-		avail[i] = float64(i%3) * 700
-	}
-	task := &Task{ID: 1, Arrival: 0, Sigma: 200, RelDeadline: 4000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := newCtx(baseline, avail, 0)
-		if _, err := (IITDLT{}).Plan(ctx, task); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,12 +1,6 @@
 package rt
 
-import (
-	"fmt"
-	"math"
-
-	"rtdls/internal/core"
-	"rtdls/internal/dlt"
-)
+import "fmt"
 
 // IITDLT is the paper's DLT-based partitioner: it utilises Inserted Idle
 // Times by starting a task on each processor as soon as that processor is
@@ -35,60 +29,37 @@ func (IITDLT) FastReject(ctx *PlanContext, t *Task) bool {
 }
 
 // Plan implements Partitioner.
-func (IITDLT) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	if ctx.Prior != nil {
-		return ctx.KeepPriorMinNodes(t)
-	}
-	return ctx.SealMinNodes(planIIT(ctx, t))
+func (p IITDLT) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	return ctx.PlanMinNodes(t, p)
 }
 
-// planIIT is the node search of IITDLT.Plan.
-func planIIT(ctx *PlanContext, t *Task) (*Plan, error) {
-	if cm := ctx.heteroCosts(); cm != nil {
-		return planHeteroIIT(cm, ctx, t)
+// Estimate implements Estimator: the Eq. 6 estimate r_n + Ê of the
+// heterogeneous model, which Theorem 4 proves an upper bound of the actual
+// completion. The theorem needs a common Cms, so on a heterogeneous cluster
+// — where the model is built over per-node coefficients — the estimate is
+// the exactly simulated dispatch instead: the linear cost model makes that
+// timeline deterministic, which keeps the hard real-time guarantee without
+// a new theorem.
+func (IITDLT) Estimate(c *Candidate) (float64, error) {
+	m, err := c.Model()
+	if err != nil {
+		return 0, fmt.Errorf("rt: dlt-iit: building heterogeneous model: %w", err)
 	}
-	absD := t.AbsDeadline()
-	slack := absD - ctx.startFloor(t)
-	n0, ok := dlt.MinNodesBound(ctx.P, t.Sigma, slack)
-	if !ok || n0 > ctx.N {
-		// Even starting immediately the deadline cannot be met (γ ≤ 0 or
-		// the whole cluster is too small).
-		return nil, ErrInfeasible
+	if !m.Hetero() {
+		return m.EstCompletion(), nil
 	}
-	for n := n0; n <= ctx.N; n++ {
-		ids, starts := clampedStarts(ctx, t, n)
-		m, err := core.New(ctx.P, t.Sigma, starts)
-		if err != nil {
-			return nil, fmt.Errorf("rt: dlt-iit: building heterogeneous model: %w", err)
-		}
-		est := m.EstCompletion()
-		if est > absD+deadlineEps(absD) {
-			// ñ_min(t) underestimates the requirement when the task must
-			// wait for busy nodes; allocate more until the Eq. 6 estimate
-			// meets the deadline.
-			continue
-		}
-		// Admission is checked against the Theorem-4 estimate (Eq. 6), but
-		// each node is released at its exact actual finish time: the linear
-		// cost model makes the dispatch timeline fully deterministic, so
-		// the head node knows precisely when every node frees up.
-		d, err := m.Dispatch()
-		if err != nil {
-			return nil, fmt.Errorf("rt: dlt-iit: dispatching: %w", err)
-		}
-		release := make([]float64, n)
-		for i := range release {
-			release[i] = math.Max(d.Finish[i], starts[i])
-		}
-		return &Plan{
-			Task:    t,
-			Nodes:   ids,
-			Starts:  starts,
-			Release: release,
-			Alphas:  m.Alphas(),
-			Est:     est,
-			Rounds:  1,
-		}, nil
+	d, err := c.timeline()
+	if err != nil {
+		return 0, fmt.Errorf("rt: dlt-iit: dispatching: %w", err)
 	}
-	return nil, ErrInfeasible
+	return d.Completion, nil
+}
+
+// Finish implements Estimator. Admission is checked against the estimate,
+// but each node is released at its exact actual finish time.
+func (IITDLT) Finish(c *Candidate, pl *Plan) error {
+	if err := c.singleRound(pl); err != nil {
+		return fmt.Errorf("rt: dlt-iit: dispatching: %w", err)
+	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"fmt"
+
 	"rtdls/internal/dlt"
 )
 
@@ -40,63 +42,50 @@ func (o OPR) FastReject(ctx *PlanContext, t *Task) bool {
 
 // Plan implements Partitioner.
 func (o OPR) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	if !o.AllNodes {
+		return ctx.PlanMinNodes(t, o)
+	}
+	// OPR-AN always takes the whole cluster, whatever the slack.
 	if ctx.Prior != nil {
-		if o.AllNodes {
-			// OPR-AN always takes the whole cluster, whatever the slack.
-			return ctx.Prior, nil
-		}
-		return ctx.KeepPriorMinNodes(t)
-	}
-	if o.AllNodes {
-		return o.plan(ctx, t)
-	}
-	return ctx.SealMinNodes(o.plan(ctx, t))
-}
-
-// plan is the fresh-plan half of Plan.
-func (o OPR) plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	if cm := ctx.heteroCosts(); cm != nil {
-		return planHeteroOPR(o, cm, ctx, t)
+		return ctx.Prior, nil
 	}
 	absD := t.AbsDeadline()
-	n0 := ctx.N
-	if !o.AllNodes {
-		slack := absD - ctx.startFloor(t)
-		var ok bool
-		n0, ok = dlt.MinNodesBound(ctx.P, t.Sigma, slack)
-		if !ok || n0 > ctx.N {
-			return nil, ErrInfeasible
-		}
+	return ctx.search(t, ctx.N, ctx.N, absD+deadlineEps(absD), o)
+}
+
+// Estimate implements Estimator: r_n + E(σ,n), exact because every node
+// starts at r_n and the partition equalises the finish times. Like IITDLT
+// the search expands beyond ñ_min(t) when waiting for busy nodes pushed the
+// completion past the deadline — but OPR must buy the speed-up with E(σ,n),
+// never with the waiting time itself.
+func (o OPR) Estimate(c *Candidate) (float64, error) {
+	n := len(c.Starts)
+	if c.Costs == nil {
+		return c.Starts[n-1] + c.P.ExecTime(c.Task.Sigma, n), nil
 	}
-	for n := n0; n <= ctx.N; n++ {
-		ids, starts := clampedStarts(ctx, t, n)
-		rn := starts[n-1]
-		est := rn + ctx.P.ExecTime(t.Sigma, n)
-		if est > absD+deadlineEps(absD) {
-			// Like IITDLT, expand beyond ñ_min(t) when waiting for busy
-			// nodes pushed the completion past the deadline — but OPR must
-			// buy the speed-up with E(σ,n), never with the waiting time
-			// itself.
-			continue
-		}
-		// The task occupies each node from that node's own release (the
-		// reservation that wastes the IIT) but only executes from rn, when
-		// all n nodes are free simultaneously.
-		reserved := 0.0
-		for _, s := range starts {
-			reserved += rn - s
-		}
-		return &Plan{
-			Task:              t,
-			Nodes:             ids,
-			Starts:            starts,
-			Release:           uniform(n, est),
-			Alphas:            ctx.P.Alphas(n),
-			Est:               est,
-			ReservedIdle:      reserved,
-			SimultaneousStart: true,
-			Rounds:            1,
-		}, nil
+	e, err := dlt.HeteroExecTime(c.Costs, c.Task.Sigma)
+	if err != nil {
+		return 0, fmt.Errorf("rt: %s: heterogeneous execution time: %w", o.Name(), err)
 	}
-	return nil, ErrInfeasible
+	return c.Starts[n-1] + e, nil
+}
+
+// Finish implements Estimator. The task occupies each node from that
+// node's own release (the reservation that wastes the IIT) but only
+// executes from r_n, when all n nodes are free simultaneously.
+func (o OPR) Finish(c *Candidate, pl *Plan) error {
+	rn := c.Starts[len(c.Starts)-1]
+	for i, s := range c.Starts {
+		pl.Release[i] = pl.Est
+		pl.ReservedIdle += rn - s
+	}
+	pl.SimultaneousStart = true
+	if c.Costs == nil {
+		c.P.AlphasInto(pl.Alphas)
+		return nil
+	}
+	if err := dlt.HeteroAlphasInto(pl.Alphas, c.Costs); err != nil {
+		return fmt.Errorf("rt: %s: heterogeneous partition: %w", o.Name(), err)
+	}
+	return nil
 }

@@ -36,6 +36,11 @@ type PlanContext struct {
 	// Prior nil against the exact view. One that does not know the field
 	// just plans; the scheduler discards that result and stops offering.
 	Prior *Plan
+
+	// scratch is where search evaluates its candidates. The scheduler and
+	// every speculation context hand in their own, so it is never shared
+	// between goroutines; a context built by hand gets one on first use.
+	scratch *Candidate
 }
 
 // heteroCosts returns the per-node cost model when the cluster is genuinely
@@ -52,7 +57,7 @@ func (ctx *PlanContext) heteroCosts() *dlt.CostModel {
 
 // startFloor returns the earliest instant the task may occupy a node.
 func (ctx *PlanContext) startFloor(t *Task) float64 {
-	return math.Max(ctx.Now, t.Arrival)
+	return max(ctx.Now, t.Arrival)
 }
 
 // Partitioner is the framework's task-partitioning module (Decision #2)
@@ -84,21 +89,21 @@ type FastRejecter interface {
 // earliest-available nodes (Fig. 2's "set processor available times",
 // clamped so replanned waiting tasks cannot start in the past). The
 // returned slices are freshly allocated and owned by the caller; external
-// partitioners (package multiround) use it for the same node-selection rule.
+// partitioners use it for the same node-selection rule.
 func (ctx *PlanContext) ClampedStarts(t *Task, k int) (ids []int, starts []float64) {
 	ids = make([]int, k)
 	starts = make([]float64, k)
-	ctx.View.EarliestInto(ids, starts)
-	floor := ctx.startFloor(t)
-	for i, tm := range starts {
-		starts[i] = math.Max(tm, floor)
-	}
+	ctx.clampedInto(t, ids, starts)
 	return ids, starts
 }
 
-// clampedStarts is the in-package shorthand for ClampedStarts.
-func clampedStarts(ctx *PlanContext, t *Task, k int) (ids []int, starts []float64) {
-	return ctx.ClampedStarts(t, k)
+// clampedInto is ClampedStarts into the caller's buffers, of equal length k.
+func (ctx *PlanContext) clampedInto(t *Task, ids []int, starts []float64) {
+	ctx.View.EarliestInto(ids, starts)
+	floor := ctx.startFloor(t)
+	for i, tm := range starts {
+		starts[i] = max(tm, floor)
+	}
 }
 
 // ProvablyLate reports whether any plan that (a) uses at least the k
@@ -153,13 +158,34 @@ func (ctx *PlanContext) FastRejectMinNodes(t *Task) bool {
 // scheduler plans the task afresh, with no Prior, against its exact view.
 var ErrPriorDeclined = errors.New("rt: offered prior plan declined")
 
-// KeepPriorMinNodes answers a Plan call that offered Prior for the same
-// partitioners: their search tries n = ñ_min(t), ñ_min(t)+1, … and stops at
-// the first node count whose estimate meets the deadline. The estimates are
+// PlanMinNodes is the whole Plan of the same partitioners, which differ in
+// their Estimator only: an offered Prior is kept or declined, and a fresh
+// plan is searched from ñ_min(t) nodes up to the whole cluster, admitted
+// against the task's deadline, and sealed.
+func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
+	if ctx.Prior != nil {
+		return ctx.keepPriorMinNodes(t)
+	}
+	absD := t.AbsDeadline()
+	n0, ok := ctx.minNodes(t, absD-ctx.startFloor(t))
+	if !ok || n0 > ctx.N {
+		// Even starting immediately the deadline cannot be met (γ ≤ 0 or
+		// the whole cluster is too small).
+		return nil, ErrInfeasible
+	}
+	// ñ_min(t) underestimates the requirement when the task must wait for
+	// busy nodes; the search allocates more until the estimate meets the
+	// deadline.
+	return ctx.sealMinNodes(ctx.search(t, n0, ctx.N, absD+deadlineEps(absD), e))
+}
+
+// keepPriorMinNodes answers a Plan call that offered Prior: the search
+// tries n = ñ_min(t), ñ_min(t)+1, … and stops at the first node count
+// whose estimate meets the deadline. The estimates are
 // the ones Prior's search saw (see PlanContext.Prior) and the bound only
 // grows as the slack shrinks, so while it has not passed Prior's node count
 // the search ends exactly where Prior's did.
-func (ctx *PlanContext) KeepPriorMinNodes(t *Task) (*Plan, error) {
+func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 	pr := ctx.Prior
 	slack := t.AbsDeadline() - ctx.startFloor(t)
 	if pr.minSlack > 0 && slack >= pr.minSlack {
@@ -171,15 +197,15 @@ func (ctx *PlanContext) KeepPriorMinNodes(t *Task) (*Plan, error) {
 	return nil, ErrPriorDeclined
 }
 
-// SealMinNodes finishes a fresh Plan of those partitioners: it evaluates
+// sealMinNodes finishes a fresh plan of PlanMinNodes: it evaluates
 // the bound once at the smallest slack the plan can ever be offered back
 // at — the one at its own first start — and, when the bound still fits
-// the plan's node count there, records that slack, so KeepPriorMinNodes
+// the plan's node count there, records that slack, so keepPriorMinNodes
 // answers every later offer with a comparison. Without it each waiting
 // task costs every arrival two logarithms, and a late-deadline arrival
 // behind a long queue spends its time on those: BenchmarkSubmitQueued
 // grows x7.7 from 8 to 128 waiting tasks, against a gate of x3.
-func (ctx *PlanContext) SealMinNodes(pl *Plan, err error) (*Plan, error) {
+func (ctx *PlanContext) sealMinNodes(pl *Plan, err error) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -196,13 +222,4 @@ func (ctx *PlanContext) SealMinNodes(pl *Plan, err error) (*Plan, error) {
 // so the mathematically guaranteed inequalities survive floating point.
 func deadlineEps(absDeadline float64) float64 {
 	return 1e-9 * math.Max(1, math.Abs(absDeadline))
-}
-
-// uniform returns a slice of n copies of v.
-func uniform(n int, v float64) []float64 {
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
 }

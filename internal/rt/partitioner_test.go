@@ -269,7 +269,7 @@ func TestClampedStartsFloorsPastReleases(t *testing.T) {
 	// Nodes idle since t=2 must not let a task start in the past.
 	ctx := newCtx(baseline, []float64{2, 2, 2, 2}, 10)
 	task := &Task{ID: 1, Arrival: 6, Sigma: 5, RelDeadline: 5000}
-	_, starts := clampedStarts(ctx, task, 4)
+	_, starts := ctx.ClampedStarts(task, 4)
 	for _, s := range starts {
 		if s != 10 {
 			t.Fatalf("starts must clamp to now=10, got %v", starts)

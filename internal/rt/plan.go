@@ -40,7 +40,7 @@ type Plan struct {
 
 	// minSlack, when positive, is a slack (absolute deadline minus start
 	// floor) from which on the ñ_min(t) bound is known not to exceed
-	// len(Nodes); see PlanContext.SealMinNodes, its only writer.
+	// len(Nodes); see PlanContext.sealMinNodes, its only writer.
 	minSlack float64
 }
 

@@ -283,7 +283,7 @@ func (s *Scheduler) revalidateLocked(now float64) (displaced []*Task, err error)
 		return nil, nil
 	}
 	s.syncLocked()
-	q.pctx = PlanContext{P: q.p, N: q.live, Now: now, View: q.view, Costs: q.costs}
+	q.planAt(now)
 	base := q.rebuildFrom(0)
 	for _, e := range q.saved {
 		w := e.task

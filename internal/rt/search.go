@@ -1,0 +1,168 @@
+package rt
+
+import (
+	"slices"
+
+	"rtdls/internal/core"
+	"rtdls/internal/dlt"
+)
+
+// Candidate is one node count of a partitioner's node search: the n
+// earliest-available nodes and their clamped start times, plus the model
+// and the timelines an Estimator evaluates them with. A PlanContext owns
+// one and runs every candidate of every search in it, so all of it is
+// scratch — overwritten by the next candidate, never referenced by a Plan.
+type Candidate struct {
+	Task   *Task
+	P      dlt.Params     // the cluster's shared coefficients
+	IDs    []int          // the n nodes, in dispatch (availability) order
+	Starts []float64      // r_k = max(release of node k, arrival, now)
+	Costs  []dlt.NodeCost // the nodes' own coefficients; nil on a homogeneous cluster
+
+	costs      []dlt.NodeCost // backs Costs
+	model      core.Model
+	built      bool // model holds this candidate
+	dispatch   dlt.Dispatch
+	dispatched bool // dispatch holds the timeline of model's partition
+	aux        []float64
+}
+
+// Estimator is the per-algorithm half of a node search. For each candidate
+// node count, smallest first, the search calls Estimate and compares the
+// completion estimate it returns against the task's deadline; for the first
+// one that meets it, and only for that one, it calls Finish.
+type Estimator interface {
+	Estimate(c *Candidate) (est float64, err error)
+	// Finish completes the candidate's plan: Task, Nodes, Starts and Est
+	// are set and Rounds is 1; Release and Alphas have the candidate's
+	// length and are to be filled.
+	Finish(c *Candidate, pl *Plan) error
+}
+
+// Model returns the heterogeneous model of Sec. 4.1.1 for the candidate —
+// over the nodes' own coefficients on a heterogeneous cluster — built on
+// the first call.
+func (c *Candidate) Model() (*core.Model, error) {
+	if !c.built {
+		var err error
+		if c.Costs != nil {
+			err = c.model.ResetHetero(c.Costs, c.Task.Sigma, c.Starts)
+		} else {
+			err = c.model.Reset(c.P, c.Task.Sigma, c.Starts)
+		}
+		if err != nil {
+			return nil, err
+		}
+		c.built = true
+	}
+	return &c.model, nil
+}
+
+// timeline returns the exact single-round dispatch of the model's partition
+// at the candidate's staggered start times, simulated on the first call.
+func (c *Candidate) timeline() (*dlt.Dispatch, error) {
+	if !c.dispatched {
+		m, err := c.Model()
+		if err != nil {
+			return nil, err
+		}
+		if err := m.DispatchInto(&c.dispatch); err != nil {
+			return nil, err
+		}
+		c.dispatched = true
+	}
+	return &c.dispatch, nil
+}
+
+// simulate returns the exact single-round timeline of an arbitrary
+// partition of the task over the candidate's nodes.
+func (c *Candidate) simulate(alphas []float64) (*dlt.Dispatch, error) {
+	c.dispatched = false
+	if c.Costs != nil {
+		return &c.dispatch, dlt.SimulateDispatchHeteroInto(&c.dispatch, c.Costs, c.Task.Sigma, c.Starts, alphas)
+	}
+	return &c.dispatch, dlt.SimulateDispatchInto(&c.dispatch, c.P, c.Task.Sigma, c.Starts, alphas)
+}
+
+// Aux returns a buffer of the candidate's length for the estimator's own
+// timeline. What Estimate leaves there, Finish finds.
+func (c *Candidate) Aux() []float64 {
+	c.aux = slices.Grow(c.aux[:0], len(c.IDs))[:len(c.IDs)]
+	return c.aux
+}
+
+// load makes c the candidate of the n earliest-available nodes.
+func (c *Candidate) load(ctx *PlanContext, cm *dlt.CostModel, n int) {
+	c.IDs = slices.Grow(c.IDs[:0], n)[:n]
+	c.Starts = slices.Grow(c.Starts[:0], n)[:n]
+	ctx.clampedInto(c.Task, c.IDs, c.Starts)
+	c.Costs = nil
+	if cm != nil {
+		c.costs = c.costs[:0]
+		for _, id := range c.IDs {
+			c.costs = append(c.costs, cm.At(id))
+		}
+		c.Costs = c.costs
+	}
+	c.built, c.dispatched = false, false
+}
+
+// search is the node search every partitioner runs (Fig. 2: "n ← ñ_min(t)",
+// then more nodes while r_n + Ê > A + D): it tries n = lo..hi nodes, each
+// candidate in the context's scratch, and returns the plan of the first
+// whose estimate does not exceed limit. The scan is linear — the estimate
+// is not monotone in n, since each further node is a later one. Only the
+// returned plan is allocated: the Plan, its node ids, and one block cut
+// into Starts, Release and Alphas.
+func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) (*Plan, error) {
+	if ctx.scratch == nil {
+		// A context built by hand (tests, external callers); the
+		// schedulers hand theirs in.
+		ctx.scratch = new(Candidate)
+	}
+	c := ctx.scratch
+	c.Task, c.P = t, ctx.P
+	cm := ctx.heteroCosts()
+	for n := lo; n <= hi; n++ {
+		c.load(ctx, cm, n)
+		est, err := e.Estimate(c)
+		if err != nil {
+			return nil, err
+		}
+		if est > limit {
+			continue
+		}
+		block := make([]float64, 3*n)
+		pl := &Plan{
+			Task:    t,
+			Nodes:   append(make([]int, 0, n), c.IDs...),
+			Starts:  block[:n:n],
+			Release: block[n : 2*n : 2*n],
+			Alphas:  block[2*n:],
+			Est:     est,
+			Rounds:  1,
+		}
+		copy(pl.Starts, c.Starts)
+		if err := e.Finish(c, pl); err != nil {
+			return nil, err
+		}
+		return pl, nil
+	}
+	return nil, ErrInfeasible
+}
+
+// singleRound finishes a plan that dispatches the model's partition in one
+// round: each node is released at its exact finish time — the linear cost
+// model makes the timeline fully deterministic, so the head node knows
+// precisely when every node frees up.
+func (c *Candidate) singleRound(pl *Plan) error {
+	d, err := c.timeline()
+	if err != nil {
+		return err
+	}
+	for i, s := range c.Starts {
+		pl.Release[i] = max(d.Finish[i], s)
+	}
+	copy(pl.Alphas, c.model.Alphas())
+	return nil
+}

@@ -1,0 +1,331 @@
+package rt
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"rtdls/internal/core"
+	"rtdls/internal/dlt"
+)
+
+// legacyPlan is the node search as every partitioner wrote it out for
+// itself before they shared PlanContext.search: fresh clamped starts, a
+// fresh model and fresh timelines per candidate, built from the allocating
+// constructors. It is the specification the shared search must reproduce
+// bit for bit.
+func legacyPlan(part Partitioner, ctx *PlanContext, t *Task) (*Plan, error) {
+	cm := ctx.heteroCosts()
+	absD := t.AbsDeadline()
+	lo, hi, limit := 0, ctx.N, absD+deadlineEps(absD)
+	switch p := part.(type) {
+	case UserSplit:
+		if t.UserN < 1 {
+			return nil, ErrInfeasible
+		}
+		if t.UserN > ctx.N {
+			return nil, errors.New("request exceeds the cluster")
+		}
+		lo, hi, limit = t.UserN, t.UserN, math.Inf(1)
+	case OPR:
+		if p.AllNodes {
+			lo = ctx.N
+		}
+	}
+	if lo == 0 {
+		var ok bool
+		if lo, ok = ctx.minNodes(t, absD-ctx.startFloor(t)); !ok || lo > ctx.N {
+			return nil, ErrInfeasible
+		}
+	}
+	for n := lo; n <= hi; n++ {
+		ids, starts := ctx.ClampedStarts(t, n)
+		var costs []dlt.NodeCost
+		if cm != nil {
+			costs = cm.Select(ids)
+		}
+		pl := &Plan{Task: t, Nodes: ids, Starts: starts, Release: make([]float64, n), Rounds: 1}
+		switch part.(type) {
+		case IITDLT:
+			m, err := core.New(ctx.P, t.Sigma, starts)
+			if cm != nil {
+				m, err = core.NewHetero(costs, t.Sigma, starts)
+			}
+			if err != nil {
+				return nil, err
+			}
+			d, err := m.Dispatch()
+			if err != nil {
+				return nil, err
+			}
+			pl.Est = m.EstCompletion()
+			if cm != nil {
+				pl.Est = d.Completion
+			}
+			for i := range pl.Release {
+				pl.Release[i] = math.Max(d.Finish[i], starts[i])
+			}
+			pl.Alphas = m.Alphas()
+		case OPR:
+			rn := starts[n-1]
+			if cm == nil {
+				pl.Est = rn + ctx.P.ExecTime(t.Sigma, n)
+				pl.Alphas = ctx.P.Alphas(n)
+			} else {
+				e, err := dlt.HeteroExecTime(costs, t.Sigma)
+				if err != nil {
+					return nil, err
+				}
+				pl.Est = rn + e
+				if pl.Alphas, err = dlt.HeteroAlphas(costs); err != nil {
+					return nil, err
+				}
+			}
+			for i, s := range starts {
+				pl.Release[i] = pl.Est
+				pl.ReservedIdle += rn - s
+			}
+			pl.SimultaneousStart = true
+		case UserSplit:
+			pl.Alphas = dlt.EqualAlphas(n)
+			d, err := dlt.UserSplitDispatch(ctx.P, t.Sigma, starts)
+			if cm != nil {
+				d, err = dlt.SimulateDispatchHetero(costs, t.Sigma, starts, pl.Alphas)
+			}
+			if err != nil {
+				return nil, err
+			}
+			pl.Est = d.Completion
+			copy(pl.Release, d.Finish)
+		}
+		if pl.Est > limit {
+			continue
+		}
+		return pl, nil
+	}
+	return nil, ErrInfeasible
+}
+
+// samePlan compares everything of two plans but the task pointer and the
+// unexported seal, bit for bit.
+func samePlan(a, b *Plan) bool {
+	return slices.Equal(a.Nodes, b.Nodes) && slices.Equal(a.Starts, b.Starts) &&
+		slices.Equal(a.Release, b.Release) && slices.Equal(a.Alphas, b.Alphas) &&
+		a.Est == b.Est && a.ReservedIdle == b.ReservedIdle &&
+		a.SimultaneousStart == b.SimultaneousStart && a.Rounds == b.Rounds
+}
+
+// randomPlanInput draws a cluster state (release times on a coarse grid,
+// so ties are common; per-node costs for every other one) and a task whose
+// deadline is tight enough that searches run several candidates and some
+// fail.
+func randomPlanInput(t testing.TB, rng *rand.Rand) (*PlanContext, *Task) {
+	n := 1 + rng.Intn(16)
+	times := make([]float64, n)
+	for i := range times {
+		times[i] = float64(rng.Intn(12)) * 250
+	}
+	ctx := &PlanContext{P: baseline, N: n, Now: float64(rng.Intn(8)) * 200, View: NewAvailView(times)}
+	if rng.Intn(2) == 0 {
+		costs := make([]dlt.NodeCost, n)
+		for i := range costs {
+			costs[i] = dlt.NodeCost{Cms: 0.5 + rng.Float64(), Cps: 50 + rng.Float64()*150}
+		}
+		cm, err := dlt.NewCostModel(costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Costs = cm
+	}
+	task := &Task{
+		ID:          1,
+		Arrival:     float64(rng.Intn(8)) * 200,
+		Sigma:       20 + rng.Float64()*300,
+		RelDeadline: 500 + rng.Float64()*6000,
+		UserN:       rng.Intn(n + 2),
+	}
+	return ctx, task
+}
+
+var searchPartitioners = []Partitioner{IITDLT{}, OPR{}, OPR{AllNodes: true}, UserSplit{}}
+
+// TestSearchMatchesLegacyLoops: over random cluster states, one context —
+// hence one scratch — per partitioner reproduces the plan, or the
+// rejection, of the written-out loop for every input in turn.
+func TestSearchMatchesLegacyLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	scratch := make([]*Candidate, len(searchPartitioners))
+	for i := range scratch {
+		scratch[i] = new(Candidate)
+	}
+	plans, longest := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		ctx, task := randomPlanInput(t, rng)
+		for i, part := range searchPartitioners {
+			ctx.scratch = scratch[i]
+			got, err := part.Plan(ctx, task)
+			want, wantErr := legacyPlan(part, ctx, task)
+			if (err == nil) != (wantErr == nil) || errors.Is(err, ErrInfeasible) != errors.Is(wantErr, ErrInfeasible) {
+				t.Fatalf("trial %d %s: error %v, legacy loop %v", trial, part.Name(), err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !samePlan(got, want) {
+				t.Fatalf("trial %d %s (hetero=%v): plan differs from the legacy loop:\n got  %+v\n want %+v",
+					trial, part.Name(), ctx.heteroCosts() != nil, *got, *want)
+			}
+			plans++
+			if n0, ok := ctx.minNodes(task, task.AbsDeadline()-ctx.startFloor(task)); ok && part.Name() == "dlt-iit" {
+				longest = max(longest, len(got.Nodes)-n0+1)
+			}
+		}
+	}
+	if plans < 2000 || longest < 4 {
+		t.Fatalf("weak inputs: %d plans compared, longest search %d candidates", plans, longest)
+	}
+}
+
+// TestPlanNeverAliasesScratch: a returned plan owns its slices. Planning
+// another task on the same context leaves them unchanged (the bug class
+// Earliest had before it returned copies), and growing one of them cannot
+// reach into the next, although the three share one allocation.
+func TestPlanNeverAliasesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, part := range searchPartitioners {
+		checked := 0
+		for trial := 0; trial < 400; trial++ {
+			ctx, a := randomPlanInput(t, rng)
+			planA, err := part.Plan(ctx, a)
+			if err != nil {
+				continue
+			}
+			snap := *planA
+			snap.Nodes, snap.Starts = slices.Clone(planA.Nodes), slices.Clone(planA.Starts)
+			snap.Release, snap.Alphas = slices.Clone(planA.Release), slices.Clone(planA.Alphas)
+
+			// Another task, with the view moved on by A's own assignment.
+			ctx.View.Apply(planA.Nodes, planA.Release)
+			b := &Task{ID: 2, Arrival: a.Arrival, Sigma: a.Sigma * 1.5, RelDeadline: a.RelDeadline * 3, UserN: 1 + rng.Intn(ctx.N)}
+			if _, err := part.Plan(ctx, b); err != nil && !errors.Is(err, ErrInfeasible) {
+				t.Fatal(err)
+			}
+			if !samePlan(planA, &snap) {
+				t.Fatalf("%s: planning task B rewrote task A's plan:\n got  %+v\n want %+v", part.Name(), *planA, snap)
+			}
+
+			_ = append(planA.Nodes, -1)
+			_ = append(planA.Starts, math.NaN())
+			_ = append(planA.Release, math.NaN())
+			_ = append(planA.Alphas, math.NaN())
+			if !samePlan(planA, &snap) {
+				t.Fatalf("%s: appending to one slice of the plan overwrote another:\n got  %+v\n want %+v", part.Name(), *planA, snap)
+			}
+			checked++
+		}
+		if checked < 50 {
+			t.Fatalf("%s: only %d plans checked", part.Name(), checked)
+		}
+	}
+}
+
+// allocInput is a 16-node cluster busy until t = 1200 — per-node costs
+// when hetero is set — and the tightest task of a deadline sweep that the
+// partitioner still plans: for those that search, ñ_min(t) is then far below
+// what the wait forces. It returns how many candidates that search runs.
+func allocInput(t testing.TB, part Partitioner, hetero bool) (ctx *PlanContext, task *Task, cands int) {
+	const n = 16
+	times := make([]float64, n)
+	for i := range times {
+		times[i] = 1200
+	}
+	ctx = &PlanContext{P: baseline, N: n, View: NewAvailView(times)}
+	if hetero {
+		costs := make([]dlt.NodeCost, n)
+		for i := range costs {
+			costs[i] = dlt.NodeCost{Cms: 1 + float64(i%3)/4, Cps: 100 * (1 + float64(i%4)/4)}
+		}
+		cm, err := dlt.NewCostModel(costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Costs = cm
+	}
+	for d := 1500.0; d < 20000; d += 50 {
+		task = &Task{ID: 1, Sigma: 200, RelDeadline: d, UserN: 9}
+		pl, err := checkDeadline(part.Plan(ctx, task))
+		if errors.Is(err, ErrInfeasible) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n0, _ := ctx.minNodes(task, d)
+		return ctx, task, len(pl.Nodes) - n0 + 1
+	}
+	t.Fatalf("%s hetero=%v: no deadline of the sweep is feasible", part.Name(), hetero)
+	return nil, nil, 0
+}
+
+// TestPlanAllocs pins what a fresh plan costs once the context's scratch is
+// warm: the Plan, its node ids, and one block for the three float slices —
+// however many candidates the search ran.
+func TestPlanAllocs(t *testing.T) {
+	for _, hetero := range []bool{false, true} {
+		for _, part := range searchPartitioners {
+			ctx, task, cands := allocInput(t, part, hetero)
+			if searches := part == (IITDLT{}) || part == (OPR{}); searches && cands < 4 {
+				t.Fatalf("%s hetero=%v: the search ran %d candidates, want >= 4", part.Name(), hetero, cands)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := part.Plan(ctx, task); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 3 {
+				t.Errorf("%s hetero=%v: %.1f allocs per fresh plan, want <= 3", part.Name(), hetero, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkPlanIITDLT times one fresh IITDLT.Plan on a long-lived context,
+// as the scheduler calls it: cands=1 ends on ñ_min(t), cands=4 is shaped
+// like the traffic, whose searches run two to five candidates.
+func BenchmarkPlanIITDLT(b *testing.B) {
+	for _, bc := range []struct {
+		cands       int
+		busyUntil   func(node int) float64
+		relDeadline float64
+	}{
+		{1, func(i int) float64 { return float64(i%3) * 700 }, 4000},
+		{4, func(int) float64 { return 600 }, 2450},
+	} {
+		b.Run(fmt.Sprintf("cands=%d", bc.cands), func(b *testing.B) {
+			avail := make([]float64, 16)
+			for i := range avail {
+				avail[i] = bc.busyUntil(i)
+			}
+			ctx := newCtx(baseline, avail, 0)
+			task := &Task{ID: 1, Arrival: 0, Sigma: 200, RelDeadline: bc.relDeadline}
+			pl, err := IITDLT{}.Plan(ctx, task)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n0, _ := ctx.minNodes(task, task.AbsDeadline())
+			if got := len(pl.Nodes) - n0 + 1; got != bc.cands {
+				b.Fatalf("the search ran %d candidates, want %d", got, bc.cands)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := (IITDLT{}).Plan(ctx, task); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

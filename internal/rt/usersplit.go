@@ -2,8 +2,7 @@ package rt
 
 import (
 	"fmt"
-
-	"rtdls/internal/dlt"
+	"math"
 )
 
 // UserSplit emulates the current practice at cluster facilities such as the
@@ -35,13 +34,10 @@ func (UserSplit) FastReject(ctx *PlanContext, t *Task) bool {
 }
 
 // Plan implements Partitioner.
-func (UserSplit) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+func (u UserSplit) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	// The node count is the user's request, whatever the slack.
 	if ctx.Prior != nil {
 		return ctx.Prior, nil
-	}
-	if cm := ctx.heteroCosts(); cm != nil {
-		return planHeteroUserSplit(cm, ctx, t)
 	}
 	k := t.UserN
 	if k < 1 {
@@ -53,20 +49,30 @@ func (UserSplit) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 		return nil, fmt.Errorf("rt: user-split: task %d requests %d nodes but the cluster has %d",
 			t.ID, k, ctx.N)
 	}
-	ids, starts := clampedStarts(ctx, t, k)
-	d, err := dlt.UserSplitDispatch(ctx.P, t.Sigma, starts)
-	if err != nil {
-		return nil, fmt.Errorf("rt: user-split: %w", err)
+	// One candidate, returned whatever its estimate: the deadline check is
+	// the scheduler's.
+	return ctx.search(t, k, k, math.Inf(1), u)
+}
+
+// Estimate implements Estimator: the exact completion of n equal chunks
+// dispatched in availability order (Sec. 4.1.2), each node's finish taken
+// from the dispatch simulation at its own coefficients.
+func (UserSplit) Estimate(c *Candidate) (float64, error) {
+	alphas := c.Aux()
+	for i := range alphas {
+		alphas[i] = 1 / float64(len(alphas))
 	}
-	release := make([]float64, k)
-	copy(release, d.Finish)
-	return &Plan{
-		Task:    t,
-		Nodes:   ids,
-		Starts:  starts,
-		Release: release,
-		Alphas:  dlt.EqualAlphas(k),
-		Est:     d.Completion,
-		Rounds:  1,
-	}, nil
+	d, err := c.simulate(alphas)
+	if err != nil {
+		return 0, fmt.Errorf("rt: user-split: %w", err)
+	}
+	return d.Completion, nil
+}
+
+// Finish implements Estimator with the partition and the timeline Estimate
+// left in the candidate.
+func (UserSplit) Finish(c *Candidate, pl *Plan) error {
+	copy(pl.Alphas, c.aux)
+	copy(pl.Release, c.dispatch.Finish)
+	return nil
 }

@@ -3,9 +3,11 @@
 # BenchmarkSubmitFastReject/nodes=<n> and BenchmarkSubmitQueued/queue=<n>/
 # mix=<m> sweeps as a test2json stream (BENCH_index.json, uploaded by CI
 # next to BENCH_wire.json), then gate with cmd/benchgate the nodes=10000
-# vs nodes=100 ns/op growth and, for late-deadline arrivals, the
-# queue=128 vs queue=8 growth. The gates are ratios, not absolute times,
-# so they hold on any machine: a per-submit cost linear in the fleet grows
+# vs nodes=100 ns/op growth, for late-deadline arrivals the queue=128 vs
+# queue=8 growth, and for arrivals into the middle of 128 waiting tasks
+# the allocs/op (<= 80: three per fresh plan, none per candidate of its
+# node search). The gates are ratios and counts, not absolute times, so
+# they hold on any machine: a per-submit cost linear in the fleet grows
 # ~100x across the sweep where the indexed hot path stays flat up to a log
 # factor, and a whole-queue replan grows ~16x where an arrival ordered
 # behind the queue only walks it.
