@@ -28,9 +28,10 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -json . > BENCH_service.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -json ./internal/pool > BENCH_pool.json
 
-# Admission-index scaling gate: BenchmarkSubmit*/nodes={100,1000,10000}
-# into BENCH_index.json, then cmd/benchgate fails the target if per-submit
-# ns/op grows super-linearly (> MAX_RATIO, default 15x over a 100x fleet),
+# Admission-index scaling gate: BenchmarkSubmit*/nodes={100,1000,10000} and
+# BenchmarkAvailViewRetime/nodes={8..10000} into BENCH_index.json, then
+# cmd/benchgate fails the target if per-submit or per-retiming ns/op grows
+# super-linearly (> MAX_RATIO, default 15x over a 100x fleet),
 # if a late-deadline arrival pays for the queue ahead of it, or if fresh
 # plans allocate per candidate of their node search.
 bench-index:
@@ -41,7 +42,8 @@ bench-index:
 # BENCH_contention.json, then cmd/benchgate -contention enforces the
 # speculation contract — parallel scaling on the low-conflict mix, near-
 # serialized throughput on the 100%-conflict mix. Machine-adaptive: both
-# gates skip with a note on single-proc machines.
+# gates skip with a note on single-proc machines, and the hot-mix gate only
+# reports below 4 procs.
 bench-contention:
 	./scripts/bench_contention.sh
 

@@ -3,12 +3,14 @@
 //
 // Default mode gates the admission index's scaling contract
 // (BENCH_index.json): for every benchmark family carrying nodes=<n>
-// subtests it compares ns/op at the largest fleet against the smallest and
-// fails when the growth exceeds -max-ratio. Gating on the growth ratio
-// rather than absolute ns keeps the check machine-independent: a per-submit
-// cost linear in the fleet would grow ~100x over the nodes=100 →
-// nodes=10000 sweep, while the indexed hot path stays flat up to a
-// logarithmic factor. The same stream carries BenchmarkSubmitQueued/
+// subtests it compares ns/op at the largest fleet against the smallest of
+// at least 16 nodes and fails when the growth exceeds -max-ratio. Gating on
+// the growth ratio rather than absolute ns keeps the check
+// machine-independent: a per-submit cost linear in the fleet would grow
+// ~100x over the nodes=100 → nodes=10000 sweep, while the indexed hot path
+// stays flat up to a logarithmic factor. BenchmarkAvailViewRetime, the index
+// alone under the admission test's traffic, is one more such family (nodes=16
+// → nodes=10000). The same stream carries BenchmarkSubmitQueued/
 // queue=<n>/mix=<m>, and the mode gates the incremental admission test's
 // contract on it the same way: for late-deadline arrivals — ordered behind
 // the whole waiting queue, which keeps its plans — ns/op at queue=128 may
@@ -116,8 +118,14 @@ func main() {
 	gateQueued(lines, *in)
 }
 
+// minBaseFleet is the smallest fleet a growth ratio is taken over: below
+// it an operation on the index is a few dozen instructions and the ratio
+// would measure the benchmark's loop.
+const minBaseFleet = 16
+
 // gateIndex fails when any nodes=<n> family's ns/op grows by more than
-// maxRatio from the smallest fleet to the largest.
+// maxRatio from the smallest fleet of at least minBaseFleet nodes to the
+// largest.
 func gateIndex(lines []string, in string, maxRatio float64) {
 	// ns[family][fleet size] = best observed ns/op. Taking the minimum over
 	// repeated runs filters scheduling noise without hiding real growth.
@@ -155,11 +163,13 @@ func gateIndex(lines []string, in string, maxRatio float64) {
 	for _, fam := range families {
 		sizes := make([]int, 0, len(ns[fam]))
 		for n := range ns[fam] {
-			sizes = append(sizes, n)
+			if n >= minBaseFleet {
+				sizes = append(sizes, n)
+			}
 		}
 		sort.Ints(sizes)
 		if len(sizes) < 2 {
-			fatalf("%s: only fleet size %d present, nothing to compare", fam, sizes[0])
+			fatalf("%s: fewer than two fleet sizes of %d nodes or more, nothing to compare", fam, minBaseFleet)
 		}
 		lo, hi := sizes[0], sizes[len(sizes)-1]
 		ratio := ns[fam][hi] / ns[fam][lo]
@@ -246,7 +256,10 @@ func gateQueued(lines []string, in string) {
 //     to near-serialized admission instead of burning planning work that
 //     always loses the install race. Skipped on single-proc streams, where
 //     submitters never overlap and so no conflict ever occurs to trigger
-//     the gate.
+//     the gate, and reported without failing below 4 procs: with 4 to 16
+//     submitters on 2 or 3 procs the ratio is set by which goroutine the
+//     scheduler preempts inside the lock, and an unchanged tree reads
+//     x0.46 to x1.09 from run to run.
 func gateContention(lines []string, in string, coldScalePerProc, coldScaleCap, hotFloor float64) {
 	// ns[mix][mode][gos] = best observed ns/op.
 	ns := map[string]map[string]map[int]float64{}
@@ -328,7 +341,11 @@ func gateContention(lines []string, in string, coldScalePerProc, coldScaleCap, h
 			gated++
 			ratio := serial / ns["hot"]["spec"][gos] // spec/serial throughput
 			verdict := "ok"
-			if ratio < hotFloor {
+			switch {
+			case ratio >= hotFloor:
+			case procs < 4:
+				verdict = "below the floor, not gated on fewer than 4 procs"
+			default:
 				verdict = "FAIL"
 				failed = true
 			}

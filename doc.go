@@ -119,15 +119,16 @@
 // server-side stage/shard deltas in its report.
 //
 // Since 3.3.0 admission cost is sub-linear in the fleet size. The
-// scheduler's availability view is an order-statistic index (a
-// size-augmented treap over eligibility, release time and node id) kept
-// base-synced with the committed cluster state via a mutation counter, so
-// a steady-state schedulability test rolls back the previous test's
-// tentative assignments in O(changed·log n) instead of re-sorting all n
-// nodes, and "the earliest k nodes" materialises in O(k + log n). A sound
+// scheduler's availability view is an order-statistic index (one sorted
+// array of eligibility, release time and node id, cut into 64-slot blocks
+// behind a block directory) kept base-synced with the committed cluster
+// state via a mutation counter, so a steady-state schedulability test rolls
+// back the previous test's tentative assignments with one bisection and
+// one in-block shift per changed node instead of re-sorting all n nodes,
+// and "the earliest k nodes" is a read of the leading blocks. A sound
 // infeasibility fast-reject runs before any planning: tasks that provably
 // cannot meet their deadline even on the earliest possible release times
-// (one O(log n) order-statistic probe) are rejected without replanning
+// (one order-statistic probe) are rejected without replanning
 // the queue, leaving the admission decision stream bit-for-bit unchanged
 // — a property enforced by differential and fuzz suites against a
 // full-sort reference implementation. Per-submit cost is flat from 100

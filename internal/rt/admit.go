@@ -241,7 +241,7 @@ func (q *queueState) test(pol Policy, part Partitioner, fastReject bool, t *Task
 	q.seek(kept)
 	st.Reused = kept
 
-	// Infeasibility fast-reject: one O(log n) order-statistic query instead
+	// Infeasibility fast-reject: one order-statistic query instead
 	// of planning the rest of the schedule. The view holds the committed
 	// state plus plans that t's predecessors keep in any case, so t's own
 	// view is no earlier on any node and the bound stays sound.

@@ -5,23 +5,33 @@ import (
 	"slices"
 )
 
+// blockCap is the capacity of one block of the order index. A fleet of up
+// to 64 nodes — a pool shard, the paper's 16-node cluster — lives in one
+// block for good, and no retiming shifts more than one block's 1 KB.
+const blockCap = 64
+
 // AvailView is a mutable view of per-node release times used while running
 // the schedulability test: the test stacks tentative assignments for every
 // task in the waiting queue on top of the committed cluster state, and
 // discards the view if any task would miss its deadline.
 //
-// Earliest returns the k nodes that become available soonest — the
+// EarliestInto returns the k nodes that become available soonest — the
 // "identify the earliest time t when AN(t) ≥ n" step of Fig. 2 generalised
 // to per-node release times.
 //
-// The view is an order-statistic index over the (eligible, time, id) total
-// order, implemented as a size-augmented treap on an arena of parallel
-// arrays (no per-node allocations). Per-node retiming (Apply, RollbackTo,
-// CommitBase) is O(log n); Earliest(k) materialises the first k nodes of
-// the in-order walk incrementally, so a partitioner growing k one node at a
-// time across its search loop pays O(1) amortised per inspected node; and
-// EarliestTimeAt(k) answers the pure order-statistic query in O(log n)
-// without materialising anything. A full rebuild — O(n log n) — happens
+// The view is an order index over the (eligible, time, id) total order: one
+// sorted array of (time, id) keys cut into blocks of blockCap slots, behind
+// a directory that lists the blocks in key order. Retiming a node (Apply,
+// RollbackTo, CommitBase) is two binary searches — directory, then block —
+// for the old key, two for the new one, and a shift of the slots between
+// them: one ranged copy when both fall into the same block, which is always
+// the case when the fleet fits one block, and one copy in each block
+// otherwise. A block that is full when a key arrives gives its upper half
+// to a free block, a block that lost its last key goes back on the free
+// list, and only when no free block is left are the keys spread evenly over
+// the blocks again, in O(n). EarliestInto(k) copies the first k slots out
+// of the leading blocks, and EarliestTimeAt(k) walks the directory's block
+// counts to the k-th slot. A full rebuild — one O(n log n) sort — happens
 // only on Reset and SetEligible. The scheduler's own view resets when the
 // fleet changed under it (node churn, growth, out-of-band commits); a
 // speculation context's view additionally resets whenever it has to
@@ -30,11 +40,11 @@ import (
 // submitter's steady state performs no rebuild at all.
 //
 // Tentative assignments are undo-logged with checkpoints: Mark names a
-// position in the log, RollbackTo undoes back to it in O(changed · log n),
-// and CommitPrefix folds the assignments logged before a mark into the
-// base without touching the index. The admission test leaves the accepted
-// schedule applied and records one mark per queue position, so the next
-// arrival rewinds only the part of the schedule ordered after it and a
+// position in the log, RollbackTo undoes back to it with one retiming per
+// changed node, and CommitPrefix folds the assignments logged before a mark
+// into the base without touching the index. The admission test leaves the
+// accepted schedule applied and records one mark per queue position, so the
+// next arrival rewinds only the part of the schedule ordered after it and a
 // commit of the queue's head is a cut of the log's head. CommitBase folds
 // release times that were never applied tentatively.
 type AvailView struct {
@@ -42,22 +52,22 @@ type AvailView struct {
 
 	// elig optionally masks nodes out of placement (drained or failed
 	// fleet members): ineligible nodes sort after every eligible one and
-	// Earliest never returns them. nil means every node is eligible — the
-	// fixed-fleet path pays a nil check and nothing else.
+	// EarliestInto never returns them. nil means every node is eligible —
+	// the fixed-fleet path pays a nil check and nothing else.
 	elig     []bool
 	eligible int // count of eligible nodes (== len(times) when elig is nil)
 
-	// Size-augmented treap over node ids, keyed by (eligible, time, id).
-	// Children and subtree sizes live in arenas indexed by node id; -1 is
-	// the nil child. Priorities come from a deterministic xorshift stream,
-	// so runs are reproducible.
-	left  []int32
-	right []int32
-	size  []int32
-	prio  []uint64
-	root  int32
-	dirty bool   // tree must be rebuilt from times/elig before the next query
-	rng   uint64 // xorshift64 state for treap priorities
+	// The order index. Block b holds cnt[b] keys, sorted, in slots
+	// [b*blockCap, b*blockCap+cnt[b]) of keys; dir lists the blocks in use
+	// in key order, none of them empty, and free the others. A key carries
+	// its node's time, a copy of times[id], so that a search reads one
+	// array and a shift moves one.
+	keys  []availKey
+	cnt   []int32
+	dir   []int32
+	free  []int32
+	order []int // all node ids in key order: scratch of rebuild and respread
+	dirty bool  // index must be rebuilt from times/elig before the next query
 
 	// Undo log for tentative Apply calls, replayed in reverse by
 	// RollbackTo. undoBase is the mark of undoID[0]: marks count every entry
@@ -71,56 +81,50 @@ type AvailView struct {
 	restored  []uint32
 	rollbacks uint32
 
-	// Materialised prefix of the in-order walk: pids/ptimes[:plen] are the
-	// plen earliest nodes. walk is the suspended walk continuation (the
-	// right-spine stack), so extending the prefix by one node is O(1)
-	// amortised. Any mutation invalidates the prefix.
-	pids     []int
-	ptimes   []float64
-	plen     int
-	walk     []int32
-	walkInit bool
-
-	// refMode serves every query from a full reference sort instead of the
-	// treap — the testing hook behind the differential and equivalence
-	// suites (the sort is the specification the index must match bit for
-	// bit).
+	// refMode marks the index dirty on every mutation, so that every query
+	// is served from a fresh full sort — the testing hook behind the
+	// differential and equivalence suites (the sort is the specification
+	// the incremental index must match bit for bit).
 	refMode bool
 
 	rebuilds int // full index rebuilds performed, read by the package tests
 }
 
+// availKey is one slot of the order index.
+type availKey struct {
+	t  float64
+	id int
+}
+
 // NewAvailView wraps the given per-node release times. The slice is owned
 // by the view afterwards.
 func NewAvailView(times []float64) *AvailView {
-	v := &AvailView{rng: 0x9e3779b97f4a7c15, root: -1}
+	v := &AvailView{}
 	v.Reset(times)
 	return v
 }
 
 // Reset re-points the view at a new per-node release-time snapshot, reusing
-// the internal index arenas. The slice is owned by the view afterwards. The
+// the internal index arrays. The slice is owned by the view afterwards. The
 // eligibility mask is cleared (every node eligible again) and any pending
 // tentative assignments are forgotten — the snapshot is the new base.
 func (v *AvailView) Reset(times []float64) {
 	v.times = times
 	n := len(times)
-	if cap(v.pids) < n {
-		v.pids = make([]int, n)
-		v.ptimes = make([]float64, n)
-		v.left = make([]int32, n)
-		v.right = make([]int32, n)
-		v.size = make([]int32, n)
-		v.prio = make([]uint64, n)
+	// Twice the blocks the keys fill: layout leaves a quarter of them free
+	// for splits.
+	blocks := 2 * ((n + blockCap - 1) / blockCap)
+	if cap(v.order) < n || cap(v.cnt) < blocks {
+		v.order = make([]int, n)
 		v.restored = make([]uint32, n)
+		v.keys = make([]availKey, blocks*blockCap)
+		v.cnt = make([]int32, blocks)
+		v.dir = make([]int32, 0, blocks)
+		v.free = make([]int32, 0, blocks)
 	} else {
-		v.pids = v.pids[:n]
-		v.ptimes = v.ptimes[:n]
-		v.left = v.left[:n]
-		v.right = v.right[:n]
-		v.size = v.size[:n]
-		v.prio = v.prio[:n]
+		v.order = v.order[:n]
 		v.restored = v.restored[:n]
+		v.cnt = v.cnt[:blocks]
 	}
 	v.elig = nil
 	v.eligible = n
@@ -128,7 +132,6 @@ func (v *AvailView) Reset(times []float64) {
 	v.undoTime = v.undoTime[:0]
 	v.undoBase = 0
 	v.dirty = true
-	v.invalidatePrefix()
 }
 
 // SetEligible masks nodes out of placement: node id is placeable iff
@@ -151,21 +154,19 @@ func (v *AvailView) SetEligible(elig []bool) {
 		}
 	}
 	v.dirty = true
-	v.invalidatePrefix()
 }
 
 // N returns the number of nodes.
 func (v *AvailView) N() int { return len(v.times) }
 
-// Eligible returns the number of placeable nodes — callers size Earliest's
-// k against it, not against N, when a mask is installed.
+// Eligible returns the number of placeable nodes — callers size
+// EarliestInto's k against it, not against N, when a mask is installed.
 func (v *AvailView) Eligible() int { return v.eligible }
 
 // before reports whether node a (at time ta) sorts before node b (at tb)
 // under the view's total order (eligible, time, id) — the single comparison
-// both the treap and the reference full sort use, so they agree bit for
-// bit. Without a mask (or with every node eligible) it is exactly the
-// (time, id) order.
+// behind the rebuild's full sort and every search of the index. Without a
+// mask (or with every node eligible) it is exactly the (time, id) order.
 func (v *AvailView) before(ta float64, a int, tb float64, b int) bool {
 	if v.elig != nil && v.elig[a] != v.elig[b] {
 		return v.elig[a]
@@ -176,239 +177,223 @@ func (v *AvailView) before(ta float64, a int, tb float64, b int) bool {
 	return a < b
 }
 
-func (v *AvailView) beforeID(a, b int32) bool {
-	return v.before(v.times[a], int(a), v.times[b], int(b))
-}
-
-func (v *AvailView) nextPrio() uint64 {
-	v.rng ^= v.rng << 13
-	v.rng ^= v.rng >> 7
-	v.rng ^= v.rng << 17
-	return v.rng
-}
-
-func (v *AvailView) invalidatePrefix() {
-	v.plen = 0
-	v.walkInit = false
-}
-
-// ensureTree rebuilds the treap from times/elig when the whole key space
-// changed (Reset, SetEligible). Single retimings never set dirty — they are
-// repaired in place by remove+insert.
-func (v *AvailView) ensureTree() {
+// ensureIndex rebuilds the index from times/elig when the whole key space
+// changed (Reset, SetEligible): the full sort every incremental retiming
+// must agree with. Single retimings never set dirty — setTime repairs the
+// index in place.
+func (v *AvailView) ensureIndex() {
 	if !v.dirty {
 		return
 	}
 	v.rebuilds++
-	v.root = -1
-	for id := range v.times {
-		v.prio[id] = v.nextPrio()
-		v.root = v.insert(v.root, int32(id))
+	for i := range v.order {
+		v.order[i] = i
 	}
-	v.dirty = false
-}
-
-func (v *AvailView) fix(n int32) {
-	s := int32(1)
-	if l := v.left[n]; l >= 0 {
-		s += v.size[l]
-	}
-	if r := v.right[n]; r >= 0 {
-		s += v.size[r]
-	}
-	v.size[n] = s
-}
-
-// insert adds id (keyed by its current time) under root and returns the new
-// subtree root, rotating to restore the heap order on priorities.
-func (v *AvailView) insert(root, id int32) int32 {
-	if root < 0 {
-		v.left[id], v.right[id], v.size[id] = -1, -1, 1
-		return id
-	}
-	if v.beforeID(id, root) {
-		l := v.insert(v.left[root], id)
-		v.left[root] = l
-		if v.prio[l] > v.prio[root] {
-			v.left[root] = v.right[l]
-			v.right[l] = root
-			v.fix(root)
-			v.fix(l)
-			return l
-		}
-	} else {
-		r := v.insert(v.right[root], id)
-		v.right[root] = r
-		if v.prio[r] > v.prio[root] {
-			v.right[root] = v.left[r]
-			v.left[r] = root
-			v.fix(root)
-			v.fix(r)
-			return r
-		}
-	}
-	v.fix(root)
-	return root
-}
-
-// remove detaches id from the subtree at root; id's key must still be the
-// time it was inserted under.
-func (v *AvailView) remove(root, id int32) int32 {
-	if root == id {
-		return v.mergeSub(v.left[root], v.right[root])
-	}
-	if v.beforeID(id, root) {
-		v.left[root] = v.remove(v.left[root], id)
-	} else {
-		v.right[root] = v.remove(v.right[root], id)
-	}
-	v.size[root]--
-	return root
-}
-
-func (v *AvailView) mergeSub(a, b int32) int32 {
-	if a < 0 {
-		return b
-	}
-	if b < 0 {
-		return a
-	}
-	if v.prio[a] > v.prio[b] {
-		v.right[a] = v.mergeSub(v.right[a], b)
-		v.fix(a)
-		return a
-	}
-	v.left[b] = v.mergeSub(a, v.left[b])
-	v.fix(b)
-	return b
-}
-
-// setTime retimes one node, repairing the index in place unless a rebuild
-// is already pending (in which case the rebuild will pick the new time up).
-func (v *AvailView) setTime(id int, t float64) {
-	if v.dirty || v.refMode {
-		v.times[id] = t
-		return
-	}
-	v.root = v.remove(v.root, int32(id))
-	v.times[id] = t
-	v.root = v.insert(v.root, int32(id))
-}
-
-// ensurePrefix extends the materialised in-order prefix to at least k
-// nodes. The walk stack persists between calls, so a caller growing k by
-// one each iteration pays O(1) amortised per new node.
-func (v *AvailView) ensurePrefix(k int) {
-	if v.refMode {
-		if v.plen < len(v.times) {
-			v.refSort()
-		}
-		return
-	}
-	if v.plen >= k {
-		return
-	}
-	v.ensureTree()
-	if !v.walkInit {
-		v.walk = v.walk[:0]
-		for n := v.root; n >= 0; n = v.left[n] {
-			v.walk = append(v.walk, n)
-		}
-		v.walkInit = true
-	}
-	for v.plen < k {
-		top := v.walk[len(v.walk)-1]
-		v.walk = v.walk[:len(v.walk)-1]
-		v.pids[v.plen] = int(top)
-		v.ptimes[v.plen] = v.times[top]
-		v.plen++
-		for n := v.right[top]; n >= 0; n = v.left[n] {
-			v.walk = append(v.walk, n)
-		}
-	}
-}
-
-// refSort materialises the full order by sorting — the reference
-// implementation the treap is differentially tested against.
-func (v *AvailView) refSort() {
-	for i := range v.pids {
-		v.pids[i] = i
-	}
-	slices.SortFunc(v.pids, func(a, b int) int {
+	slices.SortFunc(v.order, func(a, b int) int {
 		if v.before(v.times[a], a, v.times[b], b) {
 			return -1
 		}
 		return 1
 	})
-	for i, id := range v.pids {
-		v.ptimes[i] = v.times[id]
+	v.layout(v.order)
+	v.dirty = false
+}
+
+// layout deals the node ids, given in key order, evenly over three quarters
+// of the blocks and frees the rest.
+func (v *AvailView) layout(rest []int) {
+	used := len(v.cnt) * 3 / 4
+	v.dir, v.free = v.dir[:0], v.free[:0]
+	for b := len(v.cnt) - 1; b >= used; b-- {
+		v.free = append(v.free, int32(b))
 	}
-	v.plen = len(v.pids)
+	for b := 0; b < used; b++ {
+		n := len(rest) / (used - b)
+		for i, id := range rest[:n] {
+			v.keys[b*blockCap+i] = availKey{v.times[id], id}
+		}
+		v.cnt[b] = int32(n)
+		v.dir = append(v.dir, int32(b))
+		rest = rest[n:]
+	}
+}
+
+// respread collects the keys in order and lays them out afresh: the
+// fallback of a split that finds no free block.
+func (v *AvailView) respread() {
+	n := 0
+	for _, b := range v.dir {
+		for _, k := range v.block(b) {
+			v.order[n] = k.id
+			n++
+		}
+	}
+	v.layout(v.order[:n])
+}
+
+// block returns the keys of block b.
+func (v *AvailView) block(b int32) []availKey {
+	base := int(b) * blockCap
+	return v.keys[base : base+int(v.cnt[b])]
+}
+
+// blockOf returns the directory position of the block whose key range
+// covers (t, id): the last block whose first key does not sort after it,
+// or the first block of all.
+func (v *AvailView) blockOf(t float64, id int) int {
+	lo, hi := 1, len(v.dir) // blocks before lo start at or before the key, blocks from hi on after it
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if first := v.keys[int(v.dir[m])*blockCap]; v.before(t, id, first.t, first.id) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo - 1
+}
+
+// rank returns how many of a block's keys sort before (t, id): a walk over
+// the keys, which the processor predicts right until the last step. Where
+// the walk would be longer than a few keys, a bisection on the time alone
+// shortens it first — each step of that a branch guessed wrong every other
+// time — unless a mask is installed: then times do not rise across the
+// block, and masks are rare.
+func (v *AvailView) rank(keys []availKey, t float64, id int) int {
+	lo := 0
+	if v.elig != nil {
+		for lo < len(keys) && v.before(keys[lo].t, keys[lo].id, t, id) {
+			lo++
+		}
+		return lo
+	}
+	for n := len(keys); n > 8; {
+		half := n >> 1
+		if keys[lo+half-1].t < t {
+			lo += half
+		}
+		n -= half
+	}
+	for lo < len(keys) && (keys[lo].t < t || keys[lo].t == t && keys[lo].id < id) {
+		lo++
+	}
+	return lo
+}
+
+// setTime retimes one node, repairing the index in place unless a rebuild
+// is already pending (in which case the rebuild will pick the new time up).
+func (v *AvailView) setTime(id int, t float64) {
+	if v.refMode {
+		v.dirty = true
+	}
+	old := v.times[id]
+	v.times[id] = t
+	if v.dirty {
+		return
+	}
+	p, q := v.blockOf(old, id), v.blockOf(t, id)
+	b := v.dir[p]
+	keys := v.block(b)
+	i := v.rank(keys, old, id) // the slot holding id
+	if i == len(keys) || keys[i].id != id {
+		panic(fmt.Sprintf("rt: AvailView: node %d at %v is not where the index has it", id, old))
+	}
+	if p == q {
+		// Same block: the slots between the old and the new position move
+		// one place towards the old one.
+		j := v.rank(keys, t, id)
+		if j > i {
+			j--
+			copy(keys[i:j], keys[i+1:j+1])
+		} else {
+			copy(keys[j+1:i+1], keys[j:i])
+		}
+		keys[j] = availKey{t, id}
+		return
+	}
+	copy(keys[i:], keys[i+1:])
+	v.cnt[b]--
+	if len(keys) == 1 {
+		v.dir = slices.Delete(v.dir, p, p+1)
+		v.free = append(v.free, b)
+		if q > p {
+			q--
+		}
+	}
+	v.insert(q, t, id)
+}
+
+// insert adds the key (t, id) to the block at directory position p, whose
+// range covers it, splitting the block when it is full.
+func (v *AvailView) insert(p int, t float64, id int) {
+	b := v.dir[p]
+	if v.cnt[b] == blockCap {
+		if len(v.free) == 0 {
+			v.respread()
+			b = v.dir[v.blockOf(t, id)]
+		} else {
+			// The upper half moves to a free block, next in the directory.
+			const half = blockCap / 2
+			nb := v.free[len(v.free)-1]
+			v.free = v.free[:len(v.free)-1]
+			v.cnt[b], v.cnt[nb] = half, half
+			upper := v.block(nb)
+			copy(upper, v.keys[int(b)*blockCap+half:])
+			v.dir = slices.Insert(v.dir, p+1, nb)
+			if !v.before(t, id, upper[0].t, upper[0].id) {
+				b = nb
+			}
+		}
+	}
+	j := v.rank(v.block(b), t, id)
+	v.cnt[b]++
+	keys := v.block(b) // one slot longer now
+	copy(keys[j+1:], keys[j:])
+	keys[j] = availKey{t, id}
 }
 
 func (v *AvailView) checkK(k int) {
 	if k < 1 || k > v.eligible {
-		panic(fmt.Sprintf("rt: AvailView.Earliest(%d) with %d eligible of %d nodes", k, v.eligible, len(v.times)))
+		panic(fmt.Sprintf("rt: AvailView: %d earliest with %d eligible of %d nodes", k, v.eligible, len(v.times)))
 	}
 }
 
-// Earliest returns the ids and release times of the k earliest-available
-// eligible nodes, ordered by (release time, id). The returned slices are
-// fresh copies owned by the caller — they stay valid across subsequent
-// Apply/Earliest/RollbackTo calls. It panics if k is out of range — callers
-// size k against Eligible() (== N() without a mask). Hot paths that already
-// own suitably-sized buffers should prefer EarliestInto.
-func (v *AvailView) Earliest(k int) (ids []int, times []float64) {
-	v.checkK(k)
-	v.ensurePrefix(k)
-	ids = make([]int, k)
-	times = make([]float64, k)
-	copy(ids, v.pids[:k])
-	copy(times, v.ptimes[:k])
-	return ids, times
-}
-
 // EarliestInto fills ids and times (which must have equal length k) with
-// the k earliest-available eligible nodes, ordered by (release time, id) —
-// the allocation-free form of Earliest for callers that own the buffers.
+// the k earliest-available eligible nodes, ordered by (release time, id).
+// It panics if k is out of range — callers size k against Eligible() (==
+// N() without a mask).
 func (v *AvailView) EarliestInto(ids []int, times []float64) {
 	if len(ids) != len(times) {
 		panic(fmt.Sprintf("rt: AvailView.EarliestInto: %d ids, %d times", len(ids), len(times)))
 	}
-	k := len(ids)
-	v.checkK(k)
-	v.ensurePrefix(k)
-	copy(ids, v.pids[:k])
-	copy(times, v.ptimes[:k])
+	v.checkK(len(ids))
+	v.ensureIndex()
+	n := 0
+	for _, b := range v.dir {
+		for _, k := range v.block(b) {
+			if n == len(ids) {
+				return
+			}
+			ids[n], times[n] = k.id, k.t
+			n++
+		}
+	}
 }
 
 // EarliestTimeAt returns the release time of the k-th earliest eligible
 // node (1-based) — the pure order-statistic query behind the admission
-// fast-reject. O(log n); it does not materialise the prefix.
+// fast-reject: a walk over the directory's block counts.
 func (v *AvailView) EarliestTimeAt(k int) float64 {
 	v.checkK(k)
-	if v.refMode || k <= v.plen {
-		v.ensurePrefix(k)
-		return v.ptimes[k-1]
-	}
-	v.ensureTree()
-	n := v.root
-	kk := int32(k)
-	for {
-		var ls int32
-		if l := v.left[n]; l >= 0 {
-			ls = v.size[l]
-		}
-		if kk <= ls {
-			n = v.left[n]
+	v.ensureIndex()
+	for _, b := range v.dir {
+		if n := int(v.cnt[b]); k > n {
+			k -= n
 			continue
 		}
-		if kk == ls+1 {
-			return v.times[n]
-		}
-		kk -= ls + 1
-		n = v.right[n]
+		return v.keys[int(b)*blockCap+k-1].t
 	}
+	panic("rt: AvailView: block counts do not add up to the fleet")
 }
 
 // Apply records tentative assignments: node ids[i] will next be free at
@@ -418,7 +403,6 @@ func (v *AvailView) Apply(ids []int, release []float64) {
 	if len(ids) != len(release) {
 		panic(fmt.Sprintf("rt: AvailView.Apply: %d ids, %d releases", len(ids), len(release)))
 	}
-	mutated := false
 	for i, id := range ids {
 		r := release[i]
 		if r == v.times[id] {
@@ -427,10 +411,6 @@ func (v *AvailView) Apply(ids []int, release []float64) {
 		v.undoID = append(v.undoID, id)
 		v.undoTime = append(v.undoTime, v.times[id])
 		v.setTime(id, r)
-		mutated = true
-	}
-	if mutated {
-		v.invalidatePrefix()
 	}
 }
 
@@ -439,11 +419,10 @@ func (v *AvailView) Apply(ids []int, release []float64) {
 // view is rolled back past it, committed past it, or Reset.
 func (v *AvailView) Mark() int { return v.undoBase + len(v.undoID) }
 
-// RollbackTo undoes every Apply made after the mark was taken, in
-// O(changed · log n). A node retimed several times since the mark goes
-// straight back to the oldest time logged for it: the index is a function
-// of the keys and the priorities alone, so it ends as undoing entry by
-// entry would leave it.
+// RollbackTo undoes every Apply made after the mark was taken. A node
+// retimed several times since the mark goes straight back to the oldest
+// time logged for it: the order is a function of the keys alone, so it ends
+// as undoing entry by entry would leave it.
 func (v *AvailView) RollbackTo(mark int) {
 	keep := mark - v.undoBase
 	if keep < 0 || keep > len(v.undoID) {
@@ -467,7 +446,6 @@ func (v *AvailView) RollbackTo(mark int) {
 	}
 	v.undoID = v.undoID[:keep]
 	v.undoTime = v.undoTime[:keep]
-	v.invalidatePrefix()
 }
 
 // CommitPrefix folds the tentative assignments made before the mark into
@@ -497,17 +475,10 @@ func (v *AvailView) CommitBase(ids []int, release []float64) {
 	if len(ids) != len(release) {
 		panic(fmt.Sprintf("rt: AvailView.CommitBase: %d ids, %d releases", len(ids), len(release)))
 	}
-	mutated := false
 	for i, id := range ids {
-		r := release[i]
-		if r == v.times[id] {
-			continue
+		if r := release[i]; r != v.times[id] {
+			v.setTime(id, r)
 		}
-		v.setTime(id, r)
-		mutated = true
-	}
-	if mutated {
-		v.invalidatePrefix()
 	}
 }
 

@@ -53,7 +53,7 @@ var submitScaleSizes = []int{100, 1000, 10000}
 // grows: every task is feasible, commits on the next sweep, and touches
 // only its ñ_min nodes, so per-submit cost is dominated by the
 // availability-view maintenance — one rollback of the previous test's
-// tentative assignments plus O(k log n) index updates. Before the treap
+// tentative assignments plus k retimings of the order index. Before the
 // index this path re-sorted all n nodes per submission.
 func BenchmarkSubmit(b *testing.B) {
 	for _, n := range submitScaleSizes {
@@ -91,9 +91,9 @@ func BenchmarkSubmit(b *testing.B) {
 
 // BenchmarkSubmitFastReject measures the hopeless-task path: the whole
 // fleet is committed busy far beyond every deadline, so each submission
-// resolves at the O(log n) order-statistic probe of the committed index
-// without calling the partitioner. The cost should be flat in the fleet
-// size up to the logarithmic factor.
+// resolves at the order-statistic probe of the committed index without
+// calling the partitioner. The cost should be flat in the fleet size: the
+// probe walks block counts up to the task's ñ_min-th node.
 func BenchmarkSubmitFastReject(b *testing.B) {
 	for _, n := range submitScaleSizes {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
@@ -215,5 +215,42 @@ func benchSubmitQueued(b *testing.B, depth int, mix string) {
 	b.StopTimer()
 	if got := s.Stats().QueueLen; mix != "reject" && (got < depth || got > depth+1) {
 		b.Fatalf("queue depth drifted to %d, want %d", got, depth)
+	}
+}
+
+// BenchmarkAvailViewRetime measures the availability index alone under the
+// traffic the admission test puts on it: each step is one tentative plan —
+// the three earliest nodes, released again some task lengths later — and
+// every eighth step a rejected arrival, which rolls the last eight plans
+// back. From 64 nodes up the fleet spans several blocks, so a released node
+// crosses from the first block into a later one, and eight plans on end
+// overflow the blocks they land in. scripts/bench_index.sh runs the sweep
+// and cmd/benchgate holds nodes=10000 to the same growth limit over
+// nodes=16 as the submit benchmarks.
+func BenchmarkAvailViewRetime(b *testing.B) {
+	for _, n := range []int{8, 16, 64, 1024, 10000} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			times := make([]float64, n)
+			for i := range times {
+				times[i] = float64(i%16) * 100
+			}
+			v := NewAvailView(times)
+			ids := make([]int, 3)
+			starts := make([]float64, 3)
+			release := make([]float64, 3)
+			mark := v.Mark()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.EarliestInto(ids, starts)
+				for j, s := range starts {
+					release[j] = s + 400 + float64(i%7)*130
+				}
+				v.Apply(ids, release)
+				if i%8 == 7 {
+					v.RollbackTo(mark)
+				}
+			}
+		})
 	}
 }

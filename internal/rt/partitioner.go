@@ -78,7 +78,8 @@ type Partitioner interface {
 // whether Plan is *certain* to find no deadline-meeting assignment for t
 // against the given committed cluster state. Implementations must be sound
 // — a true return must imply the full admission test would reject t — and
-// cheap: O(log n) against the availability index, never a partitioner run.
+// cheap: an order-statistic query against the availability index, never a
+// partitioner run.
 // The context's view carries the committed base state (no tentative
 // assignments) when FastReject is called.
 type FastRejecter interface {
@@ -114,7 +115,7 @@ func (ctx *PlanContext) clampedInto(t *Task, ids []int, starts []float64) {
 // floor + σ·Cms — the load must cross the network before the last byte
 // computes — so when either lower bound already reaches the deadline (with
 // the same ε tolerance the admission check uses), the full test is certain
-// to reject. O(log n): one order-statistic query against the index.
+// to reject. One order-statistic query against the index.
 func (ctx *PlanContext) ProvablyLate(t *Task, k int) bool {
 	absD := t.AbsDeadline()
 	floor := ctx.startFloor(t)
@@ -167,7 +168,8 @@ func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 		return ctx.keepPriorMinNodes(t)
 	}
 	absD := t.AbsDeadline()
-	n0, ok := ctx.minNodes(t, absD-ctx.startFloor(t))
+	slack := absD - ctx.startFloor(t)
+	n0, ok := ctx.minNodes(t, slack)
 	if !ok || n0 > ctx.N {
 		// Even starting immediately the deadline cannot be met (γ ≤ 0 or
 		// the whole cluster is too small).
@@ -176,7 +178,12 @@ func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 	// ñ_min(t) underestimates the requirement when the task must wait for
 	// busy nodes; the search allocates more until the estimate meets the
 	// deadline.
-	return ctx.sealMinNodes(ctx.search(t, n0, ctx.N, absD+deadlineEps(absD), e))
+	pl, err := ctx.search(t, n0, ctx.N, absD+deadlineEps(absD), e)
+	if err != nil {
+		return nil, err
+	}
+	ctx.sealMinNodes(pl, slack)
+	return pl, nil
 }
 
 // keepPriorMinNodes answers a Plan call that offered Prior: the search
@@ -197,24 +204,26 @@ func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 	return nil, ErrPriorDeclined
 }
 
-// sealMinNodes finishes a fresh plan of PlanMinNodes: it evaluates
-// the bound once at the smallest slack the plan can ever be offered back
-// at — the one at its own first start — and, when the bound still fits
-// the plan's node count there, records that slack, so keepPriorMinNodes
-// answers every later offer with a comparison. Without it each waiting
-// task costs every arrival two logarithms, and a late-deadline arrival
-// behind a long queue spends its time on those: BenchmarkSubmitQueued
-// grows x7.7 from 8 to 128 waiting tasks, against a gate of x3.
-func (ctx *PlanContext) sealMinNodes(pl *Plan, err error) (*Plan, error) {
-	if err != nil {
-		return nil, err
-	}
+// sealMinNodes finishes a fresh plan of PlanMinNodes, searched from the
+// bound at the given slack: it evaluates the bound once more at the
+// smallest slack the plan can ever be offered back at — the one at its own
+// first start — and, when the bound still fits the plan's node count there,
+// records that slack, so keepPriorMinNodes answers every later offer with a
+// comparison. A plan that starts at its start floor is sealed at the very
+// slack it was searched from, where the bound is the node count the search
+// began at: no second evaluation. Without the seal each waiting task costs
+// every arrival two logarithms, and a late-deadline arrival behind a long
+// queue spends its time on those: BenchmarkSubmitQueued grows x7.7 from 8
+// to 128 waiting tasks, against a gate of x3.
+func (ctx *PlanContext) sealMinNodes(pl *Plan, searched float64) {
 	t := pl.Task
 	slack := t.AbsDeadline() - math.Max(pl.FirstStart(), t.Arrival)
-	if n0, ok := ctx.minNodes(t, slack); ok && n0 <= len(pl.Nodes) {
-		pl.minSlack = slack
+	if slack != searched {
+		if n0, ok := ctx.minNodes(t, slack); !ok || n0 > len(pl.Nodes) {
+			return
+		}
 	}
-	return pl, nil
+	pl.minSlack = slack
 }
 
 // deadlineEps returns the absolute tolerance for comparing a completion

@@ -12,7 +12,7 @@ import (
 )
 
 // This file proves the bit-for-bit claim end to end: a production
-// scheduler — persistent treap-indexed view, incremental base sync,
+// scheduler — persistent indexed view, incremental base sync,
 // infeasibility fast-reject, plans and view checkpoints kept across
 // arrivals — must emit exactly the same admission decisions, plans,
 // commits, displacements and counters as a scheduler forced into the

@@ -161,7 +161,7 @@ func TestSearchMatchesLegacyLoops(t *testing.T) {
 	for i := range scratch {
 		scratch[i] = new(Candidate)
 	}
-	plans, longest := 0, 0
+	plans, longest, sealedAtFloor, sealedLater := 0, 0, 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		ctx, task := randomPlanInput(t, rng)
 		for i, part := range searchPartitioners {
@@ -179,13 +179,32 @@ func TestSearchMatchesLegacyLoops(t *testing.T) {
 					trial, part.Name(), ctx.heteroCosts() != nil, *got, *want)
 			}
 			plans++
+			if mn, ok := part.(OPR); part == (IITDLT{}) || ok && !mn.AllNodes {
+				// The seal is the bound evaluated at the slack of the plan's
+				// own first start, whether or not that is the slack the
+				// search started from.
+				slack := task.AbsDeadline() - math.Max(got.FirstStart(), task.Arrival)
+				want := 0.0
+				if n0, ok := ctx.minNodes(task, slack); ok && n0 <= len(got.Nodes) {
+					want = slack
+				}
+				if got.minSlack != want {
+					t.Fatalf("trial %d %s: plan sealed at slack %v, want %v", trial, part.Name(), got.minSlack, want)
+				}
+				if got.FirstStart() == ctx.startFloor(task) {
+					sealedAtFloor++
+				} else if want != 0 {
+					sealedLater++
+				}
+			}
 			if n0, ok := ctx.minNodes(task, task.AbsDeadline()-ctx.startFloor(task)); ok && part.Name() == "dlt-iit" {
 				longest = max(longest, len(got.Nodes)-n0+1)
 			}
 		}
 	}
-	if plans < 2000 || longest < 4 {
-		t.Fatalf("weak inputs: %d plans compared, longest search %d candidates", plans, longest)
+	if plans < 2000 || longest < 4 || sealedAtFloor < 100 || sealedLater < 100 {
+		t.Fatalf("weak inputs: %d plans compared, longest search %d candidates, %d sealed at the start floor and %d after it",
+			plans, longest, sealedAtFloor, sealedLater)
 	}
 }
 

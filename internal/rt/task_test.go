@@ -107,12 +107,12 @@ func TestAvailView(t *testing.T) {
 	if v.N() != 3 {
 		t.Fatalf("N = %d", v.N())
 	}
-	ids, times := v.Earliest(2)
+	ids, times := earliest(v, 2)
 	if ids[0] != 1 || ids[1] != 2 || times[0] != 10 || times[1] != 20 {
 		t.Fatalf("Earliest(2) = %v %v", ids, times)
 	}
 	v.Apply([]int{1}, []float64{50})
-	ids, times = v.Earliest(3)
+	ids, times = earliest(v, 3)
 	if ids[0] != 2 || ids[1] != 0 || ids[2] != 1 {
 		t.Fatalf("after Apply: %v %v", ids, times)
 	}
@@ -123,7 +123,7 @@ func TestAvailView(t *testing.T) {
 
 func TestAvailViewTieBreaksByID(t *testing.T) {
 	v := NewAvailView([]float64{5, 5, 5})
-	ids, _ := v.Earliest(3)
+	ids, _ := earliest(v, 3)
 	for i, id := range ids {
 		if id != i {
 			t.Fatalf("equal times must order by id: %v", ids)
@@ -134,8 +134,8 @@ func TestAvailViewTieBreaksByID(t *testing.T) {
 func TestAvailViewPanics(t *testing.T) {
 	v := NewAvailView([]float64{1, 2})
 	for name, fn := range map[string]func(){
-		"zero":      func() { v.Earliest(0) },
-		"too many":  func() { v.Earliest(3) },
+		"zero":      func() { earliest(v, 0) },
+		"too many":  func() { earliest(v, 3) },
 		"apply len": func() { v.Apply([]int{0}, []float64{1, 2}) },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -11,7 +11,9 @@
 #     adaptive conflict gate must hold speculation within a few percent of
 #     fully serialized throughput.
 # Both gates skip with a note on single-proc machines, where submitters
-# cannot overlap and the contract's premise (real parallelism) is absent.
+# cannot overlap and the contract's premise (real parallelism) is absent;
+# below 4 procs the hot gate reports its ratios without failing (an
+# unchanged tree reads x0.46 to x1.09 there from run to run).
 # Run locally via `make bench-contention`; CI runs this same script.
 set -eu
 

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Index-scaling benchmark gate: run the BenchmarkSubmit/nodes=<n>,
-# BenchmarkSubmitFastReject/nodes=<n> and BenchmarkSubmitQueued/queue=<n>/
-# mix=<m> sweeps as a test2json stream (BENCH_index.json, uploaded by CI
-# next to BENCH_wire.json), then gate with cmd/benchgate the nodes=10000
-# vs nodes=100 ns/op growth, for late-deadline arrivals the queue=128 vs
+# BenchmarkSubmitFastReject/nodes=<n>, BenchmarkAvailViewRetime/nodes=<n>
+# and BenchmarkSubmitQueued/queue=<n>/mix=<m> sweeps as a test2json stream
+# (BENCH_index.json, uploaded by CI next to BENCH_wire.json), then gate with
+# cmd/benchgate the nodes=10000 vs nodes=100 ns/op growth (vs nodes=16 for
+# the index alone), for late-deadline arrivals the queue=128 vs
 # queue=8 growth, and for arrivals into the middle of 128 waiting tasks
 # the allocs/op (<= 80: three per fresh plan, none per candidate of its
 # node search). The gates are ratios and counts, not absolute times, so
@@ -20,6 +21,6 @@ BENCHTIME=${BENCHTIME:-300ms}
 MAX_RATIO=${MAX_RATIO:-15}
 
 # Redirect instead of tee so a benchmark failure fails the script.
-$GO test ./internal/rt -run '^$' -bench '^BenchmarkSubmit(FastReject|Queued)?$' \
+$GO test ./internal/rt -run '^$' -bench '^Benchmark(Submit(FastReject|Queued)?|AvailViewRetime)$' \
 	-benchmem -benchtime "$BENCHTIME" -json > "$OUT"
 $GO run ./cmd/benchgate -in "$OUT" -max-ratio "$MAX_RATIO"
