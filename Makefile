@@ -32,8 +32,9 @@ bench-json:
 # BenchmarkAvailViewRetime/nodes={8..10000} into BENCH_index.json, then
 # cmd/benchgate fails the target if per-submit or per-retiming ns/op grows
 # super-linearly (> MAX_RATIO, default 15x over a 100x fleet),
-# if a late-deadline arrival pays for the queue ahead of it, or if fresh
-# plans allocate per candidate of their node search.
+# if a late-deadline arrival pays for the queue ahead of it, if fresh
+# plans allocate per candidate of their node search, or if an overload
+# reject the demand bound decides costs a Plan call or a second allocation.
 bench-index:
 	./scripts/bench_index.sh
 

@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md §4 for the index), plus ablation and
+// evaluation (internal/experiments/panels.go is the index), plus ablation and
 // micro-benchmarks. Each figure benchmark regenerates its panel(s) at a
 // reduced horizon per iteration and reports the per-algorithm mean Task
 // Reject Ratio across the load sweep as custom metrics, so `go test
@@ -282,10 +282,11 @@ func BenchmarkServiceSubmitParallel(b *testing.B) {
 
 // BenchmarkServiceSubmitHopeless measures the reject fast path end to
 // end: every submission's deadline is below its bare transmission time,
-// so admission resolves at the scheduler's infeasibility fast-reject —
-// one order-statistic probe of the availability index — without replanning
-// the waiting queue. This is the service-level cost of shedding hopeless
-// load during an overload spike.
+// so admission resolves at the scheduler's first shortcut — the demand
+// bound (the load is more than 16 nodes compute in that time), which runs
+// ahead of the ñ_min fast-reject — without replanning the waiting queue.
+// This is the service-level cost of shedding hopeless load during an
+// overload spike.
 func BenchmarkServiceSubmitHopeless(b *testing.B) {
 	clock := rtdls.NewManualClock(0)
 	svc, err := rtdls.New(rtdls.WithClock(clock))
@@ -312,7 +313,7 @@ func BenchmarkServiceSubmitHopeless(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md §4) -------------
+// --- Ablations (the x* panels of internal/experiments/panels.go) ------
 
 // BenchmarkAblationRounds sweeps the multi-round extension's installment
 // count (paper Sec. 6 future work): EDF-DLT vs MR2/MR4/MR8.

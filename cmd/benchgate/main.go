@@ -19,7 +19,11 @@
 // into the middle of 128 waiting tasks (mix=uniform) plans about 64 of them
 // afresh and may allocate at most 80 objects doing it — one fresh plan is
 // three, a plan that is kept none — where a node search that allocates per
-// candidate spends about 300.
+// candidate spends about 300. And the demand bound: an overload reject
+// (mix=saturated) at queue=128 must cost exactly 0 plans/op — no Plan call,
+// fresh or kept-prior offer — and at most 1 alloc/op, the task itself; both
+// are counts and repeat exactly on any machine. Its queue=8 → queue=128
+// ns/op growth — one pass over the queue's σ — is reported, not gated.
 //
 // -contention mode gates the optimistic-admission contract
 // (BENCH_contention.json) from BenchmarkSubmitContention/mix=<m>/mode=<m>/
@@ -58,9 +62,9 @@ type event struct {
 var benchLine = regexp.MustCompile(`^(Benchmark[^\s/]+)/nodes=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // queuedLine matches a queue-depth benchmark result line, e.g.
-// "BenchmarkSubmitQueued/queue=128/mix=late-8  400000  2435 ns/op  232 B/op  5 allocs/op"
+// "BenchmarkSubmitQueued/queue=128/mix=late-8  400000  2435 ns/op  129.0 plans/op  232 B/op  5 allocs/op"
 // (the last two columns are there under -benchmem).
-var queuedLine = regexp.MustCompile(`^BenchmarkSubmitQueued/queue=(\d+)/mix=(\w+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+\d+ B/op\s+(\d+) allocs/op)?`)
+var queuedLine = regexp.MustCompile(`^BenchmarkSubmitQueued/queue=(\d+)/mix=(\w+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) plans/op)?(?:\s+\d+ B/op\s+(\d+) allocs/op)?`)
 
 // contLine matches a contention benchmark result line, e.g.
 // "BenchmarkSubmitContention/mix=hot/mode=spec/gos=8-16   300   3913 ns/op".
@@ -187,14 +191,18 @@ func gateIndex(lines []string, in string, maxRatio float64) {
 }
 
 // gateQueued fails when a late-deadline arrival's ns/op grows by more than
-// maxRatio from a waiting queue of 8 to one of 128, or when an arrival into
-// the middle of 128 waiting tasks allocates more than maxAllocs objects.
+// maxRatio from a waiting queue of 8 to one of 128, when an arrival into
+// the middle of 128 waiting tasks allocates more than maxAllocs objects, or
+// when an overload reject behind 128 waiting tasks costs a Plan call or an
+// allocation beside the task.
 func gateQueued(lines []string, in string) {
 	const lo, hi = 8, 128
 	const maxRatio = 3.0
 	const maxAllocs = 80
-	ns := map[int]float64{} // queue depth -> best observed ns/op, mix=late
-	allocs := -1            // fewest observed allocs/op, queue=hi mix=uniform
+	const maxSatAllocs = 1
+	ns := map[string]map[int]float64{"late": {}, "saturated": {}} // mix -> queue depth -> best observed ns/op
+	allocs := map[string]int{"uniform": -1, "saturated": -1}      // mix -> fewest observed allocs/op at queue=hi
+	satPlans := -1.0                                              // most observed plans/op, queue=hi mix=saturated
 	for _, line := range lines {
 		m := queuedLine.FindStringSubmatch(line)
 		if m == nil {
@@ -204,40 +212,60 @@ func gateQueued(lines []string, in string) {
 		if err != nil {
 			continue
 		}
-		if a, err := strconv.Atoi(m[4]); err == nil && m[2] == "uniform" && depth == hi && (allocs < 0 || a < allocs) {
-			allocs = a
+		mix := m[2]
+		if a, err := strconv.Atoi(m[5]); err == nil && depth == hi {
+			if cur, gated := allocs[mix]; gated && (cur < 0 || a < cur) {
+				allocs[mix] = a
+			}
+		}
+		if p, err := strconv.ParseFloat(m[4], 64); err == nil && mix == "saturated" && depth == hi && p > satPlans {
+			satPlans = p
 		}
 		v, err := strconv.ParseFloat(m[3], 64)
-		if err != nil || m[2] != "late" {
+		if err != nil || ns[mix] == nil {
 			continue
 		}
-		if cur, ok := ns[depth]; !ok || v < cur {
-			ns[depth] = v
+		if cur, ok := ns[mix][depth]; !ok || v < cur {
+			ns[mix][depth] = v
 		}
 	}
-	if ns[lo] == 0 || ns[hi] == 0 {
-		fatalf("no BenchmarkSubmitQueued mix=late results for queue=%d and queue=%d in %s", lo, hi, in)
+	for mix, byDepth := range ns {
+		if byDepth[lo] == 0 || byDepth[hi] == 0 {
+			fatalf("no BenchmarkSubmitQueued mix=%s results for queue=%d and queue=%d in %s", mix, lo, hi, in)
+		}
 	}
-	if allocs < 0 {
-		fatalf("no BenchmarkSubmitQueued/queue=%d/mix=uniform allocs/op in %s (run with -benchmem)", hi, in)
+	for mix, a := range allocs {
+		if a < 0 {
+			fatalf("no BenchmarkSubmitQueued/queue=%d/mix=%s allocs/op in %s (run with -benchmem)", hi, mix, in)
+		}
 	}
-	ratio := ns[hi] / ns[lo]
-	verdict, allocVerdict := "ok", "ok"
-	if ratio > maxRatio {
-		verdict = "FAIL"
+	if satPlans < 0 {
+		fatalf("no BenchmarkSubmitQueued/queue=%d/mix=saturated plans/op in %s", hi, in)
 	}
-	if allocs > maxAllocs {
-		allocVerdict = "FAIL"
+	verdict := func(fail bool) string {
+		if fail {
+			return "FAIL"
+		}
+		return "ok"
 	}
+	late, sat := ns["late"], ns["saturated"]
+	ratio := late[hi] / late[lo]
 	fmt.Printf("benchgate: BenchmarkSubmitQueued mix=late queue=%d %.1f ns/op -> queue=%d %.1f ns/op: x%.2f growth over x%d queue (limit x%.1f) %s\n",
-		lo, ns[lo], hi, ns[hi], ratio, hi/lo, maxRatio, verdict)
+		lo, late[lo], hi, late[hi], ratio, hi/lo, maxRatio, verdict(ratio > maxRatio))
 	fmt.Printf("benchgate: BenchmarkSubmitQueued mix=uniform queue=%d %d allocs/op (limit %d) %s\n",
-		hi, allocs, maxAllocs, allocVerdict)
+		hi, allocs["uniform"], maxAllocs, verdict(allocs["uniform"] > maxAllocs))
+	fmt.Printf("benchgate: BenchmarkSubmitQueued mix=saturated queue=%d %g plans/op (limit 0), %d allocs/op (limit %d) %s\n",
+		hi, satPlans, allocs["saturated"], maxSatAllocs, verdict(satPlans > 0 || allocs["saturated"] > maxSatAllocs))
+	fmt.Printf("benchgate: BenchmarkSubmitQueued mix=saturated queue=%d %.1f ns/op -> queue=%d %.1f ns/op: x%.2f growth over x%d queue (reported, not gated)\n",
+		lo, sat[lo], hi, sat[hi], sat[hi]/sat[lo], hi/lo)
 	if ratio > maxRatio {
 		fatalf("a late-deadline arrival pays for the waiting queue ahead of it")
 	}
-	if allocs > maxAllocs {
+	if allocs["uniform"] > maxAllocs {
 		fatalf("fresh plans allocate per candidate of their node search")
+	}
+	if satPlans > 0 || allocs["saturated"] > maxSatAllocs {
+		fatalf("an overload reject the demand bound decides costs a plan or an allocation beside the task")
 	}
 }
 

@@ -209,7 +209,17 @@ func run(addr string, n int, cms, cps float64, policyName, alg string, rounds, m
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A client that dribbles its request line or parks idle keep-alive
+	// connections holds a goroutine and a descriptor each: bound both, and
+	// the header block with them. No WriteTimeout — /v1/events is a
+	// long-lived SSE stream — and no ReadTimeout: bodies are small and
+	// bounded by the handlers.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    64 << 10,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	logger.Info("listening", slog.String("addr", ln.Addr().String()),

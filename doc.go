@@ -185,6 +185,32 @@
 // late-deadline arrival's cost at 128 waiting tasks stays within 3x of
 // its cost at 8 (BenchmarkSubmitQueued, BENCH_index.json).
 //
+// Before any of that an overload reject is decided by a processor-demand
+// bound, EDF's schedulability criterion carried to divisible loads: any
+// schedule, whatever the partitioner, gives task i at least σ_i·Cps
+// node-seconds (σ_i times the fastest node's Cps on a heterogeneous table)
+// between the committed release times and its deadline, so for every
+// deadline d of the merged queue the demand due by d cannot exceed
+// Σ_nodes max(0, d − max(release, now)) over the placeable nodes. A
+// violation — beyond the tolerance the deadline comparisons grant — is a
+// necessary-condition failure of every schedule, hence of the one Fig. 2
+// would build: the arrival is rejected with no view movement and no Plan
+// call, and the decision stream is unchanged. Under EDF the demand is a
+// prefix sum over the queue (the arrival's own deadline and every later
+// one are checked); a FIFO queue gets the own-deadline check only. The
+// capacity comes from a summary of the committed release times kept beside
+// the view, fed by the commit sweep through a journal and never re-sorted
+// on the steady path; a clear-pass against the view answers an arrival the
+// queue has room for without reading the queue, and decides an arrival on
+// an empty queue outright (the view is then the committed state). It is
+// gated like the ñ_min
+// fast-reject (the partitioner is an rt.FastRejecter, which declares its
+// plans physical), abstains on NaN/±Inf intermediates and on user-split's
+// hard error (a request for more nodes than are live), and is counted in
+// Stats.DemandRejects and rtdls_admission_demand_rejects_total per shard;
+// cmd/benchgate gates such a reject behind 128 waiting tasks at 0 Plan
+// calls and 1 allocation (BenchmarkSubmitQueued mix=saturated).
+//
 // What is planned afresh is planned by one node search shared by all five
 // partitioners (rt.PlanContext.PlanMinNodes and the search under it): for
 // n = ñ_min(t), ñ_min(t)+1, … the partitioner's rt.Estimator evaluates the
@@ -205,6 +231,6 @@
 // CI bench job uploads).
 //
 // The experiment harness that regenerates every figure of the paper, plus
-// the xHET* heterogeneity panels, lives in cmd/figures; see DESIGN.md and
-// EXPERIMENTS.md.
+// the xHET* heterogeneity panels, lives in cmd/figures; the panels are
+// indexed in internal/experiments/panels.go.
 package rtdls

@@ -50,8 +50,8 @@ func (r *PanelResult) GnuplotDat() string {
 	return b.String()
 }
 
-// Table renders an aligned text table of the panel, the form EXPERIMENTS.md
-// quotes.
+// Table renders an aligned text table of the panel, the form cmd/figures
+// writes next to each data file.
 func (r *PanelResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", r.Panel.Figure, r.Panel.Title)

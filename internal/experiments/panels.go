@@ -56,7 +56,7 @@ func base(id, figure, title string, algs ...Algorithm) Panel {
 
 // AllPanels returns every evaluation panel: each figure of the paper plus
 // the unshown cluster-size sweep (xN*) and the multi-round ablation (xMR)
-// for the paper's future-work extension. See DESIGN.md §4 for the index.
+// for the paper's future-work extension. This function is the index.
 func AllPanels() []Panel {
 	var ps []Panel
 	add := func(p Panel) { ps = append(ps, p) }

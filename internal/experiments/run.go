@@ -14,7 +14,7 @@ import (
 type Options struct {
 	// Horizon is the arrival window per run in simulated time units. The
 	// paper uses 1e7; the default here is 2e6, which preserves every
-	// ordering and crossover at a fraction of the cost (DESIGN.md §3).
+	// ordering and crossover at a fraction of the cost.
 	Horizon float64
 	// Runs is the number of paired-seed repetitions per (load, algorithm)
 	// point. The paper uses 10.

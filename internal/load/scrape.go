@@ -344,6 +344,7 @@ type ShardCounters struct {
 	Conflicts     int64            `json:"conflicts,omitempty"`
 	PlansComputed int64            `json:"plans_computed,omitempty"`
 	PlansReused   int64            `json:"plans_reused,omitempty"`
+	DemandRejects int64            `json:"demand_rejects,omitempty"`
 	QueueDepthMax float64          `json:"queue_depth_max"`
 	FleetNodes    map[string]int64 `json:"fleet_nodes,omitempty"`
 }
@@ -384,8 +385,11 @@ type ServerMetrics struct {
 	// admission tests computed by running the partitioner and the plans
 	// they carried over from the previous schedule; their sum over Submits
 	// is the mean number of waiting tasks an arrival's test walked.
+	// DemandRejects totals the rejects the demand bound decided with no
+	// plan at all.
 	PlansComputed int64 `json:"plans_computed"`
 	PlansReused   int64 `json:"plans_reused"`
+	DemandRejects int64 `json:"demand_rejects"`
 }
 
 // MetricsDelta summarises the before→after difference of two scrapes.
@@ -422,6 +426,7 @@ func MetricsDelta(before, after *Scrape) *ServerMetrics {
 			Conflicts:     counterDelta("rtdls_admission_conflicts_total", want),
 			PlansComputed: counterDelta("rtdls_admission_plans_computed_total", want),
 			PlansReused:   counterDelta("rtdls_admission_plans_reused_total", want),
+			DemandRejects: counterDelta("rtdls_admission_demand_rejects_total", want),
 		}
 		scs.QueueDepthMax, _ = after.Value("rtdls_queue_depth_max", want)
 		if scs.QueueDepthMax > sm.QueueDepthMax {
@@ -444,6 +449,7 @@ func MetricsDelta(before, after *Scrape) *ServerMetrics {
 		sm.Conflicts += scs.Conflicts
 		sm.PlansComputed += scs.PlansComputed
 		sm.PlansReused += scs.PlansReused
+		sm.DemandRejects += scs.DemandRejects
 		sm.Shards = append(sm.Shards, scs)
 	}
 	if attempts := sm.Speculative + sm.Conflicts; attempts > 0 {

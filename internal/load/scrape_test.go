@@ -58,6 +58,7 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 	drops := reg.Counter("rtdls_events_dropped_total", "h", nil)
 	computed := reg.Counter("rtdls_admission_plans_computed_total", "h", metrics.Labels{"shard": "0"})
 	reused := reg.Counter("rtdls_admission_plans_reused_total", "h", metrics.Labels{"shard": "0"})
+	demand := reg.Counter("rtdls_admission_demand_rejects_total", "h", metrics.Labels{"shard": "0"})
 
 	render := func() *Scrape {
 		var b strings.Builder
@@ -74,6 +75,7 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 	commits.Add(10)
 	computed.Add(12)
 	reused.Add(30)
+	demand.Add(3)
 	before := render()
 
 	for i := 0; i < 99; i++ {
@@ -88,6 +90,7 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 	drops.Add(2)
 	computed.Add(55)
 	reused.Add(400)
+	demand.Add(8)
 	after := render()
 
 	sm := MetricsDelta(before, after)
@@ -127,6 +130,9 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 	}
 	if sh.PlansComputed != 55 || sh.PlansReused != 400 || sm.PlansComputed != 55 || sm.PlansReused != 400 {
 		t.Fatalf("plan counters = shard %d/%d, total %d/%d, want 55/400", sh.PlansComputed, sh.PlansReused, sm.PlansComputed, sm.PlansReused)
+	}
+	if sh.DemandRejects != 8 || sm.DemandRejects != 8 {
+		t.Fatalf("demand rejects = shard %d, total %d, want 8", sh.DemandRejects, sm.DemandRejects)
 	}
 }
 

@@ -568,6 +568,7 @@ func (p *Pool) Stats() service.Stats {
 		agg.Conflicts += st.Conflicts
 		agg.PlansComputed += st.PlansComputed
 		agg.PlansReused += st.PlansReused
+		agg.DemandRejects += st.DemandRejects
 		if st.LastRelease > agg.LastRelease {
 			agg.LastRelease = st.LastRelease
 		}

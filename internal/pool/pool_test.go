@@ -171,6 +171,15 @@ func TestSpilloverCutsRejectRatio(t *testing.T) {
 	if sSpill.Commits != sSpill.Accepts || sSpill.QueueLen != 0 {
 		t.Fatalf("drain incomplete: %+v", sSpill)
 	}
+	// The pool's demand-reject count is its shards' — one per shard test the
+	// bound decided, so a spilled task can count on several.
+	sum := 0
+	for _, st := range spill.ShardStats() {
+		sum += st.DemandRejects
+	}
+	if sSpill.DemandRejects != sum || sum == 0 {
+		t.Fatalf("pool counts %d demand rejects, its shards %d (want equal, and the overloaded stream to reach the bound)", sSpill.DemandRejects, sum)
+	}
 }
 
 func TestDeadlinePastSkipsSpillover(t *testing.T) {

@@ -41,7 +41,8 @@ type queueState struct {
 	applied int      // the plans of queue[:applied] are applied on the view, in order
 
 	view  *AvailView
-	live  int // placeable (NodeUp) nodes
+	base  baseCap // the view's committed base as the demand bound reads it
+	live  int     // placeable (NodeUp) nodes
 	p     dlt.Params
 	costs *dlt.CostModel
 
@@ -84,6 +85,7 @@ func (q *queueState) resetView(avail []float64, elig []bool) {
 	if elig != nil {
 		q.view.SetEligible(elig)
 	}
+	q.base.reset(avail, elig)
 	q.applied = 0
 }
 
@@ -210,6 +212,17 @@ func (q *queueState) test(pol Policy, part Partitioner, fastReject bool, t *Task
 	p := sort.Search(len(q.queue), func(i int) bool { return pol.Less(t, q.queue[i].task) })
 	q.planAt(now)
 
+	// Two shortcuts for FastRejecter partitioners; the demand bound needs no view.
+	var fr FastRejecter
+	if fastReject {
+		fr, _ = part.(FastRejecter)
+	}
+	if fr != nil && q.overDemand(pol, t, p, now) {
+		st.DemandReject = true
+		early()
+		return SpecReject, nil, st, nil
+	}
+
 	// Offer each task ordered before t its current plan. The checks the
 	// partitioner cannot make are made here: the schedule must be hinted,
 	// time must not have run backwards, and the plan's first start must not
@@ -245,11 +258,9 @@ func (q *queueState) test(pol Policy, part Partitioner, fastReject bool, t *Task
 	// of planning the rest of the schedule. The view holds the committed
 	// state plus plans that t's predecessors keep in any case, so t's own
 	// view is no earlier on any node and the bound stays sound.
-	if fastReject {
-		if fr, ok := part.(FastRejecter); ok && fr.FastReject(&q.pctx, t) {
-			early()
-			return SpecReject, nil, st, nil
-		}
+	if fr != nil && fr.FastReject(&q.pctx, t) {
+		early()
+		return SpecReject, nil, st, nil
 	}
 
 	// The tentative schedule: the kept plans stay, everything from there on
@@ -355,6 +366,11 @@ func (q *queueState) sweep(now float64, synced bool, commit func(*Plan) error) e
 				}
 			}
 		}
+		if synced {
+			for _, e := range q.queue[:done] {
+				q.base.commit(e.plan.Nodes, e.plan.Release)
+			}
+		}
 		switch {
 		case !synced:
 			q.seek(0)
@@ -386,6 +402,7 @@ func (q *queueState) sweep(now float64, synced bool, commit func(*Plan) error) e
 			if err == nil {
 				if synced {
 					q.view.CommitBase(e.plan.Nodes, e.plan.Release)
+					q.base.commit(e.plan.Nodes, e.plan.Release)
 				}
 				continue
 			}

@@ -396,6 +396,25 @@ func (v *AvailView) EarliestTimeAt(k int) float64 {
 	panic("rt: AvailView: block counts do not add up to the fleet")
 }
 
+// Covers reports whether the eligible nodes, each from the later of its time
+// and now on, offer need node-seconds before d between them: a walk over the
+// earliest keys that ends with the node that completes the sum.
+func (v *AvailView) Covers(need, now, d float64) bool {
+	v.ensureIndex()
+	left := v.eligible
+	for _, b := range v.dir {
+		for _, k := range v.block(b) {
+			if left--; left < 0 || !(k.t < d) {
+				return false
+			}
+			if need -= d - max(k.t, now); need <= 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Apply records tentative assignments: node ids[i] will next be free at
 // release[i]. Every change is undo-logged so RollbackTo can restore any
 // earlier checkpoint.

@@ -232,6 +232,17 @@ func driveAvailView(t *testing.T, data []byte) {
 	vr.refMode = true
 	vs := NewAvailView(slices.Clone(base))
 	model := newRefModel(base)
+	// The committed-capacity summary rides along as queueState drives it: a
+	// reset with every snapshot and mask, a commit with every change of the
+	// base. Every third step it is settled — over a journal of up to three
+	// operations, or past its limit and rebuilt — and held against a
+	// from-scratch sort of the model's base.
+	var sum baseCap
+	sum.reset(base, nil)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 
 	check := func(k int) {
 		vs.ensureIndex() // a query rebuilds a dirty index: keep vs in step with v
@@ -301,6 +312,7 @@ func driveAvailView(t *testing.T, data []byte) {
 				vs.CommitPrefix(held[i].v)
 				vr.CommitPrefix(held[i].vr)
 				model.commitPrefix(held[i].model)
+				sum.commit(all, model.base)
 				held = held[i:]
 			}
 		case 0: // Reset to a fresh snapshot
@@ -310,6 +322,7 @@ func driveAvailView(t *testing.T, data []byte) {
 			vr.Reset(slices.Clone(base))
 			vr.refMode = true
 			model.reset(base)
+			sum.reset(base, nil)
 			pending = false
 		case 1: // SetEligible with a random mask (at least one node up)
 			src := bulk()
@@ -326,6 +339,7 @@ func driveAvailView(t *testing.T, data []byte) {
 			vs.SetEligible(elig)
 			vr.SetEligible(elig)
 			model.setEligible(elig)
+			sum.reset(model.base, elig)
 		case 2: // Apply a tentative batch (duplicates allowed)
 			apply(batch())
 			pending = true
@@ -371,6 +385,10 @@ func driveAvailView(t *testing.T, data []byte) {
 			vs.CommitBase(ids, rel)
 			vr.CommitBase(ids, rel)
 			model.commitBase(ids, rel)
+			sum.commit(ids, rel)
+		}
+		if steps%3 == 2 {
+			checkBaseCap(t, &sum, model.base, model.elig)
 		}
 		indexOrder(t, v)
 		indexOrder(t, vs)

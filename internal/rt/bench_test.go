@@ -91,9 +91,10 @@ func BenchmarkSubmit(b *testing.B) {
 
 // BenchmarkSubmitFastReject measures the hopeless-task path: the whole
 // fleet is committed busy far beyond every deadline, so each submission
-// resolves at the order-statistic probe of the committed index without
-// calling the partitioner. The cost should be flat in the fleet size: the
-// probe walks block counts up to the task's ñ_min-th node.
+// resolves without calling the partitioner — since the demand bound at its
+// clear-pass, whose walk over the availability index ends at the first key,
+// before it at the ñ_min fast-reject's order-statistic probe. The cost should
+// be flat in the fleet size.
 func BenchmarkSubmitFastReject(b *testing.B) {
 	for _, n := range submitScaleSizes {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
@@ -129,7 +130,7 @@ func BenchmarkSubmitFastReject(b *testing.B) {
 }
 
 // BenchmarkSubmitQueued measures one admission test against a waiting
-// queue held at a fixed depth, for the three kinds of arrival the wire
+// queue held at a fixed depth, for the four kinds of arrival the wire
 // sees. The 16 nodes free up one slot (one single-node task) apart and a
 // queue of `queue` single-node tasks with loose deadlines is planned onto
 // the coming slots; every iteration of the accepting mixes advances time
@@ -140,16 +141,31 @@ func BenchmarkSubmitFastReject(b *testing.B) {
 //     waiting task keeps its plan, one plan is computed.
 //   - uniform: the deadline falls uniformly inside the queue's range — the
 //     tasks ordered after the arrival are planned again behind it.
-//   - reject: ordered last and passing the fast-reject bounds, but too big
-//     to finish in time on all 16 nodes — the reject a whole-queue replan
-//     pays the full queue for. Time stands still (a reject changes nothing).
+//   - reject: ordered last and passing the ñ_min fast-reject, but too big to
+//     finish in time on all 16 nodes — by 0.02 %, of which 8 % is link time
+//     the demand bound does not count: at queue=8 and 32 this is still the
+//     reject a whole-queue test pays the full queue for, at queue=128 the
+//     waiting tasks' own demand closes the gap and the bound decides it at
+//     the arrival's deadline after one pass over the queue's σ.
+//   - saturated: the same queue with every deadline ten time units behind
+//     the task's planned completion — deadline-dense, no room to spare — and
+//     an arrival ordered into its middle that would fit an idle fleet but is
+//     more than the queue leaves: the overload reject, decided by the demand
+//     bound with no plan computed or kept and nothing allocated but the task.
+//     (Not at queue=0: with nothing waiting the arrival fits.)
 //
-// scripts/bench_index.sh runs the sweep into BENCH_index.json and
-// cmd/benchgate gates the late mix's queue=128 vs queue=8 ns/op ratio: an
-// arrival ordered behind the queue must not pay for the queue.
+// Time stands still in the rejecting mixes (a reject changes nothing). Every
+// mix reports plans/op, the Plan calls — fresh and kept-prior offers — of one
+// arrival. scripts/bench_index.sh runs the sweep into BENCH_index.json and
+// cmd/benchgate gates the late mix's queue=128 vs queue=8 ns/op ratio — an
+// arrival ordered behind the queue must not pay for the queue — and the
+// saturated mix's plans/op and allocs/op at queue=128.
 func BenchmarkSubmitQueued(b *testing.B) {
 	for _, depth := range []int{0, 8, 32, 128} {
-		for _, mix := range []string{"late", "uniform", "reject"} {
+		for _, mix := range []string{"late", "uniform", "reject", "saturated"} {
+			if mix == "saturated" && depth == 0 {
+				continue
+			}
 			b.Run(fmt.Sprintf("queue=%d/mix=%s", depth, mix), func(b *testing.B) {
 				benchSubmitQueued(b, depth, mix)
 			})
@@ -183,20 +199,34 @@ func benchSubmitQueued(b *testing.B, depth int, mix string) {
 			b.Fatalf("task %+v: accepted=%v err=%v, want accepted=%v", t, ok, err, want)
 		}
 	}
+	// Task i of the queue runs on node i%16, from that node's release after
+	// the i/16 tasks queued on it before: done is when.
+	done := func(i int) float64 { return float64(i%nodes+1)*slot + float64(i/nodes+1)*nodes*slot }
 	for i := 0; i < depth; i++ {
-		submit(&Task{Sigma: sigma, RelDeadline: deadline}, true)
+		d := deadline
+		if mix == "saturated" {
+			d = done(i) + 10 - now
+		}
+		submit(&Task{Sigma: sigma, RelDeadline: d}, true)
 	}
 	// The largest load whose ñ_min bound still fits the cluster, 0.02% short
 	// of what 16 simultaneously free nodes finish by the deadline: no start
-	// later than now can make it, and no cheap bound can tell.
+	// later than now can make it, which the ñ_min fast-reject cannot tell.
 	tooBig := deadline * (1 - math.Pow(baseline.Beta(), nodes)) / baseline.Cms * (1 - 2e-4)
 	rng := uint64(depth)*2654435761 + 1
+	computed, kept := s.PlanCounts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		switch mix {
 		case "reject":
 			submit(&Task{Sigma: tooBig, RelDeadline: deadline + 1}, false)
+			continue
+		case "saturated":
+			// Due between the two tasks in the middle of the queue; twelve
+			// queued tasks' worth of load, which 16 idle nodes serve in a
+			// tenth of the time it has.
+			submit(&Task{Sigma: 12 * sigma, RelDeadline: done(depth/2-1) + 15 - now}, false)
 			continue
 		case "uniform":
 			rng ^= rng << 13
@@ -213,7 +243,9 @@ func benchSubmitQueued(b *testing.B, depth int, mix string) {
 		}
 	}
 	b.StopTimer()
-	if got := s.Stats().QueueLen; mix != "reject" && (got < depth || got > depth+1) {
+	c, k := s.PlanCounts()
+	b.ReportMetric(float64(c-computed+k-kept)/float64(b.N), "plans/op")
+	if got := s.Stats().QueueLen; got < depth || got > depth+1 {
 		b.Fatalf("queue depth drifted to %d, want %d", got, depth)
 	}
 }

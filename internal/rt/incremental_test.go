@@ -124,6 +124,7 @@ func (ls *lockstep) check(what string) {
 			ls.t.Fatalf("%s: scheduler overlay (applied %d of %d):\n got  %v\n want %v",
 				what, a.q.applied, len(a.q.queue), got, want)
 		}
+		ls.sameBase(&a.q)
 	}
 	for i, sc := range ls.scs {
 		if !sc.synced || sc.epoch != a.epochLocked() {
@@ -136,7 +137,25 @@ func (ls *lockstep) check(what string) {
 			ls.t.Fatalf("%s: context %d overlay (applied %d of %d):\n got  %v\n want %v",
 				what, i, sc.q.applied, len(sc.q.queue), got, want)
 		}
+		ls.sameBase(&sc.q)
 	}
+}
+
+// sameBase checks that the committed-capacity summary of a queue state in
+// sync with the cluster — fed by resetView and sweep alone — holds the
+// cluster's committed release times, and that a settled copy of it is their
+// from-scratch sort. The copy leaves the journal of the real one as long as
+// the run made it.
+func (ls *lockstep) sameBase(q *queueState) {
+	ls.t.Helper()
+	cl := ls.a.cl
+	var elig []bool
+	if cl.LiveNodes() < cl.N() {
+		elig = cl.EligibleInto(nil)
+	}
+	c := q.base
+	c.asc, c.moved = slices.Clone(c.asc), slices.Clone(c.moved)
+	checkBaseCap(ls.t, &c, cl.AvailTimes(), elig)
 }
 
 // submit sends one task down both schedulers: a takes the speculative
@@ -255,7 +274,7 @@ func (ls *lockstep) drain() {
 // every following byte group one operation. Time advances separately from
 // the sweep, so tests also run against queues holding due, uncommitted
 // plans; now and then it steps backwards.
-func driveIncremental(t *testing.T, data []byte) {
+func driveIncremental(t *testing.T, data []byte) *lockstep {
 	t.Helper()
 	off := 0
 	next := func() int {
@@ -318,6 +337,35 @@ func driveIncremental(t *testing.T, data []byte) {
 		}
 	}
 	ls.drain()
+	return ls
+}
+
+// overloadedSeed is an operation stream for driveIncremental, under the
+// given header, that fills the queue of a two-to-four-node fleet with tasks
+// that fit one by one and not together and keeps submitting into it — in
+// front, in the middle, behind — while the clock steps forwards and
+// backwards, nodes drain, fail and return and the queue is revalidated: the
+// saturated regime the demand bound decides, which random bytes reach rarely.
+func overloadedSeed(header byte) []byte {
+	data := []byte{header, byte(header % 3)}
+	for i := 0; i < 90; i++ {
+		// A submit: σ = 31..46, deadline 1500 + 25c with c%4 >= 2, spread
+		// over the whole range so that arrivals land all over the queue.
+		data = append(data, byte(i%8), byte(20+i%11), byte(2+4*((i*37)%60)), byte(i%5))
+		switch {
+		case i%9 == 8:
+			data = append(data, 9, byte(i%7)) // the clock moves on a little
+		case i%23 == 22:
+			data = append(data, 13, 3, byte(5+i%40)) // and steps back
+		case i%31 == 30:
+			data = append(data, 12, byte(i), byte(1+i%2)) // a node drains or fails
+		case i%31 == 15:
+			data = append(data, 12, byte(i-15), 0, 13, 1) // comes back; revalidate
+		case i%17 == 16:
+			data = append(data, 11) // commit what is due
+		}
+	}
+	return data
 }
 
 func TestIncrementalAdmissionLockstep(t *testing.T) {
@@ -359,6 +407,7 @@ func FuzzIncrementalAdmission(f *testing.F) {
 		}
 		seed[0] = byte(h)
 		f.Add(seed)
+		f.Add(overloadedSeed(byte(h)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		driveIncremental(t, data)

@@ -76,12 +76,19 @@ type Partitioner interface {
 // FastRejecter is an optional Partitioner extension consulted by the
 // scheduler before the full O(queue × plan) replan: FastReject reports
 // whether Plan is *certain* to find no deadline-meeting assignment for t
-// against the given committed cluster state. Implementations must be sound
-// — a true return must imply the full admission test would reject t — and
-// cheap: an order-statistic query against the availability index, never a
-// partitioner run.
-// The context's view carries the committed base state (no tentative
-// assignments) when FastReject is called.
+// against the given cluster state. Implementations must be sound — a true
+// return must imply the full admission test would reject t (so never a task
+// whose Plan is a hard error) — and cheap: an order-statistic query against
+// the availability index, never a partitioner run. The context's view holds
+// the committed state plus the plans kept ahead of t, so that no node is
+// later in t's own view.
+//
+// Implementing it also opts into the demand bound (queueState.overDemand),
+// by declaring the plans physical: a plan holds node i over [Starts[i],
+// Release[i]], from no earlier than the node's release, the arrival and the
+// planning instant until no later than Est, clear of every other plan, and
+// reserves at least σ·min Cps node-seconds in all — the computation alone,
+// at the fastest node's speed. One that books less must not implement it.
 type FastRejecter interface {
 	FastReject(ctx *PlanContext, t *Task) bool
 }

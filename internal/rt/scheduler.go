@@ -69,10 +69,10 @@ type Scheduler struct {
 	// nothing a later admission test reads.
 	queueGen uint64
 
-	// Testing hooks (never set in production): noFastReject skips the
-	// FastRejecter consultation, forceRefView serves every view query from
-	// the full-sort reference implementation, and resyncEachUse rebuilds
-	// the view from a fresh snapshot on every test — together they
+	// Testing hooks (never set in production): noFastReject skips the demand
+	// bound and the FastRejecter consultation, forceRefView serves every view
+	// query from the full-sort reference implementation, and resyncEachUse
+	// rebuilds the view from a fresh snapshot on every test — together they
 	// reproduce the legacy per-submit sorted-slice behaviour for the
 	// bit-for-bit equivalence suite.
 	noFastReject  bool
@@ -91,6 +91,7 @@ type Scheduler struct {
 	maxQueue      atomic.Int64
 	plansComputed atomic.Int64
 	plansReused   atomic.Int64
+	demandRejects atomic.Int64
 
 	obs      Observer
 	stageObs StageObserver
@@ -228,6 +229,9 @@ func (s *Scheduler) syncLocked() {
 func (s *Scheduler) noteTestLocked(st SpecStages) {
 	s.plansComputed.Add(int64(st.Computed))
 	s.plansReused.Add(int64(st.Reused))
+	if st.DemandReject {
+		s.demandRejects.Add(1)
+	}
 	if !st.Timed || s.stageObs == nil {
 		return
 	}
@@ -418,6 +422,10 @@ func (st Stats) RejectRatio() float64 {
 func (s *Scheduler) PlanCounts() (computed, reused int64) {
 	return s.plansComputed.Load(), s.plansReused.Load()
 }
+
+// DemandRejects returns how many rejects the demand bound decided with no
+// plan computed or kept. Lock-free, and beside Stats for PlanCounts' reason.
+func (s *Scheduler) DemandRejects() int64 { return s.demandRejects.Load() }
 
 // Stats returns a snapshot of all admission counters. It is lock-free —
 // each counter is read atomically, so a snapshot taken while submissions

@@ -48,8 +48,9 @@ type SpecStages struct {
 	Check float64 // seconds in the schedulability check
 	Timed bool    // a StageObserver was installed at snapshot time
 
-	Computed int // plans the partitioner computed afresh
-	Reused   int // plans carried over from the previous schedule
+	Computed     int  // plans the partitioner computed afresh
+	Reused       int  // plans carried over from the previous schedule
+	DemandReject bool // the demand bound decided the reject, before any plan
 }
 
 // SpecOutcome classifies one speculative admission test.
@@ -61,8 +62,8 @@ const (
 	// submission must replay through the serialized path, which reproduces
 	// the identical outcome under the lock.
 	SpecFallback SpecOutcome = iota
-	// SpecReject: the schedulability test rejected (fleet down,
-	// fast-reject, infeasible, or a deadline miss in the tentative
+	// SpecReject: the schedulability test rejected (fleet down, demand
+	// bound, fast-reject, infeasible, or a deadline miss in the tentative
 	// schedule). Rejections leave the serialized state untouched, so an
 	// unchanged epoch lets the reject install as-is.
 	SpecReject

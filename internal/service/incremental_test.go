@@ -59,6 +59,55 @@ func TestPlanCountersFollowReplanning(t *testing.T) {
 	}
 }
 
+// TestDemandRejectsAreCounted: "how many rejects did the demand bound
+// decide" is answerable from Stats and /metrics alone, on the speculative
+// path and on the serialized one. Behind a busy fleet the queue fills with
+// tasks due at the same instant until one more is one too many; every
+// arrival after that is a reject the bound decides with no plan at all.
+func TestDemandRejectsAreCounted(t *testing.T) {
+	for _, speculate := range []bool{true, false} {
+		reg := metrics.NewRegistry()
+		clock := NewManualClock(0)
+		svc := newTestService(t, func(c *Config) {
+			c.Metrics = NewMetrics(reg)
+			c.Clock = clock
+			c.Shard = 3
+		})
+		svc.SetSpeculation(speculate)
+		ctx := context.Background()
+		if d, err := svc.Submit(ctx, rt.Task{ID: 1, Sigma: 4000, RelDeadline: 28000}); err != nil || !d.Accepted {
+			t.Fatalf("speculate=%v: the task that takes the fleet: %+v, %v", speculate, d, err)
+		}
+		clock.Set(10)
+		rejects := 0
+		for id := int64(2); id <= 60; id++ {
+			d, err := svc.Submit(ctx, rt.Task{ID: id, Sigma: 100, RelDeadline: 40000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.Accepted {
+				rejects++
+			}
+		}
+		st := svc.Stats()
+		if rejects < 20 || st.DemandRejects == 0 || st.DemandRejects > rejects {
+			t.Fatalf("speculate=%v: %d rejects, %d of them by the demand bound", speculate, rejects, st.DemandRejects)
+		}
+		// Each of them cost no plan: the accepts' own and the kept ones only.
+		if st.PlansComputed > st.Accepts+rejects-st.DemandRejects {
+			t.Fatalf("speculate=%v: %d plans computed for %d accepts and %d rejects the bound left to the full test",
+				speculate, st.PlansComputed, st.Accepts, rejects-st.DemandRejects)
+		}
+		var b strings.Builder
+		if _, err := reg.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`rtdls_admission_demand_rejects_total{shard="3"} %d`, st.DemandRejects); !strings.Contains(b.String(), want) {
+			t.Fatalf("speculate=%v: exposition missing %q:\n%s", speculate, want, b.String())
+		}
+	}
+}
+
 // TestSpeculationContextIsCarried: a lone submitter keeps resuming from the
 // one context its previous install carried over — the stack of parked
 // contexts never grows past it — whether it submits singly or in batches.

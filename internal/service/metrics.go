@@ -55,6 +55,7 @@ type shardInstruments struct {
 
 	plansComputed *metrics.Counter
 	plansReused   *metrics.Counter
+	demandRejects *metrics.Counter
 }
 
 // NewMetrics returns a Metrics bound to the registry, with the per-stage
@@ -129,6 +130,8 @@ func (m *Metrics) shard(i int) *shardInstruments {
 		"Plans the admission tests computed by running the partitioner, per shard.", lbl)
 	si.plansReused = m.reg.Counter("rtdls_admission_plans_reused_total",
 		"Plans the admission tests carried over unchanged from the previous schedule, per shard.", lbl)
+	si.demandRejects = m.reg.Counter("rtdls_admission_demand_rejects_total",
+		"Rejects the processor-demand bound decided before any plan was computed or kept, per shard.", lbl)
 	si.fleetNodes = make(map[cluster.NodeState]*metrics.Gauge, 3)
 	for _, st := range cluster.NodeStates() {
 		si.fleetNodes[st] = m.reg.Gauge("rtdls_fleet_nodes",

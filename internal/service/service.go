@@ -136,6 +136,10 @@ type Stats struct {
 	// before the arrival).
 	PlansComputed int
 	PlansReused   int
+	// DemandRejects counts the rejects the processor-demand bound decided
+	// from the committed release times and the queue's demand alone, before
+	// any plan was computed or kept.
+	DemandRejects int
 }
 
 // RejectRatio returns Rejects/Arrivals (0 when nothing has arrived).
@@ -217,6 +221,7 @@ type Service struct {
 	// /metrics counters advance by one Add per admission test. Under mu.
 	plansComputedSeen int64
 	plansReusedSeen   int64
+	demandRejectsSeen int64
 
 	met  *Metrics          // nil when uninstrumented
 	inst *shardInstruments // this shard's counters/gauges (nil with met)
@@ -536,7 +541,9 @@ func (s *Service) notePlansLocked() {
 	computed, reused := s.sched.PlanCounts()
 	s.inst.plansComputed.Add(uint64(computed - s.plansComputedSeen))
 	s.inst.plansReused.Add(uint64(reused - s.plansReusedSeen))
-	s.plansComputedSeen, s.plansReusedSeen = computed, reused
+	demand := s.sched.DemandRejects()
+	s.inst.demandRejects.Add(uint64(demand - s.demandRejectsSeen))
+	s.plansComputedSeen, s.plansReusedSeen, s.demandRejectsSeen = computed, reused, demand
 }
 
 // noteQueueLocked refreshes the shard's queue-depth gauges from the
@@ -614,6 +621,7 @@ func (s *Service) Stats() Stats {
 		Conflicts:     int(s.specConflicts.Load()),
 		PlansComputed: int(computed),
 		PlansReused:   int(reused),
+		DemandRejects: int(s.sched.DemandRejects()),
 	}
 	if span := math.Max(now, rel); span > 0 {
 		st.Utilization = busy / (float64(s.nodesTotal.Load()) * span)

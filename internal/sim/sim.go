@@ -5,7 +5,7 @@
 // Events at equal timestamps are ordered first by an explicit priority
 // (lower runs first) and then by scheduling order, so simulations are fully
 // deterministic. The driver uses priorities to process task commitments
-// before arrivals that share a timestamp (DESIGN.md §3).
+// before arrivals that share a timestamp.
 package sim
 
 import (

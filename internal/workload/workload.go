@@ -80,7 +80,7 @@ type Generator struct {
 	cfg  Config
 	main *rand.Rand // arrivals, sizes, deadlines
 	aux  *rand.Rand // user-requested node counts (separate stream so the
-	// main sequence is identical across algorithms; DESIGN.md §3)
+	// main sequence is identical across algorithms)
 	next   float64
 	nextID int64
 	count  int
@@ -118,8 +118,8 @@ func (g *Generator) Next() (t *rt.Task, ok bool) {
 	g.nextID++
 	g.count++
 
-	// σ ~ Normal(Avgσ, Avgσ), truncated to a small positive floor
-	// (DESIGN.md §3): clamping keeps the effective mean within ~8% of
+	// σ ~ Normal(Avgσ, Avgσ), truncated to a small positive floor:
+	// clamping keeps the effective mean within ~8% of
 	// Avgσ, so SystemLoad retains its intended meaning; resampling would
 	// inflate it by ~29% and push nominal load 1.0 deep into overload.
 	s := g.cfg.AvgSigma + g.cfg.AvgSigma*g.main.NormFloat64()

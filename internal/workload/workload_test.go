@@ -154,7 +154,7 @@ func TestSigmaDistribution(t *testing.T) {
 		n++
 	}
 	// Clamping a Normal(μ, μ) at ~0 raises the mean to
-	// μ·(Φ(1) + φ(1)) ≈ 1.083 μ (DESIGN.md §3).
+	// μ·(Φ(1) + φ(1)) ≈ 1.083 μ (see Generator.Next).
 	wantMean := 200 * 1.0833
 	got := sum / float64(n)
 	if math.Abs(got-wantMean) > 0.05*wantMean {
@@ -197,7 +197,8 @@ func TestSeedsChangeStream(t *testing.T) {
 	}
 }
 
-// TestUserNStreamIndependence is the pairing property DESIGN.md relies on:
+// TestUserNStreamIndependence is the pairing property the paired-seed
+// comparisons of internal/experiments rely on:
 // the arrival/σ/D sequence is identical whether or not UserN is consumed,
 // because it comes from a separate RNG stream.
 func TestUserNStreamIndependence(t *testing.T) {
