@@ -5,7 +5,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt
 
-.PHONY: build test bench bench-json bench-index bench-contention fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke ci
+.PHONY: build test bench bench-json bench-index bench-contention fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -87,5 +87,10 @@ loadtest:
 # commits and zero dropped events after drain).
 wire-smoke:
 	./scripts/wire_smoke.sh
+
+# Non-test lines of internal/{rt,service,pool,driver}, the number ROADMAP
+# item 1 budgets; CI prints it in build-and-test.
+loc:
+	./scripts/loc.sh
 
 ci: build fmt-check vet race bench fuzz-smoke

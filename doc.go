@@ -111,9 +111,11 @@
 // exposition on GET /metrics — per-stage admission latency histograms
 // (candidate scan, planning, schedulability check, commit), per-shard
 // accept/reject/commit counters, queue-depth and utilization gauges, and
-// HTTP request metrics. Instruments update via atomic stores at
-// state-change time and a scrape only reads atomics, so monitoring never
-// contends with the scheduler lock. dlserve adds net/http/pprof behind
+// HTTP request metrics. The per-shard families are read at scrape time
+// from the atomics Stats reads (one ledger: the scheduler's outcome
+// counters plus the service's two gate rejects), so an instrumented
+// decision does no extra work and a scrape never contends with the
+// scheduler lock. dlserve adds net/http/pprof behind
 // -pprof-addr and structured log/slog request logging with request-id
 // propagation; dlload scrapes /metrics around each run and embeds the
 // server-side stage/shard deltas in its report.
@@ -176,7 +178,11 @@
 // whose outcome installed is carried over as the snapshot of the new
 // epoch, so a lone submitter never re-copies the cluster or rebuilds the
 // index. The serialized and the speculative path run one function over
-// an explicit queue state. Decisions and plans are bit-for-bit those of a
+// an explicit queue state, and around it every entrance — Submit,
+// SubmitBatch, speculation on or off, the replay after a conflict, a
+// pool's spillover retry or re-admission, a simulated arrival — walks one
+// stamp, sweep, gate, test and finish (service.admit / decide), one offer
+// loop (pool) and one simulation loop (driver). Decisions and plans are bit-for-bit those of a
 // whole-queue replan (lockstep suites and FuzzIncrementalAdmission
 // against a hint-free reference); node churn, fleet growth and
 // out-of-band commits fall back to one. Stats.PlansComputed/PlansReused

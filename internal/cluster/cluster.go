@@ -23,9 +23,9 @@ type Cluster struct {
 	costs *dlt.CostModel // per-node coefficients; uniform for New
 	avail []float64      // per node: release time of the last committed task
 
-	busy         []float64 // per node: accumulated committed busy time
-	reservedIdle float64   // accumulated inserted idle time wasted by reservations
-	lastRelease  float64   // latest committed release time
+	busy         float64 // accumulated committed busy time over all nodes, in commit order
+	reservedIdle float64 // accumulated inserted idle time wasted by reservations
+	lastRelease  float64 // latest committed release time
 	commits      int
 
 	// state holds per-node lifecycle states (see fleet.go). nil means
@@ -56,7 +56,6 @@ func New(n int, p dlt.Params) (*Cluster, error) {
 		p:     p,
 		costs: cm,
 		avail: make([]float64, n),
-		busy:  make([]float64, n),
 	}, nil
 }
 
@@ -72,7 +71,6 @@ func NewHetero(costs []dlt.NodeCost) (*Cluster, error) {
 		p:     cm.Reference(),
 		costs: cm,
 		avail: make([]float64, cm.N()),
-		busy:  make([]float64, cm.N()),
 	}, nil
 }
 
@@ -116,7 +114,9 @@ func (c *Cluster) AvailAt(id int) float64 { return c.avail[id] }
 // inserted idle time wasted by the assignment (only nonzero for the
 // non-IIT-utilising baselines). It validates that every interval starts at
 // or after the node's current release time — committing overlapping work is
-// a scheduler bug.
+// a scheduler bug. A NaN time fails both comparisons (one let through would
+// sit in the availability index unordered and panic its next update); a
+// +Inf release — a node that never frees up — is legal.
 func (c *Cluster) Commit(nodes []int, busyFrom, release []float64, reservedIdle float64) error {
 	if len(nodes) != len(busyFrom) || len(nodes) != len(release) {
 		return fmt.Errorf("cluster: Commit slice lengths differ: %d nodes, %d starts, %d releases",
@@ -130,18 +130,18 @@ func (c *Cluster) Commit(nodes []int, busyFrom, release []float64, reservedIdle 
 		if id < 0 || id >= len(c.avail) {
 			return fmt.Errorf("cluster: Commit: node id %d out of range [0,%d)", id, len(c.avail))
 		}
-		if busyFrom[i] < c.avail[id]-eps*math.Max(1, math.Abs(c.avail[id])) {
+		if math.IsNaN(busyFrom[i]) || busyFrom[i] < c.avail[id]-eps*math.Max(1, math.Abs(c.avail[id])) {
 			return fmt.Errorf("cluster: Commit: node %d busy from %v before its release %v",
 				id, busyFrom[i], c.avail[id])
 		}
-		if release[i] < busyFrom[i] {
+		if !(release[i] >= busyFrom[i]) {
 			return fmt.Errorf("cluster: Commit: node %d released at %v before busy start %v",
 				id, release[i], busyFrom[i])
 		}
 	}
 	for i, id := range nodes {
 		c.avail[id] = release[i]
-		c.busy[id] += release[i] - busyFrom[i]
+		c.busy += release[i] - busyFrom[i]
 		if release[i] > c.lastRelease {
 			c.lastRelease = release[i]
 		}
@@ -163,13 +163,7 @@ func (c *Cluster) Commits() int { return c.commits }
 // BusyTime returns the total committed busy time summed over all nodes.
 // Reserved idle time (an OPR baseline's wasted IITs) is counted as busy:
 // the node is held by the task even though it computes nothing.
-func (c *Cluster) BusyTime() float64 {
-	sum := 0.0
-	for _, b := range c.busy {
-		sum += b
-	}
-	return sum
-}
+func (c *Cluster) BusyTime() float64 { return c.busy }
 
 // ReservedIdle returns the total inserted idle time wasted by committed
 // reservations (zero for IIT-utilising algorithms).

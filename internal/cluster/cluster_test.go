@@ -211,3 +211,27 @@ func TestVersionCounter(t *testing.T) {
 		t.Fatalf("AddNode: Version = %d, want %d", c.Version(), v0+3)
 	}
 }
+
+// TestCommitRejectsNaNTimes: a NaN start or release is refused like any
+// other impossible interval and leaves the cluster untouched (it used to be
+// committed, and panicked the availability index on its next update); a
+// +Inf release stays legal.
+func TestCommitRejectsNaNTimes(t *testing.T) {
+	c := mustNew(t, 2)
+	for _, tc := range []struct{ from, to float64 }{
+		{math.NaN(), 1}, {0, math.NaN()}, {math.NaN(), math.NaN()},
+	} {
+		if err := c.Commit([]int{0}, []float64{tc.from}, []float64{tc.to}, 0); err == nil {
+			t.Fatalf("Commit(%v, %v) accepted", tc.from, tc.to)
+		}
+	}
+	if c.Version() != 0 || c.AvailAt(0) != 0 || c.BusyTime() != 0 {
+		t.Fatalf("refused commits left a mark: version %d, avail %v, busy %v", c.Version(), c.AvailAt(0), c.BusyTime())
+	}
+	if err := c.Commit([]int{1}, []float64{3}, []float64{math.Inf(1)}, 0); err != nil {
+		t.Fatalf("+Inf release refused: %v", err)
+	}
+	if !math.IsInf(c.AvailAt(1), 1) {
+		t.Fatalf("avail = %v, want +Inf", c.AvailAt(1))
+	}
+}

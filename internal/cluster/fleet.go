@@ -135,7 +135,6 @@ func (c *Cluster) AddNode(nc dlt.NodeCost, availFrom float64) (int, error) {
 	c.p = cm.Reference()
 	id := len(c.avail)
 	c.avail = append(c.avail, availFrom)
-	c.busy = append(c.busy, 0)
 	if c.state != nil {
 		c.state = append(c.state, NodeUp)
 	}

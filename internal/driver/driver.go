@@ -79,7 +79,7 @@ type Config struct {
 	// classic single cluster; any shard option — including Shards=1 —
 	// routes through the pool engine instead. The workload's arrival rate
 	// scales with the pool's aggregate capacity so SystemLoad keeps its
-	// meaning (see runPool).
+	// meaning (see loadScale).
 	Shards int
 
 	// Placement routes each arrival to a shard; nil defaults to round
@@ -262,8 +262,7 @@ type Result struct {
 // costs at plan time via rt.PlanContext, so the table is carried here for
 // uniform validation and for any future construction-time use, not
 // because current construction depends on it. This is the single
-// constructor path shared by the service options and the legacy
-// NewScheduler facade.
+// constructor path the service options share with the bench.
 func PartitionerFor(algorithm string, rounds int, cm *dlt.CostModel) (rt.Partitioner, error) {
 	cfg := Config{Algorithm: algorithm, Rounds: rounds}
 	if cm != nil {
@@ -307,31 +306,55 @@ func (c Config) NewService(clock service.Clock) (*service.Service, error) {
 }
 
 // Run executes one simulation and returns its metrics. It is a thin
-// adapter over the admission service: a SimClock binds the service to the
-// discrete-event engine, arrival events submit generated tasks, commit
-// events start due transmissions, and the Result is assembled from the
-// service's statistics.
+// adapter over the admission engine — the single-cluster service, or the
+// sharded pool when any shard option is set: a SimClock binds the engine to
+// the discrete-event simulator, arrival events submit generated tasks,
+// commit events start due transmissions, and the Result is assembled from
+// the engine's statistics.
 func Run(cfg Config) (*Result, error) {
-	if cfg.multiShard() {
-		return runPool(cfg)
-	}
 	s := sim.New()
-	svc, err := cfg.NewService(service.SimClock{Sim: s})
+	clock := service.SimClock{Sim: s}
+	if !cfg.multiShard() {
+		svc, err := cfg.NewService(clock)
+		if err != nil {
+			return nil, err
+		}
+		return run(cfg, s, svc, []*cluster.Cluster{svc.Cluster()}, nil)
+	}
+	pl, err := cfg.NewPool(clock)
 	if err != nil {
 		return nil, err
 	}
+	return run(cfg, s, pl, pl.Clusters(), pl)
+}
+
+// run is the simulation loop over either engine. clusters are the
+// engine's own — the ones the run actually schedules against, rather than
+// a second resolution of the configuration; pl is the engine again when it
+// is a pool, for the load scale and the pool-only result fields.
+func run(cfg Config, s *sim.Simulator, eng service.Engine, clusters []*cluster.Cluster, pl *pool.Pool) (*Result, error) {
 	// The workload is calibrated against the scalar reference coefficients
 	// so a heterogeneity sweep holds the offered load constant; explicit
-	// NodeCosts anchor it to the table's own reference instead. The table
-	// is read back from the service's cluster — the one the run actually
-	// schedules against — rather than resolved a second time.
+	// cost tables anchor it to the (first shard's) table's own reference
+	// instead.
 	wp := cfg.Params()
-	if len(cfg.NodeCosts) > 0 {
-		wp = svc.Cluster().Costs().Reference()
+	if len(cfg.NodeCosts) > 0 || len(cfg.ShardNodeCosts) > 0 {
+		wp = clusters[0].Costs().Reference()
+	}
+	// A pool's stream is scaled to its aggregate capacity; a single
+	// cluster's is not, whatever its cost table: a spread table's
+	// HeteroExecTime is not the scalar E(Avgσ, N) the load is quoted in.
+	load := cfg.SystemLoad
+	if pl != nil {
+		scale, err := loadScale(wp.ExecTime(cfg.AvgSigma, cfg.N), cfg.AvgSigma, clusters)
+		if err != nil {
+			return nil, err
+		}
+		load *= scale
 	}
 	gen, err := workload.New(workload.Config{
 		N: cfg.N, Params: wp,
-		SystemLoad: cfg.SystemLoad, AvgSigma: cfg.AvgSigma,
+		SystemLoad: load, AvgSigma: cfg.AvgSigma,
 		DCRatio: cfg.DCRatio, Horizon: cfg.Horizon, Seed: cfg.Seed,
 	})
 	if err != nil {
@@ -349,11 +372,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Commit events start every transmission that is due; the service
+	// Commit events start every transmission that is due; the engine
 	// records the execution metrics from the exact dispatch timelines.
 	var rearmCommit func()
 	onCommit := func() {
-		if err := svc.CommitDue(s.Now()); err != nil {
+		if err := eng.CommitDue(s.Now()); err != nil {
 			fail(err)
 			return
 		}
@@ -361,7 +384,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rearmCommit = func() {
 		commitHandle.Cancel()
-		if at, ok := svc.NextCommit(); ok {
+		if at, ok := eng.NextCommit(); ok {
 			commitHandle = s.AtPrio(at, sim.PrioCommit, onCommit)
 		}
 	}
@@ -375,7 +398,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	onArrival = func(t *rt.Task) {
-		if _, err := svc.Submit(ctx, *t); err != nil {
+		if _, err := eng.Submit(ctx, *t); err != nil {
 			fail(err)
 			return
 		}
@@ -387,10 +410,12 @@ func Run(cfg Config) (*Result, error) {
 	// Churn ops are ordinary discrete events at PrioDefault: after commits
 	// due at the same instant, before arrivals at it. A displacement can
 	// change the earliest pending commit, so the commit chain is re-armed.
+	// On a pool a displaced task is offered to the other live shards before
+	// it counts as lost, so re-admissions show up as Readmitted.
 	for _, op := range cfg.Churn.Sorted() {
 		op := op
 		s.AtPrio(op.At, sim.PrioDefault, func() {
-			if _, err := fleet.Apply(svc, op); err != nil {
+			if _, err := fleet.Apply(eng, op); err != nil {
 				fail(fmt.Errorf("driver: churn %q: %w", op.String(), err))
 				return
 			}
@@ -406,8 +431,8 @@ func Run(cfg Config) (*Result, error) {
 		return nil, runErr
 	}
 
-	st := svc.Stats()
-	ex := svc.Exec()
+	st := eng.Stats()
+	ex := eng.Exec()
 	res := &Result{
 		Config:      cfg,
 		Arrivals:    st.Arrivals,
@@ -416,6 +441,7 @@ func Run(cfg Config) (*Result, error) {
 		Committed:   ex.Committed,
 		MaxLateness: ex.MaxLateness,
 		MaxQueueLen: st.MaxQueueLen,
+		Shards:      len(clusters),
 		Displaced:   st.Displaced,
 		Readmitted:  st.Readmitted,
 		LateCommits: st.LateCommits,
@@ -446,10 +472,20 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		res.MaxLateness = 0
 	}
-	cl := svc.Cluster()
-	res.Shards = 1
-	res.Span = math.Max(cfg.Horizon, cl.LastRelease())
-	res.Utilization = cl.Utilization(res.Span)
-	res.ReservedIdleFrac = cl.ReservedIdle() / (float64(cfg.N) * res.Span)
+	if pl != nil {
+		res.Spillovers = pl.Spillovers()
+		res.Placement = pl.Placement().Name()
+		for _, ss := range pl.ShardStats() {
+			res.ShardRejectRatios = append(res.ShardRejectRatios, ss.RejectRatio())
+		}
+	}
+	// The engine's statistics mirror its clusters' accounting bit for bit.
+	totalN := 0
+	for _, cl := range clusters {
+		totalN += cl.N()
+	}
+	res.Span = math.Max(cfg.Horizon, st.LastRelease)
+	res.Utilization = st.BusyTime / (float64(totalN) * res.Span)
+	res.ReservedIdleFrac = st.ReservedIdle / (float64(totalN) * res.Span)
 	return res, nil
 }

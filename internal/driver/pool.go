@@ -1,19 +1,14 @@
 package driver
 
 import (
-	"context"
 	"fmt"
-	"math"
 
 	"rtdls/internal/cluster"
 	"rtdls/internal/dlt"
 	"rtdls/internal/errs"
-	"rtdls/internal/fleet"
 	"rtdls/internal/pool"
 	"rtdls/internal/rt"
 	"rtdls/internal/service"
-	"rtdls/internal/sim"
-	"rtdls/internal/workload"
 )
 
 // multiShard reports whether the configuration describes a sharded pool
@@ -114,152 +109,19 @@ func shardExecTime(cm *dlt.CostModel, sigma float64) (float64, error) {
 	return dlt.HeteroExecTime(cm.Costs(), sigma)
 }
 
-// runPool executes a multi-cluster simulation: one workload stream,
-// scaled to the pool's aggregate capacity, routed through the placement
-// layer onto K independent shards sharing the discrete-event clock.
-func runPool(cfg Config) (*Result, error) {
-	s := sim.New()
-	pl, err := cfg.NewPool(service.SimClock{Sim: s})
-	if err != nil {
-		return nil, err
-	}
-	k := pl.Shards()
-
-	// The workload keeps SystemLoad's meaning — the fraction of the fleet's
-	// aggregate capacity the stream offers: the single-cluster arrival rate
-	// SystemLoad/E(Avgσ, N) is multiplied by Σ_j E(Avgσ, N)/E(Avgσ, shard j)
-	// (= K for identical shards). The reference coefficients follow the
-	// single-cluster rule: scalar Cms/Cps unless explicit cost tables are
-	// given, in which case shard 0's table reference anchors it.
-	wp := cfg.Params()
-	if len(cfg.NodeCosts) > 0 || len(cfg.ShardNodeCosts) > 0 {
-		wp = pl.Shard(0).Cluster().Costs().Reference()
-	}
-	eRef := wp.ExecTime(cfg.AvgSigma, cfg.N)
+// loadScale keeps SystemLoad's meaning — the fraction of the fleet's
+// aggregate capacity the stream offers — on a pool: the single-cluster
+// arrival rate SystemLoad/eRef, with eRef = E(Avgσ, N) on the reference
+// coefficients, is multiplied by Σ_j eRef/E(Avgσ, shard j) (= K for
+// identical shards).
+func loadScale(eRef, avgSigma float64, shards []*cluster.Cluster) (float64, error) {
 	scale := 0.0
-	for j := 0; j < k; j++ {
-		ej, err := shardExecTime(pl.Shard(j).Cluster().Costs(), cfg.AvgSigma)
+	for j, cl := range shards {
+		ej, err := shardExecTime(cl.Costs(), avgSigma)
 		if err != nil {
-			return nil, fmt.Errorf("driver: shard %d exec time: %w", j, err)
+			return 0, fmt.Errorf("driver: shard %d exec time: %w", j, err)
 		}
 		scale += eRef / ej
 	}
-	gen, err := workload.New(workload.Config{
-		N: cfg.N, Params: wp,
-		SystemLoad: cfg.SystemLoad * scale, AvgSigma: cfg.AvgSigma,
-		DCRatio: cfg.DCRatio, Horizon: cfg.Horizon, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var (
-		ctx          = context.Background()
-		commitHandle sim.Handle
-		runErr       error
-	)
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-	var rearmCommit func()
-	onCommit := func() {
-		if err := pl.CommitDue(s.Now()); err != nil {
-			fail(err)
-			return
-		}
-		rearmCommit()
-	}
-	rearmCommit = func() {
-		commitHandle.Cancel()
-		if at, ok := pl.NextCommit(); ok {
-			commitHandle = s.AtPrio(at, sim.PrioCommit, onCommit)
-		}
-	}
-	var onArrival func(t *rt.Task)
-	scheduleNext := func() {
-		if t, ok := gen.Next(); ok {
-			s.AtPrio(t.Arrival, sim.PrioArrival, func() { onArrival(t) })
-		}
-	}
-	onArrival = func(t *rt.Task) {
-		if _, err := pl.Submit(ctx, *t); err != nil {
-			fail(err)
-			return
-		}
-		rearmCommit()
-		scheduleNext()
-	}
-	scheduleNext()
-	// Churn ops fire at PrioDefault like in the single-cluster run; on the
-	// pool a displaced task is offered to the other live shards before it
-	// counts as lost, so re-admissions show up as Readmitted.
-	for _, op := range cfg.Churn.Sorted() {
-		op := op
-		s.AtPrio(op.At, sim.PrioDefault, func() {
-			if _, err := fleet.Apply(pl, op); err != nil {
-				fail(fmt.Errorf("driver: churn %q: %w", op.String(), err))
-				return
-			}
-			rearmCommit()
-		})
-	}
-	for runErr == nil && s.Step() {
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	st := pl.Stats()
-	ex := pl.Exec()
-	res := &Result{
-		Config:      cfg,
-		Arrivals:    st.Arrivals,
-		Accepted:    st.Accepts,
-		Rejected:    st.Rejects,
-		Committed:   ex.Committed,
-		MaxLateness: ex.MaxLateness,
-		MaxQueueLen: st.MaxQueueLen,
-		Shards:      k,
-		Spillovers:  pl.Spillovers(),
-		Placement:   pl.Placement().Name(),
-		Displaced:   st.Displaced,
-		Readmitted:  st.Readmitted,
-		LateCommits: st.LateCommits,
-	}
-	if st.QueueLen != 0 {
-		return nil, fmt.Errorf("driver: %d tasks still waiting after drain", st.QueueLen)
-	}
-	if res.Arrivals != res.Accepted+res.Rejected {
-		return nil, fmt.Errorf("driver: accounting mismatch: %d arrivals != %d accepted + %d rejected",
-			res.Arrivals, res.Accepted, res.Rejected)
-	}
-	// See Run: displacements (minus pool re-admissions) relax the classic
-	// committed == accepted identity.
-	if res.Committed+res.Displaced-res.Readmitted != res.Accepted {
-		return nil, fmt.Errorf("driver: %d committed + %d displaced - %d readmitted != %d accepted",
-			res.Committed, res.Displaced, res.Readmitted, res.Accepted)
-	}
-	if res.Arrivals > 0 {
-		res.RejectRatio = float64(res.Rejected) / float64(res.Arrivals)
-	}
-	if res.Committed > 0 {
-		res.MeanResponse = ex.RespSum / float64(res.Committed)
-		res.MeanEstSlack = ex.SlackSum / float64(res.Committed)
-		res.MeanNodes = float64(ex.NodeSum) / float64(res.Committed)
-	} else {
-		res.MaxLateness = 0
-	}
-	for _, ss := range pl.ShardStats() {
-		res.ShardRejectRatios = append(res.ShardRejectRatios, ss.RejectRatio())
-	}
-	totalN := 0
-	for _, cl := range pl.Clusters() {
-		totalN += cl.N()
-	}
-	res.Span = math.Max(cfg.Horizon, st.LastRelease)
-	res.Utilization = st.BusyTime / (float64(totalN) * res.Span)
-	res.ReservedIdleFrac = st.ReservedIdle / (float64(totalN) * res.Span)
-	return res, nil
+	return scale, nil
 }

@@ -101,21 +101,28 @@ func (g *Gauge) write(b *strings.Builder, name, labels string) {
 // funcInstrument evaluates a closure at render time — used for values
 // maintained elsewhere on atomics (e.g. the event bus's drop counter).
 type funcInstrument struct {
-	fn func() float64
+	fn      func() float64
+	counter bool
 }
 
 func (f *funcInstrument) write(b *strings.Builder, name, labels string) {
 	b.WriteString(name)
 	b.WriteString(labels)
 	b.WriteByte(' ')
-	b.WriteString(formatFloat(f.fn()))
+	// A count renders as a Counter does, in plain digits: the shortest
+	// float form of 1234567 is 1.234567e+06.
+	if v := f.fn(); f.counter && v >= 0 && v < 1<<63 && v == math.Trunc(v) {
+		b.WriteString(strconv.FormatUint(uint64(v), 10))
+	} else {
+		b.WriteString(formatFloat(v))
+	}
 	b.WriteByte('\n')
 }
 
 // series is one labeled instrument within a family.
 type series struct {
 	labels string // rendered label block, e.g. `{shard="0"}` ("" when unlabeled)
-	inst   instrument
+	ins    instrument
 }
 
 // family is one metric name: a TYPE/HELP header plus its labeled series.
@@ -241,10 +248,10 @@ func (r *Registry) lookup(name, help, typ string, labels Labels, build func() in
 	fam.mu.Lock()
 	defer fam.mu.Unlock()
 	if s, ok := fam.series[sig]; ok {
-		return s.inst
+		return s.ins
 	}
 	inst := build()
-	fam.series[sig] = &series{labels: sig, inst: inst}
+	fam.series[sig] = &series{labels: sig, ins: inst}
 	fam.order = append(fam.order, sig)
 	sort.Strings(fam.order)
 	return inst
@@ -271,7 +278,7 @@ func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 // CounterFunc registers a counter whose value is read from fn at render
 // time — for monotone counts maintained elsewhere on atomics.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	r.lookup(name, help, "counter", labels, func() instrument { return &funcInstrument{fn: fn} })
+	r.lookup(name, help, "counter", labels, func() instrument { return &funcInstrument{fn: fn, counter: true} })
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at render time.
@@ -314,7 +321,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		b.WriteString(fam.typ)
 		b.WriteByte('\n')
 		for _, s := range rows {
-			s.inst.write(&b, fam.name, s.labels)
+			s.ins.write(&b, fam.name, s.labels)
 		}
 	}
 	r.sizeHint.Store(int64(b.Len()))

@@ -273,3 +273,20 @@ func TestConcurrentRegistryUnderRace(t *testing.T) {
 		t.Fatalf("lost counter increments: %g, want 8000", total)
 	}
 }
+
+// TestCounterFuncRendersPlainDigits: a function-backed counter renders a
+// large count the way a Counter does, not in exponent form.
+func TestCounterFuncRendersPlainDigits(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("big_total", "A large count.", nil, func() float64 { return 1234567 })
+	r.Counter("same_total", "The same count.", nil).Add(1234567)
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"big_total 1234567\n", "same_total 1234567\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, b.String())
+		}
+	}
+}

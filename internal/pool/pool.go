@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,110 +209,132 @@ func (p *Pool) Submit(ctx context.Context, task rt.Task) (service.Decision, erro
 			return service.Decision{}, err
 		}
 	}
-	if p.closed.Load() {
-		return service.Decision{}, fmt.Errorf("pool: closed: %w", errs.ErrClusterBusy)
+	if err := p.open(); err != nil {
+		return service.Decision{}, err
 	}
-	if p.draining.Load() {
-		return service.Decision{}, fmt.Errorf("pool: draining: %w", errs.ErrClusterBusy)
-	}
-	seq := p.seq.Add(1) - 1
-
 	sc := p.scratch.Get().(*placeScratch)
 	defer p.scratch.Put(sc)
-	// Live is sampled on every submit (placements skip drained shards);
-	// queue lengths and node counts only for load-aware placements. All
-	// three are lock-free mirror reads.
+	p.sampleLoads(sc.loads)
+	order, err := p.route(sc, &task)
+	if err != nil {
+		return service.Decision{}, err
+	}
+	return p.settle(ctx, task, order, 0, service.Decision{})
+}
+
+// open reports why the pool takes no submissions, when it does not.
+func (p *Pool) open() error {
+	if p.closed.Load() {
+		return fmt.Errorf("pool: closed: %w", errs.ErrClusterBusy)
+	}
+	if p.draining.Load() {
+		return fmt.Errorf("pool: draining: %w", errs.ErrClusterBusy)
+	}
+	return nil
+}
+
+// sampleLoads reads what the placement sees of every shard. Live is
+// sampled on every submit (placements skip drained shards); queue lengths
+// and node counts only for load-aware placements. All three are lock-free
+// mirror reads.
+func (p *Pool) sampleLoads(loads []ShardLoad) {
 	for i, sh := range p.shards {
-		sc.loads[i].Live = sh.LiveNodes()
+		loads[i].Live = sh.LiveNodes()
 		if p.needLoads {
-			sc.loads[i].QueueLen = sh.QueueLen()
-			sc.loads[i].Nodes = sh.Nodes()
+			loads[i].QueueLen = sh.QueueLen()
+			loads[i].Nodes = sh.Nodes()
 		}
 	}
-	order := p.place.Order(sc.order[:0], seq, sc.loads, &task)
+}
+
+// route asks the placement for the next submission's shard preference
+// order, built in the scratch's buffer, and checks it names real shards.
+func (p *Pool) route(sc *placeScratch, task *rt.Task) ([]int, error) {
+	order := p.place.Order(sc.order[:0], p.seq.Add(1)-1, sc.loads, task)
 	sc.order = order[:0]
 	if len(order) == 0 {
-		return service.Decision{}, fmt.Errorf("pool: placement %s returned no shard: %w", p.place.Name(), errs.ErrBadConfig)
-	}
-
-	var last service.Decision
-	tried, done := 0, false
-	try := func(idx int) (service.Decision, bool, error) {
-		d, err := p.shards[idx].Submit(ctx, task)
-		if err != nil {
-			return d, false, err
-		}
-		tried++
-		if d.Accepted {
-			p.arrivals.Add(1)
-			p.accepts.Add(1)
-			if tried > 1 {
-				p.spillovers.Add(1)
-			}
-			return d, true, nil
-		}
-		last = d
-		// A past deadline on the shared clock dooms the task everywhere:
-		// spilling over is pointless.
-		done = errors.Is(d.Reason, errs.ErrDeadlinePast)
-		return d, false, nil
+		return nil, fmt.Errorf("pool: placement %s returned no shard: %w", p.place.Name(), errs.ErrBadConfig)
 	}
 	for _, idx := range order {
 		if idx < 0 || idx >= len(p.shards) {
-			return service.Decision{}, fmt.Errorf("pool: placement %s picked shard %d of %d: %w",
+			return nil, fmt.Errorf("pool: placement %s picked shard %d of %d: %w",
 				p.place.Name(), idx, len(p.shards), errs.ErrBadConfig)
 		}
-		if sc.loads[idx].Live == 0 {
-			continue // the whole shard is drained or down
+	}
+	return order, nil
+}
+
+// offer is the pool's one routing rule: offer the task to the shards of
+// cands in turn, passing over those with no live node, until one accepts,
+// one finds the deadline already past — on the shared clock that dooms the
+// task everywhere — or the list ends. It returns
+// the last decision made, how many shards decided, and the candidates it
+// did not get to. A shard's hard error ends the walk.
+func (p *Pool) offer(ctx context.Context, task rt.Task, cands []int) (last service.Decision, tried int, rest []int, err error) {
+	for i, idx := range cands {
+		if p.shards[idx].LiveNodes() == 0 {
+			continue
 		}
-		d, accepted, err := try(idx)
+		d, err := p.shards[idx].Submit(ctx, task)
+		if err != nil {
+			return d, tried, cands[i+1:], err
+		}
+		last, tried = d, tried+1
+		if final(d) {
+			return last, tried, cands[i+1:], nil
+		}
+	}
+	return last, tried, nil, nil
+}
+
+// final reports whether no other shard needs to see the task: it has a
+// seat, or its deadline has passed on the clock every shard shares.
+func final(d service.Decision) bool {
+	return d.Accepted || errors.Is(d.Reason, errs.ErrDeadlinePast)
+}
+
+// settle walks a task down its placement order and books the pool-level
+// outcome: one arrival however many shards it took, a spillover when the
+// accept was not the first offer. A caller that already holds a shard's
+// decision (a batch, whose first offers go out as per-shard sub-batches)
+// passes it as last with tried = 1 and the rest of the order.
+func (p *Pool) settle(ctx context.Context, task rt.Task, order []int, tried int, last service.Decision) (service.Decision, error) {
+	if tried == 0 || !final(last) {
+		d, n, _, err := p.offer(ctx, task, order)
 		if err != nil {
 			return d, err
 		}
-		if accepted {
-			return d, nil
-		}
-		if done {
-			break
-		}
-	}
-	if tried == 0 && !done {
-		// Every shard the placement picked is drained: fall through to the
-		// remaining live shards in index order rather than losing the task
-		// to a dead pick (single-choice placements under churn).
-		for idx := range p.shards {
-			if sc.loads[idx].Live == 0 || sliceContains(order, idx) {
-				continue
+		if n == 0 && tried == 0 {
+			// Every shard the placement picked is drained: fall through to the
+			// remaining live shards in index order rather than losing the task
+			// to a dead pick (single-choice placements under churn).
+			rest := make([]int, 0, len(p.shards))
+			for idx := range p.shards {
+				if !slices.Contains(order, idx) {
+					rest = append(rest, idx)
+				}
 			}
-			d, accepted, err := try(idx)
-			if err != nil {
+			if d, n, _, err = p.offer(ctx, task, rest); err != nil {
 				return d, err
 			}
-			if accepted {
-				return d, nil
-			}
-			if done {
-				break
-			}
+		}
+		if n > 0 {
+			last, tried = d, tried+n
 		}
 	}
 	if tried == 0 {
 		return service.Decision{}, fmt.Errorf("pool: no live shard available: %w", errs.ErrClusterBusy)
 	}
 	p.arrivals.Add(1)
-	p.rejects.Add(1)
-	return last, nil
-}
-
-// sliceContains reports whether order already lists idx (K is small; a
-// linear scan keeps the hot path allocation-free).
-func sliceContains(order []int, idx int) bool {
-	for _, o := range order {
-		if o == idx {
-			return true
-		}
+	if !last.Accepted {
+		p.rejects.Add(1)
+		return last, nil
 	}
-	return false
+	p.accepts.Add(1)
+	if tried > 1 {
+		p.spillovers.Add(1)
+	}
+	return last, nil
 }
 
 // SubmitBatch submits several tasks, returning one decision per considered
@@ -334,47 +357,35 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 			return decisions, err
 		}
 	}
-	if p.closed.Load() {
-		return decisions, fmt.Errorf("pool: closed: %w", errs.ErrClusterBusy)
-	}
-	if p.draining.Load() {
-		return decisions, fmt.Errorf("pool: draining: %w", errs.ErrClusterBusy)
+	if err := p.open(); err != nil {
+		return decisions, err
 	}
 
 	// Route every task first, in input order. Loads are sampled once; for
 	// load-aware placements each routed task optimistically grows its target
 	// shard's queue so the batch keeps spreading the way per-task sampling
-	// would.
+	// would. A task's target is the first live shard of its order; orders[i]
+	// keeps what settle will need: the picks after the target, or, when
+	// every pick is dead, the whole order.
 	sc := p.scratch.Get().(*placeScratch)
 	defer p.scratch.Put(sc)
-	for i, sh := range p.shards {
-		sc.loads[i].Live = sh.LiveNodes()
-		if p.needLoads {
-			sc.loads[i].QueueLen = sh.QueueLen()
-			sc.loads[i].Nodes = sh.Nodes()
-		}
-	}
+	p.sampleLoads(sc.loads)
 	orders := make([][]int, len(tasks))
 	target := make([]int, len(tasks))
 	subTasks := make([][]rt.Task, len(p.shards))
 	for i := range tasks {
-		seq := p.seq.Add(1) - 1
-		order := p.place.Order(sc.order[:0], seq, sc.loads, &tasks[i])
-		sc.order = order[:0]
-		if len(order) == 0 {
-			return decisions, fmt.Errorf("pool: placement %s returned no shard: %w", p.place.Name(), errs.ErrBadConfig)
+		order, err := p.route(sc, &tasks[i])
+		if err != nil {
+			return decisions, err
 		}
 		target[i] = -1
-		for _, idx := range order {
-			if idx < 0 || idx >= len(p.shards) {
-				return decisions, fmt.Errorf("pool: placement %s picked shard %d of %d: %w",
-					p.place.Name(), idx, len(p.shards), errs.ErrBadConfig)
-			}
-			if target[i] < 0 && sc.loads[idx].Live > 0 {
-				target[i] = idx
+		for j, idx := range order {
+			if sc.loads[idx].Live > 0 {
+				target[i], order = idx, order[j+1:]
+				break
 			}
 		}
-		orders[i] = append([]int(nil), order...)
+		orders[i] = slices.Clone(order)
 		if t := target[i]; t >= 0 {
 			subTasks[t] = append(subTasks[t], tasks[i])
 			if p.needLoads {
@@ -400,107 +411,30 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	}
 	wg.Wait()
 
-	// Stitch the decisions back into input order; rejected tasks spill over
-	// down their placement order, dead-pick tasks fall through to the
-	// remaining live shards — both exactly as Submit does.
+	// Stitch the decisions back into input order and settle each task as
+	// Submit does: a target's refusal spills over down the rest of the
+	// order, a dead pick falls through to the remaining live shards.
 	pos := make([]int, len(p.shards))
 	for i := range tasks {
-		t := target[i]
-		if t < 0 {
-			d, err := p.deadPickFallthrough(ctx, tasks[i], orders[i])
-			if err != nil {
-				return decisions, err
+		var first service.Decision
+		tried := 0
+		if t := target[i]; t >= 0 {
+			j := pos[t]
+			pos[t]++
+			if j >= len(subDec[t]) {
+				// The shard's sub-batch stopped early on a hard error; this is
+				// the first input-order task it never decided.
+				return decisions, subErr[t]
 			}
-			decisions = append(decisions, d)
-			continue
+			first, tried = subDec[t][j], 1
 		}
-		j := pos[t]
-		pos[t]++
-		if j >= len(subDec[t]) {
-			// The shard's sub-batch stopped early on a hard error; this is
-			// the first input-order task it never decided.
-			return decisions, subErr[t]
-		}
-		d := subDec[t][j]
-		if d.Accepted {
-			p.arrivals.Add(1)
-			p.accepts.Add(1)
-			decisions = append(decisions, d)
-			continue
-		}
-		d, err := p.spillOver(ctx, tasks[i], orders[i], t, d)
+		d, err := p.settle(ctx, tasks[i], orders[i], tried, first)
 		if err != nil {
 			return decisions, err
 		}
 		decisions = append(decisions, d)
 	}
 	return decisions, nil
-}
-
-// spillOver retries a task its first shard refused down the rest of its
-// placement order, mirroring Submit's retry loop and counter discipline.
-func (p *Pool) spillOver(ctx context.Context, task rt.Task, order []int, first int, firstDec service.Decision) (service.Decision, error) {
-	last := firstDec
-	if !errors.Is(last.Reason, errs.ErrDeadlinePast) {
-		for _, idx := range order {
-			if idx == first || p.shards[idx].LiveNodes() == 0 {
-				continue
-			}
-			d, err := p.shards[idx].Submit(ctx, task)
-			if err != nil {
-				return d, err
-			}
-			if d.Accepted {
-				p.arrivals.Add(1)
-				p.accepts.Add(1)
-				p.spillovers.Add(1)
-				return d, nil
-			}
-			last = d
-			if errors.Is(d.Reason, errs.ErrDeadlinePast) {
-				break
-			}
-		}
-	}
-	p.arrivals.Add(1)
-	p.rejects.Add(1)
-	return last, nil
-}
-
-// deadPickFallthrough handles a task whose every placement pick was dead at
-// routing time: offer it to the remaining live shards in index order, as
-// Submit's fall-through does.
-func (p *Pool) deadPickFallthrough(ctx context.Context, task rt.Task, order []int) (service.Decision, error) {
-	var last service.Decision
-	tried := 0
-	for idx := range p.shards {
-		if sliceContains(order, idx) || p.shards[idx].LiveNodes() == 0 {
-			continue
-		}
-		d, err := p.shards[idx].Submit(ctx, task)
-		if err != nil {
-			return d, err
-		}
-		tried++
-		if d.Accepted {
-			p.arrivals.Add(1)
-			p.accepts.Add(1)
-			if tried > 1 {
-				p.spillovers.Add(1)
-			}
-			return d, nil
-		}
-		last = d
-		if errors.Is(d.Reason, errs.ErrDeadlinePast) {
-			break
-		}
-	}
-	if tried == 0 {
-		return service.Decision{}, fmt.Errorf("pool: no live shard available: %w", errs.ErrClusterBusy)
-	}
-	p.arrivals.Add(1)
-	p.rejects.Add(1)
-	return last, nil
 }
 
 // Subscribe attaches a consumer to the pool-wide event stream: one merged,
@@ -701,24 +635,25 @@ func (p *Pool) readmit(t rt.Task, origin int) bool {
 	if p.met != nil {
 		start = time.Now()
 	}
-	for i, sh := range p.shards {
-		if i == origin || sh.LiveNodes() == 0 {
-			continue
+	cands := make([]int, 0, len(p.shards))
+	for i := range p.shards {
+		if i != origin {
+			cands = append(cands, i)
 		}
-		d, err := sh.Submit(context.Background(), t)
-		if err != nil {
-			continue // shard closed underneath us; try the next
+	}
+	for len(cands) > 0 {
+		var d service.Decision
+		var err error
+		if d, _, cands, err = p.offer(context.Background(), t, cands); err != nil {
+			continue // that shard closed underneath us; go on with those after it
 		}
 		if d.Accepted {
 			p.readmissions.Add(1)
 			if p.met != nil {
 				p.met.Readmission().Observe(time.Since(start).Seconds())
 			}
-			return true
 		}
-		if errors.Is(d.Reason, errs.ErrDeadlinePast) {
-			return false
-		}
+		return d.Accepted
 	}
 	return false
 }

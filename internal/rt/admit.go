@@ -178,7 +178,7 @@ func (q *queueState) adopt(sched Schedule, now float64) {
 // offered PlanContext.Prior; from the first task that does not, the rest
 // of the schedule is planned afresh. A non-zero t0 is the instant the
 // caller started timing the test and enables the stage spans.
-func (q *queueState) test(pol Policy, part Partitioner, fastReject bool, t *Task, now float64, t0 time.Time) (SpecOutcome, *Plan, SpecStages, error) {
+func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0 time.Time) (SpecOutcome, *Plan, SpecStages, error) {
 	timed := !t0.IsZero()
 	st := SpecStages{Timed: timed}
 	var planDur time.Duration
@@ -213,10 +213,7 @@ func (q *queueState) test(pol Policy, part Partitioner, fastReject bool, t *Task
 	q.planAt(now)
 
 	// Two shortcuts for FastRejecter partitioners; the demand bound needs no view.
-	var fr FastRejecter
-	if fastReject {
-		fr, _ = part.(FastRejecter)
-	}
+	fr, _ := part.(FastRejecter)
 	if fr != nil && q.overDemand(pol, t, p, now) {
 		st.DemandReject = true
 		early()

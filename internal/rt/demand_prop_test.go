@@ -16,7 +16,7 @@ import (
 // every partitioner of the tree, multiround included — hence the external
 // test package. The reference is the scheduler with every shortcut off: its
 // partitioner shows neither FastReject (so no ñ_min fast-reject and no
-// demand bound: what the in-package suites get from noFastReject) nor Prior
+// demand bound: what the in-package suites get from planOnly) nor Prior
 // (every plan of every tentative schedule computed afresh).
 
 type reference struct{ part rt.Partitioner }

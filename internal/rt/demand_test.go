@@ -211,8 +211,7 @@ func TestDemandBoundNumericRange(t *testing.T) {
 	// without the bound and returns the bound's rejects.
 	decide := func(name string, now float64, tasks []Task) int64 {
 		t.Helper()
-		a, ref := newSched(t, 4, EDF, IITDLT{}), newSched(t, 4, EDF, IITDLT{})
-		ref.noFastReject = true
+		a, ref := newSched(t, 4, EDF, IITDLT{}), newSched(t, 4, EDF, planOnly{IITDLT{}})
 		for _, task := range tasks {
 			ta, tb := task, task
 			oka, ea := a.Submit(&ta, now)
@@ -267,16 +266,14 @@ func TestDemandBoundNumericRange(t *testing.T) {
 		t.Fatalf("denormal slack: the bound decided %d of 2 rejects", got)
 	}
 	decide("denormal demand", 0, burst(0, 5e-324, 1, 3))
-	// A node that never frees up (the cluster refuses one free since ever, and
-	// a NaN release time panics the availability index before any bound runs:
-	// ROADMAP 5(b)). A plan that reaches it is a hard error of the
+	// A node that never frees up (the cluster refuses one free since ever, or
+	// released at NaN). A plan that reaches it is a hard error of the
 	// model, which the full test may meet where the bound (like the ñ_min
 	// fast-reject) sees a reject; what the bound must never do is reject what
 	// the shortcut-free reference accepts, or trip over the value.
 	for _, release := range []float64{math.Inf(1)} {
 		for _, part := range []Partitioner{IITDLT{}, OPR{AllNodes: true}} {
-			a, ref := newSched(t, 4, EDF, part), newSched(t, 4, EDF, part)
-			ref.noFastReject = true
+			a, ref := newSched(t, 4, EDF, part), newSched(t, 4, EDF, planOnly{part})
 			for _, s := range []*Scheduler{a, ref} {
 				if err := s.Cluster().Commit([]int{3}, []float64{0}, []float64{release}, 0); err != nil {
 					t.Fatal(err)

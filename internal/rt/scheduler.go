@@ -69,21 +69,19 @@ type Scheduler struct {
 	// nothing a later admission test reads.
 	queueGen uint64
 
-	// Testing hooks (never set in production): noFastReject skips the demand
-	// bound and the FastRejecter consultation, forceRefView serves every view
+	// Testing hooks (never set in production): forceRefView serves every view
 	// query from the full-sort reference implementation, and resyncEachUse
 	// rebuilds the view from a fresh snapshot on every test — together they
 	// reproduce the legacy per-submit sorted-slice behaviour for the
 	// bit-for-bit equivalence suite.
-	noFastReject  bool
 	forceRefView  bool
 	resyncEachUse bool
 
 	// Admission counters live on atomics so Stats() — and every observer
 	// built on it, including the /metrics scrape — never takes the
 	// scheduler lock. Writes still happen inside locked sections, so the
-	// counters remain mutually consistent at quiescence.
-	arrivals      atomic.Int64
+	// counters remain mutually consistent at quiescence. Every decided
+	// arrival is one accept or one reject, so arrivals are their sum.
 	accepts       atomic.Int64
 	rejects       atomic.Int64
 	commits       atomic.Int64
@@ -157,7 +155,6 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 	if s.q.planOf(t.ID) != nil {
 		return false, fmt.Errorf("rt: task %d is already waiting: %w", t.ID, errs.ErrBadConfig)
 	}
-	s.arrivals.Add(1)
 
 	// Per-stage timing spans are measured only when an observer is
 	// installed; the nil path costs a single predictable branch.
@@ -166,31 +163,45 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 		t0 = time.Now()
 	}
 	s.syncLocked()
-	out, pl, st, err := s.q.test(s.pol, s.part, !s.noFastReject, t, now, t0)
-	s.noteTestLocked(st)
-	switch out {
-	case SpecAccept:
-		s.acceptedLocked(t, now, pl)
-		return true, nil
-	case SpecReject:
-		s.reject(now, t)
-		return false, nil
-	default:
-		return false, err
-	}
+	out, pl, st, err := s.q.test(s.pol, s.part, t, now, t0)
+	s.landLocked(out, t, now, pl, st)
+	return out == SpecAccept, err
 }
 
-// acceptedLocked records that the schedule now in q — the outcome of a
-// whole-queue test against the current cluster state — admitted t.
-func (s *Scheduler) acceptedLocked(t *Task, now float64, pl *Plan) {
-	s.planVersion = s.cl.Version()
-	s.accepts.Add(1)
-	n := int64(len(s.q.queue))
-	s.queueLen.Store(n)
-	storeMax(&s.maxQueue, n)
-	s.queueGen++
-	if s.obs != nil {
-		s.obs.OnAccept(now, t, pl)
+// landLocked is where every admission test ends, whether it ran here under
+// the lock (Submit) or on a speculation context whose outcome is being
+// installed: the test's account lands on the plan counters and the stage
+// observer, and the outcome on its counter and the lifecycle observer. For
+// an accept the schedule now in q — a whole-queue test's against the
+// current cluster state — is the one that admitted t. A test that ended in
+// a hard error (SpecFallback) decided nothing and counts as no arrival.
+func (s *Scheduler) landLocked(out SpecOutcome, t *Task, now float64, pl *Plan, st SpecStages) {
+	s.plansComputed.Add(int64(st.Computed))
+	s.plansReused.Add(int64(st.Reused))
+	if st.DemandReject {
+		s.demandRejects.Add(1)
+	}
+	if st.Timed && s.stageObs != nil {
+		s.stageObs.ObserveStage(StageCandidate, st.Cand)
+		s.stageObs.ObserveStage(StagePlan, st.Plan)
+		s.stageObs.ObserveStage(StageCheck, st.Check)
+	}
+	switch out {
+	case SpecAccept:
+		s.planVersion = s.cl.Version()
+		s.accepts.Add(1)
+		n := int64(len(s.q.queue))
+		s.queueLen.Store(n)
+		storeMax(&s.maxQueue, n)
+		s.queueGen++
+		if s.obs != nil {
+			s.obs.OnAccept(now, t, pl)
+		}
+	case SpecReject:
+		s.rejects.Add(1)
+		if s.obs != nil {
+			s.obs.OnReject(now, t)
+		}
 	}
 }
 
@@ -222,22 +233,6 @@ func (s *Scheduler) syncLocked() {
 	s.q.view.refMode = s.forceRefView
 	s.q.p, s.q.costs = s.cl.Params(), s.cl.Costs()
 	s.clVersion = v
-}
-
-// noteTestLocked lands one admission test's account: its stage spans on
-// the stage observer and its plan counts on the scheduler's counters.
-func (s *Scheduler) noteTestLocked(st SpecStages) {
-	s.plansComputed.Add(int64(st.Computed))
-	s.plansReused.Add(int64(st.Reused))
-	if st.DemandReject {
-		s.demandRejects.Add(1)
-	}
-	if !st.Timed || s.stageObs == nil {
-		return
-	}
-	s.stageObs.ObserveStage(StageCandidate, st.Cand)
-	s.stageObs.ObserveStage(StagePlan, st.Plan)
-	s.stageObs.ObserveStage(StageCheck, st.Check)
 }
 
 // SetNodeState transitions one cluster node and, on a capacity loss
@@ -323,13 +318,6 @@ func storeMax(a *atomic.Int64, v int64) {
 	}
 }
 
-func (s *Scheduler) reject(now float64, t *Task) {
-	s.rejects.Add(1)
-	if s.obs != nil {
-		s.obs.OnReject(now, t)
-	}
-}
-
 // NextCommit returns the earliest plan start time among waiting tasks, or
 // ok=false when the queue is empty. The driver schedules a commit event at
 // this instant.
@@ -397,7 +385,7 @@ func (s *Scheduler) PlanFor(taskID int64) *Plan {
 
 // Stats is a consistent snapshot of the scheduler's admission counters.
 type Stats struct {
-	Arrivals    int // submitted tasks
+	Arrivals    int // decided tasks: Accepts + Rejects
 	Accepts     int // admitted tasks
 	Rejects     int // rejected tasks
 	Commits     int // committed (started) tasks
@@ -427,16 +415,21 @@ func (s *Scheduler) PlanCounts() (computed, reused int64) {
 // plan computed or kept. Lock-free, and beside Stats for PlanCounts' reason.
 func (s *Scheduler) DemandRejects() int64 { return s.demandRejects.Load() }
 
+// QueueLen returns the number of admitted-but-uncommitted tasks: one
+// atomic load, for callers that sample it on every submission.
+func (s *Scheduler) QueueLen() int { return int(s.queueLen.Load()) }
+
 // Stats returns a snapshot of all admission counters. It is lock-free —
 // each counter is read atomically, so a snapshot taken while submissions
-// are in flight may be mid-update by one task (e.g. Arrivals incremented
-// before the matching Accepts), but never blocks or delays admission. At
+// are in flight may be mid-update by one task (e.g. Accepts incremented
+// before the matching QueueLen), but never blocks or delays admission. At
 // quiescence the snapshot is exact.
 func (s *Scheduler) Stats() Stats {
+	accepts, rejects := s.accepts.Load(), s.rejects.Load()
 	return Stats{
-		Arrivals:    int(s.arrivals.Load()),
-		Accepts:     int(s.accepts.Load()),
-		Rejects:     int(s.rejects.Load()),
+		Arrivals:    int(accepts + rejects),
+		Accepts:     int(accepts),
+		Rejects:     int(rejects),
 		Commits:     int(s.commits.Load()),
 		QueueLen:    int(s.queueLen.Load()),
 		MaxQueueLen: int(s.maxQueue.Load()),

@@ -36,6 +36,11 @@ func (p noHint) FastReject(ctx *PlanContext, t *Task) bool {
 	return ok && fr.FastReject(ctx, t)
 }
 
+// planOnly shows the scheduler nothing but Name and Plan: with FastRejecter
+// hidden, neither the demand bound nor the ñ_min fast-reject runs and every
+// reject is the full test's.
+type planOnly struct{ Partitioner }
+
 func equivClusters(t *testing.T, n int, hetero bool) (*cluster.Cluster, *cluster.Cluster) {
 	t.Helper()
 	mk := func() *cluster.Cluster {
@@ -97,8 +102,7 @@ func equivDrive(t *testing.T, pol Policy, part Partitioner, hetero bool, seed ui
 	const n = 12
 	cla, clb := equivClusters(t, n, hetero)
 	a := NewScheduler(cla, pol, part)
-	b := NewScheduler(clb, pol, noHint{part})
-	b.noFastReject = true
+	b := NewScheduler(clb, pol, planOnly{noHint{part}})
 	b.forceRefView = true
 	b.resyncEachUse = true
 

@@ -16,9 +16,12 @@ import "time"
 // InstallSpeculativeReject) — the in-lock window shrinks from "the whole
 // admission test" to "an epoch comparison plus a copy of the schedule". On
 // an epoch mismatch the speculation is discarded and the submission
-// replays through the ordinary serialized Submit, so every decision is
-// still made against serialized state and the decision stream is
-// bit-for-bit what a purely serialized execution would produce.
+// replays through the ordinary serialized Submit, on the live,
+// incrementally maintained state, so every decision is still made against
+// serialized state and the decision stream is bit-for-bit what a purely
+// serialized execution would produce. Wherever a test ran, its outcome
+// reaches the counters, the observers and the test's account through the
+// one landLocked (scheduler.go).
 //
 // A context whose outcome installed holds exactly the scheduler's new
 // state — same commits folded into its base, same schedule, still applied
@@ -216,7 +219,7 @@ func (s *Scheduler) Speculate(sc *SpecContext, t *Task, now float64) SpecOutcome
 	if sc.q.planOf(t.ID) != nil {
 		return SpecFallback
 	}
-	out, pl, st, _ := sc.q.test(s.pol, s.part, !s.noFastReject, t, now, t0)
+	out, pl, st, _ := sc.q.test(s.pol, s.part, t, now, t0)
 	sc.plan, sc.stages = pl, st
 	return out
 }
@@ -230,10 +233,8 @@ func (s *Scheduler) Speculate(sc *SpecContext, t *Task, now float64) SpecOutcome
 func (s *Scheduler) InstallSpeculativeAccept(t *Task, now float64, pl *Plan, sched Schedule, st SpecStages) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.arrivals.Add(1)
 	s.q.adopt(sched, now)
-	s.noteTestLocked(st)
-	s.acceptedLocked(t, now, pl)
+	s.landLocked(SpecAccept, t, now, pl, st)
 }
 
 // InstallSpeculativeReject installs a precomputed scheduler-level reject
@@ -243,7 +244,5 @@ func (s *Scheduler) InstallSpeculativeAccept(t *Task, now float64, pl *Plan, sch
 func (s *Scheduler) InstallSpeculativeReject(t *Task, now float64, st SpecStages) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.arrivals.Add(1)
-	s.reject(now, t)
-	s.noteTestLocked(st)
+	s.landLocked(SpecReject, t, now, nil, st)
 }

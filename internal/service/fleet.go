@@ -83,14 +83,8 @@ func (s *Service) SetNodeState(node int, st NodeState) ([]rt.Task, error) {
 	var out []rt.Task
 	for _, t := range disp {
 		s.displaced.Add(1)
-		if s.inst != nil {
-			s.inst.displacements.Inc()
-		}
 		s.publishLocked(Event{Kind: EventDisplace, Time: now, Task: *t, Reason: errs.ReasonNodeUnavailable})
 		out = append(out, *t)
-	}
-	if s.inst != nil {
-		s.noteQueueLocked()
 	}
 	return out, nil
 }
@@ -136,15 +130,11 @@ func (s *Service) LiveNodes() int { return int(s.nodesUp.Load()) }
 // touching the admission lock.
 func (s *Service) Nodes() int { return int(s.nodesTotal.Load()) }
 
-// refreshFleetLocked re-derives the lock-free fleet mirrors and gauges
-// from the cluster's node states. Callers hold s.mu (or, during New, have
+// refreshFleetLocked re-derives the lock-free fleet mirrors from the cluster's node states. Callers hold s.mu (or, during New, have
 // exclusive access).
 func (s *Service) refreshFleetLocked() {
 	up, draining, down := s.cl.StateCounts()
 	s.nodesUp.Store(int64(up))
 	s.nodesDraining.Store(int64(draining))
 	s.nodesDown.Store(int64(down))
-	if s.inst != nil {
-		s.inst.setFleet(up, draining, down)
-	}
 }

@@ -13,49 +13,21 @@ import (
 // Metrics binds a metrics.Registry to the admission engine: per-stage
 // admission latency histograms (implementing rt.StageObserver), per-shard
 // outcome counters and load gauges, and the event-stream drop counter. One
-// Metrics instance is shared by every shard of a pool — instruments are
+// Metrics instance is shared by every shard of a pool — series are
 // registered idempotently, keyed by shard index.
 //
-// Every update is an atomic store or add performed by the engine at the
-// moment the state changes, so a /metrics scrape reads the instruments
-// without ever touching the scheduler or service locks.
+// The per-shard families keep no state of their own: each is read at scrape
+// time from the atomics Service.Stats() reads, so a decision costs the
+// instrumented engine nothing extra, /metrics and /v1/stats cannot
+// disagree, and a scrape never touches the scheduler or service locks.
 type Metrics struct {
 	reg   *metrics.Registry
 	stage [rt.NumStages]*metrics.Histogram
-
-	mu     sync.Mutex
-	shards map[int]*shardInstruments
 
 	busOnce sync.Once
 
 	readmitOnce sync.Once
 	readmitHist *metrics.Histogram
-}
-
-// shardInstruments is one shard's counter/gauge set. The invariant the
-// wire smoke test asserts — submits == accepts + rejects — holds per
-// shard: every submission attempt a shard sees (including spillover
-// retries) ends as exactly one accept or one reject at that shard.
-type shardInstruments struct {
-	submits *metrics.Counter
-	accepts *metrics.Counter
-	commits *metrics.Counter
-	rejects map[errs.Reason]*metrics.Counter
-
-	queueDepth    *metrics.Gauge
-	queueDepthMax *metrics.Gauge
-	utilization   *metrics.Gauge
-	busyTime      *metrics.Gauge
-
-	displacements *metrics.Counter
-	fleetNodes    map[cluster.NodeState]*metrics.Gauge
-
-	speculative *metrics.Counter
-	conflicts   *metrics.Counter
-
-	plansComputed *metrics.Counter
-	plansReused   *metrics.Counter
-	demandRejects *metrics.Counter
 }
 
 // NewMetrics returns a Metrics bound to the registry, with the per-stage
@@ -65,7 +37,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	if reg == nil {
 		return nil
 	}
-	m := &Metrics{reg: reg, shards: make(map[int]*shardInstruments)}
+	m := &Metrics{reg: reg}
 	for st := rt.StageCandidate; int(st) < rt.NumStages; st++ {
 		m.stage[st] = reg.Histogram("rtdls_admission_stage_seconds",
 			"Wall-clock seconds spent in each admission pipeline stage.",
@@ -86,67 +58,76 @@ func (m *Metrics) ObserveStage(stage rt.Stage, seconds float64) {
 	}
 }
 
-// decisionReasons are the rejection classes a Decision can carry; wire-only
-// reasons (bad-request, cancelled, internal) never reach the engine.
-var decisionReasons = []errs.Reason{errs.ReasonInfeasible, errs.ReasonDeadlinePast, errs.ReasonBusy}
-
-// shard returns (registering on first use) shard i's instrument set.
-func (m *Metrics) shard(i int) *shardInstruments {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if si, ok := m.shards[i]; ok {
-		return si
+// observeShard registers the per-shard families of s, each a function of
+// its Stats. The invariant the wire smoke test asserts — submits ==
+// accepts + rejects — holds per shard: every submission attempt a shard
+// decides (spillover retries included) is exactly one accept or one reject
+// there. The first service bound to a shard index is the one exposed.
+func (m *Metrics) observeShard(s *Service) {
+	shard := strconv.Itoa(s.shard)
+	lbl := metrics.Labels{"shard": shard}
+	stat := func(field func(Stats) int) func() float64 {
+		return func() float64 { return float64(field(s.Stats())) }
 	}
-	lbl := metrics.Labels{"shard": strconv.Itoa(i)}
-	si := &shardInstruments{
-		submits: m.reg.Counter("rtdls_submits_total",
-			"Submission attempts per shard (a spillover retry counts at every shard it touches).", lbl),
-		accepts: m.reg.Counter("rtdls_accepts_total",
-			"Tasks admitted by the schedulability test, per shard.", lbl),
-		commits: m.reg.Counter("rtdls_commits_total",
-			"Plans committed (first transmission started), per shard.", lbl),
-		rejects: make(map[errs.Reason]*metrics.Counter, len(decisionReasons)),
-		queueDepth: m.reg.Gauge("rtdls_queue_depth",
-			"Admitted-but-uncommitted tasks right now, per shard.", lbl),
-		queueDepthMax: m.reg.Gauge("rtdls_queue_depth_max",
-			"High-water mark of the waiting queue, per shard.", lbl),
-		utilization: m.reg.Gauge("rtdls_utilization",
-			"Committed busy time over node-time capacity, per shard.", lbl),
-		busyTime: m.reg.Gauge("rtdls_busy_time_seconds",
-			"Committed node-time (node-seconds of busy capacity), per shard.", lbl),
-	}
-	for _, r := range decisionReasons {
-		si.rejects[r] = m.reg.Counter("rtdls_rejects_total",
+	m.reg.CounterFunc("rtdls_submits_total",
+		"Submission attempts per shard (a spillover retry counts at every shard it touches).", lbl,
+		stat(func(st Stats) int { return st.Arrivals }))
+	m.reg.CounterFunc("rtdls_accepts_total",
+		"Tasks admitted by the schedulability test, per shard.", lbl,
+		stat(func(st Stats) int { return st.Accepts }))
+	m.reg.CounterFunc("rtdls_commits_total",
+		"Plans committed (first transmission started), per shard.", lbl,
+		stat(func(st Stats) int { return st.Commits }))
+	// Stats sums the rejects; the reason split is the ledger beneath it: the
+	// scheduler's test decides infeasible, the service's gate the other two.
+	for reason, count := range map[errs.Reason]func() float64{
+		errs.ReasonInfeasible:   func() float64 { return float64(s.sched.Stats().Rejects) },
+		errs.ReasonDeadlinePast: func() float64 { return float64(s.pastRejects.Load()) },
+		errs.ReasonBusy:         func() float64 { return float64(s.busyRejects.Load()) },
+	} {
+		m.reg.CounterFunc("rtdls_rejects_total",
 			"Tasks rejected, per shard and wire reason token.",
-			metrics.Labels{"shard": strconv.Itoa(i), "reason": r.String()})
+			metrics.Labels{"shard": shard, "reason": reason.String()}, count)
 	}
-	si.displacements = m.reg.Counter("rtdls_displacements_total",
-		"Admitted-but-uncommitted tasks that lost their seat to a node drain or failure, per shard.", lbl)
-	si.speculative = m.reg.Counter("rtdls_admission_speculative_total",
-		"Admission decisions planned off-lock and installed on an unchanged epoch, per shard.", lbl)
-	si.conflicts = m.reg.Counter("rtdls_admission_conflicts_total",
-		"Speculative admissions discarded on an epoch conflict and replayed serialized, per shard.", lbl)
-	si.plansComputed = m.reg.Counter("rtdls_admission_plans_computed_total",
-		"Plans the admission tests computed by running the partitioner, per shard.", lbl)
-	si.plansReused = m.reg.Counter("rtdls_admission_plans_reused_total",
-		"Plans the admission tests carried over unchanged from the previous schedule, per shard.", lbl)
-	si.demandRejects = m.reg.Counter("rtdls_admission_demand_rejects_total",
-		"Rejects the processor-demand bound decided before any plan was computed or kept, per shard.", lbl)
-	si.fleetNodes = make(map[cluster.NodeState]*metrics.Gauge, 3)
-	for _, st := range cluster.NodeStates() {
-		si.fleetNodes[st] = m.reg.Gauge("rtdls_fleet_nodes",
+	m.reg.GaugeFunc("rtdls_queue_depth",
+		"Admitted-but-uncommitted tasks right now, per shard.", lbl,
+		stat(func(st Stats) int { return st.QueueLen }))
+	m.reg.GaugeFunc("rtdls_queue_depth_max",
+		"High-water mark of the waiting queue, per shard.", lbl,
+		stat(func(st Stats) int { return st.MaxQueueLen }))
+	m.reg.GaugeFunc("rtdls_utilization",
+		"Committed busy time over node-time capacity, per shard.", lbl,
+		func() float64 { return s.Stats().Utilization })
+	m.reg.GaugeFunc("rtdls_busy_time_seconds",
+		"Committed node-time (node-seconds of busy capacity), per shard.", lbl,
+		func() float64 { return s.Stats().BusyTime })
+	m.reg.CounterFunc("rtdls_displacements_total",
+		"Admitted-but-uncommitted tasks that lost their seat to a node drain or failure, per shard.", lbl,
+		stat(func(st Stats) int { return st.Displaced }))
+	m.reg.CounterFunc("rtdls_admission_speculative_total",
+		"Admission decisions planned off-lock and installed on an unchanged epoch, per shard.", lbl,
+		stat(func(st Stats) int { return st.Speculative }))
+	m.reg.CounterFunc("rtdls_admission_conflicts_total",
+		"Speculative admissions discarded on an epoch conflict and replayed serialized, per shard.", lbl,
+		stat(func(st Stats) int { return st.Conflicts }))
+	m.reg.CounterFunc("rtdls_admission_plans_computed_total",
+		"Plans the admission tests computed by running the partitioner, per shard.", lbl,
+		stat(func(st Stats) int { return st.PlansComputed }))
+	m.reg.CounterFunc("rtdls_admission_plans_reused_total",
+		"Plans the admission tests carried over unchanged from the previous schedule, per shard.", lbl,
+		stat(func(st Stats) int { return st.PlansReused }))
+	m.reg.CounterFunc("rtdls_admission_demand_rejects_total",
+		"Rejects the processor-demand bound decided before any plan was computed or kept, per shard.", lbl,
+		stat(func(st Stats) int { return st.DemandRejects }))
+	for state, count := range map[cluster.NodeState]func(Stats) int{
+		cluster.NodeUp:       func(st Stats) int { return st.NodesUp },
+		cluster.NodeDraining: func(st Stats) int { return st.NodesDraining },
+		cluster.NodeDown:     func(st Stats) int { return st.NodesDown },
+	} {
+		m.reg.GaugeFunc("rtdls_fleet_nodes",
 			"Cluster nodes by lifecycle state, per shard.",
-			metrics.Labels{"shard": strconv.Itoa(i), "state": st.String()})
+			metrics.Labels{"shard": shard, "state": state.String()}, stat(count))
 	}
-	m.shards[i] = si
-	return si
-}
-
-// setFleet refreshes the per-state node-count gauges.
-func (si *shardInstruments) setFleet(up, draining, down int) {
-	si.fleetNodes[cluster.NodeUp].Set(float64(up))
-	si.fleetNodes[cluster.NodeDraining].Set(float64(draining))
-	si.fleetNodes[cluster.NodeDown].Set(float64(down))
 }
 
 // Readmission returns (registering on first use) the pool-level histogram
@@ -158,13 +139,6 @@ func (m *Metrics) Readmission() *metrics.Histogram {
 			"Wall-clock seconds from a task's displacement to its re-admission on another shard.", nil)
 	})
 	return m.readmitHist
-}
-
-// reject counts one rejection under its reason label.
-func (si *shardInstruments) reject(r errs.Reason) {
-	if c, ok := si.rejects[r]; ok {
-		c.Inc()
-	}
 }
 
 // observeBus registers the event-drop counter against the given bus. Only

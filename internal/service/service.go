@@ -180,15 +180,15 @@ type Service struct {
 	closed    atomic.Bool
 	accepting atomic.Bool
 
-	// Admission counters and cluster-accounting mirrors live on atomics so
-	// Stats() — the /v1/stats and /metrics read path — never contends with
-	// the admission lock. Writes happen inside locked sections (the mirrors
-	// are refreshed in commitDueLocked, the only place cluster accounting
-	// changes), so a snapshot is exact at quiescence.
-	arrivals    atomic.Int64
-	accepts     atomic.Int64
-	rejects     atomic.Int64
-	commits     atomic.Int64
+	// One ledger: the scheduler's atomics count every outcome of its test,
+	// and the service adds only the two rejects it decides itself, before the
+	// test runs; Stats() and every /metrics family derive the rest. The
+	// cluster-accounting mirrors are refreshed in commitDueLocked, the only
+	// place cluster accounting changes. All of it is lock-free to read, so a
+	// snapshot never contends with the admission lock and is exact at
+	// quiescence.
+	pastRejects atomic.Int64  // deadline already past on arrival
+	busyRejects atomic.Int64  // waiting queue at MaxQueue
 	busyBits    atomic.Uint64 // cluster.BusyTime() as float64 bits
 	idleBits    atomic.Uint64 // cluster.ReservedIdle() as float64 bits
 	releaseBits atomic.Uint64 // cluster.LastRelease() as float64 bits
@@ -216,15 +216,6 @@ type Service struct {
 	specFree      []*rt.SpecContext
 
 	exec ExecStats // under mu
-
-	// The scheduler's plan counts as of the last notePlansLocked, so the
-	// /metrics counters advance by one Add per admission test. Under mu.
-	plansComputedSeen int64
-	plansReusedSeen   int64
-	demandRejectsSeen int64
-
-	met  *Metrics          // nil when uninstrumented
-	inst *shardInstruments // this shard's counters/gauges (nil with met)
 }
 
 // New validates the configuration and returns a ready service.
@@ -266,14 +257,13 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.accepting.Store(true)
 	s.speculating.Store(true)
-	if cfg.Metrics != nil {
-		s.met = cfg.Metrics
-		s.inst = cfg.Metrics.shard(cfg.Shard)
-		sched.SetStageObserver(cfg.Metrics)
-		cfg.Metrics.observeBus(bus)
-	}
 	s.nodesTotal.Store(int64(cfg.Cluster.N()))
 	s.refreshFleetLocked()
+	if cfg.Metrics != nil {
+		sched.SetStageObserver(cfg.Metrics)
+		cfg.Metrics.observeBus(bus)
+		cfg.Metrics.observeShard(s)
+	}
 	return s, nil
 }
 
@@ -310,19 +300,14 @@ func (s *Service) Clock() Clock { return s.clock }
 // Concurrent submitters therefore plan in parallel; the decision stream is
 // bit-for-bit what a serialized execution would produce.
 func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Decision{}, err
-		}
+	// A batch of one, on the caller's stack: only the task's own record in
+	// admit reaches the heap.
+	tasks, one := [1]rt.Task{task}, [1]Decision{}
+	ds, err := s.admit(ctx, tasks[:], one[:0])
+	if len(ds) == 0 {
+		return Decision{}, err
 	}
-	if s.specAllowed() {
-		if d, err, ok := s.submitSpeculative(task); ok {
-			return d, err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.submitLocked(task)
+	return ds[0], err
 }
 
 // SubmitBatch submits several tasks under one lock acquisition, in order,
@@ -332,93 +317,118 @@ func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
 // one evolving snapshot and the whole batch group-installs under a single
 // epoch check.
 func (s *Service) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]Decision, error) {
-	if len(tasks) > 0 && s.specAllowed() {
-		if d, err, ok := s.submitBatchSpeculative(ctx, tasks); ok {
-			return d, err
-		}
-	}
-	decisions := make([]Decision, 0, len(tasks))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, task := range tasks {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return decisions, err
-			}
-		}
-		d, err := s.submitLocked(task)
-		if err != nil {
-			return decisions, err
-		}
-		decisions = append(decisions, d)
-	}
-	return decisions, nil
+	return s.admit(ctx, tasks, make([]Decision, 0, len(tasks)))
 }
 
-func (s *Service) submitLocked(task rt.Task) (Decision, error) {
+// open reports why the service takes no submissions, when it does not.
+func (s *Service) open() error {
 	if s.closed.Load() {
-		return Decision{}, fmt.Errorf("service: closed: %w", errs.ErrClusterBusy)
+		return fmt.Errorf("service: closed: %w", errs.ErrClusterBusy)
 	}
 	if !s.accepting.Load() {
-		return Decision{}, fmt.Errorf("service: draining: %w", errs.ErrClusterBusy)
+		return fmt.Errorf("service: draining: %w", errs.ErrClusterBusy)
 	}
-	now := s.clock.Now()
-	if task.Arrival == 0 && now > 0 {
-		task.Arrival = now
+	return nil
+}
+
+// stamp gives the task its arrival — a zero one means now — and returns
+// the instant it is decided at, which a future arrival moves forward, and
+// the verdict on its fields.
+func (s *Service) stamp(t *rt.Task) (now float64, err error) {
+	now = s.clock.Now()
+	if t.Arrival == 0 && now > 0 {
+		t.Arrival = now
 	}
-	if task.Arrival > now {
-		now = task.Arrival
+	if t.Arrival > now {
+		now = t.Arrival
 	}
-	t := &task
-	if err := t.Validate(); err != nil {
-		return Decision{}, err
+	return now, t.Validate()
+}
+
+// gate returns the reject the service decides before the schedulability
+// test runs, if any, given the length of the waiting queue once everything
+// due at now has left it.
+func (s *Service) gate(t *rt.Task, now float64, queued int) errs.Reason {
+	if t.AbsDeadline() <= now {
+		return errs.ReasonDeadlinePast
+	}
+	if s.maxQueue > 0 && queued >= s.maxQueue {
+		return errs.ReasonBusy
+	}
+	return errs.ReasonNone
+}
+
+// decide walks one task from its stamp to its outcome: sweep what is due,
+// pass the gate, run the schedulability test. This is the one place the
+// two states a task can be decided on differ. With sc == nil the sweep and
+// the test run on the scheduler's live, incrementally maintained state —
+// the caller holds s.mu — and the test's outcome lands on the scheduler at
+// once. With a context they run on that private copy, off the lock, and
+// land nowhere until installLocked finds the epoch unchanged. A non-nil
+// error is a hard one; off the lock it only says that the task (malformed,
+// a duplicate id, a partitioner's hard error) is for the live walk to
+// report. pl is non-nil exactly for an accept.
+func (s *Service) decide(sc *rt.SpecContext, t *rt.Task) (now float64, reason errs.Reason, pl *rt.Plan, err error) {
+	if now, err = s.stamp(t); err != nil {
+		return now, reason, nil, err
 	}
 	// Start every transmission that is due before the new arrival is
 	// considered — the service-side analogue of the driver's commit events.
-	if err := s.commitDueLocked(now); err != nil {
-		return Decision{}, err
-	}
-
-	if t.AbsDeadline() <= now {
-		return s.rejectLocked(t, now, errs.ReasonDeadlinePast), nil
-	}
-	if s.maxQueue > 0 && s.sched.Stats().QueueLen >= s.maxQueue {
-		return s.rejectLocked(t, now, errs.ReasonBusy), nil
-	}
-
-	accepted, err := s.sched.Submit(t, now)
-	if s.inst != nil {
-		s.notePlansLocked()
-	}
-	if err != nil {
-		return Decision{}, err
-	}
-	s.arrivals.Add(1)
-	if !accepted {
-		// The scheduler already notified the legacy observer; publish the
-		// typed stream event here.
-		s.rejects.Add(1)
-		if s.inst != nil {
-			s.inst.submits.Inc()
-			s.inst.reject(errs.ReasonInfeasible)
+	var queued int
+	if sc == nil {
+		if err = s.commitDueLocked(now); err != nil {
+			return now, reason, nil, err
 		}
-		d := Decision{TaskID: t.ID, At: now, Shard: s.shard, Reason: errs.ReasonInfeasible}
-		s.publishLocked(Event{Kind: EventReject, Time: now, Task: *t, Reason: errs.ReasonInfeasible})
-		return d, nil
+		queued = s.sched.QueueLen()
+	} else {
+		sc.CommitDue(now)
+		queued = sc.QueueLen()
 	}
-	s.accepts.Add(1)
-	if s.inst != nil {
-		s.inst.submits.Inc()
-		s.inst.accepts.Inc()
-		s.noteQueueLocked()
+	if reason = s.gate(t, now, queued); reason != errs.ReasonNone {
+		return now, reason, nil, nil
 	}
-	pl := s.sched.PlanFor(t.ID)
-	d := newDecision(t.ID, now, s.shard, pl)
-	s.publishLocked(Event{
-		Kind: EventAccept, Time: now, Task: *t,
-		Nodes: len(pl.Nodes), Est: pl.Est,
-	})
-	return d, nil
+	if sc == nil {
+		accepted, err := s.sched.Submit(t, now)
+		if err != nil {
+			return now, reason, nil, err
+		}
+		if accepted {
+			return now, reason, s.sched.PlanFor(t.ID), nil
+		}
+	} else {
+		switch s.sched.Speculate(sc, t, now) {
+		case rt.SpecFallback:
+			return now, reason, nil, errSpecFallback
+		case rt.SpecAccept:
+			return now, reason, sc.AcceptedPlan(), nil
+		}
+	}
+	return now, errs.ReasonInfeasible, nil, nil
+}
+
+// finishLocked turns an outcome into its event and its Decision. The
+// scheduler has counted, and told the legacy observer of, the outcomes of
+// its own test; a gate reject never reached it, so both happen here.
+func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *rt.Plan) Decision {
+	if pl != nil {
+		s.publishLocked(Event{
+			Kind: EventAccept, Time: now, Task: *t,
+			Nodes: len(pl.Nodes), Est: pl.Est,
+		})
+		return newDecision(t.ID, now, s.shard, pl)
+	}
+	if reason != errs.ReasonInfeasible {
+		if reason == errs.ReasonBusy {
+			s.busyRejects.Add(1)
+		} else {
+			s.pastRejects.Add(1)
+		}
+		if s.obs != nil {
+			s.obs.OnReject(now, t)
+		}
+	}
+	s.publishLocked(Event{Kind: EventReject, Time: now, Task: *t, Reason: reason})
+	return Decision{TaskID: t.ID, At: now, Shard: s.shard, Reason: reason}
 }
 
 // newDecision builds an accepted Decision. The caller-owned Starts and
@@ -445,22 +455,6 @@ func newDecision(id int64, now float64, shard int, pl *rt.Plan) Decision {
 		Starts:   starts,
 		Alphas:   alphas,
 	}
-}
-
-// rejectLocked records a service-level rejection (the schedulability test
-// did not run) and notifies both the legacy observer and the stream.
-func (s *Service) rejectLocked(t *rt.Task, now float64, reason errs.Reason) Decision {
-	s.arrivals.Add(1)
-	s.rejects.Add(1)
-	if s.inst != nil {
-		s.inst.submits.Inc()
-		s.inst.reject(reason)
-	}
-	if s.obs != nil {
-		s.obs.OnReject(now, t)
-	}
-	s.publishLocked(Event{Kind: EventReject, Time: now, Task: *t, Reason: reason})
-	return Decision{TaskID: t.ID, At: now, Shard: s.shard, Reason: reason}
 }
 
 func (s *Service) publishLocked(ev Event) {
@@ -512,47 +506,17 @@ func (s *Service) commitDueLocked(now float64) error {
 		if absD := pl.Task.AbsDeadline(); l > 1e-9*math.Max(1, math.Abs(absD)) {
 			s.lateCommits.Add(1)
 		}
-		s.commits.Add(1)
 		s.publishLocked(Event{
 			Kind: EventCommit, Time: now, Task: *pl.Task,
 			Nodes: len(pl.Nodes), Est: pl.Est,
 		})
 	}
 	// Cluster accounting only changes on commit: refresh the lock-free
-	// mirrors Stats() and the utilization gauges read.
-	busy := s.cl.BusyTime()
-	rel := s.cl.LastRelease()
-	s.busyBits.Store(math.Float64bits(busy))
+	// mirrors Stats() reads.
+	s.busyBits.Store(math.Float64bits(s.cl.BusyTime()))
 	s.idleBits.Store(math.Float64bits(s.cl.ReservedIdle()))
-	s.releaseBits.Store(math.Float64bits(rel))
-	if s.inst != nil {
-		s.inst.commits.Add(uint64(len(plans)))
-		s.inst.busyTime.Set(busy)
-		s.inst.utilization.Set(s.cl.Utilization(math.Max(now, rel)))
-		s.noteQueueLocked()
-	}
+	s.releaseBits.Store(math.Float64bits(s.cl.LastRelease()))
 	return nil
-}
-
-// notePlansLocked advances the shard's plan counters to the scheduler's
-// totals. Callers hold s.mu — which serializes every admission test that
-// lands on the scheduler — and have checked s.inst != nil.
-func (s *Service) notePlansLocked() {
-	computed, reused := s.sched.PlanCounts()
-	s.inst.plansComputed.Add(uint64(computed - s.plansComputedSeen))
-	s.inst.plansReused.Add(uint64(reused - s.plansReusedSeen))
-	demand := s.sched.DemandRejects()
-	s.inst.demandRejects.Add(uint64(demand - s.demandRejectsSeen))
-	s.plansComputedSeen, s.plansReusedSeen, s.demandRejectsSeen = computed, reused, demand
-}
-
-// noteQueueLocked refreshes the shard's queue-depth gauges from the
-// scheduler's lock-free counters. Callers hold s.mu and have checked
-// s.inst != nil.
-func (s *Service) noteQueueLocked() {
-	q := float64(s.sched.Stats().QueueLen)
-	s.inst.queueDepth.Set(q)
-	s.inst.queueDepthMax.SetMax(q)
 }
 
 // NextCommit returns the earliest pending first-transmission time, or
@@ -597,15 +561,16 @@ func (s *Service) Drain() error {
 func (s *Service) Stats() Stats {
 	now := s.clock.Now()
 	ss := s.sched.Stats()
+	rejects := ss.Rejects + int(s.pastRejects.Load()+s.busyRejects.Load())
 	computed, reused := s.sched.PlanCounts()
 	busy := math.Float64frombits(s.busyBits.Load())
 	rel := math.Float64frombits(s.releaseBits.Load())
 	st := Stats{
 		Time:          now,
-		Arrivals:      int(s.arrivals.Load()),
-		Accepts:       int(s.accepts.Load()),
-		Rejects:       int(s.rejects.Load()),
-		Commits:       int(s.commits.Load()),
+		Arrivals:      ss.Accepts + rejects,
+		Accepts:       ss.Accepts,
+		Rejects:       rejects,
+		Commits:       ss.Commits,
 		QueueLen:      ss.QueueLen,
 		MaxQueueLen:   ss.MaxQueueLen,
 		BusyTime:      busy,
@@ -665,7 +630,7 @@ func (s *Service) Accepting() bool { return s.accepting.Load() && !s.closed.Load
 
 // QueueLen returns the number of admitted-but-uncommitted tasks — the
 // cheap load signal the pool's placement layer samples on every submit.
-func (s *Service) QueueLen() int { return s.sched.Stats().QueueLen }
+func (s *Service) QueueLen() int { return s.sched.QueueLen() }
 
 // Shard returns the shard index this service stamps on its decisions and
 // events (0 for a standalone service).

@@ -1,21 +1,24 @@
 package service
 
+// This file is the service half of optimistic two-phase admission. The
+// scheduler half (internal/rt/speculate.go) runs the Fig. 2 test against an
+// epoch-stamped snapshot. This half is admit, the one road every submission
+// takes — Submit, SubmitBatch, speculation on or off, the replay after an
+// epoch conflict: it decides when to speculate, walks each task through the
+// same decide (stamp, sweep, gate, test) on a private context off the lock,
+// and under the service lock lets one epoch comparison choose between
+// installing what was precomputed and walking the tasks again on the live
+// state. Every decision is therefore still made against serialized state —
+// speculation only moves the planning work off the lock.
+
 import (
 	"context"
+	"errors"
 	"slices"
 
 	"rtdls/internal/errs"
 	"rtdls/internal/rt"
 )
-
-// This file is the service half of optimistic two-phase admission. The
-// scheduler half (internal/rt/speculate.go) runs the Fig. 2 test against an
-// epoch-stamped snapshot; this half decides when to speculate, replays the
-// service-level gates (validation, deadline-past, busy) against the same
-// snapshot, and owns phase 2: under the service lock, an epoch comparison
-// decides between installing the precomputed outcome and falling back to
-// the serialized path. Every decision is therefore still made against
-// serialized state — speculation only moves the planning work off the lock.
 
 const (
 	// specStreakLimit is the number of consecutive conflicted speculations
@@ -102,9 +105,6 @@ func (s *Service) carrySpec(sc *rt.SpecContext) {
 func (s *Service) noteSpeculative(n int) {
 	s.specInstalls.Add(int64(n))
 	s.specStreak.Store(0)
-	if s.inst != nil {
-		s.inst.speculative.Add(uint64(n))
-	}
 }
 
 // noteConflict records n planning-backed speculations discarded on an epoch
@@ -112,282 +112,145 @@ func (s *Service) noteSpeculative(n int) {
 func (s *Service) noteConflict(n int) {
 	s.specConflicts.Add(int64(n))
 	s.specStreak.Add(1)
-	if s.inst != nil {
-		s.inst.conflicts.Add(uint64(n))
-	}
 }
 
-// specRecKind classifies one speculated decision awaiting install.
-type specRecKind uint8
+// errSpecFallback marks a task the speculation cannot decide off the lock.
+var errSpecFallback = errors.New("service: speculation fell back")
 
-const (
-	recSvcReject   specRecKind = iota // service-level reject (deadline past, busy)
-	recSchedReject                    // schedulability-test reject
-	recAccept                         // accept with a precomputed schedule
-)
-
-// specRec is one task's precomputed outcome from a speculative batch. The
-// task lives in the record itself so the pointer handed to the scheduler
-// stays stable; sched holds the accepted schedule (in a batch, copied out
-// of the speculation context, whose buffers are reused by the next task).
+// specRec is one task's precomputed outcome awaiting install, as decide
+// returned it. The task lives in the record itself so the pointer handed
+// to the scheduler stays stable; sched holds an accepted task's schedule.
 type specRec struct {
-	kind   specRecKind
-	reason errs.Reason
 	task   rt.Task
 	now    float64
+	reason errs.Reason
 	plan   *rt.Plan
 	sched  rt.Schedule
 	stages rt.SpecStages
 }
 
-// installRecLocked lands one precomputed decision under s.mu. The caller
-// has validated the epoch and run the real due-commit sweep for rec.now, so
-// the serialized state is exactly what the speculation planned against.
-func (s *Service) installRecLocked(rec *specRec) Decision {
-	switch rec.kind {
-	case recSvcReject:
-		return s.rejectLocked(&rec.task, rec.now, rec.reason)
-	case recSchedReject:
-		s.sched.InstallSpeculativeReject(&rec.task, rec.now, rec.stages)
-		s.arrivals.Add(1)
-		s.rejects.Add(1)
-		if s.inst != nil {
-			s.inst.submits.Inc()
-			s.inst.reject(errs.ReasonInfeasible)
-			s.notePlansLocked()
-		}
-		d := Decision{TaskID: rec.task.ID, At: rec.now, Shard: s.shard, Reason: errs.ReasonInfeasible}
-		s.publishLocked(Event{Kind: EventReject, Time: rec.now, Task: rec.task, Reason: errs.ReasonInfeasible})
-		return d
-	default: // recAccept
+// installLocked lands one precomputed outcome under s.mu. The caller has
+// found the epoch unchanged, so the real due-commit sweep commits exactly
+// the plans the speculation folded into its base, and the serialized state
+// is exactly what the speculation planned against.
+func (s *Service) installLocked(rec *specRec) (Decision, error) {
+	if err := s.commitDueLocked(rec.now); err != nil {
+		return Decision{}, err
+	}
+	if rec.plan != nil {
 		s.sched.InstallSpeculativeAccept(&rec.task, rec.now, rec.plan, rec.sched, rec.stages)
-		s.arrivals.Add(1)
-		s.accepts.Add(1)
-		if s.inst != nil {
-			s.inst.submits.Inc()
-			s.inst.accepts.Inc()
-			s.noteQueueLocked()
-			s.notePlansLocked()
-		}
-		pl := rec.plan
-		d := newDecision(rec.task.ID, rec.now, s.shard, pl)
-		s.publishLocked(Event{
-			Kind: EventAccept, Time: rec.now, Task: rec.task,
-			Nodes: len(pl.Nodes), Est: pl.Est,
-		})
-		return d
+	} else if rec.reason == errs.ReasonInfeasible {
+		s.sched.InstallSpeculativeReject(&rec.task, rec.now, rec.stages)
 	}
+	return s.finishLocked(&rec.task, rec.now, rec.reason, rec.plan), nil
 }
 
-// submitSpeculative attempts the two-phase admission of one task. ok=false
-// means the speculation declined or fell back before taking the lock — the
-// caller must run the serialized path, which reproduces the identical
-// decision. ok=true means the submission completed (speculatively installed
-// or serialized inside, after a conflict).
-func (s *Service) submitSpeculative(task rt.Task) (Decision, error, bool) {
-	if s.closed.Load() || !s.accepting.Load() {
-		return Decision{}, nil, false
-	}
-	// The serialized fallback must re-read the clock itself, so keep the
-	// caller's task unstamped for it.
-	orig := task
-	now := s.clock.Now()
-	if task.Arrival == 0 && now > 0 {
-		task.Arrival = now
-	}
-	if task.Arrival > now {
-		now = task.Arrival
-	}
-	t := &task
-	if err := t.Validate(); err != nil {
-		return Decision{}, nil, false
-	}
-	// Cheap service-level outcomes carry no planning work to parallelize;
-	// let the serialized path decide them.
-	if t.AbsDeadline() <= now {
-		return Decision{}, nil, false
-	}
-	if s.maxQueue > 0 && s.sched.Stats().QueueLen >= s.maxQueue {
-		return Decision{}, nil, false
-	}
+// admit decides tasks in order, appending one Decision per decided task to
+// out; on a hard error the decisions made so far come back with it. Each
+// task's context is consulted exactly once, by whichever phase reaches the
+// task first.
+//
+// When speculation is allowed, phase 1 walks the tasks off the lock against
+// one evolving snapshot, up to the first it cannot decide there. Phase 2
+// takes s.mu for the rest of the call: on an unchanged epoch the
+// precomputed outcomes group-install; otherwise they are dropped. Whatever
+// is then left undecided — everything, after a conflict or with
+// speculation off — walks the same decide on the live state, so the
+// decisions are exactly those of a fully serialized execution.
+func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([]Decision, error) {
+	var (
+		from   = 0          // tasks[from:end] are still to decide
+		end    = len(tasks) // a cancelled context ends the batch early, with endErr
+		seen   = 0          // tasks[:seen] have had their context consulted
+		endErr error
 
-	// Phase 1 — no service or scheduler lock held past the snapshot.
-	sc := s.getSpec()
-	s.sched.SnapshotInto(sc)
-	sc.CommitDue(now)
-	if s.maxQueue > 0 && sc.QueueLen() >= s.maxQueue {
-		s.putSpec(sc)
-		return Decision{}, nil, false
-	}
-	out := s.sched.Speculate(sc, t, now)
-	if out == rt.SpecFallback {
-		s.putSpec(sc)
-		return Decision{}, nil, false
-	}
-
-	// Phase 2 — epoch check plus install under the lock.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() || !s.accepting.Load() {
-		s.putSpec(sc)
-		d, err := s.submitLocked(orig)
-		return d, err, true
-	}
-	if !s.sched.EpochIs(sc.Epoch()) {
-		s.noteConflict(1)
-		s.putSpec(sc)
-		d, err := s.submitLocked(orig)
-		return d, err, true
-	}
-	// The epoch is unchanged, so the real due-commit sweep commits exactly
-	// the plans the speculation folded into its base.
-	if err := s.commitDueLocked(now); err != nil {
-		s.putSpec(sc)
-		return Decision{}, err, true
-	}
-	rec := specRec{task: task, now: now, stages: sc.Stages()}
-	if out == rt.SpecAccept {
-		rec.kind = recAccept
-		rec.plan = sc.AcceptedPlan()
-		rec.sched = sc.Schedule()
-	} else {
-		rec.kind = recSchedReject
-	}
-	d := s.installRecLocked(&rec)
-	s.noteSpeculative(1)
-	s.carrySpec(sc)
-	return d, nil, true
-}
-
-// submitBatchSpeculative plans a whole batch against one snapshot, then
-// group-installs it under a single lock acquisition. Tasks the speculation
-// cannot decide (validation errors, duplicates, hard planner errors) and
-// everything after them replay through the serialized path in order, so the
-// decision slice is exactly what a serialized SubmitBatch would return.
-func (s *Service) submitBatchSpeculative(ctx context.Context, tasks []rt.Task) ([]Decision, error, bool) {
-	if s.closed.Load() || !s.accepting.Load() {
-		return nil, nil, false
-	}
-
-	// Phase 1: speculate task after task against the evolving snapshot.
-	sc := s.getSpec()
-	s.sched.SnapshotInto(sc)
-	// recs is sized once up front: the scheduler retains &recs[i].task
-	// pointers, which must not move.
-	recs := make([]specRec, len(tasks))
-	fb := len(tasks)   // first index that must replay serialized
-	speculated := 0    // planning-backed records in recs[:fb]
-	var fbErr error    // context error that ended phase 1
-	fbChecked := false // task fb already consumed its context check here
-phase1:
-	for i := range tasks {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				fb, fbErr = i, err
-				break
-			}
-		}
-		rec := &recs[i]
-		rec.task = tasks[i]
-		now := s.clock.Now()
-		if rec.task.Arrival == 0 && now > 0 {
-			rec.task.Arrival = now
-		}
-		if rec.task.Arrival > now {
-			now = rec.task.Arrival
-		}
-		rec.now = now
-		if err := rec.task.Validate(); err != nil {
-			fb, fbChecked = i, true
-			break
-		}
-		sc.CommitDue(now)
-		if rec.task.AbsDeadline() <= now {
-			rec.kind = recSvcReject
-			rec.reason = errs.ReasonDeadlinePast
-			continue
-		}
-		if s.maxQueue > 0 && sc.QueueLen() >= s.maxQueue {
-			rec.kind = recSvcReject
-			rec.reason = errs.ReasonBusy
-			continue
-		}
-		switch s.sched.Speculate(sc, &rec.task, now) {
-		case rt.SpecFallback:
-			fb, fbChecked = i, true
-			break phase1
-		case rt.SpecReject:
-			rec.kind = recSchedReject
-			rec.stages = sc.Stages()
-			speculated++
-		case rt.SpecAccept:
-			rec.kind = recAccept
-			rec.plan = sc.AcceptedPlan()
-			rec.stages = sc.Stages()
-			// Copy the accepted schedule out: the context's buffers are
-			// overwritten by the next task's speculation.
-			rec.sched = append(rt.Schedule(nil), sc.Schedule()...)
-			speculated++
-		}
-	}
-
-	// Phase 2: validate the epoch once, then group-install.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	decisions := make([]Decision, 0, len(tasks))
-	// serialFrom replays tasks[from:] through the serialized path. Each
-	// task's context is consulted exactly once across both phases, so the
-	// task that ended phase 1 with its check already spent skips it here.
-	serialFrom := func(from int, skipFirstCheck bool) ([]Decision, error) {
-		for i := from; i < len(tasks); i++ {
-			if ctx != nil && !(skipFirstCheck && i == from) {
-				if err := ctx.Err(); err != nil {
-					return decisions, err
+		sc      *rt.SpecContext
+		recs    []specRec // recs[:n] hold the outcomes phase 1 reached
+		n       int
+		planned int // how many of them the scheduler's test decided
+	)
+	if len(tasks) > 0 && s.specAllowed() && s.open() == nil {
+		sc = s.getSpec()
+		s.sched.SnapshotInto(sc)
+		// recs is sized once up front: the scheduler retains &recs[i].task
+		// pointers, which must not move.
+		recs = make([]specRec, len(tasks))
+		for ; n < end; n++ {
+			if ctx != nil {
+				if endErr = ctx.Err(); endErr != nil {
+					end = n
+					break
 				}
 			}
-			d, err := s.submitLocked(tasks[i])
-			if err != nil {
-				return decisions, err
+			seen = n + 1
+			rec := &recs[n]
+			rec.task = tasks[n]
+			var err error
+			if rec.now, rec.reason, rec.plan, err = s.decide(sc, &rec.task); err != nil {
+				break
 			}
-			decisions = append(decisions, d)
+			if rec.plan != nil || rec.reason == errs.ReasonInfeasible {
+				planned++
+				rec.stages = sc.Stages()
+			}
+			if rec.plan != nil {
+				// The next task's speculation overwrites the context's
+				// buffers; only the last schedule can be read in place.
+				if rec.sched = sc.Schedule(); n+1 < len(tasks) {
+					rec.sched = slices.Clone(rec.sched)
+				}
+			}
 		}
-		return decisions, nil
 	}
-	if s.closed.Load() || !s.accepting.Load() {
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case sc == nil:
+	case s.open() != nil:
+		// Stopped accepting since phase 1: the live walk reports it.
 		s.putSpec(sc)
-		d, err := serialFrom(0, true)
-		return d, err, true
-	}
-	if !s.sched.EpochIs(sc.Epoch()) {
-		if speculated > 0 {
-			s.noteConflict(speculated)
+	case !s.sched.EpochIs(sc.Epoch()):
+		if planned > 0 {
+			s.noteConflict(planned)
 		}
 		s.putSpec(sc)
-		d, err := serialFrom(0, true)
-		return d, err, true
-	}
-	// Tasks [0, fb) were context-checked in phase 1; install them without
-	// re-consulting.
-	for i := 0; i < fb; i++ {
-		rec := &recs[i]
-		if err := s.commitDueLocked(rec.now); err != nil {
+	default:
+		for i := range recs[:n] {
+			d, err := s.installLocked(&recs[i])
+			if err != nil {
+				s.putSpec(sc)
+				return out, err
+			}
+			out = append(out, d)
+		}
+		if planned > 0 {
+			s.noteSpeculative(planned)
+		}
+		if from = n; n == len(tasks) {
+			s.carrySpec(sc)
+		} else {
+			// Phase 1 stopped inside task n, possibly after sweeping for it.
 			s.putSpec(sc)
-			return decisions, err, true
 		}
-		decisions = append(decisions, s.installRecLocked(rec))
 	}
-	if speculated > 0 {
-		s.noteSpeculative(speculated)
+	for i := from; i < end; i++ {
+		if i >= seen && ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return out, err
+			}
+		}
+		if err := s.open(); err != nil {
+			return out, err
+		}
+		// The task gets a heap copy of its own: the scheduler keeps the
+		// pointer of one it accepts.
+		task := tasks[i]
+		now, reason, pl, err := s.decide(nil, &task)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, s.finishLocked(&task, now, reason, pl))
 	}
-	if fb == len(tasks) {
-		s.carrySpec(sc)
-	} else {
-		// Phase 1 stopped inside task fb, possibly after sweeping for it.
-		s.putSpec(sc)
-	}
-	if fbErr != nil {
-		return decisions, fbErr, true
-	}
-	d, err := serialFrom(fb, fbChecked)
-	return d, err, true
+	return out, endErr
 }

@@ -43,7 +43,11 @@ import (
 // low-conflict traffic scales with submitters — gated in CI by
 // cmd/benchgate -contention over BENCH_contention.json, with
 // speculative/conflict counters in Stats, /metrics and BENCH_wire.json.
-const Version = "3.4.0"
+// 4.0.0 removed the last deprecated symbol, the root NewScheduler with its
+// Scheduler alias (use New with WithCosts/WithPolicy/WithAlgorithm; commits
+// happen automatically), and made every /metrics family a scrape-time read
+// of the Stats counters.
+const Version = "4.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps
@@ -131,32 +135,9 @@ func NewCluster(n int, p Params) (*Cluster, error) { return cluster.New(n, p) }
 // coefficients costs[i], all available at time 0.
 func NewHeteroCluster(costs []NodeCost) (*Cluster, error) { return cluster.NewHetero(costs) }
 
-// Scheduler implements the paper's Fig. 2 schedulability test with EDF or
-// FIFO ordering and a pluggable partitioner.
-type Scheduler = rt.Scheduler
-
 // Partitioner is the task-partitioning module interface (framework
 // Decision #2/#3).
 type Partitioner = rt.Partitioner
-
-// NewScheduler builds a scheduler over the cluster for the given policy
-// and algorithm identifier (see Algorithms). Construction is routed
-// through the same path as the Service options, with the cluster's actual
-// cost table filled in — partitioners themselves read per-node costs at
-// plan time through the scheduler's PlanContext, so heterogeneous
-// clusters are handled either way; AlgDLTMR keeps its default round
-// count.
-//
-// Deprecated: use New with WithCosts/WithPolicy/WithAlgorithm — the
-// Service wraps this scheduler with commit handling, an event stream and
-// concurrency safety.
-func NewScheduler(cl *Cluster, pol Policy, algorithm string) (*Scheduler, error) {
-	part, err := driver.PartitionerFor(algorithm, 0, cl.Costs())
-	if err != nil {
-		return nil, err
-	}
-	return rt.NewScheduler(cl, pol, part), nil
-}
 
 // Model is the paper's heterogeneous cluster model for one task: Eqs. 1–2
 // construction, the α partition (Eqs. 4–5), Ê (Eq. 6) and the completion

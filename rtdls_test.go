@@ -1,6 +1,7 @@
 package rtdls_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,28 +21,27 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 }
 
-func TestFacadeSchedulerFlow(t *testing.T) {
-	cl, err := rtdls.NewCluster(16, rtdls.Params{Cms: 1, Cps: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := rtdls.NewScheduler(cl, rtdls.EDF, rtdls.AlgDLTIIT)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestFacadeObserverFlow: a legacy observer installed with WithObserver
+// sees the accept and, once the transmission is due, the commit.
+func TestFacadeObserverFlow(t *testing.T) {
 	ring := rtdls.NewTraceRing(16)
-	sched.SetObserver(ring)
-	ok, err := sched.Submit(&rtdls.Task{ID: 1, Arrival: 0, Sigma: 200, RelDeadline: 2718}, 0)
-	if err != nil || !ok {
-		t.Fatalf("Submit = %v, %v", ok, err)
+	svc, err := rtdls.New(rtdls.WithNodes(16), rtdls.WithParams(rtdls.Params{Cms: 1, Cps: 100}),
+		rtdls.WithAlgorithm(rtdls.AlgDLTIIT), rtdls.WithObserver(ring))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sched.CommitDue(0); err != nil {
+	defer svc.Close()
+	d, err := svc.Submit(context.Background(), rtdls.Task{ID: 1, Sigma: 200, RelDeadline: 2718})
+	if err != nil || !d.Accepted {
+		t.Fatalf("Submit = %+v, %v", d, err)
+	}
+	if err := svc.Pump(); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Accepts() != 1 || ring.Commits() != 1 {
 		t.Fatalf("trace ring saw %d/%d", ring.Accepts(), ring.Commits())
 	}
-	if _, err := rtdls.NewScheduler(cl, rtdls.EDF, "bogus"); err == nil {
+	if _, err := rtdls.New(rtdls.WithAlgorithm("bogus")); err == nil {
 		t.Fatalf("unknown algorithm must fail")
 	}
 }

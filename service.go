@@ -611,7 +611,7 @@ func (s *Service) SubscribeStream(buffer int) *Subscription {
 // until Close.
 func (s *Service) SetAccepting(accepting bool) { s.engine.SetAccepting(accepting) }
 
-// / Accepting reports whether the admission gate is open: true until
+// Accepting reports whether the admission gate is open: true until
 // SetAccepting(false) or Close. Lock-free — health checks poll it without
 // contending with submissions.
 func (s *Service) Accepting() bool { return s.engine.Accepting() }
