@@ -3,7 +3,7 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt
+FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt ./internal/server
 
 .PHONY: build test bench bench-json bench-index bench-contention fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke loc ci
 

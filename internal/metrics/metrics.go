@@ -198,17 +198,18 @@ func validName(s string) bool {
 	return true
 }
 
+// The exposition-format escapers. A strings.Replacer is safe for
+// concurrent use and builds its lookup table once, on first Replace.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
 // escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // escapeHelp escapes a HELP string per the exposition format.
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeHelp(v string) string { return helpEscaper.Replace(v) }
 
 // formatFloat renders a float sample value ("+Inf"/"-Inf"/"NaN" included).
 func formatFloat(v float64) string {

@@ -133,6 +133,7 @@ type Server struct {
 	logf          func(string, ...any)
 	logger        *slog.Logger
 	reg           *metrics.Registry
+	httpInst      *[len(routes)]routeInstruments // nil without a registry
 	start         time.Time
 
 	draining atomic.Bool
@@ -177,6 +178,7 @@ func New(cfg Config) (*Server, error) {
 		subs:          make(map[int64]*service.Subscription),
 	}
 	if s.reg != nil {
+		s.httpInst = new([len(routes)]routeInstruments)
 		s.reg.Gauge("rtdls_info",
 			"Constant 1, labeled with the server build version.",
 			metrics.Labels{"version": s.version}).Set(1)
@@ -447,7 +449,9 @@ func (s *Server) writeUnavailable(w http.ResponseWriter) {
 }
 
 // writeDecision maps a clean decision onto the wire: 200 for an accept,
-// the reason's stable code for a rejection, with Retry-After on busy.
+// the reason's stable code for a rejection, with Retry-After on busy. The
+// body comes from the hand encoder; whatever it declines (a non-finite
+// number, a string that needs escaping) goes through writeJSON.
 func (s *Server) writeDecision(w http.ResponseWriter, d service.Decision) {
 	resp := decisionResponse(d, s)
 	status := http.StatusOK
@@ -457,7 +461,15 @@ func (s *Server) writeDecision(w http.ResponseWriter, d service.Decision) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(resp.RetryAfter))))
 		}
 	}
-	s.writeJSON(w, status, resp)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	b, ok := appendDecision(buf.AvailableBuffer(), &resp)
+	if !ok {
+		s.writeJSON(w, status, resp)
+		return
+	}
+	buf.Write(b) // keeps a grown b for the buffer's next use
+	s.writeBody(w, status, buf.Bytes())
 }
 
 // writeError maps a hard error (malformed input, closed/draining engine,
@@ -493,11 +505,44 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 	return true
 }
 
+// writeJSON encodes body before writing anything, so a body that cannot
+// be encoded (a NaN or an infinity) becomes a 500 with an ErrorResponse
+// instead of an empty response under the intended status.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(body); err != nil {
+		s.encodeFailed(w, err)
+		return
+	}
+	s.writeBody(w, status, buf.Bytes())
+}
+
+// encodeFailed logs a response that could not be encoded and answers 500
+// in its place; the middleware counts the 500 like any other.
+func (s *Server) encodeFailed(w http.ResponseWriter, err error) {
+	if s.logger != nil {
+		s.logger.Error("encode response", slog.String("error", err.Error()),
+			slog.String("request_id", w.Header().Get(RequestIDHeader)))
+	} else if s.logf != nil {
+		s.logf("encode response: %v", err)
+	}
+	w.Header().Del("Retry-After")
+	s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{
+		Error:  "server: encoding response: " + err.Error(),
+		Code:   http.StatusInternalServerError,
+		Reason: errs.ReasonInternal,
+	})
+}
+
+// jsonContentType is shared by every JSON response; assigning it skips
+// the key canonicalization and slice allocation of Header().Set.
+var jsonContentType = []string{"application/json"}
+
+func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(body); err != nil && s.logf != nil {
+	if _, err := w.Write(body); err != nil && s.logf != nil {
 		s.logf("write: %v", err)
 	}
 }
