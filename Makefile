@@ -40,11 +40,10 @@ bench-index:
 
 # Optimistic-admission contention gate: BenchmarkSubmitContention
 # (mix={cold,hot} x mode={spec,serial} x submitter sweep) into
-# BENCH_contention.json, then cmd/benchgate -contention enforces the
-# speculation contract — parallel scaling on the low-conflict mix, near-
-# serialized throughput on the 100%-conflict mix. Machine-adaptive: both
-# gates skip with a note on single-proc machines, and the hot-mix gate only
-# reports below 4 procs.
+# BENCH_contention.json, then cmd/benchgate -contention reports scaling on
+# the low-conflict mix and enforces near-serialized throughput on the
+# 100%-conflict mix. Machine-adaptive: the hot-mix gate skips with a note on
+# single-proc machines and only reports below 4 procs.
 bench-contention:
 	./scripts/bench_contention.sh
 

@@ -2,9 +2,9 @@
 // by 1..16 concurrent submitters, on a low-conflict and a 100%-conflict
 // mix, with the optimistic path (mode=spec) against the fully serialized
 // baseline (mode=serial). CI emits the results as BENCH_contention.json and
-// cmd/benchgate -contention enforces the scaling contract: speculation must
-// scale with submitters when conflicts are rare and must cost no more than
-// a few percent over serialized when every submission conflicts.
+// cmd/benchgate -contention reports how speculation scales with submitters
+// when conflicts are rare, and enforces that it costs no more than a few
+// percent over serialized when every submission conflicts.
 package rtdls_test
 
 import (
@@ -21,7 +21,8 @@ import (
 var contentionGos = []int{1, 2, 4, 8, 16}
 
 // BenchmarkSubmitContention measures one shard's submit throughput under
-// concurrent submitters.
+// concurrent submitters. Speculation engages only while submitters
+// overlap, so mode=spec at gos=1 runs the live road, as mode=serial does.
 //
 // mix=cold is the overload-shedding shape speculation is built for: a
 // committed backlog keeps every node busy, and the offered tasks are

@@ -153,6 +153,11 @@
 // overload shedding — the regime that needs throughput most — nearly
 // conflict-free; accept-heavy storms degrade gracefully via an adaptive
 // gate that falls back to serialized submission with periodic re-probes.
+// Speculation engages only while submitters overlap: a submit that finds
+// another in flight on its shard speculates, and so do the next 64. A
+// lone submitter — the simulator, the driver, one caller in process —
+// decides on the live state under the lock, the road a conflict replays
+// on, because it has nothing to overlap the off-lock planning with.
 // SetSpeculation toggles the path (on by default) on a Service, a Pool
 // and the Engine; Stats counts Speculative/Conflicts, the exposition
 // carries rtdls_admission_{speculative,conflicts}_total per shard,
@@ -160,8 +165,8 @@
 // -mutex-profile-fraction/-block-profile-rate expose the remaining lock
 // waits on the -pprof-addr listener. BenchmarkSubmitContention sweeps
 // submitter counts over low- and 100%-conflict mixes with speculation on
-// and off; CI gates the scaling and overhead contracts machine-adaptively
-// via cmd/benchgate -contention (BENCH_contention.json).
+// and off; CI reports the scaling and gates the overhead contract
+// machine-adaptively via cmd/benchgate -contention (BENCH_contention.json).
 //
 // The schedulability test is incremental: the paper's Fig. 2 rebuilds the
 // tentative schedule of the whole waiting queue on every arrival, where
@@ -176,8 +181,8 @@
 // tasks ordered after it. Due commits cut the head of the index's undo
 // log instead of rolling back and re-applying, and a speculation context
 // whose outcome installed is carried over as the snapshot of the new
-// epoch, so a lone submitter never re-copies the cluster or rebuilds the
-// index. The serialized and the speculative path run one function over
+// epoch, so a run of speculative installs never re-copies the cluster or
+// rebuilds the index. The serialized and the speculative path run one function over
 // an explicit queue state, and around it every entrance — Submit,
 // SubmitBatch, speculation on or off, the replay after a conflict, a
 // pool's spillover retry or re-admission, a simulated arrival — walks one

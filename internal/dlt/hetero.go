@@ -139,14 +139,15 @@ func (m *CostModel) Reference() Params {
 // the minima are precomputed at construction.
 func (m *CostModel) Fastest() NodeCost { return m.fastest }
 
-// Select returns the coefficients of the given node ids, in id-slice order
-// (the caller's dispatch order). The result is freshly allocated.
-func (m *CostModel) Select(ids []int) []NodeCost {
-	out := make([]NodeCost, len(ids))
-	for i, id := range ids {
-		out[i] = m.costs[id]
+// SelectInto returns the coefficients of the given node ids, in id-slice
+// order (the caller's dispatch order), written over dst's backing array
+// when it is large enough; SelectInto(nil, ids) allocates a fresh slice.
+func (m *CostModel) SelectInto(dst []NodeCost, ids []int) []NodeCost {
+	dst = dst[:0]
+	for _, id := range ids {
+		dst = append(dst, m.costs[id])
 	}
-	return out
+	return dst
 }
 
 // SimulateFor re-simulates the single-round dispatch of a plan that
@@ -156,10 +157,21 @@ func (m *CostModel) Select(ids []int) []NodeCost {
 // and the independent verifier re-check committed plans through this one
 // helper so their timelines cannot diverge.
 func (m *CostModel) SimulateFor(ids []int, sigma float64, avail, alphas []float64) (*Dispatch, error) {
-	if m.uniform {
-		return SimulateDispatch(m.costs[0].Params(), sigma, avail, alphas)
+	d := new(Dispatch)
+	if err := m.SimulateForInto(d, ids, sigma, avail, alphas); err != nil {
+		return nil, err
 	}
-	return SimulateDispatchHetero(m.Select(ids), sigma, avail, alphas)
+	return d, nil
+}
+
+// SimulateForInto is SimulateFor writing into d, as SimulateDispatchInto
+// does; the per-node costs the heterogeneous path selects are kept in d too.
+func (m *CostModel) SimulateForInto(d *Dispatch, ids []int, sigma float64, avail, alphas []float64) error {
+	if m.uniform {
+		return SimulateDispatchInto(d, m.costs[0].Params(), sigma, avail, alphas)
+	}
+	d.costs = m.SelectInto(d.costs, ids)
+	return SimulateDispatchHeteroInto(d, d.costs, sigma, avail, alphas)
 }
 
 // Costs returns a copy of the full per-node table, indexed by node id.

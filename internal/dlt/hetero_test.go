@@ -93,9 +93,12 @@ func TestCostModelSelectAndFastest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := cm.Select([]int{3, 0})
+	sel := cm.SelectInto(nil, []int{3, 0})
 	if sel[0] != costs[3] || sel[1] != costs[0] {
 		t.Fatalf("Select order broken: %v", sel)
+	}
+	if again := cm.SelectInto(sel, []int{2}); len(again) != 1 || again[0] != costs[2] || &again[0] != &sel[0] {
+		t.Fatalf("SelectInto did not reuse dst: %v", again)
 	}
 	if f := cm.Fastest(); f != (NodeCost{Cms: 0.5, Cps: 10}) {
 		t.Fatalf("Fastest = %v, want componentwise minima", f)

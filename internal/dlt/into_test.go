@@ -74,6 +74,53 @@ func TestSimulateDispatchIntoMatches(t *testing.T) {
 	}
 }
 
+// TestSimulateForIntoMatches drives one Dispatch through plans on a uniform
+// and a heterogeneous cost model, on node subsets growing and shrinking,
+// and requires the timeline the direct simulators return for the selected
+// coefficients, bit for bit.
+func TestSimulateForIntoMatches(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 6))
+	table := make([]NodeCost, 32)
+	for i := range table {
+		table[i] = NodeCost{Cms: 0.2 + rng.Float64()*2, Cps: 50 + rng.Float64()*100}
+	}
+	het, err := NewCostModel(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uni, err := UniformCosts(baseline, len(table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Dispatch
+	for step := 0; step < 2000; step++ {
+		n := 1 + rng.IntN(len(table))
+		ids := rng.Perm(len(table))[:n]
+		avail := make([]float64, n)
+		alphas := make([]float64, n)
+		for i := range avail {
+			avail[i] = math.Round(rng.Float64()*40) * 50
+			alphas[i] = rng.Float64() / float64(n)
+		}
+		sort.Float64s(avail)
+		sigma := rng.Float64() * 500
+		m, want, wantErr := uni, (*Dispatch)(nil), error(nil)
+		if rng.IntN(2) == 0 {
+			m = het
+			want, wantErr = SimulateDispatchHetero(het.SelectInto(nil, ids), sigma, avail, alphas)
+		} else {
+			want, wantErr = SimulateDispatch(baseline, sigma, avail, alphas)
+		}
+		if err := m.SimulateForInto(&d, ids, sigma, avail, alphas); err != nil || wantErr != nil {
+			t.Fatalf("step %d: %v, %v", step, err, wantErr)
+		}
+		if !slices.Equal(d.SendStart, want.SendStart) || !slices.Equal(d.SendEnd, want.SendEnd) ||
+			!slices.Equal(d.Finish, want.Finish) || d.Completion != want.Completion {
+			t.Fatalf("step %d (n=%d uniform=%v): reused dispatch %+v, fresh %+v", step, n, m.Uniform(), d, *want)
+		}
+	}
+}
+
 // TestIntoFormsMatch: the in-place partition helpers fill what their
 // allocating forms return, and HeteroExecTime — which no longer builds the
 // partition — still equals its first node's send-plus-compute time.

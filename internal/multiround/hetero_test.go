@@ -80,7 +80,7 @@ func TestHeteroPlanExactEstimate(t *testing.T) {
 		t.Fatalf("task rejected")
 	}
 	pl := s.PlanFor(task.ID)
-	sel := cl.Costs().Select(pl.Nodes)
+	sel := cl.Costs().SelectInto(nil, pl.Nodes)
 	var completion float64
 	if pl.Rounds > 1 {
 		tl, err := ScheduleHetero(sel, task.Sigma, pl.Starts, pl.Alphas, pl.Rounds)

@@ -41,7 +41,7 @@ func legacyPlan(p Partitioner, ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error
 				tl, err = Schedule(ctx.P, t.Sigma, starts, m.Alphas(), p.rounds)
 			}
 		} else {
-			costs := cm.Select(ids)
+			costs := cm.SelectInto(nil, ids)
 			if m, err = core.NewHetero(costs, t.Sigma, starts); err == nil {
 				tl, err = ScheduleHetero(costs, t.Sigma, starts, m.Alphas(), p.rounds)
 			}

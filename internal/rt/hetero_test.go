@@ -55,7 +55,7 @@ func TestHeteroPlansRespectCosts(t *testing.T) {
 		if !pl.SimultaneousStart {
 			// IIT-style plan: Est is the exact staggered dispatch
 			// completion under per-node costs.
-			d, err := dlt.SimulateDispatchHetero(cl.Costs().Select(pl.Nodes), task.Sigma, pl.Starts, pl.Alphas)
+			d, err := dlt.SimulateDispatchHetero(cl.Costs().SelectInto(nil, pl.Nodes), task.Sigma, pl.Starts, pl.Alphas)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestHeteroUserSplit(t *testing.T) {
 			t.Fatalf("user-split must use equal chunks: %v", pl.Alphas)
 		}
 	}
-	d, err := dlt.SimulateDispatchHetero(cl.Costs().Select(pl.Nodes), task.Sigma, pl.Starts, pl.Alphas)
+	d, err := dlt.SimulateDispatchHetero(cl.Costs().SelectInto(nil, pl.Nodes), task.Sigma, pl.Starts, pl.Alphas)
 	if err != nil {
 		t.Fatal(err)
 	}

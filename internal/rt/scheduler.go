@@ -143,17 +143,24 @@ func (s *Scheduler) Partitioner() Partitioner { return s.part }
 // returned error reports malformed input or internal inconsistencies, not
 // infeasibility — an infeasible task is a clean (false, nil) rejection.
 func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
+	pl, err := s.Admit(t, now)
+	return pl != nil, err
+}
+
+// Admit is Submit returning the admitted task's plan, which is nil exactly
+// when the task was not admitted.
+func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
 	if err := t.Validate(); err != nil {
-		return false, err
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t.Arrival > now {
-		return false, fmt.Errorf("rt: task %d submitted at %v before its arrival %v: %w",
+		return nil, fmt.Errorf("rt: task %d submitted at %v before its arrival %v: %w",
 			t.ID, now, t.Arrival, errs.ErrBadConfig)
 	}
 	if s.q.planOf(t.ID) != nil {
-		return false, fmt.Errorf("rt: task %d is already waiting: %w", t.ID, errs.ErrBadConfig)
+		return nil, fmt.Errorf("rt: task %d is already waiting: %w", t.ID, errs.ErrBadConfig)
 	}
 
 	// Per-stage timing spans are measured only when an observer is
@@ -165,7 +172,7 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 	s.syncLocked()
 	out, pl, st, err := s.q.test(s.pol, s.part, t, now, t0)
 	s.landLocked(out, t, now, pl, st)
-	return out == SpecAccept, err
+	return pl, err
 }
 
 // landLocked is where every admission test ends, whether it ran here under
@@ -376,7 +383,9 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	return out, nil
 }
 
-// PlanFor returns the current plan for a waiting task, or nil.
+// PlanFor returns the current plan for a waiting task, or nil. It scans
+// the queue, so admission never calls it (Admit returns the plan); it is
+// kept for tests that inspect a task's plan after later replans.
 func (s *Scheduler) PlanFor(taskID int64) *Plan {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -229,6 +229,65 @@ func TestSchedulerIndexedEquivalence(t *testing.T) {
 	}
 }
 
+// TestClockSteppingBackMatchesReference drives a production scheduler the
+// way a service's live road does — commit what is due, then admit the task
+// that arrived now — on a clock that now and then steps back, against the
+// reference scheduler that resyncs its view and replans every task on every
+// test. The decisions, plans and counters stay identical; what the step
+// costs is the kept prefix: a test at an instant before the last accepted
+// one keeps no prior plan and replans the whole queue.
+func TestClockSteppingBackMatchesReference(t *testing.T) {
+	for _, hetero := range []bool{false, true} {
+		for _, pol := range []Policy{EDF, FIFO} {
+			const n = 12
+			cla, clb := equivClusters(t, n, hetero)
+			a := NewScheduler(cla, pol, IITDLT{})
+			b := NewScheduler(clb, pol, planOnly{noHint{IITDLT{}}})
+			b.forceRefView = true
+			b.resyncEachUse = true
+
+			rng := rand.New(rand.NewPCG(5, uint64(len(pol.String()))))
+			now, accepted, steps := 0.0, false, 0
+			for i := 0; i < 600; i++ {
+				back := i > 0 && rng.IntN(5) == 0
+				if back {
+					now = math.Max(0, now-800*rng.Float64())
+				} else {
+					now += rng.ExpFloat64() * 400
+				}
+				pa, ea := a.CommitDue(now)
+				pb, eb := b.CommitDue(now)
+				if !errEqual(ea, eb) || len(pa) != len(pb) {
+					t.Fatalf("hetero=%v %s step %d: CommitDue diverges: (%d,%v) vs (%d,%v)", hetero, pol, i, len(pa), ea, len(pb), eb)
+				}
+				sigma := 20 + 300*rng.Float64()
+				task := Task{ID: int64(i + 1), Arrival: now, Sigma: sigma, RelDeadline: 800 + 6000*rng.Float64()}
+				ta, tb := task, task
+				_, reusedBefore := a.PlanCounts()
+				queued := a.QueueLen()
+				pla, ea := a.Admit(&ta, now)
+				plb, eb := b.Admit(&tb, now)
+				if !errEqual(ea, eb) || !planEqual(pla, plb) {
+					t.Fatalf("hetero=%v %s step %d: Admit diverges: %+v (%v) vs %+v (%v)", hetero, pol, i, pla, ea, plb, eb)
+				}
+				if sa, sb := a.Stats(), b.Stats(); sa != sb {
+					t.Fatalf("hetero=%v %s step %d: stats diverge: %+v vs %+v", hetero, pol, i, sa, sb)
+				}
+				if back && accepted && queued > 0 {
+					steps++
+					if _, reused := a.PlanCounts(); reused != reusedBefore {
+						t.Fatalf("hetero=%v %s step %d: kept %d prior plans behind a clock that stepped back", hetero, pol, i, reused-reusedBefore)
+					}
+				}
+				accepted = pla != nil
+			}
+			if st := a.Stats(); st.Accepts == 0 || st.Rejects == 0 || steps < 20 {
+				t.Fatalf("hetero=%v %s: degenerate stream: %+v, %d steps back behind an accept", hetero, pol, st, steps)
+			}
+		}
+	}
+}
+
 // TestFastRejectSoundness is the direct property: whenever FastReject
 // fires against a committed state, the full admission path must reject the
 // same task — Plan returns ErrInfeasible, or the returned plan's estimate

@@ -45,7 +45,7 @@ func legacyPlan(part Partitioner, ctx *PlanContext, t *Task) (*Plan, error) {
 		ids, starts := ctx.ClampedStarts(t, n)
 		var costs []dlt.NodeCost
 		if cm != nil {
-			costs = cm.Select(ids)
+			costs = cm.SelectInto(nil, ids)
 		}
 		pl := &Plan{Task: t, Nodes: ids, Starts: starts, Release: make([]float64, n), Rounds: 1}
 		switch part.(type) {

@@ -131,8 +131,8 @@ func (s *Scheduler) SnapshotInto(sc *SpecContext) {
 		// committed base, eligibility mask and schedule it holds — including
 		// its own incremental CommitDue work and the overlay on its view —
 		// are still exact. This is what lets reject storms (no epoch
-		// movement at all) and a lone submitter (every move is its own,
-		// carried over) run without ever copying the cluster.
+		// movement at all) and a run of installs by one context (every move
+		// is its own, carried over) go without ever copying the cluster.
 		return
 	}
 	sc.refreshes++

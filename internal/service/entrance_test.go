@@ -15,9 +15,9 @@ import (
 	"rtdls/internal/rt"
 )
 
-// hookClock runs hook, once, on the next Now call — which, with speculation
-// on, is the stamp of phase 1: after the snapshot, off the lock. That is
-// where a forced epoch conflict is injected.
+// hookClock runs hook, once, on the next Now call — which, on the
+// speculative road, is the stamp of phase 1: after the snapshot, off the
+// lock. That is where a forced epoch conflict is injected.
 type hookClock struct {
 	*ManualClock
 	hook func()
@@ -260,6 +260,11 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 		drain()
 		*calls = nil
 		svc.SetSpeculation(e.spec)
+		if e.spec {
+			// A lone submitter: without this the probe would take the
+			// live road, where the conflict hook below deadlocks.
+			speculateAlone(svc)
+		}
 		before := svc.Stats()
 		samples := shardSamples(t, reg)
 		if e.conflict {
@@ -362,6 +367,9 @@ func TestHardPlannerErrorCountsNoArrival(t *testing.T) {
 	for _, spec := range []bool{false, true} {
 		svc := newTestService(t, func(c *Config) { c.Partitioner = rt.UserSplit{} })
 		svc.SetSpeculation(spec)
+		if spec {
+			speculateAlone(svc)
+		}
 		ctx := context.Background()
 		if d, err := svc.Submit(ctx, rt.Task{ID: 1, Sigma: 100, RelDeadline: 1e6, UserN: 4}); err != nil || !d.Accepted {
 			t.Fatalf("spec=%v: plannable task: %+v, %v", spec, d, err)

@@ -26,6 +26,9 @@ func TestPlanCountersFollowReplanning(t *testing.T) {
 			c.Shard = 3
 		})
 		svc.SetSpeculation(speculate)
+		if speculate {
+			speculateAlone(svc)
+		}
 		ctx := context.Background()
 		// The first task takes the whole fleet for a long time; the rest wait.
 		tasks := []rt.Task{{ID: 1, Sigma: 4000, RelDeadline: 28000}}
@@ -74,6 +77,9 @@ func TestDemandRejectsAreCounted(t *testing.T) {
 			c.Shard = 3
 		})
 		svc.SetSpeculation(speculate)
+		if speculate {
+			speculateAlone(svc)
+		}
 		ctx := context.Background()
 		if d, err := svc.Submit(ctx, rt.Task{ID: 1, Sigma: 4000, RelDeadline: 28000}); err != nil || !d.Accepted {
 			t.Fatalf("speculate=%v: the task that takes the fleet: %+v, %v", speculate, d, err)
@@ -108,9 +114,10 @@ func TestDemandRejectsAreCounted(t *testing.T) {
 	}
 }
 
-// TestSpeculationContextIsCarried: a lone submitter keeps resuming from the
-// one context its previous install carried over — the stack of parked
-// contexts never grows past it — whether it submits singly or in batches.
+// TestSpeculationContextIsCarried: a submitter that speculates keeps
+// resuming from the one context its previous install carried over — the
+// stack of parked contexts never grows past it — whether it submits singly
+// or in batches.
 func TestSpeculationContextIsCarried(t *testing.T) {
 	cl, err := cluster.New(64, baseline)
 	if err != nil {
@@ -121,6 +128,7 @@ func TestSpeculationContextIsCarried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	speculateAlone(svc)
 	ctx := context.Background()
 	var carried *rt.SpecContext
 	for i := 1; i <= 200; i++ {
@@ -176,6 +184,7 @@ func TestRefusedSpeculationLeavesNoPhantom(t *testing.T) {
 			c.Clock = clock
 			c.Partitioner = closingPartitioner{svc: &svc, trigger: 3, fired: new(bool)}
 		})
+		speculateAlone(svc)
 		ctx := context.Background()
 		submit := func(task rt.Task) (Decision, error) {
 			if !batch {

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"rtdls/internal/cluster"
+	"rtdls/internal/dlt"
 	"rtdls/internal/errs"
 	"rtdls/internal/rt"
 )
@@ -202,11 +203,14 @@ type Service struct {
 	displaced     atomic.Int64
 	lateCommits   atomic.Int64
 
-	// Optimistic-admission state (speculate.go): the default-on gate, the
-	// consecutive-conflict streak driving the adaptive backoff with its
-	// probe counter, the install/discard totals surfaced by Stats and
-	// /metrics, and the stack of parked speculation contexts, freshest on
-	// top.
+	// Optimistic-admission state (speculate.go): the admit calls in flight
+	// and the submits left before a lone submitter stops speculating, the
+	// default-on gate, the consecutive-conflict streak driving the adaptive
+	// backoff with its probe counter, the install/discard totals surfaced by
+	// Stats and /metrics, and the stack of parked speculation contexts,
+	// freshest on top.
+	inflight      atomic.Int64
+	company       atomic.Int64
 	speculating   atomic.Bool
 	specStreak    atomic.Int64
 	specProbe     atomic.Uint64
@@ -215,7 +219,8 @@ type Service struct {
 	specMu        sync.Mutex
 	specFree      []*rt.SpecContext
 
-	exec ExecStats // under mu
+	exec     ExecStats    // under mu
+	dispatch dlt.Dispatch // under mu: commitDueLocked's re-simulation
 }
 
 // New validates the configuration and returns a ready service.
@@ -294,11 +299,14 @@ func (s *Service) Clock() Clock { return s.clock }
 // context, or a closed service (ErrClusterBusy) — never infeasibility: an
 // infeasible task is a clean decision with Reason ErrInfeasible.
 //
-// By default the admission test runs optimistically: planning happens
+// While another submitter is in flight, or was within the last few
+// submits, the admission test runs optimistically: planning happens
 // off-lock against an epoch-stamped snapshot, and the lock is held only for
-// an epoch check plus the install (see speculate.go and SetSpeculation).
-// Concurrent submitters therefore plan in parallel; the decision stream is
-// bit-for-bit what a serialized execution would produce.
+// an epoch check plus the install (see speculate.go and SetSpeculation), so
+// concurrent submitters plan in parallel. A lone submitter has nothing to
+// overlap that with and decides on the live state under the lock. Either
+// way the decision stream is bit-for-bit what a serialized execution would
+// produce.
 func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
 	// A batch of one, on the caller's stack: only the task's own record in
 	// admit reaches the heap.
@@ -312,9 +320,9 @@ func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
 
 // SubmitBatch submits several tasks under one lock acquisition, in order,
 // and returns one decision per considered task. On a hard error the
-// decisions made so far are returned alongside it. Like Submit, the batch
-// plans speculatively by default — every task is tested off-lock against
-// one evolving snapshot and the whole batch group-installs under a single
+// decisions made so far are returned alongside it. When Submit would
+// speculate, so does the batch: every task is tested off-lock against one
+// evolving snapshot and the whole batch group-installs under a single
 // epoch check.
 func (s *Service) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]Decision, error) {
 	return s.admit(ctx, tasks, make([]Decision, 0, len(tasks)))
@@ -388,22 +396,21 @@ func (s *Service) decide(sc *rt.SpecContext, t *rt.Task) (now float64, reason er
 		return now, reason, nil, nil
 	}
 	if sc == nil {
-		accepted, err := s.sched.Submit(t, now)
-		if err != nil {
+		if pl, err = s.sched.Admit(t, now); err != nil {
 			return now, reason, nil, err
-		}
-		if accepted {
-			return now, reason, s.sched.PlanFor(t.ID), nil
 		}
 	} else {
 		switch s.sched.Speculate(sc, t, now) {
 		case rt.SpecFallback:
 			return now, reason, nil, errSpecFallback
 		case rt.SpecAccept:
-			return now, reason, sc.AcceptedPlan(), nil
+			pl = sc.AcceptedPlan()
 		}
 	}
-	return now, errs.ReasonInfeasible, nil, nil
+	if pl == nil {
+		reason = errs.ReasonInfeasible
+	}
+	return now, reason, pl, nil
 }
 
 // finishLocked turns an outcome into its event and its Decision. The
@@ -489,8 +496,8 @@ func (s *Service) commitDueLocked(now float64) error {
 		// for the actual completion.
 		actual := pl.Est
 		if pl.Rounds <= 1 && !pl.SimultaneousStart {
-			d, derr := s.cl.Costs().SimulateFor(pl.Nodes, pl.Task.Sigma, pl.Starts, pl.Alphas)
-			if derr != nil {
+			d := &s.dispatch
+			if derr := s.cl.Costs().SimulateForInto(d, pl.Nodes, pl.Task.Sigma, pl.Starts, pl.Alphas); derr != nil {
 				return fmt.Errorf("service: dispatching task %d: %w", pl.Task.ID, derr)
 			}
 			actual = d.Completion

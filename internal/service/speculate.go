@@ -9,7 +9,9 @@ package service
 // and under the service lock lets one epoch comparison choose between
 // installing what was precomputed and walking the tasks again on the live
 // state. Every decision is therefore still made against serialized state —
-// speculation only moves the planning work off the lock.
+// speculation only moves the planning work off the lock, which pays only
+// while another submitter is there to use the lock meanwhile. A lone
+// submitter walks the live state directly.
 
 import (
 	"context"
@@ -30,21 +32,38 @@ const (
 	// wasted probe costs one off-lock planning pass, so the rate bounds the
 	// storm-mode overhead over pure serialized execution to a few percent.
 	specProbeEvery = 32
+	// specWindow is how many submits after the last one that found another
+	// submitter in flight still speculate. Past it the submitter is alone:
+	// off-lock planning would overlap nothing and cost a snapshot and an
+	// install, so it decides on the live state under the lock. Routing on
+	// the in-flight count alone is not enough: two submitters whose calls
+	// seldom overlap (two HTTP connections) would each take the live road
+	// most of the time, and a live-road submit holds the scheduler lock for
+	// its whole test, so the other's snapshot waits behind it.
+	specWindow = 64
 )
 
-// SetSpeculation toggles optimistic admission. It is on by default; turning
-// it off forces every submission through the fully serialized path (useful
-// for bit-identity baselines and as an operational escape hatch). Safe to
-// call at any time from any goroutine.
+// SetSpeculation toggles optimistic admission. It is on by default, and
+// then engages only while submitters overlap; turning it off forces every
+// submission through the fully serialized path (useful for bit-identity
+// baselines and as an operational escape hatch). Safe to call at any time
+// from any goroutine.
 func (s *Service) SetSpeculation(on bool) { s.speculating.Store(on) }
 
 // Speculating reports whether optimistic admission is enabled.
 func (s *Service) Speculating() bool { return s.speculating.Load() }
 
 // specAllowed decides lock-free whether this submission should attempt the
-// speculative path: the gate must be open and the workload must not be in a
-// conflict storm (adaptive backoff with periodic probes).
-func (s *Service) specAllowed() bool {
+// speculative path: another submitter must be in flight (shared) or have
+// been within the last specWindow submits, the gate must be open and the
+// workload must not be in a conflict storm (adaptive backoff with periodic
+// probes).
+func (s *Service) specAllowed(shared bool) bool {
+	if shared {
+		s.company.Store(specWindow)
+	} else if s.company.Load() <= 0 || s.company.Add(-1) < 0 {
+		return false
+	}
 	if !s.speculating.Load() {
 		return false
 	}
@@ -154,10 +173,12 @@ func (s *Service) installLocked(rec *specRec) (Decision, error) {
 // one evolving snapshot, up to the first it cannot decide there. Phase 2
 // takes s.mu for the rest of the call: on an unchanged epoch the
 // precomputed outcomes group-install; otherwise they are dropped. Whatever
-// is then left undecided — everything, after a conflict or with
-// speculation off — walks the same decide on the live state, so the
-// decisions are exactly those of a fully serialized execution.
+// is then left undecided — everything, after a conflict, with speculation
+// off or for a lone submitter — walks the same decide on the live state, so
+// the decisions are exactly those of a fully serialized execution.
 func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([]Decision, error) {
+	shared := s.inflight.Add(1) > 1
+	defer s.inflight.Add(-1)
 	var (
 		from   = 0          // tasks[from:end] are still to decide
 		end    = len(tasks) // a cancelled context ends the batch early, with endErr
@@ -169,7 +190,7 @@ func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([
 		n       int
 		planned int // how many of them the scheduler's test decided
 	)
-	if len(tasks) > 0 && s.specAllowed() && s.open() == nil {
+	if len(tasks) > 0 && s.specAllowed(shared) && s.open() == nil {
 		sc = s.getSpec()
 		s.sched.SnapshotInto(sc)
 		// recs is sized once up front: the scheduler retains &recs[i].task

@@ -40,9 +40,11 @@ import (
 // under it only after an epoch check, falling back to the serialized
 // path on conflict (SetSpeculation toggles it; on by default), so the
 // decision stream stays bit-identical to serialized execution while
-// low-conflict traffic scales with submitters — gated in CI by
+// low-conflict traffic scales with submitters — measured in CI by
 // cmd/benchgate -contention over BENCH_contention.json, with
 // speculative/conflict counters in Stats, /metrics and BENCH_wire.json.
+// Speculation engages only while submitters overlap on a shard; a lone
+// submitter decides on the live state under the lock.
 // 4.0.0 removed the last deprecated symbol, the root NewScheduler with its
 // Scheduler alias (use New with WithCosts/WithPolicy/WithAlgorithm; commits
 // happen automatically), and made every /metrics family a scrape-time read

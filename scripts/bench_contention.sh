@@ -5,15 +5,17 @@
 # to BENCH_index.json), then gate the optimistic-admission contract with
 # cmd/benchgate -contention:
 #   - cold mix (epoch-neutral rejects, ~zero conflicts): speculation at
-#     gos=8 must out-run gos=1 by a machine-adaptive factor derived from
-#     the GOMAXPROCS suffix in the benchmark names;
+#     gos=8 against gos=1 and against serialized gos=8, reported without
+#     failing (a lone submitter never speculates, so mode=spec gos=1
+#     measures the live, serialized road, and no bar against it has been
+#     measured on 4 or more procs);
 #   - hot mix (every install moves the epoch, ~100% conflicts): the
 #     adaptive conflict gate must hold speculation within a few percent of
 #     fully serialized throughput.
-# Both gates skip with a note on single-proc machines, where submitters
-# cannot overlap and the contract's premise (real parallelism) is absent;
-# below 4 procs the hot gate reports its ratios without failing (an
-# unchanged tree reads x0.46 to x1.09 there from run to run).
+# The hot gate skips with a note on single-proc machines, where submitters
+# cannot overlap and its premise (real parallelism) is absent; below 4
+# procs it reports its ratios without failing (an unchanged tree reads
+# x0.46 to x1.09 there from run to run).
 # Run locally via `make bench-contention`; CI runs this same script.
 set -eu
 

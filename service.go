@@ -617,13 +617,16 @@ func (s *Service) SetAccepting(accepting bool) { s.engine.SetAccepting(accepting
 func (s *Service) Accepting() bool { return s.engine.Accepting() }
 
 // SetSpeculation toggles optimistic two-phase admission (on by default):
-// when on, the schedulability test plans off-lock against an epoch-stamped
-// snapshot and the shard lock is held only for an epoch check plus the
-// install, so concurrent submitters plan in parallel; a conflicting epoch
-// falls back to the serialized path, keeping the decision stream bit-for-bit
-// identical to a serialized execution. Turning it off forces every
-// submission through the serialized path — an operational escape hatch and
-// the baseline for the equivalence tests.
+// when on, a submit that overlaps another on its shard — or follows one
+// that did within the last 64 submits — plans off-lock against an
+// epoch-stamped snapshot and holds the shard lock only for an epoch check
+// plus the install, so concurrent submitters plan in parallel; a
+// conflicting epoch falls back to the serialized path, keeping the decision
+// stream bit-for-bit identical to a serialized execution. A lone submitter
+// takes the serialized path regardless: it has nothing to overlap the
+// planning with. Turning speculation off forces every submission through
+// the serialized path — an operational escape hatch and the baseline for
+// the equivalence tests.
 func (s *Service) SetSpeculation(on bool) { s.engine.SetSpeculation(on) }
 
 // Stats returns a consistent snapshot of the admission counters, queue

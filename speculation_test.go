@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtdls"
 )
@@ -20,6 +21,37 @@ func specTask(id int64) rtdls.Task {
 	}
 }
 
+// overlapObserver is a Verifier whose first decision callback, made inside
+// a submit under the shard lock, holds that submit until every other
+// submitter has started and had time to reach the shard: a submitter
+// speculates only while another is in flight, so this makes sure the run
+// overlaps.
+type overlapObserver struct {
+	*rtdls.Verifier
+	submitters int64
+	started    atomic.Int64
+	held       atomic.Bool
+}
+
+func (o *overlapObserver) hold() {
+	if o.held.CompareAndSwap(false, true) {
+		for o.started.Load() < o.submitters {
+			time.Sleep(100 * time.Microsecond)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func (o *overlapObserver) OnAccept(now float64, t *rtdls.Task, p *rtdls.Plan) {
+	o.hold()
+	o.Verifier.OnAccept(now, t, p)
+}
+
+func (o *overlapObserver) OnReject(now float64, t *rtdls.Task) {
+	o.hold()
+	o.Verifier.OnReject(now, t)
+}
+
 // TestSpeculativeStressChurn hammers one shard from 16 goroutines — twelve
 // submitters alternating Submit and SubmitBatch, four churners failing and
 // restoring their own node — with optimistic admission on (the default) and
@@ -30,7 +62,12 @@ func specTask(id int64) rtdls.Task {
 // After a drain the conservation identity must hold exactly:
 // accepts == commits + displaced − readmitted.
 func TestSpeculativeStressChurn(t *testing.T) {
-	verifier := rtdls.NewVerifier(rtdls.Params{Cms: 1, Cps: 100}, 16)
+	const (
+		submitters = 12
+		churners   = 4
+		each       = 60
+	)
+	verifier := &overlapObserver{Verifier: rtdls.NewVerifier(rtdls.Params{Cms: 1, Cps: 100}, 16), submitters: submitters}
 	svc, err := rtdls.New(
 		rtdls.WithNodes(16),
 		rtdls.WithParams(rtdls.Params{Cms: 1, Cps: 100}),
@@ -42,11 +79,6 @@ func TestSpeculativeStressChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const (
-		submitters = 12
-		churners   = 4
-		each       = 60
-	)
 	var (
 		wg       sync.WaitGroup
 		id       atomic.Int64
@@ -59,6 +91,7 @@ func TestSpeculativeStressChurn(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			verifier.started.Add(1)
 			la, lr := 0, 0
 			count := func(d rtdls.Decision) {
 				if d.Accepted {
@@ -147,23 +180,28 @@ func TestSpeculativeStressChurn(t *testing.T) {
 // submit by construction, and this test pins that epoch-clean installs are
 // indistinguishable from it too.
 func TestSpeculativeLinearizationReplay(t *testing.T) {
-	newSvc := func() (*rtdls.Service, *rtdls.ManualClock) {
-		clock := rtdls.NewManualClock(0) // frozen: `now` is 0 in both runs
-		svc, err := rtdls.New(
+	const (
+		workers = 8
+		each    = 40
+	)
+	newSvc := func(opts ...rtdls.Option) *rtdls.Service {
+		svc, err := rtdls.New(append([]rtdls.Option{
 			rtdls.WithNodes(16),
 			rtdls.WithParams(rtdls.Params{Cms: 1, Cps: 100}),
 			rtdls.WithPolicy(rtdls.EDF),
 			rtdls.WithAlgorithm(rtdls.AlgDLTIIT),
-			rtdls.WithClock(clock),
-		)
+			rtdls.WithClock(rtdls.NewManualClock(0)), // frozen: `now` is 0 in both runs
+		}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return svc, clock
+		return svc
 	}
 
-	// Concurrent run, speculation on (the default).
-	svc, _ := newSvc()
+	// Concurrent run, speculation on (the default); the observer holds the
+	// first decision until every worker has started, so submits overlap.
+	observer := &overlapObserver{Verifier: rtdls.NewVerifier(rtdls.Params{Cms: 1, Cps: 100}, 16), submitters: workers}
+	svc := newSvc(rtdls.WithObserver(observer))
 	events, cancelSub := svc.Subscribe(1 << 15)
 	order := make(chan []int64, 1)
 	go func() {
@@ -176,10 +214,6 @@ func TestSpeculativeLinearizationReplay(t *testing.T) {
 		order <- ids
 	}()
 
-	const (
-		workers = 8
-		each    = 40
-	)
 	var (
 		wg  sync.WaitGroup
 		id  atomic.Int64
@@ -191,6 +225,7 @@ func TestSpeculativeLinearizationReplay(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			observer.started.Add(1)
 			for i := 0; i < each; i++ {
 				n := id.Add(1)
 				d, err := svc.Submit(ctx, specTask(n))
@@ -219,9 +254,15 @@ func TestSpeculativeLinearizationReplay(t *testing.T) {
 	if len(linear) != workers*each {
 		t.Fatalf("linearization has %d decisions, want %d", len(linear), workers*each)
 	}
+	if st.Speculative+st.Conflicts == 0 {
+		t.Fatal("no submission took the speculative path; the replay compared the serialized road with itself")
+	}
+	if !observer.OK() {
+		t.Fatalf("verifier found violations:\n%s", observer.Report())
+	}
 
 	// Serialized replay of the identical linearization order.
-	replay, _ := newSvc()
+	replay := newSvc()
 	defer replay.Close()
 	replay.SetSpeculation(false)
 	for pos, n := range linear {
