@@ -69,10 +69,11 @@
 // WithShardNodeCosts describe heterogeneous fleets of differently sized
 // and priced clusters. Decisions and events report the placing shard,
 // Stats aggregates the fleet, and ShardStats/Clusters expose per-shard
-// views. The default single-cluster service is exactly the K=1 special
-// case: WithShards(1) is property-tested to be bit-for-bit identical to
-// it, and a K-shard RoundRobin pool reproduces K independent
-// single-cluster simulations decision for decision. See examples/pool.
+// views. The pool is the one engine: New and Simulate always build one,
+// and the default is the K = 1 pool, the paper's one cluster — no special
+// case. A one-shard pool reproduces its bare shard decision for decision,
+// and a K-shard RoundRobin pool reproduces K independent one-cluster
+// simulations decision for decision. See examples/pool.
 //
 // Since 3.0.0 the same engine serves over the wire. cmd/dlserve is an
 // HTTP/JSON front end (internal/server) exposing submit, batch, stats, a
@@ -158,8 +159,8 @@
 // lone submitter — the simulator, the driver, one caller in process —
 // decides on the live state under the lock, the road a conflict replays
 // on, because it has nothing to overlap the off-lock planning with.
-// SetSpeculation toggles the path (on by default) on a Service, a Pool
-// and the Engine; Stats counts Speculative/Conflicts, the exposition
+// SetSpeculation toggles the path (on by default) on a Service and a
+// Pool; Stats counts Speculative/Conflicts, the exposition
 // carries rtdls_admission_{speculative,conflicts}_total per shard,
 // dlload folds a conflict rate into BENCH_wire.json, and dlserve's
 // -mutex-profile-fraction/-block-profile-rate expose the remaining lock

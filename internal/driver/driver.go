@@ -1,11 +1,12 @@
 // Package driver replays a synthetic workload through the admission
-// service: a workload generator feeds arrivals into a service.Service bound
-// to a SimClock, the discrete-event engine sequences arrivals and commit
-// instants, and the run's admission and execution metrics are collected
-// into a Result. Run is deliberately a thin adapter — the schedulability
-// test, commit processing and metric accumulation all live in the service,
-// so the simulated engine is the same one a deployment drives under
-// wall-clock time.
+// engine: a workload generator feeds arrivals into a pool.Pool bound to a
+// SimClock — one shard by default, K with the shard options — the
+// discrete-event engine sequences arrivals and commit instants, and the
+// run's admission and execution metrics are collected into a Result. Run
+// is deliberately a thin adapter — the schedulability test, commit
+// processing and metric accumulation all live in the shards, so the
+// simulated engine is the same one a deployment drives under wall-clock
+// time.
 package driver
 
 import (
@@ -14,7 +15,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"rtdls/internal/cluster"
 	"rtdls/internal/dlt"
 	"rtdls/internal/errs"
 	"rtdls/internal/fleet"
@@ -75,11 +75,10 @@ type Config struct {
 	HeteroSeed uint64
 
 	// Shards splits the fleet into K independent clusters fronted by the
-	// Placement routing layer (see internal/pool). 0 or unset runs the
-	// classic single cluster; any shard option — including Shards=1 —
-	// routes through the pool engine instead. The workload's arrival rate
-	// scales with the pool's aggregate capacity so SystemLoad keeps its
-	// meaning (see loadScale).
+	// Placement routing layer (see internal/pool); 0 means one. Every run
+	// goes through the pool, and one shard is the paper's classic cluster.
+	// With K > 1 the workload's arrival rate scales with the pool's
+	// aggregate capacity so SystemLoad keeps its meaning (see loadScale).
 	Shards int
 
 	// Placement routes each arrival to a shard; nil defaults to round
@@ -234,11 +233,11 @@ type Result struct {
 	Span             float64 // max(horizon, last committed release)
 
 	// Shards is the number of clusters the run executed on (1 = the
-	// classic single cluster). The remaining fields are populated only for
-	// pool runs: Placement names the routing layer, Spillovers counts
-	// accepted tasks that needed at least one spillover retry, and
-	// ShardRejectRatios is each shard's own reject ratio (a spilled-over
-	// task counts at every shard that refused it).
+	// paper's classic cluster), Placement names the routing layer,
+	// Spillovers counts accepted tasks that needed at least one spillover
+	// retry, and ShardRejectRatios is each shard's own reject ratio (a
+	// spilled-over task counts at every shard that refused it). Every run
+	// fills them, one shard included.
 	Shards            int       `json:",omitempty"`
 	Placement         string    `json:",omitempty"`
 	Spillovers        int       `json:",omitempty"`
@@ -261,7 +260,7 @@ type Result struct {
 // AlgDLTMR (0 = the default of 2). Today's partitioners read per-node
 // costs at plan time via rt.PlanContext, so the table is carried here for
 // uniform validation and for any future construction-time use, not
-// because current construction depends on it. This is the single
+// because current construction depends on it. This is the one
 // constructor path the service options share with the bench.
 func PartitionerFor(algorithm string, rounds int, cm *dlt.CostModel) (rt.Partitioner, error) {
 	cfg := Config{Algorithm: algorithm, Rounds: rounds}
@@ -275,64 +274,25 @@ func PartitionerFor(algorithm string, rounds int, cm *dlt.CostModel) (rt.Partiti
 	return cfg.NewPartitioner()
 }
 
-// NewService assembles the admission service a run executes against: the
-// resolved cost model's cluster, the parsed policy, the configured
-// partitioner, and the given clock. It is the shared construction path of
-// Run and of callers that want to drive the same engine themselves.
-func (c Config) NewService(clock service.Clock) (*service.Service, error) {
-	pol, err := rt.ParsePolicy(c.Policy)
-	if err != nil {
-		return nil, err
-	}
-	part, err := c.NewPartitioner()
-	if err != nil {
-		return nil, err
-	}
-	cm, err := c.CostModel()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := cluster.NewHetero(cm.Costs())
-	if err != nil {
-		return nil, err
-	}
-	return service.New(service.Config{
-		Cluster:     cl,
-		Policy:      pol,
-		Partitioner: part,
-		Clock:       clock,
-		Observer:    c.Observer,
-	})
-}
-
 // Run executes one simulation and returns its metrics. It is a thin
-// adapter over the admission engine — the single-cluster service, or the
-// sharded pool when any shard option is set: a SimClock binds the engine to
-// the discrete-event simulator, arrival events submit generated tasks,
-// commit events start due transmissions, and the Result is assembled from
-// the engine's statistics.
+// adapter over the admission pool the configuration describes (one shard
+// unless a shard option says otherwise): a SimClock binds the pool to the
+// discrete-event simulator, arrival events submit generated tasks, commit
+// events start due transmissions, and the Result is assembled from the
+// pool's statistics.
 func Run(cfg Config) (*Result, error) {
-	s := sim.New()
-	clock := service.SimClock{Sim: s}
-	if !cfg.multiShard() {
-		svc, err := cfg.NewService(clock)
-		if err != nil {
-			return nil, err
-		}
-		return run(cfg, s, svc, []*cluster.Cluster{svc.Cluster()}, nil)
-	}
-	pl, err := cfg.NewPool(clock)
+	shards, err := cfg.ShardConfigs()
 	if err != nil {
 		return nil, err
 	}
-	return run(cfg, s, pl, pl.Clusters(), pl)
-}
-
-// run is the simulation loop over either engine. clusters are the
-// engine's own — the ones the run actually schedules against, rather than
-// a second resolution of the configuration; pl is the engine again when it
-// is a pool, for the load scale and the pool-only result fields.
-func run(cfg Config, s *sim.Simulator, eng service.Engine, clusters []*cluster.Cluster, pl *pool.Pool) (*Result, error) {
+	s := sim.New()
+	eng, err := pool.New(pool.Config{Shards: shards, Placement: cfg.Placement, Clock: service.SimClock{Sim: s}})
+	if err != nil {
+		return nil, err
+	}
+	// The pool's clusters are the ones the run actually schedules against,
+	// rather than a second resolution of the configuration.
+	clusters := eng.Clusters()
 	// The workload is calibrated against the scalar reference coefficients
 	// so a heterogeneity sweep holds the offered load constant; explicit
 	// cost tables anchor it to the (first shard's) table's own reference
@@ -341,11 +301,14 @@ func run(cfg Config, s *sim.Simulator, eng service.Engine, clusters []*cluster.C
 	if len(cfg.NodeCosts) > 0 || len(cfg.ShardNodeCosts) > 0 {
 		wp = clusters[0].Costs().Reference()
 	}
-	// A pool's stream is scaled to its aggregate capacity; a single
-	// cluster's is not, whatever its cost table: a spread table's
-	// HeteroExecTime is not the scalar E(Avgσ, N) the load is quoted in.
-	load := cfg.SystemLoad
-	if pl != nil {
+	// One cluster gets the classic stream of its own size, whatever its cost
+	// table: a spread table's HeteroExecTime is not the scalar E(Avgσ, N)
+	// the load is quoted in. A fleet's stream is scaled to its aggregate
+	// capacity.
+	n, load := cfg.N, cfg.SystemLoad
+	if len(clusters) == 1 {
+		n = clusters[0].N()
+	} else {
 		scale, err := loadScale(wp.ExecTime(cfg.AvgSigma, cfg.N), cfg.AvgSigma, clusters)
 		if err != nil {
 			return nil, err
@@ -353,7 +316,7 @@ func run(cfg Config, s *sim.Simulator, eng service.Engine, clusters []*cluster.C
 		load *= scale
 	}
 	gen, err := workload.New(workload.Config{
-		N: cfg.N, Params: wp,
+		N: n, Params: wp,
 		SystemLoad: load, AvgSigma: cfg.AvgSigma,
 		DCRatio: cfg.DCRatio, Horizon: cfg.Horizon, Seed: cfg.Seed,
 	})
@@ -472,12 +435,10 @@ func run(cfg Config, s *sim.Simulator, eng service.Engine, clusters []*cluster.C
 	} else {
 		res.MaxLateness = 0
 	}
-	if pl != nil {
-		res.Spillovers = pl.Spillovers()
-		res.Placement = pl.Placement().Name()
-		for _, ss := range pl.ShardStats() {
-			res.ShardRejectRatios = append(res.ShardRejectRatios, ss.RejectRatio())
-		}
+	res.Spillovers = eng.Spillovers()
+	res.Placement = eng.Placement().Name()
+	for _, ss := range eng.ShardStats() {
+		res.ShardRejectRatios = append(res.ShardRejectRatios, ss.RejectRatio())
 	}
 	// The engine's statistics mirror its clusters' accounting bit for bit.
 	totalN := 0

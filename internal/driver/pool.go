@@ -8,44 +8,34 @@ import (
 	"rtdls/internal/errs"
 	"rtdls/internal/pool"
 	"rtdls/internal/rt"
-	"rtdls/internal/service"
 )
 
-// multiShard reports whether the configuration describes a sharded pool
-// rather than the classic single cluster. Any shard option — including an
-// explicit Shards=1 or a placement — routes through the pool engine, whose
-// K=1 behaviour is property-tested to match the single cluster.
-func (c Config) multiShard() bool {
-	return c.Shards != 0 || len(c.ShardNodes) > 0 || len(c.ShardNodeCosts) > 0 || c.Placement != nil
-}
-
-// ShardPlan resolves the pool layout the configuration describes: the
-// shard count and one cost model per shard. Per-shard node counts
-// (ShardNodes) and explicit per-shard cost tables (ShardNodeCosts) both
-// fix the shard count; when only Shards is given, every shard is a copy
-// of the single-cluster configuration — except that a spread draw
-// (CmsSpread/CpsSpread) seeds shard j with HeteroSeed+j, so a fleet of
-// spread shards gets distinct tables while shard 0 reproduces the
-// single-cluster draw.
-func (c Config) ShardPlan() (int, []*dlt.CostModel, error) {
+// ShardPlan resolves the pool layout the configuration describes: one cost
+// model per shard. Per-shard node counts (ShardNodes) and explicit
+// per-shard cost tables (ShardNodeCosts) both fix the shard count; when
+// only Shards is given, every shard is a copy of the cluster
+// configuration — except that a spread draw (CmsSpread/CpsSpread) seeds
+// shard j with HeteroSeed+j, so a fleet of spread shards gets distinct
+// tables while shard 0 reproduces the one-shard draw.
+func (c Config) ShardPlan() ([]*dlt.CostModel, error) {
 	k := c.Shards
 	if k < 0 {
-		return 0, nil, fmt.Errorf("driver: negative shard count %d: %w", k, errs.ErrBadConfig)
+		return nil, fmt.Errorf("driver: negative shard count %d: %w", k, errs.ErrBadConfig)
 	}
 	if len(c.NodeCosts) > 0 && (len(c.ShardNodes) > 0 || len(c.ShardNodeCosts) > 0) {
-		// A single-cluster cost table cannot size individually-shaped
+		// A one-cluster cost table cannot size individually-shaped
 		// shards; dropping it silently would simulate the wrong cost model.
-		return 0, nil, fmt.Errorf("driver: NodeCosts conflicts with per-shard sizing; give each shard its own table via ShardNodeCosts: %w", errs.ErrBadConfig)
+		return nil, fmt.Errorf("driver: NodeCosts conflicts with per-shard sizing; give each shard its own table via ShardNodeCosts: %w", errs.ErrBadConfig)
 	}
 	if n := len(c.ShardNodeCosts); n > 0 {
 		if k != 0 && k != n {
-			return 0, nil, fmt.Errorf("driver: %d shard cost tables for Shards=%d: %w", n, k, errs.ErrBadConfig)
+			return nil, fmt.Errorf("driver: %d shard cost tables for Shards=%d: %w", n, k, errs.ErrBadConfig)
 		}
 		k = n
 	}
 	if n := len(c.ShardNodes); n > 0 {
 		if k != 0 && k != n {
-			return 0, nil, fmt.Errorf("driver: %d shard node counts for %d shards: %w", n, k, errs.ErrBadConfig)
+			return nil, fmt.Errorf("driver: %d shard node counts for %d shards: %w", n, k, errs.ErrBadConfig)
 		}
 		k = n
 	}
@@ -67,17 +57,18 @@ func (c Config) ShardPlan() (int, []*dlt.CostModel, error) {
 			cms[j], err = cj.CostModel()
 		}
 		if err != nil {
-			return 0, nil, fmt.Errorf("driver: shard %d: %w", j, err)
+			return nil, fmt.Errorf("driver: shard %d: %w", j, err)
 		}
 	}
-	return k, cms, nil
+	return cms, nil
 }
 
-// NewPool assembles the sharded admission pool a multi-cluster run
-// executes against, sharing the given clock across every shard. It is the
-// pool analogue of Config.NewService.
-func (c Config) NewPool(clock service.Clock) (*pool.Pool, error) {
-	k, cms, err := c.ShardPlan()
+// ShardConfigs assembles the shards the configuration describes: per cost
+// model of ShardPlan, a cluster with the configured policy, partitioner and
+// observer. It is the one shard-building path of Run, rtdls.New and
+// rtdls.CostModelFor; the live service sets each shard's MaxQueue on top.
+func (c Config) ShardConfigs() ([]pool.ShardConfig, error) {
+	cms, err := c.ShardPlan()
 	if err != nil {
 		return nil, err
 	}
@@ -85,19 +76,19 @@ func (c Config) NewPool(clock service.Clock) (*pool.Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]pool.ShardConfig, k)
-	for j := range shards {
-		part, err := PartitionerFor(c.Algorithm, c.Rounds, cms[j])
+	shards := make([]pool.ShardConfig, len(cms))
+	for j, cm := range cms {
+		part, err := PartitionerFor(c.Algorithm, c.Rounds, cm)
 		if err != nil {
 			return nil, err
 		}
-		cl, err := cluster.NewHetero(cms[j].Costs())
+		cl, err := cluster.NewHetero(cm.Costs())
 		if err != nil {
 			return nil, err
 		}
 		shards[j] = pool.ShardConfig{Cluster: cl, Policy: pol, Partitioner: part, Observer: c.Observer}
 	}
-	return pool.New(pool.Config{Shards: shards, Placement: c.Placement, Clock: clock})
+	return shards, nil
 }
 
 // shardExecTime returns E(σ, shard): the execution time of a load σ on the
@@ -110,7 +101,7 @@ func shardExecTime(cm *dlt.CostModel, sigma float64) (float64, error) {
 }
 
 // loadScale keeps SystemLoad's meaning — the fraction of the fleet's
-// aggregate capacity the stream offers — on a pool: the single-cluster
+// aggregate capacity the stream offers — on a pool: the one-cluster
 // arrival rate SystemLoad/eRef, with eRef = E(Avgσ, N) on the reference
 // coefficients, is multiplied by Σ_j eRef/E(Avgσ, shard j) (= K for
 // identical shards).

@@ -9,28 +9,40 @@ import (
 	"rtdls/internal/pool"
 )
 
-// TestPoolRunSingleShardMatchesClassic: a Shards=1 pool run routes
-// through the pool engine yet must reproduce the classic single-cluster
-// Run bit for bit — the K=1 special-case property at the driver level.
+// TestPoolRunSingleShardMatchesClassic: an explicit Shards=1 run must
+// reproduce the default run bit for bit — one shard is the paper's
+// cluster, whatever its policy or cost table, so its arrival stream is not
+// rescaled by a spread table's capacity.
 func TestPoolRunSingleShardMatchesClassic(t *testing.T) {
+	variants := []struct {
+		label string
+		mut   func(*Config)
+	}{
+		{"base", func(c *Config) {}},
+		{"spread", func(c *Config) { c.CmsSpread, c.CpsSpread, c.HeteroSeed = 2, 4, 7 }},
+		{"fifo-spread", func(c *Config) { c.Policy = "fifo"; c.CpsSpread, c.HeteroSeed = 4, 3 }},
+	}
 	for _, alg := range []string{AlgDLTIIT, AlgOPRMN, AlgUserSplit, AlgOPRAN, AlgDLTMR} {
-		cfg := Default()
-		cfg.Algorithm = alg
-		cfg.SystemLoad = 0.85
-		cfg.Horizon = 1e5
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: classic: %v", alg, err)
+		for _, v := range variants {
+			cfg := Default()
+			cfg.Algorithm = alg
+			cfg.SystemLoad = 0.85
+			cfg.Horizon = 1e5
+			v.mut(&cfg)
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: classic: %v", alg, v.label, err)
+			}
+			cfg.Shards = 1
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: pool: %v", alg, v.label, err)
+			}
+			if got.Shards != 1 || want.Shards != 1 {
+				t.Fatalf("%s: shards %d / %d", alg, want.Shards, got.Shards)
+			}
+			requireBitIdentical(t, alg+"/"+v.label+"/shards=1", want, got)
 		}
-		cfg.Shards = 1
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: pool: %v", alg, err)
-		}
-		if got.Shards != 1 || want.Shards != 1 {
-			t.Fatalf("%s: shards %d / %d", alg, want.Shards, got.Shards)
-		}
-		requireBitIdentical(t, alg+"/shards=1", want, got)
 	}
 }
 
@@ -106,19 +118,19 @@ func TestPoolRunShardNodesCapacity(t *testing.T) {
 func TestShardPlanValidation(t *testing.T) {
 	cfg := Default()
 	cfg.Shards = -1
-	if _, _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
+	if _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
 		t.Fatalf("negative shards: %v", err)
 	}
 	cfg = Default()
 	cfg.Shards = 3
 	cfg.ShardNodes = []int{8, 8}
-	if _, _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
+	if _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
 		t.Fatalf("mismatched shard nodes: %v", err)
 	}
 	cfg = Default()
 	cfg.Shards = 2
 	cfg.ShardNodeCosts = [][]dlt.NodeCost{{{Cms: 1, Cps: 100}}}
-	if _, _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
+	if _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
 		t.Fatalf("mismatched shard cost tables: %v", err)
 	}
 
@@ -127,21 +139,21 @@ func TestShardPlanValidation(t *testing.T) {
 	cfg = Default()
 	cfg.NodeCosts = []dlt.NodeCost{{Cms: 1, Cps: 100}, {Cms: 1, Cps: 200}}
 	cfg.ShardNodes = []int{2, 2}
-	if _, _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
+	if _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
 		t.Fatalf("NodeCosts with ShardNodes: %v", err)
 	}
 	cfg = Default()
 	cfg.NodeCosts = []dlt.NodeCost{{Cms: 1, Cps: 100}}
 	cfg.ShardNodeCosts = [][]dlt.NodeCost{{{Cms: 1, Cps: 100}}}
-	if _, _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
+	if _, err := cfg.ShardPlan(); !errors.Is(err, errs.ErrBadConfig) {
 		t.Fatalf("NodeCosts with ShardNodeCosts: %v", err)
 	}
 
 	cfg = Default()
 	cfg.ShardNodes = []int{16, 4}
-	k, cms, err := cfg.ShardPlan()
-	if err != nil || k != 2 || cms[0].N() != 16 || cms[1].N() != 4 {
-		t.Fatalf("plan = %d shards, %v, %v", k, cms, err)
+	cms, err := cfg.ShardPlan()
+	if err != nil || len(cms) != 2 || cms[0].N() != 16 || cms[1].N() != 4 {
+		t.Fatalf("plan = %d shards, %v, %v", len(cms), cms, err)
 	}
 
 	// Spread draws differ per shard but shard 0 matches the single draw.
@@ -149,7 +161,7 @@ func TestShardPlanValidation(t *testing.T) {
 	cfg.Shards = 2
 	cfg.CpsSpread = 4
 	cfg.HeteroSeed = 9
-	_, cms, err = cfg.ShardPlan()
+	cms, err = cfg.ShardPlan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,14 @@
 // on, never on a pool-global lock — Submit throughput scales with the
 // shard count instead of serialising on one O(queue × plan) replan.
 //
-// The single-cluster Service is exactly the K=1 special case: a one-shard
-// pool under any placement reproduces it decision for decision, stat for
-// stat.
+// The pool is the one engine behind rtdls.New and driver.Run, and one
+// cluster is simply K = 1 — no special case: a one-shard pool under any
+// placement reproduces its bare shard decision for decision, stat for
+// stat, and allocates nothing of its own per Submit.
 package pool
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -69,8 +69,7 @@ type Config struct {
 	Metrics *service.Metrics
 }
 
-// Pool is the sharded, concurrency-safe admission-control engine. It
-// implements the same Engine surface as a single service.Service; see the
+// Pool is the sharded, concurrency-safe admission-control engine; see the
 // package comment for the architecture.
 type Pool struct {
 	shards []*service.Service
@@ -83,8 +82,7 @@ type Pool struct {
 	needLoads bool // placement reads QueueLen (see LoadAware)
 
 	seq        atomic.Uint64 // submission sequence (placement input)
-	arrivals   atomic.Int64  // pool-level decisions (a spillover retry is one arrival)
-	accepts    atomic.Int64
+	accepts    atomic.Int64  // pool-level decisions (a spillover retry is one decision)
 	rejects    atomic.Int64
 	spillovers atomic.Int64 // accepts that needed at least one retry
 	closed     atomic.Bool
@@ -106,9 +104,8 @@ type nodeRef struct{ shard, local int }
 type placeScratch struct {
 	loads []ShardLoad
 	order []int
+	task  rt.Task // Submit's task, so the placement's pointer does not move it to the heap
 }
-
-var _ service.Engine = (*Pool)(nil)
 
 // New validates the configuration and returns a ready pool.
 func New(cfg Config) (*Pool, error) {
@@ -174,9 +171,6 @@ func New(cfg Config) (*Pool, error) {
 // Shards returns the number of member clusters.
 func (p *Pool) Shards() int { return len(p.shards) }
 
-// Shard returns shard i's service (for per-shard inspection).
-func (p *Pool) Shard(i int) *service.Service { return p.shards[i] }
-
 // Placement returns the routing layer.
 func (p *Pool) Placement() Placement { return p.place }
 
@@ -215,11 +209,14 @@ func (p *Pool) Submit(ctx context.Context, task rt.Task) (service.Decision, erro
 	sc := p.scratch.Get().(*placeScratch)
 	defer p.scratch.Put(sc)
 	p.sampleLoads(sc.loads)
-	order, err := p.route(sc, &task)
+	sc.task = task
+	order, err := p.route(sc, &sc.task)
 	if err != nil {
 		return service.Decision{}, err
 	}
-	return p.settle(ctx, task, order, 0, service.Decision{})
+	var d service.Decision
+	err = p.settle(ctx, &sc.task, order, 0, &d)
+	return d, err
 }
 
 // open reports why the pool takes no submissions, when it does not.
@@ -267,42 +264,42 @@ func (p *Pool) route(sc *placeScratch, task *rt.Task) ([]int, error) {
 // offer is the pool's one routing rule: offer the task to the shards of
 // cands in turn, passing over those with no live node, until one accepts,
 // one finds the deadline already past — on the shared clock that dooms the
-// task everywhere — or the list ends. It returns
-// the last decision made, how many shards decided, and the candidates it
-// did not get to. A shard's hard error ends the walk.
-func (p *Pool) offer(ctx context.Context, task rt.Task, cands []int) (last service.Decision, tried int, rest []int, err error) {
+// task everywhere — or the list ends. Each decision is written to d, which
+// keeps the last one made (and is untouched when no shard decided); offer
+// returns how many shards decided and the candidates it did not get to. A
+// shard's hard error ends the walk.
+func (p *Pool) offer(ctx context.Context, task *rt.Task, cands []int, d *service.Decision) (tried int, rest []int, err error) {
 	for i, idx := range cands {
 		if p.shards[idx].LiveNodes() == 0 {
 			continue
 		}
-		d, err := p.shards[idx].Submit(ctx, task)
-		if err != nil {
-			return d, tried, cands[i+1:], err
+		if *d, err = p.shards[idx].Submit(ctx, *task); err != nil {
+			return tried, cands[i+1:], err
 		}
-		last, tried = d, tried+1
+		tried++
 		if final(d) {
-			return last, tried, cands[i+1:], nil
+			return tried, cands[i+1:], nil
 		}
 	}
-	return last, tried, nil, nil
+	return tried, nil, nil
 }
 
 // final reports whether no other shard needs to see the task: it has a
 // seat, or its deadline has passed on the clock every shard shares.
-func final(d service.Decision) bool {
-	return d.Accepted || errors.Is(d.Reason, errs.ErrDeadlinePast)
+func final(d *service.Decision) bool {
+	return d.Accepted || d.Reason == errs.ReasonDeadlinePast
 }
 
 // settle walks a task down its placement order and books the pool-level
-// outcome: one arrival however many shards it took, a spillover when the
-// accept was not the first offer. A caller that already holds a shard's
+// outcome in d: one arrival however many shards it took, a spillover when
+// the accept was not the first offer. A caller that already holds a shard's
 // decision (a batch, whose first offers go out as per-shard sub-batches)
-// passes it as last with tried = 1 and the rest of the order.
-func (p *Pool) settle(ctx context.Context, task rt.Task, order []int, tried int, last service.Decision) (service.Decision, error) {
-	if tried == 0 || !final(last) {
-		d, n, _, err := p.offer(ctx, task, order)
+// passes it in d with tried = 1 and the rest of the order.
+func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, tried int, d *service.Decision) error {
+	if tried == 0 || !final(d) {
+		n, _, err := p.offer(ctx, task, order, d)
 		if err != nil {
-			return d, err
+			return err
 		}
 		if n == 0 && tried == 0 {
 			// Every shard the placement picked is drained: fall through to the
@@ -314,27 +311,30 @@ func (p *Pool) settle(ctx context.Context, task rt.Task, order []int, tried int,
 					rest = append(rest, idx)
 				}
 			}
-			if d, n, _, err = p.offer(ctx, task, rest); err != nil {
-				return d, err
+			if n, _, err = p.offer(ctx, task, rest, d); err != nil {
+				return err
+			}
+			if n == 0 {
+				// No shard has a live node: the first pick decides, and its
+				// scheduler rejects the task as infeasible, so the submission
+				// is a counted decision with its EventReject for every K.
+				if *d, err = p.shards[order[0]].Submit(ctx, *task); err != nil {
+					return err
+				}
+				n = 1
 			}
 		}
-		if n > 0 {
-			last, tried = d, tried+n
-		}
+		tried += n
 	}
-	if tried == 0 {
-		return service.Decision{}, fmt.Errorf("pool: no live shard available: %w", errs.ErrClusterBusy)
-	}
-	p.arrivals.Add(1)
-	if !last.Accepted {
+	if !d.Accepted {
 		p.rejects.Add(1)
-		return last, nil
+		return nil
 	}
 	p.accepts.Add(1)
 	if tried > 1 {
 		p.spillovers.Add(1)
 	}
-	return last, nil
+	return nil
 }
 
 // SubmitBatch submits several tasks, returning one decision per considered
@@ -416,7 +416,7 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	// order, a dead pick falls through to the remaining live shards.
 	pos := make([]int, len(p.shards))
 	for i := range tasks {
-		var first service.Decision
+		var d service.Decision
 		tried := 0
 		if t := target[i]; t >= 0 {
 			j := pos[t]
@@ -426,10 +426,9 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 				// the first input-order task it never decided.
 				return decisions, subErr[t]
 			}
-			first, tried = subDec[t][j], 1
+			d, tried = subDec[t][j], 1
 		}
-		d, err := p.settle(ctx, tasks[i], orders[i], tried, first)
-		if err != nil {
+		if err := p.settle(ctx, &tasks[i], orders[i], tried, &d); err != nil {
 			return decisions, err
 		}
 		decisions = append(decisions, d)
@@ -480,12 +479,8 @@ type Event = service.Event
 // views come from ShardStats.
 func (p *Pool) Stats() service.Stats {
 	now := p.clock.Now()
-	agg := service.Stats{
-		Time:     now,
-		Arrivals: int(p.arrivals.Load()),
-		Accepts:  int(p.accepts.Load()),
-		Rejects:  int(p.rejects.Load()),
-	}
+	agg := service.Stats{Time: now, Accepts: int(p.accepts.Load()), Rejects: int(p.rejects.Load())}
+	agg.Arrivals = agg.Accepts + agg.Rejects
 	for _, sh := range p.shards {
 		st := sh.Stats()
 		agg.Commits += st.Commits
@@ -644,7 +639,7 @@ func (p *Pool) readmit(t rt.Task, origin int) bool {
 	for len(cands) > 0 {
 		var d service.Decision
 		var err error
-		if d, _, cands, err = p.offer(context.Background(), t, cands); err != nil {
+		if _, cands, err = p.offer(context.Background(), &t, cands, &d); err != nil {
 			continue // that shard closed underneath us; go on with those after it
 		}
 		if d.Accepted {

@@ -323,3 +323,56 @@ func TestPoolSubscribeStreamGap(t *testing.T) {
 		t.Fatalf("aggregate EventsDropped %d != subscriber %d", st.EventsDropped, sub.Dropped())
 	}
 }
+
+// TestOneShardSubmitAllocatesLikeItsShard: the pool layer allocates
+// nothing per Submit — a one-shard pool allocates exactly what its bare
+// shard does on the same stream, accepts and rejects alike.
+func TestOneShardSubmitAllocatesLikeItsShard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; the count holds only on production builds")
+	}
+	ctx := context.Background()
+	allocs := func(clock *service.ManualClock, submit func(context.Context, rt.Task) (service.Decision, error)) float64 {
+		var id int64
+		return testing.AllocsPerRun(400, func() {
+			id++
+			clock.Advance(1300)
+			deadline := 5200.0
+			if id%3 == 0 {
+				deadline = 150 // below E(σ, N): an infeasible reject
+			}
+			if _, err := submit(ctx, rt.Task{ID: id, Sigma: 150 + float64(id%8)*12.5, RelDeadline: deadline}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	shard := func() ShardConfig {
+		cl, err := cluster.New(16, baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ShardConfig{Cluster: cl, Policy: rt.EDF, Partitioner: rt.IITDLT{}}
+	}
+
+	bareClock := service.NewManualClock(0)
+	sc := shard()
+	bare, err := service.New(service.Config{Cluster: sc.Cluster, Policy: sc.Policy, Partitioner: sc.Partitioner, Clock: bareClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	poolClock := service.NewManualClock(0)
+	p, err := New(Config{Shards: []ShardConfig{shard()}, Clock: poolClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	want, got := allocs(bareClock, bare.Submit), allocs(poolClock, p.Submit)
+	if st := p.Stats(); st.Accepts == 0 || st.Rejects == 0 {
+		t.Fatalf("stream must mix accepts and rejects: %+v", st)
+	}
+	if got != want {
+		t.Fatalf("one-shard pool Submit allocates %v per call, its bare shard %v", got, want)
+	}
+}

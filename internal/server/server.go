@@ -61,9 +61,8 @@ import (
 	"rtdls/internal/service"
 )
 
-// Engine is the admission surface the server fronts. Both the public
-// rtdls.Service (single cluster or sharded pool) and the internal
-// service.Engine implementations satisfy it.
+// Engine is the admission surface the server fronts. The public
+// rtdls.Service and the internal pool.Pool satisfy it.
 type Engine interface {
 	Submit(ctx context.Context, t rt.Task) (service.Decision, error)
 	SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Decision, error)

@@ -41,11 +41,11 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// TestWithShardsOneIsBitIdentical is the no-regression acceptance
-// property of the pool refactor: for every algorithm (and a heterogeneous
-// cost draw), a WithShards(1) service — which routes through the pool
-// engine and its placement layer — produces exactly the decisions, plans
-// and statistics of the default single-cluster service.
+// TestWithShardsOneIsBitIdentical: for every algorithm (and a
+// heterogeneous cost draw), an explicit WithShards(1) service produces
+// exactly the decisions, plans and statistics of the default service —
+// the default is the one-shard pool, so asking for one shard changes
+// nothing.
 func TestWithShardsOneIsBitIdentical(t *testing.T) {
 	variants := []struct {
 		label string
@@ -204,5 +204,49 @@ func TestSimulateSharded(t *testing.T) {
 	}
 	if res.Arrivals == 0 || res.Accepted+res.Rejected != res.Arrivals {
 		t.Fatalf("accounting: %+v", res)
+	}
+}
+
+// TestEveryNodeDownIsACountedReject: with no live node anywhere, a
+// submission is a clean infeasible decision — counted, with its
+// EventReject — for one shard and for several alike, through Submit and
+// SubmitBatch.
+func TestEveryNodeDownIsACountedReject(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		svc, err := rtdls.New(rtdls.WithNodes(2), rtdls.WithShards(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, cancel := svc.Subscribe(16)
+		for node := range svc.NodeStates() {
+			if _, err := svc.FailNode(node); err != nil {
+				t.Fatalf("K=%d: fail node %d: %v", k, node, err)
+			}
+		}
+		ctx := context.Background()
+		task := rtdls.Task{ID: 1, Sigma: 200, RelDeadline: 2800}
+		d, err := svc.Submit(ctx, task)
+		if err != nil || d.Accepted || d.Reason != rtdls.ReasonInfeasible {
+			t.Fatalf("K=%d: Submit = %+v, %v; want an infeasible reject", k, d, err)
+		}
+		task.ID = 2
+		ds, err := svc.SubmitBatch(ctx, []rtdls.Task{task})
+		if err != nil || len(ds) != 1 || ds[0].Accepted || ds[0].Reason != rtdls.ReasonInfeasible {
+			t.Fatalf("K=%d: SubmitBatch = %+v, %v; want an infeasible reject", k, ds, err)
+		}
+		if st := svc.Stats(); st.Arrivals != 2 || st.Rejects != 2 || st.Accepts != 0 {
+			t.Fatalf("K=%d: stats %+v, want 2 arrivals, 2 rejects", k, st)
+		}
+		svc.Close()
+		cancel()
+		rejects := 0
+		for ev := range events {
+			if ev.Kind == rtdls.EventReject {
+				rejects++
+			}
+		}
+		if rejects != 2 {
+			t.Fatalf("K=%d: %d reject events, want 2", k, rejects)
+		}
 	}
 }

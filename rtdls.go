@@ -49,7 +49,11 @@ import (
 // Scheduler alias (use New with WithCosts/WithPolicy/WithAlgorithm; commits
 // happen automatically), and made every /metrics family a scrape-time read
 // of the Stats counters.
-const Version = "4.0.0"
+// 5.0.0 put one engine behind New and Simulate: both always build a pool,
+// K = 1 by default, and the one-shard accessors Cluster and Costs are gone
+// (use Clusters()[0] and ShardCosts()[0]). With every node down a
+// submission is a counted infeasible reject at every K.
+const Version = "5.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps
@@ -122,7 +126,9 @@ func Algorithms() []string { return driver.Algorithms() }
 
 // Result carries one run's admission and execution metrics. Simulate and
 // SimulateSeries return it; the deprecated 1.x Config/Run/RunSeries batch
-// shims that used to produce it were removed in 3.0.0.
+// shims that used to produce it were removed in 3.0.0. Its pool fields
+// (Shards, Placement, Spillovers, ShardRejectRatios) are filled on every
+// run, the default one-shard run included.
 type Result = driver.Result
 
 // Cluster models the homogeneous star cluster (head node, N workers,

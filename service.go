@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"rtdls/internal/cluster"
 	"rtdls/internal/driver"
 	"rtdls/internal/fleet"
 	"rtdls/internal/metrics"
@@ -340,15 +339,14 @@ func WithChurn(sch ChurnSchedule) Option {
 	}
 }
 
-// WithShards splits the service into k independent cluster shards fronted
-// by a placement layer (default RoundRobin; see WithPlacement): each shard
-// gets its own scheduler and lock, so submissions contend only per shard
-// and Submit throughput scales with k on multi-core hardware. Every shard
-// copies the single-cluster configuration (node count, costs, policy,
+// WithShards sizes the service's pool at k independent cluster shards
+// fronted by a placement layer (default RoundRobin; see WithPlacement):
+// each shard gets its own scheduler and lock, so submissions contend only
+// per shard and Submit throughput scales with k on multi-core hardware.
+// Every shard copies the cluster configuration (node count, costs, policy,
 // algorithm, queue bound) unless WithShardNodes or WithShardNodeCosts
-// sizes them individually. WithShards(1) routes through the same pool
-// engine and is property-tested to behave identically to the default
-// single-cluster service.
+// sizes them individually. The default is k = 1, the paper's one cluster;
+// WithShards(1) changes nothing.
 func WithShards(k int) Option {
 	return func(o *serviceOptions) error {
 		if k < 1 {
@@ -360,7 +358,6 @@ func WithShards(k int) Option {
 }
 
 // WithPlacement selects the pool's routing layer (default RoundRobin).
-// Implies a pool even without WithShards (then K=1).
 func WithPlacement(p Placement) Option {
 	return func(o *serviceOptions) error {
 		if p == nil {
@@ -375,7 +372,7 @@ func WithPlacement(p Placement) Option {
 // the argument count) — a fleet of differently sized clusters behind one
 // admission surface. Overrides WithNodes per shard; combine with
 // WithShards only if the counts agree. Combining it with an explicit
-// single-cluster table (WithCosts/WithNodeCosts) is rejected — one table
+// one-cluster table (WithCosts/WithNodeCosts) is rejected — one table
 // cannot size individually-shaped shards; use WithShardNodeCosts.
 func WithShardNodes(ns ...int) Option {
 	return func(o *serviceOptions) error {
@@ -396,7 +393,7 @@ func WithShardNodes(ns ...int) Option {
 // table (the shard count follows the argument count) — a fully
 // heterogeneous fleet: shards of different sizes and node speeds. It
 // overrides WithShardNodes and the spread draw; combining it with a
-// single-cluster table (WithCosts/WithNodeCosts) is rejected.
+// one-cluster table (WithCosts/WithNodeCosts) is rejected.
 func WithShardNodeCosts(tables ...[]NodeCost) Option {
 	return func(o *serviceOptions) error {
 		if len(tables) == 0 {
@@ -455,11 +452,6 @@ func (o serviceOptions) config() driver.Config {
 	}
 }
 
-// pooled reports whether the options describe a sharded pool.
-func (o serviceOptions) pooled() bool {
-	return o.shards != 0 || o.placement != nil || len(o.shardNodes) > 0 || len(o.shardCosts) > 0
-}
-
 // CostModelFor resolves the per-node cost table the given options describe
 // — explicit node costs verbatim, a spread-generated table, or the uniform
 // scalar model — exactly as New and Simulate resolve it. Useful to build a
@@ -469,11 +461,11 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, cms, err := o.config().ShardPlan()
+	shards, err := o.config().ShardConfigs()
 	if err != nil {
 		return nil, err
 	}
-	return cms[0], nil
+	return shards[0].Cluster.Costs(), nil
 }
 
 // Service is the long-lived, goroutine-safe admission-control service: the
@@ -482,16 +474,14 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 // Submit/SubmitBatch; observe decisions via the Subscribe event stream or
 // the Stats snapshot. See examples/quickstart and examples/admission.
 //
-// With WithShards the same surface fronts a pool of K independent cluster
-// shards behind a placement layer (see examples/pool): decisions and
-// events carry the placing shard, Stats aggregates the fleet, and
-// ShardStats/Clusters expose the per-shard views. The default
-// single-cluster service is exactly the K=1 special case.
+// The surface fronts a pool of K independent cluster shards behind a
+// placement layer (see examples/pool); the default is the K = 1 pool, the
+// paper's one cluster. Decisions and events carry the placing shard,
+// Stats aggregates the fleet, and ShardStats/Clusters expose the
+// per-shard views.
 type Service struct {
-	engine service.Engine
-	single *service.Service // non-nil for the classic single-cluster engine
-	pool   *pool.Pool       // non-nil for the sharded engine
-	cms    []*CostModel     // per-shard cost models (len 1 when single)
+	pool *pool.Pool
+	cms  []*CostModel // per-shard cost models
 }
 
 // New builds a service from functional options:
@@ -504,68 +494,31 @@ type Service struct {
 //	)
 //
 // The zero-option call reproduces the paper's baseline cluster (16 nodes,
-// Cms=1, Cps=100, EDF, DLT-IIT) under a manual clock. Any shard option
-// (WithShards, WithPlacement, WithShardNodes, WithShardNodeCosts) fronts
-// K shards with a placement layer instead; with several shards the
-// observer installed by WithObserver is invoked concurrently from every
-// shard and must be safe for concurrent use.
+// Cms=1, Cps=100, EDF, DLT-IIT) under a manual clock, as a one-shard
+// pool. The shard options (WithShards, WithPlacement, WithShardNodes,
+// WithShardNodeCosts) size the pool; with several shards the observer
+// installed by WithObserver is invoked concurrently from every shard and
+// must be safe for concurrent use.
 func New(opts ...Option) (*Service, error) {
 	o, err := applyOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.config()
-	k, cms, err := cfg.ShardPlan()
+	shards, err := o.config().ShardConfigs()
 	if err != nil {
 		return nil, err
 	}
-	met := service.NewMetrics(o.metrics) // nil registry → nil Metrics
-	if !o.pooled() {
-		part, err := driver.PartitionerFor(o.algorithm, o.rounds, cms[0])
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.NewHetero(cms[0].Costs())
-		if err != nil {
-			return nil, err
-		}
-		inner, err := service.New(service.Config{
-			Cluster:     cl,
-			Policy:      o.policy,
-			Partitioner: part,
-			Clock:       o.clock,
-			Observer:    o.observer,
-			MaxQueue:    o.maxQueue,
-			Metrics:     met,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Service{engine: inner, single: inner, cms: cms}, nil
-	}
-	shards := make([]pool.ShardConfig, k)
+	cms := make([]*CostModel, len(shards))
 	for j := range shards {
-		part, err := driver.PartitionerFor(o.algorithm, o.rounds, cms[j])
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.NewHetero(cms[j].Costs())
-		if err != nil {
-			return nil, err
-		}
-		shards[j] = pool.ShardConfig{
-			Cluster:     cl,
-			Policy:      o.policy,
-			Partitioner: part,
-			MaxQueue:    o.maxQueue,
-			Observer:    o.observer,
-		}
+		shards[j].MaxQueue = o.maxQueue
+		cms[j] = shards[j].Cluster.Costs()
 	}
+	met := service.NewMetrics(o.metrics) // nil registry → nil Metrics
 	pl, err := pool.New(pool.Config{Shards: shards, Placement: o.placement, Clock: o.clock, Metrics: met})
 	if err != nil {
 		return nil, err
 	}
-	return &Service{engine: pl, pool: pl, cms: cms}, nil
+	return &Service{pool: pl, cms: cms}, nil
 }
 
 // Submit runs the admission test for one task and returns the decision.
@@ -574,13 +527,13 @@ func New(opts ...Option) (*Service, error) {
 // return reports malformed input or a closed service — never
 // infeasibility, which is a clean decision with Reason ErrInfeasible.
 func (s *Service) Submit(ctx context.Context, t Task) (Decision, error) {
-	return s.engine.Submit(ctx, t)
+	return s.pool.Submit(ctx, t)
 }
 
 // SubmitBatch submits several tasks atomically (one lock acquisition), in
 // order, returning one decision per considered task.
 func (s *Service) SubmitBatch(ctx context.Context, tasks []Task) ([]Decision, error) {
-	return s.engine.SubmitBatch(ctx, tasks)
+	return s.pool.SubmitBatch(ctx, tasks)
 }
 
 // Subscribe attaches a consumer to the decision/lifecycle event stream.
@@ -588,7 +541,7 @@ func (s *Service) SubmitBatch(ctx context.Context, tasks []Task) ([]Decision, er
 // consumer loses events (counted in Stats().EventsDropped) rather than
 // blocking admission control.
 func (s *Service) Subscribe(buffer int) (<-chan Event, func()) {
-	return s.engine.Subscribe(buffer)
+	return s.pool.Subscribe(buffer)
 }
 
 // Subscription is one consumer's handle on the event stream: its channel
@@ -601,7 +554,7 @@ type Subscription = service.Subscription
 // The dlserve event streamer uses it to emit explicit gap notices to its
 // clients instead of silently skipping decisions.
 func (s *Service) SubscribeStream(buffer int) *Subscription {
-	return s.engine.SubscribeStream(buffer)
+	return s.pool.SubscribeStream(buffer)
 }
 
 // SetAccepting flips the admission gate: while false, every submission
@@ -609,12 +562,12 @@ func (s *Service) SubscribeStream(buffer int) *Subscription {
 // commits and the event stream keep operating. It is the first step of a
 // graceful drain — SetAccepting(false), Drain, Close — and is reversible
 // until Close.
-func (s *Service) SetAccepting(accepting bool) { s.engine.SetAccepting(accepting) }
+func (s *Service) SetAccepting(accepting bool) { s.pool.SetAccepting(accepting) }
 
 // Accepting reports whether the admission gate is open: true until
 // SetAccepting(false) or Close. Lock-free — health checks poll it without
 // contending with submissions.
-func (s *Service) Accepting() bool { return s.engine.Accepting() }
+func (s *Service) Accepting() bool { return s.pool.Accepting() }
 
 // SetSpeculation toggles optimistic two-phase admission (on by default):
 // when on, a submit that overlaps another on its shard — or follows one
@@ -627,114 +580,80 @@ func (s *Service) Accepting() bool { return s.engine.Accepting() }
 // planning with. Turning speculation off forces every submission through
 // the serialized path — an operational escape hatch and the baseline for
 // the equivalence tests.
-func (s *Service) SetSpeculation(on bool) { s.engine.SetSpeculation(on) }
+func (s *Service) SetSpeculation(on bool) { s.pool.SetSpeculation(on) }
 
 // Stats returns a consistent snapshot of the admission counters, queue
-// depth and cluster utilization — aggregated over every shard for a
-// pooled service (see ServiceStats for the aggregation rules).
-func (s *Service) Stats() ServiceStats { return s.engine.Stats() }
+// depth and cluster utilization, aggregated over every shard (see
+// ServiceStats for the aggregation rules).
+func (s *Service) Stats() ServiceStats { return s.pool.Stats() }
 
 // NextCommit returns the earliest pending first-transmission time over
 // all shards, or ok=false when no task is waiting.
-func (s *Service) NextCommit() (at float64, ok bool) { return s.engine.NextCommit() }
+func (s *Service) NextCommit() (at float64, ok bool) { return s.pool.NextCommit() }
 
 // Pump commits every waiting plan whose first transmission is due at the
 // current clock reading. Submissions do this implicitly; Pump exists for
 // idle periods.
-func (s *Service) Pump() error { return s.engine.Pump() }
+func (s *Service) Pump() error { return s.pool.Pump() }
 
 // Drain commits every remaining waiting plan regardless of the clock —
 // the flush/shutdown path.
-func (s *Service) Drain() error { return s.engine.Drain() }
+func (s *Service) Drain() error { return s.pool.Drain() }
 
 // Clock returns the service's clock (shared by every shard).
-func (s *Service) Clock() Clock { return s.engine.Clock() }
+func (s *Service) Clock() Clock { return s.pool.Clock() }
 
 // DrainNode stops placing new work on the node; committed work runs to
 // completion. Waiting plans are re-validated against the remaining live
 // capacity: tasks that no longer pass the schedulability test are
-// displaced (EventDisplace with ReasonNodeUnavailable on the stream) and,
-// on a pooled service, offered to the other shards through the normal
-// admission test. The node id is engine-wide (shard-major on a pool).
-func (s *Service) DrainNode(node int) (FleetResult, error) { return s.engine.DrainNode(node) }
+// displaced (EventDisplace with ReasonNodeUnavailable on the stream) and
+// offered to the other shards, if any, through the normal admission test.
+// The node id is engine-wide (shard-major).
+func (s *Service) DrainNode(node int) (FleetResult, error) { return s.pool.DrainNode(node) }
 
 // FailNode removes the node's capacity immediately; waiting plans are
 // re-validated exactly as for DrainNode.
-func (s *Service) FailNode(node int) (FleetResult, error) { return s.engine.FailNode(node) }
+func (s *Service) FailNode(node int) (FleetResult, error) { return s.pool.FailNode(node) }
 
 // RestoreNode returns a drained or failed node to service. Nothing is
 // displaced — capacity only grows — and a fail-then-restore cycle with no
 // interim admissions leaves the scheduler bit-identical to one that never
 // failed.
-func (s *Service) RestoreNode(node int) (FleetResult, error) { return s.engine.RestoreNode(node) }
+func (s *Service) RestoreNode(node int) (FleetResult, error) { return s.pool.RestoreNode(node) }
 
 // AddNode grows the fleet by one node with the given cost coefficients
-// and returns its engine-wide id. On a pooled service the node joins the
-// shard with the fewest live nodes.
-func (s *Service) AddNode(nc NodeCost) (int, error) { return s.engine.AddNode(nc) }
+// and returns its engine-wide id. The node joins the shard with the fewest
+// live nodes.
+func (s *Service) AddNode(nc NodeCost) (int, error) { return s.pool.AddNode(nc) }
 
 // NodeStates returns every node's lifecycle state, indexed by the
-// engine-wide node id (shard-major on a pool).
-func (s *Service) NodeStates() []NodeState { return s.engine.NodeStates() }
+// engine-wide node id (shard-major).
+func (s *Service) NodeStates() []NodeState { return s.pool.NodeStates() }
 
-// Costs returns the per-node cost model the service schedules against —
-// shard 0's for a pooled service (see ShardCosts for the fleet).
-func (s *Service) Costs() *CostModel { return s.cms[0] }
-
-// ShardCosts returns every shard's cost model, indexed by shard (length
-// 1 for the single-cluster service).
+// ShardCosts returns every shard's cost model, indexed by shard.
 func (s *Service) ShardCosts() []*CostModel { return append([]*CostModel(nil), s.cms...) }
 
-// Cluster returns the live cluster substrate (release times, accounting)
-// — shard 0's for a pooled service (see Clusters for the fleet).
-func (s *Service) Cluster() *Cluster {
-	if s.single != nil {
-		return s.single.Cluster()
-	}
-	return s.pool.Shard(0).Cluster()
-}
+// Clusters returns every shard's live cluster substrate (release times,
+// accounting), indexed by shard.
+func (s *Service) Clusters() []*Cluster { return s.pool.Clusters() }
 
-// Clusters returns every shard's cluster substrate, indexed by shard
-// (length 1 for the single-cluster service).
-func (s *Service) Clusters() []*Cluster {
-	if s.single != nil {
-		return []*Cluster{s.single.Cluster()}
-	}
-	return s.pool.Clusters()
-}
-
-// Shards returns the number of cluster shards behind the service (1 for
-// the default single-cluster service).
-func (s *Service) Shards() int {
-	if s.pool != nil {
-		return s.pool.Shards()
-	}
-	return 1
-}
+// Shards returns the number of cluster shards behind the service (1 by
+// default).
+func (s *Service) Shards() int { return s.pool.Shards() }
 
 // ShardStats returns every shard's own snapshot, indexed by shard. Under
 // a spillover placement a retried task counts at every shard that saw it;
 // the pool-level Stats counts it once.
-func (s *Service) ShardStats() []ServiceStats {
-	if s.pool != nil {
-		return s.pool.ShardStats()
-	}
-	return []ServiceStats{s.single.Stats()}
-}
+func (s *Service) ShardStats() []ServiceStats { return s.pool.ShardStats() }
 
 // Spillovers returns how many accepted tasks needed at least one
 // spillover retry (always 0 without a Spillover placement).
-func (s *Service) Spillovers() int {
-	if s.pool != nil {
-		return s.pool.Spillovers()
-	}
-	return 0
-}
+func (s *Service) Spillovers() int { return s.pool.Spillovers() }
 
 // Close marks the service closed — subsequent submissions fail with
 // ErrClusterBusy — and closes every subscriber channel. Call Drain first
 // to flush waiting plans. Close is idempotent.
-func (s *Service) Close() error { return s.engine.Close() }
+func (s *Service) Close() error { return s.pool.Close() }
 
 // Workload parameterises one synthetic evaluation run for Simulate:
 // Poisson arrivals at the given SystemLoad, σ ~ N(AvgSigma, AvgSigma)

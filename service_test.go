@@ -16,10 +16,10 @@ func TestServiceBaselineDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if n := svc.Cluster().N(); n != 16 {
+	if n := svc.Clusters()[0].N(); n != 16 {
 		t.Fatalf("default cluster size = %d, want 16", n)
 	}
-	if !svc.Costs().Uniform() {
+	if !svc.ShardCosts()[0].Uniform() {
 		t.Fatalf("default cost model should be uniform")
 	}
 	dec, err := svc.Submit(context.Background(), rtdls.Task{ID: 1, Sigma: 200, RelDeadline: 2800})
@@ -235,8 +235,8 @@ func TestCostModelFor(t *testing.T) {
 	}
 	defer svc.Close()
 	for i := 0; i < cm.N(); i++ {
-		if svc.Costs().At(i) != cm.At(i) {
-			t.Fatalf("node %d: service %+v != CostModelFor %+v", i, svc.Costs().At(i), cm.At(i))
+		if svc.ShardCosts()[0].At(i) != cm.At(i) {
+			t.Fatalf("node %d: service %+v != CostModelFor %+v", i, svc.ShardCosts()[0].At(i), cm.At(i))
 		}
 	}
 }
