@@ -5,7 +5,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt ./internal/server
 
-.PHONY: build test bench bench-json bench-index bench-contention fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke loc ci
+.PHONY: build test bench bench-json bench-index bench-contention fmt fmt-check vet race race-repeat fuzz-smoke serve loadtest wire-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The concurrency suites under the race detector, five passes each: one
+# pass tries only one interleaving of the admission lock.
+race-repeat:
+	$(GO) test -race -count=5 -run 'Speculative|Phased|Stress|Concurrent|Second' . ./internal/service ./internal/pool ./internal/server
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
@@ -92,4 +97,4 @@ wire-smoke:
 loc:
 	./scripts/loc.sh
 
-ci: build fmt-check vet race bench fuzz-smoke
+ci: build fmt-check vet race race-repeat bench fuzz-smoke

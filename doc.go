@@ -115,8 +115,8 @@
 // HTTP request metrics. The per-shard families are read at scrape time
 // from the atomics Stats reads (one ledger: the scheduler's outcome
 // counters plus the service's two gate rejects), so an instrumented
-// decision does no extra work and a scrape never contends with the
-// scheduler lock. dlserve adds net/http/pprof behind
+// decision does no extra work and a scrape never contends with a
+// shard's lock. dlserve adds net/http/pprof behind
 // -pprof-addr and structured log/slog request logging with request-id
 // propagation; dlload scrapes /metrics around each run and embeds the
 // server-side stage/shard deltas in its report.

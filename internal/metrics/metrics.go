@@ -2,9 +2,9 @@
 // counters, float gauges and log-bucketed latency histograms behind a
 // Registry that renders the Prometheus text exposition format (version
 // 0.0.4). It exists so the admission engine can be observed — per-stage
-// latency, queue depth, per-shard outcomes — without ever taking the
-// scheduler lock on the read path: every instrument update and every
-// scrape read is a plain atomic operation.
+// latency, queue depth, per-shard outcomes — without ever taking a
+// shard's admission lock on the read path: every instrument update and
+// every scrape read is a plain atomic operation.
 //
 // Instruments are identified by a metric family name plus an optional set
 // of constant labels; registering the same (name, labels) pair twice

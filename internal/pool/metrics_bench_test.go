@@ -46,7 +46,7 @@ func benchObservedPool(b *testing.B, k int, clock service.Clock) (*pool.Pool, *m
 // Prometheus scrape interval. Comparing scrape=off against scrape=on isolates the
 // cost of scraping itself; the acceptance bar is under 5% on submit
 // throughput, which holds because a scrape only reads atomics and never
-// touches a scheduler lock. (Comparing scrape=off against the plain
+// touches a shard's lock. (Comparing scrape=off against the plain
 // benchmark instead measures the cost of instrumentation on the admission
 // hot path: per-stage clock reads plus a handful of atomic adds per
 // submission.)

@@ -39,11 +39,10 @@ type Placement interface {
 }
 
 // LoadAware is the optional interface a Placement implements to tell the
-// pool whether Order reads the QueueLen load signal. Sampling it costs
-// one scheduler-mutex acquisition per shard per submission, so the pool
-// skips the sweep — and the cross-shard lock contention it causes — for
-// placements that report false. A placement that does not implement
-// LoadAware is assumed to need the loads.
+// pool whether Order reads the QueueLen load signal. Sampling it reads
+// two atomics per shard per submission — no shard's lock — and the pool
+// skips even that for placements that report false. A placement that does
+// not implement LoadAware is assumed to need the loads.
 type LoadAware interface {
 	NeedsLoads() bool
 }

@@ -28,8 +28,8 @@ type slot struct {
 // and an availability view whose base is the committed cluster state and
 // whose tentative overlay holds the plans of the first `applied` waiting
 // tasks, stacked in queue order with one view checkpoint each. The
-// scheduler owns one (guarded by its lock); every speculation context owns
-// a private copy. Both run the same test, sweep and seek code below.
+// scheduler owns one (guarded by its caller's lock); every speculation
+// context owns a private copy. Both run the same test, sweep and seek code below.
 //
 // Keeping the overlay applied between tests is what makes the test
 // incremental: an arrival ordered at position p needs the view at

@@ -18,14 +18,14 @@ import (
 // stateful lockstep driver shared by a unit test and FuzzIncrementalAdmission.
 
 // specSubmit runs one submission through the optimistic protocol exactly
-// as service.submitSpeculative drives it: snapshot, simulated sweep,
+// as service.admit drives it: snapshot, simulated sweep,
 // off-lock test, epoch check, real sweep, install, carry. It returns the
 // plans the real sweep committed along with the decision.
 func specSubmit(s *Scheduler, sc *SpecContext, t *Task, now float64) (committed []*Plan, accepted bool, err error) {
 	s.SnapshotInto(sc)
 	sc.CommitDue(now)
 	out := s.Speculate(sc, t, now)
-	stale := out == SpecFallback || !s.EpochIs(sc.Epoch())
+	stale := out == SpecFallback || s.Epoch() != sc.Epoch()
 	committed, err = s.CommitDue(now)
 	if err != nil {
 		return committed, false, err
@@ -34,11 +34,7 @@ func specSubmit(s *Scheduler, sc *SpecContext, t *Task, now float64) (committed 
 		accepted, err = s.Submit(t, now)
 		return committed, accepted, err
 	}
-	if out == SpecAccept {
-		s.InstallSpeculativeAccept(t, now, sc.AcceptedPlan(), sc.Schedule(), sc.Stages())
-	} else {
-		s.InstallSpeculativeReject(t, now, sc.Stages())
-	}
+	s.Install(t, now, sc.AcceptedPlan(), sc.Schedule(), sc.Stages())
 	s.Carry(sc)
 	return committed, out == SpecAccept, nil
 }
@@ -127,7 +123,7 @@ func (ls *lockstep) check(what string) {
 		ls.sameBase(&a.q)
 	}
 	for i, sc := range ls.scs {
-		if !sc.synced || sc.epoch != a.epochLocked() {
+		if !sc.synced || sc.epoch != a.Epoch() {
 			continue
 		}
 		// A context on the live epoch may have swept ahead of the scheduler

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,11 +33,12 @@ type Observer interface {
 // committed — occupying its nodes, no longer replannable — when its first
 // data transmission begins (its plan's earliest node start time).
 //
-// All methods are safe for concurrent use: a single mutex serialises
-// submissions, commits and statistic reads, so one scheduler can be driven
-// from many goroutines (the service package builds on this).
+// A Scheduler takes no lock: one goroutine at a time may use it, and its
+// caller serializes the calls — service.Service does, under its shard's one
+// lock. Only the atomic counter reads (Stats, PlanCounts, DemandRejects,
+// QueueLen) and Speculate, which reads just the immutable policy and
+// partitioner besides its context, may run outside that lock.
 type Scheduler struct {
-	mu   sync.Mutex
 	cl   *cluster.Cluster
 	pol  Policy
 	part Partitioner
@@ -78,8 +78,8 @@ type Scheduler struct {
 	resyncEachUse bool
 
 	// Admission counters live on atomics so Stats() — and every observer
-	// built on it, including the /metrics scrape — never takes the
-	// scheduler lock. Writes still happen inside locked sections, so the
+	// built on it, including the /metrics scrape — reads them without the
+	// caller's lock. Writes happen only inside serialized calls, so the
 	// counters remain mutually consistent at quiescence. Every decided
 	// arrival is one accept or one reject, so arrivals are their sum.
 	accepts       atomic.Int64
@@ -108,11 +108,9 @@ func NewScheduler(cl *cluster.Cluster, pol Policy, part Partitioner) *Scheduler 
 }
 
 // SetObserver installs lifecycle callbacks (nil disables them). Callbacks
-// run with the scheduler lock held and must not call back into it. If obs
+// run inside the caller's serialized call and must not re-enter it. If obs
 // also implements StageObserver, per-stage timing spans are enabled too.
 func (s *Scheduler) SetObserver(obs Observer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.obs = obs
 	if so, ok := obs.(StageObserver); ok && s.stageObs == nil {
 		s.stageObs = so
@@ -120,11 +118,9 @@ func (s *Scheduler) SetObserver(obs Observer) {
 }
 
 // SetStageObserver installs per-stage timing callbacks (nil disables
-// them). The observer runs with the scheduler lock held, once per
+// them). The observer runs inside the caller's serialized call, once per
 // admission test, and must be cheap and concurrency-safe.
 func (s *Scheduler) SetStageObserver(so StageObserver) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.stageObs = so
 }
 
@@ -153,8 +149,6 @@ func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if t.Arrival > now {
 		return nil, fmt.Errorf("rt: task %d submitted at %v before its arrival %v: %w",
 			t.ID, now, t.Arrival, errs.ErrBadConfig)
@@ -169,20 +163,20 @@ func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
 	if s.stageObs != nil {
 		t0 = time.Now()
 	}
-	s.syncLocked()
+	s.sync()
 	out, pl, st, err := s.q.test(s.pol, s.part, t, now, t0)
-	s.landLocked(out, t, now, pl, st)
+	s.land(out, t, now, pl, st)
 	return pl, err
 }
 
-// landLocked is where every admission test ends, whether it ran here under
-// the lock (Submit) or on a speculation context whose outcome is being
+// land is where every admission test ends, whether it ran here on the
+// live state (Submit) or on a speculation context whose outcome is being
 // installed: the test's account lands on the plan counters and the stage
 // observer, and the outcome on its counter and the lifecycle observer. For
 // an accept the schedule now in q — a whole-queue test's against the
 // current cluster state — is the one that admitted t. A test that ended in
 // a hard error (SpecFallback) decided nothing and counts as no arrival.
-func (s *Scheduler) landLocked(out SpecOutcome, t *Task, now float64, pl *Plan, st SpecStages) {
+func (s *Scheduler) land(out SpecOutcome, t *Task, now float64, pl *Plan, st SpecStages) {
 	s.plansComputed.Add(int64(st.Computed))
 	s.plansReused.Add(int64(st.Reused))
 	if st.DemandReject {
@@ -199,7 +193,9 @@ func (s *Scheduler) landLocked(out SpecOutcome, t *Task, now float64, pl *Plan, 
 		s.accepts.Add(1)
 		n := int64(len(s.q.queue))
 		s.queueLen.Store(n)
-		storeMax(&s.maxQueue, n)
+		if n > s.maxQueue.Load() {
+			s.maxQueue.Store(n)
+		}
 		s.queueGen++
 		if s.obs != nil {
 			s.obs.OnAccept(now, t, pl)
@@ -212,7 +208,7 @@ func (s *Scheduler) landLocked(out SpecOutcome, t *Task, now float64, pl *Plan, 
 	}
 }
 
-// syncLocked prepares q for a test or a revalidation against the current
+// sync prepares q for a test or a revalidation against the current
 // cluster: the plan table is hinted only while planVersion holds, and the
 // view keeps its overlay only while clVersion holds — the steady-state
 // path, since CommitDue moves both stamps along with its own commits. On
@@ -221,7 +217,7 @@ func (s *Scheduler) landLocked(out SpecOutcome, t *Task, now float64, pl *Plan, 
 // drained or down, and the live (placeable) node count — O(n) under churn
 // — and cost model are recached. A fully-up fleet takes exactly the
 // pre-fleet path: no mask, live == N.
-func (s *Scheduler) syncLocked() {
+func (s *Scheduler) sync() {
 	v := s.cl.Version()
 	if s.planVersion != v {
 		s.q.hinted = false
@@ -250,8 +246,6 @@ func (s *Scheduler) syncLocked() {
 // displaces anything (capacity only grows); waiting plans are left as
 // planned and re-optimised naturally on the next arrival.
 func (s *Scheduler) SetNodeState(id int, st cluster.NodeState, now float64) (displaced []*Task, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.cl.SetNodeState(id, st); err != nil {
 		// Bad node id / state is a caller mistake, not an engine fault: tag
 		// it so the wire layer maps it to 400 rather than 500.
@@ -260,15 +254,13 @@ func (s *Scheduler) SetNodeState(id int, st cluster.NodeState, now float64) (dis
 	if st == cluster.NodeUp {
 		return nil, nil
 	}
-	return s.revalidateLocked(now)
+	return s.Revalidate(now)
 }
 
 // AddNode grows the cluster by one node with the given cost coefficients,
 // available from availFrom, and returns its id. Waiting plans are
 // untouched — the new capacity is picked up by the next admission test.
 func (s *Scheduler) AddNode(nc dlt.NodeCost, availFrom float64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.cl.AddNode(nc, availFrom)
 }
 
@@ -278,17 +270,11 @@ func (s *Scheduler) AddNode(nc dlt.NodeCost, availFrom float64) (int, error) {
 // whole-queue test: kept tasks get fresh plans stacked on the live nodes,
 // displaced tasks keep their accept counted but will never commit.
 func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.revalidateLocked(now)
-}
-
-func (s *Scheduler) revalidateLocked(now float64) (displaced []*Task, err error) {
 	q := &s.q
 	if len(q.queue) == 0 {
 		return nil, nil
 	}
-	s.syncLocked()
+	s.sync()
 	q.planAt(now)
 	base := q.rebuildFrom(0)
 	for _, e := range q.saved {
@@ -315,22 +301,10 @@ func (s *Scheduler) revalidateLocked(now float64) (displaced []*Task, err error)
 	return displaced, nil
 }
 
-// storeMax raises the atomic to v if v exceeds the current value.
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if cur >= v || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // NextCommit returns the earliest plan start time among waiting tasks, or
 // ok=false when the queue is empty. The driver schedules a commit event at
 // this instant.
 func (s *Scheduler) NextCommit() (at float64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	at = math.Inf(1)
 	for _, e := range s.q.queue {
 		at = math.Min(at, e.first)
@@ -342,8 +316,6 @@ func (s *Scheduler) NextCommit() (at float64, ok bool) {
 // now, in queue order, updating the cluster's release times and accounting.
 // It returns the committed plans (possibly none).
 func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	stageObs := s.stageObs
 	var t0 time.Time
 	if stageObs != nil {
@@ -387,8 +359,6 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 // the queue, so admission never calls it (Admit returns the plan); it is
 // kept for tests that inspect a task's plan after later replans.
 func (s *Scheduler) PlanFor(taskID int64) *Plan {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.q.planOf(taskID)
 }
 

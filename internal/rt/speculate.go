@@ -4,24 +4,24 @@ import "time"
 
 // This file is the scheduler half of optimistic two-phase admission.
 //
-// Phase 1 runs lock-free: a submitting goroutine captures an epoch-stamped
-// snapshot of the scheduler's queue state (SnapshotInto), simulates the
-// due-commit sweep (SpecContext.CommitDue) and runs the Fig. 2
-// schedulability test (Speculate) on its private copy — the same
-// queueState code the serialized Submit runs under the lock.
+// Phase 1 holds the caller's lock only to capture an epoch-stamped
+// snapshot of the scheduler's queue state (SnapshotInto); off it, the
+// submitting goroutine simulates the due-commit sweep
+// (SpecContext.CommitDue) and runs the Fig. 2 schedulability test
+// (Speculate) on its private copy — the same queueState code the
+// serialized Submit runs on the live state.
 //
 // Phase 2 is the short critical section: the service compares the snapshot
-// epoch against the live one (EpochIs) under its lock and, if nothing
-// changed, installs the precomputed outcome (InstallSpeculativeAccept /
-// InstallSpeculativeReject) — the in-lock window shrinks from "the whole
-// admission test" to "an epoch comparison plus a copy of the schedule". On
-// an epoch mismatch the speculation is discarded and the submission
-// replays through the ordinary serialized Submit, on the live,
-// incrementally maintained state, so every decision is still made against
-// serialized state and the decision stream is bit-for-bit what a purely
-// serialized execution would produce. Wherever a test ran, its outcome
-// reaches the counters, the observers and the test's account through the
-// one landLocked (scheduler.go).
+// epoch against the live one (Epoch) under its lock and, if nothing
+// changed, installs the precomputed outcome (Install) — the in-lock window
+// shrinks from "the whole admission test" to "an epoch comparison plus a
+// copy of the schedule". On an epoch mismatch the speculation is discarded
+// and the submission replays through the ordinary serialized Submit, on
+// the live, incrementally maintained state, so every decision is still
+// made against serialized state and the decision stream is bit-for-bit
+// what a purely serialized execution would produce. Wherever a test ran,
+// its outcome reaches the counters, the observers and the test's account
+// through the one land (scheduler.go).
 //
 // A context whose outcome installed holds exactly the scheduler's new
 // state — same commits folded into its base, same schedule, still applied
@@ -121,11 +121,9 @@ func (sc *SpecContext) Stages() SpecStages { return sc.stages }
 // scheduler. The context's view is rebuilt lazily, off the lock, by the
 // first CommitDue.
 func (s *Scheduler) SnapshotInto(sc *SpecContext) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sc.plan = nil
 	sc.timed = s.stageObs != nil
-	e := s.epochLocked()
+	e := s.Epoch()
 	if sc.synced && e == sc.epoch {
 		// The epoch hasn't moved since this context was stamped, so the
 		// committed base, eligibility mask and schedule it holds — including
@@ -152,28 +150,20 @@ func (s *Scheduler) SnapshotInto(sc *SpecContext) {
 	sc.synced = false
 }
 
-func (s *Scheduler) epochLocked() Epoch {
+// Epoch returns the epoch of the scheduler's present state. A snapshot
+// whose stamp equals it was taken from exactly this state; the service
+// compares the two under its lock, so a match holds until it lets go.
+func (s *Scheduler) Epoch() Epoch {
 	return Epoch{cluster: s.cl.Version(), queue: s.queueGen}
 }
 
-// EpochIs reports whether the scheduler's decision-relevant state still
-// matches the snapshot epoch. The caller (the service) holds its own outer
-// lock, so a true answer stays true until that lock is released.
-func (s *Scheduler) EpochIs(e Epoch) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epochLocked() == e
-}
-
-// Carry stamps sc with the scheduler's current epoch. The caller (the
-// service, under its outer lock) calls it right after installing sc's
-// outcome — together with the real due-commit sweeps sc's CommitDue calls
-// simulated — which is exactly when sc's state is the scheduler's: the
-// next SnapshotInto then finds nothing to copy.
+// Carry stamps sc with the scheduler's current epoch. The service calls it
+// under its lock right after installing sc's outcome — together with the
+// real due-commit sweeps sc's CommitDue calls simulated — which is exactly
+// when sc's state is the scheduler's: the next SnapshotInto then finds
+// nothing to copy.
 func (s *Scheduler) Carry(sc *SpecContext) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sc.epoch = s.epochLocked()
+	sc.epoch = s.Epoch()
 }
 
 // Invalidate marks sc as holding nothing the scheduler ever held, so the
@@ -205,7 +195,7 @@ func (sc *SpecContext) CommitDue(now float64) {
 // subsequent tasks.
 //
 // The scheduler's policy and partitioner are immutable after construction,
-// so reading them without the lock is safe; nothing else of the live
+// so reading them off the caller's lock is safe; nothing else of the live
 // scheduler is touched.
 func (s *Scheduler) Speculate(sc *SpecContext, t *Task, now float64) SpecOutcome {
 	sc.plan, sc.stages = nil, SpecStages{}
@@ -224,25 +214,17 @@ func (s *Scheduler) Speculate(sc *SpecContext, t *Task, now float64) SpecOutcome
 	return out
 }
 
-// InstallSpeculativeAccept installs a precomputed accept under the lock:
-// the speculated schedule replaces the live one. The caller has validated
-// the epoch under its own outer lock and already committed the due plans,
-// so sched is exactly what the serialized test would have produced, with
-// pl the plan of t in it. The test's account recorded during speculation
-// lands here, keeping one sample per stage per scheduler-reaching submit.
-func (s *Scheduler) InstallSpeculativeAccept(t *Task, now float64, pl *Plan, sched Schedule, st SpecStages) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Install lands a precomputed outcome of Speculate: with pl non-nil an
+// accept, whose speculated schedule sched replaces the live one, and
+// otherwise an epoch-neutral reject. The caller has found the epoch
+// unchanged and committed the due plans, so this is exactly what the
+// serialized test would have done. The test's account recorded during
+// speculation lands here, keeping one sample per stage per submit.
+func (s *Scheduler) Install(t *Task, now float64, pl *Plan, sched Schedule, st SpecStages) {
+	if pl == nil {
+		s.land(SpecReject, t, now, nil, st)
+		return
+	}
 	s.q.adopt(sched, now)
-	s.landLocked(SpecAccept, t, now, pl, st)
-}
-
-// InstallSpeculativeReject installs a precomputed scheduler-level reject
-// under the lock. Rejections are epoch-neutral — the live queue, plans and
-// cluster are untouched — so only the counters, the observer callback and
-// the test's account land.
-func (s *Scheduler) InstallSpeculativeReject(t *Task, now float64, st SpecStages) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.landLocked(SpecReject, t, now, nil, st)
+	s.land(SpecAccept, t, now, pl, st)
 }

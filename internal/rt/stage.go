@@ -44,8 +44,8 @@ func (s Stage) String() string {
 // StageObserver receives per-stage wall-clock timing spans from the
 // scheduler: one ObserveStage call per stage per admission test (and one
 // StageCommit span per commit batch). Implementations must be cheap and
-// safe for concurrent use — the scheduler calls them with its lock held,
-// once per Submit, on the hot path. The metrics layer implements it with
+// safe for concurrent use — the shards of a pool share one — and are
+// called once per Submit, on the hot path. The metrics layer implements it with
 // atomic histograms.
 type StageObserver interface {
 	ObserveStage(stage Stage, seconds float64)

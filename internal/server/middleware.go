@@ -44,7 +44,7 @@ func (r *statusRecorder) Flush() {
 // TimeoutHeader is the request header carrying a per-request deadline in
 // wall seconds (a float, e.g. "0.25"). The server propagates it as a
 // context deadline, so a submission abandoned by its client stops before
-// taking the scheduler lock and returns 499.
+// taking a shard's lock and returns 499.
 const TimeoutHeader = "X-Request-Timeout"
 
 // RequestIDHeader carries the request correlation id. A client-supplied id
@@ -186,8 +186,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 						slog.String("method", r.Method), slog.String("path", r.URL.Path),
 						slog.String("request_id", reqID), slog.Any("panic", p),
 						slog.String("stack", string(debug.Stack())))
-				} else if s.logf != nil {
-					s.logf("panic: %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 				}
 			}
 			if rec.status >= 500 {
@@ -202,8 +200,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 					slog.String("method", r.Method), slog.String("path", r.URL.Path),
 					slog.Int("status", rec.status), slog.Duration("duration", elapsed),
 					slog.String("request_id", reqID))
-			} else if s.logf != nil {
-				s.logf("%s %s -> %d (%s)", r.Method, r.URL.Path, rec.status, elapsed.Round(time.Microsecond))
 			}
 		}()
 		next.ServeHTTP(rec, r)

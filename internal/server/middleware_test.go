@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"log/slog"
 	"math"
 	"net/http"
@@ -220,38 +220,53 @@ func TestUnencodableDecisionAnswers500(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var logs bytes.Buffer
-			var lines []string
-			for _, cfg := range []Config{
-				{Engine: newStubEngine(tc.decide), Logger: slog.New(slog.NewTextHandler(&logs, nil))},
-				{Engine: newStubEngine(tc.decide), Logf: func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) }},
-			} {
-				srv, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w := httptest.NewRecorder()
-				srv.Handler().ServeHTTP(w, submitRequest(t, 1))
-				if w.Code != http.StatusInternalServerError {
-					t.Fatalf("status = %d, body %q", w.Code, w.Body)
-				}
-				if ra := w.Header().Get("Retry-After"); ra != "" {
-					t.Fatalf("Retry-After %q on a 500", ra)
-				}
-				resp := decode[ErrorResponse](t, w)
-				if resp.Code != 500 || resp.Reason != errs.ReasonInternal || !strings.Contains(resp.Error, "unsupported value") {
-					t.Fatalf("body = %+v", resp)
-				}
-				if total, fivexx := srv.Requests(); total != 1 || fivexx != 1 {
-					t.Fatalf("Requests() = %d, %d; want 1, 1", total, fivexx)
-				}
+			srv, err := New(Config{Engine: newStubEngine(tc.decide), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, submitRequest(t, 1))
+			if w.Code != http.StatusInternalServerError {
+				t.Fatalf("status = %d, body %q", w.Code, w.Body)
+			}
+			if ra := w.Header().Get("Retry-After"); ra != "" {
+				t.Fatalf("Retry-After %q on a 500", ra)
+			}
+			resp := decode[ErrorResponse](t, w)
+			if resp.Code != 500 || resp.Reason != errs.ReasonInternal || !strings.Contains(resp.Error, "unsupported value") {
+				t.Fatalf("body = %+v", resp)
+			}
+			if total, fivexx := srv.Requests(); total != 1 || fivexx != 1 {
+				t.Fatalf("Requests() = %d, %d; want 1, 1", total, fivexx)
 			}
 			if !strings.Contains(logs.String(), "encode response") || !strings.Contains(logs.String(), "request_id=") {
 				t.Fatalf("structured log missing the failure:\n%s", logs.String())
 			}
-			if len(lines) == 0 || !strings.HasPrefix(lines[0], "encode response: ") {
-				t.Fatalf("printf log missing the failure: %q", lines)
-			}
 		})
+	}
+}
+
+// failingWriter is a ResponseWriter whose client has gone away: the
+// status goes out, every body write fails.
+type failingWriter struct{ *httptest.ResponseRecorder }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// TestFailedWriteIsLogged checks that a response body the client never
+// received leaves an error record, with the request id, on the structured
+// logger — the only logger the server has.
+func TestFailedWriteIsLogged(t *testing.T) {
+	var logs bytes.Buffer
+	srv, err := New(Config{Engine: newStubEngine(scriptedDecision), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Handler().ServeHTTP(failingWriter{httptest.NewRecorder()}, submitRequest(t, 1))
+	out := logs.String()
+	for _, want := range []string{"level=ERROR", `msg="write response"`, `error="broken pipe"`, "request_id="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("log has no %s:\n%s", want, out)
+		}
 	}
 }
 

@@ -103,14 +103,9 @@ type Config struct {
 	// Version is reported by /v1/stats (e.g. rtdls.Version).
 	Version string
 
-	// Logf, when non-nil, receives one line per request and per lifecycle
-	// transition (drain, panic recovery). Superseded by Logger; kept for
-	// callers that only want printf-style lines.
-	Logf func(format string, args ...any)
-
 	// Logger, when non-nil, receives structured request and lifecycle
-	// records (method, route, status, duration, request_id) and takes
-	// precedence over Logf.
+	// records (method, route, status, duration, request_id) and every
+	// response the server failed to encode or write. Nil logs nothing.
 	Logger *slog.Logger
 
 	// Metrics, when non-nil, is served at GET /metrics and additionally
@@ -129,7 +124,6 @@ type Server struct {
 	maxBatch      int
 	maxRetryAfter float64
 	version       string
-	logf          func(string, ...any)
 	logger        *slog.Logger
 	reg           *metrics.Registry
 	httpInst      *[len(routes)]routeInstruments // nil without a registry
@@ -170,7 +164,6 @@ func New(cfg Config) (*Server, error) {
 		maxBatch:      cfg.MaxBatch,
 		maxRetryAfter: cfg.MaxRetryAfter,
 		version:       cfg.Version,
-		logf:          cfg.Logf,
 		logger:        cfg.Logger,
 		reg:           cfg.Metrics,
 		start:         time.Now(),
@@ -240,14 +233,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// sayf emits one lifecycle line: through the structured logger when
-// configured, else the legacy printf sink.
+// sayf emits one lifecycle line through the structured logger, if any.
 func (s *Server) sayf(format string, args ...any) {
-	switch {
-	case s.logger != nil:
+	if s.logger != nil {
 		s.logger.Info(fmt.Sprintf(format, args...))
-	case s.logf != nil:
-		s.logf(format, args...)
 	}
 }
 
@@ -523,8 +512,6 @@ func (s *Server) encodeFailed(w http.ResponseWriter, err error) {
 	if s.logger != nil {
 		s.logger.Error("encode response", slog.String("error", err.Error()),
 			slog.String("request_id", w.Header().Get(RequestIDHeader)))
-	} else if s.logf != nil {
-		s.logf("encode response: %v", err)
 	}
 	w.Header().Del("Retry-After")
 	s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{
@@ -541,7 +528,8 @@ var jsonContentType = []string{"application/json"}
 func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil && s.logf != nil {
-		s.logf("write: %v", err)
+	if _, err := w.Write(body); err != nil && s.logger != nil {
+		s.logger.Error("write response", slog.String("error", err.Error()),
+			slog.String("request_id", w.Header().Get(RequestIDHeader)))
 	}
 }

@@ -20,7 +20,7 @@ type TaskRequest struct {
 }
 
 // Task converts the wire form into the engine's task, validating it so a
-// malformed request fails before it reaches the scheduler lock.
+// malformed request fails before it reaches a shard's lock.
 func (r TaskRequest) Task() (rt.Task, error) {
 	t := rt.Task{ID: r.ID, Arrival: r.Arrival, Sigma: r.Sigma, RelDeadline: r.Deadline, UserN: r.UserN}
 	if err := t.Validate(); err != nil {

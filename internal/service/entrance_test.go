@@ -378,7 +378,7 @@ func TestHardPlannerErrorCountsNoArrival(t *testing.T) {
 		if err == nil || errors.Is(err, errs.ErrInfeasible) {
 			t.Fatalf("spec=%v: UserN > N: err = %v, want a hard error", spec, err)
 		}
-		ss, st := svc.Scheduler().Stats(), svc.Stats()
+		ss, st := svc.sched.Stats(), svc.Stats()
 		if ss.Arrivals != 1 || ss.Arrivals != ss.Accepts+ss.Rejects {
 			t.Fatalf("spec=%v: scheduler ledger %+v", spec, ss)
 		}

@@ -3,10 +3,15 @@ package service
 import (
 	"context"
 	"errors"
+	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rtdls/internal/dlt"
 	"rtdls/internal/errs"
+	"rtdls/internal/metrics"
 	"rtdls/internal/rt"
 )
 
@@ -249,5 +254,115 @@ func TestAddNodeGrowsFleet(t *testing.T) {
 	}
 	if got := len(svc.NodeStates()); got != 17 {
 		t.Fatalf("NodeStates len = %d, want 17", got)
+	}
+}
+
+// TestAddNodeStressUnderSpeculation grows the fleet while submitters
+// overlap: AddNode regrows the cluster arrays every snapshot copies, so
+// under -race this pins that snapshots, installs and fleet growth all stay
+// behind the shard's one lock. A reader polls Stats and scrapes /metrics
+// throughout. After a drain every accept has committed.
+func TestAddNodeStressUnderSpeculation(t *testing.T) {
+	const (
+		submitters = 6
+		each       = 60
+		added      = 24
+	)
+	reg := metrics.NewRegistry()
+	svc := newTestService(t, func(c *Config) { c.Metrics = NewMetrics(reg) })
+	speculateAlone(svc)
+
+	var (
+		subs, side sync.WaitGroup
+		done       = make(chan struct{})
+		id         atomic.Int64
+		accepted   atomic.Int64
+		rejected   atomic.Int64
+	)
+	ctx := context.Background()
+	task := func() rt.Task {
+		n := id.Add(1)
+		return rt.Task{ID: n, Sigma: 50 + float64(n%300), RelDeadline: 2000 + float64((n*91)%5000)}
+	}
+	for w := 0; w < submitters; w++ {
+		subs.Add(1)
+		go func(w int) {
+			defer subs.Done()
+			for i := 0; i < each; i++ {
+				batch := []rt.Task{task()}
+				if i%2 == 1 {
+					batch = append(batch, task())
+				}
+				decs, err := svc.SubmitBatch(ctx, batch)
+				if err != nil {
+					t.Errorf("submitter %d: %v", w, err)
+					return
+				}
+				for _, d := range decs {
+					if d.Accepted {
+						accepted.Add(1)
+					} else {
+						rejected.Add(1)
+					}
+				}
+			}
+		}(w)
+	}
+	side.Add(2)
+	go func() {
+		defer side.Done()
+		for i := 0; i < added; i++ {
+			if _, err := svc.AddNode(dlt.NodeCost{Cms: baseline.Cms, Cps: baseline.Cps}); err != nil {
+				t.Errorf("AddNode: %v", err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		defer side.Done()
+		var nodes, accepts int
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st, n := svc.Stats(), svc.Nodes()
+			if n < nodes || st.Accepts < accepts {
+				t.Errorf("went backwards: nodes %d -> %d, accepts %d -> %d", nodes, n, accepts, st.Accepts)
+				return
+			}
+			nodes, accepts = n, st.Accepts
+			if _, err := reg.WriteTo(io.Discard); err != nil {
+				t.Errorf("scrape: %v", err)
+				return
+			}
+		}
+	}()
+	subs.Wait()
+	close(done)
+	side.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := svc.Stats()
+	if got := svc.Nodes(); got != 16+added {
+		t.Fatalf("fleet has %d nodes, want %d", got, 16+added)
+	}
+	if int64(st.Accepts) != accepted.Load() || int64(st.Rejects) != rejected.Load() {
+		t.Fatalf("decisions %d/%d disagree with stats %+v", accepted.Load(), rejected.Load(), st)
+	}
+	if st.Speculative == 0 {
+		t.Fatalf("no decision installed from a speculation: %+v", st)
+	}
+	if st.Accepts != st.Commits+st.Displaced-st.Readmitted || st.QueueLen != 0 {
+		t.Fatalf("conservation broken after drain: %+v", st)
+	}
+	if ex := svc.Exec(); ex.MaxLateness > 0 {
+		t.Fatalf("hard real-time guarantee violated: max lateness %v", ex.MaxLateness)
 	}
 }

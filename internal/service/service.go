@@ -166,6 +166,8 @@ type ExecStats struct {
 // Create one with New; drive it with Submit/SubmitBatch; observe it with
 // Subscribe and Stats. All methods may be called from any goroutine.
 type Service struct {
+	// mu is the shard's one lock: it serializes the scheduler (which has
+	// none), its cluster, the parked speculation contexts, exec, dispatch.
 	mu    sync.Mutex
 	cl    *cluster.Cluster
 	sched *rt.Scheduler
@@ -216,8 +218,7 @@ type Service struct {
 	specProbe     atomic.Uint64
 	specInstalls  atomic.Int64
 	specConflicts atomic.Int64
-	specMu        sync.Mutex
-	specFree      []*rt.SpecContext
+	specFree      []*rt.SpecContext // under mu
 
 	exec     ExecStats    // under mu
 	dispatch dlt.Dispatch // under mu: commitDueLocked's re-simulation
@@ -274,10 +275,6 @@ func New(cfg Config) (*Service, error) {
 
 // Cluster returns the cluster the service manages.
 func (s *Service) Cluster() *cluster.Cluster { return s.cl }
-
-// Scheduler returns the underlying scheduler (for integration points that
-// still speak the rt layer, e.g. the verifier tests).
-func (s *Service) Scheduler() *rt.Scheduler { return s.sched }
 
 // Clock returns the service's clock.
 func (s *Service) Clock() Clock { return s.clock }

@@ -4,14 +4,15 @@ package service
 // scheduler half (internal/rt/speculate.go) runs the Fig. 2 test against an
 // epoch-stamped snapshot. This half is admit, the one road every submission
 // takes — Submit, SubmitBatch, speculation on or off, the replay after an
-// epoch conflict: it decides when to speculate, walks each task through the
-// same decide (stamp, sweep, gate, test) on a private context off the lock,
-// and under the service lock lets one epoch comparison choose between
-// installing what was precomputed and walking the tasks again on the live
-// state. Every decision is therefore still made against serialized state —
-// speculation only moves the planning work off the lock, which pays only
-// while another submitter is there to use the lock meanwhile. A lone
-// submitter walks the live state directly.
+// epoch conflict: it decides when to speculate, snapshots under s.mu (the
+// shard's one lock), walks each task through the same decide (stamp, sweep,
+// gate, test) on the private context off the lock, and under s.mu again
+// lets one epoch comparison choose between installing what was precomputed
+// and walking the tasks again on the live state. Every decision is
+// therefore still made against serialized state — speculation only moves
+// the planning work off the lock, which pays only while another submitter
+// is there to use the lock meanwhile. A lone submitter walks the live state
+// directly.
 
 import (
 	"context"
@@ -38,7 +39,7 @@ const (
 	// install, so it decides on the live state under the lock. Routing on
 	// the in-flight count alone is not enough: two submitters whose calls
 	// seldom overlap (two HTTP connections) would each take the live road
-	// most of the time, and a live-road submit holds the scheduler lock for
+	// most of the time, and a live-road submit holds the service lock for
 	// its whole test, so the other's snapshot waits behind it.
 	specWindow = 64
 )
@@ -80,10 +81,9 @@ const specFreeMax = 16
 
 // getSpec takes the most recently carried context — after an installed
 // speculation that is a copy of the scheduler's present state, so the
-// snapshot that follows has nothing to refresh.
+// snapshot that follows has nothing to refresh. The stack's three
+// functions run under s.mu.
 func (s *Service) getSpec() *rt.SpecContext {
-	s.specMu.Lock()
-	defer s.specMu.Unlock()
 	if n := len(s.specFree); n > 0 {
 		sc := s.specFree[n-1]
 		s.specFree[n-1] = nil
@@ -99,8 +99,6 @@ func (s *Service) getSpec() *rt.SpecContext {
 // buffers are kept, at the bottom of the stack, below every carried one.
 func (s *Service) putSpec(sc *rt.SpecContext) {
 	sc.Invalidate()
-	s.specMu.Lock()
-	defer s.specMu.Unlock()
 	if len(s.specFree) < specFreeMax {
 		s.specFree = slices.Insert(s.specFree, 0, sc)
 	}
@@ -111,8 +109,6 @@ func (s *Service) putSpec(sc *rt.SpecContext) {
 // the new epoch and goes on top, displacing the stalest one when full.
 func (s *Service) carrySpec(sc *rt.SpecContext) {
 	s.sched.Carry(sc)
-	s.specMu.Lock()
-	defer s.specMu.Unlock()
 	if len(s.specFree) == specFreeMax {
 		s.specFree = slices.Delete(s.specFree, 0, 1)
 	}
@@ -156,10 +152,8 @@ func (s *Service) installLocked(rec *specRec) (Decision, error) {
 	if err := s.commitDueLocked(rec.now); err != nil {
 		return Decision{}, err
 	}
-	if rec.plan != nil {
-		s.sched.InstallSpeculativeAccept(&rec.task, rec.now, rec.plan, rec.sched, rec.stages)
-	} else if rec.reason == errs.ReasonInfeasible {
-		s.sched.InstallSpeculativeReject(&rec.task, rec.now, rec.stages)
+	if rec.plan != nil || rec.reason == errs.ReasonInfeasible {
+		s.sched.Install(&rec.task, rec.now, rec.plan, rec.sched, rec.stages)
 	}
 	return s.finishLocked(&rec.task, rec.now, rec.reason, rec.plan), nil
 }
@@ -169,13 +163,14 @@ func (s *Service) installLocked(rec *specRec) (Decision, error) {
 // task's context is consulted exactly once, by whichever phase reaches the
 // task first.
 //
-// When speculation is allowed, phase 1 walks the tasks off the lock against
-// one evolving snapshot, up to the first it cannot decide there. Phase 2
-// takes s.mu for the rest of the call: on an unchanged epoch the
-// precomputed outcomes group-install; otherwise they are dropped. Whatever
-// is then left undecided — everything, after a conflict, with speculation
-// off or for a lone submitter — walks the same decide on the live state, so
-// the decisions are exactly those of a fully serialized execution.
+// When speculation is allowed, phase 1 holds s.mu only for the snapshot,
+// then walks the tasks off the lock against that one evolving snapshot, up
+// to the first it cannot decide there. Phase 2 takes s.mu for the rest of
+// the call: on an unchanged epoch the precomputed outcomes group-install;
+// otherwise they are dropped. Whatever is then left undecided — everything,
+// after a conflict, with speculation off or for a lone submitter — walks
+// the same decide on the live state, so the decisions are exactly those of
+// a fully serialized execution.
 func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([]Decision, error) {
 	shared := s.inflight.Add(1) > 1
 	defer s.inflight.Add(-1)
@@ -191,8 +186,10 @@ func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([
 		planned int // how many of them the scheduler's test decided
 	)
 	if len(tasks) > 0 && s.specAllowed(shared) && s.open() == nil {
+		s.mu.Lock()
 		sc = s.getSpec()
 		s.sched.SnapshotInto(sc)
+		s.mu.Unlock()
 		// recs is sized once up front: the scheduler retains &recs[i].task
 		// pointers, which must not move.
 		recs = make([]specRec, len(tasks))
@@ -231,7 +228,7 @@ func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([
 	case s.open() != nil:
 		// Stopped accepting since phase 1: the live walk reports it.
 		s.putSpec(sc)
-	case !s.sched.EpochIs(sc.Epoch()):
+	case s.sched.Epoch() != sc.Epoch():
 		if planned > 0 {
 			s.noteConflict(planned)
 		}
