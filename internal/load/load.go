@@ -2,7 +2,8 @@
 // drives a dlserve endpoint with closed-loop (fixed concurrency) or
 // open-loop (scheduled arrival) traffic, classifies every response by the
 // stable wire code, verifies that busy rejections carry usable Retry-After
-// hints, and summarises latency with an HDR-style log-bucketed histogram.
+// hints, and summarises latency with the server's own histogram
+// (internal/metrics), so client and server quantiles share bucket edges.
 //
 // Open-loop latency is measured from each request's *intended* arrival
 // instant, not from when a worker got around to sending it, so a stalled
@@ -27,6 +28,7 @@ import (
 
 	"rtdls/internal/errs"
 	"rtdls/internal/fleet"
+	"rtdls/internal/metrics"
 )
 
 // Options configures one load run.
@@ -104,7 +106,8 @@ type RetryAfterReport struct {
 	Compliant  bool    `json:"compliant"`
 }
 
-// LatencyReport summarises the merged histogram in milliseconds.
+// LatencyReport summarises the run's latency histogram in milliseconds.
+// Each quantile is capped at the exact maximum.
 type LatencyReport struct {
 	Samples uint64  `json:"samples"`
 	P50Ms   float64 `json:"p50_ms"`
@@ -184,7 +187,8 @@ type counters struct {
 	raMin, raMax          atomicFloat
 }
 
-// atomicFloat is a CAS min/max accumulator for the Retry-After bounds.
+// atomicFloat is a CAS min/max accumulator for the Retry-After bounds and
+// the latency maximum.
 type atomicFloat struct{ bits atomic.Uint64 }
 
 func (a *atomicFloat) update(v float64, better func(candidate, current float64) bool) {
@@ -252,10 +256,16 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 
 	var (
-		cnt   counters
-		hists = make([]*Histogram, opts.Workers)
-		seq   atomic.Int64
+		cnt    counters
+		seq    atomic.Int64
+		hist   = metrics.NewHistogram()
+		maxLat atomicFloat
 	)
+	record := func(since time.Time) {
+		s := time.Since(since).Seconds()
+		hist.Observe(s)
+		maxLat.update(s, func(new, cur float64) bool { return new > cur })
+	}
 
 	submitURL := opts.URL + "/v1/submit"
 	body := func(rng *rand.Rand) taskBody {
@@ -299,8 +309,6 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		var wg sync.WaitGroup
 		var issued atomic.Int64
 		for w := 0; w < opts.Workers; w++ {
-			h := NewHistogram()
-			hists[w] = h
 			wg.Add(1)
 			go func(rng *rand.Rand) {
 				defer wg.Done()
@@ -310,7 +318,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 					}
 					t0 := time.Now()
 					doSubmit(ctx, client, submitURL, body(rng), &cnt)
-					h.Record(time.Since(t0).Seconds())
+					record(t0)
 				}
 			}(rand.New(rand.NewSource(opts.Seed + int64(w))))
 		}
@@ -325,11 +333,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		for i := range bodies {
 			bodies[i] = body(rng)
 		}
-		slots := make(chan int, opts.Workers)
-		for w := 0; w < opts.Workers; w++ {
-			slots <- w
-			hists[w] = NewHistogram()
-		}
+		inFlight := make(chan struct{}, opts.Workers)
 		var wg sync.WaitGroup
 		for i, off := range offsets {
 			intended := start.Add(time.Duration(off * float64(time.Second)))
@@ -342,26 +346,25 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			if ctx.Err() != nil {
 				break
 			}
-			w := <-slots // blocks when Workers requests are in flight
+			inFlight <- struct{}{} // blocks when Workers requests are in flight
 			wg.Add(1)
-			go func(i, w int) {
+			go func(i int) {
 				defer wg.Done()
-				defer func() { slots <- w }()
+				defer func() { <-inFlight }()
 				doSubmit(ctx, client, submitURL, bodies[i], &cnt)
 				// Latency from the intended arrival instant: queueing
 				// behind a saturated in-flight cap counts against the
 				// server, not the generator.
-				hists[w].Record(time.Since(intended).Seconds())
-			}(i, w)
+				record(intended)
+			}(i)
 		}
 		wg.Wait()
 	}
 	elapsed := time.Since(start).Seconds()
 
-	merged := NewHistogram()
-	for _, h := range hists {
-		merged.Merge(h)
-	}
+	samples, maxSec := hist.Count(), maxLat.value()
+	quantileMs := func(q float64) float64 { return min(hist.Quantile(q), maxSec) * 1e3 }
+	meanMs := hist.Sum() / max(float64(samples), 1) * 1e3
 
 	rep := &Report{
 		Mode:       opts.Mode,
@@ -392,13 +395,13 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			Compliant:  cnt.raMissing == 0,
 		},
 		Latency: LatencyReport{
-			Samples: merged.Count(),
-			P50Ms:   merged.Quantile(0.50) * 1e3,
-			P90Ms:   merged.Quantile(0.90) * 1e3,
-			P99Ms:   merged.Quantile(0.99) * 1e3,
-			P999Ms:  merged.Quantile(0.999) * 1e3,
-			MeanMs:  merged.Mean() * 1e3,
-			MaxMs:   merged.Max() * 1e3,
+			Samples: samples,
+			P50Ms:   quantileMs(0.50),
+			P90Ms:   quantileMs(0.90),
+			P99Ms:   quantileMs(0.99),
+			P999Ms:  quantileMs(0.999),
+			MeanMs:  meanMs,
+			MaxMs:   maxSec * 1e3,
 		},
 	}
 	if elapsed > 0 {

@@ -3,7 +3,6 @@ package load
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -14,68 +13,6 @@ import (
 	"rtdls/internal/server"
 	"rtdls/internal/service"
 )
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram()
-	// 1..1000 ms, uniform: p50 ≈ 0.5 s, p99 ≈ 0.99 s, within the ~5%
-	// bucket resolution.
-	for i := 1; i <= 1000; i++ {
-		h.Record(float64(i) / 1000)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	check := func(q, want float64) {
-		t.Helper()
-		got := h.Quantile(q)
-		if got < want || got > want*1.06 {
-			t.Errorf("q%.3f = %v, want within [%v, %v]", q, got, want, want*1.06)
-		}
-	}
-	check(0.50, 0.500)
-	check(0.90, 0.900)
-	check(0.99, 0.990)
-	if got := h.Quantile(1); got != 1.0 {
-		t.Errorf("q1 = %v, want exact max 1.0", got)
-	}
-	if mean := h.Mean(); math.Abs(mean-0.5005) > 1e-9 {
-		t.Errorf("mean = %v", mean)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 100; i++ {
-		a.Record(0.001)
-		b.Record(1.0)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("count = %d", a.Count())
-	}
-	if q := a.Quantile(0.25); q > 0.0011 {
-		t.Errorf("p25 = %v, want ~1ms", q)
-	}
-	if q := a.Quantile(0.99); q < 0.9 {
-		t.Errorf("p99 = %v, want ~1s", q)
-	}
-	if a.Max() != 1.0 {
-		t.Errorf("max = %v", a.Max())
-	}
-}
-
-func TestHistogramRange(t *testing.T) {
-	h := NewHistogram()
-	h.Record(-1)   // clamped
-	h.Record(1e-9) // below range
-	h.Record(1e4)  // above range, clamped into last bucket
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 1e4 {
-		t.Fatalf("max = %v", h.Max())
-	}
-}
 
 // newWireServer boots a full dlserve handler over a fresh engine.
 func newWireServer(t *testing.T) (*httptest.Server, *server.Server) {
@@ -122,6 +59,7 @@ func TestRunClosedLoop(t *testing.T) {
 	if rep.Latency.Samples != 200 || rep.Latency.P99Ms <= 0 {
 		t.Fatalf("latency = %+v", rep.Latency)
 	}
+	checkLatencyOrder(t, rep.Latency)
 	if rep.ServerStats == nil {
 		t.Fatal("missing server stats snapshot")
 	}
@@ -154,6 +92,23 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 	if rep.Latency.Samples != 100 {
 		t.Fatalf("latency samples = %d", rep.Latency.Samples)
+	}
+	checkLatencyOrder(t, rep.Latency)
+}
+
+// checkLatencyOrder asserts P50 <= P90 <= P99 <= P999 <= Max and
+// Mean <= Max: bucket upper bounds overshoot the samples they cover, so a
+// quantile not capped at the exact maximum breaks the last link.
+func checkLatencyOrder(t *testing.T, l LatencyReport) {
+	t.Helper()
+	chain := []float64{l.P50Ms, l.P90Ms, l.P99Ms, l.P999Ms, l.MaxMs}
+	for i := 1; i < len(chain); i++ {
+		if chain[i-1] > chain[i] {
+			t.Fatalf("latency quantiles out of order (p50, p90, p99, p999, max) = %v", chain)
+		}
+	}
+	if l.MeanMs > l.MaxMs {
+		t.Fatalf("mean %g ms above max %g ms", l.MeanMs, l.MaxMs)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"rtdls/internal/metrics"
 )
 
 // Scrape is one parsed Prometheus text exposition: a flat list of samples,
@@ -293,30 +295,7 @@ func histogramDelta(before, after *Scrape, name string, want map[string]string) 
 // quantile returns an upper bound on the q-quantile in seconds of the
 // delta distribution; the +Inf bucket reports the largest finite bound.
 func (d histDelta) quantile(q float64) float64 {
-	if d.count <= 0 || len(d.les) == 0 {
-		return 0
-	}
-	rank := math.Ceil(q * d.count)
-	if rank < 1 {
-		rank = 1
-	}
-	for i, c := range d.cum {
-		if c >= rank {
-			le := d.les[i]
-			if math.IsInf(le, 1) {
-				break
-			}
-			return le
-		}
-	}
-	// Landed in +Inf (or rounding starved the finite buckets): report the
-	// largest finite bound seen.
-	for i := len(d.les) - 1; i >= 0; i-- {
-		if !math.IsInf(d.les[i], 1) {
-			return d.les[i]
-		}
-	}
-	return 0
+	return metrics.BucketQuantile(q, d.les, d.cum, d.count)
 }
 
 // StageLatency is the server-side latency of one admission pipeline stage

@@ -7,24 +7,24 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a log-bucketed latency histogram in the HDR style, sharing
-// the bucket scheme of internal/load's client-side histogram: boundaries
-// grow geometrically by 5% from 1 µs, so relative quantile error is
-// bounded (~5%) across the full range up to 2 minutes. Values are seconds.
+// Histogram is a log-bucketed latency histogram in the HDR style:
+// boundaries grow geometrically by 5% from 1 µs, so relative quantile
+// error is bounded (~5%) across the full range up to 2 minutes. Values are
+// seconds. It is the repo's one latency histogram: the server records
+// /metrics latencies in it and the load harness (internal/load) records
+// client latencies in it, so both sides of the wire share bucket edges.
 //
-// Unlike the load generator's single-writer histogram, every cell is an
-// atomic: Observe may be called from any goroutine and a concurrent scrape
-// reads a near-consistent snapshot without blocking writers. Observe is
-// two atomic adds — the sample count lives in the bucket cells and the sum
-// accumulates in fixed-point nanoseconds — so the admission hot path never
-// spins on a CAS.
+// Every cell is an atomic: Observe may be called from any goroutine and a
+// concurrent scrape reads a near-consistent snapshot without blocking
+// writers. Observe is two atomic adds — the sample count lives in the
+// bucket cells and the sum accumulates in fixed-point nanoseconds — so the
+// admission hot path never spins on a CAS.
 type Histogram struct {
 	counts   []atomic.Uint64
 	sumNanos atomic.Uint64 // nanoseconds; sub-ns residue of a sample is dropped
 }
 
-// Bucket scheme constants — identical to internal/load/hist.go so
-// client-side and server-side quantiles are directly comparable.
+// Bucket scheme constants.
 const (
 	histMin    = 1e-6 // 1 µs
 	histMax    = 120  // 2 min
@@ -116,31 +116,40 @@ func (h *Histogram) Sum() float64 {
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) in
 // seconds: the upper edge of the bucket containing the q·Count-th sample.
 func (h *Histogram) Quantile(q float64) float64 {
-	snap := make([]uint64, len(h.counts))
-	var total uint64
+	cum := make([]float64, len(histBounds))
+	var total float64
 	for i := range h.counts {
-		snap[i] = h.counts[i].Load()
-		total += snap[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for i, c := range snap {
-		seen += c
-		if seen >= rank {
-			up := BucketUpper(i)
-			if math.IsInf(up, 1) {
-				return histMax
-			}
-			return up
+		total += float64(h.counts[i].Load())
+		if i < len(cum) {
+			cum[i] = total
 		}
 	}
-	return histMax
+	return BucketQuantile(q, histBounds, cum, total)
+}
+
+// BucketQuantile returns an upper bound on the q-quantile (0 < q <= 1) of
+// a bucketed distribution of total samples, given ascending bucket upper
+// bounds les and the cumulative count at each: the first bound whose
+// count reaches rank ⌈q·total⌉. A rank that lands in the +Inf bucket, or
+// past the last bound, reports the largest finite bound; an empty
+// distribution reports 0. Histogram.Quantile and the load harness's
+// /metrics scrape both answer through this one walk.
+func BucketQuantile(q float64, les, cum []float64, total float64) float64 {
+	if total <= 0 {
+		return 0
+	}
+	rank := math.Max(math.Ceil(q*total), 1)
+	top := 0.0
+	for i, le := range les {
+		if math.IsInf(le, 1) {
+			break
+		}
+		top = le
+		if cum[i] >= rank {
+			break
+		}
+	}
+	return top
 }
 
 // write renders the histogram family member: sparse cumulative buckets,

@@ -84,6 +84,52 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	if h.Count() != 1002 {
 		t.Fatalf("Count after clamped observes = %d, want 1002", h.Count())
 	}
+
+	// 1..1000 ms, uniform: every quantile is at or above the true value
+	// and within one growth factor of it.
+	u := NewHistogram()
+	for i := 1; i <= 1000; i++ {
+		u.Observe(float64(i) / 1000)
+	}
+	for _, c := range []struct{ q, want float64 }{{0.50, 0.500}, {0.90, 0.900}, {0.99, 0.990}, {0.999, 0.999}} {
+		if got := u.Quantile(c.q); got < c.want || got > c.want*histGrowth {
+			t.Errorf("uniform q%.3f = %g, want within [%g, %g]", c.q, got, c.want, c.want*histGrowth)
+		}
+	}
+	if mean := u.Sum() / float64(u.Count()); math.Abs(mean-0.5005) > 1e-6 {
+		t.Errorf("uniform mean = %g, want 0.5005", mean)
+	}
+
+	// Out of range: a sample below 1 µs lands in the first bucket, one far
+	// above 2 minutes in the last (+Inf) bucket, and Quantile stays finite
+	// at the largest finite bound.
+	r := NewHistogram()
+	r.Observe(1e-9)
+	r.Observe(1e4)
+	if first, last := r.counts[0].Load(), r.counts[NumBuckets()-1].Load(); first != 1 || last != 1 {
+		t.Fatalf("first/last bucket counts = %d/%d, want 1/1", first, last)
+	}
+	if got, want := r.Quantile(1), BucketUpper(NumBuckets()-2); got != want {
+		t.Fatalf("above-range q1 = %g, want the largest finite bound %g", got, want)
+	}
+}
+
+func TestBucketQuantile(t *testing.T) {
+	// Sparse Prometheus-style buckets: 1 sample ≤ 1 ms, 1 in (1 ms, 0.5 s],
+	// 2 above every finite bound.
+	les := []float64{0.001, 0.5, math.Inf(1)}
+	cum := []float64{1, 2, 4}
+	for _, c := range []struct{ q, want float64 }{{0.25, 0.001}, {0.5, 0.5}, {0.75, 0.5}, {1, 0.5}} {
+		if got := BucketQuantile(c.q, les, cum, 4); got != c.want {
+			t.Errorf("q%g = %g, want %g", c.q, got, c.want)
+		}
+	}
+	if got := BucketQuantile(0.5, les, cum, 0); got != 0 {
+		t.Errorf("empty distribution q0.5 = %g, want 0", got)
+	}
+	if got := BucketQuantile(0.5, nil, nil, 3); got != 0 {
+		t.Errorf("no bounds q0.5 = %g, want 0", got)
+	}
 }
 
 func TestHistogramExposition(t *testing.T) {

@@ -693,10 +693,6 @@ func (p *Pool) NodeStates() []service.NodeState {
 	return out
 }
 
-// Readmissions returns how many displaced tasks were re-admitted on
-// another shard.
-func (p *Pool) Readmissions() int { return int(p.readmissions.Load()) }
-
 // Close marks the pool closed — subsequent submissions fail with
 // ErrClusterBusy — closes every shard and then the shared event bus.
 // Waiting plans are not committed; call Drain first to flush them. Close

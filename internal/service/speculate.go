@@ -51,9 +51,6 @@ const (
 // from any goroutine.
 func (s *Service) SetSpeculation(on bool) { s.speculating.Store(on) }
 
-// Speculating reports whether optimistic admission is enabled.
-func (s *Service) Speculating() bool { return s.speculating.Load() }
-
 // specAllowed decides lock-free whether this submission should attempt the
 // speculative path: another submitter must be in flight (shared) or have
 // been within the last specWindow submits, the gate must be open and the

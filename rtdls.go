@@ -184,7 +184,7 @@ type Generator = workload.Generator
 func NewGenerator(cfg WorkloadConfig) (*Generator, error) { return workload.New(cfg) }
 
 // TraceRing records per-task scheduling lifecycle events; install one via
-// Config.Observer or Scheduler.SetObserver.
+// WithObserver.
 type TraceRing = trace.Ring
 
 // NewTraceRing returns a lifecycle recorder keeping the last capacity
@@ -193,7 +193,7 @@ func NewTraceRing(capacity int) *TraceRing { return trace.NewRing(capacity) }
 
 // GanttCollector records committed node occupation and renders ASCII
 // timelines that make inserted idle time visible; install it via
-// Config.Observer or Scheduler.SetObserver.
+// WithObserver.
 type GanttCollector = gantt.Collector
 
 // NewGanttCollector returns a timeline collector for a cluster of n nodes.
@@ -228,7 +228,7 @@ func SimulateDispatchWithOutput(p Params, sigma, delta float64, avail, alphas []
 
 // Verifier independently re-validates a run's invariants (no node overlap,
 // Theorem-4 estimate safety, no deadline misses); install it via
-// Config.Observer or Scheduler.SetObserver and inspect OK()/Report().
+// WithObserver and inspect OK()/Report().
 type Verifier = verify.Checker
 
 // NewVerifier returns a run verifier for a homogeneous cluster of n nodes.

@@ -530,8 +530,12 @@ func (s *Service) Submit(ctx context.Context, t Task) (Decision, error) {
 	return s.pool.Submit(ctx, t)
 }
 
-// SubmitBatch submits several tasks atomically (one lock acquisition), in
-// order, returning one decision per considered task.
+// SubmitBatch submits several tasks in order, returning one decision per
+// considered task. The batch is atomic per shard: each shard decides and
+// installs its part as one group. With more than one shard the parts run
+// concurrently, refused tasks spill over afterwards, and other submitters
+// may interleave between them, so the whole batch is atomic only on the
+// default one-shard service.
 func (s *Service) SubmitBatch(ctx context.Context, tasks []Task) ([]Decision, error) {
 	return s.pool.SubmitBatch(ctx, tasks)
 }
