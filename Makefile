@@ -19,7 +19,7 @@ race:
 # The concurrency suites under the race detector, five passes each: one
 # pass tries only one interleaving of the admission lock.
 race-repeat:
-	$(GO) test -race -count=5 -run 'Speculative|Phased|Stress|Concurrent|Second' . ./internal/service ./internal/pool ./internal/server
+	$(GO) test -race -count=5 -run 'Speculative|Phased|Stress|Concurrent|Second' . ./internal/rt ./internal/service ./internal/pool ./internal/server
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
@@ -38,7 +38,7 @@ bench-json:
 # cmd/benchgate fails the target if per-submit or per-retiming ns/op grows
 # super-linearly (> MAX_RATIO, default 15x over a 100x fleet),
 # if a late-deadline arrival pays for the queue ahead of it, if fresh
-# plans allocate per candidate of their node search, or if an overload
+# plans allocate beside the scheduler's plan arena, or if an overload
 # reject the demand bound decides costs a Plan call or a second allocation.
 bench-index:
 	./scripts/bench_index.sh

@@ -48,6 +48,8 @@ type Model struct {
 	// order maps each sorted processor position to its index in the
 	// slices the caller passed to NewHetero; nil for homogeneous models.
 	order []int
+	pows  []float64 // pows[i] = βⁱ of powP once asked for, else 0
+	powP  dlt.Params
 }
 
 // New constructs the heterogeneous model for a task of data size sigma
@@ -81,13 +83,30 @@ func (m *Model) Reset(p dlt.Params, sigma float64, avail []float64) error {
 		sort.Float64s(m.avail)
 	}
 	m.rn = m.avail[n-1]
-	m.e = p.ExecTime(sigma, n)
+	m.e = m.NoIITExecTimeFor(p, sigma, n)
 	m.cpsI = slices.Grow(m.cpsI[:0], n)[:n]
 	for i, ri := range m.avail {
 		m.cpsI[i] = m.e / (m.e + m.rn - ri) * p.Cps
 	}
 	m.computePartition()
 	return nil
+}
+
+// NoIITExecTimeFor is p.ExecTime(sigma, n) bit for bit. Like Reset it writes
+// m: βⁿ comes from a table kept from the second call under one p on.
+func (m *Model) NoIITExecTimeFor(p dlt.Params, sigma float64, n int) float64 {
+	if m.powP != p {
+		m.powP = p
+		clear(m.pows)
+		return p.ExecTime(sigma, n)
+	}
+	if n >= len(m.pows) {
+		m.pows = append(m.pows, make([]float64, n+1-len(m.pows))...)
+	}
+	if m.pows[n] == 0 {
+		m.pows[n] = math.Pow(p.Beta(), float64(n))
+	}
+	return sigma * p.Cms / (1 - m.pows[n]) // ExecTime's expression
 }
 
 // checkInput validates what both constructions require of the task size

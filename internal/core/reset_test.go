@@ -179,3 +179,47 @@ func TestResetDispatchInto(t *testing.T) {
 		}
 	}
 }
+
+// TestResetAcrossParams: one Model reset under one cluster for a few
+// steps, then under another, its table of powers of β also read between
+// resets (as OPR's estimate reads it), matches a fresh model field for
+// field, and every E(σ,n) it returns is ExecTime's bit for bit. A table
+// that kept the other cluster's powers would fail both.
+func TestResetAcrossParams(t *testing.T) {
+	rng := rand.New(rand.NewPCG(34, 1))
+	ps := [2]dlt.Params{baseline, {Cms: 2.5, Cps: 40}}
+	var m Model
+	cur, switches := 0, 0
+	for step := 0; step < 3000; step++ {
+		if rng.IntN(5) == 0 {
+			cur, switches = 1-cur, switches+1
+		}
+		p := ps[cur]
+		n := 1 + rng.IntN(40)
+		avail := make([]float64, n)
+		for i := range avail {
+			avail[i] = math.Round(rng.Float64()*40) * 50
+		}
+		sort.Float64s(avail)
+		sigma := 1 + rng.Float64()*500
+		if err := m.Reset(p, sigma, avail); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(p, sigma, avail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stateOf(&m), stateOf(fresh); !got.equal(want) || got.e != p.ExecTime(sigma, n) {
+			t.Fatalf("step %d (n=%d, %+v): reused model differs from a fresh one or from ExecTime %v:\n got  %+v\n want %+v",
+				step, n, p, p.ExecTime(sigma, n), got, want)
+		}
+		if k := 1 + rng.IntN(60); rng.IntN(3) == 0 {
+			if got, want := m.NoIITExecTimeFor(p, sigma, k), p.ExecTime(sigma, k); got != want {
+				t.Fatalf("step %d: E(σ,%d) under %+v is %v, ExecTime says %v", step, k, p, got, want)
+			}
+		}
+	}
+	if switches < 100 {
+		t.Fatalf("only %d switches between the clusters", switches)
+	}
+}

@@ -465,3 +465,62 @@ func TestDispatchCompletionMonotoneInAvail(t *testing.T) {
 		}
 	}
 }
+
+// legacyMinNodesBound is MinNodesBound as written before ln β became an
+// argument: both logarithms taken on every evaluation.
+func legacyMinNodesBound(p Params, sigma, slack float64) (int, bool) {
+	if slack <= 0 || math.IsNaN(slack) {
+		return 0, false
+	}
+	if sigma <= 0 {
+		return 1, true
+	}
+	gamma := 1 - sigma*p.Cms/slack
+	if gamma <= 0 {
+		return 0, false
+	}
+	if gamma >= 1 {
+		return 1, true
+	}
+	n := int(math.Ceil(math.Log(gamma)/math.Log(p.Beta()) - ceilGuard))
+	return max(n, 1), true
+}
+
+// TestMinNodesBoundLnMatches: the bound that takes ln β returns what the
+// two-logarithm bound returns, and so does MinNodesBound, over a sweep
+// that reaches the numeric extremes — β → 1, slack just above σ·Cms (γ →
+// 0), and bounds up to n = 10 000.
+func TestMinNodesBoundLnMatches(t *testing.T) {
+	rng := rand.New(rand.NewPCG(34, 2))
+	large := 0
+	for trial := 0; trial < 20000; trial++ {
+		p := Params{Cms: math.Pow(10, -9+11*rng.Float64()), Cps: math.Pow(10, -2+6*rng.Float64())}
+		sigma := math.Pow(10, -3+7*rng.Float64())
+		var slack float64
+		switch trial % 4 {
+		case 0: // anywhere, rejects included
+			slack = sigma * p.Cms * 4 * rng.Float64()
+		case 1: // just above σ·Cms
+			slack = sigma * p.Cms * (1 + math.Pow(10, -15+14*rng.Float64()))
+		case 2: // β → 1
+			p.Cms = p.Cps * math.Pow(10, -12+10*rng.Float64())
+			slack = sigma * p.Cms * (1 + 10*rng.Float64())
+		case 3: // the slack at which the bound is n, for n up to 10 000
+			n := 1 + rng.IntN(10000)
+			slack = sigma * p.Cms / (1 - math.Pow(p.Beta(), float64(n))*(1+1e-6*(rng.Float64()-0.5)))
+		}
+		want, wantOK := legacyMinNodesBound(p, sigma, slack)
+		got, ok := MinNodesBoundLn(p, math.Log(p.Beta()), sigma, slack)
+		viaP, viaOK := MinNodesBound(p, sigma, slack)
+		if got != want || ok != wantOK || viaP != want || viaOK != wantOK {
+			t.Fatalf("p=%+v σ=%v slack=%v: MinNodesBoundLn (%d,%v), MinNodesBound (%d,%v), two logarithms (%d,%v)",
+				p, sigma, slack, got, ok, viaP, viaOK, want, wantOK)
+		}
+		if want >= 1000 {
+			large++
+		}
+	}
+	if large < 1000 {
+		t.Fatalf("only %d bounds of 1000 nodes or more", large)
+	}
+}

@@ -21,6 +21,11 @@ const ceilGuard = 1e-12
 // precedes the start) or γ ≤ 0 (not enough time even for the sequential
 // transmission of the input data, σ·Cms ≥ slack).
 func MinNodesBound(p Params, sigma, slack float64) (n int, ok bool) {
+	return MinNodesBoundLn(p, math.Log(p.Beta()), sigma, slack)
+}
+
+// MinNodesBoundLn is MinNodesBound, bit for bit, given lnBeta = ln β of p.
+func MinNodesBoundLn(p Params, lnBeta, sigma, slack float64) (n int, ok bool) {
 	if slack <= 0 || math.IsNaN(slack) {
 		return 0, false
 	}
@@ -31,12 +36,11 @@ func MinNodesBound(p Params, sigma, slack float64) (n int, ok bool) {
 	if gamma <= 0 {
 		return 0, false
 	}
-	beta := p.Beta()
 	// 0 < β < 1 and 0 < γ; γ ≥ 1 means even one node has slack to spare.
 	if gamma >= 1 {
 		return 1, true
 	}
-	x := math.Log(gamma) / math.Log(beta)
+	x := math.Log(gamma) / lnBeta
 	n = int(math.Ceil(x - ceilGuard))
 	if n < 1 {
 		n = 1

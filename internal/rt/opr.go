@@ -61,7 +61,7 @@ func (o OPR) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 func (o OPR) Estimate(c *Candidate) (float64, error) {
 	n := len(c.Starts)
 	if c.Costs == nil {
-		return c.Starts[n-1] + c.P.ExecTime(c.Task.Sigma, n), nil
+		return c.Starts[n-1] + c.model.NoIITExecTimeFor(c.P, c.Task.Sigma, n), nil
 	}
 	e, err := dlt.HeteroExecTime(c.Costs, c.Task.Sigma)
 	if err != nil {

@@ -37,10 +37,17 @@ type PlanContext struct {
 	// just plans; the scheduler discards that result and stops offering.
 	Prior *Plan
 
-	// scratch is where search evaluates its candidates. The scheduler and
-	// every speculation context hand in their own, so it is never shared
-	// between goroutines; a context built by hand gets one on first use.
+	// scratch is where search evaluates its candidates and cuts its plans.
+	// The schedulers and speculation contexts hand in their own, never
+	// shared between goroutines; a context built by hand makes one.
 	scratch *Candidate
+}
+
+func (ctx *PlanContext) candidate() *Candidate {
+	if ctx.scratch == nil {
+		ctx.scratch = new(Candidate)
+	}
+	return ctx.scratch
 }
 
 // heteroCosts returns the per-node cost model when the cluster is genuinely
@@ -140,12 +147,16 @@ func (ctx *PlanContext) ProvablyLate(t *Task, k int) bool {
 // minNodes returns the ñ_min bound the node search of IITDLT, OPR-MN and
 // multiround starts at, for the given slack (absolute deadline minus start
 // floor), over the homogeneous or the per-node cost model, and whether it
-// exists (γ > 0). It never grows with the slack.
+// exists (γ > 0). It never grows with the slack. ln β is kept in scratch.
 func (ctx *PlanContext) minNodes(t *Task, slack float64) (n0 int, ok bool) {
 	if cm := ctx.heteroCosts(); cm != nil {
 		return dlt.HeteroMinNodesBound(cm, t.Sigma, slack)
 	}
-	return dlt.MinNodesBound(ctx.P, t.Sigma, slack)
+	c := ctx.candidate()
+	if c.lnP != ctx.P || c.lnB == 0 {
+		c.lnP, c.lnB = ctx.P, math.Log(ctx.P.Beta())
+	}
+	return dlt.MinNodesBoundLn(ctx.P, c.lnB, t.Sigma, slack)
 }
 
 // FastRejectMinNodes is the shared FastReject implementation for
@@ -219,7 +230,7 @@ func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 // comparison. A plan that starts at its start floor is sealed at the very
 // slack it was searched from, where the bound is the node count the search
 // began at: no second evaluation. Without the seal each waiting task costs
-// every arrival two logarithms, and a late-deadline arrival behind a long
+// every arrival a bound evaluation, and a late-deadline arrival behind a long
 // queue spends its time on those: BenchmarkSubmitQueued grows x7.7 from 8
 // to 128 waiting tasks, against a gate of x3.
 func (ctx *PlanContext) sealMinNodes(pl *Plan, searched float64) {

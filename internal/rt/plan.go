@@ -6,7 +6,8 @@ import "math"
 // one task: which nodes it uses, from when to when, how the load is split
 // across them, and the completion estimate the admission decision was based
 // on. Slices are parallel and ordered by node available time (the paper's
-// P1…Pn ordering, which is also the transmission order).
+// P1…Pn ordering, which is also the transmission order). A plan of the
+// node search is cut from a plan arena: holding it holds its chunks too.
 type Plan struct {
 	Task *Task
 

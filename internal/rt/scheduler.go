@@ -91,8 +91,9 @@ type Scheduler struct {
 	plansReused   atomic.Int64
 	demandRejects atomic.Int64
 
-	obs      Observer
-	stageObs StageObserver
+	obs       Observer
+	stageObs  StageObserver
+	committed []*Plan // backs what CommitDue returns
 }
 
 // NewScheduler builds a scheduler for the given cluster, policy and
@@ -314,7 +315,7 @@ func (s *Scheduler) NextCommit() (at float64, ok bool) {
 
 // CommitDue commits every waiting plan whose first transmission start is ≤
 // now, in queue order, updating the cluster's release times and accounting.
-// It returns the committed plans (possibly none).
+// It returns the committed plans (possibly none), valid until the next call.
 func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	stageObs := s.stageObs
 	var t0 time.Time
@@ -327,7 +328,7 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	// error leaves both stamps behind, which safely forces a full resync.
 	before := s.cl.Version()
 	synced := s.q.view != nil && !s.resyncEachUse && s.clVersion == before
-	var out []*Plan
+	s.committed = s.committed[:0]
 	err := s.q.sweep(now, synced, func(pl *Plan) error {
 		if err := s.cl.Commit(pl.Nodes, pl.Starts, pl.Release, pl.ReservedIdle); err != nil {
 			return fmt.Errorf("rt: committing task %d: %w", pl.Task.ID, err)
@@ -336,12 +337,12 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 		if s.obs != nil {
 			s.obs.OnCommit(now, pl)
 		}
-		out = append(out, pl)
+		s.committed = append(s.committed, pl)
 		return nil
 	})
 	s.queueLen.Store(int64(len(s.q.queue)))
 	if err != nil {
-		return out, err
+		return s.committed, err
 	}
 	if synced {
 		s.clVersion = s.cl.Version()
@@ -349,10 +350,10 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	if s.planVersion == before {
 		s.planVersion = s.cl.Version()
 	}
-	if stageObs != nil && len(out) > 0 {
+	if stageObs != nil && len(s.committed) > 0 {
 		stageObs.ObserveStage(StageCommit, time.Since(t0).Seconds())
 	}
-	return out, nil
+	return s.committed, nil
 }
 
 // PlanFor returns the current plan for a waiting task, or nil. It scans

@@ -10,8 +10,8 @@ import (
 // Candidate is one node count of a partitioner's node search: the n
 // earliest-available nodes and their clamped start times, plus the model
 // and the timelines an Estimator evaluates them with. A PlanContext owns
-// one and runs every candidate of every search in it, so all of it is
-// scratch — overwritten by the next candidate, never referenced by a Plan.
+// one and runs every candidate of every search in it, so the candidate is
+// scratch — overwritten by the next one, never referenced by a Plan.
 type Candidate struct {
 	Task   *Task
 	P      dlt.Params     // the cluster's shared coefficients
@@ -25,6 +25,33 @@ type Candidate struct {
 	dispatch   dlt.Dispatch
 	dispatched bool // dispatch holds the timeline of model's partition
 	aux        []float64
+
+	// What outlives a candidate: ln β, and the plan arena, chunks of about
+	// 4 KB cut never twice (the GC frees one with its last plan).
+	plans  []Plan
+	ints   []int
+	floats []float64
+	lnP    dlt.Params // lnB = ln β of lnP (minNodes); 0 before the first use
+	lnB    float64
+}
+
+const planChunk, intChunk, floatChunk = 28, 512, 512 // 28 Plans of 144 B
+
+// carve cuts n elements off *free, cap-limited so that an append copies,
+// starting a chunk of size when too few are left; n > size gets its own.
+func carve[T any](free *[]T, n, size int) []T {
+	if n > size {
+		return make([]T, n)
+	}
+	if len(*free) < n {
+		if *free == nil {
+			size = n // a fresh arena's first cut is exact: one plan, no chunk
+		}
+		*free = make([]T, size)
+	}
+	cut := (*free)[:n:n]
+	*free = (*free)[n:]
+	return cut
 }
 
 // Estimator is the per-algorithm half of a node search. For each candidate
@@ -111,16 +138,11 @@ func (c *Candidate) load(ctx *PlanContext, cm *dlt.CostModel, n int) {
 // then more nodes while r_n + Ê > A + D): it tries n = lo..hi nodes, each
 // candidate in the context's scratch, and returns the plan of the first
 // whose estimate does not exceed limit. The scan is linear — the estimate
-// is not monotone in n, since each further node is a later one. Only the
-// returned plan is allocated: the Plan, its node ids, and one block cut
-// into Starts, Release and Alphas.
+// is not monotone in n, since each further node is a later one. The Plan,
+// its node ids and its Starts | Release | Alphas block are cut from the
+// scratch's arena: a retained plan keeps its chunks (a few KB) reachable.
 func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) (*Plan, error) {
-	if ctx.scratch == nil {
-		// A context built by hand (tests, external callers); the
-		// schedulers hand theirs in.
-		ctx.scratch = new(Candidate)
-	}
-	c := ctx.scratch
+	c := ctx.candidate()
 	c.Task, c.P = t, ctx.P
 	cm := ctx.heteroCosts()
 	for n := lo; n <= hi; n++ {
@@ -132,16 +154,18 @@ func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) 
 		if est > limit {
 			continue
 		}
-		block := make([]float64, 3*n)
-		pl := &Plan{
+		block := carve(&c.floats, 3*n, floatChunk)
+		pl := &carve(&c.plans, 1, planChunk)[0]
+		*pl = Plan{
 			Task:    t,
-			Nodes:   append(make([]int, 0, n), c.IDs...),
+			Nodes:   carve(&c.ints, n, intChunk),
 			Starts:  block[:n:n],
 			Release: block[n : 2*n : 2*n],
 			Alphas:  block[2*n:],
 			Est:     est,
 			Rounds:  1,
 		}
+		copy(pl.Nodes, c.IDs)
 		copy(pl.Starts, c.Starts)
 		if err := e.Finish(c, pl); err != nil {
 			return nil, err

@@ -249,6 +249,12 @@ func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([
 			s.putSpec(sc)
 		}
 	}
+	// A record lives while any plan points at its task, and plans are cut
+	// from shared arena chunks, so a dead plan can keep it reachable: once
+	// installed or dropped, it must pin no plan or schedule of its own.
+	for i := range recs {
+		recs[i].plan, recs[i].sched = nil, nil
+	}
 	for i := from; i < end; i++ {
 		if i >= seen && ctx != nil {
 			if err := ctx.Err(); err != nil {

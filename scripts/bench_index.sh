@@ -6,8 +6,9 @@
 # cmd/benchgate the nodes=10000 vs nodes=100 ns/op growth (vs nodes=16 for
 # the index alone), for late-deadline arrivals the queue=128 vs
 # queue=8 growth, for arrivals into the middle of 128 waiting tasks
-# the allocs/op (<= 80: three per fresh plan, none per candidate of its
-# node search), and for overload rejects behind 128 deadline-dense waiting
+# the allocs/op (<= 6: fresh plans are cut from the scheduler's plan
+# arena, and a candidate of a node search allocates nothing), and for
+# overload rejects behind 128 deadline-dense waiting
 # tasks (mix=saturated, decided by the demand bound) exactly 0 plans/op and
 # <= 1 alloc/op; their queue=8 vs queue=128 ns/op growth is printed, not
 # gated. The gates are ratios and counts, not absolute times, so
