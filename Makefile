@@ -1,11 +1,13 @@
-# Local targets mirror .github/workflows/ci.yml exactly, so `make ci`
-# reproduces what CI runs.
+# Local targets mirror the jobs of .github/workflows/ci.yml: `make ci` runs
+# the build-and-test job (less its printed `make loc` count) and the
+# fuzz-smoke job; `make bench-gate` is the bench job and `make wire-smoke`
+# the wire-smoke job.
 
 GO ?= go
 FUZZTIME ?= 10s
 FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt ./internal/server
 
-.PHONY: build test bench bench-json bench-index bench-contention fmt fmt-check vet race race-repeat fuzz-smoke serve loadtest wire-smoke loc ci
+.PHONY: build test bench bench-gate fmt fmt-check vet race race-repeat fuzz-smoke serve loadtest wire-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -24,33 +26,15 @@ race-repeat:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Mirrors the CI bench job: one sample per root-package benchmark
-# (figure regenerations + BenchmarkServiceSubmit*) plus the pool
-# shard-scaling benchmarks, as test2json streams. Redirect instead of tee
-# so a benchmark failure fails the target (make's /bin/sh has no
-# pipefail).
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -json . > BENCH_service.json
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -json ./internal/pool > BENCH_pool.json
-
-# Admission-index scaling gate: BenchmarkSubmit*/nodes={100,1000,10000} and
-# BenchmarkAvailViewRetime/nodes={8..10000} into BENCH_index.json, then
-# cmd/benchgate fails the target if per-submit or per-retiming ns/op grows
-# super-linearly (> MAX_RATIO, default 15x over a 100x fleet),
-# if a late-deadline arrival pays for the queue ahead of it, if fresh
-# plans allocate beside the scheduler's plan arena, or if an overload
-# reject the demand bound decides costs a Plan call or a second allocation.
-bench-index:
-	./scripts/bench_index.sh
-
-# Optimistic-admission contention gate: BenchmarkSubmitContention
-# (mix={cold,hot} x mode={spec,serial} x submitter sweep) into
-# BENCH_contention.json, then cmd/benchgate -contention reports scaling on
-# the low-conflict mix and enforces near-serialized throughput on the
-# 100%-conflict mix. Machine-adaptive: the hot-mix gate skips with a note on
-# single-proc machines and only reports below 4 procs.
-bench-contention:
-	./scripts/bench_contention.sh
+# The one benchmark gate, CI's bench job. The contracts measured as a ratio
+# of two timings run in-process as the benchgate-tagged TestGate* tests:
+# per-submit cost flat in the fleet, speculation near serialized throughput
+# on 4+ procs. Each prints every ratio. The contracts that are counts
+# (TestQueuedCounts) are ordinary tests. -p 1 keeps the two packages'
+# timings from sharing the CPUs; -count=1 because a cached pass measures
+# nothing.
+bench-gate:
+	$(GO) test -tags benchgate -p 1 -count=1 -v -run '^TestGate' -benchtime 300ms . ./internal/rt
 
 fmt:
 	gofmt -w .
@@ -60,8 +44,11 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
+# The second pass vets the benchgate-tagged gate tests, which the plain
+# build never compiles.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags benchgate ./...
 
 fuzz-smoke:
 	@set -eu; for pkg in $(FUZZ_PKGS); do \

@@ -135,8 +135,8 @@
 // the queue, leaving the admission decision stream bit-for-bit unchanged
 // — a property enforced by differential and fuzz suites against a
 // full-sort reference implementation. Per-submit cost is flat from 100
-// to 10,000 nodes; CI gates the growth ratio via cmd/benchgate over the
-// BenchmarkSubmit/nodes=N sweep (BENCH_index.json).
+// to 10,000 nodes; make bench-gate, the CI bench job, gates the growth
+// ratio over the BenchmarkSubmit/nodes=N sweep (TestGateIndexGrowth).
 //
 // Since 3.4.0 admission is optimistically concurrent within a shard. A
 // submission snapshots the committed state under the lock with an epoch
@@ -165,9 +165,10 @@
 // dlload folds a conflict rate into BENCH_wire.json, and dlserve's
 // -mutex-profile-fraction/-block-profile-rate expose the remaining lock
 // waits on the -pprof-addr listener. BenchmarkSubmitContention sweeps
-// submitter counts over low- and 100%-conflict mixes with speculation on
-// and off; CI reports the scaling and gates the overhead contract
-// machine-adaptively via cmd/benchgate -contention (BENCH_contention.json).
+// submitter counts over a cold and a hot mix with speculation on and off;
+// make bench-gate reports the scaling and gates the hot-mix overhead
+// contract on 4 or more procs (TestGateHotMixContention), and
+// TestConflictStormBackoff pins the adaptive gate's backoff.
 //
 // The schedulability test is incremental: the paper's Fig. 2 rebuilds the
 // tentative schedule of the whole waiting queue on every arrival, where
@@ -193,9 +194,9 @@
 // against a hint-free reference); node churn, fleet growth and
 // out-of-band commits fall back to one. Stats.PlansComputed/PlansReused
 // and rtdls_admission_plans_{computed,reused}_total per shard report the
-// replanning each arrival caused; cmd/benchgate gates that a
-// late-deadline arrival's cost at 128 waiting tasks stays within 3x of
-// its cost at 8 (BenchmarkSubmitQueued, BENCH_index.json).
+// replanning each arrival caused; TestQueuedCounts (internal/rt) holds a
+// late-deadline arrival behind 128 waiting tasks to one fresh plan and 128
+// kept ones, each sealed so that keeping it evaluates no ñ_min bound.
 //
 // Before any of that an overload reject is decided by a processor-demand
 // bound, EDF's schedulability criterion carried to divisible loads: any
@@ -220,8 +221,8 @@
 // plans physical), abstains on NaN/±Inf intermediates and on user-split's
 // hard error (a request for more nodes than are live), and is counted in
 // Stats.DemandRejects and rtdls_admission_demand_rejects_total per shard;
-// cmd/benchgate gates such a reject behind 128 waiting tasks at 0 Plan
-// calls and 1 allocation (BenchmarkSubmitQueued mix=saturated).
+// TestQueuedCounts holds such a reject behind 128 waiting tasks to 0 Plan
+// calls and 1 allocation (BenchmarkSubmitQueued's mix=saturated).
 //
 // What is planned afresh is planned by one node search shared by all five
 // partitioners (rt.PlanContext.PlanMinNodes and the search under it): for
@@ -235,14 +236,15 @@
 // search ran: the Plan, its node ids and one block holding Starts, Release
 // and Alphas are cut from chunks of about 4 KB in a bump arena the Candidate
 // owns, so a retained Plan keeps its chunks reachable until it dies. The
-// same benchgate run gates an arrival into the middle of 128 waiting tasks
-// at 6 allocations.
+// same count test holds an arrival into the middle of 128 waiting tasks to
+// 6 allocations.
 //
 // Build and test with the standard toolchain — go build ./... and
-// go test ./... — or via the Makefile (make ci mirrors the CI pipeline:
-// build, gofmt gate, vet, race tests, benchmark compile check and a fuzz
-// smoke pass; make bench-json emits the BENCH_service.json perf sample the
-// CI bench job uploads).
+// go test ./... — or via the Makefile (make ci mirrors CI's build-and-test
+// and fuzz-smoke jobs: build, gofmt gate, vet, race tests, benchmark
+// compile check and a fuzz smoke pass; make bench-gate is its bench job,
+// the timing-ratio contracts run in-process under the benchgate build tag;
+// make wire-smoke is its wire-smoke job).
 //
 // The experiment harness that regenerates every figure of the paper, plus
 // the xHET* heterogeneity panels, lives in cmd/figures; the panels are

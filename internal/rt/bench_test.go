@@ -43,10 +43,10 @@ func BenchmarkSubmitUserSplit(b *testing.B) { benchSubmit(b, UserSplit{}, EDF) }
 func BenchmarkSubmitFIFO(b *testing.B)      { benchSubmit(b, IITDLT{}, FIFO) }
 
 // submitScaleSizes is the cluster-size sweep shared by the index-scaling
-// benchmarks below. scripts/bench_index.sh runs them into BENCH_index.json
-// and cmd/benchgate gates the nodes=10000 vs nodes=100 ns/op ratio, so the
-// sub-linear per-submit contract of the availability index is enforced in
-// CI without machine-dependent absolute thresholds.
+// benchmarks below. `make bench-gate` holds the nodes=10000 vs nodes=100
+// ns/op ratio (TestGateIndexGrowth), so the sub-linear per-submit contract
+// of the availability index is enforced without machine-dependent absolute
+// thresholds.
 var submitScaleSizes = []int{100, 1000, 10000}
 
 // BenchmarkSubmit measures the steady-state accept path as the fleet
@@ -57,35 +57,37 @@ var submitScaleSizes = []int{100, 1000, 10000}
 // index this path re-sorted all n nodes per submission.
 func BenchmarkSubmit(b *testing.B) {
 	for _, n := range submitScaleSizes {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			cl, err := cluster.New(n, baseline)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := NewScheduler(cl, EDF, IITDLT{})
-			now := 0.0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				task := &Task{
-					ID:          int64(i + 1),
-					Arrival:     now,
-					Sigma:       150 + float64(i%8)*12.5,
-					RelDeadline: 5200,
-				}
-				ok, err := s.Submit(task, now)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					b.Fatalf("steady-state task %d rejected", task.ID)
-				}
-				if _, err := s.CommitDue(now); err != nil {
-					b.Fatal(err)
-				}
-				now += 2600
-			}
-		})
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) { benchSubmitNodes(b, n) })
+	}
+}
+
+func benchSubmitNodes(b *testing.B, n int) {
+	cl, err := cluster.New(n, baseline)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewScheduler(cl, EDF, IITDLT{})
+	now := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		task := &Task{
+			ID:          int64(i + 1),
+			Arrival:     now,
+			Sigma:       150 + float64(i%8)*12.5,
+			RelDeadline: 5200,
+		}
+		ok, err := s.Submit(task, now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ok {
+			b.Fatalf("steady-state task %d rejected", task.ID)
+		}
+		if _, err := s.CommitDue(now); err != nil {
+			b.Fatal(err)
+		}
+		now += 2600
 	}
 }
 
@@ -97,35 +99,37 @@ func BenchmarkSubmit(b *testing.B) {
 // be flat in the fleet size.
 func BenchmarkSubmitFastReject(b *testing.B) {
 	for _, n := range submitScaleSizes {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			cl, err := cluster.New(n, baseline)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids := make([]int, n)
-			starts := make([]float64, n)
-			release := make([]float64, n)
-			for i := range ids {
-				ids[i] = i
-				release[i] = 1e9
-			}
-			if err := cl.Commit(ids, starts, release, 0); err != nil {
-				b.Fatal(err)
-			}
-			s := NewScheduler(cl, EDF, IITDLT{})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				task := &Task{ID: int64(i + 1), Arrival: 0, Sigma: 200, RelDeadline: 5000}
-				ok, err := s.Submit(task, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ok {
-					b.Fatalf("task %d admitted on a saturated fleet", task.ID)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) { benchSubmitFastReject(b, n) })
+	}
+}
+
+func benchSubmitFastReject(b *testing.B, n int) {
+	cl, err := cluster.New(n, baseline)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]int, n)
+	starts := make([]float64, n)
+	release := make([]float64, n)
+	for i := range ids {
+		ids[i] = i
+		release[i] = 1e9
+	}
+	if err := cl.Commit(ids, starts, release, 0); err != nil {
+		b.Fatal(err)
+	}
+	s := NewScheduler(cl, EDF, IITDLT{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		task := &Task{ID: int64(i + 1), Arrival: 0, Sigma: 200, RelDeadline: 5000}
+		ok, err := s.Submit(task, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ok {
+			b.Fatalf("task %d admitted on a saturated fleet", task.ID)
+		}
 	}
 }
 
@@ -156,10 +160,8 @@ func BenchmarkSubmitFastReject(b *testing.B) {
 //
 // Time stands still in the rejecting mixes (a reject changes nothing). Every
 // mix reports plans/op, the Plan calls — fresh and kept-prior offers — of one
-// arrival. scripts/bench_index.sh runs the sweep into BENCH_index.json and
-// cmd/benchgate gates the late mix's queue=128 vs queue=8 ns/op ratio — an
-// arrival ordered behind the queue must not pay for the queue — and the
-// saturated mix's plans/op and allocs/op at queue=128.
+// arrival. TestQueuedCounts holds the late, uniform and saturated mixes'
+// contracts at queue=128 as exact counts.
 func BenchmarkSubmitQueued(b *testing.B) {
 	for _, depth := range []int{0, 8, 32, 128} {
 		for _, mix := range []string{"late", "uniform", "reject", "saturated"} {
@@ -174,79 +176,158 @@ func BenchmarkSubmitQueued(b *testing.B) {
 }
 
 func benchSubmitQueued(b *testing.B, depth int, mix string) {
-	const (
-		nodes    = 16
-		sigma    = 100.0
-		deadline = 1e6 // loose: every queued task runs on one node
-	)
-	slot := sigma * (baseline.Cms + baseline.Cps) / nodes
-	cl, err := cluster.New(nodes, baseline)
+	q := newQueuedRig(b, depth, mix)
+	computed, kept := q.s.PlanCounts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.arrive()
+	}
+	b.StopTimer()
+	c, k := q.s.PlanCounts()
+	b.ReportMetric(float64(c-computed+k-kept)/float64(b.N), "plans/op")
+	if got := q.s.Stats().QueueLen; got < depth || got > depth+1 {
+		b.Fatalf("queue depth drifted to %d, want %d", got, depth)
+	}
+}
+
+const (
+	queuedNodes    = 16
+	queuedSigma    = 100.0
+	queuedDeadline = 1e6 // loose: every queued task runs on one node
+)
+
+// queuedRig is BenchmarkSubmitQueued's scheduler and its waiting queue;
+// arrive submits one arrival of the mix.
+type queuedRig struct {
+	tb     testing.TB
+	s      *Scheduler
+	depth  int
+	mix    string
+	slot   float64
+	now    float64
+	id     int64
+	rng    uint64
+	tooBig float64
+}
+
+func newQueuedRig(tb testing.TB, depth int, mix string) *queuedRig {
+	q := &queuedRig{tb: tb, depth: depth, mix: mix, rng: uint64(depth)*2654435761 + 1}
+	q.slot = queuedSigma * (baseline.Cms + baseline.Cps) / queuedNodes
+	cl, err := cluster.New(queuedNodes, baseline)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for id := 0; id < nodes; id++ {
-		if err := cl.Commit([]int{id}, []float64{0}, []float64{float64(id+1) * slot}, 0); err != nil {
-			b.Fatal(err)
+	for id := 0; id < queuedNodes; id++ {
+		if err := cl.Commit([]int{id}, []float64{0}, []float64{float64(id+1) * q.slot}, 0); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	s := NewScheduler(cl, EDF, IITDLT{})
-	now := slot / 2 // half a slot off the release grid, so dueness never hangs on rounding
-	id := int64(0)
-	submit := func(t *Task, want bool) {
-		id++
-		t.ID, t.Arrival = id, now
-		if ok, err := s.Submit(t, now); err != nil || ok != want {
-			b.Fatalf("task %+v: accepted=%v err=%v, want accepted=%v", t, ok, err, want)
-		}
-	}
-	// Task i of the queue runs on node i%16, from that node's release after
-	// the i/16 tasks queued on it before: done is when.
-	done := func(i int) float64 { return float64(i%nodes+1)*slot + float64(i/nodes+1)*nodes*slot }
+	q.s = NewScheduler(cl, EDF, IITDLT{})
+	q.now = q.slot / 2 // half a slot off the release grid, so dueness never hangs on rounding
 	for i := 0; i < depth; i++ {
-		d := deadline
+		d := queuedDeadline
 		if mix == "saturated" {
-			d = done(i) + 10 - now
+			d = q.done(i) + 10 - q.now
 		}
-		submit(&Task{Sigma: sigma, RelDeadline: d}, true)
+		q.submit(&Task{Sigma: queuedSigma, RelDeadline: d}, true)
 	}
 	// The largest load whose ñ_min bound still fits the cluster, 0.02% short
 	// of what 16 simultaneously free nodes finish by the deadline: no start
 	// later than now can make it, which the ñ_min fast-reject cannot tell.
-	tooBig := deadline * (1 - math.Pow(baseline.Beta(), nodes)) / baseline.Cms * (1 - 2e-4)
-	rng := uint64(depth)*2654435761 + 1
-	computed, kept := s.PlanCounts()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		switch mix {
-		case "reject":
-			submit(&Task{Sigma: tooBig, RelDeadline: deadline + 1}, false)
-			continue
-		case "saturated":
-			// Due between the two tasks in the middle of the queue; twelve
-			// queued tasks' worth of load, which 16 idle nodes serve in a
-			// tenth of the time it has.
-			submit(&Task{Sigma: 12 * sigma, RelDeadline: done(depth/2-1) + 15 - now}, false)
-			continue
-		case "uniform":
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			u := float64(rng>>11) / (1 << 53)
-			submit(&Task{Sigma: sigma, RelDeadline: deadline - u*float64(depth)*slot}, true)
-		default:
-			submit(&Task{Sigma: sigma, RelDeadline: deadline}, true)
-		}
-		now += slot
-		if _, err := s.CommitDue(now); err != nil {
-			b.Fatal(err)
-		}
+	q.tooBig = queuedDeadline * (1 - math.Pow(baseline.Beta(), queuedNodes)) / baseline.Cms * (1 - 2e-4)
+	return q
+}
+
+// done is when task i of the initial queue completes: it runs on node
+// i%16, from that node's release after the i/16 tasks queued on it before.
+func (q *queuedRig) done(i int) float64 {
+	return float64(i%queuedNodes+1)*q.slot + float64(i/queuedNodes+1)*queuedNodes*q.slot
+}
+
+func (q *queuedRig) submit(t *Task, want bool) {
+	q.id++
+	t.ID, t.Arrival = q.id, q.now
+	if ok, err := q.s.Submit(t, q.now); err != nil || ok != want {
+		q.tb.Fatalf("task %+v: accepted=%v err=%v, want accepted=%v", t, ok, err, want)
 	}
-	b.StopTimer()
-	c, k := s.PlanCounts()
-	b.ReportMetric(float64(c-computed+k-kept)/float64(b.N), "plans/op")
-	if got := s.Stats().QueueLen; got < depth || got > depth+1 {
-		b.Fatalf("queue depth drifted to %d, want %d", got, depth)
+}
+
+func (q *queuedRig) arrive() {
+	switch q.mix {
+	case "reject":
+		q.submit(&Task{Sigma: q.tooBig, RelDeadline: queuedDeadline + 1}, false)
+		return
+	case "saturated":
+		// Due between the two tasks in the middle of the queue; twelve
+		// queued tasks' worth of load, which 16 idle nodes serve in a
+		// tenth of the time it has.
+		q.submit(&Task{Sigma: 12 * queuedSigma, RelDeadline: q.done(q.depth/2-1) + 15 - q.now}, false)
+		return
+	case "uniform":
+		q.rng ^= q.rng << 13
+		q.rng ^= q.rng >> 7
+		q.rng ^= q.rng << 17
+		u := float64(q.rng>>11) / (1 << 53)
+		q.submit(&Task{Sigma: queuedSigma, RelDeadline: queuedDeadline - u*float64(q.depth)*q.slot}, true)
+	default:
+		q.submit(&Task{Sigma: queuedSigma, RelDeadline: queuedDeadline}, true)
+	}
+	q.now += q.slot
+	if _, err := q.s.CommitDue(q.now); err != nil {
+		q.tb.Fatal(err)
+	}
+}
+
+// TestQueuedCounts holds BenchmarkSubmitQueued's contracts at 128 waiting
+// tasks as counts, which repeat exactly on any machine:
+//   - late: an arrival ordered behind the whole queue computes one plan and
+//     keeps the other 128, every one of them sealed (sealMinNodes), so no
+//     kept offer evaluates an ñ_min bound and the arrival does not pay for
+//     the queue ahead of it;
+//   - uniform: an arrival into the middle of the queue re-plans the tasks
+//     after it in at most 6 allocations — fresh plans are cut from the plan
+//     arena, so only its chunk refills allocate;
+//   - saturated: the demand bound rejects an overload arrival with no Plan
+//     call, fresh or kept-prior, and no allocation beside the task.
+func TestQueuedCounts(t *testing.T) {
+	const depth, runs = 128, 200
+	for _, mix := range []string{"late", "uniform", "saturated"} {
+		t.Run(mix, func(t *testing.T) {
+			q := newQueuedRig(t, depth, mix)
+			for range runs { // past the plan arena's first chunks
+				q.arrive()
+			}
+			var unsealed int64
+			c0, k0 := q.s.PlanCounts()
+			d0 := q.s.DemandRejects()
+			allocs := testing.AllocsPerRun(runs, func() {
+				for _, e := range q.s.q.queue {
+					if e.plan.minSlack <= 0 {
+						unsealed++
+					}
+				}
+				q.arrive()
+			})
+			c, k := q.s.PlanCounts()
+			n := int64(runs + 1) // AllocsPerRun's warm-up call arrives too
+			computed, kept, demand := c-c0, k-k0, q.s.DemandRejects()-d0
+			per := func(c int64) float64 { return float64(c) / float64(n) }
+			t.Logf("per arrival: %.2f plans computed, %.2f kept, %.2f demand rejects, %.0f allocs, %.2f unsealed waiting plans",
+				per(computed), per(kept), per(demand), allocs, per(unsealed))
+			var ok bool
+			switch mix {
+			case "late":
+				ok = computed == n && kept == n*depth && unsealed == 0
+			case "uniform":
+				ok = allocs <= 6
+			case "saturated":
+				ok = computed == 0 && kept == 0 && demand == n && allocs <= 1
+			}
+			if !ok {
+				t.Errorf("mix=%s breaks its contract", mix)
+			}
+		})
 	}
 }
 
@@ -256,33 +337,34 @@ func benchSubmitQueued(b *testing.B, depth int, mix string) {
 // every eighth step a rejected arrival, which rolls the last eight plans
 // back. From 64 nodes up the fleet spans several blocks, so a released node
 // crosses from the first block into a later one, and eight plans on end
-// overflow the blocks they land in. scripts/bench_index.sh runs the sweep
-// and cmd/benchgate holds nodes=10000 to the same growth limit over
-// nodes=16 as the submit benchmarks.
+// overflow the blocks they land in. TestGateIndexGrowth holds nodes=10000
+// to the same growth limit over nodes=16 as the submit benchmarks.
 func BenchmarkAvailViewRetime(b *testing.B) {
 	for _, n := range []int{8, 16, 64, 1024, 10000} {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			times := make([]float64, n)
-			for i := range times {
-				times[i] = float64(i%16) * 100
-			}
-			v := NewAvailView(times)
-			ids := make([]int, 3)
-			starts := make([]float64, 3)
-			release := make([]float64, 3)
-			mark := v.Mark()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v.EarliestInto(ids, starts)
-				for j, s := range starts {
-					release[j] = s + 400 + float64(i%7)*130
-				}
-				v.Apply(ids, release)
-				if i%8 == 7 {
-					v.RollbackTo(mark)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) { benchAvailViewRetime(b, n) })
+	}
+}
+
+func benchAvailViewRetime(b *testing.B, n int) {
+	times := make([]float64, n)
+	for i := range times {
+		times[i] = float64(i%16) * 100
+	}
+	v := NewAvailView(times)
+	ids := make([]int, 3)
+	starts := make([]float64, 3)
+	release := make([]float64, 3)
+	mark := v.Mark()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.EarliestInto(ids, starts)
+		for j, s := range starts {
+			release[j] = s + 400 + float64(i%7)*130
+		}
+		v.Apply(ids, release)
+		if i%8 == 7 {
+			v.RollbackTo(mark)
+		}
 	}
 }

@@ -315,7 +315,8 @@ func (s *Scheduler) NextCommit() (at float64, ok bool) {
 
 // CommitDue commits every waiting plan whose first transmission start is ≤
 // now, in queue order, updating the cluster's release times and accounting.
-// It returns the committed plans (possibly none), valid until the next call.
+// It returns the committed plans (possibly none), valid until the next call;
+// when a commit fails, the ones committed before it, beside the error.
 func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	stageObs := s.stageObs
 	var t0 time.Time

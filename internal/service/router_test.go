@@ -177,6 +177,30 @@ func TestSecondSubmitterSpeculates(t *testing.T) {
 	}
 }
 
+// TestConflictStormBackoff: three conflicted speculations in a row close
+// the speculative road but for a probe every 32nd submit, and one installed
+// speculation opens it again.
+func TestConflictStormBackoff(t *testing.T) {
+	svc := newTestService(t)
+	for range specStreakLimit {
+		if !svc.specAllowed(true) {
+			t.Fatal("the road closed before the conflict streak reached its limit")
+		}
+		svc.noteConflict(1)
+	}
+	for i := 1; i <= 4*specProbeEvery; i++ {
+		if got, want := svc.specAllowed(true), i%specProbeEvery == 0; got != want {
+			t.Fatalf("submit %d of the storm: speculates = %v, want %v", i, got, want)
+		}
+	}
+	svc.noteSpeculative(1)
+	for i := range specProbeEvery {
+		if !svc.specAllowed(true) {
+			t.Fatalf("submit %d after an install: the road is still closed", i+1)
+		}
+	}
+}
+
 // TestPhasedLinearizationReplay alternates lone phases, long enough to leave
 // the speculation window and decide on the live state, with 8-goroutine
 // phases that speculate, so the contexts parked in one concurrent phase are

@@ -479,12 +479,11 @@ func (s *Service) CommitDue(now float64) error {
 }
 
 func (s *Service) commitDueLocked(now float64) error {
+	// A sweep that fails has still committed the plans before the failing
+	// one: they are accounted like any other before the error is returned.
 	plans, err := s.sched.CommitDue(now)
-	if err != nil {
-		return err
-	}
 	if len(plans) == 0 {
-		return nil
+		return err
 	}
 	for _, pl := range plans {
 		// Multi-round plans carry an exact simulated Est, and OPR-style
@@ -520,7 +519,7 @@ func (s *Service) commitDueLocked(now float64) error {
 	s.busyBits.Store(math.Float64bits(s.cl.BusyTime()))
 	s.idleBits.Store(math.Float64bits(s.cl.ReservedIdle()))
 	s.releaseBits.Store(math.Float64bits(s.cl.LastRelease()))
-	return nil
+	return err
 }
 
 // NextCommit returns the earliest pending first-transmission time, or

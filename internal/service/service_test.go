@@ -237,6 +237,61 @@ func TestDrainCommitsEverything(t *testing.T) {
 	}
 }
 
+// releaseBeforeStart plans like IITDLT, except that the trigger task's first
+// node is released before it starts, a plan cluster.Commit refuses.
+type releaseBeforeStart struct {
+	rt.IITDLT
+	trigger int64
+}
+
+func (p releaseBeforeStart) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
+	pl, err := p.IITDLT.Plan(ctx, t)
+	if err == nil && t.ID == p.trigger {
+		pl.Release[0] = pl.Starts[0] - 1
+	}
+	return pl, err
+}
+
+// TestFailedSweepAccountsItsPrefix: when a due-commit sweep fails, the plans
+// it committed before the failing one are in the cluster's and the
+// scheduler's counts, so they are in the execution metrics and the event
+// stream too.
+func TestFailedSweepAccountsItsPrefix(t *testing.T) {
+	clock := NewManualClock(0)
+	svc := newTestService(t, func(c *Config) {
+		c.Clock = clock
+		c.Partitioner = releaseBeforeStart{trigger: 2}
+		ids, starts, release := make([]int, 16), make([]float64, 16), make([]float64, 16)
+		for i := range ids {
+			ids[i], release[i] = i, 100
+		}
+		if err := c.Cluster.Commit(ids, starts, release, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	events, cancel := svc.Subscribe(16)
+	defer cancel()
+	for id := int64(1); id <= 2; id++ { // both wait for the fleet, task 1 ahead
+		dec, err := svc.Submit(context.Background(), rt.Task{ID: id, Sigma: 100, RelDeadline: 5e4 * float64(id)})
+		if err != nil || !dec.Accepted {
+			t.Fatalf("task %d: %+v, %v", id, dec, err)
+		}
+	}
+	clock.Set(1e4)
+	if err := svc.Pump(); err == nil {
+		t.Fatal("the sweep committed a plan that releases a node before its start")
+	}
+	if ex, st := svc.Exec(), svc.Stats(); ex.Committed != 1 || st.Commits != 1 {
+		t.Fatalf("Exec().Committed = %d, Stats().Commits = %d, want 1 and 1", ex.Committed, st.Commits)
+	}
+	for len(events) > 0 {
+		if ev := <-events; ev.Kind == EventCommit && ev.Task.ID == 1 {
+			return
+		}
+	}
+	t.Fatal("no EventCommit for task 1")
+}
+
 func TestManualClock(t *testing.T) {
 	c := NewManualClock(5)
 	if c.Now() != 5 {

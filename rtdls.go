@@ -34,15 +34,15 @@ import (
 // availability view became a base-synced order-statistic index with a
 // sound infeasibility fast-reject ahead of planning (decision stream
 // proven bit-for-bit unchanged), per-submit cost flat from 100 to 10,000
-// nodes and ratio-gated in CI (cmd/benchgate, BENCH_index.json).
+// nodes and ratio-gated in CI (make bench-gate).
 // 3.4.0 made admission optimistically concurrent: submissions plan
 // against an epoch-stamped snapshot outside the shard lock and install
 // under it only after an epoch check, falling back to the serialized
 // path on conflict (SetSpeculation toggles it; on by default), so the
 // decision stream stays bit-identical to serialized execution while
 // low-conflict traffic scales with submitters — measured in CI by
-// cmd/benchgate -contention over BENCH_contention.json, with
-// speculative/conflict counters in Stats, /metrics and BENCH_wire.json.
+// make bench-gate, with speculative/conflict counters in Stats, /metrics
+// and BENCH_wire.json.
 // Speculation engages only while submitters overlap on a shard; a lone
 // submitter decides on the live state under the lock.
 // 4.0.0 removed the last deprecated symbol, the root NewScheduler with its
