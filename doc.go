@@ -227,11 +227,22 @@
 // What is planned afresh is planned by one node search shared by all five
 // partitioners (rt.PlanContext.PlanMinNodes and the search under it): for
 // n = ñ_min(t), ñ_min(t)+1, … the partitioner's rt.Estimator evaluates the
-// n earliest-available nodes in one reusable rt.Candidate — clamped start
-// times, the heterogeneous model rebuilt in place (core.Model.Reset), the
-// dispatch timeline simulated in place (dlt.SimulateDispatchInto) — that
-// the scheduler and every speculation context own, and only the first
-// candidate that meets the deadline becomes a Plan. A candidate allocates
+// n earliest-available nodes. When the earliest node frees at r_1 past the
+// start floor, dlt-iit and opr-mn on a homogeneous cluster start instead
+// at ñ_min(A + D − r_1), if that is more, because every smaller n fails:
+// no single-round dispatch on nodes free from r_1 on ends before
+// r_1 + E(σ,n), the optimum of n nodes that start together (Eq. 8);
+// IIT-DLT's r_n + Ê is at least its dispatch (Theorem 4); and OPR's
+// r_n + E(σ,n) is at least r_1 + E(σ,n). The bound's slack is widened by
+// the admission ε and by 10⁻⁹/(1 − β), so rounding cannot skip a candidate
+// the floor start would admit, and the plans are the same bit for bit.
+// Multi-round installments can finish before r_1 + E(σ,n), so dlt-mr keeps
+// the floor start. Each candidate is evaluated in one reusable
+// rt.Candidate — clamped start times, the heterogeneous model rebuilt in
+// place (core.Model.Reset), the dispatch timeline simulated in place
+// (dlt.SimulateDispatchInto) — that the scheduler and every speculation
+// context own, and only the first candidate that meets the deadline
+// becomes a Plan. A candidate allocates
 // nothing, and a fresh plan nothing of its own, however many candidates the
 // search ran: the Plan, its node ids and one block holding Starts, Release
 // and Alphas are cut from chunks of about 4 KB in a bump arena the Candidate

@@ -229,6 +229,70 @@ func TestTheorem4(t *testing.T) {
 	}
 }
 
+// TestStartTogetherBoundsDispatch pins the two bounds the node search's
+// anchored start rests on (rt.PlanContext.PlanMinNodes): no single-round
+// dispatch on n nodes free from r_1 on finishes before r_1 + E(σ,n), the
+// optimum of n nodes that start together, whatever the partition; and the
+// model's own dispatch finishes by r_n + Ê (Theorem 4). It holds up to a
+// thousand nodes and at both ends of β.
+func TestStartTogetherBoundsDispatch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(57, 58))
+	params := []dlt.Params{
+		baseline,
+		{Cms: 1, Cps: 1e-3},   // β ≈ 1e-3: the link dominates
+		{Cms: 1e-3, Cps: 1e4}, // β ≈ 1 − 1e-7: computation dominates
+	}
+	for trial := 0; trial < 600; trial++ {
+		p := params[trial%len(params)]
+		n := 1 + rng.IntN(1000)
+		if trial%10 == 0 {
+			n = 1000
+		}
+		sigma := 0.5 + 900*rng.Float64()
+		e := p.ExecTime(sigma, n)
+		avail := make([]float64, n)
+		cur := 1000 * rng.Float64()
+		for i := range avail {
+			avail[i] = cur
+			// Runs of equal times, and gaps that add up to about E; every
+			// seventh trial starts all nodes together, where both bounds are
+			// tight.
+			if trial%7 > 0 && rng.IntN(3) > 0 {
+				cur += 4 * rng.Float64() * e / float64(n)
+			}
+		}
+		m, err := New(p, sigma, avail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := m.Dispatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lower := avail[0] + e
+		if !leq(lower, d.Completion) || !leq(d.Completion, m.EstCompletion()) {
+			t.Fatalf("trial %d (β=%v, n=%d): want r_1 + E %v <= dispatch %v <= r_n + Ê %v",
+				trial, p.Beta(), n, lower, d.Completion, m.EstCompletion())
+		}
+		alphas := make([]float64, n)
+		sum := 0.0
+		for i := range alphas {
+			alphas[i] = rng.Float64()
+			sum += alphas[i]
+		}
+		for i := range alphas {
+			alphas[i] /= sum
+		}
+		if d, err = dlt.SimulateDispatch(p, sigma, avail, alphas); err != nil {
+			t.Fatal(err)
+		}
+		if !leq(lower, d.Completion) {
+			t.Fatalf("trial %d (β=%v, n=%d): a random partition finishes at %v, before r_1 + E = %v",
+				trial, p.Beta(), n, d.Completion, lower)
+		}
+	}
+}
+
 func TestTheorem4TightWhenNoIIT(t *testing.T) {
 	// With equal availability the estimate is exact: slack == 0.
 	avail := []float64{5, 5, 5, 5}

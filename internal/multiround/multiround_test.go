@@ -204,4 +204,39 @@ func TestPlanNeverWorseThanSingleRound(t *testing.T) {
 	}
 }
 
+// TestMultiRoundBeatsStartTogetherBound is why the node search of the
+// multi-round partitioner keeps the start floor's bound and is not anchored
+// at the earliest node's release r_1 like rt.IITDLT's: installments overlap
+// transmission with computation, so one node busy until r_1 can finish by
+// r_1 + σ·Cms/R + σ·Cps, before r_1 + E(σ,1) = r_1 + σ·(Cms + Cps), the
+// bound that anchoring rests on. The deadline here sits between the two:
+// multi-round admits one node, below ñ_min(A + D − r_1) = 2, where the
+// single-round estimate of IIT-DLT needs two.
+func TestMultiRoundBeatsStartTogetherBound(t *testing.T) {
+	const rounds, sigma, r1 = 4, 100.0, 1000.0
+	part, err := New(rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	piped := r1 + sigma*baseline.Cms/rounds + sigma*baseline.Cps // 11025
+	together := r1 + baseline.ExecTime(sigma, 1)                 // 11100
+	task := &rt.Task{ID: 1, Arrival: 0, Sigma: sigma, RelDeadline: (piped + together) / 2}
+	limit := task.AbsDeadline()
+	if n, ok := dlt.MinNodesBound(baseline, sigma, limit-r1); !ok || n != 2 {
+		t.Fatalf("ñ_min(A + D − r_1) = %d (ok %v), want 2", n, ok)
+	}
+	ctx := newCtx([]float64{r1, r1, r1, r1}, 0)
+	pl, err := part.Plan(ctx, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.Nodes) != 1 || pl.Rounds != rounds || pl.Est != piped {
+		t.Fatalf("multi-round plan: %d nodes, %d rounds, est %v; want 1 node, %d rounds, est %v",
+			len(pl.Nodes), pl.Rounds, pl.Est, rounds, piped)
+	}
+	if pl, err := (rt.IITDLT{}).Plan(ctx, task); err != nil || len(pl.Nodes) != 2 {
+		t.Fatalf("IIT-DLT plan %+v (err %v), want 2 nodes", pl, err)
+	}
+}
+
 var _ rt.Partitioner = Partitioner{}

@@ -32,7 +32,11 @@ func legacyPlan(p Partitioner, ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error
 	}
 	eps := 1e-9 * math.Max(1, math.Abs(absD))
 	for n := n0; n <= ctx.N; n++ {
-		ids, starts := ctx.ClampedStarts(t, n)
+		ids, starts := make([]int, n), make([]float64, n)
+		ctx.View.EarliestInto(ids, starts)
+		for i := range starts {
+			starts[i] = math.Max(starts[i], math.Max(ctx.Now, t.Arrival))
+		}
 		var m *core.Model
 		var tl *Timeline
 		var err error

@@ -1,0 +1,11 @@
+package rt
+
+// ClampedStarts materialises r_k = max(Release(node_k), A_i, now) for the k
+// earliest-available nodes into fresh slices, as the node search loads a
+// candidate.
+func (ctx *PlanContext) ClampedStarts(t *Task, k int) (ids []int, starts []float64) {
+	ids = make([]int, k)
+	starts = make([]float64, k)
+	ctx.clampedInto(t, ids, starts)
+	return ids, starts
+}

@@ -28,6 +28,8 @@ func (IITDLT) FastReject(ctx *PlanContext, t *Task) bool {
 	return ctx.FastRejectMinNodes(t)
 }
 
+func (IITDLT) anchored() {} // see PlanMinNodes
+
 // Plan implements Partitioner.
 func (p IITDLT) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	return ctx.PlanMinNodes(t, p)

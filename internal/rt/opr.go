@@ -40,6 +40,8 @@ func (o OPR) FastReject(ctx *PlanContext, t *Task) bool {
 	return ctx.ProvablyLate(t, ctx.N)
 }
 
+func (OPR) anchored() {} // see PlanMinNodes
+
 // Plan implements Partitioner.
 func (o OPR) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	if !o.AllNodes {

@@ -100,19 +100,9 @@ type FastRejecter interface {
 	FastReject(ctx *PlanContext, t *Task) bool
 }
 
-// ClampedStarts materialises r_k = max(Release(node_k), A_i, now) for the k
-// earliest-available nodes (Fig. 2's "set processor available times",
-// clamped so replanned waiting tasks cannot start in the past). The
-// returned slices are freshly allocated and owned by the caller; external
-// partitioners use it for the same node-selection rule.
-func (ctx *PlanContext) ClampedStarts(t *Task, k int) (ids []int, starts []float64) {
-	ids = make([]int, k)
-	starts = make([]float64, k)
-	ctx.clampedInto(t, ids, starts)
-	return ids, starts
-}
-
-// clampedInto is ClampedStarts into the caller's buffers, of equal length k.
+// clampedInto writes r_k = max(Release(node_k), A_i, now) for the k =
+// len(ids) earliest-available nodes (Fig. 2's "set processor available
+// times", clamped so replanned waiting tasks cannot start in the past).
 func (ctx *PlanContext) clampedInto(t *Task, ids []int, starts []float64) {
 	ctx.View.EarliestInto(ids, starts)
 	floor := ctx.startFloor(t)
@@ -177,39 +167,51 @@ func (ctx *PlanContext) FastRejectMinNodes(t *Task) bool {
 // scheduler plans the task afresh, with no Prior, against its exact view.
 var ErrPriorDeclined = errors.New("rt: offered prior plan declined")
 
+// anchored marks IITDLT and OPR, and what embeds them: estimates never below
+// r_1 + E(σ,n) on n homogeneous nodes. Unexported, so no other can claim it.
+type anchored interface{ anchored() }
+
 // PlanMinNodes is the whole Plan of the same partitioners, which differ in
 // their Estimator only: an offered Prior is kept or declined, and a fresh
 // plan is searched from ñ_min(t) nodes up to the whole cluster, admitted
-// against the task's deadline, and sealed.
+// against the task's deadline, and sealed. An anchored search whose
+// earliest node frees at r_1 past the start floor starts at ñ_min(limit −
+// r_1) if that is more: no single-round dispatch on nodes free from r_1 on
+// ends before r_1 + E(σ,n) (Eq. 8), IITDLT's r_n + Ê is at least its
+// dispatch (Theorem 4) and OPR's r_n + E(σ,n) at least r_1 + E(σ,n), so
+// every smaller n fails. The slack is widened by ε and by 10⁻⁹/(1 − β),
+// as the rounding of E(σ,n) grows, so no candidate that meets it is skipped.
 func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 	if ctx.Prior != nil {
 		return ctx.keepPriorMinNodes(t)
 	}
-	absD := t.AbsDeadline()
-	slack := absD - ctx.startFloor(t)
-	n0, ok := ctx.minNodes(t, slack)
-	if !ok || n0 > ctx.N {
-		// Even starting immediately the deadline cannot be met (γ ≤ 0 or
-		// the whole cluster is too small).
-		return nil, ErrInfeasible
+	absD, floor := t.AbsDeadline(), ctx.startFloor(t)
+	eps := deadlineEps(absD)
+	n0, ok := ctx.minNodes(t, absD-floor)
+	if _, a := e.(anchored); a && ok && n0 <= ctx.N && ctx.heteroCosts() == nil {
+		if r1 := ctx.View.EarliestTimeAt(1); r1 > floor {
+			wide := 1 + 1e-9*(ctx.P.Cms+ctx.P.Cps)/ctx.P.Cms
+			n1, ok1 := ctx.minNodes(t, (absD+2*eps-r1)*wide)
+			n0, ok = max(n0, n1), ok1
+		}
 	}
-	// ñ_min(t) underestimates the requirement when the task must wait for
-	// busy nodes; the search allocates more until the estimate meets the
-	// deadline.
-	pl, err := ctx.search(t, n0, ctx.N, absD+deadlineEps(absD), e)
+	if !ok || n0 > ctx.N {
+		return nil, ErrInfeasible // γ ≤ 0 or too few nodes, from the floor or r_1
+	}
+	pl, err := ctx.search(t, n0, ctx.N, absD+eps, e)
 	if err != nil {
 		return nil, err
 	}
-	ctx.sealMinNodes(pl, slack)
+	ctx.sealMinNodes(pl, absD-floor)
 	return pl, nil
 }
 
-// keepPriorMinNodes answers a Plan call that offered Prior: the search
-// tries n = ñ_min(t), ñ_min(t)+1, … and stops at the first node count
-// whose estimate meets the deadline. The estimates are
-// the ones Prior's search saw (see PlanContext.Prior) and the bound only
-// grows as the slack shrinks, so while it has not passed Prior's node count
-// the search ends exactly where Prior's did.
+// keepPriorMinNodes answers a Plan call that offered Prior: a fresh search
+// stops at the first node count from ñ_min(t) on whose estimate meets the
+// deadline (the anchor skips only counts that fail). The estimates are the
+// ones Prior's search saw (see PlanContext.Prior) and the bound only grows
+// as the slack shrinks, so while it has not passed Prior's node count the
+// search ends exactly where Prior's did.
 func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 	pr := ctx.Prior
 	slack := t.AbsDeadline() - ctx.startFloor(t)
@@ -222,18 +224,18 @@ func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 	return nil, ErrPriorDeclined
 }
 
-// sealMinNodes finishes a fresh plan of PlanMinNodes, searched from the
-// bound at the given slack: it evaluates the bound once more at the
-// smallest slack the plan can ever be offered back at — the one at its own
-// first start — and, when the bound still fits the plan's node count there,
-// records that slack, so keepPriorMinNodes answers every later offer with a
-// comparison. A plan that starts at its start floor is sealed at the very
-// slack it was searched from, where the bound is the node count the search
-// began at: no second evaluation. Without the seal each waiting task costs
-// every arrival a bound evaluation, and a late-deadline arrival behind a long
-// queue spends its time on those: BenchmarkSubmitQueued grows x7.7 from 8
-// to 128 waiting tasks. TestQueuedCounts holds every plan waiting behind
-// such an arrival sealed.
+// sealMinNodes finishes a fresh plan of PlanMinNodes, given the slack from
+// the start floor, anchored search or not: it evaluates the bound once more
+// at the smallest slack the plan can ever be offered back at — the one at
+// its own first start — and, when the bound still fits the plan's node count
+// there, records that slack, so keepPriorMinNodes answers every later offer
+// with a comparison. A plan that starts at its start floor (so its search
+// was not anchored) is sealed at the given slack, where the bound is the
+// node count the search began at: no second evaluation. Without the seal
+// each waiting task costs every arrival a bound evaluation, and a
+// late-deadline arrival behind a long queue spends its time on those:
+// BenchmarkSubmitQueued grows x7.7 from 8 to 128 waiting tasks.
+// TestQueuedCounts holds every plan waiting behind such an arrival sealed.
 func (ctx *PlanContext) sealMinNodes(pl *Plan, searched float64) {
 	t := pl.Task
 	slack := t.AbsDeadline() - math.Max(pl.FirstStart(), t.Arrival)

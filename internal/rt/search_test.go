@@ -330,8 +330,9 @@ func TestCarve(t *testing.T) {
 	}
 }
 
-// allocInput is a 16-node cluster busy until t = 1200 — per-node costs
-// when hetero is set — and the tightest task of a deadline sweep that the
+// allocInput is a 16-node cluster busy until t = 1200 but for node 0, free
+// at the start floor so that no search is anchored — per-node costs when
+// hetero is set — and the tightest task of a deadline sweep that the
 // partitioner still plans: for those that search, ñ_min(t) is then far below
 // what the wait forces. It returns how many candidates that search runs.
 func allocInput(t testing.TB, part Partitioner, hetero bool) (ctx *PlanContext, task *Task, cands int) {
@@ -340,6 +341,7 @@ func allocInput(t testing.TB, part Partitioner, hetero bool) (ctx *PlanContext, 
 	for i := range times {
 		times[i] = 1200
 	}
+	times[0] = 0
 	ctx = &PlanContext{P: baseline, N: n, View: NewAvailView(times)}
 	if hetero {
 		costs := make([]dlt.NodeCost, n)
@@ -398,8 +400,9 @@ func TestPlanAllocs(t *testing.T) {
 }
 
 // BenchmarkPlanIITDLT times one fresh IITDLT.Plan on a long-lived context,
-// as the scheduler calls it: cands=1 ends on ñ_min(t), cands=4 is shaped
-// like the traffic, whose searches run two to five candidates.
+// as the scheduler calls it: cands=1 ends on the bound it starts at,
+// cands=4 runs three failing candidates first, as a search past the
+// anchored start does behind staggered releases.
 func BenchmarkPlanIITDLT(b *testing.B) {
 	for _, bc := range []struct {
 		cands       int
@@ -407,7 +410,7 @@ func BenchmarkPlanIITDLT(b *testing.B) {
 		relDeadline float64
 	}{
 		{1, func(i int) float64 { return float64(i%3) * 700 }, 4000},
-		{4, func(int) float64 { return 600 }, 2450},
+		{4, func(i int) float64 { return 600 + 100*float64(i) }, 3125},
 	} {
 		b.Run(fmt.Sprintf("cands=%d", bc.cands), func(b *testing.B) {
 			avail := make([]float64, 16)
@@ -416,13 +419,12 @@ func BenchmarkPlanIITDLT(b *testing.B) {
 			}
 			ctx := newCtx(baseline, avail, 0)
 			task := &Task{ID: 1, Arrival: 0, Sigma: 200, RelDeadline: bc.relDeadline}
-			pl, err := IITDLT{}.Plan(ctx, task)
-			if err != nil {
+			cands := 0
+			if _, err := ctx.PlanMinNodes(task, countingIIT{n: &cands}); err != nil {
 				b.Fatal(err)
 			}
-			n0, _ := ctx.minNodes(task, task.AbsDeadline())
-			if got := len(pl.Nodes) - n0 + 1; got != bc.cands {
-				b.Fatalf("the search ran %d candidates, want %d", got, bc.cands)
+			if cands != bc.cands {
+				b.Fatalf("the search ran %d candidates, want %d", cands, bc.cands)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -25,20 +25,14 @@ const (
 	NumStages = 4
 )
 
+var stageNames = [NumStages]string{"candidate", "plan", "check", "commit"}
+
 // String returns the stage's metric label.
 func (s Stage) String() string {
-	switch s {
-	case StageCandidate:
-		return "candidate"
-	case StagePlan:
-		return "plan"
-	case StageCheck:
-		return "check"
-	case StageCommit:
-		return "commit"
-	default:
-		return "unknown"
+	if s < NumStages {
+		return stageNames[s]
 	}
+	return "unknown"
 }
 
 // StageObserver receives per-stage wall-clock timing spans from the

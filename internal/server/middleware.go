@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -151,8 +152,8 @@ func (s *Server) requestCounter(route, status int) *metrics.Counter {
 }
 
 // middleware wraps the mux with panic recovery, request/5xx accounting,
-// request-id propagation, optional logging (structured or printf), HTTP
-// metrics, and per-request deadline propagation.
+// request-id propagation, optional structured logging, HTTP metrics, and
+// per-request deadline propagation.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -169,7 +170,8 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		rec.Header()[requestIDKey] = []string{reqID}
 
 		if v := r.Header.Get(TimeoutHeader); v != "" {
-			if secs, err := strconv.ParseFloat(v, 64); err == nil && secs > 0 {
+			// A budget too long for a Duration, +Inf among them, is no deadline.
+			if secs, err := strconv.ParseFloat(v, 64); err == nil && secs > 0 && secs*float64(time.Second) < math.MaxInt64 {
 				ctx, cancel := context.WithTimeout(r.Context(), time.Duration(secs*float64(time.Second)))
 				defer cancel()
 				r = r.WithContext(ctx)

@@ -236,6 +236,27 @@ func TestTimeoutHeaderPropagatesDeadline(t *testing.T) {
 	}
 }
 
+// TestTimeoutHeaderBeyondDurationIsNoDeadline: a budget too long for a
+// time.Duration, +Inf included, used to overflow into a negative timeout
+// that cancelled the request before the engine saw it. It now means no
+// deadline, so the submission is decided.
+func TestTimeoutHeaderBeyondDurationIsNoDeadline(t *testing.T) {
+	for i, budget := range []string{"1e10", "Inf", "9.3e9"} {
+		srv, _, _ := newTestServer(t)
+		raw, _ := json.Marshal(TaskRequest{ID: int64(i + 1), Sigma: 200, Deadline: 2800})
+		req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(raw))
+		req.Header.Set(TimeoutHeader, budget)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, req)
+		if w.Code == errs.CodeCancelled {
+			t.Fatalf("budget %s: cancelled before the engine: %d %s", budget, w.Code, w.Body)
+		}
+		if st := srv.eng.Stats(); st.Arrivals != 1 {
+			t.Fatalf("budget %s: status %d, %d arrivals reached the scheduler, want 1", budget, w.Code, st.Arrivals)
+		}
+	}
+}
+
 // TestDrainLosesNoCommittedTask is the acceptance property of graceful
 // shutdown: every task accepted before SIGTERM is committed by the drain,
 // and post-drain submissions are refused with 503 + Retry-After.
