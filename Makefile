@@ -5,7 +5,7 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt ./internal/server
+FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/driver ./internal/fleet ./internal/rt ./internal/server
 
 .PHONY: build test bench bench-gate fmt fmt-check vet race race-repeat fuzz-smoke serve loadtest wire-smoke loc ci
 

@@ -40,7 +40,7 @@
 //     ErrClusterBusy and ErrBadConfig distinguishes clean rejections from
 //     bad input at every layer.
 //
-//   - Simulate / Workload: one-call discrete-event replay of a synthetic
+//   - Simulate / Workload: one-call simulated replay of a synthetic
 //     workload through the same service engine, returning admission and
 //     execution metrics. (The deprecated 1.x Run/Config shims were removed
 //     in 3.0.0; internal/driver still proves the replay reproduces the

@@ -1,10 +1,14 @@
 package driver
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
+	"rtdls/internal/errs"
 	"rtdls/internal/fleet"
+	"rtdls/internal/workload"
 )
 
 // churnCfg is a moderately loaded run with a fail/restore cycle in the
@@ -125,6 +129,24 @@ func TestChurnBadNode(t *testing.T) {
 	}
 }
 
+// TestChurnBadOffset: a built (not parsed) schedule can carry any
+// offset; one that is negative or not finite is a configuration error
+// before the run starts.
+func TestChurnBadOffset(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		at   float64
+	}{{"negative", -1}, {"NaN", math.NaN()}, {"posInf", math.Inf(1)}, {"negInf", math.Inf(-1)}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := churnCfg("t=1000 fail n3", 0)
+			cfg.Churn = append(cfg.Churn, fleet.Op{At: c.at, Action: fleet.ActionRestore, Node: 3})
+			if _, err := Run(cfg); !errors.Is(err, errs.ErrBadConfig) {
+				t.Fatalf("err = %v, want ErrBadConfig", err)
+			}
+		})
+	}
+}
+
 // TestNoChurnFieldsZero: without churn the new Result fields stay zero and
 // the classic strict identity holds (Committed == Accepted).
 func TestNoChurnFieldsZero(t *testing.T) {
@@ -138,4 +160,112 @@ func TestNoChurnFieldsZero(t *testing.T) {
 	if res.Committed != res.Accepted {
 		t.Fatalf("strict identity broken without churn: %+v", res)
 	}
+}
+
+// arrivalTimes returns the arrival instants of a one-shard run of cfg.
+func arrivalTimes(t *testing.T, cfg Config) []float64 {
+	gen, err := workload.New(workload.Config{
+		N: cfg.N, Params: cfg.Params(),
+		SystemLoad: cfg.SystemLoad, AvgSigma: cfg.AvgSigma,
+		DCRatio: cfg.DCRatio, Horizon: cfg.Horizon, Seed: cfg.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at []float64
+	for task, ok := gen.Next(); ok; task, ok = gen.Next() {
+		at = append(at, task.Arrival)
+	}
+	return at
+}
+
+// tieChurnCfg puts a churn op at the exact instant of every third
+// arrival (the 3rd, 6th, ...), alternating fail and restore, on node
+// (k/6) mod N for the k-th arrival. The pairing leaves part of the fleet
+// failed at any time, so the order of an op and its same-instant arrival
+// changes what the arrival is offered.
+func tieChurnCfg(t *testing.T) Config {
+	cfg := Default()
+	cfg.SystemLoad = 1.5
+	cfg.Horizon = 1e6
+	for i, at := range arrivalTimes(t, cfg) {
+		k := i + 1
+		if k%3 != 0 {
+			continue
+		}
+		act := fleet.ActionFail
+		if len(cfg.Churn)%2 == 1 {
+			act = fleet.ActionRestore
+		}
+		cfg.Churn = append(cfg.Churn, fleet.Op{At: at, Action: act, Node: (k / 6) % cfg.N})
+	}
+	return cfg
+}
+
+// TestChurnTieOrder pins the order of a churn op and an arrival at the
+// same instant as exact counts: the op applies first, so the arrival is
+// offered the fleet the op left. Running the arrival first gives 146
+// accepted, 955 rejected, 143 committed and 3 displaced instead.
+func TestChurnTieOrder(t *testing.T) {
+	cfg := tieChurnCfg(t)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [5]int{len(cfg.Churn), res.Accepted, res.Rejected, res.Committed, res.Displaced}
+	if want := [5]int{367, 136, 965, 136, 0}; got != want {
+		t.Fatalf("ops, accepted, rejected, committed, displaced = %v, want %v", got, want)
+	}
+	if res.LateCommits != 0 {
+		t.Fatalf("%d late commits", res.LateCommits)
+	}
+}
+
+// FuzzRunChurn replays short built schedules whose ops land on arrival
+// instants, anywhere in or past the arrival window, or at an invalid
+// offset. Run must not panic, must fail with ErrBadConfig exactly when an
+// offset is invalid, and otherwise must pass its own accounting checks
+// with no late commit.
+func FuzzRunChurn(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 1, 3, 5, 0, 2, 3, 9, 1, 1, 7, 90})
+	f.Add(uint64(2), []byte{1, 0, 0, 200, 0, 1, 0, 200, 1, 2, 0, 250})
+	f.Add(uint64(3), []byte{0, 1, 2, 3, 2, 2, 1, 1})
+	badOffsets := []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), -math.SmallestNonzeroFloat64}
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
+		cfg := Default()
+		cfg.SystemLoad = 1.2
+		cfg.Horizon = 1e5
+		cfg.Seed = seed
+		arrivals := arrivalTimes(t, cfg)
+		invalid := false
+		for ; len(raw) >= 4 && len(cfg.Churn) < 16; raw = raw[4:] {
+			op := fleet.Op{Action: fleet.Action(raw[1] % 3), Node: int(raw[2]) % cfg.N}
+			switch v := int(raw[3]); raw[0] % 3 {
+			case 0:
+				if len(arrivals) == 0 {
+					continue
+				}
+				op.At = arrivals[v%len(arrivals)]
+			case 1:
+				op.At = float64(v) / 200 * cfg.Horizon
+			default:
+				op.At = badOffsets[v%len(badOffsets)]
+				invalid = true
+			}
+			cfg.Churn = append(cfg.Churn, op)
+		}
+		res, err := Run(cfg)
+		if invalid {
+			if !errors.Is(err, errs.ErrBadConfig) {
+				t.Fatalf("schedule %v: err = %v, want ErrBadConfig", cfg.Churn, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("schedule %v: %v", cfg.Churn, err)
+		}
+		if res.LateCommits != 0 {
+			t.Fatalf("schedule %v: %d late commits", cfg.Churn, res.LateCommits)
+		}
+	})
 }

@@ -1,12 +1,12 @@
 // Package driver replays a synthetic workload through the admission
-// engine: a workload generator feeds arrivals into a pool.Pool bound to a
-// SimClock — one shard by default, K with the shard options — the
-// discrete-event engine sequences arrivals and commit instants, and the
-// run's admission and execution metrics are collected into a Result. Run
-// is deliberately a thin adapter — the schedulability test, commit
-// processing and metric accumulation all live in the shards, so the
-// simulated engine is the same one a deployment drives under wall-clock
-// time.
+// engine: a workload generator feeds arrivals into a pool.Pool on a
+// ManualClock (one shard by default, K with the shard options), Run's
+// merge loop moves the clock through arrivals, churn ops and commit
+// instants, and the run's admission and execution metrics are collected
+// into a Result. Run is deliberately a thin adapter: the schedulability
+// test, commit processing and metric accumulation all live in the shards,
+// so the simulated engine is the same one a deployment drives under
+// wall-clock time.
 package driver
 
 import (
@@ -22,7 +22,6 @@ import (
 	"rtdls/internal/pool"
 	"rtdls/internal/rt"
 	"rtdls/internal/service"
-	"rtdls/internal/sim"
 	"rtdls/internal/workload"
 )
 
@@ -96,8 +95,8 @@ type Config struct {
 
 	// Churn optionally scripts node drain/fail/restore operations into the
 	// run (parse with fleet.ParseSchedule). Offsets are simulation time
-	// units; each op fires as a discrete event at sim.PrioDefault — after
-	// commits due at that instant, before arrivals at it — so a churn run
+	// units and must be finite and non-negative; Run's doc gives where an
+	// op falls among commits and arrivals at its instant, so a churn run
 	// is exactly as reproducible as a churn-free one. Tasks displaced by a
 	// capacity loss keep their accept in the counters but never commit,
 	// which relaxes the run invariant to
@@ -276,17 +275,33 @@ func PartitionerFor(algorithm string, rounds int, cm *dlt.CostModel) (rt.Partiti
 
 // Run executes one simulation and returns its metrics. It is a thin
 // adapter over the admission pool the configuration describes (one shard
-// unless a shard option says otherwise): a SimClock binds the pool to the
-// discrete-event simulator, arrival events submit generated tasks, commit
-// events start due transmissions, and the Result is assembled from the
-// pool's statistics.
+// unless a shard option says otherwise) on a ManualClock that Run moves
+// itself. Run merges two time-ordered inputs, the generator's arrivals
+// and the sorted churn schedule. Before each op at time t it starts every
+// transmission due at or before t, each at its own instant, so at one
+// instant the order is:
+//
+//  1. the commits due then, in NextCommit order;
+//  2. the churn ops, in schedule order;
+//  3. the arrival.
+//
+// After the last op the waiting queue drains through its remaining
+// commits. A churn offset that is negative or not finite is ErrBadConfig;
+// a commit or arrival time that is not finite or lies before the clock
+// fails the run. The Result is assembled from the pool's statistics.
 func Run(cfg Config) (*Result, error) {
+	churn := cfg.Churn.Sorted()
+	for _, op := range churn {
+		if math.IsNaN(op.At) || math.IsInf(op.At, 0) || op.At < 0 {
+			return nil, fmt.Errorf("driver: churn %q: offset must be finite and non-negative: %w", op.String(), errs.ErrBadConfig)
+		}
+	}
 	shards, err := cfg.ShardConfigs()
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New()
-	eng, err := pool.New(pool.Config{Shards: shards, Placement: cfg.Placement, Clock: service.SimClock{Sim: s}})
+	clock := service.NewManualClock(0)
+	eng, err := pool.New(pool.Config{Shards: shards, Placement: cfg.Placement, Clock: clock})
 	if err != nil {
 		return nil, err
 	}
@@ -324,74 +339,58 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	var (
-		ctx          = context.Background()
-		commitHandle sim.Handle
-		runErr       error
-	)
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
+	// setTime moves the clock to t; time never runs backwards.
+	setTime := func(t float64) error {
+		if now := clock.Now(); math.IsNaN(t) || math.IsInf(t, 0) || t < now {
+			return fmt.Errorf("driver: event time %v is not finite or before the clock at %v", t, now)
 		}
+		clock.Set(t)
+		return nil
 	}
-
-	// Commit events start every transmission that is due; the engine
-	// records the execution metrics from the exact dispatch timelines.
-	var rearmCommit func()
-	onCommit := func() {
-		if err := eng.CommitDue(s.Now()); err != nil {
-			fail(err)
-			return
+	// Each pass takes the earlier of the next churn op and the next arrival
+	// (the op on a tie) at time t, after starting every transmission due at
+	// or before t; the engine records the execution metrics from the exact
+	// dispatch timelines. Once both inputs are spent, t is +Inf and the
+	// waiting queue drains. A NaN commit time enters the commit loop and
+	// setTime rejects it.
+	ctx := context.Background()
+	task, more := gen.Next()
+	for {
+		isChurn := len(churn) > 0 && (!more || churn[0].At <= task.Arrival)
+		t := math.Inf(1)
+		if isChurn {
+			t = churn[0].At
+		} else if more {
+			t = task.Arrival
 		}
-		rearmCommit()
-	}
-	rearmCommit = func() {
-		commitHandle.Cancel()
-		if at, ok := eng.NextCommit(); ok {
-			commitHandle = s.AtPrio(at, sim.PrioCommit, onCommit)
-		}
-	}
-
-	// Arrival chain: each arrival event submits its task and schedules the
-	// next arrival.
-	var onArrival func(t *rt.Task)
-	scheduleNext := func() {
-		if t, ok := gen.Next(); ok {
-			s.AtPrio(t.Arrival, sim.PrioArrival, func() { onArrival(t) })
-		}
-	}
-	onArrival = func(t *rt.Task) {
-		if _, err := eng.Submit(ctx, *t); err != nil {
-			fail(err)
-			return
-		}
-		rearmCommit()
-		scheduleNext()
-	}
-	scheduleNext()
-
-	// Churn ops are ordinary discrete events at PrioDefault: after commits
-	// due at the same instant, before arrivals at it. A displacement can
-	// change the earliest pending commit, so the commit chain is re-armed.
-	// On a pool a displaced task is offered to the other live shards before
-	// it counts as lost, so re-admissions show up as Readmitted.
-	for _, op := range cfg.Churn.Sorted() {
-		op := op
-		s.AtPrio(op.At, sim.PrioDefault, func() {
-			if _, err := fleet.Apply(eng, op); err != nil {
-				fail(fmt.Errorf("driver: churn %q: %w", op.String(), err))
-				return
+		for at, ok := eng.NextCommit(); ok && !(at > t); at, ok = eng.NextCommit() {
+			if err := setTime(at); err != nil {
+				return nil, err
 			}
-			rearmCommit()
-		})
-	}
-
-	// Run to completion: arrivals stop at the horizon, then the waiting
-	// queue drains through its remaining commit events.
-	for runErr == nil && s.Step() {
-	}
-	if runErr != nil {
-		return nil, runErr
+			if err := eng.CommitDue(at); err != nil {
+				return nil, err
+			}
+		}
+		if !isChurn && !more {
+			break
+		}
+		if err := setTime(t); err != nil {
+			return nil, err
+		}
+		if !isChurn {
+			if _, err := eng.Submit(ctx, *task); err != nil {
+				return nil, err
+			}
+			task, more = gen.Next()
+			continue
+		}
+		// On a pool a displaced task is offered to the other live shards
+		// before it counts as lost, so re-admissions show up as Readmitted.
+		op := churn[0]
+		churn = churn[1:]
+		if _, err := fleet.Apply(eng, op); err != nil {
+			return nil, fmt.Errorf("driver: churn %q: %w", op.String(), err)
+		}
 	}
 
 	st := eng.Stats()

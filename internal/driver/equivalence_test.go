@@ -7,7 +7,6 @@ import (
 
 	"rtdls/internal/cluster"
 	"rtdls/internal/rt"
-	"rtdls/internal/sim"
 	"rtdls/internal/workload"
 )
 
@@ -49,8 +48,8 @@ func referenceRun(cfg Config) (*Result, error) {
 	sched := rt.NewScheduler(cl, pol, part)
 	res := &Result{Config: cfg, MaxLateness: math.Inf(-1)}
 	var (
-		s            = sim.New()
-		commitHandle sim.Handle
+		s            = newRefSim()
+		commitHandle refHandle
 		runErr       error
 		respSum      float64
 		slackSum     float64
@@ -91,13 +90,13 @@ func referenceRun(cfg Config) (*Result, error) {
 	rearmCommit = func() {
 		commitHandle.Cancel()
 		if at, ok := sched.NextCommit(); ok {
-			commitHandle = s.AtPrio(at, sim.PrioCommit, onCommit)
+			commitHandle = s.AtPrio(at, prioCommit, onCommit)
 		}
 	}
 	var onArrival func(t *rt.Task)
 	scheduleNext := func() {
 		if t, ok := gen.Next(); ok {
-			s.AtPrio(t.Arrival, sim.PrioArrival, func() { onArrival(t) })
+			s.AtPrio(t.Arrival, prioArrival, func() { onArrival(t) })
 		}
 	}
 	onArrival = func(t *rt.Task) {

@@ -1,9 +1,9 @@
 // Package fleet implements the node-lifecycle subsystem's declarative
 // side: a churn schedule — a reproducible script of drain/fail/restore
 // operations against the engine's fleet — with one grammar shared by every
-// binary, so the same chaos run executes identically under the simulator's
-// SimClock (dlsim applies ops at simulated instants) and under wall-clock
-// time (dlserve applies them in-process, dlload over the admin API).
+// binary, so the same chaos run executes identically in a simulation
+// (dlsim applies ops at simulated instants) and under wall-clock time
+// (dlserve applies them in-process, dlload over the admin API).
 //
 // Grammar, entries separated by ";":
 //

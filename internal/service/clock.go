@@ -4,27 +4,18 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"rtdls/internal/sim"
 )
 
 // Clock supplies the service's notion of "now" in simulation time units.
-// The same admission engine runs unchanged under the discrete-event
-// simulator (SimClock), under real time (WallClock) or under test control
-// (ManualClock). Implementations must be safe for concurrent use.
+// The same admission engine runs unchanged under real time (WallClock) or
+// under a clock its caller moves (ManualClock: tests, trace replays and
+// the driver's simulation). Implementations must be safe for concurrent
+// use.
 type Clock interface {
 	// Now returns the current time. It must be monotonically
 	// non-decreasing across calls.
 	Now() float64
 }
-
-// SimClock adapts a discrete-event simulator to the Clock interface: the
-// service's "now" is the timestamp of the event currently executing. The
-// driver uses it to replay workloads deterministically.
-type SimClock struct{ Sim *sim.Simulator }
-
-// Now implements Clock.
-func (c SimClock) Now() float64 { return c.Sim.Now() }
 
 // WallClock maps real time onto simulation time units: Now returns the
 // number of units elapsed since the clock was created, at Scale units per
@@ -47,8 +38,8 @@ func NewWallClock(scale float64) *WallClock {
 func (c *WallClock) Now() float64 { return time.Since(c.start).Seconds() * c.scale }
 
 // ManualClock is an explicitly advanced clock for tests and for callers
-// that drive time themselves (e.g. replaying a trace). The zero value is
-// ready to use at time 0.
+// that drive time themselves (e.g. replaying a trace or a simulated
+// workload). The zero value is ready to use at time 0.
 type ManualClock struct {
 	mu  sync.Mutex
 	now float64

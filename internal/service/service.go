@@ -5,8 +5,8 @@
 // a time (from any goroutine), are admitted or rejected against the
 // current processor available times, and every decision is published on a
 // subscribable event stream. A pluggable Clock lets the identical engine
-// run under the discrete-event simulator (the driver package replays
-// workloads through it) or under wall-clock time in a deployment.
+// run under a simulated clock (the driver package replays workloads
+// through it) or under wall-clock time in a deployment.
 package service
 
 import (
@@ -285,7 +285,7 @@ func (s *Service) Clock() Clock { return s.clock }
 //
 // A zero Arrival means "arrives now" (the current clock reading). A
 // future Arrival advances the service's effective time to it, exactly as
-// the discrete-event replay does: every waiting plan whose first
+// the driver's simulated replay does: every waiting plan whose first
 // transmission is due by that instant is committed (irrevocably — a
 // committed plan is no longer replannable) before the new task is tested.
 // Mixing future-dated arrivals with a live wall clock therefore locks in

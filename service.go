@@ -13,9 +13,9 @@ import (
 )
 
 // Clock supplies a Service's notion of "now" in simulation time units; the
-// same admission engine runs under the discrete-event simulator, under
-// wall-clock time or under test control. Implementations must be safe for
-// concurrent use.
+// same admission engine runs under wall-clock time or under a clock its
+// caller moves (tests, replays, Simulate). Implementations must be safe
+// for concurrent use.
 type Clock = service.Clock
 
 // ManualClock is an explicitly advanced, monotone Clock for tests and for
@@ -265,7 +265,7 @@ func WithRounds(r int) Option {
 
 // WithClock installs the service's clock (default: a ManualClock at 0, so
 // time is driven by task arrival stamps). Simulate ignores it — the
-// simulation binds its own discrete-event clock.
+// simulation moves its own clock.
 func WithClock(c Clock) Option {
 	return func(o *serviceOptions) error {
 		if c == nil {
@@ -327,11 +327,12 @@ func WithMetrics(reg *MetricsRegistry) Option {
 }
 
 // WithChurn scripts node drain/fail/restore operations into a Simulate
-// run: each op fires as a discrete event at its simulation-time offset,
-// so a churn run replays bit for bit. Displaced tasks relax the result
-// identity to Committed + Displaced - Readmitted == Accepted. New ignores
-// it — drive a live service with DrainNode/FailNode/RestoreNode (or the
-// dlserve/dlload -churn flags) instead.
+// run: each op applies at its simulation-time offset, which must be
+// finite and non-negative, so a churn run replays bit for bit. Displaced
+// tasks relax the result identity to
+// Committed + Displaced - Readmitted == Accepted. New ignores it — drive a
+// live service with DrainNode/FailNode/RestoreNode (or the dlserve/dlload
+// -churn flags) instead.
 func WithChurn(sch ChurnSchedule) Option {
 	return func(o *serviceOptions) error {
 		o.churn = append(ChurnSchedule(nil), sch...)
@@ -677,7 +678,7 @@ func BaselineWorkload() Workload {
 }
 
 // Simulate replays the synthetic workload through an admission service
-// bound to the discrete-event engine and returns the run's metrics. It is
+// on a simulated clock and returns the run's metrics. It is
 // the options-based successor of Run:
 //
 //	res, err := rtdls.Simulate(rtdls.Workload{SystemLoad: 0.7, AvgSigma: 200, DCRatio: 2, Horizon: 1e6, Seed: 1},
