@@ -18,6 +18,7 @@
 package pool
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -345,8 +346,9 @@ func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, tried int
 // order. Tasks a shard refuses are then retried down their placement order
 // exactly as Submit spills over. Unlike a single service, the batch is not
 // atomic pool-wide: concurrent submitters may interleave between sub-batches.
-// On a hard error the decisions made so far (in input order) are returned
-// alongside it.
+// On a hard error every decision a shard made is still booked and returned
+// (in input order) alongside the first error; the tasks without a decision
+// were never admitted anywhere, and the client resubmits exactly those.
 func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Decision, error) {
 	decisions := make([]service.Decision, 0, len(tasks))
 	if len(tasks) == 0 {
@@ -413,8 +415,11 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 
 	// Stitch the decisions back into input order and settle each task as
 	// Submit does: a target's refusal spills over down the rest of the
-	// order, a dead pick falls through to the remaining live shards.
+	// order, a dead pick falls through to the remaining live shards. A hard
+	// error leaves its task undecided but does not end the walk: the other
+	// shards' decisions are already made and must be booked and returned.
 	pos := make([]int, len(p.shards))
+	var firstErr error
 	for i := range tasks {
 		var d service.Decision
 		tried := 0
@@ -422,18 +427,20 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 			j := pos[t]
 			pos[t]++
 			if j >= len(subDec[t]) {
-				// The shard's sub-batch stopped early on a hard error; this is
-				// the first input-order task it never decided.
-				return decisions, subErr[t]
+				// The shard's sub-batch stopped early on a hard error before
+				// deciding this task.
+				firstErr = cmp.Or(firstErr, subErr[t])
+				continue
 			}
 			d, tried = subDec[t][j], 1
 		}
 		if err := p.settle(ctx, &tasks[i], orders[i], tried, &d); err != nil {
-			return decisions, err
+			firstErr = cmp.Or(firstErr, err)
+			continue
 		}
 		decisions = append(decisions, d)
 	}
-	return decisions, nil
+	return decisions, firstErr
 }
 
 // Subscribe attaches a consumer to the pool-wide event stream: one merged,

@@ -281,6 +281,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeDecision(w, dec)
 }
 
+// handleSubmitBatch serves POST /v1/submit/batch. On a hard error the body
+// still carries every decision the engine made, in input order, under the
+// error's status; the client resubmits the tasks that have no decision.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeUnavailable(w)
@@ -322,8 +325,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		// Partial batch: return the decisions made so far under the hard
-		// error's status so the client can resubmit the tail.
 		resp.Error = err.Error()
 		resp.ErrorReason = errs.ReasonFor(err)
 		s.writeJSON(w, errs.Code(err), resp)

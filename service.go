@@ -536,7 +536,9 @@ func (s *Service) Submit(ctx context.Context, t Task) (Decision, error) {
 // installs its part as one group. With more than one shard the parts run
 // concurrently, refused tasks spill over afterwards, and other submitters
 // may interleave between them, so the whole batch is atomic only on the
-// default one-shard service.
+// default one-shard service. On a hard error the decisions that were made
+// come back in input order beside the error; the client resubmits the
+// tasks that have no decision.
 func (s *Service) SubmitBatch(ctx context.Context, tasks []Task) ([]Decision, error) {
 	return s.pool.SubmitBatch(ctx, tasks)
 }
