@@ -232,7 +232,7 @@ func run(addr string, n int, cms, cps float64, policyName, alg string, rounds, m
 	if len(churnSched) > 0 {
 		go func() {
 			err := fleet.Run(churnDone, churnSched, func(op fleet.Op) error {
-				res, err := fleet.Apply(eng, op)
+				res, err := eng.SetNodeState(op.Node, op.State)
 				if err != nil {
 					return err
 				}

@@ -89,10 +89,11 @@
 // measured against intended arrival instants to avoid coordinated
 // omission) — and emits an HDR-style latency/outcome report.
 //
-// Since 3.2.0 the fleet is dynamic. DrainNode stops placing new work on
-// a node (committed work finishes), FailNode removes its capacity now,
-// RestoreNode returns it to service, and AddNode grows the cluster — on
-// a Service, a Pool and over the wire (POST /v1/nodes/{id}/{action}).
+// Since 3.2.0 the fleet is dynamic. SetNodeState moves a node into one of
+// three states: NodeDraining stops placing new work on it (committed work
+// finishes), NodeDown removes its capacity now, and NodeUp returns it to
+// service; AddNode grows the cluster. Both work on a Service, a Pool and
+// over the wire (POST /v1/nodes/{id}/{drain|fail|restore}).
 // On capacity loss the scheduler re-validates every admitted-but-
 // uncommitted plan through the normal schedulability test; tasks that no
 // longer fit are displaced (EventDisplace, ReasonNodeUnavailable,

@@ -1,6 +1,6 @@
 // Example churn puts a sharded admission pool through node-lifecycle
 // churn and compares how the fleet recovers from a graceful drain versus
-// a failure with later restore, via the live Service API.
+// a failure with later restore, through the live Service's SetNodeState.
 //
 // The identical task stream is replayed three times over a 4×8 pool on a
 // manual clock:
@@ -41,7 +41,7 @@ var params = rtdls.Params{Cms: 8, Cps: 100}
 // churnOp is one scripted fleet operation at a stream position.
 type churnOp struct {
 	at    int // task index at which the op fires
-	fail  bool
+	state rtdls.NodeState
 	nodes []int
 }
 
@@ -74,20 +74,14 @@ func replay(stream []rtdls.Task, ops []churnOp, restoreAt int) rtdls.ServiceStat
 				continue
 			}
 			for _, n := range op.nodes {
-				var err error
-				if op.fail {
-					_, err = svc.FailNode(n)
-				} else {
-					_, err = svc.DrainNode(n)
-				}
-				if err != nil {
+				if _, err := svc.SetNodeState(n, op.state); err != nil {
 					log.Fatal(err)
 				}
 			}
 		}
 		if restoreAt == i {
 			for _, n := range shard0Nodes() {
-				if _, err := svc.RestoreNode(n); err != nil {
+				if _, err := svc.SetNodeState(n, rtdls.NodeUp); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -131,8 +125,8 @@ func main() {
 		restoreAt int
 	}{
 		{"baseline (no churn)", nil, -1},
-		{"drain shard 0, no return", []churnOp{{at: half, fail: false, nodes: shard0Nodes()}}, -1},
-		{"fail shard 0, restore at 3/4", []churnOp{{at: half, fail: true, nodes: shard0Nodes()}}, threeQ},
+		{"drain shard 0, no return", []churnOp{{at: half, state: rtdls.NodeDraining, nodes: shard0Nodes()}}, -1},
+		{"fail shard 0, restore at 3/4", []churnOp{{at: half, state: rtdls.NodeDown, nodes: shard0Nodes()}}, threeQ},
 	}
 
 	fmt.Printf("identical stream of %d tasks over a %d×%d pool (~300%% aggregate load)\n\n",

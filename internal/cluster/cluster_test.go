@@ -235,3 +235,20 @@ func TestCommitRejectsNaNTimes(t *testing.T) {
 		t.Fatalf("avail = %v, want +Inf", c.AvailAt(1))
 	}
 }
+
+func TestNodeStateTextRoundTrip(t *testing.T) {
+	for _, st := range []NodeState{NodeUp, NodeDraining, NodeDown} {
+		b, err := st.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got NodeState
+		if err := got.UnmarshalText(b); err != nil || got != st {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", b, got, err, st)
+		}
+	}
+	var st NodeState
+	if err := st.UnmarshalText([]byte("rebooting")); err == nil {
+		t.Fatal("UnmarshalText accepted an unknown token")
+	}
+}

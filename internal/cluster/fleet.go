@@ -36,8 +36,20 @@ func (s NodeState) String() string {
 	}
 }
 
-// NodeStates lists every lifecycle state in order.
-func NodeStates() []NodeState { return []NodeState{NodeUp, NodeDraining, NodeDown} }
+// MarshalText encodes the state as its wire token, so JSON carries
+// "draining" rather than a number.
+func (s NodeState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText decodes a wire token written by MarshalText.
+func (s *NodeState) UnmarshalText(b []byte) error {
+	for st := NodeUp; st <= NodeDown; st++ {
+		if st.String() == string(b) {
+			*s = st
+			return nil
+		}
+	}
+	return fmt.Errorf("cluster: unknown node state %q", b)
+}
 
 // SetNodeState transitions node id into the given state. Any transition is
 // allowed (drain→fail, fail→restore, ...). The node's release time and
@@ -57,14 +69,6 @@ func (c *Cluster) SetNodeState(id int, st NodeState) error {
 	c.state[id] = st
 	c.version++
 	return nil
-}
-
-// NodeStateAt returns node id's lifecycle state.
-func (c *Cluster) NodeStateAt(id int) NodeState {
-	if c.state == nil {
-		return NodeUp
-	}
-	return c.state[id]
 }
 
 // NodeStateList returns a copy of every node's state, indexed by node id.

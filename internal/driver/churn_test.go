@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rtdls/internal/cluster"
 	"rtdls/internal/errs"
 	"rtdls/internal/fleet"
 	"rtdls/internal/workload"
@@ -139,7 +140,7 @@ func TestChurnBadOffset(t *testing.T) {
 	}{{"negative", -1}, {"NaN", math.NaN()}, {"posInf", math.Inf(1)}, {"negInf", math.Inf(-1)}} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := churnCfg("t=1000 fail n3", 0)
-			cfg.Churn = append(cfg.Churn, fleet.Op{At: c.at, Action: fleet.ActionRestore, Node: 3})
+			cfg.Churn = append(cfg.Churn, fleet.Op{At: c.at, State: cluster.NodeUp, Node: 3})
 			if _, err := Run(cfg); !errors.Is(err, errs.ErrBadConfig) {
 				t.Fatalf("err = %v, want ErrBadConfig", err)
 			}
@@ -193,11 +194,11 @@ func tieChurnCfg(t *testing.T) Config {
 		if k%3 != 0 {
 			continue
 		}
-		act := fleet.ActionFail
+		st := cluster.NodeDown
 		if len(cfg.Churn)%2 == 1 {
-			act = fleet.ActionRestore
+			st = cluster.NodeUp
 		}
-		cfg.Churn = append(cfg.Churn, fleet.Op{At: at, Action: act, Node: (k / 6) % cfg.N})
+		cfg.Churn = append(cfg.Churn, fleet.Op{At: at, State: st, Node: (k / 6) % cfg.N})
 	}
 	return cfg
 }
@@ -239,7 +240,7 @@ func FuzzRunChurn(f *testing.F) {
 		arrivals := arrivalTimes(t, cfg)
 		invalid := false
 		for ; len(raw) >= 4 && len(cfg.Churn) < 16; raw = raw[4:] {
-			op := fleet.Op{Action: fleet.Action(raw[1] % 3), Node: int(raw[2]) % cfg.N}
+			op := fleet.Op{State: [...]cluster.NodeState{cluster.NodeDraining, cluster.NodeDown, cluster.NodeUp}[raw[1]%3], Node: int(raw[2]) % cfg.N}
 			switch v := int(raw[3]); raw[0] % 3 {
 			case 0:
 				if len(arrivals) == 0 {

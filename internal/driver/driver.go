@@ -388,7 +388,7 @@ func Run(cfg Config) (*Result, error) {
 		// before it counts as lost, so re-admissions show up as Readmitted.
 		op := churn[0]
 		churn = churn[1:]
-		if _, err := fleet.Apply(eng, op); err != nil {
+		if _, err := eng.SetNodeState(op.Node, op.State); err != nil {
 			return nil, fmt.Errorf("driver: churn %q: %w", op.String(), err)
 		}
 	}

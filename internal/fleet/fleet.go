@@ -8,15 +8,20 @@
 // Grammar, entries separated by ";":
 //
 //	schedule := entry (";" entry)*
-//	entry    := "t=" time action node
+//	entry    := "t=" time verb node
 //	time     := float                 (the runner's native time base)
 //	          | Go duration           ("5s", "250ms" — converted to seconds)
-//	action   := "drain" | "fail" | "restore"
+//	verb     := "drain" | "fail" | "restore"
 //	node     := "n" id | id           (engine-wide node id, shard-major)
 //
 // Example: "t=5s fail n3; t=12s restore n3". Offsets are interpreted by
 // whoever runs the schedule: wall seconds from process start for
 // dlserve/dlload, simulation time units for dlsim.
+//
+// A verb names the node state it sets — drain → NodeDraining, fail →
+// NodeDown, restore → NodeUp — and an Op carries that state, so a runner
+// applies it with one call, the engine's SetNodeState(op.Node, op.State).
+// The admin API takes the same verbs (POST /v1/nodes/{id}/{verb}).
 package fleet
 
 import (
@@ -27,61 +32,51 @@ import (
 	"strings"
 	"time"
 
+	"rtdls/internal/cluster"
 	"rtdls/internal/errs"
-	"rtdls/internal/service"
 )
 
-// Action is one churn operation kind.
-type Action uint8
-
-const (
-	// ActionDrain: stop placing on the node, finish committed work.
-	ActionDrain Action = iota
-	// ActionFail: the node's capacity vanishes now.
-	ActionFail
-	// ActionRestore: return a drained or failed node to service.
-	ActionRestore
-)
-
-// String returns the action's schedule token.
-func (a Action) String() string {
-	switch a {
-	case ActionDrain:
-		return "drain"
-	case ActionFail:
-		return "fail"
-	case ActionRestore:
-		return "restore"
-	default:
-		return fmt.Sprintf("Action(%d)", uint8(a))
-	}
+// verbs is the one table of verbs and the node state each sets.
+var verbs = [...]struct {
+	verb  string
+	state cluster.NodeState
+}{
+	{"drain", cluster.NodeDraining},
+	{"fail", cluster.NodeDown},
+	{"restore", cluster.NodeUp},
 }
 
-// ParseAction parses a schedule action token.
-func ParseAction(s string) (Action, error) {
-	switch s {
-	case "drain":
-		return ActionDrain, nil
-	case "fail":
-		return ActionFail, nil
-	case "restore":
-		return ActionRestore, nil
-	default:
-		return 0, fmt.Errorf("fleet: unknown action %q (want drain, fail or restore): %w", s, errs.ErrBadConfig)
+// ParseVerb returns the node state a verb sets.
+func ParseVerb(verb string) (cluster.NodeState, error) {
+	for _, v := range verbs {
+		if v.verb == verb {
+			return v.state, nil
+		}
 	}
+	return 0, fmt.Errorf("fleet: unknown action %q (want drain, fail or restore): %w", verb, errs.ErrBadConfig)
+}
+
+// Verb returns the verb that sets st.
+func Verb(st cluster.NodeState) string {
+	for _, v := range verbs {
+		if v.state == st {
+			return v.verb
+		}
+	}
+	return st.String()
 }
 
 // Op is one scheduled churn operation: at offset At (in the runner's
-// native time base), apply Action to node Node.
+// native time base), move node Node into State.
 type Op struct {
-	At     float64
-	Action Action
-	Node   int
+	At    float64
+	State cluster.NodeState
+	Node  int
 }
 
 // String renders the op in schedule grammar.
 func (o Op) String() string {
-	return fmt.Sprintf("t=%s %s n%d", strconv.FormatFloat(o.At, 'g', -1, 64), o.Action, o.Node)
+	return fmt.Sprintf("t=%s %s n%d", strconv.FormatFloat(o.At, 'g', -1, 64), Verb(o.State), o.Node)
 }
 
 // Schedule is an ordered churn script. Entries keep their written order;
@@ -121,7 +116,7 @@ func ParseSchedule(s string) (Schedule, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: entry %q: %w", entry, err)
 		}
-		action, err := ParseAction(fields[1])
+		st, err := ParseVerb(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("fleet: entry %q: %w", entry, err)
 		}
@@ -129,7 +124,7 @@ func ParseSchedule(s string) (Schedule, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: entry %q: %w", entry, err)
 		}
-		sch = append(sch, Op{At: at, Action: action, Node: node})
+		sch = append(sch, Op{At: at, State: st, Node: node})
 	}
 	return sch, nil
 }
@@ -169,32 +164,9 @@ func (sch Schedule) Sorted() Schedule {
 	return out
 }
 
-// Controller is the slice of the engine surface a churn runner drives —
-// both service.Service and pool.Pool implement it, as does an HTTP admin
-// client.
-type Controller interface {
-	DrainNode(node int) (service.FleetResult, error)
-	FailNode(node int) (service.FleetResult, error)
-	RestoreNode(node int) (service.FleetResult, error)
-}
-
-// Apply dispatches one op to the controller.
-func Apply(c Controller, op Op) (service.FleetResult, error) {
-	switch op.Action {
-	case ActionDrain:
-		return c.DrainNode(op.Node)
-	case ActionFail:
-		return c.FailNode(op.Node)
-	case ActionRestore:
-		return c.RestoreNode(op.Node)
-	default:
-		return service.FleetResult{}, fmt.Errorf("fleet: unknown action %d: %w", op.Action, errs.ErrBadConfig)
-	}
-}
-
 // Run executes the schedule against wall time: each op fires At seconds
 // after Run starts (ops are executed in At order). apply performs one op —
-// use Apply against an engine, or an HTTP client against a remote admin
+// an engine's SetNodeState, or an HTTP client against a remote admin
 // API — and its error aborts the run. Run returns when the schedule is
 // exhausted, apply fails, or done is closed/cancelled.
 func Run(done <-chan struct{}, sch Schedule, apply func(Op) error) error {

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"rtdls/internal/cluster"
 	"rtdls/internal/errs"
 	"rtdls/internal/fleet"
-	"rtdls/internal/service"
 )
 
 func TestParseSchedule(t *testing.T) {
@@ -19,22 +19,22 @@ func TestParseSchedule(t *testing.T) {
 	}{
 		{"", nil},
 		{"   ;  ; ", nil},
-		{"t=5 fail n3", fleet.Schedule{{At: 5, Action: fleet.ActionFail, Node: 3}}},
-		{"t=5s fail n3", fleet.Schedule{{At: 5, Action: fleet.ActionFail, Node: 3}}},
-		{"t=250ms drain 0", fleet.Schedule{{At: 0.25, Action: fleet.ActionDrain, Node: 0}}},
-		{"t=1.5 restore n12", fleet.Schedule{{At: 1.5, Action: fleet.ActionRestore, Node: 12}}},
+		{"t=5 fail n3", fleet.Schedule{{At: 5, State: cluster.NodeDown, Node: 3}}},
+		{"t=5s fail n3", fleet.Schedule{{At: 5, State: cluster.NodeDown, Node: 3}}},
+		{"t=250ms drain 0", fleet.Schedule{{At: 0.25, State: cluster.NodeDraining, Node: 0}}},
+		{"t=1.5 restore n12", fleet.Schedule{{At: 1.5, State: cluster.NodeUp, Node: 12}}},
 		{
 			"t=5s fail n3; t=12s restore n3",
 			fleet.Schedule{
-				{At: 5, Action: fleet.ActionFail, Node: 3},
-				{At: 12, Action: fleet.ActionRestore, Node: 3},
+				{At: 5, State: cluster.NodeDown, Node: 3},
+				{At: 12, State: cluster.NodeUp, Node: 3},
 			},
 		},
 		{
 			"  t=0 drain n1 ;t=2 fail n0;  ",
 			fleet.Schedule{
-				{At: 0, Action: fleet.ActionDrain, Node: 1},
-				{At: 2, Action: fleet.ActionFail, Node: 0},
+				{At: 0, State: cluster.NodeDraining, Node: 1},
+				{At: 2, State: cluster.NodeDown, Node: 0},
 			},
 		},
 	}
@@ -74,9 +74,9 @@ func TestParseScheduleRejects(t *testing.T) {
 
 func TestScheduleStringRoundTrip(t *testing.T) {
 	sch := fleet.Schedule{
-		{At: 0.25, Action: fleet.ActionDrain, Node: 0},
-		{At: 5, Action: fleet.ActionFail, Node: 3},
-		{At: 12, Action: fleet.ActionRestore, Node: 3},
+		{At: 0.25, State: cluster.NodeDraining, Node: 0},
+		{At: 5, State: cluster.NodeDown, Node: 3},
+		{At: 12, State: cluster.NodeUp, Node: 3},
 	}
 	s := sch.String()
 	back, err := fleet.ParseSchedule(s)
@@ -90,9 +90,9 @@ func TestScheduleStringRoundTrip(t *testing.T) {
 
 func TestSortedIsStableAndNonMutating(t *testing.T) {
 	sch := fleet.Schedule{
-		{At: 12, Action: fleet.ActionRestore, Node: 3},
-		{At: 5, Action: fleet.ActionFail, Node: 3},
-		{At: 5, Action: fleet.ActionDrain, Node: 1}, // same offset: keeps written order
+		{At: 12, State: cluster.NodeUp, Node: 3},
+		{At: 5, State: cluster.NodeDown, Node: 3},
+		{At: 5, State: cluster.NodeDraining, Node: 1}, // same offset: keeps written order
 	}
 	orig := make(fleet.Schedule, len(sch))
 	copy(orig, sch)
@@ -106,48 +106,38 @@ func TestSortedIsStableAndNonMutating(t *testing.T) {
 	}
 }
 
-// recorder implements fleet.Controller and records the ops it receives.
-type recorder struct {
-	ops []string
-	err error
+// recorder records the ops it is handed, in schedule grammar.
+type recorder struct{ ops []string }
+
+func (r *recorder) apply(op fleet.Op) error {
+	r.ops = append(r.ops, fmt.Sprintf("%s n%d", fleet.Verb(op.State), op.Node))
+	return nil
 }
 
-func (r *recorder) note(kind string, node int) (service.FleetResult, error) {
-	r.ops = append(r.ops, fmt.Sprintf("%s n%d", kind, node))
-	return service.FleetResult{Node: node}, r.err
-}
-
-func (r *recorder) DrainNode(n int) (service.FleetResult, error)   { return r.note("drain", n) }
-func (r *recorder) FailNode(n int) (service.FleetResult, error)    { return r.note("fail", n) }
-func (r *recorder) RestoreNode(n int) (service.FleetResult, error) { return r.note("restore", n) }
-
-func TestApplyDispatches(t *testing.T) {
-	rec := &recorder{}
-	sch, err := fleet.ParseSchedule("t=0 drain n1; t=0 fail n2; t=0 restore n2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range sch {
-		if _, err := fleet.Apply(rec, op); err != nil {
-			t.Fatalf("Apply(%v): %v", op, err)
+func TestVerbsMapToStates(t *testing.T) {
+	for verb, want := range map[string]cluster.NodeState{
+		"drain": cluster.NodeDraining, "fail": cluster.NodeDown, "restore": cluster.NodeUp,
+	} {
+		st, err := fleet.ParseVerb(verb)
+		if err != nil || st != want {
+			t.Fatalf("ParseVerb(%q) = %v, %v; want %v", verb, st, err, want)
+		}
+		if got := fleet.Verb(st); got != verb {
+			t.Fatalf("Verb(%v) = %q, want %q", st, got, verb)
 		}
 	}
-	want := []string{"drain n1", "fail n2", "restore n2"}
-	if !reflect.DeepEqual(rec.ops, want) {
-		t.Fatalf("applied ops = %v, want %v", rec.ops, want)
+	if _, err := fleet.ParseVerb("reboot"); !errors.Is(err, errs.ErrBadConfig) {
+		t.Fatalf("ParseVerb(reboot): err = %v, want ErrBadConfig", err)
 	}
 }
 
 func TestRunExecutesInOrderAndStopsOnError(t *testing.T) {
 	rec := &recorder{}
 	sch := fleet.Schedule{
-		{At: 0.002, Action: fleet.ActionRestore, Node: 1},
-		{At: 0, Action: fleet.ActionFail, Node: 1},
+		{At: 0.002, State: cluster.NodeUp, Node: 1},
+		{At: 0, State: cluster.NodeDown, Node: 1},
 	}
-	err := fleet.Run(nil, sch, func(op fleet.Op) error {
-		_, err := fleet.Apply(rec, op)
-		return err
-	})
+	err := fleet.Run(nil, sch, rec.apply)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -173,7 +163,7 @@ func TestRunExecutesInOrderAndStopsOnError(t *testing.T) {
 func TestRunHonoursDone(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
-	sch := fleet.Schedule{{At: 3600, Action: fleet.ActionFail, Node: 0}}
+	sch := fleet.Schedule{{At: 3600, State: cluster.NodeDown, Node: 0}}
 	start := time.Now()
 	if err := fleet.Run(done, sch, func(fleet.Op) error {
 		t.Fatal("apply called after done")

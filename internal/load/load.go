@@ -500,7 +500,7 @@ func observeRetryAfter(resp *http.Response, cnt *counters) {
 // applyChurnOp POSTs one churn op to the fleet admin API and folds the
 // reported displacement counts into the churn report.
 func applyChurnOp(ctx context.Context, client *http.Client, base string, op fleet.Op, rep *ChurnReport) error {
-	url := fmt.Sprintf("%s/v1/nodes/%d/%s", base, op.Node, op.Action)
+	url := fmt.Sprintf("%s/v1/nodes/%d/%s", base, op.Node, fleet.Verb(op.State))
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
 	if err != nil {
 		return err

@@ -121,7 +121,7 @@ func (r *offerRig) submit(deadline float64) service.Decision {
 // fail takes a node down; whatever the stream then shows is readmission.
 func (r *offerRig) fail(node int) service.FleetResult {
 	r.t.Helper()
-	res, err := r.p.FailNode(node)
+	res, err := r.p.SetNodeState(node, service.NodeDown)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func (r *offerRig) fail(node int) service.FleetResult {
 		a += tl.accepts
 	}
 	if a != res.Readmitted {
-		r.t.Fatalf("FailNode(%d) reports %d readmitted, the stream shows %d accepts", node, res.Readmitted, a)
+		r.t.Fatalf("SetNodeState(%d, NodeDown) reports %d readmitted, the stream shows %d accepts", node, res.Readmitted, a)
 	}
 	r.readmits += a
 	return res

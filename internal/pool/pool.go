@@ -583,27 +583,11 @@ func (p *Pool) Drain() error {
 	return nil
 }
 
-// DrainNode stops placing new work on the node (committed work runs to
-// completion); waiting plans on its shard are re-validated and displaced
-// tasks are re-admitted on the remaining live shards through the normal
-// schedulability test. The node id is pool-global (shard-major).
-func (p *Pool) DrainNode(node int) (service.FleetResult, error) {
-	return p.fleetOp(node, service.NodeDraining)
-}
-
-// FailNode removes the node's capacity immediately; displacement and
-// re-admission work exactly as for DrainNode.
-func (p *Pool) FailNode(node int) (service.FleetResult, error) {
-	return p.fleetOp(node, service.NodeDown)
-}
-
-// RestoreNode returns a drained or failed node to service; nothing is
-// displaced.
-func (p *Pool) RestoreNode(node int) (service.FleetResult, error) {
-	return p.fleetOp(node, service.NodeUp)
-}
-
-func (p *Pool) fleetOp(node int, st service.NodeState) (service.FleetResult, error) {
+// SetNodeState moves one node into st (see service.Service.SetNodeState).
+// The node id is pool-global (shard-major). Tasks a capacity loss displaces
+// from the node's shard are re-admitted on the remaining live shards
+// through the normal schedulability test.
+func (p *Pool) SetNodeState(node int, st service.NodeState) (service.FleetResult, error) {
 	p.fleetMu.Lock()
 	defer p.fleetMu.Unlock()
 	if p.closed.Load() {
@@ -614,11 +598,11 @@ func (p *Pool) fleetOp(node int, st service.NodeState) (service.FleetResult, err
 			node, len(p.nodeOf), errs.ErrBadConfig)
 	}
 	ref := p.nodeOf[node]
-	disp, err := p.shards[ref.shard].SetNodeState(ref.local, st)
+	disp, err := p.shards[ref.shard].TransitionNode(ref.local, st)
 	if err != nil {
 		return service.FleetResult{}, err
 	}
-	res := service.FleetResult{Node: node, State: st, StateToken: st.String(), Displaced: len(disp)}
+	res := service.FleetResult{Node: node, State: st, Displaced: len(disp)}
 	for _, t := range disp {
 		if p.readmit(t, ref.shard) {
 			res.Readmitted++

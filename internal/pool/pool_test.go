@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"rtdls/internal/cluster"
@@ -374,5 +375,25 @@ func TestOneShardSubmitAllocatesLikeItsShard(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("one-shard pool Submit allocates %v per call, its bare shard %v", got, want)
+	}
+}
+
+func TestSetNodeStateRejectsBadInput(t *testing.T) {
+	p := newPool(t, 2, 4, RoundRobin{})
+	defer p.Close()
+	if _, err := p.SetNodeState(5, service.NodeDown); err != nil {
+		t.Fatal(err)
+	}
+	before := p.NodeStates()
+	for _, c := range []struct {
+		node int
+		st   service.NodeState
+	}{{8, service.NodeDraining}, {-1, service.NodeDown}, {6, service.NodeState(7)}} {
+		if _, err := p.SetNodeState(c.node, c.st); !errors.Is(err, errs.ErrBadConfig) {
+			t.Fatalf("SetNodeState(%d, %d): err = %v, want ErrBadConfig", c.node, c.st, err)
+		}
+		if got := p.NodeStates(); !slices.Equal(got, before) {
+			t.Fatalf("SetNodeState(%d, %d) moved the fleet: %v, was %v", c.node, c.st, got, before)
+		}
 	}
 }

@@ -210,15 +210,15 @@ func TestPoolConcurrentFleetOpsRace(t *testing.T) {
 				node := g*2*n/4 + rep%(2*n/4) + (g%2)*k*n/2
 				node %= k * n
 				if rep%2 == 0 {
-					if _, err := p.FailNode(node); err != nil {
+					if _, err := p.SetNodeState(node, service.NodeDown); err != nil {
 						t.Errorf("fail %d: %v", node, err)
 					}
 				} else {
-					if _, err := p.DrainNode(node); err != nil {
+					if _, err := p.SetNodeState(node, service.NodeDraining); err != nil {
 						t.Errorf("drain %d: %v", node, err)
 					}
 				}
-				if _, err := p.RestoreNode(node); err != nil {
+				if _, err := p.SetNodeState(node, service.NodeUp); err != nil {
 					t.Errorf("restore %d: %v", node, err)
 				}
 			}
@@ -227,7 +227,7 @@ func TestPoolConcurrentFleetOpsRace(t *testing.T) {
 	wg.Wait()
 	// Leave every node up so the drain below has full capacity.
 	for node := 0; node < k*n; node++ {
-		if _, err := p.RestoreNode(node); err != nil {
+		if _, err := p.SetNodeState(node, service.NodeUp); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ func TestNodeOpEndpoints(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Node != 3 || res.StateToken != "draining" || res.Displaced != 0 {
+	if res.Node != 3 || res.State != service.NodeDraining || res.Displaced != 0 {
 		t.Fatalf("result = %+v", res)
 	}
 
@@ -87,7 +87,7 @@ func TestStatsCarriesNodeStates(t *testing.T) {
 	if len(st.NodeStates) != 16 {
 		t.Fatalf("node_states = %v", st.NodeStates)
 	}
-	if st.NodeStates[0] != "down" || st.NodeStates[1] != "draining" || st.NodeStates[2] != "up" {
+	if st.NodeStates[0] != service.NodeDown || st.NodeStates[1] != service.NodeDraining || st.NodeStates[2] != service.NodeUp {
 		t.Fatalf("node_states = %v", st.NodeStates[:3])
 	}
 	if st.NodesUp != 14 || st.NodesDown != 1 || st.NodesDraining != 1 {

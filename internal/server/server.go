@@ -74,9 +74,7 @@ type Engine interface {
 	Drain() error
 	Close() error
 	Clock() service.Clock
-	DrainNode(node int) (service.FleetResult, error)
-	FailNode(node int) (service.FleetResult, error)
-	RestoreNode(node int) (service.FleetResult, error)
+	SetNodeState(node int, st service.NodeState) (service.FleetResult, error)
 	NodeStates() []service.NodeState
 }
 
@@ -349,11 +347,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.NextCommit = &at
 	}
 	resp.Subscribers = s.subscriberStats()
-	states := s.eng.NodeStates()
-	resp.NodeStates = make([]string, len(states))
-	for i, st := range states {
-		resp.NodeStates[i] = st.String()
-	}
+	resp.NodeStates = s.eng.NodeStates()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -368,17 +362,17 @@ func (s *Server) handleNodeOp(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("server: bad node id %q: %w", r.PathValue("id"), errs.ErrBadConfig))
 		return
 	}
-	action, err := fleet.ParseAction(r.PathValue("action"))
+	st, err := fleet.ParseVerb(r.PathValue("action"))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	res, err := fleet.Apply(s.eng, fleet.Op{Action: action, Node: id})
+	res, err := s.eng.SetNodeState(id, st)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.sayf("fleet: node %d -> %s (displaced=%d readmitted=%d)", res.Node, res.StateToken, res.Displaced, res.Readmitted)
+	s.sayf("fleet: node %d -> %s (displaced=%d readmitted=%d)", res.Node, res.State, res.Displaced, res.Readmitted)
 	s.writeJSON(w, http.StatusOK, res)
 }
 

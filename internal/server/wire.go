@@ -80,8 +80,8 @@ func decisionResponse(d service.Decision, s *Server) DecisionResponse {
 }
 
 // BatchResponse is the wire form of one SubmitBatch result. On a hard
-// mid-batch error the decisions made so far are included alongside the
-// error, so the client can resubmit exactly the unconsidered tail.
+// mid-batch error every decision made is included alongside the error, so
+// the client can resubmit exactly the tasks that have no decision.
 type BatchResponse struct {
 	Decisions []DecisionResponse `json:"decisions"`
 	Accepted  int                `json:"accepted"`
@@ -119,7 +119,7 @@ type StatsResponse struct {
 	// NodeStates lists every node's lifecycle state token ("up",
 	// "draining", "down"), indexed by the engine-wide node id (shard-major
 	// on a pool) — the target surface of POST /v1/nodes/{id}/{action}.
-	NodeStates []string `json:"node_states,omitempty"`
+	NodeStates []service.NodeState `json:"node_states,omitempty"`
 }
 
 // SubscriberStats is one active SSE subscriber's view in /v1/stats.

@@ -271,7 +271,7 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 			// Restoring a node that is up changes nothing a decision reads,
 			// and moves the epoch.
 			clock.hook = func() {
-				if _, err := svc.RestoreNode(0); err != nil {
+				if _, err := svc.SetNodeState(0, NodeUp); err != nil {
 					t.Errorf("forcing the conflict: %v", err)
 				}
 			}

@@ -28,42 +28,34 @@ const (
 // cannot revive a task the whole-queue test just dropped).
 type FleetResult struct {
 	Node       int       `json:"node"`
-	State      NodeState `json:"-"`
-	StateToken string    `json:"state"`
+	State      NodeState `json:"state"`
 	Displaced  int       `json:"displaced"`
 	Readmitted int       `json:"readmitted"`
 }
 
-// DrainNode stops placing new work on the node; committed work runs to
-// completion. Waiting plans touching the node are replanned onto the live
-// fleet, and tasks that no longer fit are displaced (EventDisplace with
-// ReasonNodeUnavailable on the stream).
-func (s *Service) DrainNode(node int) (FleetResult, error) {
-	return s.setNodeState(node, NodeDraining)
+// SetNodeState moves one node into st: NodeDraining stops placing new work
+// on it (committed work runs to completion), NodeDown removes its capacity
+// now, NodeUp returns it to service. On a capacity loss the waiting plans
+// touching the node are replanned onto the live fleet, and tasks that no
+// longer fit are displaced (EventDisplace with ReasonNodeUnavailable on the
+// stream). The model keeps committed transmissions on their timeline
+// (interrupted work is not re-simulated), so draining and failing differ
+// only in the reported state until the node is restored. A node's release
+// time is never touched, so a fail-then-restore cycle with no interim
+// admissions leaves the scheduler bit-identical to one that never failed;
+// restoring displaces nothing, and waiting plans pick the node up on the
+// next admission test. An unknown node or state is ErrBadConfig.
+func (s *Service) SetNodeState(node int, st NodeState) (FleetResult, error) {
+	disp, err := s.TransitionNode(node, st)
+	if err != nil {
+		return FleetResult{}, err
+	}
+	return FleetResult{Node: node, State: st, Displaced: len(disp)}, nil
 }
 
-// FailNode removes the node's capacity immediately. Like DrainNode for
-// waiting plans; the model keeps committed transmissions on their
-// timeline (interrupted work is not re-simulated), so FailNode differs
-// from DrainNode only in the reported state until RestoreNode.
-func (s *Service) FailNode(node int) (FleetResult, error) {
-	return s.setNodeState(node, NodeDown)
-}
-
-// RestoreNode returns a drained or failed node to service. The node's
-// release time was never touched, so a fail-then-restore cycle with no
-// interim admissions leaves the scheduler bit-identical to one that never
-// failed. Nothing is displaced; waiting plans pick the node up on the
-// next admission test.
-func (s *Service) RestoreNode(node int) (FleetResult, error) {
-	return s.setNodeState(node, NodeUp)
-}
-
-// SetNodeState transitions one node and re-validates the waiting queue on
-// capacity loss; the displaced tasks are returned so a pool can try to
-// re-admit them elsewhere. Direct callers normally use the
-// DrainNode/FailNode/RestoreNode wrappers.
-func (s *Service) SetNodeState(node int, st NodeState) ([]rt.Task, error) {
+// TransitionNode is SetNodeState returning the displaced tasks themselves,
+// so a pool can try to re-admit them on its other shards.
+func (s *Service) TransitionNode(node int, st NodeState) ([]rt.Task, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -87,14 +79,6 @@ func (s *Service) SetNodeState(node int, st NodeState) ([]rt.Task, error) {
 		out = append(out, *t)
 	}
 	return out, nil
-}
-
-func (s *Service) setNodeState(node int, st NodeState) (FleetResult, error) {
-	disp, err := s.SetNodeState(node, st)
-	if err != nil {
-		return FleetResult{}, err
-	}
-	return FleetResult{Node: node, State: st, StateToken: st.String(), Displaced: len(disp)}, nil
 }
 
 // AddNode grows the cluster by one node with the given cost coefficients,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,11 +46,11 @@ func TestDrainDisplacesWaitingTask(t *testing.T) {
 	// magnitude past it), so a drain along the way must displace it.
 	displacedAt := -1
 	for node := 0; node < 16; node++ {
-		res, err := svc.DrainNode(node)
+		res, err := svc.SetNodeState(node, NodeDraining)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.State != NodeDraining || res.StateToken != "draining" || res.Node != node {
+		if res.State != NodeDraining || res.Node != node {
 			t.Fatalf("result = %+v, want node %d draining", res, node)
 		}
 		if res.Readmitted != 0 {
@@ -98,7 +99,7 @@ func TestDrainDisplacesWaitingTask(t *testing.T) {
 func TestRestoreDisplacesNothing(t *testing.T) {
 	svc := newTestService(t, func(c *Config) { c.Clock = NewManualClock(0) })
 	saturate(t, svc)
-	if res, err := svc.RestoreNode(3); err != nil || res.Displaced != 0 {
+	if res, err := svc.SetNodeState(3, NodeUp); err != nil || res.Displaced != 0 {
 		t.Fatalf("restore of an up node: %+v, %v", res, err)
 	}
 	if svc.QueueLen() != 1 {
@@ -106,12 +107,12 @@ func TestRestoreDisplacesNothing(t *testing.T) {
 	}
 }
 
-func TestFailNodeStateAccounting(t *testing.T) {
+func TestDownNodeStateAccounting(t *testing.T) {
 	svc := newTestService(t, func(c *Config) { c.Clock = NewManualClock(0) })
-	if _, err := svc.FailNode(0); err != nil {
+	if _, err := svc.SetNodeState(0, NodeDown); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.DrainNode(1); err != nil {
+	if _, err := svc.SetNodeState(1, NodeDraining); err != nil {
 		t.Fatal(err)
 	}
 	states := svc.NodeStates()
@@ -125,10 +126,10 @@ func TestFailNodeStateAccounting(t *testing.T) {
 	if st.NodesUp != 14 || st.NodesDraining != 1 || st.NodesDown != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if _, err := svc.RestoreNode(0); err != nil {
+	if _, err := svc.SetNodeState(0, NodeUp); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.RestoreNode(1); err != nil {
+	if _, err := svc.SetNodeState(1, NodeUp); err != nil {
 		t.Fatal(err)
 	}
 	if svc.LiveNodes() != 16 {
@@ -138,11 +139,20 @@ func TestFailNodeStateAccounting(t *testing.T) {
 
 func TestSetNodeStateBadNode(t *testing.T) {
 	svc := newTestService(t)
-	if _, err := svc.DrainNode(99); !errors.Is(err, errs.ErrBadConfig) {
-		t.Fatalf("out-of-range node: err = %v, want ErrBadConfig", err)
+	if _, err := svc.SetNodeState(1, NodeDraining); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := svc.FailNode(-1); !errors.Is(err, errs.ErrBadConfig) {
-		t.Fatalf("negative node: err = %v, want ErrBadConfig", err)
+	before := svc.NodeStates()
+	for _, c := range []struct {
+		node int
+		st   NodeState
+	}{{99, NodeDraining}, {-1, NodeDown}, {3, NodeState(7)}} {
+		if _, err := svc.SetNodeState(c.node, c.st); !errors.Is(err, errs.ErrBadConfig) {
+			t.Fatalf("SetNodeState(%d, %d): err = %v, want ErrBadConfig", c.node, c.st, err)
+		}
+		if got := svc.NodeStates(); !slices.Equal(got, before) {
+			t.Fatalf("SetNodeState(%d, %d) moved the fleet: %v, was %v", c.node, c.st, got, before)
+		}
 	}
 }
 
@@ -175,10 +185,10 @@ func TestFailRestoreBitIdentical(t *testing.T) {
 	}
 
 	// Fail and restore with an empty interim: no admissions in between.
-	if _, err := churned.FailNode(5); err != nil {
+	if _, err := churned.SetNodeState(5, NodeDown); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := churned.RestoreNode(5); err != nil {
+	if _, err := churned.SetNodeState(5, NodeUp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -216,7 +226,7 @@ func TestFailRestoreBitIdentical(t *testing.T) {
 func TestDrainedNodeExcludedFromNewPlans(t *testing.T) {
 	svc := newTestService(t, func(c *Config) { c.Clock = NewManualClock(0) })
 	ctx := context.Background()
-	if _, err := svc.DrainNode(7); err != nil {
+	if _, err := svc.SetNodeState(7, NodeDraining); err != nil {
 		t.Fatal(err)
 	}
 	for id := int64(1); id <= 8; id++ {
@@ -230,7 +240,7 @@ func TestDrainedNodeExcludedFromNewPlans(t *testing.T) {
 			}
 		}
 	}
-	if _, err := svc.RestoreNode(7); err != nil {
+	if _, err := svc.SetNodeState(7, NodeUp); err != nil {
 		t.Fatal(err)
 	}
 	// A fleet-wide task must be able to use node 7 again.

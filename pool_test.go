@@ -2,7 +2,9 @@ package rtdls_test
 
 import (
 	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"rtdls"
@@ -219,7 +221,7 @@ func TestEveryNodeDownIsACountedReject(t *testing.T) {
 		}
 		events, cancel := svc.Subscribe(16)
 		for node := range svc.NodeStates() {
-			if _, err := svc.FailNode(node); err != nil {
+			if _, err := svc.SetNodeState(node, rtdls.NodeDown); err != nil {
 				t.Fatalf("K=%d: fail node %d: %v", k, node, err)
 			}
 		}
@@ -247,6 +249,29 @@ func TestEveryNodeDownIsACountedReject(t *testing.T) {
 		}
 		if rejects != 2 {
 			t.Fatalf("K=%d: %d reject events, want 2", k, rejects)
+		}
+	}
+}
+
+func TestSetNodeStateRejectsBadInput(t *testing.T) {
+	svc, err := rtdls.New(rtdls.WithNodes(4), rtdls.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.SetNodeState(2, rtdls.NodeDraining); err != nil {
+		t.Fatal(err)
+	}
+	before := svc.NodeStates()
+	for _, c := range []struct {
+		node int
+		st   rtdls.NodeState
+	}{{8, rtdls.NodeDraining}, {-1, rtdls.NodeDown}, {1, rtdls.NodeState(7)}} {
+		if _, err := svc.SetNodeState(c.node, c.st); !errors.Is(err, rtdls.ErrBadConfig) {
+			t.Fatalf("SetNodeState(%d, %d): err = %v, want ErrBadConfig", c.node, c.st, err)
+		}
+		if got := svc.NodeStates(); !slices.Equal(got, before) {
+			t.Fatalf("SetNodeState(%d, %d) moved the fleet: %v, was %v", c.node, c.st, got, before)
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 // 3.1.0 added the end-to-end observability layer (NewMetricsRegistry,
 // WithMetrics, Accepting; /metrics exposition, per-stage admission
 // timing, structured request logs and pprof wiring in dlserve).
-// 3.2.0 made the fleet dynamic: DrainNode/FailNode/RestoreNode/AddNode
+// 3.2.0 made the fleet dynamic: node drain, fail and restore, and AddNode,
 // with committed-plan re-validation and typed displacement (ErrDisplaced,
 // EventDisplace), the node admin API and node_states in dlserve, and the
 // scriptable churn schedule (ParseChurnSchedule, WithChurn, -churn) with
@@ -53,7 +53,10 @@ import (
 // K = 1 by default, and the one-shard accessors Cluster and Costs are gone
 // (use Clusters()[0] and ShardCosts()[0]). With every node down a
 // submission is a counted infeasible reject at every K.
-const Version = "5.0.0"
+// 6.0.0 made SetNodeState(node, NodeDraining|NodeDown|NodeUp) the one
+// node-lifecycle call, replacing the three per-verb methods, and ChurnOp
+// carries the node state it sets (State) instead of an action kind.
+const Version = "6.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps

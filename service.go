@@ -331,8 +331,8 @@ func WithMetrics(reg *MetricsRegistry) Option {
 // finite and non-negative, so a churn run replays bit for bit. Displaced
 // tasks relax the result identity to
 // Committed + Displaced - Readmitted == Accepted. New ignores it — drive a
-// live service with DrainNode/FailNode/RestoreNode (or the dlserve/dlload
-// -churn flags) instead.
+// live service with SetNodeState (or the dlserve/dlload -churn flags)
+// instead.
 func WithChurn(sch ChurnSchedule) Option {
 	return func(o *serviceOptions) error {
 		o.churn = append(ChurnSchedule(nil), sch...)
@@ -610,23 +610,19 @@ func (s *Service) Drain() error { return s.pool.Drain() }
 // Clock returns the service's clock (shared by every shard).
 func (s *Service) Clock() Clock { return s.pool.Clock() }
 
-// DrainNode stops placing new work on the node; committed work runs to
-// completion. Waiting plans are re-validated against the remaining live
-// capacity: tasks that no longer pass the schedulability test are
+// SetNodeState moves one node into st. NodeDraining stops placing new
+// work on it (committed work runs to completion) and NodeDown removes its
+// capacity now: waiting plans are re-validated against the remaining live
+// capacity, and tasks that no longer pass the schedulability test are
 // displaced (EventDisplace with ReasonNodeUnavailable on the stream) and
 // offered to the other shards, if any, through the normal admission test.
-// The node id is engine-wide (shard-major).
-func (s *Service) DrainNode(node int) (FleetResult, error) { return s.pool.DrainNode(node) }
-
-// FailNode removes the node's capacity immediately; waiting plans are
-// re-validated exactly as for DrainNode.
-func (s *Service) FailNode(node int) (FleetResult, error) { return s.pool.FailNode(node) }
-
-// RestoreNode returns a drained or failed node to service. Nothing is
-// displaced — capacity only grows — and a fail-then-restore cycle with no
-// interim admissions leaves the scheduler bit-identical to one that never
-// failed.
-func (s *Service) RestoreNode(node int) (FleetResult, error) { return s.pool.RestoreNode(node) }
+// NodeUp returns the node to service and displaces nothing; a
+// fail-then-restore cycle with no interim admissions leaves the scheduler
+// bit-identical to one that never failed. The node id is engine-wide
+// (shard-major); an unknown node or state is ErrBadConfig.
+func (s *Service) SetNodeState(node int, st NodeState) (FleetResult, error) {
+	return s.pool.SetNodeState(node, st)
+}
 
 // AddNode grows the fleet by one node with the given cost coefficients
 // and returns its engine-wide id. The node joins the shard with the fewest

@@ -131,11 +131,11 @@ func TestSpeculativeStressChurn(t *testing.T) {
 		go func(node int) {
 			defer wg.Done()
 			for i := 0; i < each/2; i++ {
-				if _, err := svc.FailNode(node); err != nil {
+				if _, err := svc.SetNodeState(node, rtdls.NodeDown); err != nil {
 					t.Errorf("fail node %d: %v", node, err)
 					return
 				}
-				if _, err := svc.RestoreNode(node); err != nil {
+				if _, err := svc.SetNodeState(node, rtdls.NodeUp); err != nil {
 					t.Errorf("restore node %d: %v", node, err)
 					return
 				}
