@@ -7,7 +7,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/driver ./internal/fleet ./internal/rt ./internal/server
 
-.PHONY: build test bench bench-gate fmt fmt-check vet race race-repeat fuzz-smoke serve loadtest wire-smoke loc ci
+.PHONY: build test bench bench-gate fmt fmt-check vet race race-repeat examples fuzz-smoke serve loadtest wire-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,18 @@ race-repeat:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# Run every example and diff what it prints against its committed
+# examples/<name>/output.txt: the examples drive the public API end to end
+# on fixed inputs, so any change in their output is a change in behaviour.
+examples:
+	@set -eu; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for dir in examples/*/; do \
+		name=$$(basename "$$dir"); \
+		echo "=== example $$name"; \
+		$(GO) run "./examples/$$name" > "$$out"; \
+		diff -u "examples/$$name/output.txt" "$$out"; \
+	done
 
 # The one benchmark gate, CI's bench job. The contracts measured as a ratio
 # of two timings run in-process as the benchgate-tagged TestGate* tests:
@@ -84,4 +96,4 @@ wire-smoke:
 loc:
 	./scripts/loc.sh
 
-ci: build fmt-check vet race race-repeat bench fuzz-smoke
+ci: build fmt-check vet race race-repeat bench examples fuzz-smoke

@@ -92,8 +92,8 @@
 // Since 3.2.0 the fleet is dynamic. SetNodeState moves a node into one of
 // three states: NodeDraining stops placing new work on it (committed work
 // finishes), NodeDown removes its capacity now, and NodeUp returns it to
-// service; AddNode grows the cluster. Both work on a Service, a Pool and
-// over the wire (POST /v1/nodes/{id}/{drain|fail|restore}).
+// service; AddNode grows the cluster. Both work on a Service and over
+// the wire (POST /v1/nodes/{id}/{drain|fail|restore}).
 // On capacity loss the scheduler re-validates every admitted-but-
 // uncommitted plan through the normal schedulability test; tasks that no
 // longer fit are displaced (EventDisplace, ReasonNodeUnavailable,
@@ -160,8 +160,8 @@
 // lone submitter — the simulator, the driver, one caller in process —
 // decides on the live state under the lock, the road a conflict replays
 // on, because it has nothing to overlap the off-lock planning with.
-// SetSpeculation toggles the path (on by default) on a Service and a
-// Pool; Stats counts Speculative/Conflicts, the exposition
+// SetSpeculation toggles the path (on by default) on a Service; Stats
+// counts Speculative/Conflicts, the exposition
 // carries rtdls_admission_{speculative,conflicts}_total per shard,
 // dlload folds a conflict rate into BENCH_wire.json, and dlserve's
 // -mutex-profile-fraction/-block-profile-rate expose the remaining lock

@@ -253,24 +253,12 @@ type Result struct {
 	LateCommits int `json:",omitempty"`
 }
 
-// PartitionerFor builds the partitioner named by algorithm through the
-// shared Config constructor path, with the cluster's cost model filled in
-// (node count, reference coefficients, per-node table). rounds applies to
-// AlgDLTMR (0 = the default of 2). Today's partitioners read per-node
-// costs at plan time via rt.PlanContext, so the table is carried here for
-// uniform validation and for any future construction-time use, not
-// because current construction depends on it. This is the one
+// PartitionerFor builds the partitioner named by algorithm; rounds applies
+// to AlgDLTMR (0 = the default of 2). cm is not read: partitioners take
+// per-node costs at plan time via rt.PlanContext. This is the one
 // constructor path the service options share with the bench.
 func PartitionerFor(algorithm string, rounds int, cm *dlt.CostModel) (rt.Partitioner, error) {
-	cfg := Config{Algorithm: algorithm, Rounds: rounds}
-	if cm != nil {
-		ref := cm.Reference()
-		cfg.N = cm.N()
-		cfg.Cms = ref.Cms
-		cfg.Cps = ref.Cps
-		cfg.NodeCosts = cm.Costs()
-	}
-	return cfg.NewPartitioner()
+	return Config{Algorithm: algorithm, Rounds: rounds}.NewPartitioner()
 }
 
 // Run executes one simulation and returns its metrics. It is a thin
@@ -367,7 +355,7 @@ func Run(cfg Config) (*Result, error) {
 			if err := setTime(at); err != nil {
 				return nil, err
 			}
-			if err := eng.CommitDue(at); err != nil {
+			if err := eng.Pump(); err != nil {
 				return nil, err
 			}
 		}

@@ -11,10 +11,10 @@
 // on, never on a pool-global lock — Submit throughput scales with the
 // shard count instead of serialising on one O(queue × plan) replan.
 //
-// The pool is the one engine behind rtdls.New and driver.Run, and one
-// cluster is simply K = 1 — no special case: a one-shard pool under any
-// placement reproduces its bare shard decision for decision, stat for
-// stat, and allocates nothing of its own per Submit.
+// The pool is the one engine, exported as rtdls.Service and driven by
+// driver.Run, and one cluster is simply K = 1 — no special case: a
+// one-shard pool under any placement reproduces its bare shard decision
+// for decision, stat for stat, and allocates nothing of its own per Submit.
 package pool
 
 import (
@@ -178,7 +178,7 @@ func (p *Pool) Placement() Placement { return p.place }
 // Clock returns the clock shared by every shard.
 func (p *Pool) Clock() service.Clock { return p.clock }
 
-// Clusters returns every shard's cluster, indexed by shard.
+// Clusters returns every shard's live cluster, indexed by shard.
 func (p *Pool) Clusters() []*cluster.Cluster {
 	out := make([]*cluster.Cluster, len(p.shards))
 	for i, sh := range p.shards {
@@ -187,17 +187,27 @@ func (p *Pool) Clusters() []*cluster.Cluster {
 	return out
 }
 
+// ShardCosts returns every shard's current cost model, indexed by shard.
+func (p *Pool) ShardCosts() []*dlt.CostModel {
+	out := make([]*dlt.CostModel, len(p.shards))
+	for i, sh := range p.shards {
+		out[i] = sh.Costs()
+	}
+	return out
+}
+
 // Spillovers returns how many accepted tasks needed at least one
 // spillover retry (0 under single-choice placements).
 func (p *Pool) Spillovers() int { return int(p.spillovers.Load()) }
 
-// Submit routes the task through the placement layer and runs the
-// admission test on the chosen shard. Under a spillover placement a
-// rejected task is retried down the preference order until a shard
-// accepts or every listed shard has refused; the returned decision
-// reports the placing shard in Decision.Shard. The error return reports
-// malformed input, a cancelled context or a closed pool — never
-// infeasibility.
+// Submit runs the admission test for one task on the shard the placement
+// layer picks and returns the decision; safe from any goroutine. A zero
+// Arrival means "arrives now", a future one advances the submission
+// instant. Under a spillover placement a rejected task is retried down the
+// preference order until a shard accepts or all have refused; Decision.Shard
+// reports the placing shard. The error return reports malformed input, a
+// cancelled context or a closed pool — never infeasibility, which is a
+// clean decision with Reason ErrInfeasible.
 func (p *Pool) Submit(ctx context.Context, task rt.Task) (service.Decision, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -344,8 +354,8 @@ func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, tried int
 // run concurrently — one goroutine per target shard, each a single
 // group-installed shard batch — and the decisions are re-stitched into input
 // order. Tasks a shard refuses are then retried down their placement order
-// exactly as Submit spills over. Unlike a single service, the batch is not
-// atomic pool-wide: concurrent submitters may interleave between sub-batches.
+// exactly as Submit spills over. The batch is atomic per shard, not pool-wide:
+// concurrent submitters may interleave between sub-batches.
 // On a hard error every decision a shard made is still booked and returned
 // (in input order) alongside the first error; the tasks without a decision
 // were never admitted anywhere, and the client resubmits exactly those.
@@ -445,13 +455,15 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 
 // Subscribe attaches a consumer to the pool-wide event stream: one merged,
 // shard-tagged sequence over all shards. The returned cancel function
-// detaches it and closes the channel.
+// detaches it and closes the channel. A slow consumer loses events (counted
+// in Stats().EventsDropped) rather than blocking admission control.
 func (p *Pool) Subscribe(buffer int) (<-chan Event, func()) {
 	return p.bus.Subscribe(buffer)
 }
 
 // SubscribeStream attaches a consumer to the merged stream and returns its
-// Subscription handle, exposing the subscriber's own dropped-event count.
+// Subscription handle, exposing the subscriber's own dropped-event count,
+// from which dlserve's event streamer emits explicit gap notices.
 func (p *Pool) SubscribeStream(buffer int) *service.Subscription {
 	return p.bus.SubscribeStream(buffer)
 }
@@ -459,7 +471,7 @@ func (p *Pool) SubscribeStream(buffer int) *service.Subscription {
 // SetAccepting flips the pool-wide admission gate: while false, every
 // submission fails fast with ErrClusterBusy before placement runs, while
 // commits and the event stream keep operating — the first step of a
-// graceful drain. Reversible until Close.
+// graceful drain (SetAccepting(false), Drain, Close). Reversible until Close.
 func (p *Pool) SetAccepting(accepting bool) { p.draining.Store(!accepting) }
 
 // Accepting reports whether the pool-wide admission gate is open:
@@ -467,8 +479,12 @@ func (p *Pool) SetAccepting(accepting bool) { p.draining.Store(!accepting) }
 // endpoint's readiness signal.
 func (p *Pool) Accepting() bool { return !p.draining.Load() && !p.closed.Load() }
 
-// SetSpeculation toggles optimistic two-phase admission on every shard
-// (on by default; see service.Service.SetSpeculation).
+// SetSpeculation toggles optimistic two-phase admission on every shard (on
+// by default). While submitters overlap on a shard, each plans off-lock
+// against an epoch-stamped snapshot and installs after an epoch check; a
+// conflict falls back to the serialized path, so decisions stay bit-for-bit
+// those of a serialized execution. Off forces the serialized path for every
+// submission: an escape hatch and the equivalence tests' baseline.
 func (p *Pool) SetSpeculation(on bool) {
 	for _, sh := range p.shards {
 		sh.SetSpeculation(on)
@@ -558,9 +574,11 @@ func (p *Pool) NextCommit() (at float64, ok bool) {
 	return at, !math.IsInf(at, 1)
 }
 
-// CommitDue starts every transmission due at the given time on every
-// shard.
-func (p *Pool) CommitDue(now float64) error {
+// Pump commits every waiting plan, on every shard, whose first transmission
+// is due at the current clock reading. Submissions do this implicitly; Pump
+// exists for idle periods and for callers that move a ManualClock.
+func (p *Pool) Pump() error {
+	now := p.clock.Now()
 	for i, sh := range p.shards {
 		if err := sh.CommitDue(now); err != nil {
 			return fmt.Errorf("pool: shard %d: %w", i, err)
@@ -568,9 +586,6 @@ func (p *Pool) CommitDue(now float64) error {
 	}
 	return nil
 }
-
-// Pump commits everything due at the current clock reading.
-func (p *Pool) Pump() error { return p.CommitDue(p.clock.Now()) }
 
 // Drain commits every remaining waiting plan on every shard regardless of
 // the clock — the shutdown/flush path.
@@ -583,10 +598,13 @@ func (p *Pool) Drain() error {
 	return nil
 }
 
-// SetNodeState moves one node into st (see service.Service.SetNodeState).
-// The node id is pool-global (shard-major). Tasks a capacity loss displaces
-// from the node's shard are re-admitted on the remaining live shards
-// through the normal schedulability test.
+// SetNodeState moves one node into st: NodeDraining stops placing new work
+// on it (committed work runs to completion), NodeDown removes its capacity
+// now, and NodeUp returns it to service, displacing nothing. Waiting tasks
+// a capacity loss leaves unschedulable are displaced (EventDisplace,
+// ReasonNodeUnavailable) and re-admitted on the remaining live shards
+// through the normal schedulability test when one passes them. The node id
+// is pool-global (shard-major); an unknown node or state is ErrBadConfig.
 func (p *Pool) SetNodeState(node int, st service.NodeState) (service.FleetResult, error) {
 	p.fleetMu.Lock()
 	defer p.fleetMu.Unlock()

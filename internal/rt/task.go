@@ -8,6 +8,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"rtdls/internal/errs"
 )
@@ -65,12 +66,12 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy parses "edf" or "fifo" (case-insensitive as written here).
+// ParsePolicy parses "edf" or "fifo", in any letter case, into a Policy.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "edf", "EDF":
+	switch {
+	case strings.EqualFold(s, "edf"):
 		return EDF, nil
-	case "fifo", "FIFO":
+	case strings.EqualFold(s, "fifo"):
 		return FIFO, nil
 	default:
 		return 0, fmt.Errorf("rt: unknown policy %q (want \"edf\" or \"fifo\"): %w", s, errs.ErrBadConfig)

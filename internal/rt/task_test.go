@@ -44,7 +44,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{"edf": EDF, "EDF": EDF, "fifo": FIFO, "FIFO": FIFO} {
+	for s, want := range map[string]Policy{"edf": EDF, "EDF": EDF, "Edf": EDF, "fifo": FIFO, "FIFO": FIFO, "fIfO": FIFO} {
 		got, err := ParsePolicy(s)
 		if err != nil || got != want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", s, got, err)

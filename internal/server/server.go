@@ -61,8 +61,8 @@ import (
 	"rtdls/internal/service"
 )
 
-// Engine is the admission surface the server fronts. The public
-// rtdls.Service and the internal pool.Pool satisfy it.
+// Engine is the admission surface the server fronts. pool.Pool, which the
+// public API exports as rtdls.Service, satisfies it.
 type Engine interface {
 	Submit(ctx context.Context, t rt.Task) (service.Decision, error)
 	SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Decision, error)

@@ -279,6 +279,13 @@ func (s *Service) Cluster() *cluster.Cluster { return s.cl }
 // Clock returns the service's clock.
 func (s *Service) Clock() Clock { return s.clock }
 
+// Costs returns the cluster's current cost model (AddNode replaces it).
+func (s *Service) Costs() *dlt.CostModel {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cl.Costs()
+}
+
 // Submit runs the admission test for one task and returns the decision.
 // The task is taken by value: the service keeps its own copy, so callers
 // may reuse or mutate theirs freely afterwards.

@@ -275,3 +275,42 @@ func TestSetNodeStateRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestShardCostsFollowAddNode: ShardCosts reads each shard's live cost
+// model, so a node added after New shows in it, and reading it beside a
+// concurrent AddNode is race-free.
+func TestShardCostsFollowAddNode(t *testing.T) {
+	svc, err := rtdls.New(rtdls.WithNodes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.AddNode(rtdls.NodeCost{Cms: 1, Cps: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := svc.ShardCosts()[0].N(), svc.Clusters()[0].N(); got != want || got != 5 {
+		t.Fatalf("ShardCosts()[0].N() = %d, Clusters()[0].N() = %d, want both 5", got, want)
+	}
+
+	done := make(chan error)
+	go func() {
+		for range 8 {
+			if _, err := svc.AddNode(rtdls.NodeCost{Cms: 2, Cps: 150}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for range 64 {
+		if n := svc.ShardCosts()[0].N(); n < 5 || n > 13 {
+			t.Fatalf("ShardCosts()[0].N() = %d during AddNode, want 5..13", n)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := svc.ShardCosts()[0].N(), svc.Clusters()[0].N(); got != want || got != 13 {
+		t.Fatalf("ShardCosts()[0].N() = %d, Clusters()[0].N() = %d, want both 13", got, want)
+	}
+}

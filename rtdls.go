@@ -56,7 +56,9 @@ import (
 // 6.0.0 made SetNodeState(node, NodeDraining|NodeDown|NodeUp) the one
 // node-lifecycle call, replacing the three per-verb methods, and ChurnOp
 // carries the node state it sets (State) instead of an action kind.
-const Version = "6.0.0"
+// 6.1.0 made Service the pool itself rather than a forwarding wrapper, so
+// its Exec and Placement methods are now visible.
+const Version = "6.1.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps
@@ -112,7 +114,7 @@ const (
 	EDF  = rt.EDF
 )
 
-// ParsePolicy parses "edf" or "fifo" (either case) into a Policy.
+// ParsePolicy parses "edf" or "fifo", in any letter case, into a Policy.
 func ParsePolicy(s string) (Policy, error) { return rt.ParsePolicy(s) }
 
 // Algorithm identifiers accepted by Config.Algorithm.

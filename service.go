@@ -1,8 +1,8 @@
 package rtdls
 
 import (
-	"context"
 	"fmt"
+	"strings"
 
 	"rtdls/internal/driver"
 	"rtdls/internal/fleet"
@@ -140,36 +140,18 @@ func ParsePlacement(name string, seed uint64) (Placement, error) {
 func Placements() []string { return pool.Placements() }
 
 // serviceOptions collects the functional options of New, Simulate and
-// CostModelFor.
+// CostModelFor: the engine configuration they all resolve, written by the
+// options directly, and the three settings only New reads.
 type serviceOptions struct {
-	n          int
-	params     Params
-	nodeCosts  []NodeCost
-	cmsSpread  float64
-	cpsSpread  float64
-	heteroSeed uint64
-	policy     Policy
-	algorithm  string
-	rounds     int
-	clock      Clock
-	observer   Observer
-	maxQueue   int
-	shards     int
-	placement  Placement
-	shardNodes []int
-	shardCosts [][]NodeCost
-	metrics    *MetricsRegistry
-	churn      ChurnSchedule
+	cfg      driver.Config
+	clock    Clock
+	maxQueue int
+	metrics  *MetricsRegistry
 }
 
-func defaultOptions() serviceOptions {
-	return serviceOptions{
-		n:         16,
-		params:    Params{Cms: 1, Cps: 100},
-		policy:    EDF,
-		algorithm: AlgDLTIIT,
-	}
-}
+// defaultOptions starts from the paper's baseline cluster; Simulate sets
+// the workload fields of the configuration, and New ignores them.
+func defaultOptions() serviceOptions { return serviceOptions{cfg: driver.Default()} }
 
 // Option configures New, Simulate or CostModelFor. Options are applied in
 // order; later options override earlier ones.
@@ -181,7 +163,7 @@ func WithNodes(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("rtdls: WithNodes(%d): need at least one node: %w", n, ErrBadConfig)
 		}
-		o.n = n
+		o.cfg.N = n
 		return nil
 	}
 }
@@ -190,7 +172,7 @@ func WithNodes(n int) Option {
 // (default Cms=1, Cps=100, the paper's baseline).
 func WithParams(p Params) Option {
 	return func(o *serviceOptions) error {
-		o.params = p
+		o.cfg.Cms, o.cfg.Cps = p.Cms, p.Cps
 		return nil
 	}
 }
@@ -202,8 +184,8 @@ func WithCosts(cm *CostModel) Option {
 		if cm == nil {
 			return fmt.Errorf("rtdls: WithCosts(nil): %w", ErrBadConfig)
 		}
-		o.nodeCosts = cm.Costs()
-		o.n = cm.N()
+		o.cfg.NodeCosts = cm.Costs()
+		o.cfg.N = cm.N()
 		return nil
 	}
 }
@@ -215,8 +197,8 @@ func WithNodeCosts(costs []NodeCost) Option {
 		if len(costs) == 0 {
 			return fmt.Errorf("rtdls: WithNodeCosts: empty table: %w", ErrBadConfig)
 		}
-		o.nodeCosts = append([]NodeCost(nil), costs...)
-		o.n = len(costs)
+		o.cfg.NodeCosts = append([]NodeCost(nil), costs...)
+		o.cfg.N = len(costs)
 		return nil
 	}
 }
@@ -228,17 +210,17 @@ func WithNodeCosts(costs []NodeCost) Option {
 // table is also given.
 func WithCostSpread(cmsSpread, cpsSpread float64, seed uint64) Option {
 	return func(o *serviceOptions) error {
-		o.cmsSpread = cmsSpread
-		o.cpsSpread = cpsSpread
-		o.heteroSeed = seed
+		o.cfg.CmsSpread, o.cfg.CpsSpread, o.cfg.HeteroSeed = cmsSpread, cpsSpread, seed
 		return nil
 	}
 }
 
-// WithPolicy selects the execution-order policy (default EDF).
+// WithPolicy selects the execution-order policy (default EDF). A value
+// other than EDF or FIFO makes New, Simulate and CostModelFor fail with
+// ErrBadConfig.
 func WithPolicy(pol Policy) Option {
 	return func(o *serviceOptions) error {
-		o.policy = pol
+		o.cfg.Policy = strings.ToLower(pol.String())
 		return nil
 	}
 }
@@ -247,7 +229,7 @@ func WithPolicy(pol Policy) Option {
 // Algorithms for the inventory).
 func WithAlgorithm(alg string) Option {
 	return func(o *serviceOptions) error {
-		o.algorithm = alg
+		o.cfg.Algorithm = alg
 		return nil
 	}
 }
@@ -258,7 +240,7 @@ func WithRounds(r int) Option {
 		if r < 1 {
 			return fmt.Errorf("rtdls: WithRounds(%d): need at least one round: %w", r, ErrBadConfig)
 		}
-		o.rounds = r
+		o.cfg.Rounds = r
 		return nil
 	}
 }
@@ -280,7 +262,7 @@ func WithClock(c Clock) Option {
 // stream (combine several with CombineObservers).
 func WithObserver(obs Observer) Option {
 	return func(o *serviceOptions) error {
-		o.observer = obs
+		o.cfg.Observer = obs
 		return nil
 	}
 }
@@ -335,7 +317,7 @@ func WithMetrics(reg *MetricsRegistry) Option {
 // instead.
 func WithChurn(sch ChurnSchedule) Option {
 	return func(o *serviceOptions) error {
-		o.churn = append(ChurnSchedule(nil), sch...)
+		o.cfg.Churn = append(ChurnSchedule(nil), sch...)
 		return nil
 	}
 }
@@ -353,7 +335,7 @@ func WithShards(k int) Option {
 		if k < 1 {
 			return fmt.Errorf("rtdls: WithShards(%d): need at least one shard: %w", k, ErrBadConfig)
 		}
-		o.shards = k
+		o.cfg.Shards = k
 		return nil
 	}
 }
@@ -364,7 +346,7 @@ func WithPlacement(p Placement) Option {
 		if p == nil {
 			return fmt.Errorf("rtdls: WithPlacement(nil): %w", ErrBadConfig)
 		}
-		o.placement = p
+		o.cfg.Placement = p
 		return nil
 	}
 }
@@ -385,7 +367,7 @@ func WithShardNodes(ns ...int) Option {
 				return fmt.Errorf("rtdls: WithShardNodes: shard %d needs at least one node, got %d: %w", i, n, ErrBadConfig)
 			}
 		}
-		o.shardNodes = append([]int(nil), ns...)
+		o.cfg.ShardNodes = append([]int(nil), ns...)
 		return nil
 	}
 }
@@ -400,12 +382,12 @@ func WithShardNodeCosts(tables ...[]NodeCost) Option {
 		if len(tables) == 0 {
 			return fmt.Errorf("rtdls: WithShardNodeCosts: no shard tables: %w", ErrBadConfig)
 		}
-		o.shardCosts = make([][]NodeCost, len(tables))
+		o.cfg.ShardNodeCosts = make([][]NodeCost, len(tables))
 		for i, tbl := range tables {
 			if len(tbl) == 0 {
 				return fmt.Errorf("rtdls: WithShardNodeCosts: shard %d table empty: %w", i, ErrBadConfig)
 			}
-			o.shardCosts[i] = append([]NodeCost(nil), tbl...)
+			o.cfg.ShardNodeCosts[i] = append([]NodeCost(nil), tbl...)
 		}
 		return nil
 	}
@@ -425,34 +407,6 @@ func applyOptions(opts []Option) (serviceOptions, error) {
 	return o, nil
 }
 
-// config assembles the driver configuration the options describe, using
-// the canonical lowercase policy names so a Config echoed through Result
-// matches the 1.x convention.
-func (o serviceOptions) config() driver.Config {
-	pol := "edf"
-	if o.policy == FIFO {
-		pol = "fifo"
-	}
-	return driver.Config{
-		N:              o.n,
-		Cms:            o.params.Cms,
-		Cps:            o.params.Cps,
-		Policy:         pol,
-		Algorithm:      o.algorithm,
-		Rounds:         o.rounds,
-		NodeCosts:      o.nodeCosts,
-		CmsSpread:      o.cmsSpread,
-		CpsSpread:      o.cpsSpread,
-		HeteroSeed:     o.heteroSeed,
-		Observer:       o.observer,
-		Shards:         o.shards,
-		Placement:      o.placement,
-		ShardNodes:     o.shardNodes,
-		ShardNodeCosts: o.shardCosts,
-		Churn:          o.churn,
-	}
-}
-
 // CostModelFor resolves the per-node cost table the given options describe
 // — explicit node costs verbatim, a spread-generated table, or the uniform
 // scalar model — exactly as New and Simulate resolve it. Useful to build a
@@ -462,7 +416,7 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards, err := o.config().ShardConfigs()
+	shards, err := o.cfg.ShardConfigs()
 	if err != nil {
 		return nil, err
 	}
@@ -471,19 +425,27 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 
 // Service is the long-lived, goroutine-safe admission-control service: the
 // paper's schedulability test exposed as a continuously available surface.
-// Construct with New; submit tasks from any number of goroutines with
-// Submit/SubmitBatch; observe decisions via the Subscribe event stream or
-// the Stats snapshot. See examples/quickstart and examples/admission.
+// It is the engine itself, the pool of K independent cluster shards behind
+// a placement layer (see examples/pool); the default is the K = 1 pool,
+// the paper's one cluster. Construct with New. Its methods, documented in
+// full by go doc rtdls/internal/pool Pool:
 //
-// The surface fronts a pool of K independent cluster shards behind a
-// placement layer (see examples/pool); the default is the K = 1 pool, the
-// paper's one cluster. Decisions and events carry the placing shard,
-// Stats aggregates the fleet, and ShardStats/Clusters expose the
-// per-shard views.
-type Service struct {
-	pool *pool.Pool
-	cms  []*CostModel // per-shard cost models
-}
+//   - admission: Submit, SubmitBatch;
+//   - events: Subscribe, SubscribeStream;
+//   - lifecycle: SetAccepting, Accepting, SetSpeculation, Pump, Drain,
+//     Close, Clock, NextCommit;
+//   - fleet: SetNodeState, AddNode, NodeStates;
+//   - views (Stats and Exec aggregate the fleet): Stats, ShardStats, Exec,
+//     Spillovers, Shards, Placement, Clusters, ShardCosts.
+//
+// Decisions and events carry the placing shard. See examples/quickstart.
+type Service = pool.Pool
+
+// Subscription is one consumer's handle on the event stream: its channel
+// plus the subscriber's own dropped-event counter, so a lossy consumer can
+// detect exactly how many events it missed (Stats().EventsDropped only
+// reports the bus-wide total).
+type Subscription = service.Subscription
 
 // New builds a service from functional options:
 //
@@ -505,158 +467,16 @@ func New(opts ...Option) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards, err := o.config().ShardConfigs()
+	shards, err := o.cfg.ShardConfigs()
 	if err != nil {
 		return nil, err
 	}
-	cms := make([]*CostModel, len(shards))
 	for j := range shards {
 		shards[j].MaxQueue = o.maxQueue
-		cms[j] = shards[j].Cluster.Costs()
 	}
 	met := service.NewMetrics(o.metrics) // nil registry → nil Metrics
-	pl, err := pool.New(pool.Config{Shards: shards, Placement: o.placement, Clock: o.clock, Metrics: met})
-	if err != nil {
-		return nil, err
-	}
-	return &Service{pool: pl, cms: cms}, nil
+	return pool.New(pool.Config{Shards: shards, Placement: o.cfg.Placement, Clock: o.clock, Metrics: met})
 }
-
-// Submit runs the admission test for one task and returns the decision.
-// Safe to call from any goroutine. A zero Arrival means "arrives now"; a
-// future Arrival advances the effective submission instant. The error
-// return reports malformed input or a closed service — never
-// infeasibility, which is a clean decision with Reason ErrInfeasible.
-func (s *Service) Submit(ctx context.Context, t Task) (Decision, error) {
-	return s.pool.Submit(ctx, t)
-}
-
-// SubmitBatch submits several tasks in order, returning one decision per
-// considered task. The batch is atomic per shard: each shard decides and
-// installs its part as one group. With more than one shard the parts run
-// concurrently, refused tasks spill over afterwards, and other submitters
-// may interleave between them, so the whole batch is atomic only on the
-// default one-shard service. On a hard error the decisions that were made
-// come back in input order beside the error; the client resubmits the
-// tasks that have no decision.
-func (s *Service) SubmitBatch(ctx context.Context, tasks []Task) ([]Decision, error) {
-	return s.pool.SubmitBatch(ctx, tasks)
-}
-
-// Subscribe attaches a consumer to the decision/lifecycle event stream.
-// The returned cancel function detaches it and closes the channel. A slow
-// consumer loses events (counted in Stats().EventsDropped) rather than
-// blocking admission control.
-func (s *Service) Subscribe(buffer int) (<-chan Event, func()) {
-	return s.pool.Subscribe(buffer)
-}
-
-// Subscription is one consumer's handle on the event stream: its channel
-// plus the subscriber's own dropped-event counter, so a lossy consumer can
-// detect exactly how many events it missed (Stats().EventsDropped only
-// reports the bus-wide total).
-type Subscription = service.Subscription
-
-// SubscribeStream attaches a consumer and returns its Subscription handle.
-// The dlserve event streamer uses it to emit explicit gap notices to its
-// clients instead of silently skipping decisions.
-func (s *Service) SubscribeStream(buffer int) *Subscription {
-	return s.pool.SubscribeStream(buffer)
-}
-
-// SetAccepting flips the admission gate: while false, every submission
-// fails fast with ErrClusterBusy (a hard error, not a decision) while
-// commits and the event stream keep operating. It is the first step of a
-// graceful drain — SetAccepting(false), Drain, Close — and is reversible
-// until Close.
-func (s *Service) SetAccepting(accepting bool) { s.pool.SetAccepting(accepting) }
-
-// Accepting reports whether the admission gate is open: true until
-// SetAccepting(false) or Close. Lock-free — health checks poll it without
-// contending with submissions.
-func (s *Service) Accepting() bool { return s.pool.Accepting() }
-
-// SetSpeculation toggles optimistic two-phase admission (on by default):
-// when on, a submit that overlaps another on its shard — or follows one
-// that did within the last 64 submits — plans off-lock against an
-// epoch-stamped snapshot and holds the shard lock only for an epoch check
-// plus the install, so concurrent submitters plan in parallel; a
-// conflicting epoch falls back to the serialized path, keeping the decision
-// stream bit-for-bit identical to a serialized execution. A lone submitter
-// takes the serialized path regardless: it has nothing to overlap the
-// planning with. Turning speculation off forces every submission through
-// the serialized path — an operational escape hatch and the baseline for
-// the equivalence tests.
-func (s *Service) SetSpeculation(on bool) { s.pool.SetSpeculation(on) }
-
-// Stats returns a consistent snapshot of the admission counters, queue
-// depth and cluster utilization, aggregated over every shard (see
-// ServiceStats for the aggregation rules).
-func (s *Service) Stats() ServiceStats { return s.pool.Stats() }
-
-// NextCommit returns the earliest pending first-transmission time over
-// all shards, or ok=false when no task is waiting.
-func (s *Service) NextCommit() (at float64, ok bool) { return s.pool.NextCommit() }
-
-// Pump commits every waiting plan whose first transmission is due at the
-// current clock reading. Submissions do this implicitly; Pump exists for
-// idle periods.
-func (s *Service) Pump() error { return s.pool.Pump() }
-
-// Drain commits every remaining waiting plan regardless of the clock —
-// the flush/shutdown path.
-func (s *Service) Drain() error { return s.pool.Drain() }
-
-// Clock returns the service's clock (shared by every shard).
-func (s *Service) Clock() Clock { return s.pool.Clock() }
-
-// SetNodeState moves one node into st. NodeDraining stops placing new
-// work on it (committed work runs to completion) and NodeDown removes its
-// capacity now: waiting plans are re-validated against the remaining live
-// capacity, and tasks that no longer pass the schedulability test are
-// displaced (EventDisplace with ReasonNodeUnavailable on the stream) and
-// offered to the other shards, if any, through the normal admission test.
-// NodeUp returns the node to service and displaces nothing; a
-// fail-then-restore cycle with no interim admissions leaves the scheduler
-// bit-identical to one that never failed. The node id is engine-wide
-// (shard-major); an unknown node or state is ErrBadConfig.
-func (s *Service) SetNodeState(node int, st NodeState) (FleetResult, error) {
-	return s.pool.SetNodeState(node, st)
-}
-
-// AddNode grows the fleet by one node with the given cost coefficients
-// and returns its engine-wide id. The node joins the shard with the fewest
-// live nodes.
-func (s *Service) AddNode(nc NodeCost) (int, error) { return s.pool.AddNode(nc) }
-
-// NodeStates returns every node's lifecycle state, indexed by the
-// engine-wide node id (shard-major).
-func (s *Service) NodeStates() []NodeState { return s.pool.NodeStates() }
-
-// ShardCosts returns every shard's cost model, indexed by shard.
-func (s *Service) ShardCosts() []*CostModel { return append([]*CostModel(nil), s.cms...) }
-
-// Clusters returns every shard's live cluster substrate (release times,
-// accounting), indexed by shard.
-func (s *Service) Clusters() []*Cluster { return s.pool.Clusters() }
-
-// Shards returns the number of cluster shards behind the service (1 by
-// default).
-func (s *Service) Shards() int { return s.pool.Shards() }
-
-// ShardStats returns every shard's own snapshot, indexed by shard. Under
-// a spillover placement a retried task counts at every shard that saw it;
-// the pool-level Stats counts it once.
-func (s *Service) ShardStats() []ServiceStats { return s.pool.ShardStats() }
-
-// Spillovers returns how many accepted tasks needed at least one
-// spillover retry (always 0 without a Spillover placement).
-func (s *Service) Spillovers() int { return s.pool.Spillovers() }
-
-// Close marks the service closed — subsequent submissions fail with
-// ErrClusterBusy — and closes every subscriber channel. Call Drain first
-// to flush waiting plans. Close is idempotent.
-func (s *Service) Close() error { return s.pool.Close() }
 
 // Workload parameterises one synthetic evaluation run for Simulate:
 // Poisson arrivals at the given SystemLoad, σ ~ N(AvgSigma, AvgSigma)
@@ -689,7 +509,7 @@ func Simulate(w Workload, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.config()
+	cfg := o.cfg
 	cfg.SystemLoad = w.SystemLoad
 	cfg.AvgSigma = w.AvgSigma
 	cfg.DCRatio = w.DCRatio

@@ -48,6 +48,18 @@ func TestServiceOptionValidation(t *testing.T) {
 	}
 }
 
+// TestWithPolicyRejectsUnknown: a Policy value other than EDF or FIFO is a
+// configuration error, not a silent EDF engine.
+func TestWithPolicyRejectsUnknown(t *testing.T) {
+	if _, err := rtdls.New(rtdls.WithPolicy(rtdls.Policy(7))); !errors.Is(err, rtdls.ErrBadConfig) {
+		t.Errorf("New: err = %v, want ErrBadConfig", err)
+	}
+	w := rtdls.Workload{SystemLoad: 0.5, AvgSigma: 200, DCRatio: 2, Horizon: 1e4, Seed: 1}
+	if _, err := rtdls.Simulate(w, rtdls.WithPolicy(rtdls.Policy(7))); !errors.Is(err, rtdls.ErrBadConfig) {
+		t.Errorf("Simulate: err = %v, want ErrBadConfig", err)
+	}
+}
+
 func TestServiceTypedErrors(t *testing.T) {
 	svc, err := rtdls.New(rtdls.WithClock(rtdls.NewManualClock(1000)))
 	if err != nil {
