@@ -84,9 +84,6 @@ func (c *Cluster) Params() dlt.Params { return c.p }
 // Costs returns the cluster's per-node cost model.
 func (c *Cluster) Costs() *dlt.CostModel { return c.costs }
 
-// CostAt returns node id's cost coefficients.
-func (c *Cluster) CostAt(id int) dlt.NodeCost { return c.costs.At(id) }
-
 // Hetero reports whether the cluster has genuinely per-node costs (i.e.
 // the cost model is not uniform).
 func (c *Cluster) Hetero() bool { return !c.costs.Uniform() }

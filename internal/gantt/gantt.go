@@ -23,7 +23,8 @@ type interval struct {
 }
 
 // Collector implements rt.Observer and records committed node occupation.
-// Attach it via Scheduler.SetObserver or driver Config.Observer.
+// Install it with service.Config.Observer (or rtdls.WithObserver); the
+// service calls OnCommit as each plan's first transmission starts.
 type Collector struct {
 	n         int
 	intervals []interval

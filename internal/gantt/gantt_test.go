@@ -1,12 +1,14 @@
 package gantt
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"rtdls/internal/cluster"
 	"rtdls/internal/dlt"
 	"rtdls/internal/rt"
+	"rtdls/internal/service"
 )
 
 var baseline = dlt.Params{Cms: 1, Cps: 100}
@@ -73,30 +75,33 @@ func TestRenderDefaults(t *testing.T) {
 	}
 }
 
-// TestEndToEndTimelines drives real schedulers and checks the visual
-// signature: under OPR the chart contains reserved-idle dots, under
-// IIT-DLT it never does.
+// TestEndToEndTimelines drives real admission services, with the
+// Collector installed as their observer, and checks the visual signature:
+// under OPR the chart contains reserved-idle dots, under IIT-DLT it never
+// does.
 func TestEndToEndTimelines(t *testing.T) {
 	run := func(part rt.Partitioner) string {
 		cl, err := cluster.New(8, baseline)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := rt.NewScheduler(cl, rt.EDF, part)
 		col := NewCollector(8)
-		s.SetObserver(col)
+		svc, err := service.New(service.Config{Cluster: cl, Policy: rt.EDF, Partitioner: part, Observer: col})
+		if err != nil {
+			t.Fatal(err)
+		}
 		now := 0.0
 		for i := 0; i < 40; i++ {
-			task := &rt.Task{
+			task := rt.Task{
 				ID:          int64(i),
 				Arrival:     now,
 				Sigma:       80 + float64(i%5)*40,
 				RelDeadline: 4000,
 			}
-			if _, err := s.Submit(task, now); err != nil {
+			if _, err := svc.Submit(context.Background(), task); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.CommitDue(now); err != nil {
+			if err := svc.CommitDue(now); err != nil {
 				t.Fatal(err)
 			}
 			now += 300

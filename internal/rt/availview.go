@@ -81,12 +81,6 @@ type AvailView struct {
 	restored  []uint32
 	rollbacks uint32
 
-	// refMode marks the index dirty on every mutation, so that every query
-	// is served from a fresh full sort — the testing hook behind the
-	// differential and equivalence suites (the sort is the specification
-	// the incremental index must match bit for bit).
-	refMode bool
-
 	rebuilds int // full index rebuilds performed, read by the package tests
 }
 
@@ -283,9 +277,6 @@ func (v *AvailView) rank(keys []availKey, t float64, id int) int {
 // setTime retimes one node, repairing the index in place unless a rebuild
 // is already pending (in which case the rebuild will pick the new time up).
 func (v *AvailView) setTime(id int, t float64) {
-	if v.refMode {
-		v.dirty = true
-	}
 	old := v.times[id]
 	v.times[id] = t
 	if v.dirty {

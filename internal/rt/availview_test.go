@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"rtdls/internal/cluster"
 )
 
 // Rollback undoes every tentative assignment, restoring the base snapshot.
@@ -93,8 +95,8 @@ func sameIndex(t *testing.T, a, b *AvailView) {
 
 // refModel is an independent full-sort reference implementation of the
 // AvailView contract: the differential and fuzz suites drive it in
-// lockstep with the blocked index (and with the view's own refMode hook) and
-// require identical output for every query.
+// lockstep with the blocked index and require identical output for every
+// query.
 type refModel struct {
 	base  []float64 // committed base snapshot
 	times []float64 // base + tentative assignments
@@ -172,16 +174,81 @@ func (m *refModel) earliest(k int) (ids []int, times []float64) {
 	return ids, times
 }
 
+// refScheduler is the reference side of the scheduler equivalence suites:
+// the per-submit, full-sort behaviour the production scheduler's
+// incremental view, base sync, fast-rejects and kept plans must reproduce
+// bit for bit. Its partitioner plans every task afresh on a view built from
+// scratch (freshView), and every test and every sweep starts from a fresh
+// snapshot of the committed state (resnap). plans counts the Plan calls
+// the fresh views served.
+type refScheduler struct {
+	*Scheduler
+	plans int
+}
+
+func newRefScheduler(cl *cluster.Cluster, pol Policy, part Partitioner) *refScheduler {
+	r := &refScheduler{}
+	r.Scheduler = NewScheduler(cl, pol, freshView{part, &r.plans})
+	return r
+}
+
+// resnap moves the cluster's Version by a transition of node 0 into the
+// state it is in, which changes nothing else: the next call rebuilds the
+// view from a full snapshot, sweeps without folding into the base, and
+// offers no plan as a prior.
+func (r *refScheduler) resnap() {
+	cl := r.Cluster()
+	if err := cl.SetNodeState(0, cl.NodeStateList()[0]); err != nil {
+		panic(err)
+	}
+}
+
+func (r *refScheduler) Submit(t *Task, now float64) (bool, error) {
+	r.resnap()
+	return r.Scheduler.Submit(t, now)
+}
+
+func (r *refScheduler) Admit(t *Task, now float64) (*Plan, error) {
+	r.resnap()
+	return r.Scheduler.Admit(t, now)
+}
+
+func (r *refScheduler) CommitDue(now float64) ([]*Plan, error) {
+	r.resnap()
+	return r.Scheduler.CommitDue(now)
+}
+
+// freshView shows the scheduler nothing but Name and Plan, so neither the
+// demand bound nor a fast-reject runs, and hides PlanContext.Prior from
+// the wrapped partitioner. Every Plan call sees a view built afresh over a
+// copy of the times, under the same mask: no query reaches the incremental
+// index, whose first query is one full sort.
+type freshView struct {
+	part  Partitioner
+	plans *int
+}
+
+func (p freshView) Name() string { return p.part.Name() }
+
+func (p freshView) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	*p.plans++
+	c := *ctx
+	c.Prior = nil
+	c.View = NewAvailView(slices.Clone(ctx.View.Times()))
+	c.View.SetEligible(ctx.View.elig)
+	return p.part.Plan(&c, t)
+}
+
 // availViewSizes are the fleet sizes the differential suites cover beside
 // the small random ones: one and two nodes, one node either side of half a
 // block, of one block and of two blocks, and a fleet of a thousand, laid
 // out over 24 of its 32 blocks.
 var availViewSizes = []int{1, 2, 31, 32, 33, 63, 64, 65, 129, 1000}
 
-// driveAvailView interprets data as an op stream over an AvailView, a
-// second view pinned to refMode, and the independent reference model, and
-// fails the moment any query diverges. A third view undoes its log entry by
-// entry where the first calls RollbackTo, and the two must end every
+// driveAvailView interprets data as an op stream over an AvailView and the
+// independent reference model, and fails the moment any query diverges. A
+// second view undoes its log entry by entry where the first calls
+// RollbackTo, and the two must end every
 // rollback on the same order; the index invariants are checked on both
 // after every operation. The first byte picks the fleet size. Times are
 // drawn from a coarse grid so ties (the id tie-break) occur constantly, and
@@ -228,8 +295,6 @@ func driveAvailView(t *testing.T, data []byte) {
 	}
 	base := newBase()
 	v := NewAvailView(slices.Clone(base))
-	vr := NewAvailView(slices.Clone(base))
-	vr.refMode = true
 	vs := NewAvailView(slices.Clone(base))
 	model := newRefModel(base)
 	// The committed-capacity summary rides along as queueState drives it: a
@@ -247,21 +312,18 @@ func driveAvailView(t *testing.T, data []byte) {
 	check := func(k int) {
 		vs.ensureIndex() // a query rebuilds a dirty index: keep vs in step with v
 		wantIDs, wantTimes := model.earliest(k)
-		for _, view := range []*AvailView{v, vr} {
-			gotIDs, gotTimes := earliest(view, k)
-			if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotTimes, wantTimes) {
-				t.Fatalf("EarliestInto(%d) refMode=%v:\n got  %v %v\n want %v %v\n(times=%v elig=%v)",
-					k, view.refMode, gotIDs, gotTimes, wantIDs, wantTimes, model.times, model.elig)
-			}
-			if at := view.EarliestTimeAt(k); at != wantTimes[k-1] {
-				t.Fatalf("EarliestTimeAt(%d) refMode=%v: got %v want %v", k, view.refMode, at, wantTimes[k-1])
-			}
+		gotIDs, gotTimes := earliest(v, k)
+		if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotTimes, wantTimes) {
+			t.Fatalf("EarliestInto(%d):\n got  %v %v\n want %v %v\n(times=%v elig=%v)",
+				k, gotIDs, gotTimes, wantIDs, wantTimes, model.times, model.elig)
+		}
+		if at := v.EarliestTimeAt(k); at != wantTimes[k-1] {
+			t.Fatalf("EarliestTimeAt(%d): got %v want %v", k, at, wantTimes[k-1])
 		}
 	}
 	apply := func(ids []int, rel []float64) {
 		v.Apply(ids, rel)
 		vs.Apply(ids, rel)
-		vr.Apply(ids, rel)
 		model.apply(ids, rel)
 	}
 	batch := func() (ids []int, rel []float64) {
@@ -275,10 +337,10 @@ func driveAvailView(t *testing.T, data []byte) {
 		return ids, rel
 	}
 
-	// Held checkpoints, oldest first: the views' marks and the model's copy
+	// Held checkpoints, oldest first: the views' mark and the model's copy
 	// of the times at that instant.
 	type checkpoint struct {
-		v, vr int
+		v     int
 		model []float64
 	}
 	var held []checkpoint
@@ -293,7 +355,7 @@ func driveAvailView(t *testing.T, data []byte) {
 		switch op {
 		case 8: // checkpoint the undo log
 			if len(held) < 8 {
-				held = append(held, checkpoint{v.Mark(), vr.Mark(), model.checkpoint()})
+				held = append(held, checkpoint{v.Mark(), model.checkpoint()})
 			}
 		case 9: // roll back to a held checkpoint, retiring the later ones
 			if len(held) > 0 {
@@ -301,7 +363,6 @@ func driveAvailView(t *testing.T, data []byte) {
 				v.RollbackTo(held[i].v)
 				vs.rollbackStepwise(held[i].v)
 				sameIndex(t, v, vs)
-				vr.RollbackTo(held[i].vr)
 				model.rollbackTo(held[i].model)
 				held = held[:i+1]
 			}
@@ -310,7 +371,6 @@ func driveAvailView(t *testing.T, data []byte) {
 				i := int(next()) % len(held)
 				v.CommitPrefix(held[i].v)
 				vs.CommitPrefix(held[i].v)
-				vr.CommitPrefix(held[i].vr)
 				model.commitPrefix(held[i].model)
 				sum.commit(all, model.base)
 				held = held[i:]
@@ -319,8 +379,6 @@ func driveAvailView(t *testing.T, data []byte) {
 			base = newBase()
 			v.Reset(slices.Clone(base))
 			vs.Reset(slices.Clone(base))
-			vr.Reset(slices.Clone(base))
-			vr.refMode = true
 			model.reset(base)
 			sum.reset(base, nil)
 			pending = false
@@ -337,7 +395,6 @@ func driveAvailView(t *testing.T, data []byte) {
 			}
 			v.SetEligible(elig)
 			vs.SetEligible(elig)
-			vr.SetEligible(elig)
 			model.setEligible(elig)
 			sum.reset(model.base, elig)
 		case 2: // Apply a tentative batch (duplicates allowed)
@@ -369,21 +426,18 @@ func driveAvailView(t *testing.T, data []byte) {
 			v.Rollback()
 			vs.rollbackStepwise(vs.undoBase)
 			sameIndex(t, v, vs)
-			vr.Rollback()
 			model.rollback()
 			pending = false
 		case 7: // CommitBase (requires no tentative assignments)
 			if pending {
 				v.Rollback()
 				vs.rollbackStepwise(vs.undoBase)
-				vr.Rollback()
 				model.rollback()
 				pending = false
 			}
 			ids, rel := batch()
 			v.CommitBase(ids, rel)
 			vs.CommitBase(ids, rel)
-			vr.CommitBase(ids, rel)
 			model.commitBase(ids, rel)
 			sum.commit(ids, rel)
 		}
@@ -397,13 +451,12 @@ func driveAvailView(t *testing.T, data []byte) {
 	v.Rollback()
 	vs.rollbackStepwise(vs.undoBase)
 	sameIndex(t, v, vs)
-	vr.Rollback()
 	model.rollback()
 	check(v.Eligible())
 }
 
 // TestAvailViewDifferential drives long random op sequences over the
-// indexed view, its refMode full-sort twin and the independent reference
+// indexed view and the independent reference
 // model, across the fleet sizes of availViewSizes, the small random ones,
 // and a spread of seeds.
 func TestAvailViewDifferential(t *testing.T) {

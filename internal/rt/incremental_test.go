@@ -223,8 +223,8 @@ func (ls *lockstep) setNodeState(id int, st cluster.NodeState) {
 
 func (ls *lockstep) addNode(nc dlt.NodeCost) {
 	ls.t.Helper()
-	ida, ea := ls.a.AddNode(nc, ls.now)
-	idb, eb := ls.ref.AddNode(nc, ls.now)
+	ida, ea := ls.a.Cluster().AddNode(nc, ls.now)
+	idb, eb := ls.ref.Cluster().AddNode(nc, ls.now)
 	if ida != idb || !errEqual(ea, eb) {
 		ls.t.Fatalf("AddNode diverges: (%d,%v) vs (%d,%v)", ida, ea, idb, eb)
 	}

@@ -8,12 +8,15 @@ import (
 	"time"
 
 	"rtdls/internal/cluster"
-	"rtdls/internal/dlt"
 	"rtdls/internal/errs"
 )
 
-// Observer receives admission-control lifecycle callbacks. All methods may
-// be nil-safe no-ops; see package trace for ready-made implementations.
+// Observer receives admission-control lifecycle callbacks: one OnAccept or
+// OnReject per decided task and one OnCommit per committed plan, in
+// decision order. It is installed with service.Config.Observer (or
+// rtdls.WithObserver), and the service makes every call, under its
+// shard's lock, next to the event it publishes. See package trace for
+// ready-made implementations.
 type Observer interface {
 	OnAccept(now float64, t *Task, p *Plan)
 	OnReject(now float64, t *Task)
@@ -69,14 +72,6 @@ type Scheduler struct {
 	// nothing a later admission test reads.
 	queueGen uint64
 
-	// Testing hooks (never set in production): forceRefView serves every view
-	// query from the full-sort reference implementation, and resyncEachUse
-	// rebuilds the view from a fresh snapshot on every test — together they
-	// reproduce the legacy per-submit sorted-slice behaviour for the
-	// bit-for-bit equivalence suite.
-	forceRefView  bool
-	resyncEachUse bool
-
 	// Admission counters live on atomics so Stats() — and every observer
 	// built on it, including the /metrics scrape — reads them without the
 	// caller's lock. Writes happen only inside serialized calls, so the
@@ -91,7 +86,6 @@ type Scheduler struct {
 	plansReused   atomic.Int64
 	demandRejects atomic.Int64
 
-	obs       Observer
 	stageObs  StageObserver
 	committed []*Plan // backs what CommitDue returns
 }
@@ -108,16 +102,6 @@ func NewScheduler(cl *cluster.Cluster, pol Policy, part Partitioner) *Scheduler 
 	return &Scheduler{cl: cl, pol: pol, part: part}
 }
 
-// SetObserver installs lifecycle callbacks (nil disables them). Callbacks
-// run inside the caller's serialized call and must not re-enter it. If obs
-// also implements StageObserver, per-stage timing spans are enabled too.
-func (s *Scheduler) SetObserver(obs Observer) {
-	s.obs = obs
-	if so, ok := obs.(StageObserver); ok && s.stageObs == nil {
-		s.stageObs = so
-	}
-}
-
 // SetStageObserver installs per-stage timing callbacks (nil disables
 // them). The observer runs inside the caller's serialized call, once per
 // admission test, and must be cheap and concurrency-safe.
@@ -130,9 +114,6 @@ func (s *Scheduler) Cluster() *cluster.Cluster { return s.cl }
 
 // Policy returns the execution-order policy.
 func (s *Scheduler) Policy() Policy { return s.pol }
-
-// Partitioner returns the partitioning module.
-func (s *Scheduler) Partitioner() Partitioner { return s.part }
 
 // Submit runs the schedulability test for a newly arrived task and either
 // admits it (installing the new feasible schedule for the whole waiting
@@ -166,18 +147,18 @@ func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
 	}
 	s.sync()
 	out, pl, st, err := s.q.test(s.pol, s.part, t, now, t0)
-	s.land(out, t, now, pl, st)
+	s.land(out, st)
 	return pl, err
 }
 
 // land is where every admission test ends, whether it ran here on the
 // live state (Submit) or on a speculation context whose outcome is being
 // installed: the test's account lands on the plan counters and the stage
-// observer, and the outcome on its counter and the lifecycle observer. For
-// an accept the schedule now in q — a whole-queue test's against the
-// current cluster state — is the one that admitted t. A test that ended in
-// a hard error (SpecFallback) decided nothing and counts as no arrival.
-func (s *Scheduler) land(out SpecOutcome, t *Task, now float64, pl *Plan, st SpecStages) {
+// observer, and the outcome on its counter. For an accept the schedule now
+// in q — a whole-queue test's against the current cluster state — is the
+// one that admitted the task. A test that ended in a hard error
+// (SpecFallback) decided nothing and counts as no arrival.
+func (s *Scheduler) land(out SpecOutcome, st SpecStages) {
 	s.plansComputed.Add(int64(st.Computed))
 	s.plansReused.Add(int64(st.Reused))
 	if st.DemandReject {
@@ -198,14 +179,8 @@ func (s *Scheduler) land(out SpecOutcome, t *Task, now float64, pl *Plan, st Spe
 			s.maxQueue.Store(n)
 		}
 		s.queueGen++
-		if s.obs != nil {
-			s.obs.OnAccept(now, t, pl)
-		}
 	case SpecReject:
 		s.rejects.Add(1)
-		if s.obs != nil {
-			s.obs.OnReject(now, t)
-		}
 	}
 }
 
@@ -223,7 +198,7 @@ func (s *Scheduler) sync() {
 	if s.planVersion != v {
 		s.q.hinted = false
 	}
-	if s.q.view != nil && !s.resyncEachUse && s.clVersion == v {
+	if s.q.view != nil && s.clVersion == v {
 		return
 	}
 	s.availBuf = s.cl.AvailInto(s.availBuf)
@@ -234,7 +209,6 @@ func (s *Scheduler) sync() {
 		elig = s.eligBuf
 	}
 	s.q.resetView(s.availBuf, elig)
-	s.q.view.refMode = s.forceRefView
 	s.q.p, s.q.costs = s.cl.Params(), s.cl.Costs()
 	s.clVersion = v
 }
@@ -256,13 +230,6 @@ func (s *Scheduler) SetNodeState(id int, st cluster.NodeState, now float64) (dis
 		return nil, nil
 	}
 	return s.Revalidate(now)
-}
-
-// AddNode grows the cluster by one node with the given cost coefficients,
-// available from availFrom, and returns its id. Waiting plans are
-// untouched — the new capacity is picked up by the next admission test.
-func (s *Scheduler) AddNode(nc dlt.NodeCost, availFrom float64) (int, error) {
-	return s.cl.AddNode(nc, availFrom)
 }
 
 // Revalidate re-runs the schedulability test for every waiting task
@@ -328,16 +295,13 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	// neither resnapshots all N nodes nor re-plans the tasks that stay. An
 	// error leaves both stamps behind, which safely forces a full resync.
 	before := s.cl.Version()
-	synced := s.q.view != nil && !s.resyncEachUse && s.clVersion == before
+	synced := s.q.view != nil && s.clVersion == before
 	s.committed = s.committed[:0]
 	err := s.q.sweep(now, synced, func(pl *Plan) error {
 		if err := s.cl.Commit(pl.Nodes, pl.Starts, pl.Release, pl.ReservedIdle); err != nil {
 			return fmt.Errorf("rt: committing task %d: %w", pl.Task.ID, err)
 		}
 		s.commits.Add(1)
-		if s.obs != nil {
-			s.obs.OnCommit(now, pl)
-		}
 		s.committed = append(s.committed, pl)
 		return nil
 	})

@@ -15,9 +15,9 @@ import (
 // scheduler — persistent indexed view, incremental base sync,
 // infeasibility fast-reject, plans and view checkpoints kept across
 // arrivals — must emit exactly the same admission decisions, plans,
-// commits, displacements and counters as a scheduler forced into the
-// legacy behaviour (full re-sorted snapshot per submit via the reference
-// full-sort view, no fast-reject, every plan recomputed) over identical
+// commits, displacements and counters as the reference scheduler
+// (refScheduler: a fresh snapshot per submit and per sweep, a fully sorted
+// view per plan, no fast-reject, every plan recomputed) over identical
 // randomized streams with fleet churn and hopeless tasks mixed in.
 
 // noHint is the full-replan reference: it hides PlanContext.Prior from the
@@ -102,9 +102,7 @@ func equivDrive(t *testing.T, pol Policy, part Partitioner, hetero bool, seed ui
 	const n = 12
 	cla, clb := equivClusters(t, n, hetero)
 	a := NewScheduler(cla, pol, part)
-	b := NewScheduler(clb, pol, planOnly{noHint{part}})
-	b.forceRefView = true
-	b.resyncEachUse = true
+	b := newRefScheduler(clb, pol, part)
 
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	now := 0.0
@@ -130,8 +128,8 @@ func equivDrive(t *testing.T, pol Policy, part Partitioner, hetero bool, seed ui
 		}
 		if i > 0 && i%80 == 0 {
 			nc := dlt.NodeCost{Cms: 0.8, Cps: 95}
-			ida, ea := a.AddNode(nc, now)
-			idb, eb := b.AddNode(nc, now)
+			ida, ea := a.Cluster().AddNode(nc, now)
+			idb, eb := b.Cluster().AddNode(nc, now)
 			if !errEqual(ea, eb) || ida != idb {
 				t.Fatalf("step %d: AddNode diverges: (%d,%v) vs (%d,%v)", i, ida, ea, idb, eb)
 			}
@@ -213,6 +211,9 @@ func equivDrive(t *testing.T, pol Policy, part Partitioner, hetero bool, seed ui
 	if _, refReused := b.PlanCounts(); reused == 0 || refReused != 0 {
 		t.Fatalf("reused %d plans (reference %d): wanted plans kept on the production side only", reused, refReused)
 	}
+	if b.plans == 0 {
+		t.Fatal("the reference planned nothing on a fresh view")
+	}
 }
 
 func TestSchedulerIndexedEquivalence(t *testing.T) {
@@ -242,9 +243,7 @@ func TestClockSteppingBackMatchesReference(t *testing.T) {
 			const n = 12
 			cla, clb := equivClusters(t, n, hetero)
 			a := NewScheduler(cla, pol, IITDLT{})
-			b := NewScheduler(clb, pol, planOnly{noHint{IITDLT{}}})
-			b.forceRefView = true
-			b.resyncEachUse = true
+			b := newRefScheduler(clb, pol, IITDLT{})
 
 			rng := rand.New(rand.NewPCG(5, uint64(len(pol.String()))))
 			now, accepted, steps := 0.0, false, 0

@@ -237,36 +237,6 @@ func TestWaitingTaskReplannedOnArrival(t *testing.T) {
 	}
 }
 
-type countingObs struct {
-	accepts, rejects, commits int
-	lastEst                   float64
-}
-
-func (c *countingObs) OnAccept(now float64, t *Task, p *Plan) { c.accepts++; c.lastEst = p.Est }
-func (c *countingObs) OnReject(now float64, t *Task)          { c.rejects++ }
-func (c *countingObs) OnCommit(now float64, p *Plan)          { c.commits++ }
-
-func TestObserverCallbacks(t *testing.T) {
-	s := newSched(t, 16, EDF, IITDLT{})
-	obs := &countingObs{}
-	s.SetObserver(obs)
-	if ok, _ := s.Submit(&Task{ID: 1, Arrival: 0, Sigma: 200, RelDeadline: 2718}, 0); !ok {
-		t.Fatal("accept failed")
-	}
-	if ok, _ := s.Submit(&Task{ID: 2, Arrival: 0, Sigma: 200, RelDeadline: 201}, 0); ok {
-		t.Fatal("should reject")
-	}
-	if _, err := s.CommitDue(0); err != nil {
-		t.Fatal(err)
-	}
-	if obs.accepts != 1 || obs.rejects != 1 || obs.commits != 1 {
-		t.Fatalf("observer saw %d/%d/%d", obs.accepts, obs.rejects, obs.commits)
-	}
-	if obs.lastEst <= 0 {
-		t.Fatalf("observer plan estimate missing")
-	}
-}
-
 // TestNoAdmittedDeadlineMiss floods a small cluster and verifies the
 // paper's correctness property end to end at the scheduler level: every
 // committed plan's exact dispatch meets its absolute deadline.

@@ -20,8 +20,8 @@ import "time"
 // the live, incrementally maintained state, so every decision is still
 // made against serialized state and the decision stream is bit-for-bit
 // what a purely serialized execution would produce. Wherever a test ran,
-// its outcome reaches the counters, the observers and the test's account
-// through the one land (scheduler.go).
+// its outcome reaches the counters, the stage observer and the test's
+// account through the one land (scheduler.go).
 //
 // A context whose outcome installed holds exactly the scheduler's new
 // state — same commits folded into its base, same schedule, still applied
@@ -222,9 +222,9 @@ func (s *Scheduler) Speculate(sc *SpecContext, t *Task, now float64) SpecOutcome
 // speculation lands here, keeping one sample per stage per submit.
 func (s *Scheduler) Install(t *Task, now float64, pl *Plan, sched Schedule, st SpecStages) {
 	if pl == nil {
-		s.land(SpecReject, t, now, nil, st)
+		s.land(SpecReject, st)
 		return
 	}
 	s.q.adopt(sched, now)
-	s.land(SpecAccept, t, now, pl, st)
+	s.land(SpecAccept, st)
 }

@@ -160,28 +160,6 @@ func TestStageSpansAfterLateObserverInstall(t *testing.T) {
 	}
 }
 
-func TestStageObserverViaSetObserver(t *testing.T) {
-	// A decision observer that also implements StageObserver is picked up
-	// by plain SetObserver — the service layer installs its Metrics this
-	// way.
-	s := newSched(t, 4, EDF, IITDLT{})
-	type both struct {
-		countingObs
-		stageRecorder
-	}
-	obs := &both{}
-	s.SetObserver(obs)
-	if ok, err := s.Submit(&Task{ID: 1, Arrival: 0, Sigma: 100, RelDeadline: 5000}, 0); err != nil || !ok {
-		t.Fatalf("Submit = %v, %v", ok, err)
-	}
-	if obs.accepts != 1 {
-		t.Fatalf("decision observer missed the accept")
-	}
-	if got := obs.count(StagePlan); got != 1 {
-		t.Fatalf("stage observer missed plan span (count %d)", got)
-	}
-}
-
 func TestStageStrings(t *testing.T) {
 	want := map[Stage]string{
 		StageCandidate: "candidate",

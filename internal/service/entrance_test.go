@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,7 +112,8 @@ type outcome struct {
 // a batch of one, speculation on or off, the live replay after an epoch
 // conflict — it walks the same stamp, sweep, gate, test and finish, so the
 // decision, the ledger, the event, the legacy observer's callback and the
-// /metrics samples it leaves are the same.
+// /metrics samples it leaves are the same, and the observer and the event
+// stream name the same outcomes in the same order.
 func TestEveryEntranceSameOutcome(t *testing.T) {
 	type entrance struct {
 		name     string
@@ -316,6 +318,21 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 		}
 		if refused := strings.Contains(o.Err, "closed") || strings.Contains(o.Err, "draining"); e.conflict && forced == refused {
 			t.Fatalf("epoch moved under the probe: %v, probe refused at the door: %v", forced, refused)
+		}
+		// One announcer: the observer heard exactly the accepts, rejects and
+		// commits the stream carried, in the same order and at the same times.
+		var heard, carried []string
+		for _, c := range o.Calls {
+			c, _, _ = strings.Cut(c, " on ")
+			heard = append(heard, c)
+		}
+		for _, ev := range o.Events {
+			if ev.Kind != EventDisplace {
+				carried = append(carried, fmt.Sprintf("%v %d at %v", ev.Kind, ev.Task.ID, ev.Time))
+			}
+		}
+		if !slices.Equal(heard, carried) {
+			t.Fatalf("the observer heard %q, the stream carried %q", heard, carried)
 		}
 		// And /metrics says what Stats says.
 		for series, want := range map[string]int{

@@ -33,9 +33,11 @@ type Config struct {
 	// ManualClock at 0 (time is then driven by task arrival stamps).
 	Clock Clock
 
-	// Observer optionally receives the legacy rt.Observer callbacks
-	// exactly as the scheduler emits them (accept/reject inside the
-	// schedulability test, commit when a transmission starts). New code
+	// Observer optionally receives the legacy rt.Observer callbacks. This
+	// is their one installation path (rtdls.WithObserver lands here): the
+	// service makes every call under its lock, next to the event it
+	// publishes — one accept or reject per decided task, whatever decided
+	// it, and one commit per plan whose transmission starts. New code
 	// should prefer Subscribe.
 	Observer rt.Observer
 
@@ -243,9 +245,6 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("service: negative shard index %d: %w", cfg.Shard, errs.ErrBadConfig)
 	}
 	sched := rt.NewScheduler(cfg.Cluster, cfg.Policy, cfg.Partitioner)
-	if cfg.Observer != nil {
-		sched.SetObserver(cfg.Observer)
-	}
 	bus, ownBus := cfg.Bus, false
 	if bus == nil {
 		bus, ownBus = NewBus(), true
@@ -417,11 +416,15 @@ func (s *Service) decide(sc *rt.SpecContext, t *rt.Task) (now float64, reason er
 	return now, reason, pl, nil
 }
 
-// finishLocked turns an outcome into its event and its Decision. The
-// scheduler has counted, and told the legacy observer of, the outcomes of
-// its own test; a gate reject never reached it, so both happen here.
+// finishLocked turns an outcome into its event, its observer callback and
+// its Decision: the one place every outcome is announced. The scheduler has
+// counted the outcomes of its own test; a gate reject never reached it, so
+// it is counted here.
 func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *rt.Plan) Decision {
 	if pl != nil {
+		if s.obs != nil {
+			s.obs.OnAccept(now, t, pl)
+		}
 		s.publishLocked(Event{
 			Kind: EventAccept, Time: now, Task: *t,
 			Nodes: len(pl.Nodes), Est: pl.Est,
@@ -434,9 +437,9 @@ func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *
 		} else {
 			s.pastRejects.Add(1)
 		}
-		if s.obs != nil {
-			s.obs.OnReject(now, t)
-		}
+	}
+	if s.obs != nil {
+		s.obs.OnReject(now, t)
 	}
 	s.publishLocked(Event{Kind: EventReject, Time: now, Task: *t, Reason: reason})
 	return Decision{TaskID: t.ID, At: now, Shard: s.shard, Reason: reason}
@@ -493,6 +496,9 @@ func (s *Service) commitDueLocked(now float64) error {
 		return err
 	}
 	for _, pl := range plans {
+		if s.obs != nil {
+			s.obs.OnCommit(now, pl)
+		}
 		// Multi-round plans carry an exact simulated Est, and OPR-style
 		// plans complete exactly at Est (all nodes start at r_n); only
 		// staggered single-round dispatches need the timeline re-simulated

@@ -49,11 +49,11 @@ type Record struct {
 }
 
 // Ring is a bounded event recorder implementing rt.Observer. A Ring with
-// capacity 0 only counts events. It has no locking of its own, but every
-// installation path (service.Config.Observer, Scheduler.SetObserver)
-// serialises observer callbacks under the owner's lock, so one Ring per
-// scheduler is safe even with concurrent submitters; do not share a Ring
-// across schedulers or read it while a run is in flight.
+// capacity 0 only counts events. It has no locking of its own, but its one
+// installation path (service.Config.Observer, or rtdls.WithObserver) has
+// the service make every callback under its shard's lock, so one Ring per
+// shard is safe even with concurrent submitters; do not share a Ring
+// across shards or read it while a run is in flight.
 type Ring struct {
 	cap     int
 	buf     []Record
