@@ -247,7 +247,7 @@ func TestServiceSubmitAllocs(t *testing.T) {
 	// arena and the committed plans land in a buffer the scheduler keeps,
 	// so neither allocates per submit. 5 leaves noise headroom while still
 	// catching a plan that allocates again, a node search that allocates
-	// per candidate, a dispatch re-simulation that allocates per commit, or
+	// per candidate, a commit that allocates, or
 	// a systematic extra allocation per submit.
 	if allocs > 5 {
 		t.Fatalf("Submit allocates %.1f times per accepted task, want <= 5", allocs)

@@ -72,13 +72,3 @@ func SimulateDispatchWithOutput(p Params, sigma, delta float64, avail, alphas []
 	}
 	return od, nil
 }
-
-// OutputAwareExecTimeBound returns a safe upper bound on the completion of
-// a single-round dispatch with result collection: the input-only
-// completion plus the full serialised result traffic δ·σ·Cms. It bounds
-// SimulateDispatchWithOutput's OutputCompletion for any partition, because
-// the link can always drain all results within δ·σ·Cms once the last node
-// finishes.
-func OutputAwareExecTimeBound(inputCompletion float64, p Params, sigma, delta float64) float64 {
-	return inputCompletion + delta*sigma*p.Cms
-}

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// OutputAwareExecTimeBound returns a safe upper bound on the completion of
+// a single-round dispatch with result collection: the input-only
+// completion plus the full serialised result traffic δ·σ·Cms. It bounds
+// SimulateDispatchWithOutput's OutputCompletion for any partition, because
+// the link can always drain all results within δ·σ·Cms once the last node
+// finishes.
+func OutputAwareExecTimeBound(inputCompletion float64, p Params, sigma, delta float64) float64 {
+	return inputCompletion + delta*sigma*p.Cms
+}
+
 func TestOutputZeroDeltaReducesToDispatch(t *testing.T) {
 	avail := []float64{0, 10, 300}
 	alphas := baseline.Alphas(3)

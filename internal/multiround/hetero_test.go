@@ -1,6 +1,7 @@
 package multiround
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -9,6 +10,23 @@ import (
 	"rtdls/internal/dlt"
 	"rtdls/internal/rt"
 )
+
+// ScheduleHetero is Schedule over per-node cost coefficients: node i's
+// installments are transmitted at its own Cms_i and computed at its own
+// Cps_i. costs, avail and totals are parallel, in dispatch order. With
+// every cost equal it reproduces Schedule operation for operation.
+func ScheduleHetero(costs []dlt.NodeCost, sigma float64, avail, totals []float64, rounds int) (*Timeline, error) {
+	n := len(costs)
+	if n == 0 || len(avail) != n || len(totals) != n {
+		return nil, fmt.Errorf("multiround: %d costs, %d avail times, %d totals", n, len(avail), len(totals))
+	}
+	for i, c := range costs {
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("multiround: costs[%d]: %w", i, err)
+		}
+	}
+	return newTimeline(dlt.Params{}, costs, sigma, avail, totals, rounds)
+}
 
 // TestScheduleHeteroUniformBitIdentical: the per-node-cost timeline with a
 // uniform table reproduces the homogeneous Schedule exactly.

@@ -42,23 +42,6 @@ func Schedule(p dlt.Params, sigma float64, avail, totals []float64, rounds int) 
 	return newTimeline(p, nil, sigma, avail, totals, rounds)
 }
 
-// ScheduleHetero is Schedule over per-node cost coefficients: node i's
-// installments are transmitted at its own Cms_i and computed at its own
-// Cps_i. costs, avail and totals are parallel, in dispatch order. With
-// every cost equal it reproduces Schedule operation for operation.
-func ScheduleHetero(costs []dlt.NodeCost, sigma float64, avail, totals []float64, rounds int) (*Timeline, error) {
-	n := len(costs)
-	if n == 0 || len(avail) != n || len(totals) != n {
-		return nil, fmt.Errorf("multiround: %d costs, %d avail times, %d totals", n, len(avail), len(totals))
-	}
-	for i, c := range costs {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("multiround: costs[%d]: %w", i, err)
-		}
-	}
-	return newTimeline(dlt.Params{}, costs, sigma, avail, totals, rounds)
-}
-
 // newTimeline is scheduleInto with a timeline of its own.
 func newTimeline(p dlt.Params, costs []dlt.NodeCost, sigma float64, avail, totals []float64, rounds int) (*Timeline, error) {
 	tl := &Timeline{Finish: make([]float64, len(avail))}
@@ -69,11 +52,11 @@ func newTimeline(p dlt.Params, costs []dlt.NodeCost, sigma float64, avail, total
 	return tl, nil
 }
 
-// scheduleInto runs the simulation for Schedule and ScheduleHetero, which
-// have checked the coefficients and the lengths: node i costs costs[i], or
-// p when costs is nil. The per-node finish times go to finish, which holds
-// each node's running computation end in between; the completion time is
-// returned.
+// scheduleInto runs the simulation for Schedule and for the partitioner's
+// estimate, whose inputs have checked coefficients and lengths: node i
+// costs costs[i], or p when costs is nil. The per-node finish times go to
+// finish, which holds each node's running computation end in between; the
+// completion time is returned.
 func scheduleInto(finish []float64, p dlt.Params, costs []dlt.NodeCost, sigma float64, avail, totals []float64, rounds int) (float64, error) {
 	if rounds < 1 {
 		return 0, fmt.Errorf("multiround: rounds must be >= 1, got %d", rounds)

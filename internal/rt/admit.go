@@ -3,7 +3,6 @@ package rt
 import (
 	"errors"
 	"math"
-	"sort"
 	"time"
 
 	"rtdls/internal/dlt"
@@ -209,7 +208,14 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 	// TempTaskList ← NewTask + TaskWaitingQueue, ordered by the policy: t
 	// goes in front of the first waiting task it precedes. The queue is in
 	// policy order, a total one, so that task is found by bisection.
-	p := sort.Search(len(q.queue), func(i int) bool { return pol.Less(t, q.queue[i].task) })
+	p, hi := 0, len(q.queue)
+	for p < hi {
+		if h := int(uint(p+hi) >> 1); pol.Less(t, q.queue[h].task) {
+			hi = h
+		} else {
+			p = h + 1
+		}
+	}
 	q.planAt(now)
 
 	// Two shortcuts for FastRejecter partitioners; the demand bound needs no view.

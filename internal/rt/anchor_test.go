@@ -11,7 +11,8 @@ import (
 
 // floorPlan is PlanMinNodes with the node search started where Fig. 2
 // starts it, at the bound of the slack from the start floor: the
-// specification the anchored start must reproduce, plan and seal.
+// specification the anchored start must reproduce, bit for bit. The seals
+// may differ; checkSeal holds each to what keepPriorMinNodes needs of it.
 func floorPlan(ctx *PlanContext, t *Task, e Estimator) (*Plan, error) {
 	absD := t.AbsDeadline()
 	slack := absD - ctx.startFloor(t)
@@ -27,6 +28,66 @@ func floorPlan(ctx *PlanContext, t *Task, e Estimator) (*Plan, error) {
 	return pl, nil
 }
 
+// boundAtR1 reports whether PlanMinNodes, for an anchored estimator, takes
+// its bound at the slack from r_1 — widened as its comment says — because
+// that is below the slack from the start floor. Its plan then starts at r_1.
+func boundAtR1(ctx *PlanContext, task *Task) bool {
+	if ctx.heteroCosts() != nil || ctx.N == 0 {
+		return false
+	}
+	absD, floor, r1 := task.AbsDeadline(), ctx.startFloor(task), ctx.View.EarliestTimeAt(1)
+	wide := 1 + 1e-9*(ctx.P.Cms+ctx.P.Cps)/ctx.P.Cms
+	return r1 > floor && (absD+2*deadlineEps(absD)-r1)*wide < absD-floor
+}
+
+// checkSeal fails the test unless pl, a fresh plan of PlanMinNodes planned
+// on ctx, carries a seal keepPriorMinNodes can trust, and reports whether
+// it is sealed. The plan must be sealed when the bound fits it at the slack
+// of its own first start, and when an anchored search (anchored set) took
+// its bound at r_1; the bound at the seal must fit the plan; and at every
+// start floor of a grid from the current one to the plan's first start —
+// where the plan can be offered back — keepPriorMinNodes must keep the plan
+// exactly when the bound at that floor's slack fits it.
+func checkSeal(t *testing.T, ctx *PlanContext, task *Task, pl *Plan, anchored bool) bool {
+	t.Helper()
+	absD, floor, first := task.AbsDeadline(), ctx.startFloor(task), pl.FirstStart()
+	fits := func(slack float64) bool {
+		n, ok := ctx.minNodes(task, slack)
+		return ok && n <= len(pl.Nodes)
+	}
+	sealed := pl.minSlack > 0
+	if !sealed && (fits(absD-first) || anchored && boundAtR1(ctx, task)) {
+		t.Fatalf("task %d (floor %v, first start %v, deadline %v): plan on %d nodes is not sealed",
+			task.ID, floor, first, absD, len(pl.Nodes))
+	}
+	if sealed && !fits(pl.minSlack) {
+		t.Fatalf("task %d (floor %v, first start %v, deadline %v): sealed at slack %v, where the bound exceeds %d nodes",
+			task.ID, floor, first, absD, pl.minSlack, len(pl.Nodes))
+	}
+	floors := []float64{first, absD - pl.minSlack}
+	for k := 0; k < 8; k++ {
+		floors = append(floors, floor+(first-floor)*float64(k)/8)
+	}
+	for f, k := first, 0; k < 3; k++ {
+		f = math.Nextafter(f, math.Inf(-1))
+		floors = append(floors, f)
+	}
+	offer := *ctx
+	offer.Prior = pl
+	for _, f := range floors {
+		if !(f >= floor && f <= first) {
+			continue
+		}
+		offer.Now = f
+		got, err := offer.keepPriorMinNodes(task)
+		if kept, want := got == pl && err == nil, fits(absD-f); kept != want || !kept && !errors.Is(err, ErrPriorDeclined) {
+			t.Fatalf("task %d (floor %v, first start %v, deadline %v, seal %v): offered at floor %v, kept %v (%v), want %v",
+				task.ID, floor, first, absD, pl.minSlack, f, kept, err, want)
+		}
+	}
+	return sealed
+}
+
 // anchoredPartitioners are the partitioners whose search is anchored.
 var anchoredPartitioners = []interface {
 	Partitioner
@@ -35,9 +96,9 @@ var anchoredPartitioners = []interface {
 
 // sameAnchored fails the test unless, for each anchored partitioner, Plan
 // and the floor-started search end the same way: the same error class, or
-// plans equal bit for bit, seal included. It returns how many of the floor
-// searches ran a failing candidate past an earliest node busy after the
-// start floor, which is what the anchor may skip.
+// plans equal bit for bit, each sealed as checkSeal requires. It returns
+// how many of the floor searches ran a failing candidate past an earliest
+// node busy after the start floor, which is what the anchor may skip.
 func sameAnchored(t *testing.T, ctx *PlanContext, task *Task) (skippable int) {
 	t.Helper()
 	absD, floor := task.AbsDeadline(), ctx.startFloor(task)
@@ -51,10 +112,12 @@ func sameAnchored(t *testing.T, ctx *PlanContext, task *Task) (skippable int) {
 		if err != nil {
 			continue
 		}
-		if !samePlan(got, want) || got.minSlack != want.minSlack {
+		if !samePlan(got, want) {
 			t.Fatalf("%s (β=%v, N=%d, floor %v, r_1 %v, deadline %v): the anchored plan differs:\n got  %+v\n want %+v",
 				part.Name(), ctx.P.Beta(), ctx.N, floor, ctx.View.EarliestTimeAt(1), absD, *got, *want)
 		}
+		checkSeal(t, ctx, task, got, true)
+		checkSeal(t, ctx, task, want, false)
 		if n0, _ := ctx.minNodes(task, absD-floor); ctx.View.EarliestTimeAt(1) > floor && len(want.Nodes) > n0 {
 			skippable++
 		}
@@ -207,9 +270,11 @@ func TestAnchorSkipsCandidates(t *testing.T) {
 		if err != nil || wantErr != nil || heldErr != nil {
 			t.Fatalf("deadline %v: errors %v, %v, %v", d, err, wantErr, heldErr)
 		}
-		if !samePlan(got, want) || !samePlan(held, want) || got.minSlack != want.minSlack {
+		if !samePlan(got, want) || !samePlan(held, want) {
 			t.Fatalf("deadline %v: plans differ:\n anchored %+v\n floor    %+v\n held     %+v", d, *got, *want, *held)
 		}
+		checkSeal(t, ctx, task, got, true)
+		checkSeal(t, ctx, task, held, false)
 		if anchoredN > floorN || heldN != floorN {
 			t.Fatalf("deadline %v: %d candidates anchored, %d from the floor, %d held; want at most the floor's, and the floor's",
 				d, anchoredN, floorN, heldN)

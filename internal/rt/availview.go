@@ -153,10 +153,6 @@ func (v *AvailView) SetEligible(elig []bool) {
 // N returns the number of nodes.
 func (v *AvailView) N() int { return len(v.times) }
 
-// Eligible returns the number of placeable nodes — callers size
-// EarliestInto's k against it, not against N, when a mask is installed.
-func (v *AvailView) Eligible() int { return v.eligible }
-
 // before reports whether node a (at time ta) sorts before node b (at tb)
 // under the view's total order (eligible, time, id) — the single comparison
 // behind the rebuild's full sort and every search of the index. Without a
@@ -351,8 +347,8 @@ func (v *AvailView) checkK(k int) {
 
 // EarliestInto fills ids and times (which must have equal length k) with
 // the k earliest-available eligible nodes, ordered by (release time, id).
-// It panics if k is out of range — callers size k against Eligible() (==
-// N() without a mask).
+// It panics if k is out of range — callers size k against the eligible
+// count (== N() without a mask).
 func (v *AvailView) EarliestInto(ids []int, times []float64) {
 	if len(ids) != len(times) {
 		panic(fmt.Sprintf("rt: AvailView.EarliestInto: %d ids, %d times", len(ids), len(times)))

@@ -1,5 +1,9 @@
 package rt
 
+// Eligible returns the number of placeable nodes — callers size
+// EarliestInto's k against it, not against N, when a mask is installed.
+func (v *AvailView) Eligible() int { return v.eligible }
+
 // ClampedStarts materialises r_k = max(Release(node_k), A_i, now) for the k
 // earliest-available nodes into fresh slices, as the node search loads a
 // candidate.

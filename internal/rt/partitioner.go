@@ -181,20 +181,24 @@ type anchored interface{ anchored() }
 // dispatch (Theorem 4) and OPR's r_n + E(σ,n) at least r_1 + E(σ,n), so
 // every smaller n fails. The slack is widened by ε and by 10⁻⁹/(1 − β),
 // as the rounding of E(σ,n) grows, so no candidate that meets it is skipped.
+// The bound is taken once, at the smaller slack: ñ_min never falls as the
+// slack shrinks, nor does a failing bound recover.
 func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 	if ctx.Prior != nil {
 		return ctx.keepPriorMinNodes(t)
 	}
 	absD, floor := t.AbsDeadline(), ctx.startFloor(t)
 	eps := deadlineEps(absD)
-	n0, ok := ctx.minNodes(t, absD-floor)
-	if _, a := e.(anchored); a && ok && n0 <= ctx.N && ctx.heteroCosts() == nil {
+	from, atR1 := absD-floor, false
+	if _, a := e.(anchored); a && ctx.N > 0 && ctx.heteroCosts() == nil {
 		if r1 := ctx.View.EarliestTimeAt(1); r1 > floor {
 			wide := 1 + 1e-9*(ctx.P.Cms+ctx.P.Cps)/ctx.P.Cms
-			n1, ok1 := ctx.minNodes(t, (absD+2*eps-r1)*wide)
-			n0, ok = max(n0, n1), ok1
+			if s := (absD + 2*eps - r1) * wide; s < from {
+				from, atR1 = s, true
+			}
 		}
 	}
+	n0, ok := ctx.minNodes(t, from)
 	if !ok || n0 > ctx.N {
 		return nil, ErrInfeasible // γ ≤ 0 or too few nodes, from the floor or r_1
 	}
@@ -202,7 +206,11 @@ func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx.sealMinNodes(pl, absD-floor)
+	if atR1 {
+		pl.minSlack = from // the plan starts at r_1: sealed where the bound was taken
+	} else {
+		ctx.sealMinNodes(pl, absD-floor)
+	}
 	return pl, nil
 }
 
@@ -224,14 +232,14 @@ func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 	return nil, ErrPriorDeclined
 }
 
-// sealMinNodes finishes a fresh plan of PlanMinNodes, given the slack from
-// the start floor, anchored search or not: it evaluates the bound once more
-// at the smallest slack the plan can ever be offered back at — the one at
-// its own first start — and, when the bound still fits the plan's node count
-// there, records that slack, so keepPriorMinNodes answers every later offer
-// with a comparison. A plan that starts at its start floor (so its search
-// was not anchored) is sealed at the given slack, where the bound is the
-// node count the search began at: no second evaluation. Without the seal
+// sealMinNodes finishes a fresh plan of PlanMinNodes whose search took its
+// bound at the given slack from the start floor (one that took it at r_1's
+// seals there): it evaluates the bound once more at the smallest slack the
+// plan can ever be offered back at — its own first start's — and, when the
+// bound still fits the plan's node count there, records that slack, so
+// keepPriorMinNodes answers every later offer with a comparison. A plan that
+// starts at its start floor is sealed at the given slack, where the bound is
+// the node count the search began at: no second evaluation. Without the seal
 // each waiting task costs every arrival a bound evaluation, and a
 // late-deadline arrival behind a long queue spends its time on those:
 // BenchmarkSubmitQueued grows x7.7 from 8 to 128 waiting tasks.

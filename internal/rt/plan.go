@@ -14,8 +14,9 @@ type Plan struct {
 	Nodes  []int     // node ids, ordered by available time
 	Starts []float64 // per node: when the node is occupied by this task
 	// Release holds the per-node release times used for bookkeeping. For
-	// DLT-IIT and the OPR baselines every entry equals Est; for User-Split
-	// it is the analytically exact per-node completion time C_i.
+	// the OPR baselines every entry equals Est; otherwise entry i is node
+	// i's exact finish when Alphas is dispatched from Starts, so a
+	// single-round plan's latest entry is its actual completion.
 	Release []float64
 	Alphas  []float64 // load fractions, αᵢ ≥ 0, Σαᵢ = 1
 
@@ -41,7 +42,7 @@ type Plan struct {
 
 	// minSlack, when positive, is a slack (absolute deadline minus start
 	// floor) from which on the ñ_min(t) bound is known not to exceed
-	// len(Nodes); see PlanContext.sealMinNodes, its only writer.
+	// len(Nodes); PlanContext.PlanMinNodes and sealMinNodes write it.
 	minSlack float64
 }
 

@@ -159,8 +159,12 @@ func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
 // one that admitted the task. A test that ended in a hard error
 // (SpecFallback) decided nothing and counts as no arrival.
 func (s *Scheduler) land(out SpecOutcome, st SpecStages) {
-	s.plansComputed.Add(int64(st.Computed))
-	s.plansReused.Add(int64(st.Reused))
+	if st.Computed != 0 {
+		s.plansComputed.Add(int64(st.Computed))
+	}
+	if st.Reused != 0 {
+		s.plansReused.Add(int64(st.Reused))
+	}
 	if st.DemandReject {
 		s.demandRejects.Add(1)
 	}

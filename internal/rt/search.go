@@ -154,17 +154,12 @@ func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) 
 		if est > limit {
 			continue
 		}
+		// Cut zeroed from the arena, never twice: set field by field.
 		block := carve(&c.floats, 3*n, floatChunk)
 		pl := &carve(&c.plans, 1, planChunk)[0]
-		*pl = Plan{
-			Task:    t,
-			Nodes:   carve(&c.ints, n, intChunk),
-			Starts:  block[:n:n],
-			Release: block[n : 2*n : 2*n],
-			Alphas:  block[2*n:],
-			Est:     est,
-			Rounds:  1,
-		}
+		pl.Task, pl.Est, pl.Rounds = t, est, 1
+		pl.Nodes = carve(&c.ints, n, intChunk)
+		pl.Starts, pl.Release, pl.Alphas = block[:n:n], block[n:2*n:2*n], block[2*n:]
 		copy(pl.Nodes, c.IDs)
 		copy(pl.Starts, c.Starts)
 		if err := e.Finish(c, pl); err != nil {

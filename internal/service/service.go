@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -169,7 +170,7 @@ type ExecStats struct {
 // Subscribe and Stats. All methods may be called from any goroutine.
 type Service struct {
 	// mu is the shard's one lock: it serializes the scheduler (which has
-	// none), its cluster, the parked speculation contexts, exec, dispatch.
+	// none), its cluster, the parked speculation contexts and exec.
 	mu    sync.Mutex
 	cl    *cluster.Cluster
 	sched *rt.Scheduler
@@ -222,8 +223,7 @@ type Service struct {
 	specConflicts atomic.Int64
 	specFree      []*rt.SpecContext // under mu
 
-	exec     ExecStats    // under mu
-	dispatch dlt.Dispatch // under mu: commitDueLocked's re-simulation
+	exec ExecStats // under mu
 }
 
 // New validates the configuration and returns a ready service.
@@ -419,16 +419,18 @@ func (s *Service) decide(sc *rt.SpecContext, t *rt.Task) (now float64, reason er
 // finishLocked turns an outcome into its event, its observer callback and
 // its Decision: the one place every outcome is announced. The scheduler has
 // counted the outcomes of its own test; a gate reject never reached it, so
-// it is counted here.
+// it is counted here. The event is built only when someone subscribes.
 func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *rt.Plan) Decision {
 	if pl != nil {
 		if s.obs != nil {
 			s.obs.OnAccept(now, t, pl)
 		}
-		s.publishLocked(Event{
-			Kind: EventAccept, Time: now, Task: *t,
-			Nodes: len(pl.Nodes), Est: pl.Est,
-		})
+		if s.bus.HasSubscribers() {
+			s.publishLocked(Event{
+				Kind: EventAccept, Time: now, Task: *t,
+				Nodes: len(pl.Nodes), Est: pl.Est,
+			})
+		}
 		return newDecision(t.ID, now, s.shard, pl)
 	}
 	if reason != errs.ReasonInfeasible {
@@ -441,7 +443,9 @@ func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *
 	if s.obs != nil {
 		s.obs.OnReject(now, t)
 	}
-	s.publishLocked(Event{Kind: EventReject, Time: now, Task: *t, Reason: reason})
+	if s.bus.HasSubscribers() {
+		s.publishLocked(Event{Kind: EventReject, Time: now, Task: *t, Reason: reason})
+	}
 	return Decision{TaskID: t.ID, At: now, Shard: s.shard, Reason: reason}
 }
 
@@ -480,14 +484,19 @@ func (s *Service) publishLocked(ev Event) {
 
 // CommitDue commits every waiting plan whose first transmission start is
 // due at the given time, recording execution metrics from the exact
-// dispatch timelines. The driver calls it from its commit events; Submit
-// calls it implicitly.
+// dispatch timelines the plans were released by. The driver calls it from
+// its commit events; Submit calls it implicitly.
 func (s *Service) CommitDue(now float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.commitDueLocked(now)
 }
 
+// commitDueLocked commits what is due, announces each committed plan to the
+// observer and the bus, and adds it to exec at its actual completion:
+// Est for multi-round plans (an exact simulation) and for OPR-style ones
+// (all nodes start at r_n), the latest Release otherwise — a staggered
+// single-round plan releases each node at its exact finish (Plan.Release).
 func (s *Service) commitDueLocked(now float64) error {
 	// A sweep that fails has still committed the plans before the failing
 	// one: they are accounted like any other before the error is returned.
@@ -499,17 +508,9 @@ func (s *Service) commitDueLocked(now float64) error {
 		if s.obs != nil {
 			s.obs.OnCommit(now, pl)
 		}
-		// Multi-round plans carry an exact simulated Est, and OPR-style
-		// plans complete exactly at Est (all nodes start at r_n); only
-		// staggered single-round dispatches need the timeline re-simulated
-		// for the actual completion.
 		actual := pl.Est
 		if pl.Rounds <= 1 && !pl.SimultaneousStart {
-			d := &s.dispatch
-			if derr := s.cl.Costs().SimulateForInto(d, pl.Nodes, pl.Task.Sigma, pl.Starts, pl.Alphas); derr != nil {
-				return fmt.Errorf("service: dispatching task %d: %w", pl.Task.ID, derr)
-			}
-			actual = d.Completion
+			actual = slices.Max(pl.Release)
 		}
 		s.exec.Committed++
 		s.exec.RespSum += actual - pl.Task.Arrival
@@ -522,10 +523,12 @@ func (s *Service) commitDueLocked(now float64) error {
 		if absD := pl.Task.AbsDeadline(); l > 1e-9*math.Max(1, math.Abs(absD)) {
 			s.lateCommits.Add(1)
 		}
-		s.publishLocked(Event{
-			Kind: EventCommit, Time: now, Task: *pl.Task,
-			Nodes: len(pl.Nodes), Est: pl.Est,
-		})
+		if s.bus.HasSubscribers() {
+			s.publishLocked(Event{
+				Kind: EventCommit, Time: now, Task: *pl.Task,
+				Nodes: len(pl.Nodes), Est: pl.Est,
+			})
+		}
 	}
 	// Cluster accounting only changes on commit: refresh the lock-free
 	// mirrors Stats() reads.

@@ -84,6 +84,10 @@ type Generator struct {
 	next   float64
 	nextID int64
 	count  int
+
+	// Fixed by cfg, computed once in New: AvgDeadline, MeanInterarrival,
+	// and the 1 − βᴺ of ExecTime(σ, N).
+	avgD, meanIA, execDen float64
 }
 
 // New returns a generator for the configuration, or an error if the
@@ -93,11 +97,14 @@ func New(cfg Config) (*Generator, error) {
 		return nil, err
 	}
 	g := &Generator{
-		cfg:  cfg,
-		main: rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
-		aux:  rand.New(rand.NewPCG(cfg.Seed^0xd1b54a32d192ed03, cfg.Seed+0x632be59bd9b4e019)),
+		cfg:     cfg,
+		main:    rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
+		aux:     rand.New(rand.NewPCG(cfg.Seed^0xd1b54a32d192ed03, cfg.Seed+0x632be59bd9b4e019)),
+		avgD:    cfg.AvgDeadline(),
+		meanIA:  cfg.MeanInterarrival(),
+		execDen: 1 - math.Pow(cfg.Params.Beta(), float64(cfg.N)),
 	}
-	g.next = g.main.ExpFloat64() * cfg.MeanInterarrival()
+	g.next = g.main.ExpFloat64() * g.meanIA
 	return g, nil
 }
 
@@ -130,9 +137,8 @@ func (g *Generator) Next() (t *rt.Task, ok bool) {
 
 	// D ~ Uniform[AvgD/2, 3AvgD/2], clamped to be at least the minimum
 	// execution time E(σ, N) (the paper requires D_i > E(σ_i, N)).
-	avgD := g.cfg.AvgDeadline()
-	d := avgD * (0.5 + g.main.Float64())
-	if minExec := g.cfg.Params.ExecTime(t.Sigma, g.cfg.N); d < minExec {
+	d := g.avgD * (0.5 + g.main.Float64())
+	if minExec := t.Sigma * g.cfg.Params.Cms / g.execDen; d < minExec { // ExecTime's expression
 		d = minExec
 	}
 	t.RelDeadline = d
@@ -143,7 +149,7 @@ func (g *Generator) Next() (t *rt.Task, ok bool) {
 		t.UserN = nmin + g.aux.IntN(g.cfg.N-nmin+1)
 	}
 
-	g.next += g.main.ExpFloat64() * g.cfg.MeanInterarrival()
+	g.next += g.main.ExpFloat64() * g.meanIA
 	return t, true
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rtdls/internal/dlt"
+	"rtdls/internal/rt"
 )
 
 var baseline = dlt.Params{Cms: 1, Cps: 100}
@@ -216,6 +217,63 @@ func TestUserNStreamIndependence(t *testing.T) {
 		_ = t1.UserN // consume on one side only (no-op — both generate it)
 		if t1.Arrival != t2.Arrival || t1.Sigma != t2.Sigma || t1.RelDeadline != t2.RelDeadline {
 			t.Fatalf("main stream perturbed at task %d", i)
+		}
+	}
+}
+
+// legacyNext is Generator.Next as it was before New cached the values the
+// configuration fixes: AvgDeadline, ExecTime(σ, N) and MeanInterarrival are
+// recomputed on every task.
+func legacyNext(g *Generator) (t *rt.Task, ok bool) {
+	if g.next > g.cfg.Horizon {
+		return nil, false
+	}
+	t = &rt.Task{ID: g.nextID, Arrival: g.next}
+	g.nextID++
+	g.count++
+	s := g.cfg.AvgSigma + g.cfg.AvgSigma*g.main.NormFloat64()
+	if floor := sigmaFloorFrac * g.cfg.AvgSigma; s < floor {
+		s = floor
+	}
+	t.Sigma = s
+	avgD := g.cfg.AvgDeadline()
+	d := avgD * (0.5 + g.main.Float64())
+	if minExec := g.cfg.Params.ExecTime(t.Sigma, g.cfg.N); d < minExec {
+		d = minExec
+	}
+	t.RelDeadline = d
+	if nmin, feas := dlt.UserSplitMinNodes(g.cfg.Params, t.Sigma, t.RelDeadline); feas && nmin <= g.cfg.N {
+		t.UserN = nmin + g.aux.IntN(g.cfg.N-nmin+1)
+	}
+	g.next += g.main.ExpFloat64() * g.cfg.MeanInterarrival()
+	return t, true
+}
+
+// TestCachedConstantsKeepStream: the generator that computes its constants
+// once emits the legacy stream bit for bit, over configurations whose
+// deadlines the ExecTime floor clamps often (DCRatio 0.5) and seldom.
+func TestCachedConstantsKeepStream(t *testing.T) {
+	cfgs := []Config{baseCfg(), baseCfg(), baseCfg()}
+	cfgs[1].N, cfgs[1].Params, cfgs[1].DCRatio, cfgs[1].Seed = 3, dlt.Params{Cms: 2, Cps: 7}, 0.5, 7
+	cfgs[2].N, cfgs[2].Params, cfgs[2].SystemLoad, cfgs[2].DCRatio, cfgs[2].Seed = 1024, dlt.Params{Cms: 0.3, Cps: 1e4}, 3, 100, 11
+	for i, c := range cfgs {
+		c.Horizon = 1e300
+		g, _ := New(c)
+		ref, _ := New(c)
+		clamped := 0
+		for k := 0; k < 10000; k++ {
+			got, ok := g.Next()
+			want, wantOK := legacyNext(ref)
+			if !ok || !wantOK || *got != *want {
+				t.Fatalf("config %d, task %d: %+v (%v), legacy %+v (%v)", i, k, got, ok, want, wantOK)
+			}
+			if got.RelDeadline == c.Params.ExecTime(got.Sigma, c.N) {
+				clamped++
+			}
+		}
+		t.Logf("config %d: %d of 10000 deadlines clamped to E(σ, N)", i, clamped)
+		if i < 2 && clamped == 0 {
+			t.Fatalf("config %d clamps no deadline", i)
 		}
 	}
 }
