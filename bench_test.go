@@ -208,49 +208,93 @@ func BenchmarkServiceSubmit(b *testing.B) {
 	}
 }
 
-// TestServiceSubmitAllocs pins BenchmarkServiceSubmit's allocation budget:
-// the exact benchmark workload (accept-heavy, one mean task per mean
-// service time) must stay within the measured allocs/op plus slack. The
-// accepted Decision's three slices are backed by two allocations (one
-// float64 slab for Starts+Alphas, one []int); losing that packing — or any
-// other per-submit allocation creep — fails here before it shows up as a
-// benchmark regression.
-func TestServiceSubmitAllocs(t *testing.T) {
+// submitAllocs returns the heap allocations per Submit of the task next
+// builds for each run, failing the test unless every decision is accepted
+// when accept is set and rejected by the schedulability test otherwise.
+func submitAllocs(t *testing.T, svc *rtdls.Service, accept bool, next func(id int64) rtdls.Task) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; the budget holds only on production builds")
 	}
+	ctx := context.Background()
+	var id int64
+	return testing.AllocsPerRun(500, func() {
+		id++
+		dec, err := svc.Submit(ctx, next(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Accepted != accept || !accept && dec.Reason != rtdls.ReasonInfeasible {
+			t.Fatalf("task %d: accepted=%v (%v), want %v", id, dec.Accepted, dec.Reason, accept)
+		}
+	})
+}
+
+// TestServiceSubmitAllocs pins BenchmarkServiceSubmit's allocation budget
+// on its exact workload (accept-heavy, one mean task per mean service
+// time) at zero per submit: the task's record and the accepted Decision's
+// copies are cut from the shard's arenas, the fresh plan from the
+// scheduler's plan arena, and the committed plans land in a buffer the
+// scheduler keeps. Only chunk refills allocate, far less than once per
+// submit, so any per-submit allocation — a plan, a candidate, a commit, a
+// task or decision copy — fails here before it shows up in a benchmark.
+func TestServiceSubmitAllocs(t *testing.T) {
 	clock := rtdls.NewManualClock(0)
 	svc, err := rtdls.New(rtdls.WithClock(clock))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	ctx := context.Background()
-	var id int64
-	allocs := testing.AllocsPerRun(500, func() {
-		id++
+	allocs := submitAllocs(t, svc, true, func(id int64) rtdls.Task {
 		clock.Advance(2600)
-		dec, err := svc.Submit(ctx, rtdls.Task{
-			ID:          id,
-			Sigma:       150 + float64(id%8)*12.5,
-			RelDeadline: 5200,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dec.Accepted {
-			t.Fatalf("task %d rejected; the workload is tuned to accept", id)
-		}
+		return rtdls.Task{ID: id, Sigma: 150 + float64(id%8)*12.5, RelDeadline: 5200}
 	})
-	// Measured 3 allocs/op on the accept path: the task's own record and
-	// the decision's two. The fresh plan is cut from the scheduler's plan
-	// arena and the committed plans land in a buffer the scheduler keeps,
-	// so neither allocates per submit. 5 leaves noise headroom while still
-	// catching a plan that allocates again, a node search that allocates
-	// per candidate, a commit that allocates, or
-	// a systematic extra allocation per submit.
-	if allocs > 5 {
-		t.Fatalf("Submit allocates %.1f times per accepted task, want <= 5", allocs)
+	if allocs != 0 {
+		t.Fatalf("Submit allocates %.0f times per accepted task, want 0", allocs)
+	}
+}
+
+// TestServiceSubmitRejectAllocs is its reject twin: a task that 16 idle
+// nodes cannot finish by its deadline, though they have the capacity for
+// it, is rejected by the schedulability test with no allocation either.
+func TestServiceSubmitRejectAllocs(t *testing.T) {
+	clock := rtdls.NewManualClock(0)
+	svc, err := rtdls.New(rtdls.WithClock(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	allocs := submitAllocs(t, svc, false, func(id int64) rtdls.Task {
+		clock.Advance(10)
+		return rtdls.Task{ID: id, Sigma: 0.155 * 5200, RelDeadline: 5200}
+	})
+	if allocs != 0 {
+		t.Fatalf("Submit allocates %.0f times per rejected task, want 0", allocs)
+	}
+}
+
+// TestPoolSpillRejectAllocs: on a 4-shard Spillover pool, a task more than
+// any shard can serve by its deadline is offered to every shard, and each
+// rejects it through the demand bound. The four shard tests allocate
+// nothing: each shard cuts the task's record from its own arena.
+func TestPoolSpillRejectAllocs(t *testing.T) {
+	clock := rtdls.NewManualClock(0)
+	svc, err := rtdls.New(rtdls.WithClock(clock), rtdls.WithShards(4), rtdls.WithNodes(8),
+		rtdls.WithPlacement(rtdls.Spillover{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	before := svc.Stats().DemandRejects
+	allocs := submitAllocs(t, svc, false, func(id int64) rtdls.Task {
+		clock.Advance(10)
+		return rtdls.Task{ID: id, Sigma: 1000, RelDeadline: 5200}
+	})
+	if d := svc.Stats().DemandRejects - before; d != 4*501 { // AllocsPerRun warms up with one more run
+		t.Fatalf("%d demand-bound rejects over 501 submits, want 4 each", d)
+	}
+	if allocs != 0 {
+		t.Fatalf("Submit allocates %.0f times per task four shards reject, want 0", allocs)
 	}
 }
 

@@ -197,7 +197,8 @@
 // and rtdls_admission_plans_{computed,reused}_total per shard report the
 // replanning each arrival caused; TestQueuedCounts (internal/rt) holds a
 // late-deadline arrival behind 128 waiting tasks to one fresh plan and 128
-// kept ones, each sealed so that keeping it evaluates no ñ_min bound.
+// kept ones, each sealed: the scheduler keeps a plan sealed at its task's
+// slack with one comparison and no Plan call, so that arrival makes one.
 //
 // Before any of that an overload reject is decided by a processor-demand
 // bound, EDF's schedulability criterion carried to divisible loads: any
@@ -223,7 +224,8 @@
 // hard error (a request for more nodes than are live), and is counted in
 // Stats.DemandRejects and rtdls_admission_demand_rejects_total per shard;
 // TestQueuedCounts holds such a reject behind 128 waiting tasks to 0 Plan
-// calls and 1 allocation (BenchmarkSubmitQueued's mix=saturated).
+// calls and 1 allocation, the test's own task (BenchmarkSubmitQueued's
+// mix=saturated).
 //
 // What is planned afresh is planned by one node search shared by all five
 // partitioners (rt.PlanContext.PlanMinNodes and the search under it): for
@@ -249,7 +251,13 @@
 // and Alphas are cut from chunks of about 4 KB in a bump arena the Candidate
 // owns, so a retained Plan keeps its chunks reachable until it dies. The
 // same count test holds an arrival into the middle of 128 waiting tasks to
-// 6 allocations.
+// 6 allocations. The service cuts the same way (rt.Carve), under its lock,
+// each task record it decides and each accepted Decision's Nodes and
+// Starts | Alphas block, and workload.Generator each task it returns: a
+// submit allocates nothing of its own but chunk refills, accept or reject,
+// on one shard or on every shard of a spillover pool
+// (TestServiceSubmitAllocs and its reject and pool twins), and a retained
+// task or Decision keeps its chunk of at most 4 KB reachable.
 //
 // Build and test with the standard toolchain — go build ./... and
 // go test ./... — or via the Makefile (make ci mirrors CI's build-and-test

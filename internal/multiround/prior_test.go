@@ -124,6 +124,11 @@ func TestPlanReuseDecisionEquivalence(t *testing.T) {
 							hetero, rounds, i, j, pa[j], pb[j])
 					}
 				}
+				// A same-state transition moves the reference's cluster
+				// Version, so it keeps no plan, sealed or not.
+				if err := ref.Cluster().SetNodeState(0, ref.Cluster().NodeStateList()[0]); err != nil {
+					t.Fatal(err)
+				}
 				oka, ea := a.Submit(&ta, now)
 				okb, eb := ref.Submit(&tb, now)
 				if oka != okb || ea != nil || eb != nil {

@@ -3,6 +3,7 @@ package pool_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"rtdls/internal/pool"
 	"rtdls/internal/rt"
 	"rtdls/internal/service"
+	"rtdls/internal/workload"
 )
 
 // benchPool builds a K-shard pool of 16-node DLT-IIT clusters on a manual
@@ -99,4 +101,59 @@ func BenchmarkPoolSubmitPlacement(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPoolSubmitSpill has the shape of the overload-spill traffic: a
+// 4×8 Spillover pool with a waiting-queue bound of 64 per shard, fed the
+// workload.Generator stream at 20× load and DCRatio 30 by one submitter
+// that moves a manual clock to each arrival. Most tasks are rejected, each
+// after a test on several shards: it reports allocs/op and shard-tests/op,
+// the shard admission tests (gate rejects included) per submit.
+func BenchmarkPoolSubmitSpill(b *testing.B) {
+	const k, n = 4, 8
+	params := dlt.Params{Cms: 1, Cps: 100}
+	g, err := workload.New(workload.Config{N: k * n, Params: params, SystemLoad: 20, AvgSigma: 200,
+		DCRatio: 30, Horizon: math.MaxFloat64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards := make([]pool.ShardConfig, k)
+	for i := range shards {
+		cl, err := cluster.New(n, params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shards[i] = pool.ShardConfig{Cluster: cl, Policy: rt.EDF, Partitioner: rt.IITDLT{}, MaxQueue: 64}
+	}
+	clock := service.NewManualClock(0)
+	p, err := pool.New(pool.Config{Shards: shards, Placement: pool.Spillover{}, Clock: clock})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	ctx := context.Background()
+	submit := func() {
+		t, _ := g.Next() // an infinite horizon never ends the stream
+		clock.Set(t.Arrival)
+		if _, err := p.Submit(ctx, *t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tests := func() (sum int) {
+		for _, st := range p.ShardStats() {
+			sum += st.Arrivals
+		}
+		return sum
+	}
+	for range 1000 { // fill the queues to their steady state first
+		submit()
+	}
+	before := tests()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(tests()-before)/float64(b.N), "shard-tests/op")
 }

@@ -291,3 +291,92 @@ func TestPoolConcurrentFleetOpsRace(t *testing.T) {
 		t.Fatalf("displacement counters sum to %v, stats say %d", dispSum, st.Displaced)
 	}
 }
+
+// TestConcurrentDecisionArenas: each shard cuts the copies of every
+// Decision it returns from chunks the decisions share, across goroutines.
+// Four goroutines submit to a 2-shard pool; then each overwrites the
+// slices of its own decisions in place, and then appends to them, while
+// the others do the same. Every decision must end with exactly what its
+// owner wrote, in the chunk and in the appended copy: no cut reaches past
+// its own end, and none is handed out twice. Under -race, a write into
+// another decision's part of a chunk is also reported as a race.
+func TestConcurrentDecisionArenas(t *testing.T) {
+	const workers, each = 4, 150
+	params := dlt.Params{Cms: 1, Cps: 100}
+	shards := make([]pool.ShardConfig, 2)
+	for i := range shards {
+		cl, err := cluster.New(8, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = pool.ShardConfig{Cluster: cl, Policy: rt.EDF, Partitioner: rt.IITDLT{}}
+	}
+	clock := service.NewManualClock(0)
+	p, err := pool.New(pool.Config{Shards: shards, Placement: pool.RoundRobin{}, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	parallel := func(f func(w int)) {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f(w)
+			}()
+		}
+		wg.Wait()
+	}
+	// decs holds each goroutine's accepted decisions as returned, their
+	// slices in the shards' chunks; grown the same after the appends.
+	decs, grown := make([][]service.Decision, workers), make([][]service.Decision, workers)
+	parallel(func(w int) {
+		for i := range each {
+			clock.Advance(1000)
+			task := rt.Task{ID: int64(w*each + i + 1), Sigma: 50 + float64(i%5)*10, RelDeadline: 4000}
+			d, err := p.Submit(context.Background(), task)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if d.Accepted {
+				decs[w] = append(decs[w], d)
+			}
+		}
+	})
+	parallel(func(w int) {
+		for _, d := range decs[w] {
+			for j := range d.Nodes {
+				d.Nodes[j], d.Starts[j], d.Alphas[j] = -int(d.TaskID), -float64(d.TaskID), float64(d.TaskID)
+			}
+		}
+	})
+	parallel(func(w int) {
+		for _, d := range decs[w] {
+			d.Nodes, d.Starts, d.Alphas = append(d.Nodes, 0), append(d.Starts, 0), append(d.Alphas, 0)
+			grown[w] = append(grown[w], d)
+		}
+	})
+
+	accepted := 0
+	for w := range decs {
+		for i, d := range decs[w] {
+			id, mark := d.TaskID, float64(d.TaskID)
+			for _, d := range []service.Decision{d, grown[w][i]} {
+				for j := range decs[w][i].Nodes {
+					if d.Nodes[j] != -int(id) || d.Starts[j] != -mark || d.Alphas[j] != mark {
+						t.Fatalf("goroutine %d, task %d: node %d holds (%d, %v, %v), want what its owner wrote (%d, %v, %v)",
+							w, id, j, d.Nodes[j], d.Starts[j], d.Alphas[j], -id, -mark, mark)
+					}
+				}
+			}
+			accepted++
+		}
+	}
+	t.Logf("%d of %d tasks accepted", accepted, workers*each)
+	if accepted < workers*each/2 {
+		t.Fatalf("only %d of %d tasks accepted: the arenas were hardly exercised", accepted, workers*each)
+	}
+}

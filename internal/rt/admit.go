@@ -239,6 +239,10 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 			if e.first < now || e.first < e.task.Arrival {
 				break
 			}
+			if e.plan.sealedAt(e.task.AbsDeadline() - q.pctx.startFloor(e.task)) {
+				kept++ // what keepPriorMinNodes keeps at once, with no offer
+				continue
+			}
 			q.pctx.Prior = e.plan
 			pl, err := plan(e.task)
 			if pl != e.plan {

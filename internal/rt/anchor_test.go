@@ -47,7 +47,9 @@ func boundAtR1(ctx *PlanContext, task *Task) bool {
 // its bound at r_1; the bound at the seal must fit the plan; and at every
 // start floor of a grid from the current one to the plan's first start —
 // where the plan can be offered back — keepPriorMinNodes must keep the plan
-// exactly when the bound at that floor's slack fits it.
+// exactly when the bound at that floor's slack fits it, and must keep it
+// wherever the scheduler keeps it without an offer (sealedAt). Nor may the
+// seal cover a slack, from half of it up, at which the bound exceeds the plan.
 func checkSeal(t *testing.T, ctx *PlanContext, task *Task, pl *Plan, anchored bool) bool {
 	t.Helper()
 	absD, floor, first := task.AbsDeadline(), ctx.startFloor(task), pl.FirstStart()
@@ -80,9 +82,19 @@ func checkSeal(t *testing.T, ctx *PlanContext, task *Task, pl *Plan, anchored bo
 		}
 		offer.Now = f
 		got, err := offer.keepPriorMinNodes(task)
-		if kept, want := got == pl && err == nil, fits(absD-f); kept != want || !kept && !errors.Is(err, ErrPriorDeclined) {
-			t.Fatalf("task %d (floor %v, first start %v, deadline %v, seal %v): offered at floor %v, kept %v (%v), want %v",
-				task.ID, floor, first, absD, pl.minSlack, f, kept, err, want)
+		kept, want, skip := got == pl && err == nil, fits(absD-f), pl.sealedAt(absD-f)
+		if kept != want || !kept && !errors.Is(err, ErrPriorDeclined) || skip && !kept {
+			t.Fatalf("task %d (floor %v, first start %v, deadline %v, seal %v): offered at floor %v, kept %v (%v), want %v; kept without an offer %v",
+				task.ID, floor, first, absD, pl.minSlack, f, kept, err, want, skip)
+		}
+	}
+	for k := 0; k <= 8; k++ {
+		s := pl.minSlack * (0.5 + float64(k)/16)
+		for _, s := range []float64{s, math.Nextafter(s, math.Inf(-1))} {
+			if pl.sealedAt(s) && !fits(s) {
+				t.Fatalf("task %d (floor %v, first start %v, deadline %v): the seal %v covers slack %v, where the bound exceeds %d nodes",
+					task.ID, floor, first, absD, pl.minSlack, s, len(pl.Nodes))
+			}
 		}
 	}
 	return sealed

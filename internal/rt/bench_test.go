@@ -160,7 +160,7 @@ func benchSubmitFastReject(b *testing.B, n int) {
 //
 // Time stands still in the rejecting mixes (a reject changes nothing). Every
 // mix reports plans/op, the Plan calls — fresh and kept-prior offers — of one
-// arrival. TestQueuedCounts holds the late, uniform and saturated mixes'
+// arrival; a sealed waiting plan is kept without one. TestQueuedCounts holds the late, uniform and saturated mixes'
 // contracts at queue=128 as exact counts.
 func BenchmarkSubmitQueued(b *testing.B) {
 	for _, depth := range []int{0, 8, 32, 128} {
@@ -177,15 +177,14 @@ func BenchmarkSubmitQueued(b *testing.B) {
 
 func benchSubmitQueued(b *testing.B, depth int, mix string) {
 	q := newQueuedRig(b, depth, mix)
-	computed, kept := q.s.PlanCounts()
+	calls := q.calls
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.arrive()
 	}
 	b.StopTimer()
-	c, k := q.s.PlanCounts()
-	b.ReportMetric(float64(c-computed+k-kept)/float64(b.N), "plans/op")
+	b.ReportMetric(float64(q.calls-calls)/float64(b.N), "plans/op")
 	if got := q.s.Stats().QueueLen; got < depth || got > depth+1 {
 		b.Fatalf("queue depth drifted to %d, want %d", got, depth)
 	}
@@ -198,10 +197,11 @@ const (
 )
 
 // queuedRig is BenchmarkSubmitQueued's scheduler and its waiting queue;
-// arrive submits one arrival of the mix.
+// arrive submits one arrival of the mix. calls counts the Plan calls.
 type queuedRig struct {
 	tb     testing.TB
 	s      *Scheduler
+	calls  int64
 	depth  int
 	mix    string
 	slot   float64
@@ -223,7 +223,7 @@ func newQueuedRig(tb testing.TB, depth int, mix string) *queuedRig {
 			tb.Fatal(err)
 		}
 	}
-	q.s = NewScheduler(cl, EDF, IITDLT{})
+	q.s = NewScheduler(cl, EDF, countingPlans{calls: &q.calls})
 	q.now = q.slot / 2 // half a slot off the release grid, so dueness never hangs on rounding
 	for i := 0; i < depth; i++ {
 		d := queuedDeadline
@@ -279,12 +279,24 @@ func (q *queuedRig) arrive() {
 	}
 }
 
+// countingPlans is IITDLT with its Plan calls counted. It embeds IITDLT, so
+// it is a FastRejecter and its searches are anchored.
+type countingPlans struct {
+	IITDLT
+	calls *int64
+}
+
+func (p countingPlans) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	*p.calls++
+	return p.IITDLT.Plan(ctx, t)
+}
+
 // TestQueuedCounts holds BenchmarkSubmitQueued's contracts at 128 waiting
 // tasks as counts, which repeat exactly on any machine:
 //   - late: an arrival ordered behind the whole queue computes one plan and
-//     keeps the other 128, every one of them sealed (sealMinNodes), so no
-//     kept offer evaluates an ñ_min bound and the arrival does not pay for
-//     the queue ahead of it;
+//     keeps the other 128, every one of them sealed (sealMinNodes), so the
+//     scheduler keeps each with no Plan call: one call per arrival, and the
+//     arrival does not pay for the queue ahead of it;
 //   - uniform: an arrival into the middle of the queue re-plans the tasks
 //     after it in at most 6 allocations — fresh plans are cut from the plan
 //     arena, so only its chunk refills allocate;
@@ -300,7 +312,7 @@ func TestQueuedCounts(t *testing.T) {
 			}
 			var unsealed int64
 			c0, k0 := q.s.PlanCounts()
-			d0 := q.s.DemandRejects()
+			d0, calls0 := q.s.DemandRejects(), q.calls
 			allocs := testing.AllocsPerRun(runs, func() {
 				for _, e := range q.s.q.queue {
 					if e.plan.minSlack <= 0 {
@@ -311,14 +323,14 @@ func TestQueuedCounts(t *testing.T) {
 			})
 			c, k := q.s.PlanCounts()
 			n := int64(runs + 1) // AllocsPerRun's warm-up call arrives too
-			computed, kept, demand := c-c0, k-k0, q.s.DemandRejects()-d0
+			computed, kept, demand, calls := c-c0, k-k0, q.s.DemandRejects()-d0, q.calls-calls0
 			per := func(c int64) float64 { return float64(c) / float64(n) }
-			t.Logf("per arrival: %.2f plans computed, %.2f kept, %.2f demand rejects, %.0f allocs, %.2f unsealed waiting plans",
-				per(computed), per(kept), per(demand), allocs, per(unsealed))
+			t.Logf("per arrival: %.2f plans computed, %.2f kept, %.2f Plan calls, %.2f demand rejects, %.0f allocs, %.2f unsealed waiting plans",
+				per(computed), per(kept), per(calls), per(demand), allocs, per(unsealed))
 			var ok bool
 			switch mix {
 			case "late":
-				ok = computed == n && kept == n*depth && unsealed == 0
+				ok = computed == n && kept == n*depth && calls == n && unsealed == 0
 			case "uniform":
 				ok = allocs <= 6
 			case "saturated":

@@ -34,7 +34,7 @@ func specSubmit(s *Scheduler, sc *SpecContext, t *Task, now float64) (committed 
 		accepted, err = s.Submit(t, now)
 		return committed, accepted, err
 	}
-	s.Install(t, now, sc.AcceptedPlan(), sc.Schedule(), sc.Stages())
+	s.Install(now, sc.AcceptedPlan(), sc.Schedule(), sc.Stages())
 	s.Carry(sc)
 	return committed, out == SpecAccept, nil
 }

@@ -29,12 +29,14 @@ type PlanContext struct {
 	// base, the same plans stacked before it, and clamped start times that
 	// the later Now leaves unchanged (Prior's first start is not before the
 	// task's start floor) — so the one thing that can differ is where the
-	// node search starts. A partitioner that knows the field answers
-	// without consulting the view (it may hold later tasks' assignments):
-	// Prior itself when it can tell a fresh Plan would end on Prior's node
-	// count, ErrPriorDeclined otherwise, and Plan is then called again with
-	// Prior nil against the exact view. One that does not know the field
-	// just plans; the scheduler discards that result and stops offering.
+	// node search starts; a plan sealed at the task's slack it keeps with
+	// no offer (keepPriorMinNodes). A partitioner that knows the field
+	// answers without consulting the view (it may hold later tasks'
+	// assignments): Prior itself when it can tell a fresh Plan would end on
+	// Prior's node count, ErrPriorDeclined otherwise, and Plan is then
+	// called again with Prior nil against the exact view. One that does not
+	// know the field just plans; the scheduler discards that result and
+	// stops offering.
 	Prior *Plan
 
 	// scratch is where search evaluates its candidates and cuts its plans.
@@ -219,11 +221,12 @@ func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 // deadline (the anchor skips only counts that fail). The estimates are the
 // ones Prior's search saw (see PlanContext.Prior) and the bound only grows
 // as the slack shrinks, so while it has not passed Prior's node count the
-// search ends exactly where Prior's did.
+// search ends exactly where Prior's did. A plan sealedAt the slack is kept
+// by this first comparison, which the scheduler makes itself, with no offer.
 func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 	pr := ctx.Prior
 	slack := t.AbsDeadline() - ctx.startFloor(t)
-	if pr.minSlack > 0 && slack >= pr.minSlack {
+	if pr.sealedAt(slack) {
 		return pr, nil
 	}
 	if n0, ok := ctx.minNodes(t, slack); ok && n0 <= len(pr.Nodes) {

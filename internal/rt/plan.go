@@ -46,6 +46,9 @@ type Plan struct {
 	minSlack float64
 }
 
+// sealedAt reports whether the seal covers the slack (keepPriorMinNodes).
+func (p *Plan) sealedAt(slack float64) bool { return p.minSlack > 0 && slack >= p.minSlack }
+
 // FirstStart returns the earliest node occupation time — the moment the
 // task's first data transmission can begin and the plan becomes committed
 // (non-replannable).

@@ -21,14 +21,21 @@ import (
 // randomized streams with fleet churn and hopeless tasks mixed in.
 
 // noHint is the full-replan reference: it hides PlanContext.Prior from the
-// wrapped partitioner, so every task of every tentative schedule is
-// planned afresh, and forwards the fast-reject unchanged.
+// wrapped partitioner and returns a copy of its plan with the seal cleared,
+// which the scheduler would keep without a Plan call, so every task of every
+// tentative schedule is planned afresh; it forwards the fast-reject unchanged.
 type noHint struct{ Partitioner }
 
 func (p noHint) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	c := *ctx
 	c.Prior = nil
-	return p.Partitioner.Plan(&c, t)
+	pl, err := p.Partitioner.Plan(&c, t)
+	if pl == nil {
+		return nil, err
+	}
+	unsealed := *pl
+	unsealed.minSlack = 0
+	return &unsealed, err
 }
 
 func (p noHint) FastReject(ctx *PlanContext, t *Task) bool {

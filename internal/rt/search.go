@@ -37,15 +37,15 @@ type Candidate struct {
 
 const planChunk, intChunk, floatChunk = 28, 512, 512 // 28 Plans of 144 B
 
-// carve cuts n elements off *free, cap-limited so that an append copies,
-// starting a chunk of size when too few are left; n > size gets its own.
-func carve[T any](free *[]T, n, size int) []T {
+// Carve cuts n elements off the arena *free, never twice and cap-limited so
+// that an append copies, starting a chunk of size when too few are left.
+func Carve[T any](free *[]T, n, size int) []T {
 	if n > size {
 		return make([]T, n)
 	}
 	if len(*free) < n {
 		if *free == nil {
-			size = n // a fresh arena's first cut is exact: one plan, no chunk
+			size = n // a fresh arena's first cut is exact: one record, no chunk
 		}
 		*free = make([]T, size)
 	}
@@ -155,10 +155,10 @@ func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) 
 			continue
 		}
 		// Cut zeroed from the arena, never twice: set field by field.
-		block := carve(&c.floats, 3*n, floatChunk)
-		pl := &carve(&c.plans, 1, planChunk)[0]
+		block := Carve(&c.floats, 3*n, floatChunk)
+		pl := &Carve(&c.plans, 1, planChunk)[0]
 		pl.Task, pl.Est, pl.Rounds = t, est, 1
-		pl.Nodes = carve(&c.ints, n, intChunk)
+		pl.Nodes = Carve(&c.ints, n, intChunk)
 		pl.Starts, pl.Release, pl.Alphas = block[:n:n], block[n:2*n:2*n], block[2*n:]
 		copy(pl.Nodes, c.IDs)
 		copy(pl.Starts, c.Starts)

@@ -300,23 +300,23 @@ func TestPlanNeverAliasesScratch(t *testing.T) {
 // cut alone.
 func TestCarve(t *testing.T) {
 	var free []int
-	if first := carve(&free, 3, 8); len(first) != 3 || cap(first) != 3 || free == nil || len(free) != 0 {
-		t.Fatalf("first carve(3): len %d cap %d, then %d left (nil %v)", len(first), cap(first), len(free), free == nil)
+	if first := Carve(&free, 3, 8); len(first) != 3 || cap(first) != 3 || free == nil || len(free) != 0 {
+		t.Fatalf("first Carve(3): len %d cap %d, then %d left (nil %v)", len(first), cap(first), len(free), free == nil)
 	}
-	a := carve(&free, 3, 8)
+	a := Carve(&free, 3, 8)
 	if len(a) != 3 || cap(a) != 3 || len(free) != 5 {
-		t.Fatalf("carve(3) from a chunk of 8: len %d cap %d, %d left", len(a), cap(a), len(free))
+		t.Fatalf("Carve(3) from a chunk of 8: len %d cap %d, %d left", len(a), cap(a), len(free))
 	}
 	rest := free
-	big := carve(&free, 9, 8)
+	big := Carve(&free, 9, 8)
 	if len(big) != 9 || cap(big) != 9 || len(free) != 5 {
-		t.Fatalf("carve(9) beyond a chunk of 8: len %d cap %d, %d left", len(big), cap(big), len(free))
+		t.Fatalf("Carve(9) beyond a chunk of 8: len %d cap %d, %d left", len(big), cap(big), len(free))
 	}
-	b := carve(&free, 5, 8)
+	b := Carve(&free, 5, 8)
 	if &b[0] != &rest[0] || len(free) != 0 {
 		t.Fatalf("the chunk was not cut on after the big request")
 	}
-	if c := carve(&free, 1, 8); len(c) != 1 || len(free) != 7 {
+	if c := Carve(&free, 1, 8); len(c) != 1 || len(free) != 7 {
 		t.Fatalf("an exhausted chunk was not replaced: %d left", len(free))
 	}
 }

@@ -220,7 +220,7 @@ func (s *Scheduler) Speculate(sc *SpecContext, t *Task, now float64) SpecOutcome
 // unchanged and committed the due plans, so this is exactly what the
 // serialized test would have done. The test's account recorded during
 // speculation lands here, keeping one sample per stage per submit.
-func (s *Scheduler) Install(t *Task, now float64, pl *Plan, sched Schedule, st SpecStages) {
+func (s *Scheduler) Install(now float64, pl *Plan, sched Schedule, st SpecStages) {
 	if pl == nil {
 		s.land(SpecReject, st)
 		return

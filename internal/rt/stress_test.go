@@ -190,7 +190,7 @@ func TestConcurrentSpeculationBesideLive(t *testing.T) {
 		if _, err := s.CommitDue(now); err != nil {
 			t.Fatal(err)
 		}
-		s.Install(spec, now, sc.AcceptedPlan(), sc.Schedule(), sc.Stages())
+		s.Install(now, sc.AcceptedPlan(), sc.Schedule(), sc.Stages())
 		s.Carry(&sc)
 		if got := out == SpecAccept; got != want {
 			t.Fatalf("round %d: speculated task %d accepted=%v, serialized %v", round, spec.ID, got, want)

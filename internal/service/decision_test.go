@@ -1,15 +1,17 @@
 package service
 
 import (
+	"slices"
 	"testing"
 
 	"rtdls/internal/rt"
 )
 
-// TestNewDecisionAllocs pins the accepted-Decision construction to exactly
-// two heap allocations: one float64 slab backing both Starts and Alphas,
-// and one []int for Nodes. BenchmarkServiceSubmit's allocs/op rides on
-// this — a third allocation here shows up directly on the accept hot path.
+// TestNewDecisionAllocs pins the accepted-Decision construction to no heap
+// allocation per call: Nodes and the Starts | Alphas block are cut from the
+// service's arenas, whose chunk refills amortize to well under one per
+// decision. BenchmarkServiceSubmit's allocs/op rides on this — an
+// allocation here shows up directly on the accept hot path.
 func TestNewDecisionAllocs(t *testing.T) {
 	pl := &rt.Plan{
 		Nodes:  []int{3, 1, 4, 1, 5},
@@ -18,33 +20,54 @@ func TestNewDecisionAllocs(t *testing.T) {
 		Est:    42,
 		Rounds: 1,
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		d := newDecision(7, 1.5, 0, pl)
+	s := &Service{}
+	allocs := testing.AllocsPerRun(2000, func() {
+		d := s.newDecision(7, 1.5, pl)
 		if len(d.Starts) != len(pl.Starts) {
 			t.Fatal("decision lost its starts")
 		}
 	})
-	if allocs != 2 {
-		t.Fatalf("newDecision allocates %.0f times per call, want exactly 2 (one float slab + one node slice)", allocs)
+	if allocs != 0 {
+		t.Fatalf("newDecision allocates %.0f times per call, want 0 (arena chunks only)", allocs)
 	}
 }
 
-// TestNewDecisionIndependence verifies the slab-backed copies really are
+// TestNewDecisionIndependence verifies the arena-cut copies really are
 // copies: mutating the source plan after the fact must not leak into the
-// returned Decision, and the two float views must not alias each other.
+// returned Decision, the two float views must not alias each other, and
+// appending to or overwriting one decision's slices must leave the next
+// decision cut from the same chunks, and the plan, intact.
 func TestNewDecisionIndependence(t *testing.T) {
 	pl := &rt.Plan{
 		Nodes:  []int{0, 1},
 		Starts: []float64{10, 20},
 		Alphas: []float64{0.5, 0.5},
 	}
-	d := newDecision(1, 0, 0, pl)
+	ints, floats := make([]int, intChunk), make([]float64, floatChunk)
+	s := &Service{ints: ints, floats: floats}
+	d := s.newDecision(1, 0, pl)
+	next := s.newDecision(2, 0, pl)
+	if &d.Nodes[0] != &ints[0] || &next.Nodes[0] != &ints[2] || &d.Starts[0] != &floats[0] || &next.Starts[0] != &floats[4] {
+		t.Fatal("two consecutive decisions were not cut from one chunk")
+	}
 	pl.Nodes[0], pl.Starts[0], pl.Alphas[0] = 9, 99, 0.9
 	if d.Nodes[0] != 0 || d.Starts[0] != 10 || d.Alphas[0] != 0.5 {
 		t.Fatalf("decision aliases the plan: %+v", d)
 	}
-	d.Starts = append(d.Starts, 30) // must not clobber Alphas' backing array
-	if d.Alphas[0] != 0.5 || d.Alphas[1] != 0.5 {
+	pl.Nodes[0], pl.Starts[0], pl.Alphas[0] = 0, 10, 0.5
+	d.Nodes[1], d.Starts[1], d.Alphas[1] = -1, -1, -1 // in place, in the chunks
+	d.Starts = append(d.Starts, 30)                   // must not clobber Alphas' backing array
+	if d.Alphas[0] != 0.5 || d.Alphas[1] != -1 {
 		t.Fatalf("Starts append clobbered Alphas: %v", d.Alphas)
+	}
+	d.Nodes = append(d.Nodes, 7, 7)
+	d.Alphas = append(d.Alphas, 7, 7)
+	if !slices.Equal(next.Nodes, []int{0, 1}) || !slices.Equal(next.Starts, []float64{10, 20}) ||
+		!slices.Equal(next.Alphas, []float64{0.5, 0.5}) {
+		t.Fatalf("appending to or overwriting one decision changed the next: %+v", next)
+	}
+	if !slices.Equal(pl.Nodes, []int{0, 1}) || !slices.Equal(pl.Starts, []float64{10, 20}) ||
+		!slices.Equal(pl.Alphas, []float64{0.5, 0.5}) {
+		t.Fatalf("appending to or overwriting a decision changed the plan: %+v", pl)
 	}
 }

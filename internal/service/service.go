@@ -84,7 +84,9 @@ type Decision struct {
 	Reason errs.Reason `json:",omitempty"`
 
 	// Plan details, populated only when accepted. Slices are copies owned
-	// by the caller, parallel and in dispatch order.
+	// by the caller, parallel and in dispatch order, cut cap-limited from
+	// chunks the service shares among decisions: an append copies, and a
+	// retained Decision keeps its chunks (at most 4 KB each) reachable.
 	Nodes  []int
 	Starts []float64
 	Alphas []float64
@@ -224,7 +226,15 @@ type Service struct {
 	specFree      []*rt.SpecContext // under mu
 
 	exec ExecStats // under mu
+
+	// Arenas (under mu) for the task records of the live walk and the
+	// copies of every accepted Decision: see rt.Carve.
+	tasks  []rt.Task
+	ints   []int
+	floats []float64
 }
+
+const taskChunk, intChunk, floatChunk = 102, 512, 512 // about 4 KB each
 
 // New validates the configuration and returns a ready service.
 func New(cfg Config) (*Service, error) {
@@ -431,7 +441,7 @@ func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *
 				Nodes: len(pl.Nodes), Est: pl.Est,
 			})
 		}
-		return newDecision(t.ID, now, s.shard, pl)
+		return s.newDecision(t.ID, now, pl)
 	}
 	if reason != errs.ReasonInfeasible {
 		if reason == errs.ReasonBusy {
@@ -449,24 +459,21 @@ func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *
 	return Decision{TaskID: t.ID, At: now, Shard: s.shard, Reason: reason}
 }
 
-// newDecision builds an accepted Decision. The caller-owned Starts and
-// Alphas copies share one float64 backing array (Starts is capped so an
-// append cannot reach into Alphas), halving the slice-header churn on the
-// hot accept path.
-func newDecision(id int64, now float64, shard int, pl *rt.Plan) Decision {
+// newDecision builds an accepted Decision under s.mu. Its Nodes, and its
+// Starts and Alphas as one capped block, are cut from the service's arenas.
+func (s *Service) newDecision(id int64, now float64, pl *rt.Plan) Decision {
 	k := len(pl.Nodes)
-	fbuf := make([]float64, 2*k)
-	starts := fbuf[:k:k]
-	alphas := fbuf[k:]
+	fbuf := rt.Carve(&s.floats, 2*k, floatChunk)
+	starts, alphas := fbuf[:k:k], fbuf[k:]
 	copy(starts, pl.Starts)
 	copy(alphas, pl.Alphas)
-	nodes := make([]int, k)
+	nodes := rt.Carve(&s.ints, k, intChunk)
 	copy(nodes, pl.Nodes)
 	return Decision{
 		TaskID:   id,
 		Accepted: true,
 		At:       now,
-		Shard:    shard,
+		Shard:    s.shard,
 		Est:      pl.Est,
 		Rounds:   pl.Rounds,
 		Nodes:    nodes,

@@ -150,7 +150,7 @@ func (s *Service) installLocked(rec *specRec) (Decision, error) {
 		return Decision{}, err
 	}
 	if rec.plan != nil || rec.reason == errs.ReasonInfeasible {
-		s.sched.Install(&rec.task, rec.now, rec.plan, rec.sched, rec.stages)
+		s.sched.Install(rec.now, rec.plan, rec.sched, rec.stages)
 	}
 	return s.finishLocked(&rec.task, rec.now, rec.reason, rec.plan), nil
 }
@@ -264,14 +264,15 @@ func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([
 		if err := s.open(); err != nil {
 			return out, err
 		}
-		// The task gets a heap copy of its own: the scheduler keeps the
-		// pointer of one it accepts.
-		task := tasks[i]
-		now, reason, pl, err := s.decide(nil, &task)
+		// The task's record is cut from the service's arena: the scheduler,
+		// its plans and an observer may keep the pointer.
+		task := &rt.Carve(&s.tasks, 1, taskChunk)[0]
+		*task = tasks[i]
+		now, reason, pl, err := s.decide(nil, task)
 		if err != nil {
 			return out, err
 		}
-		out = append(out, s.finishLocked(&task, now, reason, pl))
+		out = append(out, s.finishLocked(task, now, reason, pl))
 	}
 	return out, endErr
 }

@@ -74,6 +74,8 @@ func (c Config) AvgDeadline() float64 {
 // of AvgSigma: draws from Normal(Avgσ, Avgσ) below it are clamped.
 const sigmaFloorFrac = 0.01
 
+const taskChunk = 102 // tasks of 40 B per arena chunk
+
 // Generator produces the task stream for one simulation run. It is not
 // safe for concurrent use.
 type Generator struct {
@@ -88,6 +90,8 @@ type Generator struct {
 	// Fixed by cfg, computed once in New: AvgDeadline, MeanInterarrival,
 	// and the 1 − βᴺ of ExecTime(σ, N).
 	avgD, meanIA, execDen float64
+
+	tasks []rt.Task // the arena Next cuts its tasks from (rt.Carve)
 }
 
 // New returns a generator for the configuration, or an error if the
@@ -113,15 +117,15 @@ func (g *Generator) Config() Config { return g.cfg }
 
 // Next returns the next task, or ok=false once the next arrival would fall
 // beyond the horizon. Tasks are returned in strictly non-decreasing arrival
-// order with unique IDs.
+// order with unique IDs. Each is a distinct record that no later call
+// changes, cut from chunks of about 4 KB: a retained task keeps its chunk
+// reachable.
 func (g *Generator) Next() (t *rt.Task, ok bool) {
 	if g.next > g.cfg.Horizon {
 		return nil, false
 	}
-	t = &rt.Task{
-		ID:      g.nextID,
-		Arrival: g.next,
-	}
+	t = &rt.Carve(&g.tasks, 1, taskChunk)[0]
+	t.ID, t.Arrival = g.nextID, g.next
 	g.nextID++
 	g.count++
 

@@ -277,3 +277,39 @@ func TestCachedConstantsKeepStream(t *testing.T) {
 		}
 	}
 }
+
+// TestNextRecords: Next cuts its tasks from arena chunks, so it allocates
+// nothing per task once amortized; still every task is a record of its
+// own, and no later call changes it.
+func TestNextRecords(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Horizon = 1e12
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	tasks, vals := make([]*rt.Task, 0, n), make([]rt.Task, 0, n)
+	seen := make(map[*rt.Task]bool, n)
+	for range n {
+		task, ok := g.Next()
+		if !ok || seen[task] {
+			t.Fatalf("task %d: ok=%v, pointer seen before %v", len(tasks), ok, seen[task])
+		}
+		seen[task] = true
+		tasks, vals = append(tasks, task), append(vals, *task)
+	}
+	allocs := testing.AllocsPerRun(n, func() {
+		if _, ok := g.Next(); !ok {
+			t.Fatal("stream ended")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next allocates %.0f times per task, want 0", allocs)
+	}
+	for i, task := range tasks {
+		if *task != vals[i] {
+			t.Fatalf("task %d changed after later Next calls: %+v, was %+v", i, *task, vals[i])
+		}
+	}
+}
