@@ -240,7 +240,7 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 				break
 			}
 			if e.plan.sealedAt(e.task.AbsDeadline() - q.pctx.startFloor(e.task)) {
-				kept++ // what keepPriorMinNodes keeps at once, with no offer
+				kept++ // keepPriorMinNodes would keep it: no offer
 				continue
 			}
 			q.pctx.Prior = e.plan

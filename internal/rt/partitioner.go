@@ -30,7 +30,7 @@ type PlanContext struct {
 	// the later Now leaves unchanged (Prior's first start is not before the
 	// task's start floor) — so the one thing that can differ is where the
 	// node search starts; a plan sealed at the task's slack it keeps with
-	// no offer (keepPriorMinNodes). A partitioner that knows the field
+	// no offer (Plan.sealedAt). A partitioner that knows the field
 	// answers without consulting the view (it may hold later tasks'
 	// assignments): Prior itself when it can tell a fresh Plan would end on
 	// Prior's node count, ErrPriorDeclined otherwise, and Plan is then
@@ -221,14 +221,11 @@ func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 // deadline (the anchor skips only counts that fail). The estimates are the
 // ones Prior's search saw (see PlanContext.Prior) and the bound only grows
 // as the slack shrinks, so while it has not passed Prior's node count the
-// search ends exactly where Prior's did. A plan sealedAt the slack is kept
-// by this first comparison, which the scheduler makes itself, with no offer.
+// search ends exactly where Prior's did. A plan sealedAt the slack the
+// scheduler keeps itself, with no offer, so it never reaches this test.
 func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 	pr := ctx.Prior
 	slack := t.AbsDeadline() - ctx.startFloor(t)
-	if pr.sealedAt(slack) {
-		return pr, nil
-	}
 	if n0, ok := ctx.minNodes(t, slack); ok && n0 <= len(pr.Nodes) {
 		return pr, nil
 	}
@@ -239,14 +236,13 @@ func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
 // bound at the given slack from the start floor (one that took it at r_1's
 // seals there): it evaluates the bound once more at the smallest slack the
 // plan can ever be offered back at — its own first start's — and, when the
-// bound still fits the plan's node count there, records that slack, so
-// keepPriorMinNodes answers every later offer with a comparison. A plan that
-// starts at its start floor is sealed at the given slack, where the bound is
-// the node count the search began at: no second evaluation. Without the seal
-// each waiting task costs every arrival a bound evaluation, and a
-// late-deadline arrival behind a long queue spends its time on those:
-// BenchmarkSubmitQueued grows x7.7 from 8 to 128 waiting tasks.
-// TestQueuedCounts holds every plan waiting behind such an arrival sealed.
+// bound still fits the plan's node count there, records that slack, so the
+// scheduler keeps the plan on every later test with one comparison and no
+// Plan call (Plan.sealedAt); keepPriorMinNodes sees only offers the seal
+// does not cover. A plan that starts at its start floor is sealed at the
+// given slack, where the bound is the node count the search began at: no
+// second evaluation. TestQueuedCounts holds every plan waiting behind a
+// late-deadline arrival sealed, and the arrival to one Plan call.
 func (ctx *PlanContext) sealMinNodes(pl *Plan, searched float64) {
 	t := pl.Task
 	slack := t.AbsDeadline() - math.Max(pl.FirstStart(), t.Arrival)

@@ -46,7 +46,7 @@ type Plan struct {
 	minSlack float64
 }
 
-// sealedAt reports whether the seal covers the slack (keepPriorMinNodes).
+// sealedAt reports whether the seal covers the slack: kept with no offer.
 func (p *Plan) sealedAt(slack float64) bool { return p.minSlack > 0 && slack >= p.minSlack }
 
 // FirstStart returns the earliest node occupation time — the moment the

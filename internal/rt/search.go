@@ -2,6 +2,7 @@ package rt
 
 import (
 	"slices"
+	"unsafe"
 
 	"rtdls/internal/core"
 	"rtdls/internal/dlt"
@@ -35,11 +36,10 @@ type Candidate struct {
 	lnB    float64
 }
 
-const planChunk, intChunk, floatChunk = 28, 512, 512 // 28 Plans of 144 B
-
 // Carve cuts n elements off the arena *free, never twice and cap-limited so
-// that an append copies, starting a chunk of size when too few are left.
-func Carve[T any](free *[]T, n, size int) []T {
+// that an append copies, starting a chunk of about 4 KB when too few are left.
+func Carve[T any](free *[]T, n int) []T {
+	size := chunkLen[T]()
 	if n > size {
 		return make([]T, n)
 	}
@@ -53,6 +53,9 @@ func Carve[T any](free *[]T, n, size int) []T {
 	*free = (*free)[n:]
 	return cut
 }
+
+// chunkLen is how many elements of T fill an arena chunk of about 4 KB.
+func chunkLen[T any]() int { return 4096 / max(1, int(unsafe.Sizeof(*new(T)))) }
 
 // Estimator is the per-algorithm half of a node search. For each candidate
 // node count, smallest first, the search calls Estimate and compares the
@@ -155,10 +158,10 @@ func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) 
 			continue
 		}
 		// Cut zeroed from the arena, never twice: set field by field.
-		block := Carve(&c.floats, 3*n, floatChunk)
-		pl := &Carve(&c.plans, 1, planChunk)[0]
+		block := Carve(&c.floats, 3*n)
+		pl := &Carve(&c.plans, 1)[0]
 		pl.Task, pl.Est, pl.Rounds = t, est, 1
-		pl.Nodes = Carve(&c.ints, n, intChunk)
+		pl.Nodes = Carve(&c.ints, n)
 		pl.Starts, pl.Release, pl.Alphas = block[:n:n], block[n:2*n:2*n], block[2*n:]
 		copy(pl.Nodes, c.IDs)
 		copy(pl.Starts, c.Starts)

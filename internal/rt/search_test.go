@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"rtdls/internal/core"
 	"rtdls/internal/dlt"
@@ -252,7 +253,7 @@ func TestPlanNeverAliasesScratch(t *testing.T) {
 		ctx := &PlanContext{P: baseline, N: len(times), View: NewAvailView(times)}
 		var plans, snaps []*Plan
 		nodes := 0
-		for try := 0; len(plans) <= 2*planChunk || nodes <= 2*intChunk || 3*nodes <= 2*floatChunk; try++ {
+		for try := 0; len(plans) <= 2*chunkLen[Plan]() || nodes <= 2*chunkLen[int]() || 3*nodes <= 2*chunkLen[float64](); try++ {
 			if try == 20000 {
 				t.Fatalf("%s: %d plans of %d nodes after %d tries", part.Name(), len(plans), nodes, try)
 			}
@@ -295,28 +296,32 @@ func TestPlanNeverAliasesScratch(t *testing.T) {
 }
 
 // TestCarve: a fresh arena's first cut is exact, so a context that makes
-// one plan allocates no chunk; later cuts come from chunks, and a request
-// larger than a chunk gets its own allocation and leaves the chunk being
-// cut alone.
+// one plan allocates no chunk; later cuts come from chunks of about 4 KB,
+// and a request larger than a chunk gets its own allocation and leaves the
+// chunk being cut alone.
 func TestCarve(t *testing.T) {
+	size := chunkLen[int]()
+	if size != 4096/8 || chunkLen[Plan]()*int(unsafe.Sizeof(Plan{})) > 4096 || chunkLen[Task]() < 1 {
+		t.Fatalf("chunks of %d ints, %d plans, %d tasks", size, chunkLen[Plan](), chunkLen[Task]())
+	}
 	var free []int
-	if first := Carve(&free, 3, 8); len(first) != 3 || cap(first) != 3 || free == nil || len(free) != 0 {
+	if first := Carve(&free, 3); len(first) != 3 || cap(first) != 3 || free == nil || len(free) != 0 {
 		t.Fatalf("first Carve(3): len %d cap %d, then %d left (nil %v)", len(first), cap(first), len(free), free == nil)
 	}
-	a := Carve(&free, 3, 8)
-	if len(a) != 3 || cap(a) != 3 || len(free) != 5 {
-		t.Fatalf("Carve(3) from a chunk of 8: len %d cap %d, %d left", len(a), cap(a), len(free))
+	a := Carve(&free, 3)
+	if len(a) != 3 || cap(a) != 3 || len(free) != size-3 {
+		t.Fatalf("Carve(3) from a chunk of %d: len %d cap %d, %d left", size, len(a), cap(a), len(free))
 	}
 	rest := free
-	big := Carve(&free, 9, 8)
-	if len(big) != 9 || cap(big) != 9 || len(free) != 5 {
-		t.Fatalf("Carve(9) beyond a chunk of 8: len %d cap %d, %d left", len(big), cap(big), len(free))
+	big := Carve(&free, size+1)
+	if len(big) != size+1 || cap(big) != size+1 || len(free) != size-3 {
+		t.Fatalf("Carve(%d) beyond a chunk of %d: len %d cap %d, %d left", size+1, size, len(big), cap(big), len(free))
 	}
-	b := Carve(&free, 5, 8)
+	b := Carve(&free, size-3)
 	if &b[0] != &rest[0] || len(free) != 0 {
 		t.Fatalf("the chunk was not cut on after the big request")
 	}
-	if c := Carve(&free, 1, 8); len(c) != 1 || len(free) != 7 {
+	if c := Carve(&free, 1); len(c) != 1 || len(free) != size-1 {
 		t.Fatalf("an exhausted chunk was not replaced: %d left", len(free))
 	}
 }

@@ -43,7 +43,7 @@ func TestNewDecisionIndependence(t *testing.T) {
 		Starts: []float64{10, 20},
 		Alphas: []float64{0.5, 0.5},
 	}
-	ints, floats := make([]int, intChunk), make([]float64, floatChunk)
+	ints, floats := make([]int, 8), make([]float64, 8)
 	s := &Service{ints: ints, floats: floats}
 	d := s.newDecision(1, 0, pl)
 	next := s.newDecision(2, 0, pl)

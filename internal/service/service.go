@@ -234,8 +234,6 @@ type Service struct {
 	floats []float64
 }
 
-const taskChunk, intChunk, floatChunk = 102, 512, 512 // about 4 KB each
-
 // New validates the configuration and returns a ready service.
 func New(cfg Config) (*Service, error) {
 	if cfg.Cluster == nil {
@@ -463,11 +461,11 @@ func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *
 // Starts and Alphas as one capped block, are cut from the service's arenas.
 func (s *Service) newDecision(id int64, now float64, pl *rt.Plan) Decision {
 	k := len(pl.Nodes)
-	fbuf := rt.Carve(&s.floats, 2*k, floatChunk)
+	fbuf := rt.Carve(&s.floats, 2*k)
 	starts, alphas := fbuf[:k:k], fbuf[k:]
 	copy(starts, pl.Starts)
 	copy(alphas, pl.Alphas)
-	nodes := rt.Carve(&s.ints, k, intChunk)
+	nodes := rt.Carve(&s.ints, k)
 	copy(nodes, pl.Nodes)
 	return Decision{
 		TaskID:   id,

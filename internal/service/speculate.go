@@ -266,7 +266,7 @@ func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([
 		}
 		// The task's record is cut from the service's arena: the scheduler,
 		// its plans and an observer may keep the pointer.
-		task := &rt.Carve(&s.tasks, 1, taskChunk)[0]
+		task := &rt.Carve(&s.tasks, 1)[0]
 		*task = tasks[i]
 		now, reason, pl, err := s.decide(nil, task)
 		if err != nil {

@@ -74,8 +74,6 @@ func (c Config) AvgDeadline() float64 {
 // of AvgSigma: draws from Normal(Avgσ, Avgσ) below it are clamped.
 const sigmaFloorFrac = 0.01
 
-const taskChunk = 102 // tasks of 40 B per arena chunk
-
 // Generator produces the task stream for one simulation run. It is not
 // safe for concurrent use.
 type Generator struct {
@@ -124,7 +122,7 @@ func (g *Generator) Next() (t *rt.Task, ok bool) {
 	if g.next > g.cfg.Horizon {
 		return nil, false
 	}
-	t = &rt.Carve(&g.tasks, 1, taskChunk)[0]
+	t = &rt.Carve(&g.tasks, 1)[0]
 	t.ID, t.Arrival = g.nextID, g.next
 	g.nextID++
 	g.count++
