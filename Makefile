@@ -1,13 +1,13 @@
 # Local targets mirror the jobs of .github/workflows/ci.yml: `make ci` runs
 # the build-and-test job (less its printed `make loc` count) and the
-# fuzz-smoke job; `make bench-gate` is the bench job and `make wire-smoke`
-# the wire-smoke job.
+# fuzz-smoke job with its mutants; `make bench-gate` is the bench job and
+# `make wire-smoke` the wire-smoke job.
 
 GO ?= go
 FUZZTIME ?= 10s
 FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/driver ./internal/fleet ./internal/rt ./internal/server
 
-.PHONY: build test bench bench-gate fmt fmt-check vet race race-repeat examples fuzz-smoke serve loadtest wire-smoke loc ci
+.PHONY: build test bench bench-gate fmt fmt-check vet race race-repeat examples fuzz-smoke mutants serve loadtest wire-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,11 @@ fuzz-smoke:
 		done; \
 	done
 
+# Apply each mutant of scripts/mutants.txt to a temporary copy of the tree
+# and require the tests it names to fail; survivors are listed.
+mutants:
+	GO=$(GO) ./scripts/mutants.sh
+
 # Boot the wire server: 4 shards × 8 nodes, bounded queues, 100k sim
 # units per wall second, pprof on a loopback side port and structured
 # request logs. Ctrl-C (or SIGTERM) drains gracefully.
@@ -96,4 +101,4 @@ wire-smoke:
 loc:
 	./scripts/loc.sh
 
-ci: build fmt-check vet race race-repeat bench examples fuzz-smoke
+ci: build fmt-check vet race race-repeat bench examples fuzz-smoke mutants

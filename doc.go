@@ -175,11 +175,11 @@
 // tentative schedule of the whole waiting queue on every arrival, where
 // this engine keeps the accepted schedule applied on the availability
 // index, one checkpoint per queue position. An arrival ordered at
-// position p offers each of the p tasks before it its current plan
-// (rt.PlanContext.Prior), which the partitioner returns as-is when a
-// fresh Plan provably would — the committed state changed only by commits
-// of the queue's head, no start time is re-clamped, and the node-count
-// floor ñ_min at the new instant has not passed the plan's node count —
+// position p lets each of the p tasks before it keep its current plan,
+// with no partitioner call, where the scheduler can tell a fresh Plan
+// would return it — the committed state changed only by commits of the
+// queue's head, no start time is re-clamped, and the node-count floor
+// ñ_min at the new instant has not passed the plan's node count —
 // rewinds the index only to checkpoint p, and plans the arrival and the
 // tasks ordered after it. Due commits cut the head of the index's undo
 // log instead of rolling back and re-applying, and a speculation context

@@ -6,18 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"rtdls/internal/dlt"
 	"rtdls/internal/rt"
 )
-
-// noHint hides rt.PlanContext.Prior from the wrapped partitioner: the
-// full-replan reference the plan-reuse tests compare against.
-type noHint struct{ Partitioner }
-
-func (p noHint) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
-	c := *ctx
-	c.Prior = nil
-	return p.Partitioner.Plan(&c, t)
-}
 
 func samePlan(a, b *rt.Plan) bool {
 	return slices.Equal(a.Nodes, b.Nodes) && slices.Equal(a.Starts, b.Starts) &&
@@ -25,14 +16,17 @@ func samePlan(a, b *rt.Plan) bool {
 		a.Est == b.Est && a.Rounds == b.Rounds
 }
 
-// TestPriorSoundness is the reuse property for the multi-round partitioner:
-// whenever Plan returns the offered Prior, a hint-free Plan against the
-// same view is equal to it field for field, bit for bit. Unlike the
-// single-round partitioners, whose estimate can never undercut the
-// ñ_min(t) bound at a plan's own first start, overlapped installments can —
-// so on the homogeneous cluster (where the bound is tight) the test also
-// requires that it does decline some offers.
-func TestPriorSoundness(t *testing.T) {
+// TestKeepSoundness is the scheduler's keep rule for the multi-round
+// partitioner, seen from outside rt: whenever an rt.Scheduler keeps a
+// waiting plan at a later instant (its PlanCounts reused count moves), a
+// fresh Plan against the same view is equal to it field for field, bit
+// for bit. Unlike the single-round partitioners, whose estimate can never
+// undercut the ñ_min(t) bound at a plan's own first start, overlapped
+// installments can — so on the homogeneous cluster (where the bound is
+// tight) the test also requires a kept plan of more than one round whose
+// bound at its first start's slack exceeds its node count: one the
+// scheduler keeps past its seal, by rechecking the bound.
+func TestKeepSoundness(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 55))
 	for _, hetero := range []bool{false, true} {
 		for _, rounds := range []int{1, 4, 8} {
@@ -40,48 +34,57 @@ func TestPriorSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			kept, declined := 0, 0
+			kept, rechecked := 0, 0
 			for trial := 0; trial < 3000; trial++ {
 				n := 2 + rng.IntN(12)
 				cl := mrCluster(t, n, hetero)
-				avail := make([]float64, n)
 				busyFrom := 500 + rng.Float64()*3000
-				for i := range avail {
-					avail[i] = busyFrom + rng.Float64()*rng.Float64()*4000
+				for id := 0; id < n; id++ {
+					if err := cl.Commit([]int{id}, []float64{0}, []float64{busyFrom + rng.Float64()*rng.Float64()*4000}, 0); err != nil {
+						t.Fatal(err)
+					}
 				}
+				s := rt.NewScheduler(cl, rt.EDF, p)
 				now0 := rng.Float64() * 1000
-				ctx := rt.PlanContext{P: cl.Params(), N: n, Now: now0, View: rt.NewAvailView(avail), Costs: cl.Costs()}
 				task := &rt.Task{ID: 1, Arrival: now0 * rng.Float64(),
 					Sigma: 1 + 400*rng.Float64(), RelDeadline: 1000 + 9000*rng.Float64()}
-				prior, err := p.Plan(&ctx, task)
-				if err != nil {
+				if ok, err := s.Submit(task, now0); err != nil || !ok {
 					continue
 				}
-				// Later instants up to the plan's first start: the scheduler
-				// offers Prior only while that is not before the start floor.
-				for _, f := range []float64{0, 0.3, 0.7, 0.95, 1} {
-					ctx.Now = now0 + f*(prior.FirstStart()-now0)
-					if prior.FirstStart() < math.Max(ctx.Now, task.Arrival) {
-						continue
+				// Later arrivals ordered behind the task, at instants up to
+				// its plan's first start: inside the guards.
+				first := s.PlanFor(1).FirstStart()
+				for i, f := range []float64{0.3, 0.7, 0.95, 1} {
+					now := now0 + f*(first-now0)
+					pl := s.PlanFor(1)
+					_, before := s.PlanCounts()
+					late := &rt.Task{ID: int64(i + 2), Arrival: now, Sigma: 1, RelDeadline: 1e7}
+					if _, err := s.Submit(late, now); err != nil {
+						t.Fatal(err)
 					}
-					ctx.Prior = prior
-					got, err := p.Plan(&ctx, task)
-					ctx.Prior = nil
-					if err != nil || got != prior {
-						declined++
+					if _, after := s.PlanCounts(); after == before {
 						continue
 					}
 					kept++
+					ctx := rt.PlanContext{P: cl.Params(), N: n, Now: now, View: rt.NewAvailView(cl.AvailTimes()), Costs: cl.Costs()}
 					fresh, err := p.Plan(&ctx, task)
-					if err != nil || !samePlan(fresh, prior) {
-						t.Fatalf("rounds=%d hetero=%v: Prior kept at now=%v but a fresh Plan gives (%+v, %v), want %+v\n(task %+v, avail %v)",
-							rounds, hetero, ctx.Now, fresh, err, prior, task, avail)
+					if s.PlanFor(1) != pl || err != nil || !samePlan(fresh, pl) {
+						t.Fatalf("rounds=%d hetero=%v: kept at now=%v but a fresh Plan gives (%+v, %v), want %+v\n(task %+v, avail %v)",
+							rounds, hetero, now, fresh, err, pl, task, cl.AvailTimes())
+					}
+					if hetero {
+						continue
+					}
+					slack := task.AbsDeadline() - math.Max(pl.FirstStart(), task.Arrival)
+					if n0, ok := dlt.MinNodesBound(cl.Params(), task.Sigma, slack); !ok || n0 > len(pl.Nodes) {
+						rechecked++
 					}
 				}
 			}
-			if kept == 0 || (rounds > 1 && !hetero && declined == 0) {
-				t.Fatalf("rounds=%d hetero=%v: %d offers kept, %d declined — the property was not exercised",
-					rounds, hetero, kept, declined)
+			t.Logf("rounds=%d hetero=%v: %d plans kept, %d of them past a bound that exceeds them at their first start", rounds, hetero, kept, rechecked)
+			if kept == 0 || (rounds > 1 && !hetero && rechecked == 0) {
+				t.Fatalf("rounds=%d hetero=%v: %d plans kept, %d past a bound that exceeds them at their first start — the property was not exercised",
+					rounds, hetero, kept, rechecked)
 			}
 		}
 	}
@@ -100,7 +103,7 @@ func TestPlanReuseDecisionEquivalence(t *testing.T) {
 			}
 			const n = 10
 			a := rt.NewScheduler(mrCluster(t, n, hetero), rt.EDF, p)
-			ref := rt.NewScheduler(mrCluster(t, n, hetero), rt.EDF, noHint{p})
+			ref := rt.NewScheduler(mrCluster(t, n, hetero), rt.EDF, p)
 			rng := rand.New(rand.NewPCG(uint64(rounds), 77))
 			now := 0.0
 			for i := 0; i < 600; i++ {

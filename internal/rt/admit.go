@@ -34,7 +34,7 @@ type slot struct {
 // incremental: an arrival ordered at position p needs the view at
 // checkpoint p, which is |applied − p| plans away instead of the whole
 // queue, and the tasks ordered before it keep their plans whenever the
-// partitioner confirms a fresh Plan would return the same one.
+// scheduler can tell a fresh Plan would return the same one (keeps).
 type queueState struct {
 	queue   Schedule // admitted, not yet committed; in policy order
 	applied int      // the plans of queue[:applied] are applied on the view, in order
@@ -53,9 +53,6 @@ type queueState struct {
 	// with them the clamped start times, could differ.
 	hinted   bool
 	testedAt float64
-	// blind reports that the partitioner has answered an offered Prior with
-	// a plan of its own, so offering it one is a wasted Plan call.
-	blind bool
 
 	// The tentative schedule is built in place, from the first re-planned
 	// position on; saved holds the tail it overwrites, to put back if the
@@ -173,9 +170,9 @@ func (q *queueState) adopt(sched Schedule, now float64) {
 // is installed and t's plan returned; on SpecReject the schedule is
 // unchanged; SpecFallback carries a hard partitioner error.
 //
-// Tasks ordered before t keep their plan when the partitioner returns the
-// offered PlanContext.Prior; from the first task that does not, the rest
-// of the schedule is planned afresh. A non-zero t0 is the instant the
+// Tasks ordered before t keep their plan, with no Plan call, while
+// PlanContext.keeps holds; from the first task that does not, the rest of
+// the schedule is planned afresh. A non-zero t0 is the instant the
 // caller started timing the test and enables the stage spans.
 func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0 time.Time) (SpecOutcome, *Plan, SpecStages, error) {
 	timed := !t0.IsZero()
@@ -226,37 +223,26 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 		return SpecReject, nil, st, nil
 	}
 
-	// Offer each task ordered before t its current plan. The checks the
-	// partitioner cannot make are made here: the schedule must be hinted,
-	// time must not have run backwards, and the plan's first start must not
-	// lie before the task's start floor max(now, arrival) (a due plan the
-	// caller has not committed would be re-clamped to now).
+	// Keep the plans of the tasks ordered before t, under keeps' guards:
+	// the schedule must be hinted, time must not have run backwards, and the
+	// plan's first start must not lie before the task's start floor
+	// max(now, arrival) (a due plan the caller has not committed would be
+	// re-clamped to now). The inline seal comparison decides nearly every
+	// plan; keeps is called only where it misses.
 	kept := 0
-	if q.hinted && !q.blind && now >= q.testedAt {
+	if q.hinted && now >= q.testedAt {
 		q.seek(p)
 		for kept < p {
 			e := &q.queue[kept]
 			if e.first < now || e.first < e.task.Arrival {
 				break
 			}
-			if e.plan.sealedAt(e.task.AbsDeadline() - q.pctx.startFloor(e.task)) {
-				kept++ // keepPriorMinNodes would keep it: no offer
-				continue
-			}
-			q.pctx.Prior = e.plan
-			pl, err := plan(e.task)
-			if pl != e.plan {
-				if !errors.Is(err, ErrPriorDeclined) {
-					// The partitioner planned, on a view that is not the
-					// task's: it does not know Prior. Never offer again.
-					q.blind = true
-					st.Computed++
-				}
+			slack := e.task.AbsDeadline() - q.pctx.startFloor(e.task)
+			if !e.plan.sealedAt(slack) && !q.pctx.keeps(e.plan, slack) {
 				break
 			}
 			kept++
 		}
-		q.pctx.Prior = nil
 	}
 	q.seek(kept)
 	st.Reused = kept

@@ -12,7 +12,7 @@ import (
 // floorPlan is PlanMinNodes with the node search started where Fig. 2
 // starts it, at the bound of the slack from the start floor: the
 // specification the anchored start must reproduce, bit for bit. The seals
-// may differ; checkSeal holds each to what keepPriorMinNodes needs of it.
+// may differ; checkSeal holds each to what the scheduler's keeps needs of it.
 func floorPlan(ctx *PlanContext, t *Task, e Estimator) (*Plan, error) {
 	absD := t.AbsDeadline()
 	slack := absD - ctx.startFloor(t)
@@ -24,6 +24,7 @@ func floorPlan(ctx *PlanContext, t *Task, e Estimator) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	pl.fromBound = true
 	ctx.sealMinNodes(pl, slack)
 	return pl, nil
 }
@@ -41,15 +42,14 @@ func boundAtR1(ctx *PlanContext, task *Task) bool {
 }
 
 // checkSeal fails the test unless pl, a fresh plan of PlanMinNodes planned
-// on ctx, carries a seal keepPriorMinNodes can trust, and reports whether
-// it is sealed. The plan must be sealed when the bound fits it at the slack
-// of its own first start, and when an anchored search (anchored set) took
-// its bound at r_1; the bound at the seal must fit the plan; and at every
-// start floor of a grid from the current one to the plan's first start —
-// where the plan can be offered back — keepPriorMinNodes must keep the plan
-// exactly when the bound at that floor's slack fits it, and must keep it
-// wherever the scheduler keeps it without an offer (sealedAt). Nor may the
-// seal cover a slack, from half of it up, at which the bound exceeds the plan.
+// on ctx, carries a seal the scheduler's keeps can trust, and reports
+// whether it is sealed. The plan must be sealed when the bound fits it at
+// the slack of its own first start, and when an anchored search (anchored
+// set) took its bound at r_1; the bound at the seal must fit the plan; and
+// at every start floor of a grid from the current one to the plan's first
+// start — where the scheduler can keep the plan — keeps must keep it
+// exactly when the bound at that floor's slack fits it. Nor may the seal
+// cover a slack, from half of it up, at which the bound exceeds the plan.
 func checkSeal(t *testing.T, ctx *PlanContext, task *Task, pl *Plan, anchored bool) bool {
 	t.Helper()
 	absD, floor, first := task.AbsDeadline(), ctx.startFloor(task), pl.FirstStart()
@@ -74,18 +74,13 @@ func checkSeal(t *testing.T, ctx *PlanContext, task *Task, pl *Plan, anchored bo
 		f = math.Nextafter(f, math.Inf(-1))
 		floors = append(floors, f)
 	}
-	offer := *ctx
-	offer.Prior = pl
 	for _, f := range floors {
 		if !(f >= floor && f <= first) {
 			continue
 		}
-		offer.Now = f
-		got, err := offer.keepPriorMinNodes(task)
-		kept, want, skip := got == pl && err == nil, fits(absD-f), pl.sealedAt(absD-f)
-		if kept != want || !kept && !errors.Is(err, ErrPriorDeclined) || skip && !kept {
-			t.Fatalf("task %d (floor %v, first start %v, deadline %v, seal %v): offered at floor %v, kept %v (%v), want %v; kept without an offer %v",
-				task.ID, floor, first, absD, pl.minSlack, f, kept, err, want, skip)
+		if kept, want := ctx.keeps(pl, absD-f), fits(absD-f); kept != want {
+			t.Fatalf("task %d (floor %v, first start %v, deadline %v, seal %v): at floor %v kept %v, want %v (sealed there %v)",
+				task.ID, floor, first, absD, pl.minSlack, f, kept, want, pl.sealedAt(absD-f))
 		}
 	}
 	for k := 0; k <= 8; k++ {

@@ -219,10 +219,9 @@ func (r *refScheduler) CommitDue(now float64) ([]*Plan, error) {
 }
 
 // freshView shows the scheduler nothing but Name and Plan, so neither the
-// demand bound nor a fast-reject runs, and hides PlanContext.Prior from
-// the wrapped partitioner. Every Plan call sees a view built afresh over a
-// copy of the times, under the same mask: no query reaches the incremental
-// index, whose first query is one full sort.
+// demand bound nor a fast-reject runs. Every Plan call sees a view built
+// afresh over a copy of the times, under the same mask: no query reaches
+// the incremental index, whose first query is one full sort.
 type freshView struct {
 	part  Partitioner
 	plans *int
@@ -233,7 +232,6 @@ func (p freshView) Name() string { return p.part.Name() }
 func (p freshView) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	*p.plans++
 	c := *ctx
-	c.Prior = nil
 	c.View = NewAvailView(slices.Clone(ctx.View.Times()))
 	c.View.SetEligible(ctx.View.elig)
 	return p.part.Plan(&c, t)

@@ -301,7 +301,7 @@ func (p countingPlans) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 //     after it in at most 6 allocations — fresh plans are cut from the plan
 //     arena, so only its chunk refills allocate;
 //   - saturated: the demand bound rejects an overload arrival with no Plan
-//     call, fresh or kept-prior, and no allocation beside the task.
+//     call and no plan kept, and no allocation beside the task.
 func TestQueuedCounts(t *testing.T) {
 	const depth, runs = 128, 200
 	for _, mix := range []string{"late", "uniform", "saturated"} {
@@ -340,6 +340,59 @@ func TestQueuedCounts(t *testing.T) {
 				t.Errorf("mix=%s breaks its contract", mix)
 			}
 		})
+	}
+}
+
+// countedPlans is a partitioner with its Plan calls counted. It shows the
+// scheduler nothing but Name and Plan.
+type countedPlans struct {
+	Partitioner
+	calls *int64
+}
+
+func (p countedPlans) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
+	*p.calls++
+	return p.Partitioner.Plan(ctx, t)
+}
+
+// TestQueuedCountsFixed is TestQueuedCounts' late contract for the
+// partitioners whose node count is fixed, on a rig of the same shape:
+// behind a queue of tasks waiting for a busy cluster, an arrival ordered
+// last makes exactly one Plan call, for its own plan, and keeps every
+// waiting plan (sealFixed).
+func TestQueuedCountsFixed(t *testing.T) {
+	const depth, arrivals = 32, 8
+	for _, part := range []Partitioner{OPR{AllNodes: true}, UserSplit{}} {
+		cl, err := cluster.New(queuedNodes, baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < queuedNodes; id++ {
+			if err := cl.Commit([]int{id}, []float64{0}, []float64{1e4 + float64(id)}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var calls int64
+		s := NewScheduler(cl, EDF, countedPlans{part, &calls})
+		for i := range depth + arrivals {
+			task := &Task{ID: int64(i + 1), Sigma: queuedSigma, RelDeadline: queuedDeadline + float64(i), UserN: 1 + i%queuedNodes}
+			if i >= depth {
+				task.Arrival = float64(i - depth + 1)
+			}
+			c0, k0 := s.PlanCounts()
+			calls0 := calls
+			if ok, err := s.Submit(task, task.Arrival); err != nil || !ok {
+				t.Fatalf("%s: task %+v: accepted=%v err=%v", part.Name(), task, ok, err)
+			}
+			c, k := s.PlanCounts()
+			if i < depth {
+				continue
+			}
+			if c-c0 != 1 || k-k0 != int64(i) || calls-calls0 != 1 {
+				t.Fatalf("%s: arrival behind %d waiting tasks computed %d plans, kept %d, made %d Plan calls; want 1, %d, 1",
+					part.Name(), i, c-c0, k-k0, calls-calls0, i)
+			}
+		}
 	}
 }
 

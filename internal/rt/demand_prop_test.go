@@ -14,19 +14,17 @@ import (
 
 // This file holds the soundness property of the processor-demand bound over
 // every partitioner of the tree, multiround included — hence the external
-// test package. The reference is the scheduler with every shortcut off: its
-// partitioner shows neither FastReject (so no ñ_min fast-reject and no
-// demand bound: what the in-package suites get from planOnly) nor Prior
-// (every plan of every tentative schedule computed afresh).
+// test package. The reference is the scheduler with the shortcuts a
+// partitioner opts into off: its partitioner shows no FastReject, so no
+// ñ_min fast-reject and no demand bound (what the in-package suites get
+// from planOnly).
 
 type reference struct{ part rt.Partitioner }
 
 func (r reference) Name() string { return r.part.Name() }
 
 func (r reference) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
-	c := *ctx
-	c.Prior = nil
-	return r.part.Plan(&c, t)
+	return r.part.Plan(ctx, t)
 }
 
 var propParams = dlt.Params{Cms: 1, Cps: 100}

@@ -107,7 +107,7 @@ func TestHeteroIdenticalDeadlines(t *testing.T) {
 	}
 	submitOK(t, s, a, 0)
 	submitOK(t, s, b, 0)
-	if !s.Policy().Less(a, b) || s.Policy().Less(b, a) {
+	if !s.pol.Less(a, b) || s.pol.Less(b, a) {
 		t.Fatalf("identical deadlines must tie-break to the lower ID first")
 	}
 	plans, err := s.CommitDue(math.Inf(1))

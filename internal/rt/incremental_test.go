@@ -13,7 +13,7 @@ import (
 
 // This file pins the incremental admission test against the full-replan
 // reference (the noHint decorator of scheduler_equiv_test.go): the reuse
-// condition of every in-package partitioner, the events that must
+// rule of every in-package partitioner, the events that must
 // invalidate kept plans, the carried-over speculation snapshot, and a
 // stateful lockstep driver shared by a unit test and FuzzIncrementalAdmission.
 
@@ -497,179 +497,147 @@ func TestReuseInvalidation(t *testing.T) {
 
 // delayed is a stub partitioner whose first starts do not follow the queue
 // order: a one-node plan on the earliest node, starting UserN time units
-// after the node and the task allow. It honours every offered Prior, so a
-// hint offered across a change of the view would surface as a stale plan.
-type delayed struct{ offered *int }
+// after the node and the task allow. Its plans are sealed at their first
+// start, so the scheduler keeps every one the guards let through, and a
+// plan kept across a change of the view would surface as a stale plan.
+type delayed struct{}
 
 func (delayed) Name() string { return "delayed" }
 
-func (d delayed) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	if ctx.Prior != nil {
-		*d.offered++
-		return ctx.Prior, nil
-	}
+func (delayed) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	ids, starts := ctx.ClampedStarts(t, 1)
 	starts[0] += float64(t.UserN)
 	est := starts[0] + t.Sigma
-	return &Plan{Task: t, Nodes: ids, Starts: starts, Release: []float64{est}, Alphas: []float64{1}, Est: est, Rounds: 1}, nil
+	return sealFixed(&Plan{Task: t, Nodes: ids, Starts: starts, Release: []float64{est}, Alphas: []float64{1}, Est: est, Rounds: 1}, nil)
 }
 
 // TestScatteredCommitInvalidates: when a plan commits from behind one that
-// stays, the tasks it jumped see a different view, so no plan is offered
-// back until the next whole-queue test.
+// stays, the tasks it jumped see a different view, so no plan is kept
+// until the next whole-queue test.
 func TestScatteredCommitInvalidates(t *testing.T) {
 	for _, spec := range []int{-1, 0} {
-		offered := 0
-		ls := newLockstep(t, 3, FIFO, delayed{&offered}, false)
+		ls := newLockstep(t, 3, FIFO, delayed{}, false)
+		keptBy := func(userN int) int64 {
+			t.Helper()
+			_, before := ls.a.PlanCounts()
+			ls.submit(10, 1e6, userN, spec)
+			_, after := ls.a.PlanCounts()
+			return after - before
+		}
 		ls.submit(10, 1e6, 1000, spec) // starts at 1000
-		ls.submit(10, 1e6, 100, spec)  // starts at 100, queued behind it
-		if offered != 1 {
-			t.Fatalf("spec=%d: second arrival offered %d priors, want 1", spec, offered)
+		// The second task starts at 100, queued behind the first.
+		if kept := keptBy(100); kept != 1 {
+			t.Fatalf("spec=%d: second arrival kept %d plans, want 1", spec, kept)
 		}
 		ls.now = 200
 		if spec < 0 {
 			ls.commitDue() // commits the second task only
 		}
-		offered = 0
-		ls.submit(10, 1e6, 500, spec)
-		if offered != 0 {
-			t.Fatalf("spec=%d: %d priors offered across a scattered commit", spec, offered)
+		if kept := keptBy(500); kept != 0 {
+			t.Fatalf("spec=%d: %d plans kept across a scattered commit", spec, kept)
 		}
 		if got := ls.a.PlanFor(1).FirstStart(); got != 1200 {
 			t.Fatalf("spec=%d: jumped task starts at %v, want a fresh plan at 1200", spec, got)
 		}
-		ls.submit(10, 1e6, 700, spec)
-		if offered != 2 {
-			t.Fatalf("spec=%d: %d priors offered after the whole-queue test, want 2", spec, offered)
+		if kept := keptBy(700); kept != 2 {
+			t.Fatalf("spec=%d: %d plans kept after the whole-queue test, want 2", spec, kept)
 		}
 		ls.drain()
 	}
 }
 
-// hintBlind plans like the wrapped partitioner but does not know
-// PlanContext.Prior, and counts the Plan calls that offered one.
-type hintBlind struct {
-	Partitioner
-	offered *int
-}
-
-func (p hintBlind) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	if ctx.Prior != nil {
-		*p.offered++
-	}
-	return noHint{p.Partitioner}.Plan(ctx, t)
-}
-
-// TestHintBlindPartitionerProbedOnce: a partitioner that answers an offered
-// Prior with a plan of its own is offered one exactly once — per scheduler
-// on the serialized path, per context on the speculative one — instead of
-// paying a discarded Plan call on every arrival; a partitioner that
-// declines an offer is still offered the next.
-func TestHintBlindPartitionerProbedOnce(t *testing.T) {
-	for _, spec := range []int{-1, 0} {
-		offered := 0
-		ls := newLockstep(t, 6, EDF, hintBlind{IITDLT{}, &offered}, false)
-		ls.now = 100
-		ls.backlog(8000, 6)
-		if offered != 1 {
-			t.Fatalf("spec=%d: %d priors offered to a hint-blind partitioner over 6 arrivals, want 1", spec, offered)
-		}
-		for i := 0; i < 4; i++ {
-			ls.now += 100
-			if got := ls.reusedBy(spec); got != 0 {
-				t.Fatalf("spec=%d: reused %d plans of a hint-blind partitioner", spec, got)
-			}
-		}
-		if offered != 1 {
-			t.Fatalf("spec=%d: %d priors offered in all, want 1", spec, offered)
-		}
-		ls.drain()
-	}
-
-	declines := 0
-	ls := newLockstep(t, 3, FIFO, declining{&declines}, false)
-	for i := 0; i < 5; i++ {
-		ls.submit(10, 1e6, 1000, -1)
-	}
-	if declines != 4 {
-		t.Fatalf("%d offers reached a partitioner that declines each one, want 4", declines)
-	}
-	ls.drain()
-}
-
-// declining is the delayed stub with a partitioner's right to refuse: it
-// knows Prior and declines every offer.
-type declining struct{ offered *int }
-
-func (declining) Name() string { return "declining" }
-
-func (d declining) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	if ctx.Prior != nil {
-		*d.offered++
-		return nil, ErrPriorDeclined
-	}
-	return delayed{}.Plan(ctx, t)
-}
-
-// TestPriorSoundness is the per-partitioner reuse property: whenever Plan
-// returns the offered Prior, a hint-free Plan against the same view is
-// equal to it field for field, bit for bit. Prior is offered under the
-// scheduler's own preconditions — same view, a later now, first start not
-// before the new start floor.
-func TestPriorSoundness(t *testing.T) {
+// TestKeepSoundness is the property of the scheduler's one keep rule:
+// whenever keeps keeps a plan at a later start floor inside the guards of
+// queueState.test — the same view, a later now, a first start not before
+// the floor — a fresh Plan against the same view is equal to it field for
+// field, bit for bit. Every partitioner must have plans kept, and IITDLT
+// or OPR-MN must have an unsealed one kept by the bound's recheck. In a
+// third of the homogeneous trials the earliest node frees about
+// deadlineEps past the start floor (every node does, in half of them) and
+// the deadline lies a few ulps from a candidate's estimate: there the
+// bound at the plan's first start can exceed its node count, so the plan
+// is not sealed, while a floor before it fits.
+func TestKeepSoundness(t *testing.T) {
 	parts := []Partitioner{IITDLT{}, OPR{}, OPR{AllNodes: true}, UserSplit{}}
 	rng := rand.New(rand.NewPCG(21, 12))
+	rechecked, unsealed := 0, 0
 	for _, hetero := range []bool{false, true} {
 		kept := make([]int, len(parts))
 		for trial := 0; trial < 3000; trial++ {
 			n := 2 + rng.IntN(14)
 			cl, _ := equivClusters(t, n, hetero)
-			avail := make([]float64, n)
-			busyFrom := 500 + rng.Float64()*3000
-			for i := range avail {
-				avail[i] = busyFrom + rng.Float64()*rng.Float64()*4000
-			}
-			view := NewAvailView(avail)
 			now0 := rng.Float64() * 1000
-			task := &Task{
-				ID:          1,
-				Arrival:     now0 * rng.Float64(),
-				Sigma:       1 + 400*rng.Float64(),
-				RelDeadline: 2000 + 9000*rng.Float64(),
-				UserN:       1 + rng.IntN(n),
+			task := &Task{ID: 1, Arrival: now0 * rng.Float64(), Sigma: 1 + 400*rng.Float64(), UserN: 1 + rng.IntN(n)}
+			near := !hetero && trial%3 == 0
+			busyFrom := 500 + rng.Float64()*3000
+			if near {
+				busyFrom = now0 + math.Pow(10, -4-5*rng.Float64()) // about deadlineEps
+			}
+			avail := make([]float64, n)
+			for i := range avail {
+				avail[i] = busyFrom
+				if !near || trial%2 == 0 { // else every node frees at r_1: the bound is tight
+					avail[i] += rng.Float64() * rng.Float64() * 4000
+				}
+			}
+			avail[rng.IntN(n)] = busyFrom
+			view := NewAvailView(avail)
+			task.RelDeadline = 2000 + 9000*rng.Float64()
+			if near {
+				ctx := PlanContext{P: cl.Params(), N: n, Now: now0, View: view}
+				k := 1 + rng.IntN(n)
+				pl, err := ctx.search(task, k, k, math.Inf(1), parts[trial/6%2].(Estimator))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := pl.Est - deadlineEps(pl.Est)
+				u := rng.IntN(7) - 3 // ulps either side
+				for ; u > 0; u-- {
+					d = math.Nextafter(d, math.Inf(1))
+				}
+				for ; u < 0; u++ {
+					d = math.Nextafter(d, math.Inf(-1))
+				}
+				task.RelDeadline = d - task.Arrival
 			}
 			for pi, part := range parts {
 				ctx := PlanContext{P: cl.Params(), N: n, Now: now0, View: view, Costs: cl.Costs()}
-				prior, err := part.Plan(&ctx, task)
+				pl, err := part.Plan(&ctx, task)
 				if err != nil {
 					continue
 				}
 				// Later instants up to (and just past) the plan's first start.
+				first := pl.FirstStart()
 				for _, f := range []float64{0, 0.3, 0.7, 0.95, 1, 1.01} {
-					ctx.Now = now0 + f*(prior.FirstStart()-now0)
-					if prior.FirstStart() < ctx.startFloor(task) {
-						continue
-					}
-					ctx.Prior = prior
-					got, err := part.Plan(&ctx, task)
-					ctx.Prior = nil
-					if err != nil || got != prior {
+					ctx.Now = now0 + f*(first-now0)
+					slack := task.AbsDeadline() - ctx.startFloor(task)
+					if first < ctx.startFloor(task) || !ctx.keeps(pl, slack) {
 						continue
 					}
 					kept[pi]++
+					if pi < 2 && f > 0 && !pl.sealedAt(slack) {
+						rechecked++
+						if pl.minSlack == 0 {
+							unsealed++
+						}
+					}
 					fresh, err := part.Plan(&ctx, task)
-					if err != nil || !planEqual(fresh, prior) {
-						t.Fatalf("%s hetero=%v: Prior kept at now=%v but a fresh Plan gives (%+v, %v), want %+v\n(task %+v, avail %v)",
-							part.Name(), hetero, ctx.Now, fresh, err, prior, task, avail)
+					if err != nil || !planEqual(fresh, pl) {
+						t.Fatalf("%s hetero=%v: kept at now=%v but a fresh Plan gives (%+v, %v), want %+v\n(task %+v, avail %v)",
+							part.Name(), hetero, ctx.Now, fresh, err, pl, task, avail)
 					}
 				}
 			}
 		}
 		for pi, part := range parts {
 			if kept[pi] == 0 {
-				t.Fatalf("%s hetero=%v: Prior never kept — the property was not exercised", part.Name(), hetero)
+				t.Fatalf("%s hetero=%v: no plan kept — the property was not exercised", part.Name(), hetero)
 			}
 		}
+	}
+	t.Logf("%d IITDLT and OPR-MN plans kept past their seal at a later floor, %d of them unsealed", rechecked, unsealed)
+	if unsealed == 0 {
+		t.Fatal("no unsealed IITDLT or OPR-MN plan kept at a later floor — the recheck was not exercised")
 	}
 }
 

@@ -48,11 +48,8 @@ func (o OPR) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 		return ctx.PlanMinNodes(t, o)
 	}
 	// OPR-AN always takes the whole cluster, whatever the slack.
-	if ctx.Prior != nil {
-		return ctx.Prior, nil
-	}
 	absD := t.AbsDeadline()
-	return ctx.search(t, ctx.N, ctx.N, absD+deadlineEps(absD), o)
+	return sealFixed(ctx.search(t, ctx.N, ctx.N, absD+deadlineEps(absD), o))
 }
 
 // Estimate implements Estimator: r_n + E(σ,n), exact because every node

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"errors"
 	"math"
 
 	"rtdls/internal/dlt"
@@ -15,29 +14,15 @@ import (
 // errs.ErrInfeasible sentinel, so errors.Is matches across packages.
 var ErrInfeasible = errs.ErrInfeasible
 
-// PlanContext carries the cluster state a partitioner plans against.
+// PlanContext carries the cluster state a partitioner plans a fresh plan
+// against. Whether a waiting task keeps the plan it holds is the
+// scheduler's call alone (keeps), so no context carries a prior plan.
 type PlanContext struct {
 	P     dlt.Params     // reference cost coefficients (the shared pair when homogeneous)
 	N     int            // cluster size
 	Now   float64        // current time; starts are clamped to max(Now, task arrival)
 	View  *AvailView     // tentative per-node release times
 	Costs *dlt.CostModel // per-node cost coefficients; nil or uniform = homogeneous
-
-	// Prior, when non-nil, is the plan the task holds in the current
-	// feasible schedule. The scheduler offers it only when a fresh Plan
-	// would see the very inputs Prior was computed from — the same committed
-	// base, the same plans stacked before it, and clamped start times that
-	// the later Now leaves unchanged (Prior's first start is not before the
-	// task's start floor) — so the one thing that can differ is where the
-	// node search starts; a plan sealed at the task's slack it keeps with
-	// no offer (Plan.sealedAt). A partitioner that knows the field
-	// answers without consulting the view (it may hold later tasks'
-	// assignments): Prior itself when it can tell a fresh Plan would end on
-	// Prior's node count, ErrPriorDeclined otherwise, and Plan is then
-	// called again with Prior nil against the exact view. One that does not
-	// know the field just plans; the scheduler discards that result and
-	// stops offering.
-	Prior *Plan
 
 	// scratch is where search evaluates its candidates and cuts its plans.
 	// The schedulers and speculation contexts hand in their own, never
@@ -75,7 +60,9 @@ func (ctx *PlanContext) startFloor(t *Task) float64 {
 // completion estimate for one task.
 //
 // Plan must not mutate the view — the scheduler applies the returned plan's
-// releases itself after checking the deadline.
+// releases itself after checking the deadline. It is called only for a
+// fresh plan: a waiting task whose plan the scheduler keeps (keeps) costs
+// no call.
 type Partitioner interface {
 	// Name returns the partitioner's identifier (e.g. "dlt-iit").
 	Name() string
@@ -164,31 +151,23 @@ func (ctx *PlanContext) FastRejectMinNodes(t *Task) bool {
 	return ctx.ProvablyLate(t, n0)
 }
 
-// ErrPriorDeclined is what a partitioner returns to a Plan call that offered
-// PlanContext.Prior when it knows a fresh Plan might not end on Prior: the
-// scheduler plans the task afresh, with no Prior, against its exact view.
-var ErrPriorDeclined = errors.New("rt: offered prior plan declined")
-
 // anchored marks IITDLT and OPR, and what embeds them: estimates never below
 // r_1 + E(σ,n) on n homogeneous nodes. Unexported, so no other can claim it.
 type anchored interface{ anchored() }
 
 // PlanMinNodes is the whole Plan of the same partitioners, which differ in
-// their Estimator only: an offered Prior is kept or declined, and a fresh
-// plan is searched from ñ_min(t) nodes up to the whole cluster, admitted
-// against the task's deadline, and sealed. An anchored search whose
-// earliest node frees at r_1 past the start floor starts at ñ_min(limit −
-// r_1) if that is more: no single-round dispatch on nodes free from r_1 on
-// ends before r_1 + E(σ,n) (Eq. 8), IITDLT's r_n + Ê is at least its
-// dispatch (Theorem 4) and OPR's r_n + E(σ,n) at least r_1 + E(σ,n), so
-// every smaller n fails. The slack is widened by ε and by 10⁻⁹/(1 − β),
-// as the rounding of E(σ,n) grows, so no candidate that meets it is skipped.
+// their Estimator only: a plan is searched from ñ_min(t) nodes up to the
+// whole cluster, admitted against the task's deadline, and sealed. An
+// anchored search whose earliest node frees at r_1 past the start floor
+// starts at ñ_min(limit − r_1) if that is more: no single-round dispatch on
+// nodes free from r_1 on ends before r_1 + E(σ,n) (Eq. 8), IITDLT's r_n + Ê
+// is at least its dispatch (Theorem 4) and OPR's r_n + E(σ,n) at least
+// r_1 + E(σ,n), so every smaller n fails. The slack is widened by ε and by
+// 10⁻⁹/(1 − β), as the rounding of E(σ,n) grows, so no candidate that
+// meets it is skipped.
 // The bound is taken once, at the smaller slack: ñ_min never falls as the
 // slack shrinks, nor does a failing bound recover.
 func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
-	if ctx.Prior != nil {
-		return ctx.keepPriorMinNodes(t)
-	}
 	absD, floor := t.AbsDeadline(), ctx.startFloor(t)
 	eps := deadlineEps(absD)
 	from, atR1 := absD-floor, false
@@ -208,6 +187,7 @@ func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	pl.fromBound = true
 	if atR1 {
 		pl.minSlack = from // the plan starts at r_1: sealed where the bound was taken
 	} else {
@@ -216,42 +196,56 @@ func (ctx *PlanContext) PlanMinNodes(t *Task, e Estimator) (*Plan, error) {
 	return pl, nil
 }
 
-// keepPriorMinNodes answers a Plan call that offered Prior: a fresh search
+// keeps is the scheduler's one rule for a waiting plan pl at the slack of
+// its task's start floor, under queueState.test's guards: it reports
+// whether a fresh Plan would be pl, bit for bit. A sealed plan is kept;
+// past its seal, a plan of PlanMinNodes is kept while the bound fits it
+// (fitsBound); any other plan is planned afresh.
+func (ctx *PlanContext) keeps(pl *Plan, slack float64) bool {
+	return pl.sealedAt(slack) || pl.fromBound && ctx.fitsBound(pl, slack)
+}
+
+// fitsBound is keeps' recheck for a plan of PlanMinNodes: a fresh search
 // stops at the first node count from ñ_min(t) on whose estimate meets the
-// deadline (the anchor skips only counts that fail). The estimates are the
-// ones Prior's search saw (see PlanContext.Prior) and the bound only grows
-// as the slack shrinks, so while it has not passed Prior's node count the
-// search ends exactly where Prior's did. A plan sealedAt the slack the
-// scheduler keeps itself, with no offer, so it never reaches this test.
-func (ctx *PlanContext) keepPriorMinNodes(t *Task) (*Plan, error) {
-	pr := ctx.Prior
-	slack := t.AbsDeadline() - ctx.startFloor(t)
-	if n0, ok := ctx.minNodes(t, slack); ok && n0 <= len(pr.Nodes) {
-		return pr, nil
-	}
-	return nil, ErrPriorDeclined
+// deadline (the anchor skips only counts that fail). Under the guards the
+// estimates are the ones pl's search saw, and the bound only grows as the
+// slack shrinks, so while it has not passed pl's node count the search ends
+// exactly where pl's did.
+func (ctx *PlanContext) fitsBound(pl *Plan, slack float64) bool {
+	n0, ok := ctx.minNodes(pl.Task, slack)
+	return ok && n0 <= len(pl.Nodes)
 }
 
 // sealMinNodes finishes a fresh plan of PlanMinNodes whose search took its
 // bound at the given slack from the start floor (one that took it at r_1's
 // seals there): it evaluates the bound once more at the smallest slack the
-// plan can ever be offered back at — its own first start's — and, when the
-// bound still fits the plan's node count there, records that slack, so the
+// plan can ever be kept at — its own first start's — and, when the bound
+// still fits the plan's node count there, records that slack, so the
 // scheduler keeps the plan on every later test with one comparison and no
-// Plan call (Plan.sealedAt); keepPriorMinNodes sees only offers the seal
-// does not cover. A plan that starts at its start floor is sealed at the
+// Plan call (Plan.sealedAt); keeps rechecks the bound only where the seal
+// does not reach. A plan that starts at its start floor is sealed at the
 // given slack, where the bound is the node count the search began at: no
 // second evaluation. TestQueuedCounts holds every plan waiting behind a
 // late-deadline arrival sealed, and the arrival to one Plan call.
 func (ctx *PlanContext) sealMinNodes(pl *Plan, searched float64) {
 	t := pl.Task
 	slack := t.AbsDeadline() - math.Max(pl.FirstStart(), t.Arrival)
-	if slack != searched {
-		if n0, ok := ctx.minNodes(t, slack); !ok || n0 > len(pl.Nodes) {
-			return
-		}
+	if slack != searched && !ctx.fitsBound(pl, slack) {
+		return
 	}
 	pl.minSlack = slack
+}
+
+// sealFixed seals a plan whose node count does not depend on the slack
+// (OPR-AN's whole cluster, User-Split's request) at its own first start's
+// slack, the smallest it can be kept at: every later start floor up to the
+// first start leaves each clamped start, and so the whole fresh plan,
+// unchanged.
+func sealFixed(pl *Plan, err error) (*Plan, error) {
+	if err == nil {
+		pl.minSlack = pl.Task.AbsDeadline() - pl.FirstStart()
+	}
+	return pl, err
 }
 
 // deadlineEps returns the absolute tolerance for comparing a completion

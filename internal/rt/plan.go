@@ -35,18 +35,23 @@ type Plan struct {
 	// exactly, and simulating the staggered dispatch would wrongly credit
 	// them with IIT utilisation.
 	SimultaneousStart bool
+	// fromBound marks a plan of PlanContext.PlanMinNodes, kept past its seal
+	// while the ñ_min(t) bound fits it (PlanContext.keeps). It sits in
+	// SimultaneousStart's padding: a Plan stays 144 bytes, 28 to a chunk.
+	fromBound bool
 
 	// Rounds is the number of dispatch rounds (1 for all single-round
 	// partitioners; >1 for the multi-round extension).
 	Rounds int
 
-	// minSlack, when positive, is a slack (absolute deadline minus start
-	// floor) from which on the ñ_min(t) bound is known not to exceed
-	// len(Nodes); PlanContext.PlanMinNodes and sealMinNodes write it.
+	// minSlack, when positive, is the plan's seal: a slack (absolute
+	// deadline minus start floor) from which on a fresh Plan of the task,
+	// under the scheduler's guards, is known to be this plan.
+	// PlanContext.PlanMinNodes, sealMinNodes and sealFixed write it.
 	minSlack float64
 }
 
-// sealedAt reports whether the seal covers the slack: kept with no offer.
+// sealedAt reports whether the seal covers the slack: the plan is kept.
 func (p *Plan) sealedAt(slack float64) bool { return p.minSlack > 0 && slack >= p.minSlack }
 
 // FirstStart returns the earliest node occupation time — the moment the

@@ -112,9 +112,6 @@ func (s *Scheduler) SetStageObserver(so StageObserver) {
 // Cluster returns the cluster the scheduler manages.
 func (s *Scheduler) Cluster() *cluster.Cluster { return s.cl }
 
-// Policy returns the execution-order policy.
-func (s *Scheduler) Policy() Policy { return s.pol }
-
 // Submit runs the schedulability test for a newly arrived task and either
 // admits it (installing the new feasible schedule for the whole waiting
 // queue) or rejects it (leaving the previous schedule untouched). The
@@ -340,15 +337,6 @@ type Stats struct {
 	Commits     int // committed (started) tasks
 	QueueLen    int // admitted-but-uncommitted tasks right now
 	MaxQueueLen int // largest waiting-queue length observed
-}
-
-// RejectRatio returns Rejects/Arrivals, the paper's evaluation metric
-// (0 when nothing has arrived).
-func (st Stats) RejectRatio() float64 {
-	if st.Arrivals == 0 {
-		return 0
-	}
-	return float64(st.Rejects) / float64(st.Arrivals)
 }
 
 // PlanCounts returns how many plans the admission tests so far computed

@@ -20,21 +20,19 @@ import (
 // view per plan, no fast-reject, every plan recomputed) over identical
 // randomized streams with fleet churn and hopeless tasks mixed in.
 
-// noHint is the full-replan reference: it hides PlanContext.Prior from the
-// wrapped partitioner and returns a copy of its plan with the seal cleared,
-// which the scheduler would keep without a Plan call, so every task of every
-// tentative schedule is planned afresh; it forwards the fast-reject unchanged.
+// noHint is the full-replan reference: it returns a copy of the wrapped
+// partitioner's plan with the seal and the fromBound mark cleared, so the
+// scheduler keeps no plan and every task of every tentative schedule is
+// planned afresh; it forwards the fast-reject unchanged.
 type noHint struct{ Partitioner }
 
 func (p noHint) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	c := *ctx
-	c.Prior = nil
-	pl, err := p.Partitioner.Plan(&c, t)
+	pl, err := p.Partitioner.Plan(ctx, t)
 	if pl == nil {
 		return nil, err
 	}
 	unsealed := *pl
-	unsealed.minSlack = 0
+	unsealed.minSlack, unsealed.fromBound = 0, false
 	return &unsealed, err
 }
 

@@ -44,11 +44,8 @@ func TestSubmitRejectsInfeasibleTask(t *testing.T) {
 	if ok {
 		t.Fatalf("infeasible task accepted")
 	}
-	if st := s.Stats(); st.Rejects != 1 || st.QueueLen != 0 {
-		t.Fatalf("rejects=%d queue=%d", st.Rejects, st.QueueLen)
-	}
-	if s.Stats().RejectRatio() != 1 {
-		t.Fatalf("RejectRatio = %v", s.Stats().RejectRatio())
+	if st := s.Stats(); st.Arrivals != 1 || st.Rejects != 1 || st.QueueLen != 0 {
+		t.Fatalf("arrivals=%d rejects=%d queue=%d", st.Arrivals, st.Rejects, st.QueueLen)
 	}
 }
 

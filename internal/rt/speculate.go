@@ -47,12 +47,12 @@ type Epoch struct {
 // submit still contributes exactly one sample per stage.
 type SpecStages struct {
 	Cand  float64 // seconds in candidate selection
-	Plan  float64 // seconds in partitioner calls
+	Plan  float64 // seconds in partitioner calls: fresh plans only
 	Check float64 // seconds in the schedulability check
 	Timed bool    // a StageObserver was installed at snapshot time
 
 	Computed     int  // plans the partitioner computed afresh
-	Reused       int  // plans carried over from the previous schedule
+	Reused       int  // plans kept from the previous schedule, with no Plan call
 	DemandReject bool // the demand bound decided the reject, before any plan
 }
 
@@ -76,7 +76,9 @@ const (
 )
 
 // SpecContext is one goroutine's private copy of the scheduler's queue
-// state, stamped with the epoch it mirrors. Contexts are reused across
+// state, stamped with the epoch it mirrors. It holds no admission state of
+// its own: which waiting plans a test keeps follows from the copied
+// schedule alone, as on the scheduler. Contexts are reused across
 // submissions; see Carry for when the copy itself, not just its
 // allocations, survives.
 type SpecContext struct {
@@ -146,7 +148,6 @@ func (s *Scheduler) SnapshotInto(sc *SpecContext) {
 	q.queue = append(q.queue[:0], s.q.queue...)
 	q.hinted = s.q.hinted && s.planVersion == e.cluster
 	q.testedAt = s.q.testedAt
-	q.blind = q.blind || s.q.blind
 	sc.synced = false
 }
 

@@ -36,9 +36,6 @@ func (UserSplit) FastReject(ctx *PlanContext, t *Task) bool {
 // Plan implements Partitioner.
 func (u UserSplit) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	// The node count is the user's request, whatever the slack.
-	if ctx.Prior != nil {
-		return ctx.Prior, nil
-	}
 	k := t.UserN
 	if k < 1 {
 		// No node count can meet the deadline even on an idle cluster
@@ -51,7 +48,7 @@ func (u UserSplit) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 	}
 	// One candidate, returned whatever its estimate: the deadline check is
 	// the scheduler's.
-	return ctx.search(t, k, k, math.Inf(1), u)
+	return sealFixed(ctx.search(t, k, k, math.Inf(1), u))
 }
 
 // Estimate implements Estimator: the exact completion of n equal chunks
