@@ -21,7 +21,7 @@ race:
 # The concurrency suites under the race detector, five passes each: one
 # pass tries only one interleaving of the admission lock.
 race-repeat:
-	$(GO) test -race -count=5 -run 'Speculative|Phased|Stress|Concurrent|Second' . ./internal/rt ./internal/service ./internal/pool ./internal/server
+	$(GO) test -race -count=5 -run 'Phased|Stress|Concurrent' . ./internal/rt ./internal/service ./internal/pool ./internal/server
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
@@ -38,15 +38,13 @@ examples:
 		diff -u "examples/$$name/output.txt" "$$out"; \
 	done
 
-# The one benchmark gate, CI's bench job. The contracts measured as a ratio
-# of two timings run in-process as the benchgate-tagged TestGate* tests:
-# per-submit cost flat in the fleet, speculation near serialized throughput
-# on 4+ procs. Each prints every ratio. The contracts that are counts
-# (TestQueuedCounts) are ordinary tests. -p 1 keeps the two packages'
-# timings from sharing the CPUs; -count=1 because a cached pass measures
-# nothing.
+# The one benchmark gate, CI's bench job. The contract measured as a ratio
+# of two timings runs in-process as the benchgate-tagged TestGate* test:
+# per-submit cost flat in the fleet. It prints every ratio. The contracts
+# that are counts (TestQueuedCounts) are ordinary tests. -count=1 because a
+# cached pass measures nothing.
 bench-gate:
-	$(GO) test -tags benchgate -p 1 -count=1 -v -run '^TestGate' -benchtime 300ms . ./internal/rt
+	$(GO) test -tags benchgate -count=1 -v -run '^TestGate' -benchtime 300ms ./internal/rt
 
 fmt:
 	gofmt -w .

@@ -25,8 +25,8 @@
 // -mutex-profile-fraction and -block-profile-rate switch on the runtime's
 // lock-contention and blocking profiles, served as /debug/pprof/mutex and
 // /debug/pprof/block on the -pprof-addr listener — the direct way to see
-// how much of the admission path still waits on the shard lock now that
-// planning runs speculatively outside it.
+// how long submits wait on a shard's lock, which each holds for its whole
+// decision.
 //
 // SIGTERM or SIGINT triggers a graceful drain: new submissions are
 // refused with 503 + Retry-After, every committed plan is flushed, event

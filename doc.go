@@ -139,37 +139,18 @@
 // to 10,000 nodes; make bench-gate, the CI bench job, gates the growth
 // ratio over the BenchmarkSubmit/nodes=N sweep (TestGateIndexGrowth).
 //
-// Since 3.4.0 admission is optimistically concurrent within a shard. A
-// submission snapshots the committed state under the lock with an epoch
-// stamp (cluster mutation counter + queue generation), then runs the
-// entire schedulability test — due-commit simulation, fast-reject,
-// candidate ordering, planning, deadline check — outside the lock
-// against a private availability view with per-goroutine scratch. The
-// install phase retakes the lock, and if the epoch is unchanged the
-// precomputed decision lands with a buffer swap; on a conflict the
-// speculation is discarded and the submission replays through the
-// serialized path, so every decision is still made against serialized
-// state and the stream is bit-for-bit what serialized execution
-// produces (property-tested by replaying the concurrent run's
-// linearization order). Rejections are epoch-neutral, which makes
-// overload shedding — the regime that needs throughput most — nearly
-// conflict-free; accept-heavy storms degrade gracefully via an adaptive
-// gate that falls back to serialized submission with periodic re-probes.
-// Speculation engages only while submitters overlap: a submit that finds
-// another in flight on its shard speculates, and so do the next 64. A
-// lone submitter — the simulator, the driver, one caller in process —
-// decides on the live state under the lock, the road a conflict replays
-// on, because it has nothing to overlap the off-lock planning with.
-// SetSpeculation toggles the path (on by default) on a Service; Stats
-// counts Speculative/Conflicts, the exposition
-// carries rtdls_admission_{speculative,conflicts}_total per shard,
-// dlload folds a conflict rate into BENCH_wire.json, and dlserve's
-// -mutex-profile-fraction/-block-profile-rate expose the remaining lock
-// waits on the -pprof-addr listener. BenchmarkSubmitContention sweeps
-// submitter counts over a cold and a hot mix with speculation on and off;
-// make bench-gate reports the scaling and gates the hot-mix overhead
-// contract on 4 or more procs (TestGateHotMixContention), and
-// TestConflictStormBackoff pins the adaptive gate's backoff.
+// Within a shard every submission decides under the shard's one lock:
+// the due-commit sweep, the service's own gate (deadline already past, a
+// full queue) and the whole schedulability test run on the scheduler's
+// live state, so concurrent submitters are decided one at a time and the
+// event stream, published under the same lock, is the linearization
+// (property-tested by replaying a concurrent run's order through a fresh
+// service). Counters, fleet mirrors and metrics are atomics, so Stats,
+// placement and a scrape never take the lock. dlserve's
+// -mutex-profile-fraction/-block-profile-rate expose the lock waits on the
+// -pprof-addr listener. Planning off the lock on a snapshot (3.4.0 to
+// 6.1.0) measured slower than this on every contended width on 2 cores,
+// and 7.0.0 deleted it.
 //
 // The schedulability test is incremental: the paper's Fig. 2 rebuilds the
 // tentative schedule of the whole waiting queue on every arrival, where
@@ -182,15 +163,13 @@
 // ñ_min at the new instant has not passed the plan's node count —
 // rewinds the index only to checkpoint p, and plans the arrival and the
 // tasks ordered after it. Due commits cut the head of the index's undo
-// log instead of rolling back and re-applying, and a speculation context
-// whose outcome installed is carried over as the snapshot of the new
-// epoch, so a run of speculative installs never re-copies the cluster or
-// rebuilds the index. The serialized and the speculative path run one function over
-// an explicit queue state, and around it every entrance — Submit,
-// SubmitBatch, speculation on or off, the replay after a conflict, a
-// pool's spillover retry or re-admission, a simulated arrival — walks one
-// stamp, sweep, gate, test and finish (service.admit / decide), one offer
-// loop (pool) and one simulation loop (driver). Decisions and plans are bit-for-bit those of a
+// log instead of rolling back and re-applying, so a steady stream of
+// submits never re-copies the cluster or rebuilds the index. The test is
+// one function over an explicit queue state, and around it every entrance
+// — Submit, SubmitBatch, a pool's spillover retry or re-admission, a
+// simulated arrival — walks one stamp, sweep, gate, test and finish
+// (service.admit / decide), one offer loop (pool) and one simulation loop
+// (driver). Decisions and plans are bit-for-bit those of a
 // whole-queue replan (lockstep suites and FuzzIncrementalAdmission
 // against a hint-free reference); node churn, fleet growth and
 // out-of-band commits fall back to one. Stats.PlansComputed/PlansReused
@@ -243,9 +222,8 @@
 // the floor start. Each candidate is evaluated in one reusable
 // rt.Candidate — clamped start times, the heterogeneous model rebuilt in
 // place (core.Model.Reset), the dispatch timeline simulated in place
-// (dlt.SimulateDispatchInto) — that the scheduler and every speculation
-// context own, and only the first candidate that meets the deadline
-// becomes a Plan. A candidate allocates
+// (dlt.SimulateDispatchInto) — that the scheduler owns, and only the
+// first candidate that meets the deadline becomes a Plan. A candidate allocates
 // nothing, and a fresh plan nothing of its own, however many candidates the
 // search ran: the Plan, its node ids and one block holding Starts, Release
 // and Alphas are cut from chunks of about 4 KB in a bump arena the Candidate

@@ -88,23 +88,13 @@ func (c *Cluster) Costs() *dlt.CostModel { return c.costs }
 // the cost model is not uniform).
 func (c *Cluster) Hetero() bool { return !c.costs.Uniform() }
 
-// AvailTimes returns a copy of the per-node release times of committed
-// work, indexed by node id.
-func (c *Cluster) AvailTimes() []float64 {
-	out := make([]float64, len(c.avail))
-	copy(out, c.avail)
-	return out
-}
-
-// AvailInto appends the per-node release times to dst[:0] and returns the
-// result, so hot-path callers can reuse one scratch buffer across
-// snapshots instead of allocating a copy per call.
+// AvailInto appends the per-node release times of committed work, indexed
+// by node id, to dst[:0] and returns the result: a copy, so hot-path
+// callers reuse one scratch buffer across snapshots and AvailInto(nil)
+// allocates a fresh one.
 func (c *Cluster) AvailInto(dst []float64) []float64 {
 	return append(dst[:0], c.avail...)
 }
-
-// AvailAt returns node id's committed release time.
-func (c *Cluster) AvailAt(id int) float64 { return c.avail[id] }
 
 // Commit records that a task occupies the given nodes from busyFrom[i] to
 // release[i] (both indexed like nodes), plus reservedIdle time units of

@@ -38,7 +38,7 @@ func TestFreshClusterState(t *testing.T) {
 	if c.Params() != baseline {
 		t.Fatalf("Params = %+v", c.Params())
 	}
-	for id, at := range c.AvailTimes() {
+	for id, at := range c.AvailInto(nil) {
 		if at != 0 {
 			t.Fatalf("node %d avail %v, want 0", id, at)
 		}
@@ -48,12 +48,16 @@ func TestFreshClusterState(t *testing.T) {
 	}
 }
 
+// TestAvailTimesIsCopy: the release times AvailInto returns, in a fresh
+// slice or in the caller's buffer, are a copy of the cluster's.
 func TestAvailTimesIsCopy(t *testing.T) {
 	c := mustNew(t, 2)
-	at := c.AvailTimes()
-	at[0] = 99
-	if c.AvailAt(0) != 0 {
-		t.Fatalf("mutating the copy changed cluster state")
+	buf := make([]float64, 0, 4)
+	for _, at := range [][]float64{c.AvailInto(nil), c.AvailInto(buf)} {
+		at[0] = 99
+		if c.AvailInto(nil)[0] != 0 {
+			t.Fatalf("mutating the copy changed cluster state")
+		}
 	}
 }
 
@@ -63,11 +67,11 @@ func TestCommitUpdatesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.AvailAt(1) != 10 || c.AvailAt(3) != 12 {
-		t.Fatalf("avail not updated: %v", c.AvailTimes())
+	if c.AvailInto(nil)[1] != 10 || c.AvailInto(nil)[3] != 12 {
+		t.Fatalf("avail not updated: %v", c.AvailInto(nil))
 	}
-	if c.AvailAt(0) != 0 || c.AvailAt(2) != 0 {
-		t.Fatalf("untouched nodes changed: %v", c.AvailTimes())
+	if c.AvailInto(nil)[0] != 0 || c.AvailInto(nil)[2] != 0 {
+		t.Fatalf("untouched nodes changed: %v", c.AvailInto(nil))
 	}
 	if got := c.BusyTime(); got != (10-0)+(12-5) {
 		t.Fatalf("BusyTime = %v, want 17", got)
@@ -92,8 +96,8 @@ func TestCommitSequential(t *testing.T) {
 	if err := c.Commit([]int{0}, []float64{10}, []float64{30}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.AvailAt(0) != 30 {
-		t.Fatalf("avail = %v", c.AvailAt(0))
+	if c.AvailInto(nil)[0] != 30 {
+		t.Fatalf("avail = %v", c.AvailInto(nil)[0])
 	}
 }
 
@@ -138,7 +142,7 @@ func TestCommitFailureIsAtomicEnough(t *testing.T) {
 	if err := c.Commit([]int{0, 9}, []float64{0, 0}, []float64{5, 5}, 0); err == nil {
 		t.Fatalf("expected error")
 	}
-	for id, at := range c.AvailTimes() {
+	for id, at := range c.AvailInto(nil) {
 		if at != 0 {
 			t.Fatalf("node %d mutated by failed commit", id)
 		}
@@ -170,7 +174,7 @@ func TestVersionCounter(t *testing.T) {
 	c := mustNew(t, 4)
 	v0 := c.Version()
 
-	c.AvailTimes()
+	c.AvailInto(nil)
 	c.LiveNodes()
 	c.EligibleInto(nil)
 	c.NodeStateList()
@@ -225,14 +229,14 @@ func TestCommitRejectsNaNTimes(t *testing.T) {
 			t.Fatalf("Commit(%v, %v) accepted", tc.from, tc.to)
 		}
 	}
-	if c.Version() != 0 || c.AvailAt(0) != 0 || c.BusyTime() != 0 {
-		t.Fatalf("refused commits left a mark: version %d, avail %v, busy %v", c.Version(), c.AvailAt(0), c.BusyTime())
+	if c.Version() != 0 || c.AvailInto(nil)[0] != 0 || c.BusyTime() != 0 {
+		t.Fatalf("refused commits left a mark: version %d, avail %v, busy %v", c.Version(), c.AvailInto(nil)[0], c.BusyTime())
 	}
 	if err := c.Commit([]int{1}, []float64{3}, []float64{math.Inf(1)}, 0); err != nil {
 		t.Fatalf("+Inf release refused: %v", err)
 	}
-	if !math.IsInf(c.AvailAt(1), 1) {
-		t.Fatalf("avail = %v, want +Inf", c.AvailAt(1))
+	if !math.IsInf(c.AvailInto(nil)[1], 1) {
+		t.Fatalf("avail = %v, want +Inf", c.AvailInto(nil)[1])
 	}
 }
 

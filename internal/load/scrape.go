@@ -319,8 +319,6 @@ type ShardCounters struct {
 	Rejects       int64            `json:"rejects"`
 	Commits       int64            `json:"commits"`
 	Displacements int64            `json:"displacements,omitempty"`
-	Speculative   int64            `json:"speculative,omitempty"`
-	Conflicts     int64            `json:"conflicts,omitempty"`
 	PlansComputed int64            `json:"plans_computed,omitempty"`
 	PlansReused   int64            `json:"plans_reused,omitempty"`
 	DemandRejects int64            `json:"demand_rejects,omitempty"`
@@ -344,21 +342,12 @@ type ReadmissionLatency struct {
 // between client-observed latency and what the admission pipeline itself
 // measured.
 type ServerMetrics struct {
-	Stages        []StageLatency  `json:"stages,omitempty"`
-	Shards        []ShardCounters `json:"shards,omitempty"`
-	QueueDepthMax float64         `json:"queue_depth_max"`
-	EventsDropped float64         `json:"events_dropped"`
-	Displacements int64           `json:"displacements,omitempty"`
-
-	// Speculative and Conflicts total the optimistic-admission outcome
-	// counters across shards over the run; ConflictRate is the fraction of
-	// off-lock planned admissions that lost the install race and replayed
-	// serialized — the wire-level health signal for the two-phase admission
-	// path under this workload's concurrency.
-	Speculative  int64               `json:"speculative"`
-	Conflicts    int64               `json:"conflicts"`
-	ConflictRate float64             `json:"conflict_rate"`
-	Readmission  *ReadmissionLatency `json:"readmission,omitempty"`
+	Stages        []StageLatency      `json:"stages,omitempty"`
+	Shards        []ShardCounters     `json:"shards,omitempty"`
+	QueueDepthMax float64             `json:"queue_depth_max"`
+	EventsDropped float64             `json:"events_dropped"`
+	Displacements int64               `json:"displacements,omitempty"`
+	Readmission   *ReadmissionLatency `json:"readmission,omitempty"`
 
 	// PlansComputed and PlansReused total, across shards, the plans the
 	// admission tests computed by running the partitioner and the plans
@@ -401,8 +390,6 @@ func MetricsDelta(before, after *Scrape) *ServerMetrics {
 			Rejects:       counterDelta("rtdls_rejects_total", want),
 			Commits:       counterDelta("rtdls_commits_total", want),
 			Displacements: counterDelta("rtdls_displacements_total", want),
-			Speculative:   counterDelta("rtdls_admission_speculative_total", want),
-			Conflicts:     counterDelta("rtdls_admission_conflicts_total", want),
 			PlansComputed: counterDelta("rtdls_admission_plans_computed_total", want),
 			PlansReused:   counterDelta("rtdls_admission_plans_reused_total", want),
 			DemandRejects: counterDelta("rtdls_admission_demand_rejects_total", want),
@@ -424,15 +411,10 @@ func MetricsDelta(before, after *Scrape) *ServerMetrics {
 			scs.FleetNodes[st] = int64(v)
 		}
 		sm.Displacements += scs.Displacements
-		sm.Speculative += scs.Speculative
-		sm.Conflicts += scs.Conflicts
 		sm.PlansComputed += scs.PlansComputed
 		sm.PlansReused += scs.PlansReused
 		sm.DemandRejects += scs.DemandRejects
 		sm.Shards = append(sm.Shards, scs)
-	}
-	if attempts := sm.Speculative + sm.Conflicts; attempts > 0 {
-		sm.ConflictRate = float64(sm.Conflicts) / float64(attempts)
 	}
 	sm.EventsDropped = after.Sum("rtdls_events_dropped_total", nil) - before.Sum("rtdls_events_dropped_total", nil)
 	if d := histogramDelta(before, after, "rtdls_readmission_seconds", nil); d.count > 0 {

@@ -66,11 +66,11 @@ func TestKeepSoundness(t *testing.T) {
 						continue
 					}
 					kept++
-					ctx := rt.PlanContext{P: cl.Params(), N: n, Now: now, View: rt.NewAvailView(cl.AvailTimes()), Costs: cl.Costs()}
+					ctx := rt.PlanContext{P: cl.Params(), N: n, Now: now, View: rt.NewAvailView(cl.AvailInto(nil)), Costs: cl.Costs()}
 					fresh, err := p.Plan(&ctx, task)
 					if s.PlanFor(1) != pl || err != nil || !samePlan(fresh, pl) {
 						t.Fatalf("rounds=%d hetero=%v: kept at now=%v but a fresh Plan gives (%+v, %v), want %+v\n(task %+v, avail %v)",
-							rounds, hetero, now, fresh, err, pl, task, cl.AvailTimes())
+							rounds, hetero, now, fresh, err, pl, task, cl.AvailInto(nil))
 					}
 					if hetero {
 						continue

@@ -284,8 +284,6 @@ var shardFamilies = map[string]struct {
 	"rtdls_utilization":                    {"gauge", "shard", func(st service.Stats, _ string) float64 { return st.Utilization }},
 	"rtdls_busy_time_seconds":              {"gauge", "shard", func(st service.Stats, _ string) float64 { return st.BusyTime }},
 	"rtdls_displacements_total":            {"counter", "shard", func(st service.Stats, _ string) float64 { return float64(st.Displaced) }},
-	"rtdls_admission_speculative_total":    {"counter", "shard", func(st service.Stats, _ string) float64 { return float64(st.Speculative) }},
-	"rtdls_admission_conflicts_total":      {"counter", "shard", func(st service.Stats, _ string) float64 { return float64(st.Conflicts) }},
 	"rtdls_admission_plans_computed_total": {"counter", "shard", func(st service.Stats, _ string) float64 { return float64(st.PlansComputed) }},
 	"rtdls_admission_plans_reused_total":   {"counter", "shard", func(st service.Stats, _ string) float64 { return float64(st.PlansReused) }},
 	"rtdls_admission_demand_rejects_total": {"counter", "shard", func(st service.Stats, _ string) float64 { return float64(st.DemandRejects) }},

@@ -351,8 +351,8 @@ func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, tried int
 // SubmitBatch submits several tasks, returning one decision per considered
 // task in input order. The batch fans out: every task is routed up front
 // (placement sequence numbers follow input order), the per-shard sub-batches
-// run concurrently — one goroutine per target shard, each a single
-// group-installed shard batch — and the decisions are re-stitched into input
+// run concurrently — one goroutine per target shard, each a single shard
+// batch under that shard's lock — and the decisions are re-stitched into input
 // order. Tasks a shard refuses are then retried down their placement order
 // exactly as Submit spills over. The batch is atomic per shard, not pool-wide:
 // concurrent submitters may interleave between sub-batches.
@@ -407,7 +407,7 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	}
 
 	// Fan out: one goroutine per target shard, each submitting its
-	// sub-batch in one shard-level (speculative, group-installed) batch.
+	// sub-batch in one shard-level batch.
 	subDec := make([][]service.Decision, len(p.shards))
 	subErr := make([]error, len(p.shards))
 	var wg sync.WaitGroup
@@ -479,18 +479,6 @@ func (p *Pool) SetAccepting(accepting bool) { p.draining.Store(!accepting) }
 // endpoint's readiness signal.
 func (p *Pool) Accepting() bool { return !p.draining.Load() && !p.closed.Load() }
 
-// SetSpeculation toggles optimistic two-phase admission on every shard (on
-// by default). While submitters overlap on a shard, each plans off-lock
-// against an epoch-stamped snapshot and installs after an epoch check; a
-// conflict falls back to the serialized path, so decisions stay bit-for-bit
-// those of a serialized execution. Off forces the serialized path for every
-// submission: an escape hatch and the equivalence tests' baseline.
-func (p *Pool) SetSpeculation(on bool) {
-	for _, sh := range p.shards {
-		sh.SetSpeculation(on)
-	}
-}
-
 // Event re-exports the service event type for pool subscribers.
 type Event = service.Event
 
@@ -516,8 +504,6 @@ func (p *Pool) Stats() service.Stats {
 		agg.NodesDown += st.NodesDown
 		agg.Displaced += st.Displaced
 		agg.LateCommits += st.LateCommits
-		agg.Speculative += st.Speculative
-		agg.Conflicts += st.Conflicts
 		agg.PlansComputed += st.PlansComputed
 		agg.PlansReused += st.PlansReused
 		agg.DemandRejects += st.DemandRejects

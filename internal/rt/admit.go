@@ -8,11 +8,8 @@ import (
 	"rtdls/internal/dlt"
 )
 
-// Schedule is a waiting queue in policy order with one plan per task — a
-// feasible tentative schedule, as a speculation context hands it to the
-// scheduler. Entries are immutable but for the scheduler's own
-// bookkeeping; copy one with append.
-type Schedule []slot
+// schedule is a waiting queue in policy order with one plan per task.
+type schedule []slot
 
 // slot is one waiting task of a schedule.
 type slot struct {
@@ -27,8 +24,7 @@ type slot struct {
 // and an availability view whose base is the committed cluster state and
 // whose tentative overlay holds the plans of the first `applied` waiting
 // tasks, stacked in queue order with one view checkpoint each. The
-// scheduler owns one (guarded by its caller's lock); every speculation
-// context owns a private copy. Both run the same test, sweep and seek code below.
+// scheduler owns one, guarded by its caller's lock.
 //
 // Keeping the overlay applied between tests is what makes the test
 // incremental: an arrival ordered at position p needs the view at
@@ -36,7 +32,7 @@ type slot struct {
 // queue, and the tasks ordered before it keep their plans whenever the
 // scheduler can tell a fresh Plan would return the same one (keeps).
 type queueState struct {
-	queue   Schedule // admitted, not yet committed; in policy order
+	queue   schedule // admitted, not yet committed; in policy order
 	applied int      // the plans of queue[:applied] are applied on the view, in order
 
 	view  *AvailView
@@ -57,7 +53,7 @@ type queueState struct {
 	// The tentative schedule is built in place, from the first re-planned
 	// position on; saved holds the tail it overwrites, to put back if the
 	// test rejects.
-	saved Schedule
+	saved schedule
 	pctx  PlanContext
 	// scratch is where the partitioner's node searches run their
 	// candidates, through pctx.
@@ -146,37 +142,49 @@ func (q *queueState) accept(now float64) {
 	q.testedAt = now
 }
 
-// adopt replaces the schedule with one computed on a copy of this state
-// (a speculation context). The two share the plans the test kept, pointer
-// for pointer, so only the overlay past their first difference is rewound
-// (and only the entries from there on are taken: the marks of the shared
-// ones belong to this state's view).
-func (q *queueState) adopt(sched Schedule, now float64) {
-	m := 0
-	for m < q.applied && m < len(sched) && sched[m].plan == q.queue[m].plan {
-		m++
-	}
-	q.seek(m)
-	q.queue = append(q.queue[:m], sched[m:]...)
-	q.hinted = true
-	q.testedAt = now
+// outcome is how one admission test ended.
+type outcome uint8
+
+const (
+	// outError: a hard partitioner error; the test decided nothing.
+	outError outcome = iota
+	// outReject: the arrival is rejected (fleet down, demand bound,
+	// fast-reject, or a deadline miss in the tentative schedule), and the
+	// schedule is unchanged.
+	outReject
+	// outAccept: every task of the tentative schedule meets its deadline,
+	// and that schedule is now the current one.
+	outAccept
+)
+
+// account is what one admission test reports besides its outcome: the
+// per-stage wall-clock spans and the plan counts.
+type account struct {
+	Cand  float64 // seconds in candidate selection
+	Plan  float64 // seconds in partitioner calls: fresh plans only
+	Check float64 // seconds in the schedulability check
+	Timed bool    // the spans were measured
+
+	Computed     int  // plans the partitioner computed afresh
+	Reused       int  // plans kept from the previous schedule, with no Plan call
+	DemandReject bool // the demand bound decided the reject, before any plan
 }
 
 // test is the paper's Fig. 2 schedulability test for a new arrival t at
 // time now: merge t into the waiting queue in policy order, plan every
 // task of the tentative schedule on top of its predecessors, and accept
 // iff every completion estimate meets its deadline. The view's base must
-// hold the committed cluster state. On SpecAccept the tentative schedule
-// is installed and t's plan returned; on SpecReject the schedule is
-// unchanged; SpecFallback carries a hard partitioner error.
+// hold the committed cluster state. On outAccept the tentative schedule
+// is installed and t's plan returned; on outReject the schedule is
+// unchanged; outError carries a hard partitioner error.
 //
 // Tasks ordered before t keep their plan, with no Plan call, while
 // PlanContext.keeps holds; from the first task that does not, the rest of
 // the schedule is planned afresh. A non-zero t0 is the instant the
 // caller started timing the test and enables the stage spans.
-func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0 time.Time) (SpecOutcome, *Plan, SpecStages, error) {
+func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0 time.Time) (outcome, *Plan, account, error) {
 	timed := !t0.IsZero()
-	st := SpecStages{Timed: timed}
+	st := account{Timed: timed}
 	var planDur time.Duration
 	plan := func(ti *Task) (*Plan, error) {
 		if !timed {
@@ -199,7 +207,7 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 	if q.live == 0 {
 		// The whole fleet is drained or down: nothing is placeable.
 		early()
-		return SpecReject, nil, st, nil
+		return outReject, nil, st, nil
 	}
 
 	// TempTaskList ← NewTask + TaskWaitingQueue, ordered by the policy: t
@@ -220,7 +228,7 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 	if fr != nil && q.overDemand(pol, t, p, now) {
 		st.DemandReject = true
 		early()
-		return SpecReject, nil, st, nil
+		return outReject, nil, st, nil
 	}
 
 	// Keep the plans of the tasks ordered before t, under keeps' guards:
@@ -253,7 +261,7 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 	// view is no earlier on any node and the bound stays sound.
 	if fr != nil && fr.FastReject(&q.pctx, t) {
 		early()
-		return SpecReject, nil, st, nil
+		return outReject, nil, st, nil
 	}
 
 	// The tentative schedule: the kept plans stay, everything from there on
@@ -289,9 +297,9 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 			q.restore(kept, base)
 			finish()
 			if errors.Is(err, ErrInfeasible) {
-				return SpecReject, nil, st, nil
+				return outReject, nil, st, nil
 			}
-			return SpecFallback, nil, st, err
+			return outError, nil, st, err
 		}
 		q.push(ti, pl)
 		if i == p {
@@ -301,7 +309,7 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 	// All tasks in the cluster are schedulable: accept TempSchedule.
 	q.accept(now)
 	finish()
-	return SpecAccept, own, st, nil
+	return outAccept, own, st, nil
 }
 
 // checkDeadline is the schedulability check on one partitioner result: a
@@ -322,16 +330,16 @@ func checkDeadline(pl *Plan, err error) (*Plan, error) {
 const commitEps = 1e-9
 
 // sweep removes every plan whose first transmission is due by now from the
-// queue, in queue order, calling commit (when non-nil) for each and — when
-// the view's base is in sync with the committed state — folding their
-// releases into that base. The due plans are normally the head of the
-// queue: if the overlay covers them, the fold is a cut of the undo log's
-// head and the rest of the overlay stays applied. A due plan behind one
-// that is not (possible only with a partitioner whose first starts do not
-// follow the queue order) changes the view under the tasks it jumps, so
-// the schedule stops being hinted. A commit error ends the sweep with the
-// failed plan and everything after it still queued; the caller must then
-// treat the view as out of sync.
+// queue, in queue order, calling commit for each and — when the view's base
+// is in sync with the committed state — folding their releases into that
+// base. The due plans are normally the head of the queue: if the overlay
+// covers them, the fold is a cut of the undo log's head and the rest of the
+// overlay stays applied. A due plan behind one that is not (possible only
+// with a partitioner whose first starts do not follow the queue order)
+// changes the view under the tasks it jumps, so the schedule stops being
+// hinted. A commit error ends the sweep with the failed plan and everything
+// after it still queued; the caller must then treat the view as out of
+// sync.
 func (q *queueState) sweep(now float64, synced bool, commit func(*Plan) error) error {
 	horizon := now + commitEps*math.Max(1, math.Abs(now))
 	head := 0
@@ -351,12 +359,10 @@ func (q *queueState) sweep(now float64, synced bool, commit func(*Plan) error) e
 
 	var err error
 	if !scattered {
-		done := head
-		if commit != nil {
-			for done = 0; done < head; done++ {
-				if err = commit(q.queue[done].plan); err != nil {
-					break
-				}
+		done := 0
+		for ; done < head; done++ {
+			if err = commit(q.queue[done].plan); err != nil {
+				break
 			}
 		}
 		if synced {
@@ -389,10 +395,7 @@ func (q *queueState) sweep(now float64, synced bool, commit func(*Plan) error) e
 	n := 0
 	for _, e := range q.queue {
 		if err == nil && e.first <= horizon {
-			if commit != nil {
-				err = commit(e.plan)
-			}
-			if err == nil {
+			if err = commit(e.plan); err == nil {
 				if synced {
 					q.view.CommitBase(e.plan.Nodes, e.plan.Release)
 					q.base.commit(e.plan.Nodes, e.plan.Release)

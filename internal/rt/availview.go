@@ -32,12 +32,9 @@ const blockCap = 64
 // the blocks again, in O(n). EarliestInto(k) copies the first k slots out
 // of the leading blocks, and EarliestTimeAt(k) walks the directory's block
 // counts to the k-th slot. A full rebuild — one O(n log n) sort — happens
-// only on Reset and SetEligible. The scheduler's own view resets when the
-// fleet changed under it (node churn, growth, out-of-band commits); a
-// speculation context's view additionally resets whenever it has to
-// re-snapshot, i.e. when another submitter's install moved the epoch. A
-// context whose own outcome installed carries its view over, so a single
-// submitter's steady state performs no rebuild at all.
+// only on Reset and SetEligible. The scheduler's view resets only when the
+// fleet changed under it (node churn, growth, out-of-band commits), so a
+// steady stream of submits and commits performs no rebuild at all.
 //
 // Tentative assignments are undo-logged with checkpoints: Mark names a
 // position in the log, RollbackTo undoes back to it with one retiming per

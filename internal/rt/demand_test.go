@@ -38,39 +38,29 @@ func saturate(t *testing.T, s *Scheduler, now, until, due float64, userN int) {
 
 // TestDemandBoundLeavesHardError: a User-Split request for more nodes than
 // are live is a hard error, not a reject, however plain it is that the
-// saturated queue behind the arrival has no room for it — on the serialized
-// path and as a speculation fallback — while the same arrival under a
-// partitioner that ignores UserN is a reject the bound decides, with no plan.
+// saturated queue behind the arrival has no room for it, while the same
+// arrival under a partitioner that ignores UserN is a reject the bound
+// decides, with no plan.
 func TestDemandBoundLeavesHardError(t *testing.T) {
 	const n = 6
-	for _, spec := range []bool{false, true} {
-		s := newSched(t, n, EDF, UserSplit{})
-		saturate(t, s, 0, 500, 12000, n)
-		before, decided := s.Stats(), s.DemandRejects()
-		// Ordered in front of the whole queue, and one load too many for it.
-		task := &Task{ID: 5000, Arrival: 0, Sigma: 100, RelDeadline: 3000, UserN: n + 1}
-		if spec {
-			sc := new(SpecContext)
-			s.SnapshotInto(sc)
-			sc.CommitDue(0)
-			if out := s.Speculate(sc, task, 0); out != SpecFallback {
-				t.Fatalf("speculation on a request for %d of %d nodes: outcome %v, want a fallback", n+1, n, out)
-			}
-		}
-		if ok, err := s.Submit(task, 0); ok || err == nil {
-			t.Fatalf("spec=%v: request for %d of %d nodes: (%v, %v), want a hard error", spec, n+1, n, ok, err)
-		}
-		fits := *task
-		fits.ID, fits.UserN = 5001, n
-		if ok, err := s.Submit(&fits, 0); ok || err != nil {
-			t.Fatalf("spec=%v: one load too many: (%v, %v), want a reject", spec, ok, err)
-		}
-		if got := s.DemandRejects() - decided; got != 1 {
-			t.Fatalf("spec=%v: %d demand rejects, want the well-formed arrival's only", spec, got)
-		}
-		if after := s.Stats(); after.QueueLen != before.QueueLen || after.Accepts != before.Accepts {
-			t.Fatalf("spec=%v: the queue moved: %+v -> %+v", spec, before, after)
-		}
+	us := newSched(t, n, EDF, UserSplit{})
+	saturate(t, us, 0, 500, 12000, n)
+	before, decidedUS := us.Stats(), us.DemandRejects()
+	// Ordered in front of the whole queue, and one load too many for it.
+	task := &Task{ID: 5000, Arrival: 0, Sigma: 100, RelDeadline: 3000, UserN: n + 1}
+	if ok, err := us.Submit(task, 0); ok || err == nil {
+		t.Fatalf("request for %d of %d nodes: (%v, %v), want a hard error", n+1, n, ok, err)
+	}
+	fits := *task
+	fits.ID, fits.UserN = 5001, n
+	if ok, err := us.Submit(&fits, 0); ok || err != nil {
+		t.Fatalf("one load too many: (%v, %v), want a reject", ok, err)
+	}
+	if got := us.DemandRejects() - decidedUS; got != 1 {
+		t.Fatalf("%d demand rejects, want the well-formed arrival's only", got)
+	}
+	if after := us.Stats(); after.QueueLen != before.QueueLen || after.Accepts != before.Accepts {
+		t.Fatalf("the queue moved: %+v -> %+v", before, after)
 	}
 
 	s := newSched(t, n, EDF, IITDLT{})
@@ -294,8 +284,8 @@ func TestDemandBoundNumericRange(t *testing.T) {
 
 // TestDemandBoundSeedSaturates: the overloaded corpus entry of
 // FuzzIncrementalAdmission does what it is there for — the lockstep driver
-// reaches the bound on the serialized and on the speculative path, across
-// the clock steps, node transitions and revalidations the entry mixes in.
+// reaches the bound with and without a sweep before the test, across the
+// clock steps, node transitions and revalidations the entry mixes in.
 func TestDemandBoundSeedSaturates(t *testing.T) {
 	for h := byte(0); h < 16; h++ {
 		ls := driveIncremental(t, overloadedSeed(h))

@@ -14,41 +14,17 @@ import (
 // This file pins the incremental admission test against the full-replan
 // reference (the noHint decorator of scheduler_equiv_test.go): the reuse
 // rule of every in-package partitioner, the events that must
-// invalidate kept plans, the carried-over speculation snapshot, and a
-// stateful lockstep driver shared by a unit test and FuzzIncrementalAdmission.
-
-// specSubmit runs one submission through the optimistic protocol exactly
-// as service.admit drives it: snapshot, simulated sweep,
-// off-lock test, epoch check, real sweep, install, carry. It returns the
-// plans the real sweep committed along with the decision.
-func specSubmit(s *Scheduler, sc *SpecContext, t *Task, now float64) (committed []*Plan, accepted bool, err error) {
-	s.SnapshotInto(sc)
-	sc.CommitDue(now)
-	out := s.Speculate(sc, t, now)
-	stale := out == SpecFallback || s.Epoch() != sc.Epoch()
-	committed, err = s.CommitDue(now)
-	if err != nil {
-		return committed, false, err
-	}
-	if stale {
-		accepted, err = s.Submit(t, now)
-		return committed, accepted, err
-	}
-	s.Install(now, sc.AcceptedPlan(), sc.Schedule(), sc.Stages())
-	s.Carry(sc)
-	return committed, out == SpecAccept, nil
-}
+// invalidate kept plans, and a stateful lockstep driver shared by a unit
+// test and FuzzIncrementalAdmission.
 
 // lockstep drives a production scheduler and the full-replan reference
 // through the same operations and fails on the first divergence in
 // decisions, in the whole plan table, in commits, displacements or stats.
 // It also checks, after every step, that the overlay the production
-// scheduler and its speculation contexts keep applied is what their plan
-// tables say it is.
+// scheduler keeps applied is what its plan table says it is.
 type lockstep struct {
 	t      *testing.T
 	a, ref *Scheduler
-	scs    [2]*SpecContext
 	now    float64
 	nextID int64
 
@@ -65,7 +41,6 @@ func newLockstep(t *testing.T, n int, pol Policy, part Partitioner, hetero bool)
 		t:      t,
 		a:      NewScheduler(cla, pol, part),
 		ref:    NewScheduler(clb, pol, noHint{part}),
-		scs:    [2]*SpecContext{new(SpecContext), new(SpecContext)},
 		nextID: 1,
 	}
 }
@@ -85,7 +60,7 @@ func (ls *lockstep) samePlans(what string, pa, pb []*Plan) {
 // overlayTimes recomputes the view a queue state claims to hold: the
 // committed release times with plans[:applied] stacked on top.
 func overlayTimes(cl *cluster.Cluster, q *queueState) []float64 {
-	times := cl.AvailTimes()
+	times := cl.AvailInto(nil)
 	for _, e := range q.queue[:q.applied] {
 		for i, id := range e.plan.Nodes {
 			times[id] = e.plan.Release[i]
@@ -96,7 +71,7 @@ func overlayTimes(cl *cluster.Cluster, q *queueState) []float64 {
 
 // plansOf lists a schedule's plans, checking on the way that every entry's
 // cached first start is its plan's.
-func (ls *lockstep) plansOf(sched Schedule) []*Plan {
+func (ls *lockstep) plansOf(sched schedule) []*Plan {
 	ls.t.Helper()
 	plans := make([]*Plan, len(sched))
 	for i, e := range sched {
@@ -122,19 +97,6 @@ func (ls *lockstep) check(what string) {
 		}
 		ls.sameBase(&a.q)
 	}
-	for i, sc := range ls.scs {
-		if !sc.synced || sc.epoch != a.Epoch() {
-			continue
-		}
-		// A context on the live epoch may have swept ahead of the scheduler
-		// only when nothing was due, so its table is the scheduler's.
-		ls.samePlans(fmt.Sprintf("%s: context %d table", what, i), ls.plansOf(sc.q.queue), ls.plansOf(a.q.queue))
-		if got, want := sc.q.view.Times(), overlayTimes(a.cl, &sc.q); !slices.Equal(got, want) {
-			ls.t.Fatalf("%s: context %d overlay (applied %d of %d):\n got  %v\n want %v",
-				what, i, sc.q.applied, len(sc.q.queue), got, want)
-		}
-		ls.sameBase(&sc.q)
-	}
 }
 
 // sameBase checks that the committed-capacity summary of a queue state in
@@ -151,36 +113,24 @@ func (ls *lockstep) sameBase(q *queueState) {
 	}
 	c := q.base
 	c.asc, c.moved = slices.Clone(c.asc), slices.Clone(c.moved)
-	checkBaseCap(ls.t, &c, cl.AvailTimes(), elig)
+	checkBaseCap(ls.t, &c, cl.AvailInto(nil), elig)
 }
 
-// submit sends one task down both schedulers: a takes the speculative
-// protocol on context spec (0 or 1) or, with spec < 0, the serialized
-// Submit without a preceding sweep; ref always mirrors with the serialized
-// calls.
-func (ls *lockstep) submit(sigma, relDeadline float64, userN, spec int) bool {
+// submit sends one task down both schedulers. With sweep set, each first
+// commits what is due, as the service does before every test; without it
+// the test runs on a queue that may hold due, uncommitted plans.
+func (ls *lockstep) submit(sigma, relDeadline float64, userN int, sweep bool) bool {
 	ls.t.Helper()
 	task := Task{ID: ls.nextID, Arrival: ls.now, Sigma: sigma, RelDeadline: relDeadline, UserN: userN}
 	ls.nextID++
 	ta, tb := task, task
-	what := fmt.Sprintf("submit %+v (spec %d)", task, spec)
-	var oka bool
-	var ea error
-	if spec >= 0 {
-		var ca []*Plan
-		ca, oka, ea = specSubmit(ls.a, ls.scs[spec], &ta, ls.now)
-		cb, eb := ls.ref.CommitDue(ls.now)
-		ls.samePlans(what+": sweep", ca, cb)
-		if eb != nil {
-			if !errEqual(ea, eb) {
-				ls.t.Fatalf("%s: sweep errors diverge: %v vs %v", what, ea, eb)
-			}
-			ls.wedged = true
+	what := fmt.Sprintf("submit %+v (sweep %v)", task, sweep)
+	if sweep {
+		if ls.commitDue(); ls.wedged {
 			return false
 		}
-	} else {
-		oka, ea = ls.a.Submit(&ta, ls.now)
 	}
+	oka, ea := ls.a.Submit(&ta, ls.now)
 	okb, eb := ls.ref.Submit(&tb, ls.now)
 	if oka != okb || !errEqual(ea, eb) {
 		ls.t.Fatalf("%s: decisions diverge: (%v,%v) vs (%v,%v)", what, oka, ea, okb, eb)
@@ -246,7 +196,7 @@ func (ls *lockstep) revalidate() {
 func (ls *lockstep) commitOutOfBand(id int, until float64) {
 	ls.t.Helper()
 	for _, cl := range []*cluster.Cluster{ls.a.cl, ls.ref.cl} {
-		from := math.Max(cl.AvailAt(id), ls.now)
+		from := math.Max(cl.AvailInto(nil)[id], ls.now)
 		if err := cl.Commit([]int{id}, []float64{from}, []float64{math.Max(from, until)}, 0); err != nil {
 			ls.t.Fatal(err)
 		}
@@ -291,7 +241,7 @@ func driveIncremental(t *testing.T, data []byte) *lockstep {
 	states := []cluster.NodeState{cluster.NodeUp, cluster.NodeDraining, cluster.NodeDown}
 	for steps := 0; steps < 400 && off < len(data) && !ls.wedged; steps++ {
 		switch op := next() % 16; {
-		case op < 8: // submit; ops 0-1 serialized without a sweep, 2-7 speculative
+		case op < 8: // submit; ops 0-1 without a sweep, 2-7 after one
 			sigma := 1 + float64(next())*1.5
 			var d float64
 			switch c := next(); c % 4 {
@@ -302,11 +252,7 @@ func driveIncremental(t *testing.T, data []byte) *lockstep {
 			default:
 				d = 1500 + 25*float64(c)
 			}
-			spec := -1
-			if op >= 2 {
-				spec = op % 2
-			}
-			ls.submit(sigma, d, next()%(ls.a.cl.N()+1), spec)
+			ls.submit(sigma, d, next()%(ls.a.cl.N()+1), op >= 2)
 		case op < 11:
 			ls.now += float64(next()) * 12
 		case op == 11:
@@ -381,7 +327,7 @@ func TestIncrementalAdmissionLockstep(t *testing.T) {
 	ls := newLockstep(t, 8, EDF, IITDLT{}, false)
 	for i := 0; i < 40; i++ {
 		ls.now += 100
-		ls.submit(300, 40000+float64(i), 0, i%2)
+		ls.submit(300, 40000+float64(i), 0, true)
 	}
 	_, reused = ls.a.PlanCounts()
 	if _, refReused := ls.ref.PlanCounts(); reused == 0 || refReused != 0 {
@@ -412,9 +358,9 @@ func FuzzIncrementalAdmission(f *testing.F) {
 
 // submitLast submits a task whose absolute deadline lies behind every
 // earlier one's, so EDF and FIFO both order it at the end of the queue.
-func (ls *lockstep) submitLast(spec int) {
+func (ls *lockstep) submitLast(sweep bool) {
 	ls.t.Helper()
-	if !ls.submit(150, 50000+1000*float64(ls.nextID)-ls.now, 3, spec) {
+	if !ls.submit(150, 50000+1000*float64(ls.nextID)-ls.now, 3, sweep) {
 		ls.t.Fatalf("task %d rejected", ls.nextID-1)
 	}
 }
@@ -427,15 +373,15 @@ func (ls *lockstep) backlog(until float64, k int) {
 		ls.commitOutOfBand(id, until)
 	}
 	for i := 0; i < k; i++ {
-		ls.submitLast(-1)
+		ls.submitLast(false)
 	}
 }
 
 // reusedBy returns how many plans the next submission carries over.
-func (ls *lockstep) reusedBy(spec int) int64 {
+func (ls *lockstep) reusedBy(sweep bool) int64 {
 	ls.t.Helper()
 	_, before := ls.a.PlanCounts()
-	ls.submitLast(spec)
+	ls.submitLast(sweep)
 	_, after := ls.a.PlanCounts()
 	return after - before
 }
@@ -453,23 +399,23 @@ func TestReuseInvalidation(t *testing.T) {
 	parts := []Partitioner{IITDLT{}, OPR{}, OPR{AllNodes: true}, UserSplit{}}
 	for name, event := range events {
 		for _, part := range parts {
-			for _, spec := range []int{-1, 0} {
+			for _, sweep := range []bool{false, true} {
 				ls := newLockstep(t, 6, EDF, part, false)
 				ls.now = 100
 				ls.backlog(8000, 5)
 				ls.now += 100
-				if got := ls.reusedBy(spec); got != 5 {
-					t.Fatalf("%s/%s/spec=%d: warm submit reused %d of 5 plans", name, part.Name(), spec, got)
+				if got := ls.reusedBy(sweep); got != 5 {
+					t.Fatalf("%s/%s/sweep=%v: warm submit reused %d of 5 plans", name, part.Name(), sweep, got)
 				}
 				ls.now += 100
 				event(ls)
-				if got := ls.reusedBy(spec); got != 0 {
-					t.Fatalf("%s/%s/spec=%d: reused %d plans across the event", name, part.Name(), spec, got)
+				if got := ls.reusedBy(sweep); got != 0 {
+					t.Fatalf("%s/%s/sweep=%v: reused %d plans across the event", name, part.Name(), sweep, got)
 				}
 				ls.now = math.Max(ls.now, 400)
 				ls.commitDue() // a node added idle lets a replanned task start at once
-				if got, want := ls.reusedBy(spec), int64(ls.a.Stats().QueueLen-1); got != want || want < 5 {
-					t.Fatalf("%s/%s/spec=%d: reused %d of %d plans after recovering", name, part.Name(), spec, got, want)
+				if got, want := ls.reusedBy(sweep), int64(ls.a.Stats().QueueLen-1); got != want || want < 5 {
+					t.Fatalf("%s/%s/sweep=%v: reused %d of %d plans after recovering", name, part.Name(), sweep, got, want)
 				}
 				ls.drain()
 			}
@@ -488,7 +434,7 @@ func TestReuseInvalidation(t *testing.T) {
 		ls.backlog(8000, 5)
 		ls.now += 100
 		event(ls)
-		if got, want := ls.reusedBy(0), int64(ls.a.Stats().QueueLen-1); got != want {
+		if got, want := ls.reusedBy(true), int64(ls.a.Stats().QueueLen-1); got != want {
 			t.Fatalf("%s: reused %d of %d revalidated plans", name, got, want)
 		}
 		ls.drain()
@@ -515,32 +461,32 @@ func (delayed) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 // stays, the tasks it jumped see a different view, so no plan is kept
 // until the next whole-queue test.
 func TestScatteredCommitInvalidates(t *testing.T) {
-	for _, spec := range []int{-1, 0} {
+	for _, sweep := range []bool{false, true} {
 		ls := newLockstep(t, 3, FIFO, delayed{}, false)
 		keptBy := func(userN int) int64 {
 			t.Helper()
 			_, before := ls.a.PlanCounts()
-			ls.submit(10, 1e6, userN, spec)
+			ls.submit(10, 1e6, userN, sweep)
 			_, after := ls.a.PlanCounts()
 			return after - before
 		}
-		ls.submit(10, 1e6, 1000, spec) // starts at 1000
+		ls.submit(10, 1e6, 1000, sweep) // starts at 1000
 		// The second task starts at 100, queued behind the first.
 		if kept := keptBy(100); kept != 1 {
-			t.Fatalf("spec=%d: second arrival kept %d plans, want 1", spec, kept)
+			t.Fatalf("sweep=%v: second arrival kept %d plans, want 1", sweep, kept)
 		}
 		ls.now = 200
-		if spec < 0 {
+		if !sweep {
 			ls.commitDue() // commits the second task only
 		}
 		if kept := keptBy(500); kept != 0 {
-			t.Fatalf("spec=%d: %d plans kept across a scattered commit", spec, kept)
+			t.Fatalf("sweep=%v: %d plans kept across a scattered commit", sweep, kept)
 		}
 		if got := ls.a.PlanFor(1).FirstStart(); got != 1200 {
-			t.Fatalf("spec=%d: jumped task starts at %v, want a fresh plan at 1200", spec, got)
+			t.Fatalf("sweep=%v: jumped task starts at %v, want a fresh plan at 1200", sweep, got)
 		}
 		if kept := keptBy(700); kept != 2 {
-			t.Fatalf("spec=%d: %d plans kept after the whole-queue test, want 2", spec, kept)
+			t.Fatalf("sweep=%v: %d plans kept after the whole-queue test, want 2", sweep, kept)
 		}
 		ls.drain()
 	}
@@ -638,38 +584,5 @@ func TestKeepSoundness(t *testing.T) {
 	t.Logf("%d IITDLT and OPR-MN plans kept past their seal at a later floor, %d of them unsealed", rechecked, unsealed)
 	if unsealed == 0 {
 		t.Fatal("no unsealed IITDLT or OPR-MN plan kept at a later floor — the recheck was not exercised")
-	}
-}
-
-// TestCarriedSnapshotSteadyState pins the per-accept cost claim without a
-// clock: after the first submission a lone submitter's speculation context
-// is carried from install to install, so 1000 accepts on a 1024-node fleet
-// copy the cluster's release times and rebuild the availability index
-// exactly zero more times.
-func TestCarriedSnapshotSteadyState(t *testing.T) {
-	s := newSched(t, 1024, EDF, IITDLT{})
-	sc := new(SpecContext)
-	now := 0.0
-	submit := func(id int) {
-		task := &Task{ID: int64(id), Arrival: now, Sigma: 150 + float64(id%8)*12.5, RelDeadline: 5200}
-		if _, ok, err := specSubmit(s, sc, task, now); err != nil || !ok {
-			t.Fatalf("task %d: accepted=%v err=%v", id, ok, err)
-		}
-		now += 700
-	}
-	submit(1)
-	refreshes, rebuilds := sc.refreshes, sc.q.view.rebuilds
-	if refreshes != 1 || rebuilds != 1 {
-		t.Fatalf("first submission: %d snapshots, %d index rebuilds, want 1 and 1", refreshes, rebuilds)
-	}
-	for id := 2; id <= 1001; id++ {
-		submit(id)
-	}
-	if sc.refreshes != refreshes || sc.q.view.rebuilds != rebuilds {
-		t.Fatalf("1000 carried accepts took %d snapshots and %d index rebuilds, want 0 and 0",
-			sc.refreshes-refreshes, sc.q.view.rebuilds-rebuilds)
-	}
-	if st := s.Stats(); st.Accepts != 1001 || st.Commits == 0 {
-		t.Fatalf("stats %+v: want 1001 accepts and commits in between", st)
 	}
 }

@@ -25,8 +25,8 @@ type PlanContext struct {
 	Costs *dlt.CostModel // per-node cost coefficients; nil or uniform = homogeneous
 
 	// scratch is where search evaluates its candidates and cuts its plans.
-	// The schedulers and speculation contexts hand in their own, never
-	// shared between goroutines; a context built by hand makes one.
+	// Each scheduler hands in its own, never shared between goroutines; a
+	// context built by hand makes one.
 	scratch *Candidate
 }
 

@@ -39,8 +39,7 @@ type Observer interface {
 // A Scheduler takes no lock: one goroutine at a time may use it, and its
 // caller serializes the calls — service.Service does, under its shard's one
 // lock. Only the atomic counter reads (Stats, PlanCounts, DemandRejects,
-// QueueLen) and Speculate, which reads just the immutable policy and
-// partitioner besides its context, may run outside that lock.
+// QueueLen) may run outside that lock.
 type Scheduler struct {
 	cl   *cluster.Cluster
 	pol  Policy
@@ -64,13 +63,6 @@ type Scheduler struct {
 	// leaves it behind and the next test re-plans the whole queue.
 	clVersion   uint64
 	planVersion uint64
-
-	// queueGen counts waiting-queue mutations that leave the cluster's own
-	// mutation counter untouched (accepts, revalidations). Together with
-	// cluster.Version() it forms the Epoch optimistic submissions validate
-	// against — see speculate.go. Rejections don't bump it: they change
-	// nothing a later admission test reads.
-	queueGen uint64
 
 	// Admission counters live on atomics so Stats() — and every observer
 	// built on it, including the /metrics scrape — reads them without the
@@ -148,14 +140,13 @@ func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
 	return pl, err
 }
 
-// land is where every admission test ends, whether it ran here on the
-// live state (Submit) or on a speculation context whose outcome is being
-// installed: the test's account lands on the plan counters and the stage
-// observer, and the outcome on its counter. For an accept the schedule now
-// in q — a whole-queue test's against the current cluster state — is the
-// one that admitted the task. A test that ended in a hard error
-// (SpecFallback) decided nothing and counts as no arrival.
-func (s *Scheduler) land(out SpecOutcome, st SpecStages) {
+// land is where every admission test ends: the test's account lands on the
+// plan counters and the stage observer, and the outcome on its counter. For
+// an accept the schedule now in q — a whole-queue test's against the
+// current cluster state — is the one that admitted the task. A test that
+// ended in a hard error (outError) decided nothing and counts as no
+// arrival.
+func (s *Scheduler) land(out outcome, st account) {
 	if st.Computed != 0 {
 		s.plansComputed.Add(int64(st.Computed))
 	}
@@ -171,7 +162,7 @@ func (s *Scheduler) land(out SpecOutcome, st SpecStages) {
 		s.stageObs.ObserveStage(StageCheck, st.Check)
 	}
 	switch out {
-	case SpecAccept:
+	case outAccept:
 		s.planVersion = s.cl.Version()
 		s.accepts.Add(1)
 		n := int64(len(s.q.queue))
@@ -179,8 +170,7 @@ func (s *Scheduler) land(out SpecOutcome, st SpecStages) {
 		if n > s.maxQueue.Load() {
 			s.maxQueue.Store(n)
 		}
-		s.queueGen++
-	case SpecReject:
+	case outReject:
 		s.rejects.Add(1)
 	}
 }
@@ -266,7 +256,6 @@ func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
 	q.accept(now)
 	s.planVersion = s.cl.Version()
 	s.queueLen.Store(int64(len(q.queue)))
-	s.queueGen++
 	return displaced, nil
 }
 

@@ -162,7 +162,7 @@ func TestCommitLifecycle(t *testing.T) {
 		t.Fatalf("no commits should remain")
 	}
 	// Cluster must now show the committed usage.
-	avails := s.Cluster().AvailTimes()
+	avails := s.Cluster().AvailInto(nil)
 	busy := 0
 	for _, a := range avails {
 		if a > 0 {

@@ -3,7 +3,6 @@ package rt
 import (
 	"math"
 	"math/rand/v2"
-	"sync"
 	"testing"
 
 	"rtdls/internal/cluster"
@@ -130,74 +129,5 @@ func TestStressEDFVsFIFOAdmissions(t *testing.T) {
 	}
 	if edf < fifo-10 {
 		t.Fatalf("EDF admitted clearly fewer tasks than FIFO: %d vs %d", edf, fifo)
-	}
-}
-
-// TestConcurrentSpeculationBesideLive speculates off the lock, as the
-// service does, while the live scheduler takes another submission: the
-// two run their searches in different scratches and cut their plans from
-// different arenas, so under the race detector nothing they write may
-// overlap. Installed outcomes put plans cut from the context's arena into
-// the live queue, which the live side then reads while the context cuts
-// its next plans from the same chunks. Every decision equals the
-// serialized run's.
-func TestConcurrentSpeculationBesideLive(t *testing.T) {
-	s, ref := newSched(t, 16, EDF, IITDLT{}), newSched(t, 16, EDF, IITDLT{})
-	var sc SpecContext
-	rng := rand.New(rand.NewPCG(34, 3))
-	draw := func(id int64, now float64) *Task {
-		return &Task{ID: id, Arrival: now, Sigma: 50 + 200*rng.Float64(), RelDeadline: 3000 + 6000*rng.Float64()}
-	}
-	submit := func(sch *Scheduler, task *Task, now float64) bool {
-		t.Helper()
-		if _, err := sch.CommitDue(now); err != nil {
-			t.Fatal(err)
-		}
-		ok, err := sch.Submit(task, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ok
-	}
-	installs, stale := 0, 0
-	for round := int64(0); round < 600; round++ {
-		now := float64(round) * 120
-		spec, live := draw(2*round, now), draw(2*round+1, now)
-		s.SnapshotInto(&sc)
-		var out SpecOutcome
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc.CommitDue(now)
-			out = s.Speculate(&sc, spec, now)
-		}()
-		if round%2 == 1 {
-			if got, want := submit(s, live, now), submit(ref, live, now); got != want {
-				t.Fatalf("round %d: live task %d accepted=%v, serialized %v", round, live.ID, got, want)
-			}
-		}
-		wg.Wait()
-		want := submit(ref, spec, now)
-		if out == SpecFallback || s.Epoch() != sc.Epoch() {
-			sc.Invalidate()
-			stale++
-			if got := submit(s, spec, now); got != want {
-				t.Fatalf("round %d: replayed task %d accepted=%v, serialized %v", round, spec.ID, got, want)
-			}
-			continue
-		}
-		if _, err := s.CommitDue(now); err != nil {
-			t.Fatal(err)
-		}
-		s.Install(now, sc.AcceptedPlan(), sc.Schedule(), sc.Stages())
-		s.Carry(&sc)
-		if got := out == SpecAccept; got != want {
-			t.Fatalf("round %d: speculated task %d accepted=%v, serialized %v", round, spec.ID, got, want)
-		}
-		installs++
-	}
-	if installs < 100 || stale < 40 {
-		t.Fatalf("weak run: %d installs, %d replays", installs, stale)
 	}
 }

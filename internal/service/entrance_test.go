@@ -16,22 +16,6 @@ import (
 	"rtdls/internal/rt"
 )
 
-// hookClock runs hook, once, on the next Now call — which, on the
-// speculative road, is the stamp of phase 1: after the snapshot, off the
-// lock. That is where a forced epoch conflict is injected.
-type hookClock struct {
-	*ManualClock
-	hook func()
-}
-
-func (c *hookClock) Now() float64 {
-	if h := c.hook; h != nil {
-		c.hook = nil
-		h()
-	}
-	return c.ManualClock.Now()
-}
-
 // callLog records the legacy observer callbacks in order.
 type callLog []string
 
@@ -45,8 +29,7 @@ func (l *callLog) OnCommit(now float64, p *rt.Plan) {
 	*l = append(*l, fmt.Sprintf("commit %d at %v", p.Task.ID, now))
 }
 
-// ledger is what of Stats must not depend on the road a task took. (The
-// plan counts and the speculation counters do, by design.)
+// ledger is the part of Stats an outcome is compared on.
 type ledger struct {
 	Arrivals, Accepts, Rejects, Commits, QueueLen, MaxQueueLen int
 	Displaced, LateCommits, DemandRejects                      int
@@ -62,14 +45,8 @@ func ledgerOf(st Stats) ledger {
 	}
 }
 
-// pathDependent are the families that say which road was taken.
-var pathDependent = []string{
-	"rtdls_admission_speculative_total", "rtdls_admission_conflicts_total",
-	"rtdls_admission_plans_computed_total", "rtdls_admission_plans_reused_total",
-}
-
 // shardSamples renders the registry and returns its per-shard samples,
-// series → value, without the path-dependent families.
+// series → value.
 func shardSamples(t *testing.T, reg *metrics.Registry) map[string]float64 {
 	t.Helper()
 	var b strings.Builder
@@ -77,15 +54,9 @@ func shardSamples(t *testing.T, reg *metrics.Registry) map[string]float64 {
 		t.Fatal(err)
 	}
 	out := make(map[string]float64)
-lines:
 	for _, line := range strings.Split(b.String(), "\n") {
 		if line == "" || line[0] == '#' || !strings.Contains(line, `shard="`) {
 			continue
-		}
-		for _, fam := range pathDependent {
-			if strings.HasPrefix(line, fam) {
-				continue lines
-			}
 		}
 		series, val, _ := strings.Cut(line, " ")
 		v, err := strconv.ParseFloat(val, 64)
@@ -109,25 +80,18 @@ type outcome struct {
 }
 
 // TestEveryEntranceSameOutcome: whichever entrance a task takes — Submit or
-// a batch of one, speculation on or off, the live replay after an epoch
-// conflict — it walks the same stamp, sweep, gate, test and finish, so the
-// decision, the ledger, the event, the legacy observer's callback and the
-// /metrics samples it leaves are the same, and the observer and the event
-// stream name the same outcomes in the same order.
+// a batch of one — it walks the same stamp, sweep, gate, test and finish,
+// so the decision, the ledger, the event, the legacy observer's callback
+// and the /metrics samples it leaves are the same, and the observer and the
+// event stream name the same outcomes in the same order.
 func TestEveryEntranceSameOutcome(t *testing.T) {
 	type entrance struct {
-		name     string
-		spec     bool
-		batch    bool
-		conflict bool
+		name  string
+		batch bool
 	}
 	entrances := []entrance{
-		{name: "Submit/spec", spec: true},
-		{name: "Submit/serial"},
-		{name: "SubmitBatch/spec", spec: true, batch: true},
-		{name: "SubmitBatch/serial", batch: true},
-		{name: "Submit/conflict", spec: true, conflict: true},
-		{name: "SubmitBatch/conflict", spec: true, batch: true, conflict: true},
+		{name: "Submit"},
+		{name: "SubmitBatch", batch: true},
 	}
 	// The state every probe meets, at clock 100 on four nodes with MaxQueue
 	// 2: task 1 committed on the whole fleet until t ≈ 10261, task 2 waiting
@@ -136,23 +100,21 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 		name  string
 		prep  func(t *testing.T, svc *Service) // more state, before the probe
 		probe rt.Task
-		// planned: the scheduler's test decides, so a conflict is one.
-		planned bool
-		check   func(t *testing.T, o outcome)
+		check func(t *testing.T, o outcome)
 	}{
-		{name: "accept", probe: rt.Task{ID: 10, Arrival: 100, Sigma: 50, RelDeadline: 300000}, planned: true,
+		{name: "accept", probe: rt.Task{ID: 10, Arrival: 100, Sigma: 50, RelDeadline: 300000},
 			check: func(t *testing.T, o outcome) {
 				if !o.Decision.Accepted || o.After.Accepts != o.Before.Accepts+1 || o.After.QueueLen != 2 || len(o.Decision.Nodes) == 0 {
 					t.Fatalf("want an accept into a queue of 2: %+v", o)
 				}
 			}},
-		{name: "infeasible", probe: rt.Task{ID: 10, Arrival: 100, Sigma: 100, RelDeadline: 12691}, planned: true,
+		{name: "infeasible", probe: rt.Task{ID: 10, Arrival: 100, Sigma: 100, RelDeadline: 12691},
 			check: func(t *testing.T, o outcome) {
 				if o.Decision.Reason != errs.ReasonInfeasible || o.After.DemandRejects != o.Before.DemandRejects {
 					t.Fatalf("want a reject by the full test, not the bound: %+v", o)
 				}
 			}},
-		{name: "demand-bound reject", probe: rt.Task{ID: 10, Arrival: 100, Sigma: 100, RelDeadline: 5000}, planned: true,
+		{name: "demand-bound reject", probe: rt.Task{ID: 10, Arrival: 100, Sigma: 100, RelDeadline: 5000},
 			check: func(t *testing.T, o outcome) {
 				if o.Decision.Reason != errs.ReasonInfeasible || o.After.DemandRejects != o.Before.DemandRejects+1 {
 					t.Fatalf("want a reject by the demand bound: %+v", o)
@@ -176,13 +138,13 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 					t.Fatalf("want busy: %+v", o)
 				}
 			}},
-		{name: "zero Arrival stamped from the clock", probe: rt.Task{ID: 10, Sigma: 50, RelDeadline: 300000}, planned: true,
+		{name: "zero Arrival stamped from the clock", probe: rt.Task{ID: 10, Sigma: 50, RelDeadline: 300000},
 			check: func(t *testing.T, o outcome) {
 				if !o.Decision.Accepted || o.Decision.At != 100 || len(o.Events) != 1 || o.Events[0].Task.Arrival != 100 {
 					t.Fatalf("want an accept stamped 100: %+v", o)
 				}
 			}},
-		{name: "future Arrival commits the queue first", probe: rt.Task{ID: 10, Arrival: 10300, Sigma: 50, RelDeadline: 300000}, planned: true,
+		{name: "future Arrival commits the queue first", probe: rt.Task{ID: 10, Arrival: 10300, Sigma: 50, RelDeadline: 300000},
 			check: func(t *testing.T, o outcome) {
 				if !o.Decision.Accepted || o.Decision.At != 10300 || o.After.Commits != o.Before.Commits+1 ||
 					len(o.Events) != 2 || o.Events[0].Kind != EventCommit || o.Events[0].Task.ID != 2 || o.Events[1].Kind != EventAccept {
@@ -217,12 +179,12 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 			}},
 	}
 
-	run := func(t *testing.T, prep func(*testing.T, *Service), probe rt.Task, e entrance, planned bool) outcome {
+	run := func(t *testing.T, prep func(*testing.T, *Service), probe rt.Task, e entrance) outcome {
 		cl, err := cluster.New(4, baseline)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clock := &hookClock{ManualClock: NewManualClock(0)}
+		clock := NewManualClock(0)
 		calls := new(callLog)
 		reg := metrics.NewRegistry()
 		svc, err := New(Config{Cluster: cl, Policy: rt.EDF, Partitioner: rt.IITDLT{}, Clock: clock,
@@ -261,23 +223,8 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 		}
 		drain()
 		*calls = nil
-		svc.SetSpeculation(e.spec)
-		if e.spec {
-			// A lone submitter: without this the probe would take the
-			// live road, where the conflict hook below deadlocks.
-			speculateAlone(svc)
-		}
 		before := svc.Stats()
 		samples := shardSamples(t, reg)
-		if e.conflict {
-			// Restoring a node that is up changes nothing a decision reads,
-			// and moves the epoch.
-			clock.hook = func() {
-				if _, err := svc.SetNodeState(0, NodeUp); err != nil {
-					t.Errorf("forcing the conflict: %v", err)
-				}
-			}
-		}
 
 		o := outcome{Before: ledgerOf(before)}
 		if e.batch {
@@ -293,32 +240,12 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 		} else if o.Decision, err = svc.Submit(ctx, probe); err != nil {
 			o.Err = err.Error()
 		}
-		forced := e.conflict && clock.hook == nil
-		clock.hook = nil
-		after := svc.Stats()
-		o.After, o.Events, o.Calls = ledgerOf(after), drain(), *calls
+		o.After, o.Events, o.Calls = ledgerOf(svc.Stats()), drain(), *calls
 		o.Samples = shardSamples(t, reg)
 		for series, v := range samples {
 			o.Samples[series] -= v
 		}
 
-		// The road really was the one the entrance names.
-		wantSpec, wantConflict := 0, 0
-		if planned && e.spec && !e.conflict {
-			wantSpec = 1
-		}
-		if planned && e.conflict {
-			wantConflict = 1
-		}
-		if got := after.Speculative - before.Speculative; got != wantSpec {
-			t.Fatalf("%d speculative installs, want %d", got, wantSpec)
-		}
-		if got := after.Conflicts - before.Conflicts; got != wantConflict {
-			t.Fatalf("%d conflicts, want %d", got, wantConflict)
-		}
-		if refused := strings.Contains(o.Err, "closed") || strings.Contains(o.Err, "draining"); e.conflict && forced == refused {
-			t.Fatalf("epoch moved under the probe: %v, probe refused at the door: %v", forced, refused)
-		}
 		// One announcer: the observer heard exactly the accepts, rejects and
 		// commits the stream carried, in the same order and at the same times.
 		var heard, carried []string
@@ -358,7 +285,7 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref outcome
 			for i, e := range entrances {
-				got := run(t, tc.prep, tc.probe, e, tc.planned)
+				got := run(t, tc.prep, tc.probe, e)
 				tc.check(t, got)
 				if !got.Decision.Accepted && got.Err == "" && (len(got.Events) == 0 || len(got.Calls) == 0) {
 					t.Fatalf("%s: a reject with no event or no observer callback: %+v", e.name, got)
@@ -377,30 +304,24 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 
 // TestHardPlannerErrorCountsNoArrival: a task the partitioner cannot plan
 // at all (user-split asked for more nodes than the cluster has) is a hard
-// error on the live road and on the speculative one's fallback alike, and
-// leaves no arrival behind: the scheduler's ledger stays Arrivals ==
-// Accepts + Rejects. (It used to count the arrival before the test ran.)
+// error and leaves no arrival behind: the scheduler's ledger stays
+// Arrivals == Accepts + Rejects. (It used to count the arrival before the
+// test ran.)
 func TestHardPlannerErrorCountsNoArrival(t *testing.T) {
-	for _, spec := range []bool{false, true} {
-		svc := newTestService(t, func(c *Config) { c.Partitioner = rt.UserSplit{} })
-		svc.SetSpeculation(spec)
-		if spec {
-			speculateAlone(svc)
-		}
-		ctx := context.Background()
-		if d, err := svc.Submit(ctx, rt.Task{ID: 1, Sigma: 100, RelDeadline: 1e6, UserN: 4}); err != nil || !d.Accepted {
-			t.Fatalf("spec=%v: plannable task: %+v, %v", spec, d, err)
-		}
-		_, err := svc.Submit(ctx, rt.Task{ID: 2, Sigma: 100, RelDeadline: 1e6, UserN: 17})
-		if err == nil || errors.Is(err, errs.ErrInfeasible) {
-			t.Fatalf("spec=%v: UserN > N: err = %v, want a hard error", spec, err)
-		}
-		ss, st := svc.sched.Stats(), svc.Stats()
-		if ss.Arrivals != 1 || ss.Arrivals != ss.Accepts+ss.Rejects {
-			t.Fatalf("spec=%v: scheduler ledger %+v", spec, ss)
-		}
-		if st.Arrivals != 1 || st.Accepts != 1 || st.Rejects != 0 {
-			t.Fatalf("spec=%v: service ledger %+v", spec, st)
-		}
+	svc := newTestService(t, func(c *Config) { c.Partitioner = rt.UserSplit{} })
+	ctx := context.Background()
+	if d, err := svc.Submit(ctx, rt.Task{ID: 1, Sigma: 100, RelDeadline: 1e6, UserN: 4}); err != nil || !d.Accepted {
+		t.Fatalf("plannable task: %+v, %v", d, err)
+	}
+	_, err := svc.Submit(ctx, rt.Task{ID: 2, Sigma: 100, RelDeadline: 1e6, UserN: 17})
+	if err == nil || errors.Is(err, errs.ErrInfeasible) {
+		t.Fatalf("UserN > N: err = %v, want a hard error", err)
+	}
+	ss, st := svc.sched.Stats(), svc.Stats()
+	if ss.Arrivals != 1 || ss.Arrivals != ss.Accepts+ss.Rejects {
+		t.Fatalf("scheduler ledger %+v", ss)
+	}
+	if st.Arrivals != 1 || st.Accepts != 1 || st.Rejects != 0 {
+		t.Fatalf("service ledger %+v", st)
 	}
 }

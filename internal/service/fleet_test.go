@@ -192,7 +192,7 @@ func TestFailRestoreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a1, a2 := churned.Cluster().AvailTimes(), pristine.Cluster().AvailTimes()
+	a1, a2 := churned.Cluster().AvailInto(nil), pristine.Cluster().AvailInto(nil)
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatalf("node %d release time %v != %v after fail-restore", i, a1[i], a2[i])
@@ -267,12 +267,12 @@ func TestAddNodeGrowsFleet(t *testing.T) {
 	}
 }
 
-// TestAddNodeStressUnderSpeculation grows the fleet while submitters
-// overlap: AddNode regrows the cluster arrays every snapshot copies, so
-// under -race this pins that snapshots, installs and fleet growth all stay
-// behind the shard's one lock. A reader polls Stats and scrapes /metrics
-// throughout. After a drain every accept has committed.
-func TestAddNodeStressUnderSpeculation(t *testing.T) {
+// TestAddNodeStressConcurrentSubmits grows the fleet while submitters
+// overlap: AddNode regrows the cluster arrays every view resync copies, so
+// under -race this pins that submits and fleet growth both stay behind the
+// shard's one lock. A reader polls Stats and scrapes /metrics throughout.
+// After a drain every accept has committed.
+func TestAddNodeStressConcurrentSubmits(t *testing.T) {
 	const (
 		submitters = 6
 		each       = 60
@@ -280,7 +280,6 @@ func TestAddNodeStressUnderSpeculation(t *testing.T) {
 	)
 	reg := metrics.NewRegistry()
 	svc := newTestService(t, func(c *Config) { c.Metrics = NewMetrics(reg) })
-	speculateAlone(svc)
 
 	var (
 		subs, side sync.WaitGroup
@@ -365,9 +364,6 @@ func TestAddNodeStressUnderSpeculation(t *testing.T) {
 	}
 	if int64(st.Accepts) != accepted.Load() || int64(st.Rejects) != rejected.Load() {
 		t.Fatalf("decisions %d/%d disagree with stats %+v", accepted.Load(), rejected.Load(), st)
-	}
-	if st.Speculative == 0 {
-		t.Fatalf("no decision installed from a speculation: %+v", st)
 	}
 	if st.Accepts != st.Commits+st.Displaced-st.Readmitted || st.QueueLen != 0 {
 		t.Fatalf("conservation broken after drain: %+v", st)

@@ -104,12 +104,6 @@ func (m *Metrics) observeShard(s *Service) {
 	m.reg.CounterFunc("rtdls_displacements_total",
 		"Admitted-but-uncommitted tasks that lost their seat to a node drain or failure, per shard.", lbl,
 		stat(func(st Stats) int { return st.Displaced }))
-	m.reg.CounterFunc("rtdls_admission_speculative_total",
-		"Admission decisions planned off-lock and installed on an unchanged epoch, per shard; only submits that overlap another submitter speculate.", lbl,
-		stat(func(st Stats) int { return st.Speculative }))
-	m.reg.CounterFunc("rtdls_admission_conflicts_total",
-		"Speculative admissions discarded on an epoch conflict and replayed serialized, per shard.", lbl,
-		stat(func(st Stats) int { return st.Conflicts }))
 	m.reg.CounterFunc("rtdls_admission_plans_computed_total",
 		"Plans the admission tests computed by running the partitioner, per shard.", lbl,
 		stat(func(st Stats) int { return st.PlansComputed }))

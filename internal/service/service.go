@@ -129,10 +129,9 @@ type Stats struct {
 	Readmitted    int
 	LateCommits   int
 
-	// Optimistic-admission accounting: Speculative counts decisions whose
-	// planning ran off-lock and installed on an unchanged epoch, Conflicts
-	// the planning-backed speculations discarded because the epoch moved
-	// (each replayed through the serialized path).
+	// Speculative and Conflicts are always 0: every submit decides under
+	// its shard's lock, and nothing is planned off it. They stay only for
+	// the benchmark harness, which still reads them.
 	Speculative int
 	Conflicts   int
 
@@ -172,7 +171,8 @@ type ExecStats struct {
 // Subscribe and Stats. All methods may be called from any goroutine.
 type Service struct {
 	// mu is the shard's one lock: it serializes the scheduler (which has
-	// none), its cluster, the parked speculation contexts and exec.
+	// none), its cluster, exec and the arenas, and every submit holds it for
+	// its whole walk.
 	mu    sync.Mutex
 	cl    *cluster.Cluster
 	sched *rt.Scheduler
@@ -210,25 +210,10 @@ type Service struct {
 	displaced     atomic.Int64
 	lateCommits   atomic.Int64
 
-	// Optimistic-admission state (speculate.go): the admit calls in flight
-	// and the submits left before a lone submitter stops speculating, the
-	// default-on gate, the consecutive-conflict streak driving the adaptive
-	// backoff with its probe counter, the install/discard totals surfaced by
-	// Stats and /metrics, and the stack of parked speculation contexts,
-	// freshest on top.
-	inflight      atomic.Int64
-	company       atomic.Int64
-	speculating   atomic.Bool
-	specStreak    atomic.Int64
-	specProbe     atomic.Uint64
-	specInstalls  atomic.Int64
-	specConflicts atomic.Int64
-	specFree      []*rt.SpecContext // under mu
-
 	exec ExecStats // under mu
 
-	// Arenas (under mu) for the task records of the live walk and the
-	// copies of every accepted Decision: see rt.Carve.
+	// Arenas (under mu) for the task records of admit and the copies of
+	// every accepted Decision: see rt.Carve.
 	tasks  []rt.Task
 	ints   []int
 	floats []float64
@@ -269,7 +254,6 @@ func New(cfg Config) (*Service, error) {
 		exec:     ExecStats{MaxLateness: math.Inf(-1)},
 	}
 	s.accepting.Store(true)
-	s.speculating.Store(true)
 	s.nodesTotal.Store(int64(cfg.Cluster.N()))
 	s.refreshFleetLocked()
 	if cfg.Metrics != nil {
@@ -310,14 +294,9 @@ func (s *Service) Costs() *dlt.CostModel {
 // context, or a closed service (ErrClusterBusy) — never infeasibility: an
 // infeasible task is a clean decision with Reason ErrInfeasible.
 //
-// While another submitter is in flight, or was within the last few
-// submits, the admission test runs optimistically: planning happens
-// off-lock against an epoch-stamped snapshot, and the lock is held only for
-// an epoch check plus the install (see speculate.go and SetSpeculation), so
-// concurrent submitters plan in parallel. A lone submitter has nothing to
-// overlap that with and decides on the live state under the lock. Either
-// way the decision stream is bit-for-bit what a serialized execution would
-// produce.
+// The whole decision, from the due-commit sweep to the schedulability
+// test, runs under the shard's lock, so concurrent submitters are decided
+// one at a time, each against the state the previous one left.
 func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
 	// A batch of one, on the caller's stack: only the task's own record in
 	// admit reaches the heap.
@@ -331,12 +310,38 @@ func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
 
 // SubmitBatch submits several tasks under one lock acquisition, in order,
 // and returns one decision per considered task. On a hard error the
-// decisions made so far are returned alongside it. When Submit would
-// speculate, so does the batch: every task is tested off-lock against one
-// evolving snapshot and the whole batch group-installs under a single
-// epoch check.
+// decisions made so far are returned alongside it.
 func (s *Service) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]Decision, error) {
 	return s.admit(ctx, tasks, make([]Decision, 0, len(tasks)))
+}
+
+// admit decides tasks in order under s.mu, appending one Decision per
+// decided task to out; on a hard error, a cancelled context or a service
+// that stopped taking submissions, the decisions made so far come back
+// with the error.
+func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([]Decision, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range tasks {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return out, err
+			}
+		}
+		if err := s.open(); err != nil {
+			return out, err
+		}
+		// The task's record is cut from the service's arena: the scheduler,
+		// its plans and an observer may keep the pointer.
+		task := &rt.Carve(&s.tasks, 1)[0]
+		*task = tasks[i]
+		now, reason, pl, err := s.decide(task)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, s.finishLocked(task, now, reason, pl))
+	}
+	return out, nil
 }
 
 // open reports why the service takes no submissions, when it does not.
@@ -350,10 +355,14 @@ func (s *Service) open() error {
 	return nil
 }
 
-// stamp gives the task its arrival — a zero one means now — and returns
-// the instant it is decided at, which a future arrival moves forward, and
-// the verdict on its fields.
-func (s *Service) stamp(t *rt.Task) (now float64, err error) {
+// decide walks one task, under s.mu, from its stamp to its outcome. The
+// task gets its arrival — a zero one means now — and the instant it is
+// decided at, which a future arrival moves forward. What is due by then
+// commits; the service decides its own two rejects, a deadline already
+// past and a full waiting queue; and the schedulability test runs on the
+// scheduler's live, incrementally maintained state. A non-nil error is a
+// hard one. pl is non-nil exactly for an accept.
+func (s *Service) decide(t *rt.Task) (now float64, reason errs.Reason, pl *rt.Plan, err error) {
 	now = s.clock.Now()
 	if t.Arrival == 0 && now > 0 {
 		t.Arrival = now
@@ -361,67 +370,24 @@ func (s *Service) stamp(t *rt.Task) (now float64, err error) {
 	if t.Arrival > now {
 		now = t.Arrival
 	}
-	return now, t.Validate()
-}
-
-// gate returns the reject the service decides before the schedulability
-// test runs, if any, given the length of the waiting queue once everything
-// due at now has left it.
-func (s *Service) gate(t *rt.Task, now float64, queued int) errs.Reason {
-	if t.AbsDeadline() <= now {
-		return errs.ReasonDeadlinePast
-	}
-	if s.maxQueue > 0 && queued >= s.maxQueue {
-		return errs.ReasonBusy
-	}
-	return errs.ReasonNone
-}
-
-// decide walks one task from its stamp to its outcome: sweep what is due,
-// pass the gate, run the schedulability test. This is the one place the
-// two states a task can be decided on differ. With sc == nil the sweep and
-// the test run on the scheduler's live, incrementally maintained state —
-// the caller holds s.mu — and the test's outcome lands on the scheduler at
-// once. With a context they run on that private copy, off the lock, and
-// land nowhere until installLocked finds the epoch unchanged. A non-nil
-// error is a hard one; off the lock it only says that the task (malformed,
-// a duplicate id, a partitioner's hard error) is for the live walk to
-// report. pl is non-nil exactly for an accept.
-func (s *Service) decide(sc *rt.SpecContext, t *rt.Task) (now float64, reason errs.Reason, pl *rt.Plan, err error) {
-	if now, err = s.stamp(t); err != nil {
+	if err = t.Validate(); err != nil {
 		return now, reason, nil, err
 	}
 	// Start every transmission that is due before the new arrival is
 	// considered — the service-side analogue of the driver's commit events.
-	var queued int
-	if sc == nil {
-		if err = s.commitDueLocked(now); err != nil {
-			return now, reason, nil, err
-		}
-		queued = s.sched.QueueLen()
-	} else {
-		sc.CommitDue(now)
-		queued = sc.QueueLen()
+	if err = s.commitDueLocked(now); err != nil {
+		return now, reason, nil, err
 	}
-	if reason = s.gate(t, now, queued); reason != errs.ReasonNone {
-		return now, reason, nil, nil
+	switch {
+	case t.AbsDeadline() <= now:
+		return now, errs.ReasonDeadlinePast, nil, nil
+	case s.maxQueue > 0 && s.sched.QueueLen() >= s.maxQueue:
+		return now, errs.ReasonBusy, nil, nil
 	}
-	if sc == nil {
-		if pl, err = s.sched.Admit(t, now); err != nil {
-			return now, reason, nil, err
-		}
-	} else {
-		switch s.sched.Speculate(sc, t, now) {
-		case rt.SpecFallback:
-			return now, reason, nil, errSpecFallback
-		case rt.SpecAccept:
-			pl = sc.AcceptedPlan()
-		}
+	if pl, err = s.sched.Admit(t, now); err != nil || pl != nil {
+		return now, reason, pl, err
 	}
-	if pl == nil {
-		reason = errs.ReasonInfeasible
-	}
-	return now, reason, pl, nil
+	return now, errs.ReasonInfeasible, nil, nil
 }
 
 // finishLocked turns an outcome into its event, its observer callback and
@@ -606,8 +572,6 @@ func (s *Service) Stats() Stats {
 		NodesDown:     int(s.nodesDown.Load()),
 		Displaced:     int(s.displaced.Load()),
 		LateCommits:   int(s.lateCommits.Load()),
-		Speculative:   int(s.specInstalls.Load()),
-		Conflicts:     int(s.specConflicts.Load()),
 		PlansComputed: int(computed),
 		PlansReused:   int(reused),
 		DemandRejects: int(s.sched.DemandRejects()),

@@ -38,7 +38,7 @@ import (
 // 3.4.0 made admission optimistically concurrent: submissions plan
 // against an epoch-stamped snapshot outside the shard lock and install
 // under it only after an epoch check, falling back to the serialized
-// path on conflict (SetSpeculation toggles it; on by default), so the
+// path on conflict (a Service toggle, on by default), so the
 // decision stream stays bit-identical to serialized execution while
 // low-conflict traffic scales with submitters — measured in CI by
 // make bench-gate, with speculative/conflict counters in Stats, /metrics
@@ -58,7 +58,12 @@ import (
 // carries the node state it sets (State) instead of an action kind.
 // 6.1.0 made Service the pool itself rather than a forwarding wrapper, so
 // its Exec and Placement methods are now visible.
-const Version = "6.1.0"
+// 7.0.0 deleted optimistic admission: every submit decides under its
+// shard's lock. The speculation toggle, the
+// rtdls_admission_{speculative,conflicts}_total families and dlload's
+// speculative/conflicts/conflict_rate fields are gone, and
+// Stats.Speculative/Conflicts always read 0.
+const Version = "7.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps

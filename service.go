@@ -432,8 +432,8 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 //
 //   - admission: Submit, SubmitBatch;
 //   - events: Subscribe, SubscribeStream;
-//   - lifecycle: SetAccepting, Accepting, SetSpeculation, Pump, Drain,
-//     Close, Clock, NextCommit;
+//   - lifecycle: SetAccepting, Accepting, Pump, Drain, Close, Clock,
+//     NextCommit;
 //   - fleet: SetNodeState, AddNode, NodeStates;
 //   - views (Stats and Exec aggregate the fleet): Stats, ShardStats, Exec,
 //     Spillovers, Shards, Placement, Clusters, ShardCosts.
