@@ -110,16 +110,17 @@ func (s *Scheduler) Cluster() *cluster.Cluster { return s.cl }
 // returned error reports malformed input or internal inconsistencies, not
 // infeasibility — an infeasible task is a clean (false, nil) rejection.
 func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
+	if err := t.Validate(); err != nil {
+		return false, err
+	}
 	pl, err := s.Admit(t, now)
 	return pl != nil, err
 }
 
-// Admit is Submit returning the admitted task's plan, which is nil exactly
-// when the task was not admitted.
+// Admit is Submit for a task that has passed Task.Validate, returning the
+// admitted task's plan, which is nil exactly when the task was not
+// admitted.
 func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
 	if t.Arrival > now {
 		return nil, fmt.Errorf("rt: task %d submitted at %v before its arrival %v: %w",
 			t.ID, now, t.Arrival, errs.ErrBadConfig)

@@ -17,9 +17,12 @@ import (
 )
 
 // statusRecorder captures the response status for accounting and logging.
+// It also backs the X-Request-ID header value, so that the recorder is the
+// one allocation a request makes in the middleware besides a generated id.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	id     [1]string
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -167,7 +170,8 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		if reqID == "" {
 			reqID = newRequestID()
 		}
-		rec.Header()[requestIDKey] = []string{reqID}
+		rec.id[0] = reqID
+		rec.Header()[requestIDKey] = rec.id[:]
 
 		if v := r.Header.Get(TimeoutHeader); v != "" {
 			// A budget too long for a Duration, +Inf among them, is no deadline.

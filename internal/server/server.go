@@ -45,6 +45,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -263,7 +264,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TaskRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeTask(w, r, &req) {
 		return
 	}
 	task, err := req.Task()
@@ -288,7 +289,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, http.MaxBytesReader(w, r.Body, s.maxBody), &req) {
 		return
 	}
 	if len(req.Tasks) == 0 {
@@ -467,10 +468,13 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.writeJSON(w, code, resp)
 }
 
-// decodeBody parses a JSON request body with the size bound and strict
-// field checking; on failure it writes the 400 and reports false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+// decodeBody decodes the first JSON value of body into into by
+// reflection, with strict field checking: the path of every batch, and of
+// each submit body that decodeTask does not parse itself. Reached through
+// http.MaxBytesReader, a body over the size bound is a 413. On failure it
+// writes the 400 (or the 413) and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, body io.Reader, into any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		var maxErr *http.MaxBytesError
