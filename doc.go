@@ -225,15 +225,23 @@
 // (dlt.SimulateDispatchInto) — that the scheduler owns, and only the
 // first candidate that meets the deadline becomes a Plan. A candidate allocates
 // nothing, and a fresh plan nothing of its own, however many candidates the
-// search ran: the Plan, its node ids and one block holding Starts, Release
-// and Alphas are cut from chunks of about 4 KB in a bump arena the Candidate
-// owns, so a retained Plan keeps its chunks reachable until it dies. The
-// same count test holds an arrival into the middle of 128 waiting tasks to
-// 6 allocations. The service cuts the same way (rt.Carve), under its lock,
-// each task record it decides and each accepted Decision's Nodes and
-// Starts | Alphas block, and workload.Generator each task it returns: a
-// submit allocates nothing of its own but chunk refills, accept or reject,
-// on one shard or on every shard of a spillover pool
+// search ran: plans are pooled in the Candidate. The scheduler gives back
+// every plan its schedule drops — the fresh plans of a rejected test, a
+// plan that misses its deadline, the tail an accepted test replaced, and
+// the plans CommitDue returned, at its next call — and the next search
+// takes the last one back, reusing its node ids and its Starts | Release |
+// Alphas block when they hold the node count. Only when the pool is empty
+// or a spare is too small is a plan cut from chunks of about 4 KB in a
+// bump arena. So a plan handed out (to an rt.Observer, or by Admit,
+// CommitDue or PlanFor) is valid only until the scheduler's next call.
+// The same count test holds an arrival into the middle of 128 waiting
+// tasks, and one behind them, to no more heap bytes than its task, and so
+// does TestRejectReturnsFreshPlans for a reject decided after fresh plans.
+// Tasks and Decisions are still carved from arenas (rt.Carve): the service,
+// under its lock, cuts each task record it decides and each accepted
+// Decision's Nodes and Starts | Alphas block, and workload.Generator each
+// task it returns: a submit allocates nothing of its own but chunk refills,
+// accept or reject, on one shard or on every shard of a spillover pool
 // (TestServiceSubmitAllocs and its reject and pool twins), and a retained
 // task or Decision keeps its chunk of at most 4 KB reachable.
 //

@@ -126,17 +126,19 @@ func (q *queueState) push(t *Task, pl *Plan) {
 	q.applied++
 }
 
-// restore abandons the tentative schedule started by rebuildFrom(k): the
-// saved tail goes back behind queue[:k] and the view to checkpoint k.
+// restore abandons the tentative schedule of rebuildFrom(k), recycling its
+// fresh plans: the saved tail goes back behind queue[:k], the view to k.
 func (q *queueState) restore(k, base int) {
 	q.view.RollbackTo(base)
 	q.applied = k
+	q.recycle(q.queue[k:])
 	q.queue = append(q.queue[:k], q.saved...)
 }
 
 // accept makes the tentative schedule — now a feasible whole-queue
 // schedule tested at now and fully applied on the view — the current one.
 func (q *queueState) accept(now float64) {
+	q.recycle(q.saved)
 	clear(q.saved)
 	q.hinted = true
 	q.testedAt = now
@@ -292,7 +294,7 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 			ti = q.saved[i-kept-1].task
 		}
 		st.Computed++
-		pl, err := checkDeadline(plan(ti))
+		pl, err := q.checkDeadline(plan(ti))
 		if err != nil {
 			q.restore(kept, base)
 			finish()
@@ -312,14 +314,22 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 	return outAccept, own, st, nil
 }
 
+// recycle gives the plans of a dropped part of a schedule back to the pool.
+func (q *queueState) recycle(dropped schedule) {
+	for _, e := range dropped {
+		q.scratch.recycle(e.plan)
+	}
+}
+
 // checkDeadline is the schedulability check on one partitioner result: a
 // plan whose completion estimate misses its task's deadline is as
-// infeasible as no plan at all.
-func checkDeadline(pl *Plan, err error) (*Plan, error) {
+// infeasible as no plan at all, and goes back to the pool.
+func (q *queueState) checkDeadline(pl *Plan, err error) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
 	if absD := pl.Task.AbsDeadline(); pl.Est > absD+deadlineEps(absD) {
+		q.scratch.recycle(pl)
 		return nil, ErrInfeasible
 	}
 	return pl, nil

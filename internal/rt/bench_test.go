@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"rtdls/internal/cluster"
@@ -298,22 +299,25 @@ func (p countingPlans) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 //     scheduler keeps each with no Plan call: one call per arrival, and the
 //     arrival does not pay for the queue ahead of it;
 //   - uniform: an arrival into the middle of the queue re-plans the tasks
-//     after it in at most 6 allocations — fresh plans are cut from the plan
-//     arena, so only its chunk refills allocate;
+//     after it;
 //   - saturated: the demand bound rejects an overload arrival with no Plan
-//     call and no plan kept, and no allocation beside the task.
+//     call and no plan kept.
+//
+// In every mix an arrival allocates no more heap bytes than its task: each
+// fresh plan is a spare that an earlier schedule dropped or that an earlier
+// CommitDue committed.
 func TestQueuedCounts(t *testing.T) {
 	const depth, runs = 128, 200
 	for _, mix := range []string{"late", "uniform", "saturated"} {
 		t.Run(mix, func(t *testing.T) {
 			q := newQueuedRig(t, depth, mix)
-			for range runs { // past the plan arena's first chunks
+			for range runs { // past the pool's and the arena's first growth
 				q.arrive()
 			}
 			var unsealed int64
 			c0, k0 := q.s.PlanCounts()
 			d0, calls0 := q.s.DemandRejects(), q.calls
-			allocs := testing.AllocsPerRun(runs, func() {
+			bytes := bytesPerRun(runs, func() {
 				for _, e := range q.s.q.queue {
 					if e.plan.minSlack <= 0 {
 						unsealed++
@@ -322,24 +326,81 @@ func TestQueuedCounts(t *testing.T) {
 				q.arrive()
 			})
 			c, k := q.s.PlanCounts()
-			n := int64(runs + 1) // AllocsPerRun's warm-up call arrives too
+			n := int64(runs)
 			computed, kept, demand, calls := c-c0, k-k0, q.s.DemandRejects()-d0, q.calls-calls0
 			per := func(c int64) float64 { return float64(c) / float64(n) }
-			t.Logf("per arrival: %.2f plans computed, %.2f kept, %.2f Plan calls, %.2f demand rejects, %.0f allocs, %.2f unsealed waiting plans",
-				per(computed), per(kept), per(calls), per(demand), allocs, per(unsealed))
-			var ok bool
+			t.Logf("per arrival: %.2f plans computed, %.2f kept, %.2f Plan calls, %.2f demand rejects, %.2f bytes, %.2f unsealed waiting plans",
+				per(computed), per(kept), per(calls), per(demand), bytes, per(unsealed))
+			ok := bytes <= taskBytes
 			switch mix {
 			case "late":
-				ok = computed == n && kept == n*depth && calls == n && unsealed == 0
-			case "uniform":
-				ok = allocs <= 6
+				ok = ok && computed == n && kept == n*depth && calls == n && unsealed == 0
 			case "saturated":
-				ok = computed == 0 && kept == 0 && demand == n && allocs <= 1
+				ok = ok && computed == 0 && kept == 0 && demand == n
 			}
 			if !ok {
 				t.Errorf("mix=%s breaks its contract", mix)
 			}
 		})
+	}
+}
+
+// taskBytes bounds the heap bytes of an arrival that allocates nothing but
+// its task: a Task is 40 bytes, in the 48-byte size class, and a byte more
+// per arrival leaves room for what the test binary's other goroutines
+// allocate meanwhile (a finalizer run after an earlier test's garbage was
+// collected; seen at up to 0.24 bytes per arrival).
+const taskBytes = 48 + 1
+
+// bytesPerRun returns the heap bytes that runs calls of f allocate, per
+// call, from runtime.MemStats.TotalAlloc. Unlike testing.AllocsPerRun it
+// does not truncate: a plan cut from the arena costs a fraction of an
+// allocation per call but hundreds of bytes.
+func bytesPerRun(runs int, f func()) float64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
+
+// TestRejectReturnsFreshPlans pins the reject that TestQueuedCounts' mixes
+// do not reach: one decided after fresh plans. A waiting task holds both
+// nodes of a two-node cluster with a thousandth of its execution time to
+// spare. Each arrival fits alone and has the earlier deadline, so it is
+// planned first; the waiting task, planned behind it, then misses its
+// deadline. The demand bound, which counts computation only, lets every
+// arrival through. The arrival's plan goes back to the pool, so a reject
+// allocates no more heap bytes than its task.
+func TestRejectReturnsFreshPlans(t *testing.T) {
+	const runs = 200
+	cl, err := cluster.New(2, baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Commit([]int{0, 1}, []float64{0, 0}, []float64{100, 100}, 0); err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(cl, EDF, IITDLT{})
+	if ok, err := s.Submit(&Task{ID: 1, Sigma: 100, RelDeadline: 100 + baseline.ExecTime(100, 2)*1.001}, 0); err != nil || !ok {
+		t.Fatalf("waiting task: accepted=%v err=%v", ok, err)
+	}
+	id := int64(1)
+	arrive := func() {
+		id++
+		if ok, err := s.Submit(&Task{ID: id, Sigma: 1, RelDeadline: 600}, 0); err != nil || ok {
+			t.Fatalf("arrival %d: accepted=%v err=%v, want a reject", id, ok, err)
+		}
+	}
+	arrive()
+	c0, _ := s.PlanCounts()
+	bytes := bytesPerRun(runs, arrive)
+	c, _ := s.PlanCounts()
+	if c-c0 != 2*runs || s.DemandRejects() != 0 || bytes > taskBytes {
+		t.Fatalf("per reject: %.2f plans computed, %d demand rejects in all, %.2f bytes; want 2, 0, <= %d",
+			float64(c-c0)/runs, s.DemandRejects(), bytes, taskBytes)
 	}
 }
 

@@ -1,11 +1,13 @@
 package rt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"rtdls/internal/cluster"
 	"rtdls/internal/dlt"
@@ -21,7 +23,8 @@ import (
 // through the same operations and fails on the first divergence in
 // decisions, in the whole plan table, in commits, displacements or stats.
 // It also checks, after every step, that the overlay the production
-// scheduler keeps applied is what its plan table says it is.
+// scheduler keeps applied is what its plan table says it is, and that
+// both schedulers' plan pools hold (checkPlanOwnership).
 type lockstep struct {
 	t      *testing.T
 	a, ref *Scheduler
@@ -86,6 +89,8 @@ func (ls *lockstep) plansOf(sched schedule) []*Plan {
 func (ls *lockstep) check(what string) {
 	ls.t.Helper()
 	a, ref := ls.a, ls.ref
+	checkPlanOwnership(ls.t, what, a)
+	checkPlanOwnership(ls.t, what+" (reference)", ref)
 	ls.samePlans(what+": plan table", ls.plansOf(a.q.queue), ls.plansOf(ref.q.queue))
 	if sa, sb := a.Stats(), ref.Stats(); sa != sb {
 		ls.t.Fatalf("%s: stats diverge: %+v vs %+v", what, sa, sb)
@@ -149,10 +154,62 @@ func (ls *lockstep) commitDue() {
 	what := fmt.Sprintf("CommitDue(%v)", ls.now)
 	ls.samePlans(what, pa, pb)
 	if ea != nil {
+		checkPlanOwnership(ls.t, what, ls.a)
 		ls.wedged = true
 		return
 	}
 	ls.check(what)
+}
+
+// checkPlanOwnership checks a scheduler's plan pool. The live plans — the
+// waiting queue's, and the ones the last CommitDue returned, valid until
+// the next — and the spares the node search takes its plans from are all
+// distinct: no live plan is a spare. No two of their slices share memory,
+// and every spare's Task is cleared.
+func checkPlanOwnership(t *testing.T, what string, s *Scheduler) {
+	t.Helper()
+	role := map[*Plan]string{}
+	var spans []memSpan
+	add := func(pl *Plan, r string) {
+		if prev, dup := role[pl]; dup {
+			t.Fatalf("%s: plan %p is %s and %s", what, pl, prev, r)
+		}
+		role[pl] = r
+		spans = append(spans, spanOf(pl, pl.Nodes), spanOf(pl, pl.Starts), spanOf(pl, pl.Release), spanOf(pl, pl.Alphas))
+	}
+	for _, e := range s.q.queue {
+		add(e.plan, "waiting")
+	}
+	for _, pl := range s.committed {
+		add(pl, "committed")
+	}
+	for _, pl := range s.q.scratch.spare {
+		if pl.Task != nil {
+			t.Fatalf("%s: spare plan %p holds task %d", what, pl, pl.Task.ID)
+		}
+		add(pl, "spare")
+	}
+	slices.SortFunc(spans, func(a, b memSpan) int { return cmp.Compare(a.lo, b.lo) })
+	var end memSpan
+	for _, sp := range spans {
+		if sp.lo < end.hi {
+			t.Fatalf("%s: %s plan %p shares memory with %s plan %p", what, role[sp.pl], sp.pl, role[end.pl], end.pl)
+		}
+		if sp.hi > end.hi {
+			end = sp
+		}
+	}
+}
+
+// memSpan is the memory [lo, hi) that a slice of plan pl can reach.
+type memSpan struct {
+	lo, hi uintptr
+	pl     *Plan
+}
+
+func spanOf[T any](pl *Plan, s []T) memSpan {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return memSpan{lo, lo + uintptr(cap(s))*unsafe.Sizeof(*new(T)), pl}
 }
 
 func (ls *lockstep) setNodeState(id int, st cluster.NodeState) {

@@ -60,9 +60,9 @@ func (ctx *PlanContext) startFloor(t *Task) float64 {
 // completion estimate for one task.
 //
 // Plan must not mutate the view — the scheduler applies the returned plan's
-// releases itself after checking the deadline. It is called only for a
-// fresh plan: a waiting task whose plan the scheduler keeps (keeps) costs
-// no call.
+// releases itself after checking the deadline — nor hold on to the plan,
+// which the scheduler may recycle. It is called only for a fresh plan: a
+// waiting task whose plan the scheduler keeps (keeps) costs no call.
 type Partitioner interface {
 	// Name returns the partitioner's identifier (e.g. "dlt-iit").
 	Name() string

@@ -6,8 +6,9 @@ import "math"
 // one task: which nodes it uses, from when to when, how the load is split
 // across them, and the completion estimate the admission decision was based
 // on. Slices are parallel and ordered by node available time (the paper's
-// P1…Pn ordering, which is also the transmission order). A plan of the
-// node search is cut from a plan arena: holding it holds its chunks too.
+// P1…Pn ordering, which is also the transmission order). A plan the
+// scheduler hands out (to an Observer, from Admit, CommitDue or PlanFor)
+// is valid only until its next call: the node search's plans are pooled.
 type Plan struct {
 	Task *Task
 
@@ -36,9 +37,10 @@ type Plan struct {
 	// them with IIT utilisation.
 	SimultaneousStart bool
 	// fromBound marks a plan of PlanContext.PlanMinNodes, kept past its seal
-	// while the ñ_min(t) bound fits it (PlanContext.keeps). It sits in
-	// SimultaneousStart's padding: a Plan stays 144 bytes, 28 to a chunk.
+	// while the ñ_min(t) bound fits it (PlanContext.keeps); pooled one the
+	// pool may recycle. In SimultaneousStart's padding: 144 bytes, 28 a chunk.
 	fromBound bool
+	pooled    bool
 
 	// Rounds is the number of dispatch rounds (1 for all single-round
 	// partitioners; >1 for the multi-round extension).

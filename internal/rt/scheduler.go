@@ -12,11 +12,10 @@ import (
 )
 
 // Observer receives admission-control lifecycle callbacks: one OnAccept or
-// OnReject per decided task and one OnCommit per committed plan, in
-// decision order. It is installed with service.Config.Observer (or
-// rtdls.WithObserver), and the service makes every call, under its
-// shard's lock, next to the event it publishes. See package trace for
-// ready-made implementations.
+// OnReject per decided task and one OnCommit per committed plan, in decision
+// order, each under its shard's lock next to the event the service publishes
+// (service.Config.Observer, rtdls.WithObserver; package trace has some). The
+// Plan is valid only until the scheduler's next call: copy what you keep.
 type Observer interface {
 	OnAccept(now float64, t *Task, p *Plan)
 	OnReject(now float64, t *Task)
@@ -118,8 +117,8 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 }
 
 // Admit is Submit for a task that has passed Task.Validate, returning the
-// admitted task's plan, which is nil exactly when the task was not
-// admitted.
+// admitted task's plan — nil exactly when the task was not admitted, and
+// valid only until the scheduler's next call.
 func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
 	if t.Arrival > now {
 		return nil, fmt.Errorf("rt: task %d submitted at %v before its arrival %v: %w",
@@ -243,7 +242,7 @@ func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
 			displaced = append(displaced, w)
 			continue
 		}
-		pl, perr := checkDeadline(s.part.Plan(&q.pctx, w))
+		pl, perr := q.checkDeadline(s.part.Plan(&q.pctx, w))
 		if perr != nil {
 			if errors.Is(perr, ErrInfeasible) {
 				displaced = append(displaced, w)
@@ -273,8 +272,9 @@ func (s *Scheduler) NextCommit() (at float64, ok bool) {
 
 // CommitDue commits every waiting plan whose first transmission start is ≤
 // now, in queue order, updating the cluster's release times and accounting.
-// It returns the committed plans (possibly none), valid until the next call;
-// when a commit fails, the ones committed before it, beside the error.
+// It returns the committed plans (possibly none), valid only until the
+// scheduler's next call, which recycles them; when a commit fails, the ones
+// committed before it, beside the error.
 func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	stageObs := s.stageObs
 	var t0 time.Time
@@ -287,6 +287,9 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	// error leaves both stamps behind, which safely forces a full resync.
 	before := s.cl.Version()
 	synced := s.q.view != nil && s.clVersion == before
+	for _, pl := range s.committed {
+		s.q.scratch.recycle(pl)
+	}
 	s.committed = s.committed[:0]
 	err := s.q.sweep(now, synced, func(pl *Plan) error {
 		if err := s.cl.Commit(pl.Nodes, pl.Starts, pl.Release, pl.ReservedIdle); err != nil {
@@ -312,9 +315,9 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	return s.committed, nil
 }
 
-// PlanFor returns the current plan for a waiting task, or nil. It scans
-// the queue, so admission never calls it (Admit returns the plan); it is
-// kept for tests that inspect a task's plan after later replans.
+// PlanFor returns the current plan for a waiting task, or nil, valid only
+// until the scheduler's next call. It scans the queue, so admission never
+// calls it (Admit returns the plan); tests inspect plans after replans.
 func (s *Scheduler) PlanFor(taskID int64) *Plan {
 	return s.q.planOf(taskID)
 }

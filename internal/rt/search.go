@@ -12,7 +12,8 @@ import (
 // earliest-available nodes and their clamped start times, plus the model
 // and the timelines an Estimator evaluates them with. A PlanContext owns
 // one and runs every candidate of every search in it, so the candidate is
-// scratch — overwritten by the next one, never referenced by a Plan.
+// scratch — overwritten by the next one, never referenced by a Plan. It
+// also pools the plans: a scheduler's plan is valid until its next call.
 type Candidate struct {
 	Task   *Task
 	P      dlt.Params     // the cluster's shared coefficients
@@ -27,8 +28,9 @@ type Candidate struct {
 	dispatched bool // dispatch holds the timeline of model's partition
 	aux        []float64
 
-	// What outlives a candidate: ln β, and the plan arena, chunks of about
-	// 4 KB cut never twice (the GC frees one with its last plan).
+	// What outlives a candidate: ln β, and the plan pool — the spares given
+	// back (recycle) and the arena, chunks of about 4 KB cut never twice.
+	spare  []*Plan
 	plans  []Plan
 	ints   []int
 	floats []float64
@@ -141,9 +143,9 @@ func (c *Candidate) load(ctx *PlanContext, cm *dlt.CostModel, n int) {
 // then more nodes while r_n + Ê > A + D): it tries n = lo..hi nodes, each
 // candidate in the context's scratch, and returns the plan of the first
 // whose estimate does not exceed limit. The scan is linear — the estimate
-// is not monotone in n, since each further node is a later one. The Plan,
-// its node ids and its Starts | Release | Alphas block are cut from the
-// scratch's arena: a retained plan keeps its chunks (a few KB) reachable.
+// is not monotone in n, since each further node is a later one. The plan
+// comes from the scratch's pool (newPlan), and a scheduler recycles it once
+// its schedule drops it.
 func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) (*Plan, error) {
 	c := ctx.candidate()
 	c.Task, c.P = t, ctx.P
@@ -157,12 +159,8 @@ func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) 
 		if est > limit {
 			continue
 		}
-		// Cut zeroed from the arena, never twice: set field by field.
-		block := Carve(&c.floats, 3*n)
-		pl := &Carve(&c.plans, 1)[0]
-		pl.Task, pl.Est, pl.Rounds = t, est, 1
-		pl.Nodes = Carve(&c.ints, n)
-		pl.Starts, pl.Release, pl.Alphas = block[:n:n], block[n:2*n:2*n], block[2*n:]
+		pl := c.newPlan(n)
+		pl.Task, pl.Est, pl.Rounds, pl.pooled = t, est, 1, true
 		copy(pl.Nodes, c.IDs)
 		copy(pl.Starts, c.Starts)
 		if err := e.Finish(c, pl); err != nil {
@@ -171,6 +169,33 @@ func (ctx *PlanContext) search(t *Task, lo, hi int, limit float64, e Estimator) 
 		return pl, nil
 	}
 	return nil, ErrInfeasible
+}
+
+// newPlan returns a plan of n nodes, zero but for its slices: the last spare,
+// on its own storage while that holds n, or one cut from the arena.
+func (c *Candidate) newPlan(n int) *Plan {
+	var pl *Plan
+	if k := len(c.spare); k > 0 {
+		pl, c.spare = c.spare[k-1], c.spare[:k-1]
+		if cap(pl.Nodes) >= n {
+			*pl = Plan{Nodes: pl.Nodes[:n], Starts: pl.Starts[:n], Release: pl.Release[:n], Alphas: pl.Alphas[:n]}
+			return pl
+		}
+	} else {
+		pl = &Carve(&c.plans, 1)[0]
+	}
+	block := Carve(&c.floats, 3*n)
+	*pl = Plan{Nodes: Carve(&c.ints, n), Starts: block[:n:n], Release: block[n : 2*n : 2*n], Alphas: block[2*n:]}
+	return pl
+}
+
+// recycle gives a plan of the node search back to the pool. Its Task is
+// cleared, so that a stale read panics; any other plan is left alone.
+func (c *Candidate) recycle(pl *Plan) {
+	if pl.pooled {
+		pl.Task = nil
+		c.spare = append(c.spare, pl)
+	}
 }
 
 // singleRound finishes a plan that dispatches the model's partition in one

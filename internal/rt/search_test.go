@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -295,6 +296,54 @@ func TestPlanNeverAliasesScratch(t *testing.T) {
 	}
 }
 
+// TestRecycledPlanIsFresh: a plan built on a spare — on the spare's
+// storage when that holds the node count, else on storage cut anew — equals,
+// field for field, the plan a context without spares builds, and appending
+// to one of its slices leaves the others alone.
+func TestRecycledPlanIsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, part := range searchPartitioners {
+		pool := new(Candidate)
+		onSpare := 0
+		for trial := 0; trial < 1500; trial++ {
+			ctx, task := randomPlanInput(t, rng)
+			want, wantErr := part.Plan(ctx, task)
+			ctx.scratch = pool
+			var storage *int
+			if k := len(pool.spare); k > 0 {
+				storage = unsafe.SliceData(pool.spare[k-1].Nodes)
+			}
+			got, err := part.Plan(ctx, task)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s trial %d: error %v, without spares %v", part.Name(), trial, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(*got, *want) {
+				t.Fatalf("%s trial %d: plan on a spare differs:\n got  %+v\n want %+v", part.Name(), trial, *got, *want)
+			}
+			if unsafe.SliceData(got.Nodes) == storage {
+				onSpare++
+			}
+			snap := *got
+			snap.Nodes, snap.Starts = slices.Clone(got.Nodes), slices.Clone(got.Starts)
+			snap.Release, snap.Alphas = slices.Clone(got.Release), slices.Clone(got.Alphas)
+			_ = append(got.Nodes, -1)
+			_ = append(got.Starts, math.NaN())
+			_ = append(got.Release, math.NaN())
+			_ = append(got.Alphas, math.NaN())
+			if !reflect.DeepEqual(*got, snap) {
+				t.Fatalf("%s trial %d: appending to one slice of the plan overwrote another", part.Name(), trial)
+			}
+			pool.recycle(got)
+		}
+		if onSpare < 100 {
+			t.Fatalf("%s: only %d plans built on a spare's storage", part.Name(), onSpare)
+		}
+	}
+}
+
 // TestCarve: a fresh arena's first cut is exact, so a context that makes
 // one plan allocates no chunk; later cuts come from chunks of about 4 KB,
 // and a request larger than a chunk gets its own allocation and leaves the
@@ -354,7 +403,7 @@ func allocInput(t testing.TB, part Partitioner, hetero bool) (ctx *PlanContext, 
 	}
 	for d := 1500.0; d < 20000; d += 50 {
 		task = &Task{ID: 1, Sigma: 200, RelDeadline: d, UserN: 9}
-		pl, err := checkDeadline(part.Plan(ctx, task))
+		pl, err := new(queueState).checkDeadline(part.Plan(ctx, task))
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}

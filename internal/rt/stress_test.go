@@ -3,14 +3,16 @@ package rt
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"rtdls/internal/cluster"
 )
 
 // stressDrive pushes a randomized arrival stream through a scheduler,
-// committing as time advances, and returns the committed plans for
-// invariant checking. It exercises queue churn, EDF reordering and
+// committing as time advances, and returns copies of the committed plans
+// for invariant checking: a plan CommitDue returns is valid only until the
+// scheduler's next call. It exercises queue churn, EDF reordering and
 // replanning much harder than the unit tests.
 func stressDrive(t *testing.T, pol Policy, part Partitioner, seed uint64, tasks int) []*Plan {
 	t.Helper()
@@ -40,7 +42,7 @@ func stressDrive(t *testing.T, pol Policy, part Partitioner, seed uint64, tasks 
 		if err != nil {
 			t.Fatalf("commit at %v: %v", now, err)
 		}
-		committed = append(committed, plans...)
+		committed = appendCopies(committed, plans)
 	}
 	for s.Stats().QueueLen > 0 {
 		at, ok := s.NextCommit()
@@ -52,12 +54,23 @@ func stressDrive(t *testing.T, pol Policy, part Partitioner, seed uint64, tasks 
 		if err != nil {
 			t.Fatal(err)
 		}
-		committed = append(committed, plans...)
+		committed = appendCopies(committed, plans)
 	}
 	if got := s.Stats().Accepts; got != len(committed) {
 		t.Fatalf("accepted %d but committed %d", got, len(committed))
 	}
 	return committed
+}
+
+// appendCopies appends copies of plans, slices and all, to dst.
+func appendCopies(dst, plans []*Plan) []*Plan {
+	for _, pl := range plans {
+		c := *pl
+		c.Nodes, c.Starts = slices.Clone(pl.Nodes), slices.Clone(pl.Starts)
+		c.Release, c.Alphas = slices.Clone(pl.Release), slices.Clone(pl.Alphas)
+		dst = append(dst, &c)
+	}
+	return dst
 }
 
 // userSplitMinNodesFor computes Nmin = ⌈σCps/(D−σCms)⌉ for a task under

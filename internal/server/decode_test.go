@@ -20,15 +20,26 @@ import (
 	"rtdls/internal/errs"
 )
 
-// refDecodeBody is the /v1/submit decoder from before decodeTask, kept
-// verbatim as the reference that decodeTask is held to: encoding/json
-// with strict field checking over http.MaxBytesReader.
+// refDecodeBody is the /v1/submit decoder from before decodeTask, the
+// reference that decodeTask is held to: encoding/json with strict field
+// checking over http.MaxBytesReader, then nothing but whitespace up to the
+// end of the body, and a 413 that closes the connection.
 func (s *Server) refDecodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	err := dec.Decode(into)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil || errors.As(err, new(*json.SyntaxError)) {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
+			w.Header().Set("Connection", "close")
 			s.writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 				Error:  fmt.Sprintf("server: body exceeds %d bytes", maxErr.Limit),
 				Code:   http.StatusRequestEntityTooLarge,
@@ -204,7 +215,8 @@ func TestParseTask(t *testing.T) {
 
 // TestSubmitBodyOverLimit checks the 413 for a body over MaxBody, declared
 // by its Content-Length or sent chunked, over a real connection: the
-// status and the error body.
+// status, the error body, and a connection closed after the reply rather
+// than kept open while the server reads through the rest of the body.
 func TestSubmitBodyOverLimit(t *testing.T) {
 	h := newDecodeServer(t).Handler()
 	var length int64
@@ -235,8 +247,8 @@ func TestSubmitBodyOverLimit(t *testing.T) {
 		}
 		want := fmt.Sprintf(`{"error":"server: body exceeds %d bytes","code":413,"reason":%q}`+"\n",
 			decodeMaxBody, string(errs.ReasonBadRequest))
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || string(raw) != want {
-			t.Fatalf("%s: %d %q, want 413 %q", tc.name, resp.StatusCode, raw, want)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || string(raw) != want || !resp.Close {
+			t.Fatalf("%s: %d %q (close %v), want 413 %q (close true)", tc.name, resp.StatusCode, raw, resp.Close, want)
 		}
 	}
 }
@@ -310,21 +322,21 @@ func TestSubmitBodyNotSizedFromHeader(t *testing.T) {
 }
 
 // TestSubmitTruncatedBody sends a Content-Length longer than the bytes
-// that follow and then hangs up. A body whose object is complete is still
-// decided, as encoding/json decides it before reading on; one cut inside
-// the object is a 400 naming the unexpected EOF.
+// that follow and then hangs up. The body is a 400 naming the unexpected
+// EOF whether it is cut inside the object or after it: only the end of the
+// body shows that nothing follows the value.
 func TestSubmitTruncatedBody(t *testing.T) {
 	ts := httptest.NewServer(newDecodeServer(t).Handler())
 	defer ts.Close()
+	cut := fmt.Sprintf(`{"error":"server: malformed request body: unexpected EOF: %s","code":400,"reason":%q}`+"\n",
+		errs.ErrBadConfig, string(errs.ReasonBadRequest))
 	for _, tc := range []struct {
 		sent   string
 		status int
 		body   string
 	}{
-		{`{"id":1,"sigma":200,"deadline":2800}`, http.StatusOK, ""},
-		{`{"id":1,"sigma":200,"dead`, http.StatusBadRequest,
-			fmt.Sprintf(`{"error":"server: malformed request body: unexpected EOF: %s","code":400,"reason":%q}`+"\n",
-				errs.ErrBadConfig, string(errs.ReasonBadRequest))},
+		{`{"id":1,"sigma":200,"deadline":2800}`, http.StatusBadRequest, cut},
+		{`{"id":1,"sigma":200,"dead`, http.StatusBadRequest, cut},
 	} {
 		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 		if err != nil {

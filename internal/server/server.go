@@ -468,28 +468,39 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.writeJSON(w, code, resp)
 }
 
-// decodeBody decodes the first JSON value of body into into by
-// reflection, with strict field checking: the path of every batch, and of
-// each submit body that decodeTask does not parse itself. Reached through
-// http.MaxBytesReader, a body over the size bound is a 413. On failure it
-// writes the 400 (or the 413) and reports false.
+// decodeBody decodes body, which must hold one JSON value and nothing after
+// it but whitespace, into into by reflection, with strict field checking:
+// the path of every batch, and of each submit body that decodeTask does
+// not parse itself. Reached through http.MaxBytesReader, a body over the
+// size bound is a 413, which closes the connection instead of reading on
+// through the rest of the body. On failure it writes the 400 (or the 413)
+// and reports false.
 func (s *Server) decodeBody(w http.ResponseWriter, body io.Reader, into any) bool {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			s.writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
-				Error:  fmt.Sprintf("server: body exceeds %d bytes", maxErr.Limit),
-				Code:   http.StatusRequestEntityTooLarge,
-				Reason: errs.ReasonBadRequest,
-			})
-			return false
+	err := dec.Decode(into)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		s.writeError(w, fmt.Errorf("server: malformed request body: %v: %w", err, errs.ErrBadConfig))
+		if err == nil || errors.As(err, new(*json.SyntaxError)) {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		// The middleware's recorder hides net/http's own close-after-reply
+		// hook for MaxBytesReader.
+		w.Header().Set("Connection", "close")
+		s.writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			Error:  fmt.Sprintf("server: body exceeds %d bytes", maxErr.Limit),
+			Code:   http.StatusRequestEntityTooLarge,
+			Reason: errs.ReasonBadRequest,
+		})
 		return false
 	}
-	return true
+	s.writeError(w, fmt.Errorf("server: malformed request body: %v: %w", err, errs.ErrBadConfig))
+	return false
 }
 
 // writeJSON encodes body before writing anything, so a body that cannot

@@ -142,23 +142,30 @@ func TestSubmitBusyCarriesRetryAfter(t *testing.T) {
 	}
 }
 
+// TestSubmitMalformed: a body that is not one well-formed request is a
+// 400 — on both submit endpoints, for bytes after the JSON value too.
 func TestSubmitMalformed(t *testing.T) {
 	srv, _, _ := newTestServer(t)
 	h := srv.Handler()
 
-	for name, body := range map[string]string{
-		"bad json":      "{not json",
-		"unknown field": `{"sigma": 10, "deadline": 100, "bogus": 1}`,
-		"bad sigma":     `{"sigma": -5, "deadline": 100}`,
+	const task, batch = `{"sigma":200,"deadline":2800}`, `{"tasks":[{"sigma":200,"deadline":2800}]}`
+	for _, tc := range []struct{ name, path, body string }{
+		{"bad json", "/v1/submit", "{not json"},
+		{"unknown field", "/v1/submit", `{"sigma": 10, "deadline": 100, "bogus": 1}`},
+		{"bad sigma", "/v1/submit", `{"sigma": -5, "deadline": 100}`},
+		{"trailing bytes", "/v1/submit", task + " x"},
+		{"two values", "/v1/submit", task + task},
+		{"trailing bytes", "/v1/submit/batch", batch + " x"},
+		{"two values", "/v1/submit/batch", batch + batch},
 	} {
-		req := httptest.NewRequest(http.MethodPost, "/v1/submit", strings.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, body %s", name, w.Code, w.Body)
+			t.Errorf("%s %s: status = %d, body %s", tc.path, tc.name, w.Code, w.Body)
 		}
 		if e := decode[ErrorResponse](t, w); e.Reason != errs.ReasonBadRequest || e.Code != errs.CodeBadRequest {
-			t.Errorf("%s: error body = %+v", name, e)
+			t.Errorf("%s %s: error body = %+v", tc.path, tc.name, e)
 		}
 	}
 }

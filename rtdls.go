@@ -63,7 +63,10 @@ import (
 // rtdls_admission_{speculative,conflicts}_total families and dlload's
 // speculative/conflicts/conflict_rate fields are gone, and
 // Stats.Speculative/Conflicts always read 0.
-const Version = "7.0.0"
+// 8.0.0 pooled the scheduler's plans: a Plan passed to an Observer is valid
+// only until the scheduler's next call, which may reuse it for another task.
+// A request body must end after its one JSON value.
+const Version = "8.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps
@@ -107,7 +110,8 @@ func HeteroExecTime(costs []NodeCost, sigma float64) (float64, error) {
 type Task = rt.Task
 
 // Plan is a task's resource assignment: nodes, start times, load fractions
-// and the admission estimate.
+// and the admission estimate. A Plan passed to an Observer is valid only
+// until the scheduler's next call, which may reuse it: copy what you keep.
 type Plan = rt.Plan
 
 // Policy selects the task execution order (EDF or FIFO).

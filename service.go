@@ -259,7 +259,8 @@ func WithClock(c Clock) Option {
 }
 
 // WithObserver installs legacy lifecycle callbacks alongside the event
-// stream (combine several with CombineObservers).
+// stream (combine several with CombineObservers). A Plan passed to one is
+// valid only until the scheduler's next call: copy what you keep.
 func WithObserver(obs Observer) Option {
 	return func(o *serviceOptions) error {
 		o.cfg.Observer = obs
