@@ -196,11 +196,11 @@ func TestConcurrentLinearizationReplay(t *testing.T) {
 	// worker has started, so submits overlap.
 	observer := &overlapObserver{Verifier: rtdls.NewVerifier(rtdls.Params{Cms: 1, Cps: 100}, 16), submitters: workers}
 	svc := newSvc(rtdls.WithObserver(observer))
-	events, cancelSub := svc.Subscribe(1 << 15)
+	sub := svc.Subscribe(1 << 15)
 	order := make(chan []int64, 1)
 	go func() {
 		var ids []int64
-		for ev := range events {
+		for ev := range sub.C() {
 			if ev.Kind == rtdls.EventAccept || ev.Kind == rtdls.EventReject {
 				ids = append(ids, ev.Task.ID)
 			}
@@ -239,7 +239,7 @@ func TestConcurrentLinearizationReplay(t *testing.T) {
 	}
 	st := svc.Stats()
 	svc.Close()
-	cancelSub()
+	sub.Cancel()
 	linear := <-order
 
 	if st.EventsDropped != 0 {

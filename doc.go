@@ -61,7 +61,7 @@
 // For scale-out, the service shards into a multi-cluster admission pool
 // (internal/pool), after the multi-source divisible-load systems of
 // Wu/Cao/Robertazzi: WithShards(k) runs K independent clusters — each
-// with its own scheduler, lock and commit pump, sharing one clock and one
+// with its own scheduler and lock, sharing one clock and one
 // shard-tagged event stream — behind the identical Service surface, and
 // WithPlacement selects the routing layer (RoundRobin, LeastLoaded,
 // PowerOfTwoChoices, or Spillover, which retries rejected tasks on the
@@ -69,11 +69,14 @@
 // WithShardNodeCosts describe heterogeneous fleets of differently sized
 // and priced clusters. Decisions and events report the placing shard,
 // Stats aggregates the fleet, and ShardStats/Clusters expose per-shard
-// views. The pool is the one engine: New and Simulate always build one,
-// and the default is the K = 1 pool, the paper's one cluster — no special
-// case. A one-shard pool reproduces its bare shard decision for decision,
-// and a K-shard RoundRobin pool reproduces K independent one-cluster
-// simulations decision for decision. See examples/pool.
+// views. No timer commits a due plan: a shard commits what is due on its
+// next submission, on Pump or on Drain, so on a wall clock with no traffic
+// a due plan waits (ROADMAP item 15). The pool is the one engine: New and
+// Simulate always build one, and the default is the K = 1 pool, the
+// paper's one cluster — no special case. A one-shard pool reproduces its
+// bare shard decision for decision, and a K-shard RoundRobin pool
+// reproduces K independent one-cluster simulations decision for decision.
+// See examples/pool.
 //
 // Since 3.0.0 the same engine serves over the wire. cmd/dlserve is an
 // HTTP/JSON front end (internal/server) exposing submit, batch, stats, a
@@ -232,8 +235,8 @@
 // takes the last one back, reusing its node ids and its Starts | Release |
 // Alphas block when they hold the node count. Only when the pool is empty
 // or a spare is too small is a plan cut from chunks of about 4 KB in a
-// bump arena. So a plan handed out (to an rt.Observer, or by Admit,
-// CommitDue or PlanFor) is valid only until the scheduler's next call.
+// bump arena. So a plan handed out (to an rt.Observer, or by Admit or
+// CommitDue) is valid only until the scheduler's next call.
 // The same count test holds an arrival into the middle of 128 waiting
 // tasks, and one behind them, to no more heap bytes than its task, and so
 // does TestRejectReturnsFreshPlans for a reject decided after fresh plans.

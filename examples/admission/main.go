@@ -34,11 +34,11 @@ func main() {
 
 	// Stream consumer: counts lifecycle events concurrently with the
 	// submissions (the ad-hoc Observer wiring of v1 is gone).
-	events, cancel := svc.Subscribe(1 << 14)
+	sub := svc.Subscribe(1 << 14)
 	counted := make(chan [3]int, 1)
 	go func() {
 		var n [3]int
-		for ev := range events {
+		for ev := range sub.C() {
 			switch ev.Kind {
 			case rtdls.EventAccept:
 				n[0]++
@@ -103,7 +103,7 @@ func main() {
 	}
 	st := svc.Stats()
 	svc.Close() // closes the event stream; the counter goroutine finishes
-	cancel()
+	sub.Cancel()
 	n := <-counted
 
 	fmt.Println("Deadline renegotiation under EDF-DLT (16 nodes, ~90% load, 2000 clients)")

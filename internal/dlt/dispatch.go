@@ -22,8 +22,6 @@ type Dispatch struct {
 	Finish    []float64 // f_i + αᵢ·σ·Cps: when node i finishes computing
 	// Completion is the task completion time, max_i Finish[i].
 	Completion float64
-
-	costs []NodeCost // CostModel.SimulateForInto's per-node cost scratch
 }
 
 // SimulateDispatch computes the exact per-node timeline for distributing a

@@ -157,21 +157,10 @@ func (m *CostModel) SelectInto(dst []NodeCost, ids []int) []NodeCost {
 // and the independent verifier re-check committed plans through this one
 // helper so their timelines cannot diverge.
 func (m *CostModel) SimulateFor(ids []int, sigma float64, avail, alphas []float64) (*Dispatch, error) {
-	d := new(Dispatch)
-	if err := m.SimulateForInto(d, ids, sigma, avail, alphas); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// SimulateForInto is SimulateFor writing into d, as SimulateDispatchInto
-// does; the per-node costs the heterogeneous path selects are kept in d too.
-func (m *CostModel) SimulateForInto(d *Dispatch, ids []int, sigma float64, avail, alphas []float64) error {
 	if m.uniform {
-		return SimulateDispatchInto(d, m.costs[0].Params(), sigma, avail, alphas)
+		return SimulateDispatch(m.costs[0].Params(), sigma, avail, alphas)
 	}
-	d.costs = m.SelectInto(d.costs, ids)
-	return SimulateDispatchHeteroInto(d, d.costs, sigma, avail, alphas)
+	return SimulateDispatchHetero(m.SelectInto(nil, ids), sigma, avail, alphas)
 }
 
 // Costs returns a copy of the full per-node table, indexed by node id.

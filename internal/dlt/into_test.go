@@ -74,11 +74,11 @@ func TestSimulateDispatchIntoMatches(t *testing.T) {
 	}
 }
 
-// TestSimulateForIntoMatches drives one Dispatch through plans on a uniform
-// and a heterogeneous cost model, on node subsets growing and shrinking,
-// and requires the timeline the direct simulators return for the selected
+// TestSimulateForMatches re-simulates plans on a uniform and a
+// heterogeneous cost model, on node subsets growing and shrinking, and
+// requires the timeline the direct simulators return for the selected
 // coefficients, bit for bit.
-func TestSimulateForIntoMatches(t *testing.T) {
+func TestSimulateForMatches(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 6))
 	table := make([]NodeCost, 32)
 	for i := range table {
@@ -92,7 +92,6 @@ func TestSimulateForIntoMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d Dispatch
 	for step := 0; step < 2000; step++ {
 		n := 1 + rng.IntN(len(table))
 		ids := rng.Perm(len(table))[:n]
@@ -111,12 +110,13 @@ func TestSimulateForIntoMatches(t *testing.T) {
 		} else {
 			want, wantErr = SimulateDispatch(baseline, sigma, avail, alphas)
 		}
-		if err := m.SimulateForInto(&d, ids, sigma, avail, alphas); err != nil || wantErr != nil {
+		d, err := m.SimulateFor(ids, sigma, avail, alphas)
+		if err != nil || wantErr != nil {
 			t.Fatalf("step %d: %v, %v", step, err, wantErr)
 		}
 		if !slices.Equal(d.SendStart, want.SendStart) || !slices.Equal(d.SendEnd, want.SendEnd) ||
 			!slices.Equal(d.Finish, want.Finish) || d.Completion != want.Completion {
-			t.Fatalf("step %d (n=%d uniform=%v): reused dispatch %+v, fresh %+v", step, n, m.Uniform(), d, *want)
+			t.Fatalf("step %d (n=%d uniform=%v): dispatch %+v, direct %+v", step, n, m.Uniform(), *d, *want)
 		}
 	}
 }

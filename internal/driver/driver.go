@@ -182,28 +182,6 @@ func SpreadCosts(n int, p dlt.Params, cmsSpread, cpsSpread float64, seed uint64)
 	return costs, nil
 }
 
-// NewPartitioner constructs the rt.Partitioner named by the configuration.
-func (c Config) NewPartitioner() (rt.Partitioner, error) {
-	switch c.Algorithm {
-	case AlgDLTIIT:
-		return rt.IITDLT{}, nil
-	case AlgOPRMN:
-		return rt.OPR{}, nil
-	case AlgOPRAN:
-		return rt.OPR{AllNodes: true}, nil
-	case AlgUserSplit:
-		return rt.UserSplit{}, nil
-	case AlgDLTMR:
-		r := c.Rounds
-		if r == 0 {
-			r = 2
-		}
-		return multiround.New(r)
-	default:
-		return nil, fmt.Errorf("driver: unknown algorithm %q (want one of %v): %w", c.Algorithm, Algorithms(), errs.ErrBadConfig)
-	}
-}
-
 // Result aggregates one run's metrics.
 type Result struct {
 	Config Config
@@ -258,7 +236,23 @@ type Result struct {
 // per-node costs at plan time via rt.PlanContext. This is the one
 // constructor path the service options share with the bench.
 func PartitionerFor(algorithm string, rounds int, cm *dlt.CostModel) (rt.Partitioner, error) {
-	return Config{Algorithm: algorithm, Rounds: rounds}.NewPartitioner()
+	switch algorithm {
+	case AlgDLTIIT:
+		return rt.IITDLT{}, nil
+	case AlgOPRMN:
+		return rt.OPR{}, nil
+	case AlgOPRAN:
+		return rt.OPR{AllNodes: true}, nil
+	case AlgUserSplit:
+		return rt.UserSplit{}, nil
+	case AlgDLTMR:
+		if rounds == 0 {
+			rounds = 2
+		}
+		return multiround.New(rounds)
+	default:
+		return nil, fmt.Errorf("driver: unknown algorithm %q (want one of %v): %w", algorithm, Algorithms(), errs.ErrBadConfig)
+	}
 }
 
 // Run executes one simulation and returns its metrics. It is a thin

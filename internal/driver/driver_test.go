@@ -43,7 +43,7 @@ func TestAlgorithmsListMatchesFactory(t *testing.T) {
 	for _, alg := range Algorithms() {
 		cfg := Default()
 		cfg.Algorithm = alg
-		if _, err := cfg.NewPartitioner(); err != nil {
+		if _, err := PartitionerFor(cfg.Algorithm, cfg.Rounds, nil); err != nil {
 			t.Fatalf("listed algorithm %q not constructible: %v", alg, err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestDefaultRoundsApplied(t *testing.T) {
 	cfg := Default()
 	cfg.Algorithm = AlgDLTMR
 	cfg.Rounds = 0 // should default to 2
-	p, err := cfg.NewPartitioner()
+	p, err := PartitionerFor(cfg.Algorithm, cfg.Rounds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func referenceRun(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, err := cfg.NewPartitioner()
+	part, err := PartitionerFor(cfg.Algorithm, cfg.Rounds, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,7 @@ import (
 	"rtdls/internal/errs"
 	"rtdls/internal/fleet"
 	"rtdls/internal/metrics"
+	"rtdls/internal/server"
 )
 
 // Options configures one load run.
@@ -204,12 +205,6 @@ func (a *atomicFloat) update(v float64, better func(candidate, current float64) 
 }
 func (a *atomicFloat) value() float64 { return math.Float64frombits(a.bits.Load()) }
 
-type taskBody struct {
-	ID       int64   `json:"id"`
-	Sigma    float64 `json:"sigma"`
-	Deadline float64 `json:"deadline"`
-}
-
 // Run executes one load run and returns its report. The context cancels
 // the run early; requests already in flight still complete.
 func Run(ctx context.Context, opts Options) (*Report, error) {
@@ -268,13 +263,13 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 
 	submitURL := opts.URL + "/v1/submit"
-	body := func(rng *rand.Rand) taskBody {
+	body := func(rng *rand.Rand) server.TaskRequest {
 		sigma := opts.Sigma
 		if opts.SigmaSpread > 1 {
 			lo, hi := opts.Sigma/opts.SigmaSpread, opts.Sigma*opts.SigmaSpread
 			sigma = lo + rng.Float64()*(hi-lo)
 		}
-		return taskBody{ID: seq.Add(1), Sigma: sigma, Deadline: opts.Deadline}
+		return server.TaskRequest{ID: seq.Add(1), Sigma: sigma, Deadline: opts.Deadline}
 	}
 
 	// Scrape /metrics before the run so the report can carry server-side
@@ -329,7 +324,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			offsets = arrivalSchedule(opts.N, opts.Rate, opts.Burst, opts.Seed)
 		}
 		rng := rand.New(rand.NewSource(opts.Seed ^ 0x9e3779b9))
-		bodies := make([]taskBody, len(offsets))
+		bodies := make([]server.TaskRequest, len(offsets))
 		for i := range bodies {
 			bodies[i] = body(rng)
 		}
@@ -443,7 +438,7 @@ func arrivalSchedule(n int, rate float64, burst int, seed int64) []float64 {
 }
 
 // doSubmit sends one submission and classifies the outcome.
-func doSubmit(ctx context.Context, client *http.Client, url string, tb taskBody, cnt *counters) {
+func doSubmit(ctx context.Context, client *http.Client, url string, tb server.TaskRequest, cnt *counters) {
 	raw, _ := json.Marshal(tb)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
 	if err != nil {

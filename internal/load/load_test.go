@@ -3,6 +3,8 @@ package load
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -191,5 +193,40 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Options{URL: "http://x", Mode: "open", N: 10}); err == nil {
 		t.Fatal("open mode without rate accepted")
+	}
+}
+
+// TestSubmitBodyBytes pins the body dlload sends for one submission: the
+// server's own TaskRequest with only id, sigma and deadline set marshals
+// to exactly the three-field object {"id":…,"sigma":…,"deadline":…} for
+// every id ≥ 1, byte for byte, at the defaults, across the sigma spread
+// and at the float edges.
+func TestSubmitBodyBytes(t *testing.T) {
+	type threeFields struct {
+		ID       int64   `json:"id"`
+		Sigma    float64 `json:"sigma"`
+		Deadline float64 `json:"deadline"`
+	}
+	rng := rand.New(rand.NewSource(9))
+	cases := []threeFields{
+		{1, 200, 20000},
+		{math.MaxInt64, math.SmallestNonzeroFloat64, math.MaxFloat64},
+		{42, 1e-7, 1e21},
+	}
+	for i := 0; i < 1000; i++ {
+		cases = append(cases, threeFields{1 + rng.Int63n(1<<40), 50 + rng.Float64()*750, rng.ExpFloat64() * 1e4})
+	}
+	for _, c := range cases {
+		got, err := json.Marshal(server.TaskRequest{ID: c.ID, Sigma: c.Sigma, Deadline: c.Deadline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("body %s, want %s", got, want)
+		}
 	}
 }

@@ -47,13 +47,11 @@ var (
 	invLogGrowth = 1 / math.Log(histGrowth)
 )
 
-func newHistogram() *Histogram {
+// NewHistogram returns an unregistered histogram; Registry.Histogram
+// registers one under a name and labels.
+func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]atomic.Uint64, histBuckets)}
 }
-
-// NewHistogram returns an unregistered histogram (tests and ad-hoc use;
-// production code registers via Registry.Histogram).
-func NewHistogram() *Histogram { return newHistogram() }
 
 // BucketFor returns the bucket index for a sample of v seconds. Bucket
 // upper bounds are inclusive, matching Prometheus `le` semantics: a value

@@ -273,7 +273,7 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 // Histogram returns the histogram registered under (name, labels). Values
 // are seconds; buckets follow the package's geometric scheme.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
-	return r.lookup(name, help, "histogram", labels, func() instrument { return newHistogram() }).(*Histogram)
+	return r.lookup(name, help, "histogram", labels, func() instrument { return NewHistogram() }).(*Histogram)
 }
 
 // CounterFunc registers a counter whose value is read from fn at render

@@ -90,14 +90,13 @@ func TestHeteroPlanExactEstimate(t *testing.T) {
 	}
 	s := rt.NewScheduler(cl, rt.EDF, part)
 	task := &rt.Task{ID: 1, Arrival: 0, Sigma: 120, RelDeadline: 50000}
-	acc, err := s.Submit(task, 0)
+	pl, err := s.Admit(task, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !acc {
+	if pl == nil {
 		t.Fatalf("task rejected")
 	}
-	pl := s.PlanFor(task.ID)
 	sel := cl.Costs().SelectInto(nil, pl.Nodes)
 	var completion float64
 	if pl.Rounds > 1 {

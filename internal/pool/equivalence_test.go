@@ -113,7 +113,7 @@ func TestPoolReproducesIndependentSimulations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				part, err := cfg.NewPartitioner()
+				part, err := driver.PartitionerFor(cfg.Algorithm, cfg.Rounds, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

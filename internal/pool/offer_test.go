@@ -18,11 +18,11 @@ import (
 // decision is read back from the merged event stream, one submission or
 // fleet operation at a time.
 type offerRig struct {
-	t      *testing.T
-	p      *Pool
-	clock  *service.ManualClock
-	reg    *metrics.Registry
-	events <-chan Event
+	t     *testing.T
+	p     *Pool
+	clock *service.ManualClock
+	reg   *metrics.Registry
+	sub   *service.Subscription
 
 	next      int64 // next task id
 	submitted int
@@ -48,9 +48,8 @@ func newOfferRig(t *testing.T, place Placement) *offerRig {
 		t.Fatal(err)
 	}
 	r.p = p
-	var cancel func()
-	r.events, cancel = p.Subscribe(1024)
-	t.Cleanup(func() { cancel(); p.Close() })
+	r.sub = p.Subscribe(1024)
+	t.Cleanup(func() { r.sub.Cancel(); p.Close() })
 	return r
 }
 
@@ -63,7 +62,7 @@ func (r *offerRig) seen() map[int64]tally {
 	out := make(map[int64]tally)
 	for {
 		select {
-		case ev := <-r.events:
+		case ev := <-r.sub.C():
 			tl := out[ev.Task.ID]
 			switch ev.Kind {
 			case service.EventAccept:

@@ -6,7 +6,9 @@
 //
 // A Pool owns K service.Service shards that share one Clock and one event
 // Bus (events and decisions are shard-tagged), while every shard keeps its
-// own cluster.Cluster, rt.Scheduler and commit pump. Submissions from any
+// own cluster.Cluster, rt.Scheduler and lock. No timer commits a due plan:
+// a shard commits what is due on its next submission, on Pump or on Drain
+// (ROADMAP item 15 asks for a wall-clock pump). Submissions from any
 // number of goroutines therefore contend only on the shard they are placed
 // on, never on a pool-global lock — Submit throughput scales with the
 // shard count instead of serialising on one O(queue × plan) replan.
@@ -453,19 +455,14 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	return decisions, firstErr
 }
 
-// Subscribe attaches a consumer to the pool-wide event stream: one merged,
-// shard-tagged sequence over all shards. The returned cancel function
-// detaches it and closes the channel. A slow consumer loses events (counted
-// in Stats().EventsDropped) rather than blocking admission control.
-func (p *Pool) Subscribe(buffer int) (<-chan Event, func()) {
+// Subscribe attaches a consumer to the pool-wide event stream — one
+// merged, shard-tagged sequence over all shards — and returns its
+// Subscription handle. Cancel detaches it and closes the channel. A slow
+// consumer loses events (counted in Stats().EventsDropped, and per
+// subscriber by Dropped, from which dlserve's event streamer emits
+// explicit gap notices) rather than blocking admission control.
+func (p *Pool) Subscribe(buffer int) *service.Subscription {
 	return p.bus.Subscribe(buffer)
-}
-
-// SubscribeStream attaches a consumer to the merged stream and returns its
-// Subscription handle, exposing the subscriber's own dropped-event count,
-// from which dlserve's event streamer emits explicit gap notices.
-func (p *Pool) SubscribeStream(buffer int) *service.Subscription {
-	return p.bus.SubscribeStream(buffer)
 }
 
 // SetAccepting flips the pool-wide admission gate: while false, every
@@ -478,9 +475,6 @@ func (p *Pool) SetAccepting(accepting bool) { p.draining.Store(!accepting) }
 // true until SetAccepting(false) or Close. Lock-free — the health
 // endpoint's readiness signal.
 func (p *Pool) Accepting() bool { return !p.draining.Load() && !p.closed.Load() }
-
-// Event re-exports the service event type for pool subscribers.
-type Event = service.Event
 
 // Stats returns the pool-wide aggregate of every shard's snapshot:
 // admission counters from the pool's final decisions (a task spilled over

@@ -214,7 +214,7 @@ func TestDeadlinePastSkipsSpillover(t *testing.T) {
 
 func TestMergedEventStreamIsShardTagged(t *testing.T) {
 	p := newPool(t, 3, 8, RoundRobin{})
-	events, cancel := p.Subscribe(64)
+	sub := p.Subscribe(64)
 	ctx := context.Background()
 	for i := 0; i < 6; i++ {
 		if _, err := p.Submit(ctx, rt.Task{ID: int64(i + 1), Sigma: 50, RelDeadline: 1e6}); err != nil {
@@ -225,10 +225,10 @@ func TestMergedEventStreamIsShardTagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	cancel()
+	sub.Cancel()
 	counts := map[int]int{}
 	kinds := map[service.EventKind]int{}
-	for ev := range events {
+	for ev := range sub.C() {
 		counts[ev.Shard]++
 		kinds[ev.Kind]++
 	}
@@ -309,7 +309,7 @@ func TestPoolSetAcceptingGate(t *testing.T) {
 func TestPoolSubscribeStreamGap(t *testing.T) {
 	p := newPool(t, 2, 8, RoundRobin{})
 	defer p.Close()
-	sub := p.SubscribeStream(1)
+	sub := p.Subscribe(1)
 	defer sub.Cancel()
 	ctx := context.Background()
 	for i := 1; i <= 4; i++ {

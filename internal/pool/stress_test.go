@@ -49,11 +49,11 @@ func TestPoolConcurrentSubmitRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, cancelSub := p.Subscribe(1 << 15)
+	sub := p.Subscribe(1 << 15)
 	streamed := make(chan map[service.EventKind]int, 1)
 	go func() {
 		counts := make(map[service.EventKind]int)
-		for ev := range events {
+		for ev := range sub.C() {
 			if ev.Shard < 0 || ev.Shard >= k {
 				t.Errorf("event with shard %d", ev.Shard)
 			}
@@ -106,7 +106,7 @@ func TestPoolConcurrentSubmitRace(t *testing.T) {
 	}
 	st := p.Stats()
 	p.Close()
-	cancelSub()
+	sub.Cancel()
 	counts := <-streamed
 
 	if st.Arrivals != workers*each {

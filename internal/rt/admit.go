@@ -198,12 +198,12 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 		return pl, err
 	}
 	// early closes the spans of a test that ended before the tentative
-	// schedule was planned: every submit contributes one sample per stage,
-	// with an explicit zero check span.
+	// schedule was planned, so before any Plan call: every submit
+	// contributes one sample per stage, with explicit zero plan and check
+	// spans.
 	early := func() {
 		if timed {
-			st.Plan = planDur.Seconds()
-			st.Cand = (time.Since(t0) - planDur).Seconds()
+			st.Cand = time.Since(t0).Seconds()
 		}
 	}
 	if q.live == 0 {
@@ -272,10 +272,10 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 
 	var candDur time.Duration
 	if timed {
-		// Candidate selection ends here; the rest splits into planning (the
-		// partitioner calls) and the schedulability check (deadline
-		// comparisons and view updates).
-		candDur = time.Since(t0) - planDur
+		// Candidate selection ends here, before any Plan call; the rest
+		// splits into planning (the partitioner calls) and the
+		// schedulability check (deadline comparisons and view updates).
+		candDur = time.Since(t0)
 	}
 	finish := func() {
 		if !timed {

@@ -135,12 +135,12 @@ func benchSubmitFastReject(b *testing.B, n int) {
 }
 
 // BenchmarkSubmitQueued measures one admission test against a waiting
-// queue held at a fixed depth, for the four kinds of arrival the wire
-// sees. The 16 nodes free up one slot (one single-node task) apart and a
-// queue of `queue` single-node tasks with loose deadlines is planned onto
-// the coming slots; every iteration of the accepting mixes advances time
-// by one slot, commits the task at the head and submits one arrival, so
-// the depth holds.
+// queue held at a fixed depth, for five kinds of arrival the wire sees.
+// Except in the tailmiss mix, the 16 nodes free up one slot (one
+// single-node task) apart and a queue of `queue` single-node tasks with
+// loose deadlines is planned onto the coming slots; every iteration of the
+// accepting mixes advances time by one slot, commits the task at the head
+// and submits one arrival, so the depth holds.
 //
 //   - late: the arrival's deadline is the latest — EDF orders it last, every
 //     waiting task keeps its plan, one plan is computed.
@@ -148,25 +148,35 @@ func benchSubmitFastReject(b *testing.B, n int) {
 //     tasks ordered after the arrival are planned again behind it.
 //   - reject: ordered last and passing the ñ_min fast-reject, but too big to
 //     finish in time on all 16 nodes — by 0.02 %, of which 8 % is link time
-//     the demand bound does not count: at queue=8 and 32 this is still the
-//     reject a whole-queue test pays the full queue for, at queue=128 the
-//     waiting tasks' own demand closes the gap and the bound decides it at
-//     the arrival's deadline after one pass over the queue's σ.
+//     the demand bound does not count. At queue=0, 8 and 32 the arrival's
+//     own node search fails (one Plan call, no plan); at queue=128 the
+//     waiting tasks' own demand closes the gap and the bound decides it
+//     after one pass over the queue's σ, with no Plan call.
 //   - saturated: the same queue with every deadline ten time units behind
-//     the task's planned completion — deadline-dense, no room to spare — and
-//     an arrival ordered into its middle that would fit an idle fleet but is
-//     more than the queue leaves: the overload reject, decided by the demand
-//     bound with no plan computed or kept and nothing allocated but the task.
-//     (Not at queue=0: with nothing waiting the arrival fits.)
+//     the task's planned completion, and an arrival of twelve queued tasks'
+//     load ordered into its middle: the overload reject, decided by the
+//     demand bound with no plan computed or kept and nothing allocated but
+//     the task. The queue is not full: re-planned over the nodes its end
+//     leaves idle, its tail absorbs an arrival of about five tasks' load.
+//   - tailmiss: a queue whose every task spans all 16 nodes, free together,
+//     each due a thousandth of a time unit after its planned completion,
+//     and a tenth-size arrival due between the two tasks in its middle. The
+//     tasks ahead keep their plans, the arrival's own plan fits, and the
+//     task behind it, planned again on the nodes the arrival now holds,
+//     misses its deadline: a reject decided after two fresh plans, which
+//     go back to the pool. The demand bound, counting no link time, lets
+//     it through.
 //
-// Time stands still in the rejecting mixes (a reject changes nothing). Every
-// mix reports plans/op, the Plan calls — fresh and kept-prior offers — of one
-// arrival; a sealed waiting plan is kept without one. TestQueuedCounts holds the late, uniform and saturated mixes'
-// contracts at queue=128 as exact counts.
+// saturated and tailmiss need a queue (not at queue=0). Time stands still
+// in the rejecting mixes (a reject changes nothing). Every mix reports
+// plans/op, the Plan calls of one arrival; a sealed waiting plan is kept
+// without one. TestQueuedCounts holds the late, uniform and saturated
+// mixes' contracts at queue=128 as exact counts, and TestTailMissCounts
+// the tailmiss mix's at every depth.
 func BenchmarkSubmitQueued(b *testing.B) {
 	for _, depth := range []int{0, 8, 32, 128} {
-		for _, mix := range []string{"late", "uniform", "reject", "saturated"} {
-			if mix == "saturated" && depth == 0 {
+		for _, mix := range []string{"late", "uniform", "reject", "saturated", "tailmiss"} {
+			if (mix == "saturated" || mix == "tailmiss") && depth == 0 {
 				continue
 			}
 			b.Run(fmt.Sprintf("queue=%d/mix=%s", depth, mix), func(b *testing.B) {
@@ -219,7 +229,7 @@ func newQueuedRig(tb testing.TB, depth int, mix string) *queuedRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for id := 0; id < queuedNodes; id++ {
+	for id := 0; id < queuedNodes && mix != "tailmiss"; id++ {
 		if err := cl.Commit([]int{id}, []float64{0}, []float64{float64(id+1) * q.slot}, 0); err != nil {
 			tb.Fatal(err)
 		}
@@ -228,8 +238,11 @@ func newQueuedRig(tb testing.TB, depth int, mix string) *queuedRig {
 	q.now = q.slot / 2 // half a slot off the release grid, so dueness never hangs on rounding
 	for i := 0; i < depth; i++ {
 		d := queuedDeadline
-		if mix == "saturated" {
+		switch mix {
+		case "saturated":
 			d = q.done(i) + 10 - q.now
+		case "tailmiss":
+			d = float64(i+1)*tailSpan + tailSlack
 		}
 		q.submit(&Task{Sigma: queuedSigma, RelDeadline: d}, true)
 	}
@@ -239,6 +252,14 @@ func newQueuedRig(tb testing.TB, depth int, mix string) *queuedRig {
 	q.tooBig = queuedDeadline * (1 - math.Pow(baseline.Beta(), queuedNodes)) / baseline.Cms * (1 - 2e-4)
 	return q
 }
+
+// tailSlack is how long after its planned completion a task of the
+// tailmiss queue is due: far less than any arrival takes.
+const tailSlack = 1e-3
+
+// tailSpan is how long a queued task takes on all 16 nodes free together,
+// and so, in the tailmiss queue, the gap between two completions.
+var tailSpan = baseline.ExecTime(queuedSigma, queuedNodes)
 
 // done is when task i of the initial queue completes: it runs on node
 // i%16, from that node's release after the i/16 tasks queued on it before.
@@ -258,6 +279,11 @@ func (q *queuedRig) arrive() {
 	switch q.mix {
 	case "reject":
 		q.submit(&Task{Sigma: q.tooBig, RelDeadline: queuedDeadline + 1}, false)
+		return
+	case "tailmiss":
+		// Due half a span after the task ahead of it, which leaves its own
+		// plan room to spare.
+		q.submit(&Task{Sigma: queuedSigma / 10, RelDeadline: (float64(q.depth/2)+0.5)*tailSpan + tailSlack}, false)
 		return
 	case "saturated":
 		// Due between the two tasks in the middle of the queue; twelve
@@ -340,6 +366,28 @@ func TestQueuedCounts(t *testing.T) {
 			}
 			if !ok {
 				t.Errorf("mix=%s breaks its contract", mix)
+			}
+		})
+	}
+}
+
+// TestTailMissCounts holds BenchmarkSubmitQueued's tailmiss premise at every
+// depth it runs: each arrival is a reject decided after exactly two fresh
+// plans — its own, which fits, and the one of the task behind it, which
+// does not — with the tasks ahead of it kept and the demand bound silent,
+// and it allocates no more heap bytes than its task.
+func TestTailMissCounts(t *testing.T) {
+	const runs = 200
+	for _, depth := range []int{8, 32, 128} {
+		t.Run(fmt.Sprintf("queue=%d", depth), func(t *testing.T) {
+			q := newQueuedRig(t, depth, "tailmiss")
+			q.arrive() // past the pool's first growth
+			c0, k0 := q.s.PlanCounts()
+			bytes := bytesPerRun(runs, q.arrive)
+			c, k := q.s.PlanCounts()
+			if c-c0 != 2*runs || k-k0 != int64(runs*depth/2) || q.s.DemandRejects() != 0 || bytes > taskBytes {
+				t.Fatalf("per arrival: %.2f plans computed, %.2f kept, %d demand rejects in all, %.2f bytes; want 2, %d, 0, <= %d",
+					float64(c-c0)/runs, float64(k-k0)/runs, q.s.DemandRejects(), bytes, depth/2, taskBytes)
 			}
 		})
 	}

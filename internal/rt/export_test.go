@@ -13,3 +13,9 @@ func (ctx *PlanContext) ClampedStarts(t *Task, k int) (ids []int, starts []float
 	ctx.clampedInto(t, ids, starts)
 	return ids, starts
 }
+
+// PlanFor returns the current plan for a waiting task, or nil, valid only
+// until the scheduler's next call: tests inspect plans after replans.
+func (s *Scheduler) PlanFor(taskID int64) *Plan {
+	return s.q.planOf(taskID)
+}

@@ -7,8 +7,8 @@ import "math"
 // across them, and the completion estimate the admission decision was based
 // on. Slices are parallel and ordered by node available time (the paper's
 // P1…Pn ordering, which is also the transmission order). A plan the
-// scheduler hands out (to an Observer, from Admit, CommitDue or PlanFor)
-// is valid only until its next call: the node search's plans are pooled.
+// scheduler hands out (to an Observer, from Admit or CommitDue) is valid
+// only until its next call: the node search's plans are pooled.
 type Plan struct {
 	Task *Task
 

@@ -315,13 +315,6 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	return s.committed, nil
 }
 
-// PlanFor returns the current plan for a waiting task, or nil, valid only
-// until the scheduler's next call. It scans the queue, so admission never
-// calls it (Admit returns the plan); tests inspect plans after replans.
-func (s *Scheduler) PlanFor(taskID int64) *Plan {
-	return s.q.planOf(taskID)
-}
-
 // Stats is a consistent snapshot of the scheduler's admission counters.
 type Stats struct {
 	Arrivals    int // decided tasks: Accepts + Rejects

@@ -151,7 +151,7 @@ func TestSubscriberDropsInStats(t *testing.T) {
 
 	// A one-slot subscriber tracked exactly as handleEvents tracks it; the
 	// channel fills after the first event and the bus drops the rest.
-	sub := eng.SubscribeStream(1)
+	sub := eng.Subscribe(1)
 	defer sub.Cancel()
 	id := srv.trackSub(sub)
 	defer srv.untrackSub(id)

@@ -67,7 +67,7 @@ import (
 type Engine interface {
 	Submit(ctx context.Context, t rt.Task) (service.Decision, error)
 	SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Decision, error)
-	SubscribeStream(buffer int) *service.Subscription
+	Subscribe(buffer int) *service.Subscription
 	Stats() service.Stats
 	NextCommit() (at float64, ok bool)
 	SetAccepting(accepting bool)

@@ -35,7 +35,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		buffer = n
 	}
 
-	sub := s.eng.SubscribeStream(buffer)
+	sub := s.eng.Subscribe(buffer)
 	defer sub.Cancel()
 	subID := s.trackSub(sub)
 	defer s.untrackSub(subID)

@@ -19,7 +19,6 @@ import (
 type commitOracle struct {
 	t       *testing.T
 	cm      *dlt.CostModel
-	d       dlt.Dispatch
 	exec    service.ExecStats
 	checked int // single-round staggered plans compared
 	tied    int // of them, plans with two nodes starting at the same instant
@@ -31,10 +30,11 @@ func (o *commitOracle) OnReject(float64, *rt.Task)           {}
 func (o *commitOracle) OnCommit(_ float64, pl *rt.Plan) {
 	actual := pl.Est
 	if pl.Rounds <= 1 && !pl.SimultaneousStart {
-		if err := o.cm.SimulateForInto(&o.d, pl.Nodes, pl.Task.Sigma, pl.Starts, pl.Alphas); err != nil {
+		d, err := o.cm.SimulateFor(pl.Nodes, pl.Task.Sigma, pl.Starts, pl.Alphas)
+		if err != nil {
 			o.t.Fatalf("task %d: %v", pl.Task.ID, err)
 		}
-		actual = o.d.Completion
+		actual = d.Completion
 		latest := math.Inf(-1)
 		for _, r := range pl.Release {
 			latest = max(latest, r)

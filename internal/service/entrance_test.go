@@ -203,15 +203,15 @@ func TestEveryEntranceSameOutcome(t *testing.T) {
 			}
 		}
 		clock.Set(100)
-		events, cancel := svc.Subscribe(16)
-		defer cancel()
+		sub := svc.Subscribe(16)
+		defer sub.Cancel()
 		if prep != nil {
 			prep(t, svc)
 		}
 		drain := func() (evs []Event) {
 			for {
 				select {
-				case ev, ok := <-events:
+				case ev, ok := <-sub.C():
 					if !ok {
 						return evs
 					}

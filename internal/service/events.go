@@ -95,31 +95,20 @@ func NewBus() *Bus {
 	return &Bus{subs: make(map[*subscriber]struct{})}
 }
 
-// Subscribe registers a consumer with the given channel buffer (minimum 1)
-// and returns its channel plus a cancel function. After cancel (or bus
-// close) the channel is closed. Consumers that need to detect their own
-// gaps should use SubscribeStream instead, whose handle exposes the
-// per-subscriber dropped count.
-func (b *Bus) Subscribe(buffer int) (<-chan Event, func()) {
-	sub := b.SubscribeStream(buffer)
-	return sub.C(), sub.Cancel
-}
-
-// Subscription is one consumer's handle on the event stream. Unlike the
-// plain Subscribe channel, it exposes the subscriber's own dropped-event
-// count, so a lossy consumer (an SSE streamer, a remote replicator) can
-// detect exactly how many events it missed and surface the gap instead of
-// silently skipping decisions.
+// Subscription is one consumer's handle on the event stream: its channel
+// plus the subscriber's own dropped-event count, so a lossy consumer (an
+// SSE streamer, a remote replicator) can detect exactly how many events it
+// missed and surface the gap instead of silently skipping decisions.
 type Subscription struct {
 	b    *Bus
 	s    *subscriber
 	once sync.Once
 }
 
-// SubscribeStream registers a consumer with the given channel buffer
-// (minimum 1) and returns its Subscription handle. On a closed bus the
-// returned subscription is already terminated (its channel is closed).
-func (b *Bus) SubscribeStream(buffer int) *Subscription {
+// Subscribe registers a consumer with the given channel buffer (minimum 1)
+// and returns its Subscription handle. On a closed bus the returned
+// subscription is already terminated (its channel is closed).
+func (b *Bus) Subscribe(buffer int) *Subscription {
 	if buffer < 1 {
 		buffer = 1
 	}

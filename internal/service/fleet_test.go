@@ -37,8 +37,8 @@ func saturate(t *testing.T, svc *Service) (waitingID int64) {
 
 func TestDrainDisplacesWaitingTask(t *testing.T) {
 	svc := newTestService(t, func(c *Config) { c.Clock = NewManualClock(0) })
-	events, cancel := svc.Subscribe(64)
-	defer cancel()
+	sub := svc.Subscribe(64)
+	defer sub.Cancel()
 	waitingID := saturate(t, svc)
 
 	// Drain nodes one by one. The waiting task's deadline cannot survive
@@ -80,9 +80,9 @@ func TestDrainDisplacesWaitingTask(t *testing.T) {
 		t.Fatalf("stats = %+v, want the committed plan intact", st)
 	}
 
-	cancel()
+	sub.Cancel()
 	var disp *Event
-	for ev := range events {
+	for ev := range sub.C() {
 		if ev.Kind == EventDisplace {
 			ev := ev
 			disp = &ev
@@ -176,7 +176,7 @@ func TestFailRestoreBitIdentical(t *testing.T) {
 		if dec, err := svc.Submit(ctx, prefix); err != nil || !dec.Accepted {
 			t.Fatalf("prefix submit: %+v, %v", dec, err)
 		}
-		if err := svc.Pump(); err != nil {
+		if err := svc.CommitDue(svc.Clock().Now()); err != nil {
 			t.Fatal(err)
 		}
 		if svc.QueueLen() != 0 {

@@ -133,7 +133,7 @@ func TestDrainRacesConcurrentSubmits(t *testing.T) {
 
 func TestSubscriptionDroppedCount(t *testing.T) {
 	svc := newTestService(t)
-	sub := svc.SubscribeStream(1)
+	sub := svc.Subscribe(1)
 	defer sub.Cancel()
 	ctx := context.Background()
 	// Three accepts publish at least three events into a 1-slot buffer
@@ -162,7 +162,7 @@ func TestSubscriptionDroppedCount(t *testing.T) {
 
 func TestSubscriptionEndsOnClose(t *testing.T) {
 	svc := newTestService(t)
-	sub := svc.SubscribeStream(4)
+	sub := svc.Subscribe(4)
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -61,11 +61,11 @@ func TestPhasedLinearizationReplay(t *testing.T) {
 		return inflight.Load() >= 2 || finished.Load() >= workers-1
 	}}
 	svc := newTestService(t, func(c *Config) { c.Partitioner = gate })
-	events, cancel := svc.Subscribe(1 << 15)
+	sub := svc.Subscribe(1 << 15)
 	order := make(chan []int64, 1)
 	go func() {
 		var ids []int64
-		for ev := range events {
+		for ev := range sub.C() {
 			if ev.Kind == EventAccept || ev.Kind == EventReject {
 				ids = append(ids, ev.Task.ID)
 			}
@@ -123,7 +123,7 @@ func TestPhasedLinearizationReplay(t *testing.T) {
 	}
 	st := svc.Stats()
 	svc.Close()
-	cancel()
+	sub.Cancel()
 	linear := <-order
 	if st.EventsDropped != 0 || len(linear) != len(got) {
 		t.Fatalf("linearization has %d decisions of %d (%d events dropped)", len(linear), len(got), st.EventsDropped)

@@ -517,14 +517,6 @@ func (s *Service) NextCommit() (at float64, ok bool) {
 	return s.sched.NextCommit()
 }
 
-// Pump commits everything due at the current clock reading. Callers that
-// submit regularly never need it; it exists for idle periods.
-func (s *Service) Pump() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commitDueLocked(s.clock.Now())
-}
-
 // Drain commits every remaining waiting plan, advancing through the
 // pending first-transmission instants regardless of the clock — the
 // shutdown/flush analogue of the driver running its queue dry.
@@ -590,18 +582,12 @@ func (s *Service) Exec() ExecStats {
 }
 
 // Subscribe attaches a consumer to the decision/lifecycle event stream
-// with the given channel buffer. The returned cancel function detaches it
-// and closes the channel. A consumer that falls behind loses events
-// (counted in Stats.EventsDropped) rather than blocking admission control.
-func (s *Service) Subscribe(buffer int) (<-chan Event, func()) {
+// with the given channel buffer and returns its Subscription handle. Cancel
+// detaches it and closes the channel. A consumer that falls behind loses
+// events (counted in Stats.EventsDropped, and per subscriber by Dropped)
+// rather than blocking admission control.
+func (s *Service) Subscribe(buffer int) *Subscription {
 	return s.bus.Subscribe(buffer)
-}
-
-// SubscribeStream attaches a consumer and returns its Subscription handle,
-// whose Dropped counter lets the consumer detect its own event gaps
-// (Stats.EventsDropped only reports the bus-wide total).
-func (s *Service) SubscribeStream(buffer int) *Subscription {
-	return s.bus.SubscribeStream(buffer)
 }
 
 // SetAccepting flips the admission gate: while false, every submission
@@ -619,10 +605,6 @@ func (s *Service) Accepting() bool { return s.accepting.Load() && !s.closed.Load
 // QueueLen returns the number of admitted-but-uncommitted tasks — the
 // cheap load signal the pool's placement layer samples on every submit.
 func (s *Service) QueueLen() int { return s.sched.QueueLen() }
-
-// Shard returns the shard index this service stamps on its decisions and
-// events (0 for a standalone service).
-func (s *Service) Shard() int { return s.shard }
 
 // Close marks the service closed — subsequent submissions fail with
 // ErrClusterBusy — and, when the service owns its bus, closes every

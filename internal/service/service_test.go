@@ -146,8 +146,8 @@ func TestContextCancellation(t *testing.T) {
 
 func TestEventStream(t *testing.T) {
 	svc := newTestService(t)
-	events, cancel := svc.Subscribe(64)
-	defer cancel()
+	sub := svc.Subscribe(64)
+	defer sub.Cancel()
 
 	ctx := context.Background()
 	decs, err := svc.SubmitBatch(ctx, []rt.Task{
@@ -166,7 +166,7 @@ func TestEventStream(t *testing.T) {
 	svc.Close()
 
 	var kinds []EventKind
-	for ev := range events {
+	for ev := range sub.C() {
 		kinds = append(kinds, ev.Kind)
 	}
 	// Task 1 is accepted and starts at once, so its commit is published by
@@ -184,8 +184,8 @@ func TestEventStream(t *testing.T) {
 
 func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	svc := newTestService(t)
-	_, cancel := svc.Subscribe(1) // never read from: overflows immediately
-	defer cancel()
+	sub := svc.Subscribe(1) // never read from: overflows immediately
+	defer sub.Cancel()
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if _, err := svc.Submit(ctx, rt.Task{ID: int64(i + 1), Arrival: float64(i) * 5000, Sigma: 200, RelDeadline: 2800}); err != nil {
@@ -199,7 +199,7 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 
 func TestDroppedCountSurvivesCancel(t *testing.T) {
 	svc := newTestService(t)
-	_, cancel := svc.Subscribe(1) // never read from: overflows immediately
+	sub := svc.Subscribe(1) // never read from: overflows immediately
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if _, err := svc.Submit(ctx, rt.Task{ID: int64(i + 1), Arrival: float64(i) * 5000, Sigma: 200, RelDeadline: 2800}); err != nil {
@@ -210,7 +210,7 @@ func TestDroppedCountSurvivesCancel(t *testing.T) {
 	if before == 0 {
 		t.Fatal("expected dropped events before cancel")
 	}
-	cancel()
+	sub.Cancel()
 	if after := svc.Stats().EventsDropped; after != before {
 		t.Fatalf("EventsDropped went from %d to %d after cancel; must be monotone", before, after)
 	}
@@ -269,8 +269,8 @@ func TestFailedSweepAccountsItsPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	events, cancel := svc.Subscribe(16)
-	defer cancel()
+	sub := svc.Subscribe(16)
+	defer sub.Cancel()
 	for id := int64(1); id <= 2; id++ { // both wait for the fleet, task 1 ahead
 		dec, err := svc.Submit(context.Background(), rt.Task{ID: id, Sigma: 100, RelDeadline: 5e4 * float64(id)})
 		if err != nil || !dec.Accepted {
@@ -278,14 +278,14 @@ func TestFailedSweepAccountsItsPrefix(t *testing.T) {
 		}
 	}
 	clock.Set(1e4)
-	if err := svc.Pump(); err == nil {
+	if err := svc.CommitDue(1e4); err == nil {
 		t.Fatal("the sweep committed a plan that releases a node before its start")
 	}
 	if ex, st := svc.Exec(), svc.Stats(); ex.Committed != 1 || st.Commits != 1 {
 		t.Fatalf("Exec().Committed = %d, Stats().Commits = %d, want 1 and 1", ex.Committed, st.Commits)
 	}
-	for len(events) > 0 {
-		if ev := <-events; ev.Kind == EventCommit && ev.Task.ID == 1 {
+	for len(sub.C()) > 0 {
+		if ev := <-sub.C(); ev.Kind == EventCommit && ev.Task.ID == 1 {
 			return
 		}
 	}

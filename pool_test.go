@@ -147,7 +147,7 @@ func TestServiceShardedFleet(t *testing.T) {
 		t.Fatalf("ShardCosts() sizes wrong")
 	}
 
-	events, cancel := svc.Subscribe(256)
+	sub := svc.Subscribe(256)
 	ctx := context.Background()
 	// Task 2 (round robin → the 4-node shard) is infeasible there and must
 	// spill over to the 16-node shard.
@@ -175,9 +175,9 @@ func TestServiceShardedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Close()
-	cancel()
+	sub.Cancel()
 	sawShard1 := false
-	for ev := range events {
+	for ev := range sub.C() {
 		if ev.Shard == 1 {
 			sawShard1 = true
 			if ev.Kind != rtdls.EventReject {
@@ -219,7 +219,7 @@ func TestEveryNodeDownIsACountedReject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, cancel := svc.Subscribe(16)
+		sub := svc.Subscribe(16)
 		for node := range svc.NodeStates() {
 			if _, err := svc.SetNodeState(node, rtdls.NodeDown); err != nil {
 				t.Fatalf("K=%d: fail node %d: %v", k, node, err)
@@ -240,9 +240,9 @@ func TestEveryNodeDownIsACountedReject(t *testing.T) {
 			t.Fatalf("K=%d: stats %+v, want 2 arrivals, 2 rejects", k, st)
 		}
 		svc.Close()
-		cancel()
+		sub.Cancel()
 		rejects := 0
-		for ev := range events {
+		for ev := range sub.C() {
 			if ev.Kind == rtdls.EventReject {
 				rejects++
 			}

@@ -66,7 +66,11 @@ import (
 // 8.0.0 pooled the scheduler's plans: a Plan passed to an Observer is valid
 // only until the scheduler's next call, which may reuse it for another task.
 // A request body must end after its one JSON value.
-const Version = "8.0.0"
+// 9.0.0 left one way per job on the engine surface: Subscribe returns the
+// *Subscription handle (the channel-and-cancel form and SubscribeStream
+// are gone), and the WithCosts option is gone (use WithNodeCosts with the
+// model's Costs()).
+const Version = "9.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps

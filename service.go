@@ -177,19 +177,6 @@ func WithParams(p Params) Option {
 	}
 }
 
-// WithCosts gives every node its own cost coefficients from an existing
-// cost model; it overrides WithNodes and WithNodeCosts.
-func WithCosts(cm *CostModel) Option {
-	return func(o *serviceOptions) error {
-		if cm == nil {
-			return fmt.Errorf("rtdls: WithCosts(nil): %w", ErrBadConfig)
-		}
-		o.cfg.NodeCosts = cm.Costs()
-		o.cfg.N = cm.N()
-		return nil
-	}
-}
-
 // WithNodeCosts gives every node its own cost coefficients (the node count
 // follows the slice); it overrides WithNodes.
 func WithNodeCosts(costs []NodeCost) Option {
@@ -356,7 +343,7 @@ func WithPlacement(p Placement) Option {
 // the argument count) — a fleet of differently sized clusters behind one
 // admission surface. Overrides WithNodes per shard; combine with
 // WithShards only if the counts agree. Combining it with an explicit
-// one-cluster table (WithCosts/WithNodeCosts) is rejected — one table
+// one-cluster table (WithNodeCosts) is rejected — one table
 // cannot size individually-shaped shards; use WithShardNodeCosts.
 func WithShardNodes(ns ...int) Option {
 	return func(o *serviceOptions) error {
@@ -377,7 +364,7 @@ func WithShardNodes(ns ...int) Option {
 // table (the shard count follows the argument count) — a fully
 // heterogeneous fleet: shards of different sizes and node speeds. It
 // overrides WithShardNodes and the spread draw; combining it with a
-// one-cluster table (WithCosts/WithNodeCosts) is rejected.
+// one-cluster table (WithNodeCosts) is rejected.
 func WithShardNodeCosts(tables ...[]NodeCost) Option {
 	return func(o *serviceOptions) error {
 		if len(tables) == 0 {
@@ -432,7 +419,7 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 // full by go doc rtdls/internal/pool Pool:
 //
 //   - admission: Submit, SubmitBatch;
-//   - events: Subscribe, SubscribeStream;
+//   - events: Subscribe;
 //   - lifecycle: SetAccepting, Accepting, Pump, Drain, Close, Clock,
 //     NextCommit;
 //   - fleet: SetNodeState, AddNode, NodeStates;

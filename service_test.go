@@ -110,11 +110,11 @@ func TestServiceConcurrentSubmitRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, cancelSub := svc.Subscribe(1 << 15)
+	sub := svc.Subscribe(1 << 15)
 	streamed := make(chan [3]int, 1)
 	go func() {
 		var n [3]int
-		for ev := range events {
+		for ev := range sub.C() {
 			n[ev.Kind]++
 		}
 		streamed <- n
@@ -165,7 +165,7 @@ func TestServiceConcurrentSubmitRace(t *testing.T) {
 	}
 	st := svc.Stats()
 	svc.Close()
-	cancelSub()
+	sub.Cancel()
 	n := <-streamed
 
 	if st.Arrivals != workers*each {
