@@ -232,10 +232,10 @@ func submitAllocs(t *testing.T, svc *rtdls.Service, accept bool, next func(id in
 
 // TestServiceSubmitAllocs pins BenchmarkServiceSubmit's allocation budget
 // on its exact workload (accept-heavy, one mean task per mean service
-// time) at zero per submit: the task's record and the accepted Decision's
-// copies are cut from the shard's arenas, the fresh plan from the
-// scheduler's plan arena, and the committed plans land in a buffer the
-// scheduler keeps. Only chunk refills allocate, far less than once per
+// time) at zero per submit: the task's record comes from the shard's free
+// list, the accepted Decision's copies from its arenas, the fresh plan
+// from the scheduler's plan pool, and the committed plans land in a buffer
+// the scheduler keeps. Only chunk refills allocate, far less than once per
 // submit, so any per-submit allocation — a plan, a candidate, a commit, a
 // task or decision copy — fails here before it shows up in a benchmark.
 func TestServiceSubmitAllocs(t *testing.T) {
@@ -276,7 +276,8 @@ func TestServiceSubmitRejectAllocs(t *testing.T) {
 // TestPoolSpillRejectAllocs: on a 4-shard Spillover pool, a task more than
 // any shard can serve by its deadline is offered to every shard, and each
 // rejects it through the demand bound. The four shard tests allocate
-// nothing: each shard cuts the task's record from its own arena.
+// nothing: each shard takes the task's record from its own free list and
+// gives it back after the reject.
 func TestPoolSpillRejectAllocs(t *testing.T) {
 	clock := rtdls.NewManualClock(0)
 	svc, err := rtdls.New(rtdls.WithClock(clock), rtdls.WithShards(4), rtdls.WithNodes(8),

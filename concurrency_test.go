@@ -2,6 +2,7 @@ package rtdls_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -166,6 +167,150 @@ func TestConcurrentStressChurn(t *testing.T) {
 	}
 }
 
+// lifetimeObserver holds the engine to the observer contract on task
+// records: every OnCommit sees, field for field, the task its OnAccept saw,
+// though the record of a task that died may carry another task since.
+// Shards call it concurrently.
+type lifetimeObserver struct {
+	mu                        sync.Mutex
+	waiting                   map[int64]rtdls.Task // accepted, not yet committed
+	accepts, rejects, commits int
+	bad                       []string
+}
+
+func (o *lifetimeObserver) OnAccept(_ float64, t *rtdls.Task, p *rtdls.Plan) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.accepts++
+	if t.ID <= 0 || *p.Task != *t {
+		o.bad = append(o.bad, fmt.Sprintf("accept of %+v with a plan for %+v", *t, *p.Task))
+	}
+	o.waiting[t.ID] = *t // a displaced task may be accepted again elsewhere
+}
+
+func (o *lifetimeObserver) OnReject(_ float64, t *rtdls.Task) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.rejects++
+	if t.ID <= 0 {
+		o.bad = append(o.bad, fmt.Sprintf("reject of %+v", *t))
+	}
+}
+
+func (o *lifetimeObserver) OnCommit(_ float64, p *rtdls.Plan) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.commits++
+	if want, ok := o.waiting[p.Task.ID]; !ok || *p.Task != want {
+		o.bad = append(o.bad, fmt.Sprintf("commit of %+v, accepted as %+v", *p.Task, want))
+	}
+	delete(o.waiting, p.Task.ID)
+}
+
+// TestConcurrentTaskLifetime: task records go back to their shard's free
+// list when their task dies, and no live task ever sees one. Four
+// submitters (single submits and batches of three, each stepping the
+// clock), a pump committing what those steps made due, and a churner
+// draining and restoring nodes run together on one shard and on a 4-shard
+// spillover pool, and every commit must carry the task its accept carried.
+// Run it under -race.
+func TestConcurrentTaskLifetime(t *testing.T) {
+	const (
+		submitters = 4
+		each       = 120
+	)
+	for _, tc := range []struct {
+		name string
+		opts []rtdls.Option
+	}{
+		{"one-shard", []rtdls.Option{rtdls.WithNodes(16)}},
+		{"spillover", []rtdls.Option{rtdls.WithShards(4), rtdls.WithNodes(4), rtdls.WithPlacement(rtdls.Spillover{})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obs := &lifetimeObserver{waiting: make(map[int64]rtdls.Task)}
+			clock := rtdls.NewManualClock(0)
+			svc, err := rtdls.New(append(tc.opts, rtdls.WithClock(clock), rtdls.WithObserver(obs))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			ctx := context.Background()
+			var (
+				work, side sync.WaitGroup
+				id         atomic.Int64
+				stop       atomic.Bool
+			)
+			for w := 0; w < submitters; w++ {
+				work.Add(1)
+				go func() {
+					defer work.Done()
+					for i := 0; i < each; i++ {
+						clock.Advance(100)
+						var err error
+						if i%3 == 2 {
+							_, err = svc.SubmitBatch(ctx, []rtdls.Task{mixTask(id.Add(1)), mixTask(id.Add(1)), mixTask(id.Add(1))})
+						} else {
+							_, err = svc.Submit(ctx, mixTask(id.Add(1)))
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			side.Add(2)
+			go func() {
+				defer side.Done()
+				for !stop.Load() {
+					if err := svc.Pump(); err != nil {
+						t.Error(err)
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+			go func() {
+				defer side.Done()
+				for i := 0; !stop.Load(); i++ {
+					node := (5 * i) % 16
+					for _, st := range []rtdls.NodeState{rtdls.NodeDraining, rtdls.NodeUp} {
+						if _, err := svc.SetNodeState(node, st); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					runtime.Gosched()
+				}
+			}()
+			work.Wait()
+			stop.Store(true)
+			side.Wait()
+			if t.Failed() {
+				return
+			}
+			if err := svc.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			st := svc.Stats()
+			obs.mu.Lock()
+			defer obs.mu.Unlock()
+			t.Logf("%d accepts, %d rejects, %d commits, %d displaced, %d readmitted",
+				obs.accepts, obs.rejects, obs.commits, st.Displaced, st.Readmitted)
+			if len(obs.bad) > 0 {
+				t.Fatalf("%d task records seen after their task died, first: %s", len(obs.bad), obs.bad[0])
+			}
+			if obs.rejects == 0 || obs.commits == 0 || obs.commits != st.Commits {
+				t.Fatalf("%d rejects and %d commits observed, %d counted: want both kinds", obs.rejects, obs.commits, st.Commits)
+			}
+			if len(obs.waiting) != st.Displaced-st.Readmitted {
+				t.Fatalf("%d accepted tasks never committed, %d displaced and not readmitted",
+					len(obs.waiting), st.Displaced-st.Readmitted)
+			}
+		})
+	}
+}
+
 // TestConcurrentLinearizationReplay is the linearizability property test:
 // whatever interleaving the concurrent run produced, replaying the same
 // tasks in the same linearization order through a fresh service, one
@@ -288,9 +433,10 @@ func TestConcurrentLinearizationReplay(t *testing.T) {
 // TestConcurrentSubmitAllocs: submitters that overlap on one shard cost no
 // more heap objects per submit than a lone one. Four goroutines each submit
 // 2,000 tasks of the mixed stream to a one-shard engine while the clock
-// moves on; every task record and decision copy is cut from the shard's
-// arenas and every plan from the scheduler's, so only chunk refills
-// allocate, far less than once per submit.
+// moves on; every task record comes back from the shard's free list, every
+// decision copy is cut from the shard's arenas and every plan from the
+// scheduler's pool, so only chunk refills allocate, far less than once per
+// submit, and the bytes are the accepted Decisions' copies and little more.
 func TestConcurrentSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; the budget holds only on production builds")
@@ -299,6 +445,11 @@ func TestConcurrentSubmitAllocs(t *testing.T) {
 		submitters = 4
 		each       = 2000
 		budget     = 0.1 // heap objects per submit
+		// bytesBudget is the heap bytes per submit beside the accepted
+		// Decisions' copies: the fresh engine's first arena chunks (about
+		// 7 B per submit) and chunk rests. A task record per submit (40 B)
+		// does not fit.
+		bytesBudget = 16.0
 	)
 	clock := rtdls.NewManualClock(0)
 	svc, err := rtdls.New(rtdls.WithClock(clock))
@@ -311,6 +462,7 @@ func TestConcurrentSubmitAllocs(t *testing.T) {
 		wg       sync.WaitGroup
 		id       atomic.Int64
 		accepted atomic.Int64
+		copies   atomic.Int64 // bytes of the accepted Decisions' slices
 		start    = make(chan struct{})
 	)
 	for w := 0; w < submitters; w++ {
@@ -327,6 +479,7 @@ func TestConcurrentSubmitAllocs(t *testing.T) {
 				}
 				if d.Accepted {
 					accepted.Add(1)
+					copies.Add(int64(8 * (len(d.Nodes) + len(d.Starts) + len(d.Alphas))))
 				}
 			}
 		}()
@@ -344,8 +497,14 @@ func TestConcurrentSubmitAllocs(t *testing.T) {
 		t.Fatalf("%d of %d submits accepted: want a mix", a, n)
 	}
 	per := float64(after.Mallocs-before.Mallocs) / float64(n)
-	t.Logf("%.4f heap objects per submit over %d overlapping submits (%d accepted)", per, n, accepted.Load())
+	extra := (float64(after.TotalAlloc-before.TotalAlloc) - float64(copies.Load())) / float64(n)
+	t.Logf("%.4f heap objects and %.2f B beside the Decision copies per submit over %d overlapping submits (%d accepted)",
+		per, extra, n, accepted.Load())
 	if per > budget {
 		t.Fatalf("%.3f heap objects per submit from %d overlapping submitters, want at most %.1f", per, submitters, budget)
+	}
+	if extra > bytesBudget {
+		t.Fatalf("%.2f B per submit beside the Decision copies from %d overlapping submitters, want at most %.0f",
+			extra, submitters, bytesBudget)
 	}
 }

@@ -240,13 +240,20 @@
 // The same count test holds an arrival into the middle of 128 waiting
 // tasks, and one behind them, to no more heap bytes than its task, and so
 // does TestRejectReturnsFreshPlans for a reject decided after fresh plans.
-// Tasks and Decisions are still carved from arenas (rt.Carve): the service,
-// under its lock, cuts each task record it decides and each accepted
-// Decision's Nodes and Starts | Alphas block, and workload.Generator each
-// task it returns: a submit allocates nothing of its own but chunk refills,
-// accept or reject, on one shard or on every shard of a spillover pool
-// (TestServiceSubmitAllocs and its reject and pool twins), and a retained
-// task or Decision keeps its chunk of at most 4 KB reachable.
+// Task records are pooled the same way, per shard and under its lock: the
+// service decides each task on a record from its free list, cut from an
+// arena (rt.Carve) only when the list is empty, and gives it back where the
+// task dies — right after the decision when it is not admitted (a gate or
+// scheduler reject, or a hard error), after the commit loop has announced
+// and accounted it, or once a fleet change has displaced it and copied it
+// out for the pool. So a *Task handed to an rt.Observer, and a Plan's Task,
+// are valid only while the callback runs; events and Decisions are copies.
+// A rejected submit allocates nothing at all, and an accepted one that
+// commits only its Decision's Nodes and Starts | Alphas block, cut from the
+// service's arenas (TestSubmitBytes); a reject tested on every shard of a
+// spillover pool leaves nothing behind either. workload.Generator still
+// carves each task it returns, and a retained Decision keeps its chunk of
+// at most 4 KB reachable.
 //
 // Build and test with the standard toolchain — go build ./... and
 // go test ./... — or via the Makefile (make ci mirrors CI's build-and-test

@@ -8,7 +8,9 @@ import "math"
 // on. Slices are parallel and ordered by node available time (the paper's
 // P1…Pn ordering, which is also the transmission order). A plan the
 // scheduler hands out (to an Observer, from Admit or CommitDue) is valid
-// only until its next call: the node search's plans are pooled.
+// only until its next call: the node search's plans are pooled. Task is the
+// record its caller passed in; a service frees that record once the task
+// has committed, so it lives no longer than the plan.
 type Plan struct {
 	Task *Task
 

@@ -15,7 +15,10 @@ import (
 // OnReject per decided task and one OnCommit per committed plan, in decision
 // order, each under its shard's lock next to the event the service publishes
 // (service.Config.Observer, rtdls.WithObserver; package trace has some). The
-// Plan is valid only until the scheduler's next call: copy what you keep.
+// Task and the Plan a callback gets, and the Plan's Task, are valid only
+// while it runs: the scheduler pools its plans and the service the records
+// of tasks that died (rejected, committed or displaced), and the shard's
+// next decision may reuse either. Copy what you keep.
 type Observer interface {
 	OnAccept(now float64, t *Task, p *Plan)
 	OnReject(now float64, t *Task)

@@ -77,6 +77,7 @@ func (s *Service) TransitionNode(node int, st NodeState) ([]rt.Task, error) {
 		s.displaced.Add(1)
 		s.publishLocked(Event{Kind: EventDisplace, Time: now, Task: *t, Reason: errs.ReasonNodeUnavailable})
 		out = append(out, *t)
+		s.freeTask(t)
 	}
 	return out, nil
 }

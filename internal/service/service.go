@@ -212,8 +212,10 @@ type Service struct {
 
 	exec ExecStats // under mu
 
-	// Arenas (under mu) for the task records of admit and the copies of
-	// every accepted Decision: see rt.Carve.
+	// Task records (under mu): the records of tasks that died, and the arena
+	// a record is cut from when there is none (rt.Carve). The copies of
+	// every accepted Decision come from the other two arenas.
+	spare  []*rt.Task
 	tasks  []rt.Task
 	ints   []int
 	floats []float64
@@ -278,8 +280,11 @@ func (s *Service) Costs() *dlt.CostModel {
 }
 
 // Submit runs the admission test for one task and returns the decision.
-// The task is taken by value: the service keeps its own copy, so callers
-// may reuse or mutate theirs freely afterwards.
+// The task is taken by value, so callers may reuse or mutate theirs freely
+// afterwards. The service decides on a record of its own, the *Task an
+// Observer sees, and gives it back to the shard's free list when the task
+// dies: at once when it is not admitted, else when it commits or is
+// displaced. The Decision and every Event carry copies.
 //
 // A zero Arrival means "arrives now" (the current clock reading). A
 // future Arrival advances the service's effective time to it, exactly as
@@ -331,17 +336,40 @@ func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([
 		if err := s.open(); err != nil {
 			return out, err
 		}
-		// The task's record is cut from the service's arena: the scheduler,
-		// its plans and an observer may keep the pointer.
-		task := &rt.Carve(&s.tasks, 1)[0]
+		// The scheduler and its plans hold the record while the task waits;
+		// a task that is not admitted dies here.
+		task := s.newTask()
 		*task = tasks[i]
 		now, reason, pl, err := s.decide(task)
 		if err != nil {
+			s.freeTask(task)
 			return out, err
 		}
 		out = append(out, s.finishLocked(task, now, reason, pl))
+		if pl == nil {
+			s.freeTask(task)
+		}
 	}
 	return out, nil
+}
+
+// newTask returns a task record under s.mu: the last one freed, or one cut
+// from the arena.
+func (s *Service) newTask() *rt.Task {
+	if k := len(s.spare); k > 0 {
+		t := s.spare[k-1]
+		s.spare = s.spare[:k-1]
+		return t
+	}
+	return &rt.Carve(&s.tasks, 1)[0]
+}
+
+// freeTask gives back, under s.mu, the record of a task that died: decided
+// without a plan, failed, committed or displaced. It is cleared, so that a
+// stale read sees a zero task.
+func (s *Service) freeTask(t *rt.Task) {
+	*t = rt.Task{}
+	s.spare = append(s.spare, t)
 }
 
 // open reports why the service takes no submissions, when it does not.
@@ -468,6 +496,7 @@ func (s *Service) CommitDue(now float64) error {
 // Est for multi-round plans (an exact simulation) and for OPR-style ones
 // (all nodes start at r_n), the latest Release otherwise — a staggered
 // single-round plan releases each node at its exact finish (Plan.Release).
+// Then the committed task's record is freed.
 func (s *Service) commitDueLocked(now float64) error {
 	// A sweep that fails has still committed the plans before the failing
 	// one: they are accounted like any other before the error is returned.
@@ -500,6 +529,7 @@ func (s *Service) commitDueLocked(now float64) error {
 				Nodes: len(pl.Nodes), Est: pl.Est,
 			})
 		}
+		s.freeTask(pl.Task)
 	}
 	// Cluster accounting only changes on commit: refresh the lock-free
 	// mirrors Stats() reads.

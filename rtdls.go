@@ -70,7 +70,10 @@ import (
 // *Subscription handle (the channel-and-cancel form and SubscribeStream
 // are gone), and the WithCosts option is gone (use WithNodeCosts with the
 // model's Costs()).
-const Version = "9.0.0"
+// 10.0.0 pooled the shards' task records: a *Task passed to an Observer,
+// and a Plan's Task, are valid only while the callback runs, since a
+// rejected, committed or displaced task's record may carry the next task.
+const Version = "10.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps
@@ -114,8 +117,9 @@ func HeteroExecTime(costs []NodeCost, sigma float64) (float64, error) {
 type Task = rt.Task
 
 // Plan is a task's resource assignment: nodes, start times, load fractions
-// and the admission estimate. A Plan passed to an Observer is valid only
-// until the scheduler's next call, which may reuse it: copy what you keep.
+// and the admission estimate. A Plan passed to an Observer, and its Task,
+// are valid only while the callback runs: the shard's next decision may
+// reuse either. Copy what you keep.
 type Plan = rt.Plan
 
 // Policy selects the task execution order (EDF or FIFO).

@@ -246,8 +246,10 @@ func WithClock(c Clock) Option {
 }
 
 // WithObserver installs legacy lifecycle callbacks alongside the event
-// stream (combine several with CombineObservers). A Plan passed to one is
-// valid only until the scheduler's next call: copy what you keep.
+// stream (combine several with CombineObservers). A Task or Plan passed to
+// one, and the Plan's Task, are valid only while the callback runs: the
+// shard pools plans and the records of tasks that died. Copy what you keep;
+// events and Decisions are copies already.
 func WithObserver(obs Observer) Option {
 	return func(o *serviceOptions) error {
 		o.cfg.Observer = obs
