@@ -94,8 +94,9 @@ loadtest:
 wire-smoke:
 	./scripts/wire_smoke.sh
 
-# Non-test lines of internal/{rt,service,pool,driver}, the number ROADMAP
-# item 1 budgets; CI prints it in build-and-test.
+# Non-test lines of internal/{rt,service,pool,driver}, the number the
+# ROADMAP design target (four-package LOC <= 4 800) budgets; CI prints it
+# in build-and-test.
 loc:
 	./scripts/loc.sh
 

@@ -51,7 +51,7 @@
 //
 // Beyond the paper, the whole stack is generalised from one shared
 // (Cms, Cps) cost pair to per-node coefficients: pass WithNodeCosts or
-// WithCostSpread (or build clusters with NewHeteroCluster), partition
+// WithCostSpread (or build a cost table with NewCostModel), partition
 // mixed-speed node sets with NewHeteroModel, and note that a uniform cost
 // table reproduces the homogeneous scheduler bit for bit. Heterogeneous
 // plans are admitted against exactly simulated dispatch timelines,
@@ -68,8 +68,8 @@
 // remaining shards before giving a final reject). WithShardNodes and
 // WithShardNodeCosts describe heterogeneous fleets of differently sized
 // and priced clusters. Decisions and events report the placing shard,
-// Stats aggregates the fleet, and ShardStats/Clusters expose per-shard
-// views. No timer commits a due plan: a shard commits what is due on its
+// Stats aggregates the fleet, and ShardStats/ShardCosts expose per-shard
+// views; a shard's cluster is changed only through the engine. No timer commits a due plan: a shard commits what is due on its
 // next submission, on Pump or on Drain, so on a wall clock with no traffic
 // a due plan waits (ROADMAP item 15). The pool is the one engine: New and
 // Simulate always build one, and the default is the K = 1 pool, the
@@ -129,10 +129,11 @@
 // scheduler's availability view is an order-statistic index (one sorted
 // array of eligibility, release time and node id, cut into 64-slot blocks
 // behind a block directory) kept base-synced with the committed cluster
-// state via a mutation counter, so a steady-state schedulability test rolls
-// back the previous test's tentative assignments with one bisection and
-// one in-block shift per changed node instead of re-sorting all n nodes,
-// and "the earliest k nodes" is a read of the leading blocks. A sound
+// state by the cluster's only writer, the scheduler, so a steady-state
+// schedulability test rolls back the previous test's tentative assignments
+// with one bisection and one in-block shift per changed node instead of
+// re-sorting all n nodes, and "the earliest k nodes" is a read of the
+// leading blocks. A sound
 // infeasibility fast-reject runs before any planning: tasks that provably
 // cannot meet their deadline even on the earliest possible release times
 // (one order-statistic probe) are rejected without replanning
@@ -175,7 +176,7 @@
 // (driver). Decisions and plans are bit-for-bit those of a
 // whole-queue replan (lockstep suites and FuzzIncrementalAdmission
 // against a hint-free reference); node churn, fleet growth and
-// out-of-band commits fall back to one. Stats.PlansComputed/PlansReused
+// a failed commit fall back to one. Stats.PlansComputed/PlansReused
 // and rtdls_admission_plans_{computed,reused}_total per shard report the
 // replanning each arrival caused; TestQueuedCounts (internal/rt) holds a
 // late-deadline arrival behind 128 waiting tasks to one fresh plan and 128

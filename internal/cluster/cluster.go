@@ -31,12 +31,6 @@ type Cluster struct {
 	// state holds per-node lifecycle states (see fleet.go). nil means
 	// every node is NodeUp — the fixed-fleet fast path allocates nothing.
 	state []NodeState
-
-	// version counts mutations of placement-relevant state (commits, node
-	// lifecycle transitions, fleet growth). The scheduler compares it
-	// against the version its availability index was built from to decide
-	// between an O(changed) incremental sync and a full resnapshot.
-	version uint64
 }
 
 // New returns a homogeneous cluster with n processing nodes, all available
@@ -135,14 +129,8 @@ func (c *Cluster) Commit(nodes []int, busyFrom, release []float64, reservedIdle 
 	}
 	c.reservedIdle += reservedIdle
 	c.commits++
-	c.version++
 	return nil
 }
-
-// Version returns the mutation counter for placement-relevant state. Two
-// equal Version values bracket a window in which per-node release times,
-// lifecycle states and the fleet size were all unchanged.
-func (c *Cluster) Version() uint64 { return c.version }
 
 // Commits returns the number of committed tasks.
 func (c *Cluster) Commits() int { return c.commits }

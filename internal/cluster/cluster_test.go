@@ -166,56 +166,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-// TestVersionCounter pins the mutation-counter contract the scheduler's
-// base-synced availability view depends on: every placement-relevant
-// mutation (commit, lifecycle transition, fleet growth) bumps Version,
-// reads and failed mutations leave it unchanged.
-func TestVersionCounter(t *testing.T) {
-	c := mustNew(t, 4)
-	v0 := c.Version()
-
-	c.AvailInto(nil)
-	c.LiveNodes()
-	c.EligibleInto(nil)
-	c.NodeStateList()
-	if c.Version() != v0 {
-		t.Fatalf("reads bumped Version: %d -> %d", v0, c.Version())
-	}
-
-	if err := c.Commit([]int{1}, []float64{0}, []float64{50}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if c.Version() != v0+1 {
-		t.Fatalf("Commit: Version = %d, want %d", c.Version(), v0+1)
-	}
-	if err := c.Commit([]int{0, 9}, []float64{0, 0}, []float64{5, 5}, 0); err == nil {
-		t.Fatal("expected out-of-range commit to fail")
-	}
-	if c.Version() != v0+1 {
-		t.Fatalf("failed Commit bumped Version to %d", c.Version())
-	}
-
-	if err := c.SetNodeState(2, NodeDraining); err != nil {
-		t.Fatal(err)
-	}
-	if c.Version() != v0+2 {
-		t.Fatalf("SetNodeState: Version = %d, want %d", c.Version(), v0+2)
-	}
-	if err := c.SetNodeState(99, NodeDown); err == nil {
-		t.Fatal("expected bad node id to fail")
-	}
-	if c.Version() != v0+2 {
-		t.Fatalf("failed SetNodeState bumped Version to %d", c.Version())
-	}
-
-	if _, err := c.AddNode(dlt.NodeCost{Cms: 1, Cps: 100}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if c.Version() != v0+3 {
-		t.Fatalf("AddNode: Version = %d, want %d", c.Version(), v0+3)
-	}
-}
-
 // TestCommitRejectsNaNTimes: a NaN start or release is refused like any
 // other impossible interval and leaves the cluster untouched (it used to be
 // committed, and panicked the availability index on its next update); a
@@ -229,8 +179,8 @@ func TestCommitRejectsNaNTimes(t *testing.T) {
 			t.Fatalf("Commit(%v, %v) accepted", tc.from, tc.to)
 		}
 	}
-	if c.Version() != 0 || c.AvailInto(nil)[0] != 0 || c.BusyTime() != 0 {
-		t.Fatalf("refused commits left a mark: version %d, avail %v, busy %v", c.Version(), c.AvailInto(nil)[0], c.BusyTime())
+	if c.Commits() != 0 || c.AvailInto(nil)[0] != 0 || c.BusyTime() != 0 {
+		t.Fatalf("refused commits left a mark: commits %d, avail %v, busy %v", c.Commits(), c.AvailInto(nil)[0], c.BusyTime())
 	}
 	if err := c.Commit([]int{1}, []float64{3}, []float64{math.Inf(1)}, 0); err != nil {
 		t.Fatalf("+Inf release refused: %v", err)

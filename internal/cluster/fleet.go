@@ -67,7 +67,6 @@ func (c *Cluster) SetNodeState(id int, st NodeState) error {
 	}
 	c.ensureState()
 	c.state[id] = st
-	c.version++
 	return nil
 }
 
@@ -142,7 +141,6 @@ func (c *Cluster) AddNode(nc dlt.NodeCost, availFrom float64) (int, error) {
 	if c.state != nil {
 		c.state = append(c.state, NodeUp)
 	}
-	c.version++
 	return id, nil
 }
 

@@ -287,26 +287,26 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The pool's clusters are the ones the run actually schedules against,
-	// rather than a second resolution of the configuration.
-	clusters := eng.Clusters()
+	// The pool's cost models are the ones the run actually schedules
+	// against, rather than a second resolution of the configuration.
+	costs := eng.ShardCosts()
 	// The workload is calibrated against the scalar reference coefficients
 	// so a heterogeneity sweep holds the offered load constant; explicit
 	// cost tables anchor it to the (first shard's) table's own reference
 	// instead.
 	wp := cfg.Params()
 	if len(cfg.NodeCosts) > 0 || len(cfg.ShardNodeCosts) > 0 {
-		wp = clusters[0].Costs().Reference()
+		wp = costs[0].Reference()
 	}
 	// One cluster gets the classic stream of its own size, whatever its cost
 	// table: a spread table's HeteroExecTime is not the scalar E(Avgσ, N)
 	// the load is quoted in. A fleet's stream is scaled to its aggregate
 	// capacity.
 	n, load := cfg.N, cfg.SystemLoad
-	if len(clusters) == 1 {
-		n = clusters[0].N()
+	if len(costs) == 1 {
+		n = costs[0].N()
 	} else {
-		scale, err := loadScale(wp.ExecTime(cfg.AvgSigma, cfg.N), cfg.AvgSigma, clusters)
+		scale, err := loadScale(wp.ExecTime(cfg.AvgSigma, cfg.N), cfg.AvgSigma, costs)
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +385,7 @@ func Run(cfg Config) (*Result, error) {
 		Committed:   ex.Committed,
 		MaxLateness: ex.MaxLateness,
 		MaxQueueLen: st.MaxQueueLen,
-		Shards:      len(clusters),
+		Shards:      len(costs),
 		Displaced:   st.Displaced,
 		Readmitted:  st.Readmitted,
 		LateCommits: st.LateCommits,
@@ -419,8 +419,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// The engine's statistics mirror its clusters' accounting bit for bit.
 	totalN := 0
-	for _, cl := range clusters {
-		totalN += cl.N()
+	for _, cm := range costs {
+		totalN += cm.N()
 	}
 	res.Span = math.Max(cfg.Horizon, st.LastRelease)
 	res.Utilization = st.BusyTime / (float64(totalN) * res.Span)

@@ -105,10 +105,10 @@ func shardExecTime(cm *dlt.CostModel, sigma float64) (float64, error) {
 // arrival rate SystemLoad/eRef, with eRef = E(Avgσ, N) on the reference
 // coefficients, is multiplied by Σ_j eRef/E(Avgσ, shard j) (= K for
 // identical shards).
-func loadScale(eRef, avgSigma float64, shards []*cluster.Cluster) (float64, error) {
+func loadScale(eRef, avgSigma float64, shards []*dlt.CostModel) (float64, error) {
 	scale := 0.0
-	for j, cl := range shards {
-		ej, err := shardExecTime(cl.Costs(), avgSigma)
+	for j, cm := range shards {
+		ej, err := shardExecTime(cm, avgSigma)
 		if err != nil {
 			return 0, fmt.Errorf("driver: shard %d exec time: %w", j, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"rtdls/internal/cluster"
 	"rtdls/internal/rt"
 )
 
@@ -51,9 +52,9 @@ func TestPlanReuseDecisionEquivalence(t *testing.T) {
 							hetero, rounds, i, j, pa[j], pb[j])
 					}
 				}
-				// A same-state transition moves the reference's cluster
-				// Version, so it keeps no plan, sealed or not.
-				if err := ref.Cluster().SetNodeState(0, ref.Cluster().NodeStateList()[0]); err != nil {
+				// Restoring an up node invalidates the reference's view, so
+				// it keeps no plan, sealed or not.
+				if _, err := ref.SetNodeState(0, cluster.NodeUp, now); err != nil {
 					t.Fatal(err)
 				}
 				pla, ea := a.Admit(&ta, now)

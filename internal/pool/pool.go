@@ -39,6 +39,7 @@ import (
 // ShardConfig assembles one shard: its cluster substrate, execution-order
 // policy and partitioning module. Cluster and Partitioner are mandatory.
 type ShardConfig struct {
+	// Cluster belongs to the pool once passed in: change it only through the pool.
 	Cluster     *cluster.Cluster
 	Policy      rt.Policy
 	Partitioner rt.Partitioner
@@ -179,15 +180,6 @@ func (p *Pool) Placement() Placement { return p.place }
 
 // Clock returns the clock shared by every shard.
 func (p *Pool) Clock() service.Clock { return p.clock }
-
-// Clusters returns every shard's live cluster, indexed by shard.
-func (p *Pool) Clusters() []*cluster.Cluster {
-	out := make([]*cluster.Cluster, len(p.shards))
-	for i, sh := range p.shards {
-		out[i] = sh.Cluster()
-	}
-	return out
-}
 
 // ShardCosts returns every shard's current cost model, indexed by shard.
 func (p *Pool) ShardCosts() []*dlt.CostModel {

@@ -276,8 +276,8 @@ func TestHeterogeneousShardSizes(t *testing.T) {
 	if err != nil || !d.Accepted || d.Shard != 0 {
 		t.Fatalf("decision = %+v, %v; want shard 0", d, err)
 	}
-	if got := p.Clusters(); len(got) != 2 || got[0].N() != 16 || got[1].N() != 2 {
-		t.Fatalf("Clusters() = %v", got)
+	if got := p.ShardCosts(); len(got) != 2 || got[0].N() != 16 || got[1].N() != 2 {
+		t.Fatalf("ShardCosts() sizes = %d shards, want 16 and 2 nodes", len(got))
 	}
 }
 

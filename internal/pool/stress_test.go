@@ -380,3 +380,108 @@ func TestConcurrentDecisionArenas(t *testing.T) {
 		t.Fatalf("only %d of %d tasks accepted: the arenas were hardly exercised", accepted, workers*each)
 	}
 }
+
+// TestConcurrentFleetReads: a 2-shard pool grows and churns its fleet
+// (AddNode, SetNodeState) and takes submissions while readers call every
+// read accessor. No read hands out shard state, so -race must stay quiet;
+// the node count each reader sees only grows, and at quiescence the cost
+// models, the node states and the fleet gauges agree on it.
+func TestConcurrentFleetReads(t *testing.T) {
+	const (
+		k, n    = 2, 4
+		adds    = 12
+		readers = 2
+	)
+	shards := make([]pool.ShardConfig, k)
+	for i := range shards {
+		cl, err := cluster.New(n, dlt.Params{Cms: 1, Cps: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = pool.ShardConfig{Cluster: cl, Policy: rt.EDF, Partitioner: rt.IITDLT{}}
+	}
+	p, err := pool.New(pool.Config{Shards: shards, Placement: pool.Spillover{Inner: pool.RoundRobin{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	done := make(chan struct{})
+	var writers, reads sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for i := range adds {
+			id, err := p.AddNode(dlt.NodeCost{Cms: 1, Cps: 80 + float64(i)})
+			if err != nil {
+				t.Errorf("AddNode %d: %v", i, err)
+				return
+			}
+			for _, st := range []service.NodeState{service.NodeDown, service.NodeUp, service.NodeDraining, service.NodeUp} {
+				if _, err := p.SetNodeState((id+i)%(k*n+i+1), st); err != nil {
+					t.Errorf("SetNodeState: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for id := int64(1); id <= 200; id++ {
+			if _, err := p.Submit(context.Background(), rt.Task{ID: id, Sigma: 20 + float64(id%50), RelDeadline: 3000}); err != nil {
+				t.Errorf("submit %d: %v", id, err)
+				return
+			}
+		}
+	}()
+	for range readers {
+		reads.Add(1)
+		go func() {
+			defer reads.Done()
+			seen := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				nodes := 0
+				for _, cm := range p.ShardCosts() {
+					nodes += cm.N()
+				}
+				if nodes < seen || nodes > k*n+adds {
+					t.Errorf("ShardCosts count %d nodes after %d", nodes, seen)
+					return
+				}
+				seen = nodes
+				if got := len(p.NodeStates()); got < seen || got > k*n+adds {
+					t.Errorf("NodeStates has %d nodes after ShardCosts counted %d", got, seen)
+					return
+				}
+				p.Stats()
+				if len(p.ShardStats()) != k {
+					t.Error("ShardStats lost a shard")
+					return
+				}
+				p.NextCommit()
+				p.Exec()
+				if p.Spillovers() < 0 || !p.Accepting() {
+					t.Error("Spillovers negative or pool not accepting")
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	reads.Wait()
+
+	nodes := 0
+	for _, cm := range p.ShardCosts() {
+		nodes += cm.N()
+	}
+	st := p.Stats()
+	if got := len(p.NodeStates()); nodes != k*n+adds || got != nodes || st.NodesUp != nodes {
+		t.Fatalf("at quiescence: ShardCosts count %d nodes, NodeStates %d, NodesUp %d; want %d", nodes, got, st.NodesUp, k*n+adds)
+	}
+}

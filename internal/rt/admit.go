@@ -340,17 +340,17 @@ func (q *queueState) checkDeadline(pl *Plan, err error) (*Plan, error) {
 const commitEps = 1e-9
 
 // sweep removes every plan whose first transmission is due by now from the
-// queue, in queue order, calling commit for each and — when the view's base
-// is in sync with the committed state — folding their releases into that
-// base. The due plans are normally the head of the queue: if the overlay
-// covers them, the fold is a cut of the undo log's head and the rest of the
-// overlay stays applied. A due plan behind one that is not (possible only
+// queue, in queue order, calling commit for each and folding their releases
+// into the view's base, which must hold the committed state. The due plans
+// are normally the head of the queue: if the overlay covers them, the fold
+// is a cut of the undo log's head and the rest of the overlay stays
+// applied. A due plan behind one that is not (possible only
 // with a partitioner whose first starts do not follow the queue order)
 // changes the view under the tasks it jumps, so the schedule stops being
 // hinted. A commit error ends the sweep with the failed plan and everything
 // after it still queued; the caller must then treat the view as out of
 // sync.
-func (q *queueState) sweep(now float64, synced bool, commit func(*Plan) error) error {
+func (q *queueState) sweep(now float64, commit func(*Plan) error) error {
 	horizon := now + commitEps*math.Max(1, math.Abs(now))
 	head := 0
 	for head < len(q.queue) && q.queue[head].first <= horizon {
@@ -375,14 +375,10 @@ func (q *queueState) sweep(now float64, synced bool, commit func(*Plan) error) e
 				break
 			}
 		}
-		if synced {
-			for _, e := range q.queue[:done] {
-				q.base.commit(e.plan.Nodes, e.plan.Release)
-			}
+		for _, e := range q.queue[:done] {
+			q.base.commit(e.plan.Nodes, e.plan.Release)
 		}
 		switch {
-		case !synced:
-			q.seek(0)
 		case q.applied >= done:
 			cut := q.view.Mark()
 			if done < q.applied {
@@ -406,10 +402,8 @@ func (q *queueState) sweep(now float64, synced bool, commit func(*Plan) error) e
 	for _, e := range q.queue {
 		if err == nil && e.first <= horizon {
 			if err = commit(e.plan); err == nil {
-				if synced {
-					q.view.CommitBase(e.plan.Nodes, e.plan.Release)
-					q.base.commit(e.plan.Nodes, e.plan.Release)
-				}
+				q.view.CommitBase(e.plan.Nodes, e.plan.Release)
+				q.base.commit(e.plan.Nodes, e.plan.Release)
 				continue
 			}
 		}

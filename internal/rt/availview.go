@@ -33,7 +33,7 @@ const blockCap = 64
 // of the leading blocks, and EarliestTimeAt(k) walks the directory's block
 // counts to the k-th slot. A full rebuild — one O(n log n) sort — happens
 // only on Reset and SetEligible. The scheduler's view resets only when the
-// fleet changed under it (node churn, growth, out-of-band commits), so a
+// fleet changed (node churn, growth) or a commit failed, so a
 // steady stream of submits and commits performs no rebuild at all.
 //
 // Tentative assignments are undo-logged with checkpoints: Mark names a

@@ -192,16 +192,10 @@ func newRefScheduler(cl *cluster.Cluster, pol Policy, part Partitioner) *refSche
 	return r
 }
 
-// resnap moves the cluster's Version by a transition of node 0 into the
-// state it is in, which changes nothing else: the next call rebuilds the
-// view from a full snapshot, sweeps without folding into the base, and
+// resnap invalidates the scheduler's view of its cluster, which changes
+// nothing else: the next call rebuilds the view from a full snapshot and
 // offers no plan as a prior.
-func (r *refScheduler) resnap() {
-	cl := r.Cluster()
-	if err := cl.SetNodeState(0, cl.NodeStateList()[0]); err != nil {
-		panic(err)
-	}
-}
+func (r *refScheduler) resnap() { r.invalidate() }
 
 func (r *refScheduler) Submit(t *Task, now float64) (bool, error) {
 	r.resnap()

@@ -1,5 +1,11 @@
 package rt
 
+import "rtdls/internal/cluster"
+
+// Cluster returns the cluster the scheduler owns, for tests that inspect it
+// or change it behind the scheduler's back.
+func (s *Scheduler) Cluster() *cluster.Cluster { return s.cl }
+
 // Eligible returns the number of placeable nodes — callers size
 // EarliestInto's k against it, not against N, when a mask is installed.
 func (v *AvailView) Eligible() int { return v.eligible }

@@ -95,7 +95,7 @@ func (ls *lockstep) check(what string) {
 	if sa, sb := a.Stats(), ref.Stats(); sa != sb {
 		ls.t.Fatalf("%s: stats diverge: %+v vs %+v", what, sa, sb)
 	}
-	if a.q.view != nil && a.clVersion == a.cl.Version() {
+	if a.q.view != nil && !a.stale {
 		if got, want := a.q.view.Times(), overlayTimes(a.cl, &a.q); !slices.Equal(got, want) {
 			ls.t.Fatalf("%s: scheduler overlay (applied %d of %d):\n got  %v\n want %v",
 				what, a.q.applied, len(a.q.queue), got, want)
@@ -230,8 +230,8 @@ func (ls *lockstep) setNodeState(id int, st cluster.NodeState) {
 
 func (ls *lockstep) addNode(nc dlt.NodeCost) {
 	ls.t.Helper()
-	ida, ea := ls.a.Cluster().AddNode(nc, ls.now)
-	idb, eb := ls.ref.Cluster().AddNode(nc, ls.now)
+	ida, ea := ls.a.AddNode(nc, ls.now)
+	idb, eb := ls.ref.AddNode(nc, ls.now)
 	if ida != idb || !errEqual(ea, eb) {
 		ls.t.Fatalf("AddNode diverges: (%d,%v) vs (%d,%v)", ida, ea, idb, eb)
 	}
@@ -249,14 +249,16 @@ func (ls *lockstep) revalidate() {
 }
 
 // commitOutOfBand books node id until `until` directly on both clusters,
-// behind the schedulers' backs.
+// past the schedulers, and then tells each its view is stale.
 func (ls *lockstep) commitOutOfBand(id int, until float64) {
 	ls.t.Helper()
-	for _, cl := range []*cluster.Cluster{ls.a.cl, ls.ref.cl} {
+	for _, s := range []*Scheduler{ls.a, ls.ref} {
+		cl := s.cl
 		from := math.Max(cl.AvailInto(nil)[id], ls.now)
 		if err := cl.Commit([]int{id}, []float64{from}, []float64{math.Max(from, until)}, 0); err != nil {
 			ls.t.Fatal(err)
 		}
+		s.invalidate()
 	}
 }
 

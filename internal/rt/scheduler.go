@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rtdls/internal/cluster"
+	"rtdls/internal/dlt"
 	"rtdls/internal/errs"
 )
 
@@ -54,17 +55,9 @@ type Scheduler struct {
 	availBuf []float64
 	eligBuf  []bool
 
-	// Two stamps of the cluster's mutation counter say what of q is still
-	// exact. clVersion is the version the view's base reflects: while it
-	// matches, CommitDue folds commits into the base incrementally and a
-	// test starts from the overlay it finds; on a mismatch (node churn,
-	// fleet growth, out-of-band commits) the view is rebuilt from a full
-	// snapshot. planVersion is the version the plan table is exact for: it
-	// is stamped by every whole-queue test and advanced by CommitDue when
-	// the commits were the head of the queue, so any other cluster mutation
-	// leaves it behind and the next test re-plans the whole queue.
-	clVersion   uint64
-	planVersion uint64
+	// stale says the view is behind the cluster (see invalidate); while it
+	// is clear, CommitDue folds its commits into the view's base.
+	stale bool
 
 	// Admission counters live on atomics so Stats() — and every observer
 	// built on it, including the /metrics scrape — reads them without the
@@ -85,7 +78,8 @@ type Scheduler struct {
 }
 
 // NewScheduler builds a scheduler for the given cluster, policy and
-// partitioning module.
+// partitioning module. The cluster belongs to the scheduler from then on,
+// its only writer: change it only through the scheduler.
 func NewScheduler(cl *cluster.Cluster, pol Policy, part Partitioner) *Scheduler {
 	if cl == nil {
 		panic("rt: NewScheduler: nil cluster")
@@ -102,9 +96,6 @@ func NewScheduler(cl *cluster.Cluster, pol Policy, part Partitioner) *Scheduler 
 func (s *Scheduler) SetStageObserver(so StageObserver) {
 	s.stageObs = so
 }
-
-// Cluster returns the cluster the scheduler manages.
-func (s *Scheduler) Cluster() *cluster.Cluster { return s.cl }
 
 // Submit runs the schedulability test for a newly arrived task and either
 // admits it (installing the new feasible schedule for the whole waiting
@@ -166,7 +157,6 @@ func (s *Scheduler) land(out outcome, st account) {
 	}
 	switch out {
 	case outAccept:
-		s.planVersion = s.cl.Version()
 		s.accepts.Add(1)
 		n := int64(len(s.q.queue))
 		s.queueLen.Store(n)
@@ -178,21 +168,22 @@ func (s *Scheduler) land(out outcome, st account) {
 	}
 }
 
-// sync prepares q for a test or a revalidation against the current
-// cluster: the plan table is hinted only while planVersion holds, and the
-// view keeps its overlay only while clVersion holds — the steady-state
-// path, since CommitDue moves both stamps along with its own commits. On
-// a view mismatch the view is rebuilt from a fresh snapshot with nothing
-// applied, the placement-eligibility mask is reinstalled when any node is
-// drained or down, and the live (placeable) node count — O(n) under churn
-// — and cost model are recached. A fully-up fleet takes exactly the
-// pre-fleet path: no mask, live == N.
+// invalidate records a change of the cluster other than CommitDue's own
+// commits: the next sync rebuilds the view, and the next test re-plans the
+// whole queue.
+func (s *Scheduler) invalidate() {
+	s.stale = true
+	s.q.hinted = false
+}
+
+// sync prepares q for a test, a revalidation or a sweep. A view that is
+// not stale keeps its overlay. Otherwise it is rebuilt from a fresh
+// snapshot with nothing applied, the placement-eligibility mask is
+// reinstalled when any node is drained or down, and the live (placeable)
+// node count — O(n) under churn — and cost model are recached. A fully-up
+// fleet takes exactly the pre-fleet path: no mask, live == N.
 func (s *Scheduler) sync() {
-	v := s.cl.Version()
-	if s.planVersion != v {
-		s.q.hinted = false
-	}
-	if s.q.view != nil && s.clVersion == v {
+	if s.q.view != nil && !s.stale {
 		return
 	}
 	s.availBuf = s.cl.AvailInto(s.availBuf)
@@ -204,7 +195,7 @@ func (s *Scheduler) sync() {
 	}
 	s.q.resetView(s.availBuf, elig)
 	s.q.p, s.q.costs = s.cl.Params(), s.cl.Costs()
-	s.clVersion = v
+	s.stale = false
 }
 
 // SetNodeState transitions one cluster node and, on a capacity loss
@@ -220,10 +211,22 @@ func (s *Scheduler) SetNodeState(id int, st cluster.NodeState, now float64) (dis
 		// it so the wire layer maps it to 400 rather than 500.
 		return nil, fmt.Errorf("%v: %w", err, errs.ErrBadConfig)
 	}
+	s.invalidate() // the placement mask and the live count change
 	if st == cluster.NodeUp {
 		return nil, nil
 	}
 	return s.Revalidate(now)
+}
+
+// AddNode grows the cluster by one node (see cluster.AddNode); waiting
+// plans pick it up on the next test.
+func (s *Scheduler) AddNode(nc dlt.NodeCost, availFrom float64) (int, error) {
+	id, err := s.cl.AddNode(nc, availFrom)
+	if err != nil {
+		return 0, err
+	}
+	s.invalidate() // the node count and the cost model change
+	return id, nil
 }
 
 // Revalidate re-runs the schedulability test for every waiting task
@@ -231,6 +234,7 @@ func (s *Scheduler) SetNodeState(id int, st cluster.NodeState, now float64) (dis
 // tasks that no longer fit. It is the capacity-loss analogue of Submit's
 // whole-queue test: kept tasks get fresh plans stacked on the live nodes,
 // displaced tasks keep their accept counted but will never commit.
+// SetNodeState is its one production caller.
 func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
 	q := &s.q
 	if len(q.queue) == 0 {
@@ -257,7 +261,6 @@ func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
 		q.push(w, pl)
 	}
 	q.accept(now)
-	s.planVersion = s.cl.Version()
 	s.queueLen.Store(int64(len(q.queue)))
 	return displaced, nil
 }
@@ -284,17 +287,14 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	if stageObs != nil {
 		t0 = time.Now()
 	}
-	// While the stamps hold, the sweep folds each commit into the view's
-	// base and the plan table stays exact, so the next admission test
-	// neither resnapshots all N nodes nor re-plans the tasks that stay. An
-	// error leaves both stamps behind, which safely forces a full resync.
-	before := s.cl.Version()
-	synced := s.q.view != nil && s.clVersion == before
+	// The sweep folds each commit into the view's base and the plan table
+	// stays exact: the next test neither resnapshots nor re-plans.
 	for _, pl := range s.committed {
 		s.q.scratch.recycle(pl)
 	}
 	s.committed = s.committed[:0]
-	err := s.q.sweep(now, synced, func(pl *Plan) error {
+	s.sync()
+	err := s.q.sweep(now, func(pl *Plan) error {
 		if err := s.cl.Commit(pl.Nodes, pl.Starts, pl.Release, pl.ReservedIdle); err != nil {
 			return fmt.Errorf("rt: committing task %d: %w", pl.Task.ID, err)
 		}
@@ -304,13 +304,8 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	})
 	s.queueLen.Store(int64(len(s.q.queue)))
 	if err != nil {
+		s.invalidate() // what failed the commit may be missing from the view
 		return s.committed, err
-	}
-	if synced {
-		s.clVersion = s.cl.Version()
-	}
-	if s.planVersion == before {
-		s.planVersion = s.cl.Version()
 	}
 	if stageObs != nil && len(s.committed) > 0 {
 		stageObs.ObserveStage(StageCommit, time.Since(t0).Seconds())

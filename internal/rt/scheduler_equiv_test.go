@@ -133,8 +133,8 @@ func equivDrive(t *testing.T, pol Policy, part Partitioner, hetero bool, seed ui
 		}
 		if i > 0 && i%80 == 0 {
 			nc := dlt.NodeCost{Cms: 0.8, Cps: 95}
-			ida, ea := a.Cluster().AddNode(nc, now)
-			idb, eb := b.Cluster().AddNode(nc, now)
+			ida, ea := a.AddNode(nc, now)
+			idb, eb := b.AddNode(nc, now)
 			if !errEqual(ea, eb) || ida != idb {
 				t.Fatalf("step %d: AddNode diverges: (%d,%v) vs (%d,%v)", i, ida, ea, idb, eb)
 			}

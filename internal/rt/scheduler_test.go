@@ -209,6 +209,57 @@ func TestCommitNotDueEarly(t *testing.T) {
 	}
 }
 
+// TestCommitErrorResyncs: a node booked behind the scheduler's back makes
+// the next CommitDue fail on the waiting plan that needs it. The failed
+// commit must leave the scheduler resynced: the Admit after it re-plans
+// the waiting task on the cluster as it is, exactly as a scheduler built
+// afresh on the same release times does.
+func TestCommitErrorResyncs(t *testing.T) {
+	s := newSched(t, 4, EDF, IITDLT{})
+	for id := range 4 {
+		if err := s.Cluster().Commit([]int{id}, []float64{0}, []float64{100}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := Task{ID: 1, Arrival: 0, Sigma: 100, RelDeadline: 1e5}
+	pl, err := s.Admit(&first, 0)
+	if err != nil || pl == nil {
+		t.Fatalf("Admit = %v, %v", pl, err)
+	}
+	at := pl.FirstStart()
+	node := pl.Nodes[0]
+	if err := s.Cluster().Commit([]int{node}, []float64{at}, []float64{at + 400}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if plans, err := s.CommitDue(at); err == nil || len(plans) != 0 || s.QueueLen() != 1 {
+		t.Fatalf("CommitDue(%v) on a booked node = %d plans, %v; queue %d", at, len(plans), err, s.QueueLen())
+	}
+
+	ref := newSched(t, 4, EDF, IITDLT{})
+	for id, a := range s.Cluster().AvailInto(nil) {
+		if err := ref.Cluster().Commit([]int{id}, []float64{0}, []float64{a}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ref.Admit(&Task{ID: 1, Arrival: 0, Sigma: 100, RelDeadline: 1e5}, at); err != nil {
+		t.Fatal(err)
+	}
+	next := Task{ID: 2, Arrival: at, Sigma: 50, RelDeadline: 1e5}
+	refNext := next
+	got, err := s.Admit(&next, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Admit(&refNext, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !planEqual(got, want) || !planEqual(s.PlanFor(1), ref.PlanFor(1)) {
+		t.Fatalf("after the failed commit:\n got  %+v, waiting %+v\n want %+v, waiting %+v",
+			got, s.PlanFor(1), want, ref.PlanFor(1))
+	}
+}
+
 func TestWaitingTaskReplannedOnArrival(t *testing.T) {
 	s := newSched(t, 16, EDF, IITDLT{})
 	ok, err := s.Submit(&Task{ID: 1, Arrival: 0, Sigma: 800, RelDeadline: 1e8}, 0)

@@ -91,7 +91,7 @@ func (s *Service) AddNode(nc dlt.NodeCost) (int, error) {
 	if s.closed.Load() {
 		return 0, fmt.Errorf("service: closed: %w", errs.ErrClusterBusy)
 	}
-	id, err := s.cl.AddNode(nc, s.clock.Now())
+	id, err := s.sched.AddNode(nc, s.clock.Now())
 	if err != nil {
 		return 0, err
 	}

@@ -192,7 +192,7 @@ func TestFailRestoreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a1, a2 := churned.Cluster().AvailInto(nil), pristine.Cluster().AvailInto(nil)
+	a1, a2 := churned.cl.AvailInto(nil), pristine.cl.AvailInto(nil)
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatalf("node %d release time %v != %v after fail-restore", i, a1[i], a2[i])

@@ -26,6 +26,8 @@ import (
 // Config assembles a Service. Cluster, Policy and Partitioner are
 // mandatory; everything else has working defaults.
 type Config struct {
+	// Cluster belongs to the service once passed in: change it only
+	// through the service, whose scheduler is its only writer.
 	Cluster     *cluster.Cluster
 	Policy      rt.Policy
 	Partitioner rt.Partitioner
@@ -265,9 +267,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
-
-// Cluster returns the cluster the service manages.
-func (s *Service) Cluster() *cluster.Cluster { return s.cl }
 
 // Clock returns the service's clock.
 func (s *Service) Clock() Clock { return s.clock }

@@ -140,9 +140,6 @@ func TestServiceShardedFleet(t *testing.T) {
 	if svc.Shards() != 2 {
 		t.Fatalf("Shards() = %d", svc.Shards())
 	}
-	if cls := svc.Clusters(); len(cls) != 2 || cls[0].N() != 16 || cls[1].N() != 4 {
-		t.Fatalf("Clusters() sizes wrong")
-	}
 	if cms := svc.ShardCosts(); len(cms) != 2 || cms[0].N() != 16 || cms[1].N() != 4 {
 		t.Fatalf("ShardCosts() sizes wrong")
 	}
@@ -288,8 +285,8 @@ func TestShardCostsFollowAddNode(t *testing.T) {
 	if _, err := svc.AddNode(rtdls.NodeCost{Cms: 1, Cps: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := svc.ShardCosts()[0].N(), svc.Clusters()[0].N(); got != want || got != 5 {
-		t.Fatalf("ShardCosts()[0].N() = %d, Clusters()[0].N() = %d, want both 5", got, want)
+	if got, want := svc.ShardCosts()[0].N(), len(svc.NodeStates()); got != want || got != 5 {
+		t.Fatalf("ShardCosts()[0].N() = %d, len(NodeStates()) = %d, want both 5", got, want)
 	}
 
 	done := make(chan error)
@@ -310,7 +307,7 @@ func TestShardCostsFollowAddNode(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got, want := svc.ShardCosts()[0].N(), svc.Clusters()[0].N(); got != want || got != 13 {
-		t.Fatalf("ShardCosts()[0].N() = %d, Clusters()[0].N() = %d, want both 13", got, want)
+	if got, want := svc.ShardCosts()[0].N(), len(svc.NodeStates()); got != want || got != 13 {
+		t.Fatalf("ShardCosts()[0].N() = %d, len(NodeStates()) = %d, want both 13", got, want)
 	}
 }

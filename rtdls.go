@@ -1,7 +1,6 @@
 package rtdls
 
 import (
-	"rtdls/internal/cluster"
 	"rtdls/internal/core"
 	"rtdls/internal/dlt"
 	"rtdls/internal/driver"
@@ -51,7 +50,7 @@ import (
 // of the Stats counters.
 // 5.0.0 put one engine behind New and Simulate: both always build a pool,
 // K = 1 by default, and the one-shard accessors Cluster and Costs are gone
-// (use Clusters()[0] and ShardCosts()[0]). With every node down a
+// (use ShardCosts()[0]). With every node down a
 // submission is a counted infeasible reject at every K.
 // 6.0.0 made SetNodeState(node, NodeDraining|NodeDown|NodeUp) the one
 // node-lifecycle call, replacing the three per-verb methods, and ChurnOp
@@ -73,7 +72,11 @@ import (
 // 10.0.0 pooled the shards' task records: a *Task passed to an Observer,
 // and a Plan's Task, are valid only while the callback runs, since a
 // rejected, committed or displaced task's record may carry the next task.
-const Version = "10.0.0"
+// 11.0.0 made each shard the only writer of its cluster: Clusters, the
+// Cluster alias, NewCluster and NewHeteroCluster are gone (use ShardCosts,
+// NodeStates and Stats to read a shard, SetNodeState and AddNode to change
+// its fleet, NewCostModel with WithNodeCosts to build a cost table).
+const Version = "11.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps
@@ -152,18 +155,6 @@ func Algorithms() []string { return driver.Algorithms() }
 // (Shards, Placement, Spillovers, ShardRejectRatios) are filled on every
 // run, the default one-shard run included.
 type Result = driver.Result
-
-// Cluster models the homogeneous star cluster (head node, N workers,
-// per-node release times and accounting).
-type Cluster = cluster.Cluster
-
-// NewCluster returns a homogeneous cluster of n processing nodes, all
-// available at time 0.
-func NewCluster(n int, p Params) (*Cluster, error) { return cluster.New(n, p) }
-
-// NewHeteroCluster returns a cluster whose node i has its own cost
-// coefficients costs[i], all available at time 0.
-func NewHeteroCluster(costs []NodeCost) (*Cluster, error) { return cluster.NewHetero(costs) }
 
 // Partitioner is the task-partitioning module interface (framework
 // Decision #2/#3).

@@ -426,7 +426,8 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 //     NextCommit;
 //   - fleet: SetNodeState, AddNode, NodeStates;
 //   - views (Stats and Exec aggregate the fleet): Stats, ShardStats, Exec,
-//     Spillovers, Shards, Placement, Clusters, ShardCosts.
+//     Spillovers, Shards, Placement, ShardCosts. None hands out a shard's
+//     cluster: it is changed only through the fleet calls and admission.
 //
 // Decisions and events carry the placing shard. See examples/quickstart.
 type Service = pool.Pool

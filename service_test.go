@@ -16,7 +16,7 @@ func TestServiceBaselineDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if n := svc.Clusters()[0].N(); n != 16 {
+	if n := svc.ShardCosts()[0].N(); n != 16 {
 		t.Fatalf("default cluster size = %d, want 16", n)
 	}
 	if !svc.ShardCosts()[0].Uniform() {
