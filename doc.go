@@ -172,7 +172,7 @@
 // one function over an explicit queue state, and around it every entrance
 // — Submit, SubmitBatch, a pool's spillover retry or re-admission, a
 // simulated arrival — walks one stamp, sweep, gate, test and finish
-// (service.admit / decide), one offer loop (pool) and one simulation loop
+// (service.decide), one offer loop (pool) and one simulation loop
 // (driver). Decisions and plans are bit-for-bit those of a
 // whole-queue replan (lockstep suites and FuzzIncrementalAdmission
 // against a hint-free reference); node churn, fleet growth and
@@ -183,8 +183,12 @@
 // kept ones, each sealed: the scheduler keeps a plan sealed at its task's
 // slack with one comparison and no Plan call, so that arrival makes one.
 //
-// Before any of that an overload reject is decided by a processor-demand
-// bound, EDF's schedulability criterion carried to divisible loads: any
+// Before any of that — at the front of each shard's one decision path,
+// after the due-commit sweep (which runs only when the queue's cached
+// earliest first start says something is due) and the service's own gates,
+// before the task takes a record (rt.Scheduler.Screen) — an overload reject
+// is decided by a processor-demand bound, EDF's schedulability criterion
+// carried to divisible loads: any
 // schedule, whatever the partitioner, gives task i at least σ_i·Cps
 // node-seconds (σ_i times the fastest node's Cps on a heterogeneous table)
 // between the committed release times and its deadline, so for every
@@ -198,10 +202,19 @@
 // one are checked); a FIFO queue gets the own-deadline check only. The
 // capacity comes from a summary of the committed release times kept beside
 // the view, fed by the commit sweep through a journal and never re-sorted
-// on the steady path; a clear-pass against the view answers an arrival the
+// on the steady path. The bound runs in three steps, each only when the one
+// before cannot tell. A clear-pass against the view answers an arrival the
 // queue has room for without reading the queue, and decides an arrival on
-// an empty queue outright (the view is then the committed state). It is
-// gated like the ñ_min
+// an empty queue outright (the view is then the committed state). Then a
+// certificate in O(1) of the queue: the check at D = max(arrival's
+// deadline, latest waiting deadline), where all of the queue and the
+// arrival are due, on a summary of the queue (Σσ, that latest deadline,
+// the earliest first start) that every change to the queue invalidates; it
+// is the exact form's last check under EDF, its only one under FIFO when
+// nothing waiting is due later, and fires only by a margin of 1e-9 of the
+// demand, far above the rounding by which its sum differs from the exact
+// one. Last the exact form, one pass over the queue. It is gated like the
+// ñ_min
 // fast-reject (the partitioner is an rt.FastRejecter, which declares its
 // plans physical), abstains on NaN/±Inf intermediates and on user-split's
 // hard error (a request for more nodes than are live), and is counted in

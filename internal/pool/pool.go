@@ -13,6 +13,12 @@
 // on, never on a pool-global lock — Submit throughput scales with the
 // shard count instead of serialising on one O(queue × plan) replan.
 //
+// Every shard a task is offered to decides it on its own state and counts
+// the decision: a spilled reject is one decision per shard it was offered
+// to. The walk hands each shard the task and the one Decision it fills in
+// place (service.Service.SubmitTo), and a shard whose demand bound refuses
+// the task answers in O(1) of its queue, before any plan or task record.
+//
 // The pool is the one engine, exported as rtdls.Service and driven by
 // driver.Run, and one cluster is simply K = 1 — no special case: a
 // one-shard pool under any placement reproduces its bare shard decision
@@ -278,7 +284,7 @@ func (p *Pool) offer(ctx context.Context, task *rt.Task, cands []int, d *service
 		if p.shards[idx].LiveNodes() == 0 {
 			continue
 		}
-		if *d, err = p.shards[idx].Submit(ctx, *task); err != nil {
+		if err = p.shards[idx].SubmitTo(ctx, task, d); err != nil {
 			return tried, cands[i+1:], err
 		}
 		tried++
@@ -323,7 +329,7 @@ func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, tried int
 				// No shard has a live node: the first pick decides, and its
 				// scheduler rejects the task as infeasible, so the submission
 				// is a counted decision with its EventReject for every K.
-				if *d, err = p.shards[order[0]].Submit(ctx, *task); err != nil {
+				if err = p.shards[order[0]].SubmitTo(ctx, task, d); err != nil {
 					return err
 				}
 				n = 1
@@ -506,9 +512,11 @@ func (p *Pool) Stats() service.Stats {
 }
 
 // ShardStats returns every shard's own snapshot, indexed by shard. Note
-// that shard-level Arrivals/Rejects count what the shard saw — under a
-// spillover placement a retried task appears on every shard that refused
-// it. EventsDropped is bus-wide (the shards share one bus).
+// that shard-level Arrivals/Rejects count what the shard saw: every shard
+// a task is offered to decides and counts it, so under a spillover
+// placement a retried task appears on every shard that refused it, the
+// ones whose demand bound refused it at once included. EventsDropped is
+// bus-wide (the shards share one bus).
 func (p *Pool) ShardStats() []service.Stats {
 	out := make([]service.Stats, len(p.shards))
 	for i, sh := range p.shards {

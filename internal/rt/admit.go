@@ -3,6 +3,7 @@ package rt
 import (
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"rtdls/internal/dlt"
@@ -50,6 +51,11 @@ type queueState struct {
 	hinted   bool
 	testedAt float64
 
+	// sum is the O(1) summary of the queue: every change to the queue zeroes
+	// it, and it is recomputed on the next read. rebuildFrom keeps it in
+	// savedSum for restore, which puts the queue back as it was.
+	sum, savedSum tally
+
 	// The tentative schedule is built in place, from the first re-planned
 	// position on; saved holds the tail it overwrites, to put back if the
 	// test rejects.
@@ -58,6 +64,61 @@ type queueState struct {
 	// scratch is where the partitioner's node searches run their
 	// candidates, through pctx.
 	scratch Candidate
+}
+
+// tally is what the demand bound's certificate, the due test, NextCommit
+// and the duplicate-id check read of the waiting queue, in O(1) while the
+// queue stands still. first, which the slots hold, and offN, which the
+// plans hold, are each recomputed on their own when read: the due test
+// reads first on every decision, the bound offN only for a reject it
+// decides.
+type tally struct {
+	sigma float64 // Σσ of the waiting tasks
+	last  float64 // their latest absolute deadline; -Inf with none waiting
+	maxID int64   // their largest id
+	first float64 // their plans' earliest first start; +Inf with none waiting
+	offN  bool    // a waiting plan's node count is not its task's UserN
+
+	ok, firstOK, offOK bool // which of the fields hold for the queue as it is
+}
+
+// tally returns the queue's summary but first and offN, recomputing it
+// after a change.
+func (q *queueState) tally() *tally {
+	if !q.sum.ok {
+		s := q.sum
+		s.sigma, s.last, s.maxID, s.ok = 0, math.Inf(-1), math.MinInt64, true
+		for _, e := range q.queue {
+			s.sigma += e.task.Sigma
+			s.last = max(s.last, e.task.AbsDeadline())
+			s.maxID = max(s.maxID, e.task.ID)
+		}
+		q.sum = s
+	}
+	return &q.sum
+}
+
+// firstStart returns the waiting plans' earliest first start, +Inf with
+// none waiting.
+func (q *queueState) firstStart() float64 {
+	if !q.sum.firstOK {
+		first := math.Inf(1)
+		for _, e := range q.queue {
+			first = min(first, e.first)
+		}
+		q.sum.first, q.sum.firstOK = first, true
+	}
+	return q.sum.first
+}
+
+// offUserN reports whether a waiting plan's node count is not its task's
+// UserN.
+func (q *queueState) offUserN() bool {
+	if !q.sum.offOK {
+		q.sum.offN = slices.ContainsFunc(q.queue, func(e slot) bool { return len(e.plan.Nodes) != e.task.UserN })
+		q.sum.offOK = true
+	}
+	return q.sum.offN
 }
 
 // planAt points pctx at the state as of now, for the Plan calls of one test.
@@ -97,8 +158,12 @@ func (q *queueState) seek(k int) {
 	}
 }
 
-// planOf returns the waiting task's current plan, or nil.
+// planOf returns the waiting task's current plan, or nil: at once for an
+// id above every waiting one, when the summary holds.
 func (q *queueState) planOf(taskID int64) *Plan {
+	if q.sum.ok && taskID > q.sum.maxID {
+		return nil
+	}
 	for _, e := range q.queue {
 		if e.task.ID == taskID {
 			return e.plan
@@ -115,6 +180,7 @@ func (q *queueState) rebuildFrom(k int) (base int) {
 	q.seek(k)
 	q.saved = append(q.saved[:0], q.queue[k:]...)
 	q.queue = q.queue[:k]
+	q.savedSum, q.sum = q.sum, tally{}
 	return q.view.Mark()
 }
 
@@ -124,6 +190,7 @@ func (q *queueState) push(t *Task, pl *Plan) {
 	q.queue = append(q.queue, slot{task: t, plan: pl, first: pl.FirstStart(), mark: q.view.Mark()})
 	q.view.Apply(pl.Nodes, pl.Release)
 	q.applied++
+	q.sum = tally{}
 }
 
 // restore abandons the tentative schedule of rebuildFrom(k), recycling its
@@ -133,6 +200,7 @@ func (q *queueState) restore(k, base int) {
 	q.applied = k
 	q.recycle(q.queue[k:])
 	q.queue = append(q.queue[:k], q.saved...)
+	q.sum = q.savedSum
 }
 
 // accept makes the tentative schedule — now a feasible whole-queue
@@ -150,9 +218,9 @@ type outcome uint8
 const (
 	// outError: a hard partitioner error; the test decided nothing.
 	outError outcome = iota
-	// outReject: the arrival is rejected (fleet down, demand bound,
-	// fast-reject, or a deadline miss in the tentative schedule), and the
-	// schedule is unchanged.
+	// outReject: the arrival is rejected (by Scheduler.Screen: fleet down or
+	// the demand bound; by the test: fast-reject or a deadline miss in the
+	// tentative schedule), and the schedule is unchanged.
 	outReject
 	// outAccept: every task of the tentative schedule meets its deadline,
 	// and that schedule is now the current one.
@@ -175,8 +243,10 @@ type account struct {
 // test is the paper's Fig. 2 schedulability test for a new arrival t at
 // time now: merge t into the waiting queue in policy order, plan every
 // task of the tentative schedule on top of its predecessors, and accept
-// iff every completion estimate meets its deadline. The view's base must
-// hold the committed cluster state. On outAccept the tentative schedule
+// iff every completion estimate meets its deadline. It takes an arrival
+// that Scheduler.Screen did not refuse: at least one node is live, and the
+// demand bound is not evaluated again. The view's base must hold the
+// committed cluster state. On outAccept the tentative schedule
 // is installed and t's plan returned; on outReject the schedule is
 // unchanged; outError carries a hard partitioner error.
 //
@@ -197,41 +267,9 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 		planDur += time.Since(tp)
 		return pl, err
 	}
-	// early closes the spans of a test that ended before the tentative
-	// schedule was planned, so before any Plan call: every submit
-	// contributes one sample per stage, with explicit zero plan and check
-	// spans.
-	early := func() {
-		if timed {
-			st.Cand = time.Since(t0).Seconds()
-		}
-	}
-	if q.live == 0 {
-		// The whole fleet is drained or down: nothing is placeable.
-		early()
-		return outReject, nil, st, nil
-	}
-
-	// TempTaskList ← NewTask + TaskWaitingQueue, ordered by the policy: t
-	// goes in front of the first waiting task it precedes. The queue is in
-	// policy order, a total one, so that task is found by bisection.
-	p, hi := 0, len(q.queue)
-	for p < hi {
-		if h := int(uint(p+hi) >> 1); pol.Less(t, q.queue[h].task) {
-			hi = h
-		} else {
-			p = h + 1
-		}
-	}
+	// TempTaskList ← NewTask + TaskWaitingQueue, ordered by the policy.
+	p := q.position(pol, t)
 	q.planAt(now)
-
-	// Two shortcuts for FastRejecter partitioners; the demand bound needs no view.
-	fr, _ := part.(FastRejecter)
-	if fr != nil && q.overDemand(pol, t, p, now) {
-		st.DemandReject = true
-		early()
-		return outReject, nil, st, nil
-	}
 
 	// Keep the plans of the tasks ordered before t, under keeps' guards:
 	// the schedule must be hinted, time must not have run backwards, and the
@@ -261,14 +299,26 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 	// of planning the rest of the schedule. The view holds the committed
 	// state plus plans that t's predecessors keep in any case, so t's own
 	// view is no earlier on any node and the bound stays sound.
-	if fr != nil && fr.FastReject(&q.pctx, t) {
-		early()
+	if fr, ok := part.(FastRejecter); ok && fr.FastReject(&q.pctx, t) {
+		// Rejected before any Plan call: every submit contributes one sample
+		// per stage, here with explicit zero plan and check spans.
+		if timed {
+			st.Cand = time.Since(t0).Seconds()
+		}
 		return outReject, nil, st, nil
 	}
 
 	// The tentative schedule: the kept plans stay, everything from there on
 	// — the rest of the queue with t at position p — is planned afresh.
 	base := q.rebuildFrom(kept)
+	// Whatever ends the test short of an accept — a reject, a hard error, a
+	// partitioner's panic — puts the schedule back as the test found it.
+	accepted := false
+	defer func() {
+		if !accepted {
+			q.restore(kept, base)
+		}
+	}()
 
 	var candDur time.Duration
 	if timed {
@@ -296,7 +346,6 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 		st.Computed++
 		pl, err := q.checkDeadline(plan(ti))
 		if err != nil {
-			q.restore(kept, base)
 			finish()
 			if errors.Is(err, ErrInfeasible) {
 				return outReject, nil, st, nil
@@ -309,9 +358,25 @@ func (q *queueState) test(pol Policy, part Partitioner, t *Task, now float64, t0
 		}
 	}
 	// All tasks in the cluster are schedulable: accept TempSchedule.
+	accepted = true
 	q.accept(now)
 	finish()
 	return outAccept, own, st, nil
+}
+
+// position is where t goes in the policy-ordered queue: in front of the
+// first waiting task it precedes. The order is a total one, so that task is
+// found by bisection.
+func (q *queueState) position(pol Policy, t *Task) int {
+	p, hi := 0, len(q.queue)
+	for p < hi {
+		if h := int(uint(p+hi) >> 1); pol.Less(t, q.queue[h].task) {
+			hi = h
+		} else {
+			p = h + 1
+		}
+	}
+	return p
 }
 
 // recycle gives the plans of a dropped part of a schedule back to the pool.
@@ -339,6 +404,16 @@ func (q *queueState) checkDeadline(pl *Plan, err error) (*Plan, error) {
 // first transmission is due.
 const commitEps = 1e-9
 
+// dueBy is the latest first start that is due at now.
+func dueBy(now float64) float64 { return now + commitEps*math.Max(1, math.Abs(now)) }
+
+// due reports, in O(1), whether a waiting plan's first transmission is
+// due by the instant by (dueBy): the head's is, or the earliest one is not
+// later. A NaN first start answers yes and leaves it to the sweep.
+func (q *queueState) due(by float64) bool {
+	return len(q.queue) > 0 && q.queue[0].first <= by || !(q.firstStart() > by)
+}
+
 // sweep removes every plan whose first transmission is due by now from the
 // queue, in queue order, calling commit for each and folding their releases
 // into the view's base, which must hold the committed state. The due plans
@@ -351,7 +426,10 @@ const commitEps = 1e-9
 // after it still queued; the caller must then treat the view as out of
 // sync.
 func (q *queueState) sweep(now float64, commit func(*Plan) error) error {
-	horizon := now + commitEps*math.Max(1, math.Abs(now))
+	horizon := dueBy(now)
+	if !q.due(horizon) {
+		return nil
+	}
 	head := 0
 	for head < len(q.queue) && q.queue[head].first <= horizon {
 		head++
@@ -419,4 +497,5 @@ func (q *queueState) sweep(now float64, commit func(*Plan) error) error {
 func (q *queueState) truncate(n int) {
 	clear(q.queue[n:])
 	q.queue = q.queue[:n]
+	q.sum = tally{}
 }

@@ -44,9 +44,10 @@ type Observer interface {
 // lock. Only the atomic counter reads (Stats, PlanCounts, DemandRejects,
 // QueueLen) may run outside that lock.
 type Scheduler struct {
-	cl   *cluster.Cluster
-	pol  Policy
-	part Partitioner
+	cl    *cluster.Cluster
+	pol   Policy
+	part  Partitioner
+	bound bool // part is a FastRejecter: the demand bound applies
 
 	// q is the waiting queue, its current feasible schedule and the
 	// availability view the schedule is applied on. availBuf and eligBuf
@@ -87,7 +88,8 @@ func NewScheduler(cl *cluster.Cluster, pol Policy, part Partitioner) *Scheduler 
 	if part == nil {
 		panic("rt: NewScheduler: nil partitioner")
 	}
-	return &Scheduler{cl: cl, pol: pol, part: part}
+	_, bound := part.(FastRejecter)
+	return &Scheduler{cl: cl, pol: pol, part: part, bound: bound}
 }
 
 // SetStageObserver installs per-stage timing callbacks (nil disables
@@ -106,28 +108,61 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 	if err := t.Validate(); err != nil {
 		return false, err
 	}
+	if refused, err := s.Screen(t, now); refused || err != nil {
+		return false, err
+	}
 	pl, err := s.Admit(t, now)
 	return pl != nil, err
 }
 
-// Admit is Submit for a task that has passed Task.Validate, returning the
-// admitted task's plan — nil exactly when the task was not admitted, and
-// valid only until the scheduler's next call.
-func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
+// Screen is the front of every decision, for a task that has passed
+// Task.Validate: it reports the arrival errors, and refuses — a decided and
+// counted reject, with no plan made or kept — a task that no node is live
+// for or that the demand bound shows cannot fit. Only a task it did not
+// refuse goes on to Admit. Screen reads nothing of t after it returns, so
+// the caller may decide on a scratch copy and hand Admit the task's own
+// record.
+func (s *Scheduler) Screen(t *Task, now float64) (refused bool, err error) {
 	if t.Arrival > now {
-		return nil, fmt.Errorf("rt: task %d submitted at %v before its arrival %v: %w",
+		return false, fmt.Errorf("rt: task %d submitted at %v before its arrival %v: %w",
 			t.ID, now, t.Arrival, errs.ErrBadConfig)
 	}
 	if s.q.planOf(t.ID) != nil {
-		return nil, fmt.Errorf("rt: task %d is already waiting: %w", t.ID, errs.ErrBadConfig)
+		return false, fmt.Errorf("rt: task %d is already waiting: %w", t.ID, errs.ErrBadConfig)
 	}
+	var t0 time.Time
+	if s.stageObs != nil {
+		t0 = time.Now()
+	}
+	s.sync()
+	st := account{Timed: !t0.IsZero()}
+	if s.q.live > 0 {
+		// The demand bound, for FastRejecter partitioners; it needs no view.
+		if !s.bound || !s.q.overDemand(s.pol, t, -1, now) {
+			return false, nil
+		}
+		st.DemandReject = true
+	}
+	// Refused before any Plan call: the candidate span is the whole screen,
+	// and the plan and check spans are explicit zeros.
+	if st.Timed {
+		st.Cand = time.Since(t0).Seconds()
+	}
+	s.land(outReject, st)
+	return true, nil
+}
 
+// Admit runs the Fig. 2 test for a task that Screen did not refuse,
+// returning the admitted task's plan — nil exactly when the task was not
+// admitted, and valid only until the scheduler's next call.
+func (s *Scheduler) Admit(t *Task, now float64) (*Plan, error) {
 	// Per-stage timing spans are measured only when an observer is
 	// installed; the nil path costs a single predictable branch.
 	var t0 time.Time
 	if s.stageObs != nil {
 		t0 = time.Now()
 	}
+	s.release()
 	s.sync()
 	out, pl, st, err := s.q.test(s.pol, s.part, t, now, t0)
 	s.land(out, st)
@@ -266,14 +301,24 @@ func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
 }
 
 // NextCommit returns the earliest plan start time among waiting tasks, or
-// ok=false when the queue is empty. The driver schedules a commit event at
-// this instant.
+// ok=false when the queue is empty, in O(1). The driver schedules a commit
+// event at this instant.
 func (s *Scheduler) NextCommit() (at float64, ok bool) {
-	at = math.Inf(1)
-	for _, e := range s.q.queue {
-		at = math.Min(at, e.first)
-	}
+	at = s.q.firstStart()
 	return at, !math.IsInf(at, 1)
+}
+
+// Due reports, in O(1), whether CommitDue(now) may find a plan to commit;
+// when it does not, CommitDue would commit nothing.
+func (s *Scheduler) Due(now float64) bool { return s.q.due(dueBy(now)) }
+
+// release gives back the plans the last CommitDue returned: the caller's
+// hold on them ends with this call.
+func (s *Scheduler) release() {
+	for _, pl := range s.committed {
+		s.q.scratch.recycle(pl)
+	}
+	s.committed = s.committed[:0]
 }
 
 // CommitDue commits every waiting plan whose first transmission start is ≤
@@ -289,10 +334,7 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	}
 	// The sweep folds each commit into the view's base and the plan table
 	// stays exact: the next test neither resnapshots nor re-plans.
-	for _, pl := range s.committed {
-		s.q.scratch.recycle(pl)
-	}
-	s.committed = s.committed[:0]
+	s.release()
 	s.sync()
 	err := s.q.sweep(now, func(pl *Plan) error {
 		if err := s.cl.Commit(pl.Nodes, pl.Starts, pl.Release, pl.ReservedIdle); err != nil {

@@ -2,7 +2,7 @@ package service
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -39,41 +39,45 @@ func (c *WallClock) Now() float64 { return time.Since(c.start).Seconds() * c.sca
 
 // ManualClock is an explicitly advanced clock for tests and for callers
 // that drive time themselves (e.g. replaying a trace or a simulated
-// workload). The zero value is ready to use at time 0.
+// workload). The zero value is ready to use at time 0. It takes no lock:
+// the time is one atomic word, which Set and Advance move forward by
+// compare-and-swap.
 type ManualClock struct {
-	mu  sync.Mutex
-	now float64
+	bits atomic.Uint64 // the time, as float64 bits
 }
 
 // NewManualClock returns a manual clock set to t.
 func NewManualClock(t float64) *ManualClock {
-	return &ManualClock{now: t}
+	c := &ManualClock{}
+	c.bits.Store(math.Float64bits(t))
+	return c
 }
 
 // Now implements Clock.
-func (c *ManualClock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *ManualClock) Now() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // Set moves the clock to t. Moving backwards is a no-op: the clock is
 // monotone, matching every other Clock implementation.
 func (c *ManualClock) Set(t float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
+	for {
+		old := c.bits.Load()
+		if !(t > math.Float64frombits(old)) || c.bits.CompareAndSwap(old, math.Float64bits(t)) {
+			return
+		}
 	}
 }
 
 // Advance moves the clock forward by d (negative d is a no-op) and returns
 // the new time.
 func (c *ManualClock) Advance(d float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d > 0 {
-		c.now += d
+	for {
+		old := c.bits.Load()
+		now := math.Float64frombits(old)
+		if !(d > 0) {
+			return now
+		}
+		if c.bits.CompareAndSwap(old, math.Float64bits(now+d)) {
+			return now + d
+		}
 	}
-	return c.now
 }

@@ -216,7 +216,9 @@ type Service struct {
 
 	// Task records (under mu): the records of tasks that died, and the arena
 	// a record is cut from when there is none (rt.Carve). The copies of
-	// every accepted Decision come from the other two arenas.
+	// every accepted Decision come from the other two arenas. cur is the
+	// copy a task is decided on until it passes the demand bound.
+	cur    rt.Task
 	spare  []*rt.Task
 	tasks  []rt.Task
 	ints   []int
@@ -280,10 +282,11 @@ func (s *Service) Costs() *dlt.CostModel {
 
 // Submit runs the admission test for one task and returns the decision.
 // The task is taken by value, so callers may reuse or mutate theirs freely
-// afterwards. The service decides on a record of its own, the *Task an
-// Observer sees, and gives it back to the shard's free list when the task
-// dies: at once when it is not admitted, else when it commits or is
-// displaced. The Decision and every Event carry copies.
+// afterwards. The service decides on a copy of its own, and a task that
+// passes the demand bound on a record of its own, the *Task an Observer
+// sees for an accept; the record goes back to the shard's free list when
+// the task dies: at once when it is not admitted, else when it commits or
+// is displaced. The Decision and every Event carry copies.
 //
 // A zero Arrival means "arrives now" (the current clock reading). A
 // future Arrival advances the service's effective time to it, exactly as
@@ -302,51 +305,34 @@ func (s *Service) Costs() *dlt.CostModel {
 // test, runs under the shard's lock, so concurrent submitters are decided
 // one at a time, each against the state the previous one left.
 func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
-	// A batch of one, on the caller's stack: only the task's own record in
-	// admit reaches the heap.
-	tasks, one := [1]rt.Task{task}, [1]Decision{}
-	ds, err := s.admit(ctx, tasks[:], one[:0])
-	if len(ds) == 0 {
-		return Decision{}, err
+	var d Decision
+	err := s.SubmitTo(ctx, &task, &d)
+	return d, err
+}
+
+// SubmitTo is Submit writing the decision to d, which a hard error leaves
+// zero: the pool's walk decides a task on shard after shard in one place.
+// The task is only read.
+func (s *Service) SubmitTo(ctx context.Context, task *rt.Task, d *Decision) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.decide(ctx, task, d); err != nil {
+		*d = Decision{}
+		return err
 	}
-	return ds[0], err
+	return nil
 }
 
 // SubmitBatch submits several tasks under one lock acquisition, in order,
 // and returns one decision per considered task. On a hard error the
 // decisions made so far are returned alongside it.
 func (s *Service) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]Decision, error) {
-	return s.admit(ctx, tasks, make([]Decision, 0, len(tasks)))
-}
-
-// admit decides tasks in order under s.mu, appending one Decision per
-// decided task to out; on a hard error, a cancelled context or a service
-// that stopped taking submissions, the decisions made so far come back
-// with the error.
-func (s *Service) admit(ctx context.Context, tasks []rt.Task, out []Decision) ([]Decision, error) {
+	out := make([]Decision, len(tasks))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range tasks {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-		}
-		if err := s.open(); err != nil {
-			return out, err
-		}
-		// The scheduler and its plans hold the record while the task waits;
-		// a task that is not admitted dies here.
-		task := s.newTask()
-		*task = tasks[i]
-		now, reason, pl, err := s.decide(task)
-		if err != nil {
-			s.freeTask(task)
-			return out, err
-		}
-		out = append(out, s.finishLocked(task, now, reason, pl))
-		if pl == nil {
-			s.freeTask(task)
+		if err := s.decide(ctx, &tasks[i], &out[i]); err != nil {
+			return out[:i], err
 		}
 	}
 	return out, nil
@@ -382,72 +368,103 @@ func (s *Service) open() error {
 	return nil
 }
 
-// decide walks one task, under s.mu, from its stamp to its outcome. The
-// task gets its arrival — a zero one means now — and the instant it is
-// decided at, which a future arrival moves forward. What is due by then
-// commits; the service decides its own two rejects, a deadline already
-// past and a full waiting queue; and the schedulability test runs on the
-// scheduler's live, incrementally maintained state. A non-nil error is a
-// hard one. pl is non-nil exactly for an accept.
-func (s *Service) decide(t *rt.Task) (now float64, reason errs.Reason, pl *rt.Plan, err error) {
-	now = s.clock.Now()
+// decide is the shard's one decision path: it walks one task, under s.mu,
+// from its stamp to its outcome and writes the Decision to d. The task is
+// copied to s.cur and gets its arrival — a zero one means now — and the
+// instant it is decided at, which a future arrival moves forward. What is
+// due by then commits, when anything is. Then the plan-less rejects: the
+// service's own two, a deadline already past and a full waiting queue, and
+// the scheduler's Screen with the demand bound. Only a task that passes
+// them takes a record and runs the schedulability test on the scheduler's
+// live, incrementally maintained state. A non-nil error is a hard one and
+// leaves d alone.
+func (s *Service) decide(ctx context.Context, task *rt.Task, d *Decision) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	if err := s.open(); err != nil {
+		return err
+	}
+	t := &s.cur
+	*t = *task
+	now := s.clock.Now()
 	if t.Arrival == 0 && now > 0 {
 		t.Arrival = now
 	}
 	if t.Arrival > now {
 		now = t.Arrival
 	}
-	if err = t.Validate(); err != nil {
-		return now, reason, nil, err
+	if err := t.Validate(); err != nil {
+		return err
 	}
 	// Start every transmission that is due before the new arrival is
 	// considered — the service-side analogue of the driver's commit events.
-	if err = s.commitDueLocked(now); err != nil {
-		return now, reason, nil, err
+	if s.sched.Due(now) {
+		if err := s.commitDueLocked(now); err != nil {
+			return err
+		}
 	}
+	reason := errs.ReasonInfeasible
 	switch {
 	case t.AbsDeadline() <= now:
-		return now, errs.ReasonDeadlinePast, nil, nil
+		reason = errs.ReasonDeadlinePast
+		s.pastRejects.Add(1)
 	case s.maxQueue > 0 && s.sched.QueueLen() >= s.maxQueue:
-		return now, errs.ReasonBusy, nil, nil
+		reason = errs.ReasonBusy
+		s.busyRejects.Add(1)
+	default:
+		refused, err := s.sched.Screen(t, now)
+		if err != nil {
+			return err
+		}
+		if !refused {
+			// The scheduler and its plans hold the record while the task
+			// waits; a task that is not admitted dies here.
+			rec := s.newTask()
+			*rec = *t
+			pl, err := s.sched.Admit(rec, now)
+			if pl != nil {
+				s.accepted(rec, now, pl, d)
+				return nil
+			}
+			s.freeTask(rec)
+			if err != nil {
+				return err
+			}
+		}
 	}
-	if pl, err = s.sched.Admit(t, now); err != nil || pl != nil {
-		return now, reason, pl, err
-	}
-	return now, errs.ReasonInfeasible, nil, nil
+	s.rejected(t, now, reason, d)
+	return nil
 }
 
-// finishLocked turns an outcome into its event, its observer callback and
-// its Decision: the one place every outcome is announced. The scheduler has
-// counted the outcomes of its own test; a gate reject never reached it, so
-// it is counted here. The event is built only when someone subscribes.
-func (s *Service) finishLocked(t *rt.Task, now float64, reason errs.Reason, pl *rt.Plan) Decision {
-	if pl != nil {
-		if s.obs != nil {
-			s.obs.OnAccept(now, t, pl)
-		}
-		if s.bus.HasSubscribers() {
-			s.publishLocked(Event{
-				Kind: EventAccept, Time: now, Task: *t,
-				Nodes: len(pl.Nodes), Est: pl.Est,
-			})
-		}
-		return s.newDecision(t.ID, now, pl)
+// accepted and rejected announce an outcome — its observer callback and
+// its event, built only when someone subscribes — and write its Decision:
+// the one place every outcome is announced. The scheduler has counted the
+// outcomes it decided; decide counts the service's own rejects.
+func (s *Service) accepted(t *rt.Task, now float64, pl *rt.Plan, d *Decision) {
+	if s.obs != nil {
+		s.obs.OnAccept(now, t, pl)
 	}
-	if reason != errs.ReasonInfeasible {
-		if reason == errs.ReasonBusy {
-			s.busyRejects.Add(1)
-		} else {
-			s.pastRejects.Add(1)
-		}
+	if s.bus.HasSubscribers() {
+		s.publishLocked(Event{
+			Kind: EventAccept, Time: now, Task: *t,
+			Nodes: len(pl.Nodes), Est: pl.Est,
+		})
 	}
+	*d = s.newDecision(t.ID, now, pl)
+}
+
+func (s *Service) rejected(t *rt.Task, now float64, reason errs.Reason, d *Decision) {
 	if s.obs != nil {
 		s.obs.OnReject(now, t)
 	}
 	if s.bus.HasSubscribers() {
 		s.publishLocked(Event{Kind: EventReject, Time: now, Task: *t, Reason: reason})
 	}
-	return Decision{TaskID: t.ID, At: now, Shard: s.shard, Reason: reason}
+	*d = Decision{}
+	d.TaskID, d.At, d.Shard, d.Reason = t.ID, now, s.shard, reason
 }
 
 // newDecision builds an accepted Decision under s.mu. Its Nodes, and its

@@ -22,9 +22,23 @@ cd "$tmp"
 killed=0
 failed=()
 n=0
-while IFS=$'\t' read -r file old new tests pkgs; do
-	[[ -z $file || $file == \#* ]] && continue
+while IFS= read -r row; do
+	[[ -z $row || $row == \#* ]] && continue
 	n=$((n + 1))
+	# Split on single tabs: read with IFS=$'\t' would fold a run of tabs (an
+	# IFS whitespace character) into one and lose an empty column.
+	cols=()
+	while [[ $row == *$'\t'* ]]; do
+		cols+=("${row%%$'\t'*}")
+		row=${row#*$'\t'}
+	done
+	cols+=("$row")
+	if ((${#cols[@]} != 5)); then
+		echo "ERROR   $n: ${#cols[@]} columns, want 5: ${cols[*]}"
+		failed+=("$n (${#cols[@]} columns)")
+		continue
+	fi
+	file=${cols[0]} old=${cols[1]} new=${cols[2]} tests=${cols[3]} pkgs=${cols[4]}
 	label="$n: $file: $old -> $new"
 	src=$(<"$file")
 	rest=${src#*"$old"}
