@@ -69,9 +69,12 @@
 // WithShardNodeCosts describe heterogeneous fleets of differently sized
 // and priced clusters. Decisions and events report the placing shard,
 // Stats aggregates the fleet, and ShardStats/ShardCosts expose per-shard
-// views; a shard's cluster is changed only through the engine. No timer commits a due plan: a shard commits what is due on its
-// next submission, on Pump or on Drain, so on a wall clock with no traffic
-// a due plan waits (ROADMAP item 15). The pool is the one engine: New and
+// views; a shard's cluster is changed only through the engine. A shard
+// commits what is due on its next submission, on Pump or on Drain; on a
+// WallClock the pool also runs one commit pump, a goroutine that calls Pump
+// when the earliest waiting plan falls due, so a due plan commits on time
+// with no traffic. Close and Drain stop it, and a ManualClock engine, whose
+// caller moves time, runs none. The pool is the one engine: New and
 // Simulate always build one, and the default is the K = 1 pool, the
 // paper's one cluster — no special case. A one-shard pool reproduces its
 // bare shard decision for decision, and a K-shard RoundRobin pool
@@ -265,9 +268,14 @@
 // A rejected submit allocates nothing at all, and an accepted one that
 // commits only its Decision's Nodes and Starts | Alphas block, cut from the
 // service's arenas (TestSubmitBytes); a reject tested on every shard of a
-// spillover pool leaves nothing behind either. workload.Generator still
-// carves each task it returns, and a retained Decision keeps its chunk of
-// at most 4 KB reachable.
+// spillover pool leaves nothing behind either. A caller that reuses one
+// Decision (SubmitTo) does not pay even those: an accept is copied into the
+// Decision's own slices when they hold the plan, and a reject keeps them,
+// truncated. workload.Generator.Next carves each task it returns, and
+// NextInto writes into a record the caller reuses. Simulate's loop reuses
+// one task and one Decision for every arrival, so an arrival costs it no
+// heap bytes (TestRunMarginalBytes). A retained Decision keeps its chunk of
+// at most 4 KB reachable, and one that is reused overwrites what it held.
 //
 // Build and test with the standard toolchain — go build ./... and
 // go test ./... — or via the Makefile (make ci mirrors CI's build-and-test

@@ -334,9 +334,12 @@ func Run(cfg Config) (*Result, error) {
 	// or before t; the engine records the execution metrics from the exact
 	// dispatch timelines. Once both inputs are spent, t is +Inf and the
 	// waiting queue drains. A NaN commit time enters the commit loop and
-	// setTime rejects it.
+	// setTime rejects it. One task and one decision carry every arrival: the
+	// run reads neither after its submit, so neither costs an allocation.
 	ctx := context.Background()
-	task, more := gen.Next()
+	var task rt.Task
+	var dec service.Decision
+	more := gen.NextInto(&task)
 	for {
 		isChurn := len(churn) > 0 && (!more || churn[0].At <= task.Arrival)
 		t := math.Inf(1)
@@ -360,10 +363,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		if !isChurn {
-			if _, err := eng.Submit(ctx, *task); err != nil {
+			if err := eng.SubmitTo(ctx, &task, &dec); err != nil {
 				return nil, err
 			}
-			task, more = gen.Next()
+			more = gen.NextInto(&task)
 			continue
 		}
 		// On a pool a displaced task is offered to the other live shards

@@ -6,12 +6,15 @@
 //
 // A Pool owns K service.Service shards that share one Clock and one event
 // Bus (events and decisions are shard-tagged), while every shard keeps its
-// own cluster.Cluster, rt.Scheduler and lock. No timer commits a due plan:
-// a shard commits what is due on its next submission, on Pump or on Drain
-// (ROADMAP item 15 asks for a wall-clock pump). Submissions from any
-// number of goroutines therefore contend only on the shard they are placed
-// on, never on a pool-global lock — Submit throughput scales with the
-// shard count instead of serialising on one O(queue × plan) replan.
+// own cluster.Cluster, rt.Scheduler and lock. A shard commits what is due
+// on its next submission, on Pump or on Drain; a pool whose clock is a
+// WallClock also runs one commit pump, a goroutine that calls Pump when the
+// earliest waiting plan's first transmission is due, so it commits on time
+// with no traffic. A ManualClock's caller moves time itself, and its pool
+// runs no pump. Submissions from any number of goroutines therefore
+// contend only on the shard they are placed on, never on a pool-global
+// lock — Submit throughput scales with the shard count instead of
+// serialising on one O(queue × plan) replan.
 //
 // Every shard a task is offered to decides it on its own state and counts
 // the decision: a spilled reject is one decision per shard it was offered
@@ -106,6 +109,21 @@ type Pool struct {
 	readmissions atomic.Int64 // displaced tasks re-admitted on another shard
 
 	scratch sync.Pool // *placeScratch, reused across submissions
+
+	// The commit pump's channels, all nil when the clock has no Until and
+	// no pump runs: kick (one slot) wakes it to re-arm its timer after an
+	// accept or a fleet change, quit stops it, and pumped closes when it
+	// has stopped.
+	kick     chan struct{}
+	quit     chan struct{}
+	pumped   chan struct{}
+	quitOnce sync.Once
+}
+
+// untilClock is a clock that can say how long the wall waits until it
+// reads a given instant (service.WallClock): a pool on one runs a pump.
+type untilClock interface {
+	Until(at float64) time.Duration
 }
 
 // nodeRef locates one global node id inside the pool.
@@ -175,7 +193,60 @@ func New(cfg Config) (*Pool, error) {
 		}
 		return sc
 	}
+	if c, ok := clock.(untilClock); ok {
+		p.kick, p.quit, p.pumped = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+		go p.pump(c)
+	}
 	return p, nil
+}
+
+// pump is the commit pump of a wall-clock pool: it sleeps until the
+// earliest waiting plan's first transmission, or until a kick says that
+// instant may have moved, and then calls Pump. After a failed Pump it
+// waits for the next kick instead of retrying at once. It runs until quit.
+func (p *Pool) pump(c untilClock) {
+	defer close(p.pumped)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	failed := false
+	for {
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		if at, ok := p.NextCommit(); ok && !failed {
+			timer.Reset(c.Until(at))
+		}
+		select {
+		case <-p.quit:
+			return
+		case <-p.kick:
+			failed = false
+		case <-timer.C:
+			failed = p.Pump() != nil
+		}
+	}
+}
+
+// wake signals the commit pump, when one runs, without blocking: a kick
+// already pending covers this one.
+func (p *Pool) wake() {
+	if p.kick != nil {
+		select {
+		case p.kick <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// stopPump stops the commit pump, when one runs, and waits until it has.
+func (p *Pool) stopPump() {
+	if p.kick != nil {
+		p.quitOnce.Do(func() { close(p.quit) })
+		<-p.pumped
+	}
 }
 
 // Shards returns the number of member clusters.
@@ -209,29 +280,42 @@ func (p *Pool) Spillovers() int { return int(p.spillovers.Load()) }
 // cancelled context or a closed pool — never infeasibility, which is a
 // clean decision with Reason ErrInfeasible.
 func (p *Pool) Submit(ctx context.Context, task rt.Task) (service.Decision, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return service.Decision{}, err
-		}
-	}
-	if err := p.open(); err != nil {
-		return service.Decision{}, err
+	var d service.Decision
+	err := p.SubmitTo(ctx, &task, &d)
+	return d, err
+}
+
+// SubmitTo is Submit writing the decision to d, which a hard error leaves
+// zero. The task is only read. As with service.Service.SubmitTo, an accept
+// copies its plan into d's own Nodes, Starts and Alphas when their capacity
+// holds it and a reject keeps them, truncated: a caller that reuses one
+// Decision per submit allocates no copies, and one that keeps an earlier
+// decision copies its slices first.
+func (p *Pool) SubmitTo(ctx context.Context, task *rt.Task, d *service.Decision) error {
+	if err := p.enter(ctx); err != nil {
+		*d = service.Decision{}
+		return err
 	}
 	sc := p.scratch.Get().(*placeScratch)
 	defer p.scratch.Put(sc)
 	p.sampleLoads(sc.loads)
-	sc.task = task
+	sc.task = *task
 	order, err := p.route(sc, &sc.task)
 	if err != nil {
-		return service.Decision{}, err
+		*d = service.Decision{}
+		return err
 	}
-	var d service.Decision
-	err = p.settle(ctx, &sc.task, order, 0, &d)
-	return d, err
+	return p.settle(ctx, &sc.task, order, 0, d)
 }
 
-// open reports why the pool takes no submissions, when it does not.
-func (p *Pool) open() error {
+// enter reports why the pool takes no submission now, when it does not:
+// the caller's context is done, or the pool is closed or draining.
+func (p *Pool) enter(ctx context.Context) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
 	if p.closed.Load() {
 		return fmt.Errorf("pool: closed: %w", errs.ErrClusterBusy)
 	}
@@ -345,6 +429,7 @@ func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, tried int
 	if tried > 1 {
 		p.spillovers.Add(1)
 	}
+	p.wake()
 	return nil
 }
 
@@ -364,12 +449,7 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	if len(tasks) == 0 {
 		return decisions, nil
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return decisions, err
-		}
-	}
-	if err := p.open(); err != nil {
+	if err := p.enter(ctx); err != nil {
 		return decisions, err
 	}
 
@@ -555,8 +635,9 @@ func (p *Pool) NextCommit() (at float64, ok bool) {
 }
 
 // Pump commits every waiting plan, on every shard, whose first transmission
-// is due at the current clock reading. Submissions do this implicitly; Pump
-// exists for idle periods and for callers that move a ManualClock.
+// is due at the current clock reading. Submissions do this implicitly, and
+// on a WallClock the pool's commit pump calls it when a plan falls due;
+// callers that move a ManualClock call it themselves.
 func (p *Pool) Pump() error {
 	now := p.clock.Now()
 	for i, sh := range p.shards {
@@ -568,8 +649,10 @@ func (p *Pool) Pump() error {
 }
 
 // Drain commits every remaining waiting plan on every shard regardless of
-// the clock — the shutdown/flush path.
+// the clock — the shutdown/flush path. It first stops the commit pump,
+// when one runs: after Drain, due plans commit on submissions and Pump.
 func (p *Pool) Drain() error {
+	p.stopPump()
 	for i, sh := range p.shards {
 		if err := sh.Drain(); err != nil {
 			return fmt.Errorf("pool: shard %d: %w", i, err)
@@ -600,6 +683,7 @@ func (p *Pool) SetNodeState(node int, st service.NodeState) (service.FleetResult
 	if err != nil {
 		return service.FleetResult{}, err
 	}
+	p.wake()
 	res := service.FleetResult{Node: node, State: st, Displaced: len(disp)}
 	for _, t := range disp {
 		if p.readmit(t, ref.shard) {
@@ -663,6 +747,7 @@ func (p *Pool) AddNode(nc dlt.NodeCost) (int, error) {
 	}
 	p.nodeOf = append(p.nodeOf, nodeRef{shard: best, local: local})
 	p.total.Add(1)
+	p.wake()
 	return len(p.nodeOf) - 1, nil
 }
 
@@ -683,11 +768,12 @@ func (p *Pool) NodeStates() []service.NodeState {
 }
 
 // Close marks the pool closed — subsequent submissions fail with
-// ErrClusterBusy — closes every shard and then the shared event bus.
-// Waiting plans are not committed; call Drain first to flush them. Close
-// is idempotent.
+// ErrClusterBusy — stops the commit pump, closes every shard and then the
+// shared event bus. Waiting plans are not committed; call Drain first to
+// flush them. Close is idempotent.
 func (p *Pool) Close() error {
 	p.closed.Store(true)
+	p.stopPump()
 	for _, sh := range p.shards {
 		sh.Close() //nolint:errcheck // always nil; bus ownership is the pool's
 	}

@@ -37,6 +37,20 @@ func NewWallClock(scale float64) *WallClock {
 // Now implements Clock.
 func (c *WallClock) Now() float64 { return time.Since(c.start).Seconds() * c.scale }
 
+// Until returns the wall time left until the clock reads at, rounded up to
+// the nanosecond: zero once it has, and the longest Duration for an instant
+// beyond it. A pool on this clock arms its commit pump's timer with it.
+func (c *WallClock) Until(at float64) time.Duration {
+	ns := math.Ceil(at/c.scale*1e9) - float64(time.Since(c.start))
+	switch {
+	case ns >= math.MaxInt64:
+		return math.MaxInt64
+	case !(ns > 0):
+		return 0
+	}
+	return time.Duration(ns)
+}
+
 // ManualClock is an explicitly advanced clock for tests and for callers
 // that drive time themselves (e.g. replaying a trace or a simulated
 // workload). The zero value is ready to use at time 0. It takes no lock:

@@ -40,14 +40,19 @@ func TestSubscriptionCancelDetaches(t *testing.T) {
 var errInjected = errors.New("injected planner fault")
 
 // failingPartitioner plans like IITDLT, counting its Plan calls, and fails
-// the call numbered failAt (counted from 1; 0 never) with a hard error.
+// the call numbered failAt (counted from 1; 0 never) with a hard error, or
+// with a panic when panics is set.
 type failingPartitioner struct {
 	rt.IITDLT
 	calls, failAt int
+	panics        bool
 }
 
 func (p *failingPartitioner) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
 	if p.calls++; p.calls == p.failAt {
+		if p.panics {
+			panic(errInjected)
+		}
 		return nil, errInjected
 	}
 	return p.IITDLT.Plan(ctx, t)
@@ -58,14 +63,22 @@ func (p *failingPartitioner) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, er
 // submit returns the error and decides nothing, its task record goes back
 // to the free list, the shard's lock is free, and every decision after it
 // equals that of a service that never saw the submit.
-func TestHardErrorMidTailFreesRecord(t *testing.T) {
+func TestHardErrorMidTailFreesRecord(t *testing.T) { midTailFault(t, false) }
+
+// TestPanicMidTailFreesRecord is the same with a panic in place of the
+// error: the submit panics out of Submit and decides nothing, and once the
+// caller has recovered, the spare-record count and the counters are what
+// they were before it.
+func TestPanicMidTailFreesRecord(t *testing.T) { midTailFault(t, true) }
+
+func midTailFault(t *testing.T, panics bool) {
 	ctx := context.Background()
 	stream := make([]rt.Task, 200)
 	for i := range stream {
 		stream[i] = mixTask(int64(i+1), float64(i+1)*15)
 	}
 	newSvc := func() (*Service, *failingPartitioner) {
-		part := &failingPartitioner{}
+		part := &failingPartitioner{panics: panics}
 		return newTestService(t, func(c *Config) {
 			c.Partitioner = part
 			c.Clock = NewManualClock(0)
@@ -101,25 +114,35 @@ func TestHardErrorMidTailFreesRecord(t *testing.T) {
 			}
 			continue
 		}
-		if len(svc.spare) == 0 {
+		spares := len(svc.spare)
+		if spares == 0 {
 			t.Fatal("no spare record before the faulty submit")
 		}
-		record := svc.spare[len(svc.spare)-1]
+		record := svc.spare[spares-1]
 		st0 := svc.Stats()
 		part.failAt = callsBefore + 2
-		d, err := svc.Submit(ctx, task)
-		if !errors.Is(err, errInjected) || !reflect.DeepEqual(d, Decision{}) {
-			t.Fatalf("faulty submit: %+v, %v; want no decision and the injected error", d, err)
+		var d Decision
+		var err error
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			d, err = svc.Submit(ctx, task)
+		}()
+		if panics && recovered != errInjected || !panics && (recovered != nil || !errors.Is(err, errInjected)) ||
+			!reflect.DeepEqual(d, Decision{}) {
+			t.Fatalf("faulty submit: %+v, %v, recovered %v; want no decision and the injected fault", d, err, recovered)
 		}
 		if part.calls != part.failAt {
 			t.Fatalf("%d Plan calls, the fault was at %d", part.calls, part.failAt)
 		}
-		if st := svc.Stats(); st.Arrivals != st0.Arrivals || st.QueueLen != st0.QueueLen {
-			t.Fatalf("faulty submit decided: arrivals %d → %d, queue %d → %d",
-				st0.Arrivals, st.Arrivals, st0.QueueLen, st.QueueLen)
+		if st := svc.Stats(); st.Arrivals != st0.Arrivals || st.Accepts != st0.Accepts ||
+			st.Rejects != st0.Rejects || st.QueueLen != st0.QueueLen {
+			t.Fatalf("faulty submit decided: arrivals %d → %d, accepts %d → %d, rejects %d → %d, queue %d → %d",
+				st0.Arrivals, st.Arrivals, st0.Accepts, st.Accepts, st0.Rejects, st.Rejects, st0.QueueLen, st.QueueLen)
 		}
-		if !slices.Contains(svc.spare, record) || *record != (rt.Task{}) {
-			t.Fatalf("the faulty submit's record is not back on the free list, cleared: %+v", *record)
+		if len(svc.spare) != spares || !slices.Contains(svc.spare, record) || *record != (rt.Task{}) {
+			t.Fatalf("%d spare records, %d before: the faulty submit's record is not back on the free list, cleared: %+v",
+				len(svc.spare), spares, *record)
 		}
 		if !svc.mu.TryLock() {
 			t.Fatal("the faulty submit left the shard locked")

@@ -85,10 +85,13 @@ type Decision struct {
 	// stream) and still matches the sentinels under errors.Is.
 	Reason errs.Reason `json:",omitempty"`
 
-	// Plan details, populated only when accepted. Slices are copies owned
-	// by the caller, parallel and in dispatch order, cut cap-limited from
-	// chunks the service shares among decisions: an append copies, and a
-	// retained Decision keeps its chunks (at most 4 KB each) reachable.
+	// Plan details, populated only when accepted; parallel and in dispatch
+	// order. A decision written to a Decision whose slices can hold the plan
+	// (SubmitTo on a reused one) is copied into that storage; otherwise the
+	// slices are cut cap-limited from chunks the service shares among
+	// decisions: an append copies, and a retained Decision keeps its chunks
+	// (at most 4 KB each) reachable. So a caller that reuses a Decision and
+	// keeps an earlier one copies that one's slices first.
 	Nodes  []int
 	Starts []float64
 	Alphas []float64
@@ -312,7 +315,11 @@ func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
 
 // SubmitTo is Submit writing the decision to d, which a hard error leaves
 // zero: the pool's walk decides a task on shard after shard in one place.
-// The task is only read.
+// The task is only read. An accept copies its plan into d's own Nodes,
+// Starts and Alphas when their capacity holds it, and a reject keeps them,
+// truncated, so a caller that reuses one Decision per submit allocates no
+// copies; a Decision kept from an earlier call is overwritten unless it was
+// copied.
 func (s *Service) SubmitTo(ctx context.Context, task *rt.Task, d *Decision) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -421,15 +428,21 @@ func (s *Service) decide(ctx context.Context, task *rt.Task, d *Decision) error 
 		}
 		if !refused {
 			// The scheduler and its plans hold the record while the task
-			// waits; a task that is not admitted dies here.
+			// waits; a task that is not admitted dies here, a partitioner's
+			// panic included: the deferred free covers every exit short of
+			// an accept.
 			rec := s.newTask()
 			*rec = *t
-			pl, err := s.sched.Admit(rec, now)
-			if pl != nil {
+			var pl *rt.Plan
+			defer func() {
+				if pl == nil {
+					s.freeTask(rec)
+				}
+			}()
+			if pl, err = s.sched.Admit(rec, now); pl != nil {
 				s.accepted(rec, now, pl, d)
 				return nil
 			}
-			s.freeTask(rec)
 			if err != nil {
 				return err
 			}
@@ -453,7 +466,7 @@ func (s *Service) accepted(t *rt.Task, now float64, pl *rt.Plan, d *Decision) {
 			Nodes: len(pl.Nodes), Est: pl.Est,
 		})
 	}
-	*d = s.newDecision(t.ID, now, pl)
+	s.newDecision(d, t.ID, now, pl)
 }
 
 func (s *Service) rejected(t *rt.Task, now float64, reason errs.Reason, d *Decision) {
@@ -463,30 +476,34 @@ func (s *Service) rejected(t *rt.Task, now float64, reason errs.Reason, d *Decis
 	if s.bus.HasSubscribers() {
 		s.publishLocked(Event{Kind: EventReject, Time: now, Task: *t, Reason: reason})
 	}
-	*d = Decision{}
-	d.TaskID, d.At, d.Shard, d.Reason = t.ID, now, s.shard, reason
+	*d = Decision{
+		TaskID: t.ID, At: now, Shard: s.shard, Reason: reason,
+		Nodes: d.Nodes[:0], Starts: d.Starts[:0], Alphas: d.Alphas[:0],
+	}
 }
 
-// newDecision builds an accepted Decision under s.mu. Its Nodes, and its
-// Starts and Alphas as one capped block, are cut from the service's arenas.
-func (s *Service) newDecision(id int64, now float64, pl *rt.Plan) Decision {
+// newDecision writes an accepted Decision to d under s.mu. Its Nodes,
+// Starts and Alphas are copied into d's own storage when all three can hold
+// the plan; otherwise Nodes, and Starts and Alphas as one capped block, are
+// cut from the service's arenas.
+func (s *Service) newDecision(d *Decision, id int64, now float64, pl *rt.Plan) {
 	k := len(pl.Nodes)
-	fbuf := rt.Carve(&s.floats, 2*k)
-	starts, alphas := fbuf[:k:k], fbuf[k:]
-	copy(starts, pl.Starts)
-	copy(alphas, pl.Alphas)
-	nodes := rt.Carve(&s.ints, k)
-	copy(nodes, pl.Nodes)
-	return Decision{
+	nodes, starts, alphas := d.Nodes[:0], d.Starts[:0], d.Alphas[:0]
+	if cap(nodes) < k || cap(starts) < k || cap(alphas) < k {
+		fbuf := rt.Carve(&s.floats, 2*k)
+		starts, alphas = fbuf[:0:k], fbuf[k:k]
+		nodes = rt.Carve(&s.ints, k)[:0]
+	}
+	*d = Decision{
 		TaskID:   id,
 		Accepted: true,
 		At:       now,
 		Shard:    s.shard,
 		Est:      pl.Est,
 		Rounds:   pl.Rounds,
-		Nodes:    nodes,
-		Starts:   starts,
-		Alphas:   alphas,
+		Nodes:    append(nodes, pl.Nodes...),
+		Starts:   append(starts, pl.Starts...),
+		Alphas:   append(alphas, pl.Alphas...),
 	}
 }
 

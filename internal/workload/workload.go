@@ -117,13 +117,25 @@ func (g *Generator) Config() Config { return g.cfg }
 // beyond the horizon. Tasks are returned in strictly non-decreasing arrival
 // order with unique IDs. Each is a distinct record that no later call
 // changes, cut from chunks of about 4 KB: a retained task keeps its chunk
-// reachable.
+// reachable. A caller that only reads each task before asking for the next
+// one uses NextInto, which allocates nothing.
 func (g *Generator) Next() (t *rt.Task, ok bool) {
 	if g.next > g.cfg.Horizon {
 		return nil, false
 	}
 	t = &rt.Carve(&g.tasks, 1)[0]
-	t.ID, t.Arrival = g.nextID, g.next
+	return t, g.NextInto(t)
+}
+
+// NextInto writes the next task to t, every field of it, and reports true;
+// once the next arrival would fall beyond the horizon it leaves t alone and
+// reports false. It draws the stream Next draws, task for task, so a
+// caller can reuse one record for every arrival.
+func (g *Generator) NextInto(t *rt.Task) bool {
+	if g.next > g.cfg.Horizon {
+		return false
+	}
+	*t = rt.Task{ID: g.nextID, Arrival: g.next}
 	g.nextID++
 	g.count++
 
@@ -152,7 +164,7 @@ func (g *Generator) Next() (t *rt.Task, ok bool) {
 	}
 
 	g.next += g.main.ExpFloat64() * g.meanIA
-	return t, true
+	return true
 }
 
 // Count returns the number of tasks generated so far.

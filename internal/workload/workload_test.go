@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"rtdls/internal/dlt"
@@ -311,5 +312,55 @@ func TestNextRecords(t *testing.T) {
 		if *task != vals[i] {
 			t.Fatalf("task %d changed after later Next calls: %+v, was %+v", i, *task, vals[i])
 		}
+	}
+}
+
+// TestNextIntoMatchesNext: NextInto draws Next's stream task for task,
+// overwriting every field of a reused record (a stale UserN included), and
+// leaves the record alone once the horizon is passed. It allocates nothing:
+// a record cut per call would cost 48 B.
+func TestNextIntoMatchesNext(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Horizon = 2e6
+	gNext, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gInto, _ := New(cfg)
+	rec := rt.Task{ID: -1, UserN: 99, Sigma: -1}
+	n := 0
+	for {
+		want, ok := gNext.Next()
+		if got := gInto.NextInto(&rec); got != ok {
+			t.Fatalf("task %d: NextInto reports %v, Next %v", n, got, ok)
+		}
+		if !ok {
+			break
+		}
+		if rec != *want {
+			t.Fatalf("task %d: NextInto wrote %+v, Next returned %+v", n, rec, *want)
+		}
+		n++
+	}
+	if last := rec; gInto.NextInto(&rec) || rec != last || gInto.Count() != n {
+		t.Fatalf("past the horizon NextInto changed the record or the count: %+v, %d of %d", rec, gInto.Count(), n)
+	}
+	if n < 100 {
+		t.Fatalf("only %d tasks", n)
+	}
+
+	cfg.Horizon = 1e12
+	g, _ := New(cfg)
+	const runs = 1 << 14
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		if !g.NextInto(&rec) {
+			t.Fatal("stream ended")
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if b := float64(m1.TotalAlloc-m0.TotalAlloc) / runs; b > 1 {
+		t.Fatalf("NextInto allocates %.1f B per task, want 0", b)
 	}
 }

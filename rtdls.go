@@ -76,7 +76,11 @@ import (
 // Cluster alias, NewCluster and NewHeteroCluster are gone (use ShardCosts,
 // NodeStates and Stats to read a shard, SetNodeState and AddNode to change
 // its fleet, NewCostModel with WithNodeCosts to build a cost table).
-const Version = "11.0.0"
+// 11.1.0 added Service.SubmitTo, which decides into a Decision the caller
+// reuses, and Generator.NextInto, which writes the next task into a record
+// the caller reuses; and a Service on a WallClock commits each plan when its
+// first transmission falls due, without waiting for the next submission.
+const Version = "11.1.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps
