@@ -173,10 +173,10 @@
 // log instead of rolling back and re-applying, so a steady stream of
 // submits never re-copies the cluster or rebuilds the index. The test is
 // one function over an explicit queue state, and around it every entrance
-// — Submit, SubmitBatch, a pool's spillover retry or re-admission, a
-// simulated arrival — walks one stamp, sweep, gate, test and finish
-// (service.decide), one offer loop (pool) and one simulation loop
-// (driver). Decisions and plans are bit-for-bit those of a
+// — Submit, SubmitBatch (its tasks' Submits, in input order), a pool's
+// spillover retry or re-admission, a simulated arrival — walks one stamp,
+// sweep, gate, test and finish (service.decide), one offer loop (pool) and
+// one simulation loop (driver). Decisions and plans are bit-for-bit those of a
 // whole-queue replan (lockstep suites and FuzzIncrementalAdmission
 // against a hint-free reference); node churn, fleet growth and
 // a failed commit fall back to one. Stats.PlansComputed/PlansReused

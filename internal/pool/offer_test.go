@@ -155,7 +155,7 @@ func (r *offerRig) burn() {
 
 // TestOfferServesEveryCaller drives the pool's one offer loop through its
 // four callers — Submit's spillover, the dead-pick fall-through under
-// churn, the batch's stitch and the readmission of displaced tasks — under
+// churn, the batch and the readmission of displaced tasks — under
 // a single-choice and a spillover placement, and holds the pool's counters
 // and the per-shard ledgers against the event stream.
 func TestOfferServesEveryCaller(t *testing.T) {
@@ -211,7 +211,7 @@ func TestOfferServesEveryCaller(t *testing.T) {
 			r.burn()
 			r.burn()
 
-			// Batch stitch: a dead pick, picks that accept and picks that
+			// Batch: a dead pick, picks that accept and picks that
 			// refuse, decided in input order.
 			deadlines := []float64{patient, tight, patient, medium, patient, medium, patient}
 			tasks := make([]rt.Task, len(deadlines))

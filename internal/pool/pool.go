@@ -20,7 +20,8 @@
 // the decision: a spilled reject is one decision per shard it was offered
 // to. The walk hands each shard the task and the one Decision it fills in
 // place (service.Service.SubmitTo), and a shard whose demand bound refuses
-// the task answers in O(1) of its queue, before any plan or task record.
+// the task answers in O(1) of its queue, before any plan or task record. A
+// batch is its tasks' Submits, one after another down that walk.
 //
 // The pool is the one engine, exported as rtdls.Service and driven by
 // driver.Run, and one cluster is simply K = 1 — no special case: a
@@ -273,8 +274,9 @@ func (p *Pool) Spillovers() int { return int(p.spillovers.Load()) }
 
 // Submit runs the admission test for one task on the shard the placement
 // layer picks and returns the decision; safe from any goroutine. A zero
-// Arrival means "arrives now", a future one advances the submission
-// instant. Under a spillover placement a rejected task is retried down the
+// Arrival means "arrives now"; a future one advances the submission instant
+// on a clock its caller moves (ManualClock) and is malformed input on a
+// wall clock. Under a spillover placement a rejected task is retried down the
 // preference order until a shard accepts or all have refused; Decision.Shard
 // reports the placing shard. The error return reports malformed input, a
 // cancelled context or a closed pool — never infeasibility, which is a
@@ -298,14 +300,41 @@ func (p *Pool) SubmitTo(ctx context.Context, task *rt.Task, d *service.Decision)
 	}
 	sc := p.scratch.Get().(*placeScratch)
 	defer p.scratch.Put(sc)
-	p.sampleLoads(sc.loads)
+	return p.walk(ctx, sc, task, d)
+}
+
+// walk is the pool's one decision path, for a submission enter let in. The
+// placement reads every shard's lock-free mirrors — Live always (it skips
+// drained shards), queue lengths and node counts only when load-aware — and
+// builds the task's preference order in the scratch's buffer; the task is
+// settled down that order. A hard error leaves d zero.
+func (p *Pool) walk(ctx context.Context, sc *placeScratch, task *rt.Task, d *service.Decision) error {
+	for i, sh := range p.shards {
+		sc.loads[i].Live = sh.LiveNodes()
+		if p.needLoads {
+			sc.loads[i].QueueLen = sh.QueueLen()
+			sc.loads[i].Nodes = sh.Nodes()
+		}
+	}
 	sc.task = *task
-	order, err := p.route(sc, &sc.task)
+	order := p.place.Order(sc.order[:0], p.seq.Add(1)-1, sc.loads, &sc.task)
+	sc.order = order[:0]
+	var err error
+	if len(order) == 0 {
+		err = fmt.Errorf("pool: placement %s returned no shard: %w", p.place.Name(), errs.ErrBadConfig)
+	}
+	for _, idx := range order {
+		if idx < 0 || idx >= len(p.shards) {
+			err = fmt.Errorf("pool: placement %s picked shard %d of %d: %w",
+				p.place.Name(), idx, len(p.shards), errs.ErrBadConfig)
+			break
+		}
+	}
 	if err != nil {
 		*d = service.Decision{}
 		return err
 	}
-	return p.settle(ctx, &sc.task, order, 0, d)
+	return p.settle(ctx, &sc.task, order, d)
 }
 
 // enter reports why the pool takes no submission now, when it does not:
@@ -325,37 +354,6 @@ func (p *Pool) enter(ctx context.Context) error {
 	return nil
 }
 
-// sampleLoads reads what the placement sees of every shard. Live is
-// sampled on every submit (placements skip drained shards); queue lengths
-// and node counts only for load-aware placements. All three are lock-free
-// mirror reads.
-func (p *Pool) sampleLoads(loads []ShardLoad) {
-	for i, sh := range p.shards {
-		loads[i].Live = sh.LiveNodes()
-		if p.needLoads {
-			loads[i].QueueLen = sh.QueueLen()
-			loads[i].Nodes = sh.Nodes()
-		}
-	}
-}
-
-// route asks the placement for the next submission's shard preference
-// order, built in the scratch's buffer, and checks it names real shards.
-func (p *Pool) route(sc *placeScratch, task *rt.Task) ([]int, error) {
-	order := p.place.Order(sc.order[:0], p.seq.Add(1)-1, sc.loads, task)
-	sc.order = order[:0]
-	if len(order) == 0 {
-		return nil, fmt.Errorf("pool: placement %s returned no shard: %w", p.place.Name(), errs.ErrBadConfig)
-	}
-	for _, idx := range order {
-		if idx < 0 || idx >= len(p.shards) {
-			return nil, fmt.Errorf("pool: placement %s picked shard %d of %d: %w",
-				p.place.Name(), idx, len(p.shards), errs.ErrBadConfig)
-		}
-	}
-	return order, nil
-}
-
 // offer is the pool's one routing rule: offer the task to the shards of
 // cands in turn, passing over those with no live node, until one accepts,
 // one finds the deadline already past — on the shared clock that dooms the
@@ -372,54 +370,43 @@ func (p *Pool) offer(ctx context.Context, task *rt.Task, cands []int, d *service
 			return tried, cands[i+1:], err
 		}
 		tried++
-		if final(d) {
+		if d.Accepted || d.Reason == errs.ReasonDeadlinePast {
 			return tried, cands[i+1:], nil
 		}
 	}
 	return tried, nil, nil
 }
 
-// final reports whether no other shard needs to see the task: it has a
-// seat, or its deadline has passed on the clock every shard shares.
-func final(d *service.Decision) bool {
-	return d.Accepted || d.Reason == errs.ReasonDeadlinePast
-}
-
-// settle walks a task down its placement order and books the pool-level
-// outcome in d: one arrival however many shards it took, a spillover when
-// the accept was not the first offer. A caller that already holds a shard's
-// decision (a batch, whose first offers go out as per-shard sub-batches)
-// passes it in d with tried = 1 and the rest of the order.
-func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, tried int, d *service.Decision) error {
-	if tried == 0 || !final(d) {
-		n, _, err := p.offer(ctx, task, order, d)
-		if err != nil {
+// settle is the tail of the walk: it offers a task down its placement order
+// and books the pool-level outcome in d, one arrival however many shards
+// it took and a spillover when the accept was not the first offer.
+func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, d *service.Decision) error {
+	tried, _, err := p.offer(ctx, task, order, d)
+	if err != nil {
+		return err
+	}
+	if tried == 0 {
+		// Every shard the placement picked is drained: fall through to the
+		// remaining live shards in index order rather than losing the task
+		// to a dead pick (single-choice placements under churn).
+		rest := make([]int, 0, len(p.shards))
+		for idx := range p.shards {
+			if !slices.Contains(order, idx) {
+				rest = append(rest, idx)
+			}
+		}
+		if tried, _, err = p.offer(ctx, task, rest, d); err != nil {
 			return err
 		}
-		if n == 0 && tried == 0 {
-			// Every shard the placement picked is drained: fall through to the
-			// remaining live shards in index order rather than losing the task
-			// to a dead pick (single-choice placements under churn).
-			rest := make([]int, 0, len(p.shards))
-			for idx := range p.shards {
-				if !slices.Contains(order, idx) {
-					rest = append(rest, idx)
-				}
-			}
-			if n, _, err = p.offer(ctx, task, rest, d); err != nil {
+		if tried == 0 {
+			// No shard has a live node: the first pick decides, and its
+			// scheduler rejects the task as infeasible, so the submission
+			// is a counted decision with its EventReject for every K.
+			if err = p.shards[order[0]].SubmitTo(ctx, task, d); err != nil {
 				return err
 			}
-			if n == 0 {
-				// No shard has a live node: the first pick decides, and its
-				// scheduler rejects the task as infeasible, so the submission
-				// is a counted decision with its EventReject for every K.
-				if err = p.shards[order[0]].SubmitTo(ctx, task, d); err != nil {
-					return err
-				}
-				n = 1
-			}
+			tried = 1
 		}
-		tried += n
 	}
 	if !d.Accepted {
 		p.rejects.Add(1)
@@ -433,104 +420,30 @@ func (p *Pool) settle(ctx context.Context, task *rt.Task, order []int, tried int
 	return nil
 }
 
-// SubmitBatch submits several tasks, returning one decision per considered
-// task in input order. The batch fans out: every task is routed up front
-// (placement sequence numbers follow input order), the per-shard sub-batches
-// run concurrently — one goroutine per target shard, each a single shard
-// batch under that shard's lock — and the decisions are re-stitched into input
-// order. Tasks a shard refuses are then retried down their placement order
-// exactly as Submit spills over. The batch is atomic per shard, not pool-wide:
-// concurrent submitters may interleave between sub-batches.
-// On a hard error every decision a shard made is still booked and returned
-// (in input order) alongside the first error; the tasks without a decision
-// were never admitted anywhere, and the client resubmits exactly those.
+// SubmitBatch is the tasks' Submits, one after another in input order: it
+// decides, counts and announces what they would, and returns the decisions
+// in input order. It holds no lock across tasks, so concurrent submitters
+// may interleave anywhere in it. A task's own hard error (malformed input)
+// leaves it without a decision and the batch goes on, returning the first
+// such error; a done context or a closed or draining pool ends the batch.
+// The tasks without a decision were admitted nowhere: resubmit exactly those.
 func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Decision, error) {
-	decisions := make([]service.Decision, 0, len(tasks))
-	if len(tasks) == 0 {
-		return decisions, nil
-	}
-	if err := p.enter(ctx); err != nil {
-		return decisions, err
-	}
-
-	// Route every task first, in input order. Loads are sampled once; for
-	// load-aware placements each routed task optimistically grows its target
-	// shard's queue so the batch keeps spreading the way per-task sampling
-	// would. A task's target is the first live shard of its order; orders[i]
-	// keeps what settle will need: the picks after the target, or, when
-	// every pick is dead, the whole order.
+	decisions := make([]service.Decision, len(tasks))
 	sc := p.scratch.Get().(*placeScratch)
 	defer p.scratch.Put(sc)
-	p.sampleLoads(sc.loads)
-	orders := make([][]int, len(tasks))
-	target := make([]int, len(tasks))
-	subTasks := make([][]rt.Task, len(p.shards))
-	for i := range tasks {
-		order, err := p.route(sc, &tasks[i])
-		if err != nil {
-			return decisions, err
-		}
-		target[i] = -1
-		for j, idx := range order {
-			if sc.loads[idx].Live > 0 {
-				target[i], order = idx, order[j+1:]
-				break
-			}
-		}
-		orders[i] = slices.Clone(order)
-		if t := target[i]; t >= 0 {
-			subTasks[t] = append(subTasks[t], tasks[i])
-			if p.needLoads {
-				sc.loads[t].QueueLen++
-			}
-		}
-	}
-
-	// Fan out: one goroutine per target shard, each submitting its
-	// sub-batch in one shard-level batch.
-	subDec := make([][]service.Decision, len(p.shards))
-	subErr := make([]error, len(p.shards))
-	var wg sync.WaitGroup
-	for s := range p.shards {
-		if len(subTasks[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			subDec[s], subErr[s] = p.shards[s].SubmitBatch(ctx, subTasks[s])
-		}(s)
-	}
-	wg.Wait()
-
-	// Stitch the decisions back into input order and settle each task as
-	// Submit does: a target's refusal spills over down the rest of the
-	// order, a dead pick falls through to the remaining live shards. A hard
-	// error leaves its task undecided but does not end the walk: the other
-	// shards' decisions are already made and must be booked and returned.
-	pos := make([]int, len(p.shards))
+	n := 0
 	var firstErr error
 	for i := range tasks {
-		var d service.Decision
-		tried := 0
-		if t := target[i]; t >= 0 {
-			j := pos[t]
-			pos[t]++
-			if j >= len(subDec[t]) {
-				// The shard's sub-batch stopped early on a hard error before
-				// deciding this task.
-				firstErr = cmp.Or(firstErr, subErr[t])
-				continue
-			}
-			d, tried = subDec[t][j], 1
+		if err := p.enter(ctx); err != nil {
+			return decisions[:n], cmp.Or(firstErr, err)
 		}
-		if err := p.settle(ctx, &tasks[i], orders[i], tried, &d); err != nil {
+		if err := p.walk(ctx, sc, &tasks[i], &decisions[n]); err != nil {
 			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
-		decisions = append(decisions, d)
+		n++
 	}
-	return decisions, firstErr
+	return decisions[:n], firstErr
 }
 
 // Subscribe attaches a consumer to the pool-wide event stream — one

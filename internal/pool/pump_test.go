@@ -64,12 +64,26 @@ func TestConcurrentWallClockPumpCommits(t *testing.T) {
 	}
 
 	// A task whose first start lies 500 ms ahead waits for it; then one due
-	// at once re-arms the pump ahead of it and commits first.
-	late, err := p.Submit(ctx, rt.Task{ID: 2, Arrival: p.Clock().Now() + 5000, Sigma: 1, RelDeadline: 1e6})
+	// at once re-arms the pump ahead of it and commits first. With node 3
+	// drained, three long tasks hold the other nodes for 5050 units, so the
+	// late task waits behind them; node 3 comes back, and the early task,
+	// due before the late one, holds it until after that task's first start.
+	if _, err := p.SetNodeState(3, service.NodeDraining); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(11); id <= 13; id++ {
+		if d, err := p.Submit(ctx, rt.Task{ID: id, Sigma: 50, RelDeadline: 1e6}); err != nil || !d.Accepted {
+			t.Fatalf("long submit: %+v, %v", d, err)
+		}
+	}
+	late, err := p.Submit(ctx, rt.Task{ID: 2, Sigma: 1, RelDeadline: 1e6})
 	if err != nil || !late.Accepted {
 		t.Fatalf("late submit: %+v, %v", late, err)
 	}
-	if d, err := p.Submit(ctx, rt.Task{ID: 3, Sigma: 1, RelDeadline: 1e6}); err != nil || !d.Accepted || d.Starts[0] >= late.Starts[0] {
+	if _, err := p.SetNodeState(3, service.NodeUp); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := p.Submit(ctx, rt.Task{ID: 3, Sigma: 60, RelDeadline: 1e5}); err != nil || !d.Accepted || d.Starts[0] >= late.Starts[0] {
 		t.Fatalf("submit: %+v, %v; want an accept that starts before %v", d, err, late.Starts[0])
 	}
 	if ev := awaitCommit(t, sub, 3, lag); ev.Time >= late.Starts[0] {
@@ -94,8 +108,14 @@ func TestConcurrentWallClockPumpCommits(t *testing.T) {
 // what waits, and a second stop (Close) does not block.
 func TestConcurrentWallClockPumpDrain(t *testing.T) {
 	p, sub := wallPool(t, 1)
-	now := p.Clock().Now()
-	if d, err := p.Submit(context.Background(), rt.Task{ID: 1, Arrival: now + 3600, Sigma: 50, RelDeadline: 1e6}); err != nil || !d.Accepted {
+	// Four long tasks ahead of it hold the four nodes for 3636 units, so
+	// the task's first start lies an hour ahead.
+	for id := int64(11); id <= 14; id++ {
+		if d, err := p.Submit(context.Background(), rt.Task{ID: id, Sigma: 36, RelDeadline: 1e6}); err != nil || !d.Accepted {
+			t.Fatalf("long submit: %+v, %v", d, err)
+		}
+	}
+	if d, err := p.Submit(context.Background(), rt.Task{ID: 1, Sigma: 50, RelDeadline: 1e6}); err != nil || !d.Accepted {
 		t.Fatalf("submit: %+v, %v", d, err)
 	}
 	if err := p.Drain(); err != nil {

@@ -239,8 +239,11 @@ func (s *Scheduler) sync() {
 // are removed and returned as displaced — their original accept stands in
 // the counters, but they will never commit here. Restoring a node never
 // displaces anything (capacity only grows); waiting plans are left as
-// planned and re-optimised naturally on the next arrival.
+// planned and re-optimised naturally on the next arrival. The transition is
+// all-or-nothing: when the revalidation errs or panics, the node goes back
+// to the state it had and the queue stays as it was.
 func (s *Scheduler) SetNodeState(id int, st cluster.NodeState, now float64) (displaced []*Task, err error) {
+	prev := s.cl.NodeStateList()
 	if err := s.cl.SetNodeState(id, st); err != nil {
 		// Bad node id / state is a caller mistake, not an engine fault: tag
 		// it so the wire layer maps it to 400 rather than 500.
@@ -250,7 +253,16 @@ func (s *Scheduler) SetNodeState(id int, st cluster.NodeState, now float64) (dis
 	if st == cluster.NodeUp {
 		return nil, nil
 	}
-	return s.Revalidate(now)
+	done := false
+	defer func() {
+		if !done {
+			s.cl.SetNodeState(id, prev[id]) //nolint:errcheck // id and state were valid
+			s.invalidate()
+		}
+	}()
+	displaced, err = s.Revalidate(now)
+	done = err == nil
+	return displaced, err
 }
 
 // AddNode grows the cluster by one node (see cluster.AddNode); waiting
@@ -278,6 +290,13 @@ func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
 	s.sync()
 	q.planAt(now)
 	base := q.rebuildFrom(0)
+	// A hard error or a partitioner's panic puts the queue back as it was.
+	accepted := false
+	defer func() {
+		if !accepted {
+			q.restore(0, base)
+		}
+	}()
 	for _, e := range q.saved {
 		w := e.task
 		if q.live == 0 {
@@ -290,11 +309,11 @@ func (s *Scheduler) Revalidate(now float64) (displaced []*Task, err error) {
 				displaced = append(displaced, w)
 				continue
 			}
-			q.restore(0, base)
 			return nil, perr
 		}
 		q.push(w, pl)
 	}
+	accepted = true
 	q.accept(now)
 	s.queueLen.Store(int64(len(q.queue)))
 	return displaced, nil

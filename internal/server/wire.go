@@ -10,7 +10,8 @@ import (
 
 // TaskRequest is the wire form of one divisible task T = (A, σ, D). Times
 // are in the cluster's simulation units; a zero (or omitted) arrival means
-// "arrives now" on the server's clock.
+// "arrives now" on the server's clock. On a wall clock an arrival later than
+// the clock's reading is a 400: no client moves the server's time.
 type TaskRequest struct {
 	ID       int64   `json:"id,omitempty"`
 	Arrival  float64 `json:"arrival,omitempty"`

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rtdls/internal/cluster"
 	"rtdls/internal/dlt"
@@ -182,6 +183,7 @@ type Service struct {
 	cl    *cluster.Cluster
 	sched *rt.Scheduler
 	clock Clock
+	wall  bool // the clock has Until: a wall clock, which no arrival moves
 	obs   rt.Observer
 	bus   *Bus
 	shard int
@@ -251,10 +253,12 @@ func New(cfg Config) (*Service, error) {
 	if bus == nil {
 		bus, ownBus = NewBus(), true
 	}
+	_, wall := clock.(interface{ Until(float64) time.Duration })
 	s := &Service{
 		cl:       cfg.Cluster,
 		sched:    sched,
 		clock:    clock,
+		wall:     wall,
 		obs:      cfg.Observer,
 		bus:      bus,
 		shard:    cfg.Shard,
@@ -291,14 +295,15 @@ func (s *Service) Costs() *dlt.CostModel {
 // the task dies: at once when it is not admitted, else when it commits or
 // is displaced. The Decision and every Event carry copies.
 //
-// A zero Arrival means "arrives now" (the current clock reading). A
-// future Arrival advances the service's effective time to it, exactly as
-// the driver's simulated replay does: every waiting plan whose first
-// transmission is due by that instant is committed (irrevocably — a
-// committed plan is no longer replannable) before the new task is tested.
-// Mixing future-dated arrivals with a live wall clock therefore locks in
-// the intervening schedule early; time-stamped replays should feed tasks
-// in arrival order, as the driver does.
+// A zero Arrival means "arrives now" (the current clock reading). On a
+// clock its caller moves (a ManualClock) a future Arrival advances the
+// service's effective time to it, exactly as the driver's simulated replay
+// does: every waiting plan whose first transmission is due by that instant
+// is committed (irrevocably — a committed plan is no longer replannable)
+// before the new task is tested; time-stamped replays should feed tasks in
+// arrival order, as the driver does. On a clock with Until (a WallClock) the
+// instant stays at the clock's reading, so a future Arrival is malformed
+// input (ErrBadConfig) and commits nothing early.
 //
 // The error return reports malformed input (ErrBadConfig), a cancelled
 // context, or a closed service (ErrClusterBusy) — never infeasibility: an
@@ -378,7 +383,8 @@ func (s *Service) open() error {
 // decide is the shard's one decision path: it walks one task, under s.mu,
 // from its stamp to its outcome and writes the Decision to d. The task is
 // copied to s.cur and gets its arrival — a zero one means now — and the
-// instant it is decided at, which a future arrival moves forward. What is
+// instant it is decided at, which a future arrival moves forward unless the
+// clock is a wall clock (Screen then reports the arrival an error). What is
 // due by then commits, when anything is. Then the plan-less rejects: the
 // service's own two, a deadline already past and a full waiting queue, and
 // the scheduler's Screen with the demand bound. Only a task that passes
@@ -400,7 +406,7 @@ func (s *Service) decide(ctx context.Context, task *rt.Task, d *Decision) error 
 	if t.Arrival == 0 && now > 0 {
 		t.Arrival = now
 	}
-	if t.Arrival > now {
+	if t.Arrival > now && !s.wall {
 		now = t.Arrival
 	}
 	if err := t.Validate(); err != nil {

@@ -80,7 +80,11 @@ import (
 // reuses, and Generator.NextInto, which writes the next task into a record
 // the caller reuses; and a Service on a WallClock commits each plan when its
 // first transmission falls due, without waiting for the next submission.
-const Version = "11.1.0"
+// 12.0.0 made SubmitBatch its tasks' Submits, one after another in input
+// order, with no lock held across them and no shard deciding in parallel,
+// and made a future Arrival on a wall clock malformed input (ErrBadConfig)
+// instead of a move of the service's time.
+const Version = "12.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps

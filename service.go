@@ -420,8 +420,8 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 // the paper's one cluster. Construct with New. Its methods, documented in
 // full by go doc rtdls/internal/pool Pool:
 //
-//   - admission: Submit, SubmitBatch, and SubmitTo, which writes into a
-//     Decision the caller reuses;
+//   - admission: Submit, SubmitBatch, which is its tasks' Submits in input
+//     order, and SubmitTo, which writes into a Decision the caller reuses;
 //   - events: Subscribe;
 //   - lifecycle: SetAccepting, Accepting, Pump, Drain, Close, Clock,
 //     NextCommit;
